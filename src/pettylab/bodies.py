@@ -23,6 +23,10 @@ ZONOTOPE_DET_BUDGET = 10 ** 6
 ZONOTOPE_VERTEX_GEN_LIMIT = 20
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+# Entries of one block of |<u, v>| values in ``_abs_pairing``: 256 KiB, so a
+# large node set reuses one small buffer instead of faulting in megabytes of
+# fresh pages whenever a body has more facets or generators than the last.
+ABS_BLOCK_ENTRIES = 1 << 15
 
 
 class GeometryError(ValueError):
@@ -108,7 +112,20 @@ class Zonotope:
         return float(np.sum(np.abs(self.generators @ np.asarray(u, dtype=float))))
 
     def support_batch(self, U) -> np.ndarray:
-        return np.sum(np.abs(np.asarray(U, dtype=float) @ self.generators.T), axis=1)
+        return _abs_pairing(U, self.generators)
+
+
+def _abs_pairing(U, V: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_j w_j |<u, v_j>| for each row u of U (every w_j = 1 by default),
+    in blocks of rows of at most ``ABS_BLOCK_ENTRIES`` products."""
+    U = np.asarray(U, dtype=float)
+    out = np.empty(len(U))
+    step = max(1, ABS_BLOCK_ENTRIES // max(len(V), 1))
+    for s in range(0, len(U), step):
+        block = U[s:s + step] @ V.T
+        np.abs(block, out=block)
+        out[s:s + step] = block.sum(axis=1) if weights is None else block @ weights
+    return out
 
 
 def affine_dimension(points: np.ndarray, tol: float = COPLANAR_TOL) -> int:
@@ -298,25 +315,6 @@ def vertex_set_distance(P, Q) -> float:
     b = Q if isinstance(Q, np.ndarray) else reduced_form(Q).vertices
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
-def hausdorff_to_centered_ball(P: VPolytope, radius: float, samples: int = 2048) -> float:
-    """Hausdorff distance between P and the centered ball of given radius.
-
-    Uses sup |h_P - radius| over facet normals, vertex directions, and a
-    quasi-uniform direction sample; adequate for convergence reporting.
-    """
-    R = reduced_form(P)
-    dirs = [sphere_directions(R.dim, samples)]
-    vn = np.linalg.norm(R.vertices, axis=1)
-    keep = vn > 1e-14
-    if np.any(keep):
-        dirs.append(R.vertices[keep] / vn[keep, None])
-    if R.affine_dim == R.dim:
-        normals, _, _ = facet_planes(R)
-        dirs.append(normals)
-    U = np.vstack(dirs)
-    return float(np.max(np.abs(R.support_batch(U) - radius)))
 
 
 def sphere_directions(n: int, count: int) -> np.ndarray:

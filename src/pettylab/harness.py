@@ -31,11 +31,10 @@ from .bodies import (
     volume,
     zonotope_to_vpolytope,
 )
-from .mixed import facets, mixed_volume, v1
+from .mixed import mixed_volume, v1
 from .projections import (
     QuadratureSpec,
     RadialMeasure,
-    SupportEvaluator,
     centroid_body_support,
     empirical_centroid_body,
     mixed_projection_support,
@@ -102,8 +101,17 @@ def _common(config: dict) -> tuple[int, int, int]:
 
 def _quad_nodes(config: dict, dim: int) -> int:
     q = config.get("quadrature") or {}
-    spec = QuadratureSpec(nodes=q.get("nodes"), certify=bool(q.get("certify", False)))
-    return spec.node_count(dim)
+    _require(isinstance(q, dict), "quadrature must be an object")
+    _require(
+        not q.get("certify"),
+        "quadrature.certify is not supported in experiments (the petty command honours it)",
+    )
+    nodes = q.get("nodes")
+    _require(
+        nodes is None or (type(nodes) is int and nodes >= 1),
+        f"quadrature.nodes must be a positive integer, got {nodes!r}",
+    )
+    return QuadratureSpec(nodes=nodes).node_count(dim)
 
 
 def _measure(config: dict) -> RadialMeasure:
@@ -242,6 +250,7 @@ def _validate_thm12(config: dict):
     m = int(blocks[0]["m"])
     _require(cset["m"] == m, "c_set dimension must match the block column count")
     measure = _measure(config)
+    _quad_nodes(config, dim)
     if measure.variant == "lebesgue":
         _require(
             m >= _cset_full_dim_min_columns(cset, dim),
@@ -293,6 +302,7 @@ def _validate_mixed_blocks(config: dict):
         _require(built["m"] == int(blk["m"]), "c_set size must match its block")
         Density.from_literal(blk["density"], dim)
     _measure(config)
+    _quad_nodes(config, dim)
 
 
 class _Thm11Trials:
@@ -338,6 +348,7 @@ def _validate_cor13(config: dict):
         _require(not body.is_degenerate(), "cor13 bodies must be full-dimensional")
     _require(int(config.get("m", 0)) >= 1, "cor13 needs m >= 1 sample points")
     _measure(config)
+    _quad_nodes(config, dim)
 
 
 class _Cor13Trials:
@@ -610,16 +621,10 @@ def run_emp_petty_2(config: dict, threads: int | None = None) -> dict:
     return _two_sided_report("emppetty2", config, resolve_threads(threads))
 
 
-def v1_against_evaluator(K: VPolytope, h: SupportEvaluator) -> float:
-    """Exact V(K, ..., K, L) for L given by its support evaluator."""
-    f = facets(K)
-    return float(np.sum(f.measures * h(f.normals)) / K.dim)
-
-
 def lln_target(body_literal: dict) -> float:
     """Deterministic limit V1(K, centroid body of the polar projection body)."""
     K, L = _polar_projection_polytope_of(body_literal)
-    return v1_against_evaluator(K, centroid_body_support(L))
+    return v1(K, centroid_body_support(L))
 
 
 def run_lln(config: dict, threads: int | None = None) -> dict:

@@ -1,14 +1,15 @@
-"""Facet data, mixed volumes by polarization, and segment specializations.
+"""Facet data, the surface-area measure, and the mixed volumes built on it.
 
-The n-body mixed volume is computed from the inclusion-exclusion identity
-over Minkowski sums of subsets, so every value traces back to plain hull
-volumes.  Segment arguments additionally admit exact width and projection
-formulas which the support evaluators downstream rely on.
+Every mixed quantity reads one primitive, the surface-area measure S_K as
+(unit normals, masses): v1(K, L) = (1/n) sum h_L(v) S_K(v), and in space
+the mixed measure S(A, B) = [S(A + B) - S(A) - S(B)] / 2 gives the rest
+(Schneider, Convex Bodies: The Brunn-Minkowski Theory, section 5.1).  The
+inclusion-exclusion definition over subset sums lives in ``verify`` as the
+independent oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,13 +19,13 @@ from .bodies import (
     GeometryError,
     VPolytope,
     Zonotope,
+    _abs_pairing,
     facet_planes,
     hull,
     minkowski_sum,
     reduced_form,
-    segment,
-    volume,
     volume_of_points,
+    zonotope_to_vpolytope,
 )
 
 FACET_MERGE_DECIMALS = 9
@@ -42,14 +43,11 @@ class FacetData:
         return len(self.measures)
 
 
-def _simplex_facet_measure(verts: np.ndarray) -> float:
-    if verts.shape[1] == 2:
-        return float(np.linalg.norm(verts[1] - verts[0]))
-    return 0.5 * float(np.linalg.norm(np.cross(verts[1] - verts[0], verts[2] - verts[0])))
-
-
 def facets(P: VPolytope) -> FacetData:
-    """Merged facet data of a full-dimensional body in dimension 2 or 3."""
+    """Merged facet data of a full-dimensional body in dimension 2 or 3.
+
+    Facets come in the order qhull first reports them.
+    """
     R = reduced_form(P)
     got = R._cache.get("facets")
     if got is not None:
@@ -59,16 +57,19 @@ def facets(P: VPolytope) -> FacetData:
     keys = np.round(
         np.column_stack([normals, offsets / scale]), FACET_MERGE_DECIMALS
     )
-    groups: dict = {}
-    for i, key in enumerate(map(tuple, keys)):
-        groups.setdefault(key, []).append(i)
-    out_n, out_m, out_o = [], [], []
-    for idx in groups.values():
-        area = sum(_simplex_facet_measure(R.vertices[h.simplices[i]]) for i in idx)
-        out_n.append(normals[idx[0]])
-        out_m.append(area)
-        out_o.append(offsets[idx[0]])
-    data = FacetData(np.array(out_n), np.array(out_m), np.array(out_o))
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    corners = R.vertices[h.simplices]
+    if R.dim == 2:
+        pieces = np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
+    else:
+        pieces = 0.5 * np.linalg.norm(
+            np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=1
+        )
+    areas = np.bincount(rank[group.ravel()], weights=pieces)
+    data = FacetData(normals[first[order]], areas, offsets[first[order]])
     R._cache["facets"] = data
     return data
 
@@ -83,9 +84,8 @@ def projection_support(P: VPolytope, U) -> np.ndarray:
     Cauchy's formula: half the surface measure weighted by |<normal, u>|.
     Rows of U need not be unit; values scale 1-homogeneously.
     """
-    f = facets(P)
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    return 0.5 * np.sum(np.abs(U @ f.normals.T) * f.measures[None, :], axis=1)
+    normals, masses = _surface_measure(P)
+    return 0.5 * _abs_pairing(np.atleast_2d(U), normals, masses)
 
 
 def centroid(P: VPolytope) -> np.ndarray:
@@ -140,75 +140,70 @@ def clip_halfspace(P: VPolytope, normal, offset: float = 0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# mixed volumes
+# the surface-area measure and the mixed quantities built on it
 
 
 def _as_polytope(B) -> VPolytope:
-    if isinstance(B, Zonotope):
-        from .bodies import zonotope_to_vpolytope
+    return zonotope_to_vpolytope(B) if isinstance(B, Zonotope) else B
 
-        return zonotope_to_vpolytope(B)
-    return B
+
+def _surface_measure(K) -> tuple[np.ndarray, np.ndarray]:
+    """Surface-area measure S_K as (outward unit normals, masses).
+
+    The plane reads it off the counterclockwise vertex cycle (a segment is a
+    2-cycle), space off the merged facets.  Flat bodies take the thin-body
+    limit: a segment in the plane or a polygon in space has mass |K| on
+    both unit normals, and anything flatter has no mass.
+    """
+    R = reduced_form(_as_polytope(K))
+    n, k = R.dim, R.affine_dim
+    if n == 2 and k >= 1:
+        edges = np.roll(R.vertices, -1, axis=0) - R.vertices
+        masses = np.linalg.norm(edges, axis=1)
+        return np.column_stack([edges[:, 1], -edges[:, 0]]) / masses[:, None], masses
+    if n == 3 and k == 3:
+        f = facets(R)
+        return f.normals, f.measures
+    if n == 3 and k == 2:
+        v = R.vertices - R.vertices.mean(axis=0)
+        area = 0.5 * np.sum(np.cross(v, np.roll(v, -1, axis=0)), axis=0)
+        a = float(np.linalg.norm(area))
+        return np.array([area, -area]) / a, np.array([a, a])
+    return np.zeros((0, n)), np.zeros(0)
+
+
+def v1(K, L) -> float:
+    """V(K, ..., K, L) = (1/n) sum of h_L over the surface measure of K.
+
+    L is any support carrier: a VPolytope, a Zonotope or a SupportEvaluator.
+    """
+    if L.dim != K.dim:
+        raise GeometryError("dimension mismatch in v1")
+    normals, masses = _surface_measure(K)
+    h = getattr(L, "support_batch", L)
+    return float(masses @ h(normals) / K.dim)
 
 
 def mixed_volume(bodies: list) -> float:
-    """V(K_1, ..., K_n) by inclusion-exclusion over subset Minkowski sums."""
-    bodies = [_as_polytope(B) for B in bodies]
+    """V(K_1, ..., K_n): v1 in the plane, and in space by polarization of
+    v1(A + B, C) = v1(A, C) + 2 V(A, B, C) + v1(B, C)."""
     n = bodies[0].dim
     if len(bodies) != n:
         raise GeometryError(f"mixed volume in dimension {n} needs exactly {n} bodies")
     if any(B.dim != n for B in bodies):
         raise GeometryError("mixed volume bodies must share a dimension")
-    sums: dict[frozenset, VPolytope] = {}
-    order = sorted(range(n))
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(order, size):
-            key = frozenset(subset)
-            if size == 1:
-                sums[key] = reduced_form(bodies[subset[0]])
-            else:
-                prev = frozenset(subset[:-1])
-                sums[key] = minkowski_sum(sums[prev], bodies[subset[-1]])
-    total = 0.0
-    for key, body in sums.items():
-        total += ((-1.0) ** (n - len(key))) * volume(body)
-    return total / math.factorial(n)
+    if n == 2:
+        return v1(bodies[0], bodies[1])
+    A, B, C = _as_polytope(bodies[0]), _as_polytope(bodies[1]), bodies[2]
+    return 0.5 * (v1(minkowski_sum(A, B), C) - v1(A, C) - v1(B, C))
 
 
 def mixed_volume_with_segment(bodies: list, y) -> float:
-    """V(K_1, ..., K_{n-1}, [0, y]); fast widths in the plane, polarization in space."""
+    """V(K_1, ..., K_{n-1}, [0, y]) = h_{Pi(K_1, ..., K_{n-1})}(y) / n."""
+    from .projections import mixed_projection_support
+
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if len(bodies) != n - 1:
-        raise GeometryError("need n-1 bodies alongside the segment")
-    if n == 2:
-        K = bodies[0]
-        perp = np.array([-y[1], y[0]])
-        return 0.5 * (K.support(perp) + K.support(-perp))
-    return mixed_volume(list(bodies) + [segment(np.zeros(n), y)])
-
-
-def v1(K: VPolytope, L) -> float:
-    """Mixed volume with K repeated n-1 times and L once.
-
-    Zonotope L expands over generators: each centered segment contributes
-    (2/n) h_{Pi K}(g).  In the plane the width form is used so degenerate
-    hulls remain legal.
-    """
-    n = K.dim
-    if isinstance(L, Zonotope):
-        if L.dim != n:
-            raise GeometryError("dimension mismatch in v1")
-        gens = L.generators
-        if len(gens) == 0:
-            return 0.0
-        if n == 2:
-            perp = np.column_stack([-gens[:, 1], gens[:, 0]])
-            widths = K.support_batch(perp) + K.support_batch(-perp)
-            return float(np.sum(widths))
-        vals = projection_support(K, gens)
-        return float((2.0 / n) * np.sum(vals))
-    return mixed_volume([K] * (n - 1) + [L])
+    return mixed_projection_support(bodies).value(y) / y.shape[0]
 
 
 def shadow_convexity_probe(systems: list, t: float) -> float:

@@ -2,7 +2,7 @@
 
 Support functions are the working currency here: a projection body is kept
 as a zonotope whose support equals shadow volumes, mixed projection bodies
-are support evaluators backed by mixed volumes with a segment, and polar
+are support evaluators read off the mixed surface-area measure, and polar
 measures integrate a radial density in polar coordinates over 1/h.
 """
 
@@ -18,13 +18,15 @@ from .bodies import (
     GeometryError,
     VPolytope,
     Zonotope,
+    _abs_pairing,
     hull,
     merge_parallel_generators,
+    minkowski_sum,
     reduced_form,
     sphere_directions,
     volume,
 )
-from .mixed import centroid, clip_halfspace, facets, volume_of_points
+from .mixed import _as_polytope, _surface_measure, centroid, clip_halfspace
 
 DEFAULT_NODES = {2: 4096, 3: 8192}
 CERTIFY_REL_TOL = 1e-4
@@ -179,35 +181,18 @@ def polar_measure(h, measure: RadialMeasure, quad: QuadratureSpec | None = None)
 def projection_body(K, allow_degenerate: bool = False) -> Zonotope:
     """Zonotope whose support in direction u is the shadow volume |P_{u^perp} K|.
 
-    Facet generators are (measure/2) * normal, merged over parallel
-    directions.  Degenerate input is rejected unless allow_degenerate is
-    set, in which case the flat-body conventions apply (a planar body in
-    space casts shadows through its single area vector, a segment in the
-    plane through its rotated direction, and anything flatter has zero
-    shadow volume in every direction).
+    Generators are (mass/2) * normal over the surface-area measure, merged
+    over parallel directions.  Degenerate input is rejected unless
+    allow_degenerate is set, in which case the flat-body conventions of that
+    measure apply (a segment in the plane or a polygon in space casts shadows
+    through its normal, anything flatter has zero shadow volume).
     """
     if isinstance(K, Zonotope):
         return projection_body_of_zonotope(K)
-    R = reduced_form(K)
-    n = R.dim
-    if R.affine_dim == n:
-        f = facets(R)
-        gens = 0.5 * f.measures[:, None] * f.normals
-        return merge_parallel_generators(Zonotope(gens))
-    if not allow_degenerate:
+    if K.is_degenerate() and not allow_degenerate:
         raise GeometryError("projection body needs a full-dimensional body")
-    if n == 2 and R.affine_dim == 1:
-        d = R.vertices[-1] - R.vertices[0]
-        return Zonotope(np.array([[-d[1], d[0]]]))
-    if n == 3 and R.affine_dim == 2:
-        verts = R.vertices
-        ref = verts.mean(axis=0)
-        acc = np.zeros(3)
-        for i in range(len(verts)):
-            acc += 0.5 * np.cross(verts[i] - ref, verts[(i + 1) % len(verts)] - ref)
-        # norm = polygon area, direction = plane normal
-        return Zonotope(acc[None, :])
-    return Zonotope(np.zeros((0, n)))
+    normals, masses = _surface_measure(K)
+    return merge_parallel_generators(Zonotope(0.5 * masses[:, None] * normals))
 
 
 def projection_body_of_zonotope(Z: Zonotope) -> Zonotope:
@@ -227,16 +212,14 @@ def projection_body_of_zonotope(Z: Zonotope) -> Zonotope:
     return merge_parallel_generators(Zonotope(out))
 
 
-def _is_zonotope_like(B) -> bool:
-    return isinstance(B, Zonotope)
-
-
 def mixed_projection_support(bodies: list) -> SupportEvaluator:
     """Support evaluator of the mixed projection body Pi(K_1, ..., K_{n-1}).
 
-    h(u) = n V(K_1, ..., K_{n-1}, [0, u]).  Zonotope arguments collapse to
-    exact determinant forms; general polytope pairs fall back to cached
-    polarization, three hull volumes per direction.
+    h(u) = n V(K_1, ..., K_{n-1}, [0, u]) is linear in the surface-area
+    measure, h_{Pi K}(u) = (1/2) sum |<u, v>| S_K(v), and in space
+    h_{Pi(A, B)} = [h_{Pi(A + B)} - h_{Pi A} - h_{Pi B}] / 2.  A pair of
+    zonotopes takes the closed form of that identity, generator cross
+    products, with no hull.
     """
     if len(bodies) == 0:
         raise GeometryError("mixed projection needs n-1 bodies")
@@ -246,50 +229,20 @@ def mixed_projection_support(bodies: list) -> SupportEvaluator:
     if len(bodies) != n - 1:
         raise GeometryError(f"dimension {n} needs exactly {n - 1} bodies")
 
-    if n == 2:
-        K = bodies[0]
-
-        def h2(U):
-            perp = np.column_stack([-U[:, 1], U[:, 0]])
-            return K.support_batch(perp) + K.support_batch(-perp)
-
-        return SupportEvaluator(2, h2, "width")
-
-    A, B = bodies
-    if _is_zonotope_like(A) and _is_zonotope_like(B):
-        ga = A.generators
-        gb = B.generators
+    if n == 3 and all(isinstance(B, Zonotope) for B in bodies):
+        ga, gb = bodies[0].generators, bodies[1].generators
         cross = 2.0 * np.cross(ga[:, None, :], gb[None, :, :]).reshape(-1, 3)
         Zc = merge_parallel_generators(Zonotope(cross))
         return SupportEvaluator(3, Zc.support_batch, "zonotope")
-    if _is_zonotope_like(A) or _is_zonotope_like(B):
-        Zb, P = (A, B) if _is_zonotope_like(A) else (B, A)
-        gens = Zb.generators
-
-        def h_mixed(U):
-            out = np.zeros(len(U))
-            for g in gens:
-                c = np.cross(np.broadcast_to(g, U.shape), U)
-                out += P.support_batch(c) + P.support_batch(-c)
-            return out
-
-        return SupportEvaluator(3, h_mixed, "segment-width")
-
-    PA, PB = reduced_form(A), reduced_form(B)
-    va, vb = PA.vertices, PB.vertices
-    vab = (va[:, None, :] + vb[None, :, :]).reshape(-1, 3)
-    const = volume_of_points(vab) - volume_of_points(va) - volume_of_points(vb)
-
-    def h_polar(U):
-        out = np.empty(len(U))
-        for k, u in enumerate(U):
-            s_ab = volume_of_points(np.vstack([vab, vab + u]))
-            s_a = volume_of_points(np.vstack([va, va + u]))
-            s_b = volume_of_points(np.vstack([vb, vb + u]))
-            out[k] = (s_ab - s_a - s_b - const) / 2.0
-        return out
-
-    return SupportEvaluator(3, h_polar, "polarization")
+    if n == 2:
+        terms = [(0.5, bodies[0])]
+    else:
+        A, B = (_as_polytope(K) for K in bodies)
+        terms = [(0.25, minkowski_sum(A, B)), (-0.25, A), (-0.25, B)]
+    measures = [_surface_measure(K) for _, K in terms]
+    normals = np.vstack([v for v, _ in measures])
+    weights = np.concatenate([c * m for (c, _), (_, m) in zip(terms, measures)])
+    return SupportEvaluator(n, lambda U: _abs_pairing(U, normals, weights), "surface-measure")
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,13 @@ import numpy as np
 from .bodies import (
     GeometryError,
     VPolytope,
-    ball_body,
     facet_planes,
     hull,
     reduced_form,
     volume,
 )
 from .mixed import facets
+from .sampling import rearrange_body_volume
 
 PARALLEL_TOL = 1e-10
 SNAP_TOL = 1e-12
@@ -195,10 +195,7 @@ def rearrange_body(K: VPolytope, facets_count: int | None = None) -> VPolytope:
     vol = volume(K)
     if vol <= 0:
         raise GeometryError("rearrangement needs a full-dimensional body")
-    n = K.dim
-    approx = ball_body(n, 1.0, facets_count)
-    c = (vol / volume(approx)) ** (1.0 / n)
-    return VPolytope(approx.vertices * c, reduced=True)
+    return rearrange_body_volume(vol, K.dim, facets_count)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 Every check recomputes its expected value with an independent method
 (gift wrapping, brute-force support maxima, determinant simplex volumes,
-midpoint cubature) and compares against the kernel routines.  The test
-suite imports these oracles; the command line runs the whole list.
+midpoint cubature) and compares against the kernel routines.  The mixed
+quantities, which the kernel reads off the surface-area measure, have two
+slow exact oracles built from plain hull volumes only:
+``mixed_volume_inclusion_exclusion`` (subset Minkowski sums) and
+``mixed_projection_polarization`` (three hull volumes per direction).  The
+test suite imports these oracles; the command line runs the whole list.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -24,11 +29,12 @@ from .bodies import (
     support,
     vertex_set_distance,
     volume,
+    volume_of_points,
     zonotope_to_vpolytope,
     zonotope_volume,
 )
-from .mixed import mixed_volume_fit_check
-from .projections import centroid_body_support, projection_body
+from .mixed import _as_polytope, mixed_volume, mixed_volume_fit_check
+from .projections import centroid_body_support, mixed_projection_support, projection_body
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -138,6 +144,36 @@ def shadow_oracle(K: VPolytope, u: np.ndarray) -> float:
     return shoelace_area(gift_wrap_2d(flat))
 
 
+def mixed_volume_inclusion_exclusion(bodies: list) -> float:
+    """V(K_1, ..., K_n) = (1/n!) sum over subsets S of (-1)^(n-|S|) |sum_S K_i|."""
+    bodies = [_as_polytope(B) for B in bodies]
+    n = len(bodies)
+    total = 0.0
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(bodies, size):
+            S = subset[0]
+            for B in subset[1:]:
+                S = minkowski_sum(S, B)
+            total += (-1.0) ** (n - size) * volume(S)
+    return total / math.factorial(n)
+
+
+def mixed_projection_polarization(A, B, U) -> np.ndarray:
+    """h_{Pi(A, B)} in space on the rows of U by polarization of
+    |K + [0, u]| = |K| + h_{Pi K}(u) over K = A + B, A, B: three hull
+    volumes per direction."""
+    va, vb = _as_polytope(A).vertices, _as_polytope(B).vertices
+    vab = (va[:, None, :] + vb[None, :, :]).reshape(-1, 3)
+    out = []
+    for u in np.atleast_2d(np.asarray(U, dtype=float)):
+        s_ab, s_a, s_b = (
+            volume_of_points(np.vstack([v, v + u])) - volume_of_points(v)
+            for v in (vab, va, vb)
+        )
+        out.append((s_ab - s_a - s_b) / 2.0)
+    return np.array(out)
+
+
 # ---------------------------------------------------------------------------
 # checks
 
@@ -231,6 +267,45 @@ def check_mixed_volume_fit(seed: int = 0):
     return worst <= 1e-7, f"max polarization fit defect {worst:.2e}"
 
 
+def _random_body(gen: np.random.Generator, n: int, kind: str):
+    """Gaussian body in R^n: a zonotope, or the hull of a few points."""
+    if kind == "zonotope":
+        return Zonotope(gen.normal(size=(n + 1, n)))
+    points = {"segment": 2, "triangle": 3, "solid": n + 4}[kind]
+    return hull(gen.normal(size=(points, n)))
+
+
+def check_mixed_volume_oracle(seed: int = 0):
+    gen = np.random.default_rng(seed)
+    worst = 0.0
+    for kinds in (
+        ("solid", "solid"), ("segment", "solid"), ("segment", "segment"),
+        ("solid", "zonotope"), ("solid", "solid", "solid"),
+        ("triangle", "solid", "solid"), ("triangle", "segment", "zonotope"),
+        ("segment", "segment", "segment"),
+    ):
+        bodies = [_random_body(gen, len(kinds), k) for k in kinds]
+        want = mixed_volume_inclusion_exclusion(bodies)
+        worst = max(worst, abs(mixed_volume(bodies) - want) / abs(want))
+    return worst <= 1e-9, f"max relative defect {worst:.2e}"
+
+
+def check_mixed_projection_oracle(seed: int = 0):
+    gen = np.random.default_rng(seed)
+    U = gen.normal(size=(4, 3))
+    worst = 0.0
+    for kinds in (
+        ("solid", "solid"), ("triangle", "solid"), ("triangle", "triangle"),
+        ("segment", "solid"), ("segment", "segment"), ("zonotope", "solid"),
+        ("zonotope", "zonotope"),
+    ):
+        A, B = (_random_body(gen, 3, k) for k in kinds)
+        want = mixed_projection_polarization(A, B, U)
+        got = mixed_projection_support([A, B])(U)
+        worst = max(worst, float(np.max(np.abs(got - want) / want)))
+    return worst <= 1e-9, f"max relative defect {worst:.2e}"
+
+
 def check_projection_of_cube():
     worst = 0.0
     for n in (2, 3):
@@ -279,6 +354,8 @@ CHECKS = [
     ("zonotope volume det vs hull", check_zonotope_volume),
     ("polar involution", check_polar_involution),
     ("mixed volume polarization fit", check_mixed_volume_fit),
+    ("mixed volume vs inclusion-exclusion", check_mixed_volume_oracle),
+    ("mixed projection vs three-hull polarization", check_mixed_projection_oracle),
     ("projection body of the cube", check_projection_of_cube),
     ("projection support vs shadow hull", check_shadow_oracle),
     ("centroid body support vs cubature", check_centroid_support_cubature),

@@ -158,6 +158,15 @@ class TestZonotope:
             zonotope_to_vpolytope(Z), zonotope_to_vpolytope(W)
         ) <= 1e-9
 
+    def test_support_over_many_directions_matches_the_generator_sum(self):
+        # more directions than one block of |<u, g>| values holds, and a
+        # last block that is only partly filled
+        gen = np.random.default_rng(50)
+        Z = Zonotope(gen.normal(size=(64, 3)))
+        U = gen.normal(size=(2000, 3))
+        known = [np.abs(Z.generators @ u).sum() for u in U]
+        assert np.allclose(Z.support_batch(U), known, rtol=1e-12, atol=0.0)
+
     def test_planar_conversion_walks_the_exact_polygon(self):
         gen = np.random.default_rng(49)
         for m in (2, 5, 30):

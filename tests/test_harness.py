@@ -18,10 +18,10 @@ from pettylab.harness import (
     run_emp_petty_2,
     run_lln,
     run_theorem_1_2,
-    v1_against_evaluator,
 )
 from pettylab.mixed import v1
 from pettylab.projections import support_evaluator_of
+from pettylab.verify import mixed_volume_inclusion_exclusion
 from pettylab.bodies import sphere_directions, support
 
 SQUARE = {"type": "cube", "dim": 2}
@@ -84,6 +84,25 @@ class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_c_set({"kind": "orlicz", "m": 2}, 2)
+
+    @pytest.mark.parametrize(
+        "quadrature, key",
+        [
+            ({"certify": True}, "quadrature.certify"),
+            ({"nodes": 0}, "quadrature.nodes"),
+            ({"nodes": -64}, "quadrature.nodes"),
+            ({"nodes": 64.5}, "quadrature.nodes"),
+            ({"nodes": "64"}, "quadrature.nodes"),
+            ({"nodes": True}, "quadrature.nodes"),
+        ],
+    )
+    def test_quadrature_block_is_honoured_or_rejected(self, quadrature, key):
+        with pytest.raises(ConfigError, match=key):
+            run_theorem_1_2(dict(THM12_SMALL, quadrature=quadrature))
+
+    def test_quadrature_node_count_is_accepted(self):
+        config = dict(THM12_SMALL, trials=3, quadrature={"nodes": 64, "certify": False})
+        assert run_theorem_1_2(config)["trials"] == 3
 
     def test_threads_resolution(self, monkeypatch):
         monkeypatch.delenv(THREADS_ENV, raising=False)
@@ -219,8 +238,8 @@ class TestPairingLimit:
         gen = np.random.default_rng(65)
         K = hull(gen.normal(size=(7, 2)))
         L = hull(gen.normal(size=(6, 2)))
-        got = v1_against_evaluator(K, support_evaluator_of(L))
-        assert got == pytest.approx(v1(K, L), rel=1e-9)
+        got = v1(K, support_evaluator_of(L))
+        assert got == pytest.approx(mixed_volume_inclusion_exclusion([K, L]), rel=1e-9)
 
     def test_sweep_report_structure(self):
         report = run_lln(

@@ -16,6 +16,7 @@ from pettylab import (
     volume,
     zonotope_to_vpolytope,
 )
+from pettylab.bodies import facet_planes, reduced_form
 from pettylab.mixed import (
     centroid,
     clip_halfspace,
@@ -27,7 +28,7 @@ from pettylab.mixed import (
     surface_area,
     v1,
 )
-from pettylab.verify import shadow_oracle
+from pettylab.verify import mixed_volume_inclusion_exclusion, shadow_oracle
 
 
 def box(sides, corner=None):
@@ -69,6 +70,25 @@ class TestFacets:
         assert surface_area(cube_body(3)) == pytest.approx(24.0)
         tri = solid_simplex(2)
         assert surface_area(tri) == pytest.approx(2.0 + math.sqrt(2.0))
+
+    def test_merged_measures_match_a_per_simplex_loop(self):
+        gen = np.random.default_rng(59)
+        for n in (2, 3):
+            for K in (hull(gen.normal(size=(n + 6, n))), cube_body(n)):
+                f = facets(K)
+                R = reduced_form(K)
+                _, _, h = facet_planes(R)
+                loop = np.zeros(len(f))
+                for simplex in h.simplices:
+                    pts = R.vertices[simplex]
+                    if n == 2:
+                        piece = np.linalg.norm(pts[1] - pts[0])
+                    else:
+                        piece = 0.5 * np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0]))
+                    on_plane = np.abs(pts @ f.normals.T - f.offsets) <= 1e-9
+                    (hit,) = np.flatnonzero(on_plane.all(axis=0))
+                    loop[hit] += piece
+                assert f.measures == pytest.approx(loop, rel=1e-12)
 
     def test_facet_identity_sums_to_zero(self):
         # sum of area-weighted outward normals vanishes for a closed body
@@ -209,10 +229,28 @@ class TestV1:
                 K = hull(gen.normal(size=(n + 5, n)))
                 Z = Zonotope(gen.normal(size=(m2, n)))
                 direct = v1(K, Z)
-                generic = mixed_volume(
+                oracle = mixed_volume_inclusion_exclusion(
                     [K] * (n - 1) + [zonotope_to_vpolytope(Z)]
                 )
-                assert direct == pytest.approx(generic, rel=1e-8)
+                assert direct == pytest.approx(oracle, rel=1e-8)
+
+    def test_planar_segment_follows_the_flat_convention(self):
+        # a segment carries its length on both unit normals
+        gen = np.random.default_rng(73)
+        seg = hull(gen.normal(size=(2, 2)))
+        assert seg.affine_dim == 1
+        for _ in range(3):
+            K = hull(gen.normal(size=(6, 2)))
+            Z = Zonotope(gen.normal(size=(3, 2)))
+            for got, bodies in (
+                (v1(seg, K), [seg, K]),
+                (v1(seg, Z), [seg, zonotope_to_vpolytope(Z)]),
+                (v1(K, seg), [K, seg]),
+                (mixed_volume([seg, K]), [seg, K]),
+            ):
+                oracle = mixed_volume_inclusion_exclusion(bodies)
+                assert got == pytest.approx(oracle, rel=1e-9)
+        assert v1(seg, seg) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_in_the_zonotope_argument(self):
         gen = np.random.default_rng(71)

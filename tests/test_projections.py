@@ -28,7 +28,11 @@ from pettylab import (
     zonotope_to_vpolytope,
 )
 from pettylab.mixed import surface_area
-from pettylab.verify import centroid_support_cubature, shadow_oracle
+from pettylab.verify import (
+    centroid_support_cubature,
+    mixed_projection_polarization,
+    shadow_oracle,
+)
 
 
 class TestProjectionBody:
@@ -103,20 +107,32 @@ class TestMixedProjection:
         A = Zonotope(gen.normal(size=(3, 3)))
         B = Zonotope(gen.normal(size=(4, 3)))
         fast = mixed_projection_support([A, B])
-        slow = mixed_projection_support(
-            [zonotope_to_vpolytope(A), zonotope_to_vpolytope(B)]
-        )
         U = sphere_directions(3, 96)
-        assert np.abs(fast(U) - slow(U)).max() <= 1e-8 * max(1.0, slow(U).max())
+        slow = mixed_projection_polarization(
+            zonotope_to_vpolytope(A), zonotope_to_vpolytope(B), U
+        )
+        assert np.abs(fast(U) - slow).max() <= 1e-8 * max(1.0, slow.max())
 
     def test_zonotope_with_polytope_segment_width_form(self):
         gen = np.random.default_rng(85)
         P = hull(gen.normal(size=(7, 3)))
         B = Zonotope(gen.normal(size=(3, 3)))
         fast = mixed_projection_support([P, B])
-        slow = mixed_projection_support([P, zonotope_to_vpolytope(B)])
         U = sphere_directions(3, 96)
-        assert np.abs(fast(U) - slow(U)).max() <= 1e-8 * max(1.0, slow(U).max())
+        slow = mixed_projection_polarization(P, zonotope_to_vpolytope(B), U)
+        assert np.abs(fast(U) - slow).max() <= 1e-8 * max(1.0, slow.max())
+
+    def test_flat_triangle_with_a_tetrahedron(self):
+        # a triangle in space carries its area on both unit normals
+        gen = np.random.default_rng(87)
+        tri = hull(gen.normal(size=(3, 3)))
+        tet = hull(gen.normal(size=(4, 3)))
+        assert tri.affine_dim == 2
+        U = sphere_directions(3, 24)
+        for bodies in ([tri, tet], [tet, tri]):
+            got = mixed_projection_support(bodies)(U)
+            oracle = mixed_projection_polarization(*bodies, U)
+            assert np.abs(got - oracle).max() <= 1e-9 * oracle.max()
 
     def test_even_and_one_homogeneous(self):
         gen = np.random.default_rng(86)
