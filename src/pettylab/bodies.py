@@ -128,6 +128,92 @@ def _abs_pairing(U, V: np.ndarray, weights: np.ndarray | None = None) -> np.ndar
     return out
 
 
+# ---------------------------------------------------------------------------
+# stacked planar clouds
+#
+# The kernels below take T planar clouds (or generator lists) stacked as a
+# (T, k, 2) array and return one row per cloud.  They use elementwise
+# products, max/min, and sums along the last axis or in an explicit loop,
+# never a matrix product, so a cloud's row is bit-identical whichever other
+# clouds share the stack.
+
+
+def cloud_widths(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """max_i <p_i, w> - min_i <p_i, w>: the width of each cloud P[t] along
+    each direction row w of W, shape (T, N).  W is (N, 2) for every cloud or
+    (T, N, 2), one set per cloud.  Costs k N entries per cloud."""
+    pairs = P[:, :, 0, None] * W[..., None, :, 0] + P[:, :, 1, None] * W[..., None, :, 1]
+    return pairs.max(axis=1) - pairs.min(axis=1)
+
+
+def zonotope_supports(G: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_i |<g_i, w>|: the support of each zonotope sum [-g_i, g_i] over the
+    generator rows of G[t] along each direction row w of W (as in
+    ``cloud_widths``), summed in generator order, shape (T, N)."""
+    out = np.zeros((len(G), W.shape[-2]))
+    for i in range(G.shape[1]):
+        out += np.abs(G[:, i, 0, None] * W[..., 0] + G[:, i, 1, None] * W[..., 1])
+    return out
+
+
+# A cloud counts as full-dimensional without a hull only when its singular
+# value ratio clears the COPLANAR_TOL rank threshold of ``hull`` by this
+# factor, which covers the duplicate points ``hull`` drops before its test.
+FULL_RANK_MARGIN = 1e3
+
+
+def _pair_crosses(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """cross(a_i, b_j) for every pair of rows, shape (T, k, k)."""
+    return A[:, :, None, 0] * B[:, None, :, 1] - A[:, :, None, 1] * B[:, None, :, 0]
+
+
+def planar_full_rank(P: np.ndarray) -> np.ndarray:
+    """Mask of the clouds P[t] whose hull ``hull`` would find two-dimensional,
+    decided with a FULL_RANK_MARGIN margin; False means "degenerate or too
+    close to call", which callers settle with ``hull``.
+
+    With C the centered cloud, det(C^T C) = sum over pairs of cross(c_i, c_j)^2
+    (Cauchy-Binet), so the ratio of the singular values s1/s0 follows from
+    products of centered points without cancellation.
+    """
+    T, k, _ = P.shape
+    center = P[:, 0].copy()
+    for i in range(1, k):
+        center += P[:, i]
+    C = P - (center / k)[:, None, :]
+    gram_det = 0.5 * np.square(_pair_crosses(C, C)).reshape(T, -1).sum(axis=1)
+    trace = np.square(C).reshape(T, -1).sum(axis=1)
+    s0_sq = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * gram_det, 0.0)))
+    return np.sqrt(gram_det) > COPLANAR_TOL * FULL_RANK_MARGIN * s0_sq
+
+
+def planar_hull_areas(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Areas of the hulls conv P[t] without a hull, and the mask of clouds
+    where they hold.
+
+    An ordered pair (i, j) is a counterclockwise hull edge when every other
+    point lies strictly to its left, and the area is half the sum of
+    cross(p_i, p_j) over the edges.  A cloud with an orientation within
+    COPLANAR_TOL of zero relative to its squared diameter (repeated or
+    collinear points), or that ``planar_full_rank`` cannot call, is masked
+    out; callers hull it.  Costs k^3 entries per cloud.
+    """
+    T, k, _ = P.shape
+    d = P[:, None, :, :] - P[:, :, None, :]  # d[t, i, j] = p_j - p_i
+    orient = (d[:, :, :, None, 0] * d[:, :, None, :, 1]
+              - d[:, :, :, None, 1] * d[:, :, None, :, 0])  # (t, i, j, l)
+    eye = np.eye(k, dtype=bool)
+    other = ~(eye[:, :, None] | eye[:, None, :] | eye[None, :, :])
+    diam_sq = np.square(d).sum(axis=-1).reshape(T, -1).max(axis=1)
+    tol = COPLANAR_TOL * diam_sq[:, None, None, None]
+    near = (np.abs(orient) <= tol) & other
+    edges = ((orient > 0.0) | ~other).all(axis=-1) & ~eye
+    crosses = np.where(edges, _pair_crosses(P, P), 0.0)
+    areas = 0.5 * crosses.reshape(T, -1).sum(axis=1)
+    ok = planar_full_rank(P) & ~near.reshape(T, -1).any(axis=1)
+    return areas, ok
+
+
 def affine_dimension(points: np.ndarray, tol: float = COPLANAR_TOL) -> int:
     pts = as_points(points)
     if len(pts) <= 1:

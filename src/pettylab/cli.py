@@ -20,6 +20,7 @@ from .bodies import GeometryError, Zonotope, body_from_literal, volume, zonotope
 from .harness import (
     ConfigError,
     RUNNERS,
+    quadrature_block,
     report_to_csv,
     report_to_json,
     resolve_threads,
@@ -90,7 +91,7 @@ def run_petty(config: dict) -> dict:
     lit = _body_literal_of(config)
     K = body_from_literal(lit)
     method = config.get("method", "auto")
-    q = config.get("quadrature") or {}
+    q = quadrature_block(config)
     quad = QuadratureSpec(nodes=q.get("nodes"), certify=bool(q.get("certify", False)))
     product = petty_product(K, method=method, quad=quad)
     dim = K.dim

@@ -6,6 +6,30 @@ index), so reports are byte-identical across thread counts and any single
 trial can be replayed.  Verdicts are ternary: consistent when the 95 percent
 intervals separate in the claimed order, violated when they separate the
 wrong way, inconclusive otherwise.
+
+Trials run in chunks.  A worker takes a range of trial indices and hands it
+to the trial builder a chunk at a time; each trial in a chunk still draws
+its samples from its own stream, in the same order as when it runs alone.
+Planar kinds then stack those samples and run the geometry once per chunk,
+with no hull, by Cauchy's formula h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
+
+* thm12: the projection support of conv X on the node u is the width of
+  the cloud X along u^perp, and that of the zonotope sum of [-g, g] is
+  2 sum |<g, u^perp>|;
+* emppetty2 and lln: v1(conv A, sum_j [-z_j, z_j]) = sum_j width of A
+  along z_j^perp;
+* empmixed volume mode: the area of conv X is half the sum of
+  cross(x_i, x_j) over the ordered pairs (i, j) with every other point
+  strictly to their left.
+
+The stacked kernels use no matrix product, so a trial's value is the same
+bit for bit whatever chunk it falls in.  A cloud they cannot classify with
+margin (degenerate, collinear or repeated points) goes through the hull
+route, which also counts degenerate hulls.  The other kinds, and C-sets
+without a planar kernel, run their geometry one trial at a time inside the
+chunk.  Chunk length follows from ``CHUNK_ENTRIES``.  An error raised in a
+trial is re-raised as a ``TrialError`` that names its (side, trial) key
+(lln: (row, trial)).
 """
 
 from __future__ import annotations
@@ -25,10 +49,14 @@ from .bodies import (
     VPolytope,
     Zonotope,
     body_from_literal,
+    cloud_widths,
     hull,
     lp_ball_body,
+    planar_full_rank,
+    planar_hull_areas,
     sphere_directions,
     volume,
+    zonotope_supports,
     zonotope_to_vpolytope,
 )
 from .mixed import mixed_volume, v1
@@ -39,6 +67,7 @@ from .projections import (
     empirical_centroid_body,
     mixed_projection_support,
     polar_measure_from_support,
+    polar_measures,
     polar_projection_polytope,
     projection_body,
 )
@@ -47,6 +76,14 @@ from .stats import EstimateWithCI, classify, summarize
 
 DEFAULT_TRIALS = 20000
 THREADS_ENV = "PETTY_LAB_THREADS"
+# Entries of a chunk's largest stacked temporary (512 KiB of float64): a
+# chunk holds as many trials as fit, and at least one.
+CHUNK_ENTRIES = 1 << 16
+# Points up to which empmixed takes hull areas from edge pairs.  The pair
+# rule costs k^3 entries per trial; on a 2-vCPU Xeon it took 0.03 ms per
+# trial at 4 points and 0.14 ms at 24, against 0.2-0.3 ms for a hull, and
+# lost to the hull at 32.
+PAIR_AREA_MAX_POINTS = 24
 
 EXPERIMENT_DIRECTIONS = {
     "thm12": "le",
@@ -61,11 +98,31 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+class TrialError(ValueError):
+    """An error raised inside one trial, naming the stream key that replays
+    it: (side, trial), or (row, trial) for an lln row."""
+
+    def __init__(self, key: tuple, message: str):
+        super().__init__(tuple(key), message)
+        self.key = tuple(key)
+
+    def __str__(self):
+        return f"trial {self.key}: {self.args[1]}"
+
+
 @lru_cache(maxsize=16)
 def _grid(dim: int, nodes: int) -> np.ndarray:
     U = sphere_directions(dim, nodes)
     U.setflags(write=False)
     return U
+
+
+@lru_cache(maxsize=16)
+def _perp_grid(nodes: int) -> np.ndarray:
+    """The planar grid of ``nodes`` directions, each turned by a quarter turn."""
+    W = _perp(_grid(2, nodes))
+    W.setflags(write=False)
+    return W
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -99,19 +156,26 @@ def _common(config: dict) -> tuple[int, int, int]:
     return dim, trials, seed
 
 
-def _quad_nodes(config: dict, dim: int) -> int:
+def quadrature_block(config: dict) -> dict:
+    """The config's ``quadrature`` object, with ``nodes`` checked to be absent
+    or a positive integer."""
     q = config.get("quadrature") or {}
     _require(isinstance(q, dict), "quadrature must be an object")
-    _require(
-        not q.get("certify"),
-        "quadrature.certify is not supported in experiments (the petty command honours it)",
-    )
     nodes = q.get("nodes")
     _require(
         nodes is None or (type(nodes) is int and nodes >= 1),
         f"quadrature.nodes must be a positive integer, got {nodes!r}",
     )
-    return QuadratureSpec(nodes=nodes).node_count(dim)
+    return q
+
+
+def _quad_nodes(config: dict, dim: int) -> int:
+    q = quadrature_block(config)
+    _require(
+        not q.get("certify"),
+        "quadrature.certify is not supported in experiments (the petty command honours it)",
+    )
+    return QuadratureSpec(nodes=q.get("nodes")).node_count(dim)
 
 
 def _measure(config: dict) -> RadialMeasure:
@@ -217,6 +281,38 @@ def c_set_body(cset: dict, X: np.ndarray):
     return hull(verts @ X)
 
 
+def _planar_form(cset: dict) -> str | None:
+    """How the planar kernels read X C: "cloud" when it is the hull of the
+    rows of ``_planar_image``, "zonotope" when it is the sum of [-g, g] over
+    them, None for C-sets without a planar kernel."""
+    kind, p = cset["kind"], cset.get("p")
+    if kind == "simplex" or (kind == "bp" and p == 1.0):
+        return "cloud"
+    if kind == "cube" or (kind == "bp" and math.isinf(p)):
+        return "zonotope"
+    return None
+
+
+def _planar_image(cset: dict, X: np.ndarray) -> np.ndarray:
+    """The rows behind X C for stacked samples X of shape (T, m, 2), as
+    ``c_set_body`` builds them."""
+    if cset["kind"] == "cube":
+        return cset.get("half", 1.0) * X
+    if cset["kind"] == "bp" and cset["p"] == 1.0:
+        return np.concatenate([X, -X], axis=1)
+    return X
+
+
+def _planar_rows(cset: dict) -> int:
+    """Rows per sample of ``_planar_image``."""
+    return cset["m"] * (2 if cset["kind"] == "bp" and cset["p"] == 1.0 else 1)
+
+
+def _perp(W: np.ndarray) -> np.ndarray:
+    """Each planar row w turned by a quarter turn, (-w_1, w_0)."""
+    return np.stack([-W[..., 1], W[..., 0]], axis=-1)
+
+
 def _cset_full_dim_min_columns(cset: dict, dim: int) -> int:
     """Columns needed for the image to be full-dimensional almost surely."""
     if cset["kind"] == "simplex":
@@ -226,6 +322,50 @@ def _cset_full_dim_min_columns(cset: dict, dim: int) -> int:
 
 # ---------------------------------------------------------------------------
 # trial builders
+
+
+def _no_diagnostics() -> dict:
+    return {"degenerate_hulls": 0, "unbounded_polars": 0}
+
+
+class _Trials:
+    """The trials of one side (lln: of one row).  Trial i draws from its own
+    stream RngStream(seed, (side, i)).
+
+    ``chunk(first, count, diag)`` returns the values of trials first, ...,
+    first + count - 1 and adds their diagnostics to ``diag``.  Here it runs
+    ``trial`` once per index; planar kinds override it with stacked kernels
+    and raise ``chunk_len`` from CHUNK_ENTRIES.
+    """
+
+    chunk_len = 1
+
+    def __init__(self, config: dict, side: int):
+        self.dim, _, self.seed = _common(config)
+        self.side = side
+
+    def key(self, index: int) -> tuple:
+        return (self.side, index)
+
+    def generator(self, index: int) -> np.random.Generator:
+        return RngStream(self.seed, self.key(index)).generator()
+
+    def _fit_chunk(self, entries_per_trial: int):
+        self.chunk_len = max(1, CHUNK_ENTRIES // entries_per_trial)
+
+    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
+        return np.array([self.trial(i, diag) for i in range(first, first + count)])
+
+    def stacked(self, first: int, count: int, draws: list) -> list:
+        """Samples of trials first, ..., first + count - 1, one array of shape
+        (count, m, dim) per (density, m) in ``draws``; each trial's generator
+        draws them in the order given, as ``trial`` does."""
+        out = [np.empty((count, m, self.dim)) for _, m in draws]
+        for k in range(count):
+            gen = self.generator(first + k)
+            for arr, (density, m) in zip(out, draws):
+                arr[k] = density.sample(gen, m)
+        return out
 
 
 def _blocks_from_config(config: dict, dim: int, side: int) -> list:
@@ -259,29 +399,47 @@ def _validate_thm12(config: dict):
     Density.from_literal(blocks[0]["density"], dim)
 
 
-class _Thm12Trials:
+class _Thm12Trials(_Trials):
     def __init__(self, config: dict, side: int):
-        dim, _, seed = _common(config)
-        self.dim = dim
-        self.seed = seed
-        self.side = side
-        (self.density, self.m), = _blocks_from_config(config, dim, side)
-        self.cset = build_c_set(config["c_set"], dim)
+        super().__init__(config, side)
+        (self.density, self.m), = _blocks_from_config(config, self.dim, side)
+        self.cset = build_c_set(config["c_set"], self.dim)
         self.measure = _measure(config)
-        self.nodes = _quad_nodes(config, dim)
+        self.nodes = _quad_nodes(config, self.dim)
+        self.form = _planar_form(self.cset) if self.dim == 2 else None
+        if self.form == "cloud":
+            self._fit_chunk(_planar_rows(self.cset) * self.nodes)
+        elif self.form == "zonotope":
+            self._fit_chunk(self.nodes)
 
-    def __call__(self, index: int, diag: dict) -> float:
-        gen = RngStream(self.seed, (self.side, index)).generator()
-        X = self.density.sample(gen, self.m)
-        body = c_set_body(self.cset, X)
+    def _projection_supports(self, body, diag: dict) -> np.ndarray:
+        """The hull route: h_{Pi body} on the grid, counting a degenerate hull."""
         if isinstance(body, VPolytope) and body.is_degenerate():
             diag["degenerate_hulls"] += 1
         Z = projection_body(body, allow_degenerate=True)
-        U = _grid(self.dim, self.nodes)
-        hv = Z.support_batch(U)
+        return Z.support_batch(_grid(self.dim, self.nodes))
+
+    def trial(self, index: int, diag: dict) -> float:
+        X = self.density.sample(self.generator(index), self.m)
+        hv = self._projection_supports(c_set_body(self.cset, X), diag)
         if np.min(hv) <= 0.0:
             diag["unbounded_polars"] += 1
         return polar_measure_from_support(hv, self.measure, self.dim)
+
+    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
+        if self.form is None:
+            return super().chunk(first, count, diag)
+        X, = self.stacked(first, count, [(self.density, self.m)])
+        P = _planar_image(self.cset, X)
+        W = _perp_grid(self.nodes)
+        if self.form == "zonotope":
+            hv = 2.0 * zonotope_supports(P, W)
+        else:
+            hv = cloud_widths(P, W)
+            for t in np.flatnonzero(~planar_full_rank(P)):
+                hv[t] = self._projection_supports(hull(P[t]), diag)
+        diag["unbounded_polars"] += int(np.count_nonzero(hv.min(axis=1) <= 0.0))
+        return polar_measures(hv, self.measure, 2)
 
 
 def _validate_mixed_blocks(config: dict):
@@ -305,19 +463,16 @@ def _validate_mixed_blocks(config: dict):
     _quad_nodes(config, dim)
 
 
-class _Thm11Trials:
+class _Thm11Trials(_Trials):
     def __init__(self, config: dict, side: int):
-        dim, _, seed = _common(config)
-        self.dim = dim
-        self.seed = seed
-        self.side = side
-        self.blocks = _blocks_from_config(config, dim, side)
-        self.csets = [build_c_set(cs, dim) for cs in config["c_sets"]]
+        super().__init__(config, side)
+        self.blocks = _blocks_from_config(config, self.dim, side)
+        self.csets = [build_c_set(cs, self.dim) for cs in config["c_sets"]]
         self.measure = _measure(config)
-        self.nodes = _quad_nodes(config, dim)
+        self.nodes = _quad_nodes(config, self.dim)
 
-    def __call__(self, index: int, diag: dict) -> float:
-        gen = RngStream(self.seed, (self.side, index)).generator()
+    def trial(self, index: int, diag: dict) -> float:
+        gen = self.generator(index)
         bodies = []
         for (density, m), cset in zip(self.blocks, self.csets):
             X = density.sample(gen, m)
@@ -351,12 +506,9 @@ def _validate_cor13(config: dict):
     _quad_nodes(config, dim)
 
 
-class _Cor13Trials:
+class _Cor13Trials(_Trials):
     def __init__(self, config: dict, side: int):
-        dim, _, seed = _common(config)
-        self.dim = dim
-        self.seed = seed
-        self.side = side
+        super().__init__(config, side)
         self.m = int(config["m"])
         self.densities = []
         for lit in config["bodies"]:
@@ -366,10 +518,10 @@ class _Cor13Trials:
             d = Density.uniform(body)
             self.densities.append(d.rearranged() if side == 1 else d)
         self.measure = _measure(config)
-        self.nodes = _quad_nodes(config, dim)
+        self.nodes = _quad_nodes(config, self.dim)
 
-    def __call__(self, index: int, diag: dict) -> float:
-        gen = RngStream(self.seed, (self.side, index)).generator()
+    def trial(self, index: int, diag: dict) -> float:
+        gen = self.generator(index)
         zonos = [
             empirical_centroid_body(d.sample(gen, self.m)) for d in self.densities
         ]
@@ -403,25 +555,29 @@ def _validate_empmixed(config: dict):
         Density.from_literal(blk["density"], dim)
 
 
-class _EmpMixedTrials:
+class _EmpMixedTrials(_Trials):
     def __init__(self, config: dict, side: int):
-        dim, _, seed = _common(config)
-        self.dim = dim
-        self.seed = seed
-        self.side = side
-        self.blocks = _blocks_from_config(config, dim, side)
-        self.csets = [build_c_set(cs, dim) for cs in config["c_sets"]]
+        super().__init__(config, side)
+        self.blocks = _blocks_from_config(config, self.dim, side)
+        self.csets = [build_c_set(cs, self.dim) for cs in config["c_sets"]]
         self.ball_slots = int(config.get("ball_slots", 0))
         self.volume_mode = len(self.blocks) == 1 and self.ball_slots == 0
         if self.ball_slots:
             from .bodies import ball_body
 
-            self.ball = ball_body(dim, float(config.get("ball_radius", 1.0)))
+            self.ball = ball_body(self.dim, float(config.get("ball_radius", 1.0)))
         else:
             self.ball = None
+        self.pair_areas = (
+            self.dim == 2 and self.volume_mode
+            and _planar_form(self.csets[0]) == "cloud"
+            and _planar_rows(self.csets[0]) <= PAIR_AREA_MAX_POINTS
+        )
+        if self.pair_areas:
+            self._fit_chunk(_planar_rows(self.csets[0]) ** 3)
 
-    def __call__(self, index: int, diag: dict) -> float:
-        gen = RngStream(self.seed, (self.side, index)).generator()
+    def trial(self, index: int, diag: dict) -> float:
+        gen = self.generator(index)
         bodies = []
         for (density, m), cset in zip(self.blocks, self.csets):
             X = density.sample(gen, m)
@@ -433,6 +589,18 @@ class _EmpMixedTrials:
             return volume(bodies[0])
         bodies = bodies + [self.ball] * self.ball_slots
         return mixed_volume(bodies)
+
+    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
+        if not self.pair_areas:
+            return super().chunk(first, count, diag)
+        X, = self.stacked(first, count, self.blocks)
+        P = _planar_image(self.csets[0], X)
+        areas, ok = planar_hull_areas(P)
+        for t in np.flatnonzero(~ok):
+            body = hull(P[t])
+            diag["degenerate_hulls"] += body.is_degenerate()
+            areas[t] = volume(body)
+        return areas
 
 
 def _polar_projection_polytope_of(body_literal: dict) -> tuple[VPolytope, VPolytope]:
@@ -452,12 +620,20 @@ def _validate_emppetty2(config: dict):
     _polar_projection_polytope_of(config["body"])
 
 
-class _EmpPetty2Trials:
+def _planar_pairings(A: np.ndarray, Z: np.ndarray, diag: dict) -> np.ndarray:
+    """v1(conv A[t], sum_j [-z_j, z_j]) over the rows z_j of Z[t], for stacked
+    planar clouds A; clouds ``planar_full_rank`` cannot call are hulled."""
+    out = cloud_widths(A, _perp(Z)).sum(axis=1)
+    for t in np.flatnonzero(~planar_full_rank(A)):
+        body = hull(A[t])
+        diag["degenerate_hulls"] += body.is_degenerate()
+        out[t] = v1(body, Zonotope(Z[t]))
+    return out
+
+
+class _EmpPetty2Trials(_Trials):
     def __init__(self, config: dict, side: int):
-        dim, _, seed = _common(config)
-        self.dim = dim
-        self.seed = seed
-        self.side = side
+        super().__init__(config, side)
         self.m1 = int(config["m1"])
         self.m2 = int(config["m2"])
         K, L = _polar_projection_polytope_of(config["body"])
@@ -466,9 +642,11 @@ class _EmpPetty2Trials:
             dK, dL = dK.rearranged(), dL.rearranged()
         self.density_K = dK
         self.density_L = dL
+        if self.dim == 2:
+            self._fit_chunk(self.m1 * max(self.m1, self.m2))
 
-    def __call__(self, index: int, diag: dict) -> float:
-        gen = RngStream(self.seed, (self.side, index)).generator()
+    def trial(self, index: int, diag: dict) -> float:
+        gen = self.generator(index)
         A = hull(self.density_K.sample(gen, self.m1))
         if A.is_degenerate():
             diag["degenerate_hulls"] += 1
@@ -476,6 +654,13 @@ class _EmpPetty2Trials:
                 raise GeometryError("degenerate spatial hull in v1 trial")
         Z = Zonotope(self.density_L.sample(gen, self.m2))
         return v1(A, Z)
+
+    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
+        if self.dim != 2:
+            return super().chunk(first, count, diag)
+        A, Z = self.stacked(first, count, [(self.density_K, self.m1),
+                                           (self.density_L, self.m2)])
+        return _planar_pairings(A, Z, diag)
 
 
 def _validate_lln(config: dict):
@@ -492,25 +677,31 @@ def _validate_lln(config: dict):
     _polar_projection_polytope_of(config["body"])
 
 
-class _LlnRowTrials:
+class _LlnRowTrials(_Trials):
     def __init__(self, config: dict, row: int):
-        dim, _, seed = _common(config)
-        self.dim = dim
-        self.seed = seed
-        self.row = row
+        super().__init__(config, row)
         self.m1 = int(config["m1_list"][row])
         self.m2 = int(config["m2_list"][row])
         K, L = _polar_projection_polytope_of(config["body"])
         self.density_K = Density.uniform(K)
         self.density_L = Density.uniform(L)
+        if self.dim == 2:
+            self._fit_chunk(self.m1 * max(self.m1, self.m2))
 
-    def __call__(self, index: int, diag: dict) -> float:
-        gen = RngStream(self.seed, (self.row, index)).generator()
+    def trial(self, index: int, diag: dict) -> float:
+        gen = self.generator(index)
         A = hull(self.density_K.sample(gen, self.m1))
         if A.is_degenerate():
             diag["degenerate_hulls"] += 1
         Z = empirical_centroid_body(self.density_L.sample(gen, self.m2))
         return v1(A, Z)
+
+    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
+        if self.dim != 2:
+            return super().chunk(first, count, diag)
+        A, Y = self.stacked(first, count, [(self.density_K, self.m1),
+                                           (self.density_L, self.m2)])
+        return _planar_pairings(A, Y / self.m2, diag)
 
 
 _TRIAL_BUILDERS = {
@@ -532,13 +723,28 @@ _VALIDATORS = {
 }
 
 
+def _run_chunk(trials: _Trials, first: int, count: int, diag: dict) -> np.ndarray:
+    try:
+        return trials.chunk(first, count, diag)
+    except Exception:
+        # Replay the chunk one trial at a time so the error names the trial
+        # that raised it; the whole chunk fails either way.
+        for index in range(first, first + count):
+            try:
+                trials.chunk(index, 1, _no_diagnostics())
+            except Exception as exc:
+                raise TrialError(trials.key(index), f"{type(exc).__name__}: {exc}") from exc
+        raise
+
+
 def _worker(payload: tuple) -> tuple:
     kind, config, side, start, count = payload
     trials = _TRIAL_BUILDERS[kind](config, side)
-    diag = {"degenerate_hulls": 0, "unbounded_polars": 0}
+    diag = _no_diagnostics()
     values = np.empty(count)
-    for k in range(count):
-        values[k] = trials(start + k, diag)
+    for a in range(0, count, trials.chunk_len):
+        n = min(trials.chunk_len, count - a)
+        values[a:a + n] = _run_chunk(trials, start + a, n, diag)
     return values, diag
 
 
@@ -556,7 +762,7 @@ def run_trials(kind: str, config: dict, side: int, trials: int, threads: int):
     with ProcessPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(_worker, payloads))
     values = np.concatenate([v for v, _ in results])
-    diag = {"degenerate_hulls": 0, "unbounded_polars": 0}
+    diag = _no_diagnostics()
     for _, d in results:
         for key in diag:
             diag[key] += d[key]
@@ -638,7 +844,7 @@ def run_lln(config: dict, threads: int | None = None) -> dict:
     _, trials, seed = _common(config)
     target = lln_target(config["body"])
     rows = []
-    diag = {"degenerate_hulls": 0, "unbounded_polars": 0}
+    diag = _no_diagnostics()
     m1s, m2s = config["m1_list"], config["m2_list"]
     last_within = False
     for row in range(len(m1s)):

@@ -122,11 +122,12 @@ class RadialMeasure:
             return Rc ** n / n
         s = self.sigma
         norm = (2.0 * math.pi * s * s) ** (-n / 2.0)
-        finite = np.isfinite(R)
-        Rf = np.where(finite, R, 0.0)
         if n == 2:
-            out = np.where(finite, s * s * (1.0 - np.exp(-(Rf ** 2) / (2 * s * s))), s * s)
+            # exp(-inf) = 0 gives R = inf its limit s^2 with no special case
+            out = s * s * (1.0 - np.exp(R * R * (-0.5 / (s * s))))
         else:
+            finite = np.isfinite(R)
+            Rf = np.where(finite, R, 0.0)
             tail = s * s * Rf * np.exp(-(Rf ** 2) / (2 * s * s))
             main = (s ** 3) * math.sqrt(math.pi / 2.0) * erf(Rf / (s * math.sqrt(2.0)))
             full = (s ** 3) * math.sqrt(math.pi / 2.0)
@@ -134,17 +135,28 @@ class RadialMeasure:
         return norm * out
 
 
-def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int) -> float:
-    """Assemble the polar-radial quadrature from support values on the
-    canonical node set of this size (uniform weights)."""
-    hv = np.asarray(hv, dtype=float)
-    hv = np.where((hv < 0) & (hv > -1e-10), 0.0, hv)
+def polar_measures(HV: np.ndarray, measure: RadialMeasure, dim: int) -> np.ndarray:
+    """Polar-radial quadrature of each row of HV, the support values of one
+    body on the canonical node set of that size (uniform weights).
+
+    Elementwise work plus one sum along each row, so a row's value does not
+    depend on the rows stacked with it.
+    """
+    hv = np.asarray(HV, dtype=float)
     if np.any(hv < 0):
-        raise GeometryError("support evaluator returned negative values")
-    R = np.where(hv > 0, 1.0 / np.where(hv > 0, hv, 1.0), np.inf)
+        if np.any(hv <= -1e-10):
+            raise GeometryError("support evaluator returned negative values")
+        hv = np.maximum(hv, 0.0)
+    with np.errstate(divide="ignore"):
+        R = np.abs(1.0 / hv)  # a zero support of either sign gives R = inf
     inner = measure.radial_integral(R, dim)
-    weight = SPHERE_SURFACE[dim] / len(hv)
-    return float(weight * np.sum(inner))
+    weight = SPHERE_SURFACE[dim] / hv.shape[-1]
+    return weight * inner.sum(axis=-1)
+
+
+def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int) -> float:
+    """``polar_measures`` of one body's support values."""
+    return float(polar_measures(np.asarray(hv, dtype=float)[None, :], measure, dim)[0])
 
 
 def _polar_measure_at(h: SupportEvaluator, measure: RadialMeasure, nodes: int) -> float:

@@ -7,7 +7,8 @@ quantities, which the kernel reads off the surface-area measure, have two
 slow exact oracles built from plain hull volumes only:
 ``mixed_volume_inclusion_exclusion`` (subset Minkowski sums) and
 ``mixed_projection_polarization`` (three hull volumes per direction).  The
-test suite imports these oracles; the command line runs the whole list.
+stacked planar trial kernels are checked against the hull route.  The test
+suite imports these oracles; the command line runs the whole list.
 """
 
 from __future__ import annotations
@@ -20,20 +21,25 @@ import numpy as np
 from .bodies import (
     VPolytope,
     Zonotope,
+    cloud_widths,
     cube_body,
     hull,
     minkowski_sum,
+    planar_full_rank,
+    planar_hull_areas,
     polar,
     reduced_form,
     solid_simplex,
+    sphere_directions,
     support,
     vertex_set_distance,
     volume,
     volume_of_points,
+    zonotope_supports,
     zonotope_to_vpolytope,
     zonotope_volume,
 )
-from .mixed import _as_polytope, mixed_volume, mixed_volume_fit_check
+from .mixed import _as_polytope, mixed_volume, mixed_volume_fit_check, v1
 from .projections import centroid_body_support, mixed_projection_support, projection_body
 
 # ---------------------------------------------------------------------------
@@ -110,20 +116,28 @@ def point_in_polygon(cycle: np.ndarray, p: np.ndarray) -> bool:
     return inside
 
 
+def points_in_polygon(cycle: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``point_in_polygon`` for every point (x, y) of the broadcast arrays at
+    once, edge by edge."""
+    inside = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=bool)
+    for a, b in zip(cycle, np.roll(cycle, -1, axis=0)):
+        if a[1] == b[1]:
+            continue  # a horizontal edge is never straddled
+        straddles = (a[1] > y) != (b[1] > y)
+        t = (y - a[1]) / (b[1] - a[1])
+        inside ^= straddles & (x < a[0] + t * (b[0] - a[0]))
+    return inside
+
+
 def centroid_support_cubature(cycle: np.ndarray, u: np.ndarray, grid: int = 400):
     """Midpoint-grid estimate of mean |<x, u>| over the polygon interior."""
     lo = cycle.min(axis=0)
     hi = cycle.max(axis=0)
     xs = lo[0] + (np.arange(grid) + 0.5) * (hi[0] - lo[0]) / grid
     ys = lo[1] + (np.arange(grid) + 0.5) * (hi[1] - lo[1]) / grid
-    total = 0.0
-    count = 0
-    for x in xs:
-        for y in ys:
-            if point_in_polygon(cycle, np.array([x, y])):
-                total += abs(x * u[0] + y * u[1])
-                count += 1
-    return total / count
+    x, y = xs[:, None], ys[None, :]
+    inside = points_in_polygon(cycle, x, y)
+    return float(np.abs(x * u[0] + y * u[1])[inside].mean())
 
 
 def shadow_oracle(K: VPolytope, u: np.ndarray) -> float:
@@ -347,6 +361,54 @@ def check_centroid_support_cubature():
     return defect <= 5e-3, f"max cubature defect {defect:.2e}"
 
 
+def planar_test_clouds(gen: np.random.Generator, count: int, k: int = 5) -> np.ndarray:
+    """Stacked planar clouds of k points, cycling through a random cloud, a
+    collinear one and one whose last points repeat its first."""
+    clouds = []
+    for i in range(count):
+        if i % 3 == 1:
+            pts = np.outer(gen.normal(size=k), gen.normal(size=2)) + gen.normal(size=2)
+        else:
+            pts = gen.normal(size=(k, 2))
+            if i % 3 == 2:
+                pts[k // 2 + 1:] = pts[: k - k // 2 - 1]
+        clouds.append(pts)
+    return np.stack(clouds)
+
+
+def check_planar_kernels(seed: int = 0):
+    """The hull-free planar trial kernels against the hull route, on random,
+    collinear and repeated-point clouds: widths against projection body
+    supports, zonotope supports against the projection body of the
+    zonotope, width sums against v1, pair-rule areas against hull areas
+    where they claim to hold, and the masks that send clouds to the hull."""
+    gen = np.random.default_rng(seed)
+    P = planar_test_clouds(gen, 12)
+    U = sphere_directions(2, 64)
+    perp = np.column_stack([-U[:, 1], U[:, 0]])
+    Z = gen.normal(size=(len(P), 3, 2))
+    widths = cloud_widths(P, perp)
+    zonotopes = 2.0 * zonotope_supports(P, perp)
+    pairings = cloud_widths(P, np.stack([-Z[..., 1], Z[..., 0]], axis=-1)).sum(axis=1)
+    areas, areas_hold = planar_hull_areas(P)
+    full = planar_full_rank(P)
+    pairs = []
+    masks_ok = True
+    for t, X in enumerate(P):
+        K = hull(X)
+        pairs += [
+            (widths[t], projection_body(K, allow_degenerate=True).support_batch(U)),
+            (zonotopes[t], projection_body(Zonotope(X)).support_batch(U)),
+            (pairings[t], v1(K, Zonotope(Z[t]))),
+        ]
+        if areas_hold[t]:
+            pairs.append((areas[t], volume(K)))
+        masks_ok &= bool(full[t]) == (t % 3 != 1) and bool(areas_hold[t]) == (t % 3 == 0)
+    worst = max(float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+                for got, want in pairs)
+    return worst <= 1e-12 and masks_ok, f"max relative defect {worst:.2e}, masks ok: {masks_ok}"
+
+
 CHECKS = [
     ("hull vs gift wrapping", check_hull_oracle),
     ("support vs brute maxima", check_support_oracle),
@@ -359,6 +421,7 @@ CHECKS = [
     ("projection body of the cube", check_projection_of_cube),
     ("projection support vs shadow hull", check_shadow_oracle),
     ("centroid body support vs cubature", check_centroid_support_cubature),
+    ("planar trial kernels vs hull route", check_planar_kernels),
 ]
 
 

@@ -1,13 +1,15 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from pettylab import MSpec, cli, hull, lp_ball_body, m_add, volume
+from pettylab import GeometryError, MSpec, cli, harness, hull, lp_ball_body, m_add, volume
 from pettylab.harness import (
     THREADS_ENV,
     ConfigError,
+    TrialError,
     build_c_set,
     c_set_body,
     estimate,
@@ -21,7 +23,8 @@ from pettylab.harness import (
 )
 from pettylab.mixed import v1
 from pettylab.projections import support_evaluator_of
-from pettylab.verify import mixed_volume_inclusion_exclusion
+from pettylab.sampling import Density, RngStream
+from pettylab.verify import mixed_volume_inclusion_exclusion, planar_test_clouds
 from pettylab.bodies import sphere_directions, support
 
 SQUARE = {"type": "cube", "dim": 2}
@@ -226,6 +229,96 @@ class TestEstimates:
         assert "wall_time" not in report
 
 
+def _uniform_block(body: dict, m: int) -> dict:
+    return {"density": {"type": "uniform", "body": body}, "m": m}
+
+
+_TRIANGLE_PI = {"type": "polygon", "vertices": [[0.0, 0.0], [math.sqrt(2 * math.pi), 0.0],
+                                                [0.0, math.sqrt(2 * math.pi)]]}
+_THM12_PLANE = {"dim": 2, "seed": 31, "blocks": [_uniform_block(_TRIANGLE_PI, 4)],
+                "c_set": {"kind": "simplex", "m": 4}}
+
+# (trial builder, config) for every planar kind with a stacked kernel
+CHUNKED = {
+    "thm12-lebesgue": ("thm12", dict(_THM12_PLANE, measure={"type": "lebesgue"})),
+    "thm12-gaussian": ("thm12", dict(_THM12_PLANE, measure={"type": "gaussian"})),
+    "thm12-cube": ("thm12", dict(_THM12_PLANE, c_set={"kind": "cube", "m": 4, "half": 0.5})),
+    "thm12-bp1": ("thm12", dict(_THM12_PLANE, c_set={"kind": "bp", "m": 4, "p": 1.0})),
+    "thm12-bpinf": ("thm12", dict(_THM12_PLANE, c_set={"kind": "bp", "m": 4, "p": math.inf})),
+    "empmixed": ("empmixed", {"dim": 2, "seed": 32, "blocks": [_uniform_block(SQUARE, 4)],
+                              "c_sets": [{"kind": "simplex", "m": 4}]}),
+    "empmixed-bp1": ("empmixed", {"dim": 2, "seed": 33, "blocks": [_uniform_block(SQUARE, 3)],
+                                  "c_sets": [{"kind": "bp", "m": 3, "p": 1.0}]}),
+    "emppetty2": ("emppetty2", {"dim": 2, "seed": 34, "body": SQUARE, "m1": 4, "m2": 4}),
+    "lln": ("lln_row", {"dim": 2, "seed": 35, "body": SQUARE, "m1_list": [16, 6], "m2_list": [8, 5]}),
+}
+
+# kinds whose bodies are the hulls of the sampled clouds themselves
+HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "empmixed", "emppetty2", "lln"}
+
+
+def _odd_clouds(self, gen, count):
+    """A random, collinear or repeated-point cloud, picked by the trial's own
+    stream so that every route sees the same cloud for the same trial."""
+    return planar_test_clouds(gen, 3, count)[gen.integers(3)]
+
+
+class TestChunks:
+    @pytest.mark.parametrize("name", sorted(CHUNKED))
+    def test_values_do_not_depend_on_the_split(self, name, monkeypatch):
+        kind, config = CHUNKED[name]
+        n = 23
+        whole, diag = harness._worker((kind, config, 0, 0, n))
+        for cuts in ([0, 1, 2, 9, 10, 22, 23], list(range(n + 1))):
+            parts = [harness._worker((kind, config, 0, a, b - a))
+                     for a, b in zip(cuts[:-1], cuts[1:])]
+            assert np.array_equal(np.concatenate([v for v, _ in parts]), whole)
+            assert {key: sum(d[key] for _, d in parts) for key in diag} == diag
+        monkeypatch.setattr(harness, "CHUNK_ENTRIES", 1)
+        values, d = harness._worker((kind, config, 0, 0, n))
+        assert np.array_equal(values, whole) and d == diag
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["sampled", "odd-clouds"])
+    @pytest.mark.parametrize("name", sorted(CHUNKED))
+    def test_chunks_match_the_hull_route(self, name, odd, monkeypatch):
+        if odd:
+            monkeypatch.setattr(Density, "sample", _odd_clouds)
+        kind, config = CHUNKED[name]
+        trials = harness._TRIAL_BUILDERS[kind](config, 1)
+        n = 30
+        hull_diag, chunk_diag = harness._no_diagnostics(), harness._no_diagnostics()
+        want = np.array([trials.trial(i, hull_diag) for i in range(n)])
+        got = trials.chunk(0, n, chunk_diag)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert chunk_diag == hull_diag
+        if odd and name in HULLS_OF_SAMPLES:
+            assert hull_diag["degenerate_hulls"] > 0
+
+
+class TestTrialErrors:
+    # A collinear cloud does not raise: no node of the grid is exactly
+    # normal to its line, so the grid sees a bounded polar.  Collapsing the
+    # cloud of one trial to a point makes its Lebesgue polar measure infinite.
+    @pytest.mark.parametrize("c_set", [{"kind": "simplex", "m": 3}, {"kind": "bp", "m": 3, "p": 2.0}],
+                             ids=["stacked", "per-trial"])
+    def test_a_failing_trial_names_its_key(self, c_set, monkeypatch):
+        real = Density.sample
+        target = real(Density.gaussian(2), RngStream(5, (0, 7)).generator(), 3)
+
+        def sample(self, gen, count):
+            pts = real(self, gen, count)
+            return np.zeros_like(pts) if np.array_equal(pts, target) else pts
+
+        monkeypatch.setattr(Density, "sample", sample)
+        with pytest.raises(TrialError, match=r"trial \(0, 7\): GeometryError") as info:
+            run_theorem_1_2(dict(THM12_SMALL, c_set=c_set))
+        assert info.value.key == (0, 7)
+
+    def test_the_error_survives_a_worker_process(self):
+        err = pickle.loads(pickle.dumps(TrialError((1, 3), "GeometryError: boom")))
+        assert err.key == (1, 3) and str(err) == "trial (1, 3): GeometryError: boom"
+
+
 class TestPairingLimit:
     def test_square_target_value(self):
         assert lln_target(SQUARE) == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -332,6 +425,21 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["trials"] == 15
         assert report["seed"] == 9
+
+    @pytest.mark.parametrize("nodes", [0, -8, 2.5])
+    def test_petty_rejects_a_bad_node_count(self, tmp_path, capsys, nodes):
+        config = dict(SQUARE, method="quadrature", quadrature={"nodes": nodes})
+        with pytest.raises(ConfigError, match="quadrature.nodes"):
+            cli.run_petty(config)
+        assert cli.main(["petty", "--config", self._write(tmp_path, config)]) == 1
+        assert "quadrature.nodes" in capsys.readouterr().err
+
+    def test_petty_honours_certify(self):
+        config = dict(SQUARE, method="quadrature", quadrature={"nodes": 64, "certify": True})
+        with pytest.raises(GeometryError, match="certification"):
+            cli.run_petty(config)
+        config["quadrature"]["nodes"] = 4096
+        assert cli.run_petty(config)["product"] == pytest.approx(2.0, rel=1e-4)
 
     def test_usage_errors_exit_one(self, tmp_path, capsys):
         assert cli.main(["no-such-command"]) == 1

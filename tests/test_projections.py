@@ -31,6 +31,8 @@ from pettylab.mixed import surface_area
 from pettylab.verify import (
     centroid_support_cubature,
     mixed_projection_polarization,
+    point_in_polygon,
+    points_in_polygon,
     shadow_oracle,
 )
 
@@ -216,6 +218,15 @@ class TestCentroidBody:
         T = hull(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         h = centroid_body_support(T)
         assert h(np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0 / 3.0)
+
+    def test_grid_ray_casting_matches_the_per_point_test(self):
+        gen = np.random.default_rng(87)
+        grid = np.linspace(-1.5, 1.5, 13)  # hits the square's edges and corners
+        x, y = np.meshgrid(grid, grid, indexing="ij")
+        for cycle in (cube_body(2).vertices, hull(gen.normal(size=(9, 2))).vertices):
+            got = points_in_polygon(cycle, x, y)
+            want = [[point_in_polygon(cycle, np.array([a, b])) for b in grid] for a in grid]
+            assert got.tolist() == want
 
     def test_matches_grid_cubature(self):
         gen = np.random.default_rng(88)
