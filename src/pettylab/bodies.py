@@ -117,22 +117,28 @@ class Zonotope:
 
 def _abs_pairing(U, V: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """sum_j w_j |<u, v_j>| for each row u of U (every w_j = 1 by default),
-    in blocks of rows of at most ``ABS_BLOCK_ENTRIES`` products."""
+    in blocks of rows of at most ``ABS_BLOCK_ENTRIES`` products.
+
+    Each block is reduced by one matrix-vector product: a row sum over a
+    short last axis costs 2-3 times as much at 8192 rows.  Calls with equal
+    shapes do the same arithmetic, so equal inputs give equal bits.
+    """
     U = np.asarray(U, dtype=float)
+    w = np.ones(len(V)) if weights is None else weights
     out = np.empty(len(U))
     step = max(1, ABS_BLOCK_ENTRIES // max(len(V), 1))
     for s in range(0, len(U), step):
         block = U[s:s + step] @ V.T
         np.abs(block, out=block)
-        out[s:s + step] = block.sum(axis=1) if weights is None else block @ weights
+        out[s:s + step] = block @ w
     return out
 
 
 # ---------------------------------------------------------------------------
-# stacked planar clouds
+# stacked clouds
 #
-# The kernels below take T planar clouds (or generator lists) stacked as a
-# (T, k, 2) array and return one row per cloud.  They use elementwise
+# The kernels below take T clouds (or generator lists) stacked as a
+# (T, k, n) array and return one row per cloud.  They use elementwise
 # products, max/min, and sums along the last axis or in an explicit loop,
 # never a matrix product, so a cloud's row is bit-identical whichever other
 # clouds share the stack.
@@ -185,6 +191,31 @@ def planar_full_rank(P: np.ndarray) -> np.ndarray:
     trace = np.square(C).reshape(T, -1).sum(axis=1)
     s0_sq = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * gram_det, 0.0)))
     return np.sqrt(gram_det) > COPLANAR_TOL * FULL_RANK_MARGIN * s0_sq
+
+
+# The Gram determinant det(V^T V) = (s0 s1 s2)^2 of a spatial row set
+# carries a rounding error of about 1e-15 trace^3, so it cannot resolve the
+# planar threshold COPLANAR_TOL * FULL_RANK_MARGIN; a spatial set counts as
+# full rank only when s2/s0 clears this larger ratio.
+SPATIAL_RANK_RATIO = 1e-6
+
+
+def spatial_full_rank(V: np.ndarray) -> np.ndarray:
+    """Mask of the stacked spatial row sets V[t], shape (T, k, 3), whose rows
+    span space with margin, s2/s0 > SPATIAL_RANK_RATIO; False means "flat or
+    too close to call".  Centered clouds give the mask of hulls that
+    ``hull`` would find three-dimensional.
+
+    With M = V^T V, s2/s0 >= sqrt(det M) / trace(M)^(3/2), since s1 <= s0
+    and s0^2 <= trace M.  M sums the rows' outer products in row order, so
+    a set's answer does not depend on the sets stacked with it.
+    """
+    M = (V[:, :, :, None] * V[:, :, None, :]).sum(axis=1)
+    det = (M[:, 0, 0] * (M[:, 1, 1] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 1])
+           - M[:, 0, 1] * (M[:, 1, 0] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 0])
+           + M[:, 0, 2] * (M[:, 1, 0] * M[:, 2, 1] - M[:, 1, 1] * M[:, 2, 0]))
+    trace = M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2]
+    return det > SPATIAL_RANK_RATIO ** 2 * trace ** 3
 
 
 def planar_hull_areas(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

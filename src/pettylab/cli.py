@@ -1,8 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 when every verdict is consistent or inconclusive, 2 when any
-verdict is violated (or a kernel check fails), 1 for usage and config
-errors.
+verdict is violated (or a kernel check fails, or a replayed trial raises),
+1 for usage and config errors.
+
+``pettylab replay KIND --config PATH --key S,I`` reruns the one trial that
+a ``TrialError`` names, (side, trial) or for lln (row, trial), through the
+chunk route and the per-trial route, and prints both results.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .harness import (
     ConfigError,
     RUNNERS,
     quadrature_block,
+    replay,
     report_to_csv,
     report_to_json,
     resolve_threads,
@@ -37,6 +42,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+
+
+def _trial_key(text: str) -> tuple:
+    try:
+        side, index = (int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"key must be S,I (two integers), got {text!r}") from exc
+    return side, index
 
 
 def _build_parser() -> _Parser:
@@ -60,6 +73,13 @@ def _build_parser() -> _Parser:
     for name in ("thm12", "thm11", "cor13", "empmixed", "emppetty2", "lln"):
         add(name, f"run the {name} experiment")
     add("symmetrize", "iterated Steiner symmetrization trace", trials=False)
+    p = sub.add_parser("replay", help="rerun one trial by its stream key")
+    p.add_argument("kind", choices=tuple(RUNNERS), help="experiment")
+    p.add_argument("--config", required=True, help="JSON config path")
+    p.add_argument("--key", required=True, type=_trial_key,
+                   help="S,I: side (lln: row) and trial index, as a TrialError names them")
+    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
@@ -191,6 +211,10 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if getattr(args, "trials", None) is not None:
             config["trials"] = args.trials
+        if args.command == "replay":
+            report = replay(args.kind, config, args.key)
+            _emit(report_to_json(report), args.out)
+            return 2 if "error" in report["chunk"] or "error" in report["trial"] else 0
         if args.command == "petty":
             report = run_petty(config)
             text = (report_to_json(report) if args.format == "json"

@@ -22,14 +22,33 @@ with no hull, by Cauchy's formula h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
   cross(x_i, x_j) over the ordered pairs (i, j) with every other point
   strictly to their left.
 
-The stacked kernels use no matrix product, so a trial's value is the same
-bit for bit whatever chunk it falls in.  A cloud they cannot classify with
-margin (degenerate, collinear or repeated points) goes through the hull
-route, which also counts degenerate hulls.  The other kinds, and C-sets
-without a planar kernel, run their geometry one trial at a time inside the
-chunk.  Chunk length follows from ``CHUNK_ENTRIES``.  An error raised in a
-trial is re-raised as a ``TrialError`` that names its (side, trial) key
-(lln: (row, trial)).
+The stacked planar kernels use no matrix product, so a trial's value is the
+same bit for bit whatever chunk it falls in.
+
+In space, the projection bodies these kinds need are zonotopes whose
+generators have closed forms, built for the whole chunk with elementwise
+cross products:
+
+* thm12, simplex C-set with m = 4: h_{Pi K}(u) = (1/4) sum over the four
+  faces ijk of |<(x_j - x_i) x (x_k - x_i), u>|;
+* thm12, cube or bp p = inf C-set: 4 sum_{i<j} |<g_i x g_j, u>| with g the
+  generators of X C (half X for the cube);
+* thm11 with two zonotope C-sets, and cor13 with A = X/m and B = Y/m:
+  h_{Pi(Z_A, Z_B)}(u) = 2 sum_{i,j} |<a_i x b_j, u>|.
+
+Each trial then takes one support call over the grid, whose shape does not
+depend on the chunk, and one polar quadrature row, so its value is again
+the same bit for bit in every chunk.
+
+A cloud a stacked kernel cannot classify with margin (degenerate, collinear,
+coplanar or repeated points, or generators that do not span space) goes
+through the hull route, which also counts degenerate hulls.  The other
+kinds and C-sets run their geometry one trial at a time inside the chunk:
+thm12 with other C-sets, thm11 with hull C-sets, empmixed in mixed mode
+(in space, with ball slots) and the spatial emppetty2 and lln.  Chunk
+length follows from ``CHUNK_ENTRIES``.  An error raised in a trial is
+re-raised as a ``TrialError`` that names its (side, trial) key (lln:
+(row, trial)); ``replay`` reruns that one trial.
 """
 
 from __future__ import annotations
@@ -54,6 +73,7 @@ from .bodies import (
     lp_ball_body,
     planar_full_rank,
     planar_hull_areas,
+    spatial_full_rank,
     sphere_directions,
     volume,
     zonotope_supports,
@@ -65,11 +85,13 @@ from .projections import (
     RadialMeasure,
     centroid_body_support,
     empirical_centroid_body,
+    mixed_projection_generators,
     mixed_projection_support,
-    polar_measure_from_support,
     polar_measures,
     polar_projection_polytope,
     projection_body,
+    tetrahedron_projection_generators,
+    zonotope_projection_generators,
 )
 from .sampling import Density, RngStream
 from .stats import EstimateWithCI, classify, summarize
@@ -283,7 +305,7 @@ def c_set_body(cset: dict, X: np.ndarray):
 
 def _planar_form(cset: dict) -> str | None:
     """How the planar kernels read X C: "cloud" when it is the hull of the
-    rows of ``_planar_image``, "zonotope" when it is the sum of [-g, g] over
+    rows of ``_image_rows``, "zonotope" when it is the sum of [-g, g] over
     them, None for C-sets without a planar kernel."""
     kind, p = cset["kind"], cset.get("p")
     if kind == "simplex" or (kind == "bp" and p == 1.0):
@@ -293,8 +315,17 @@ def _planar_form(cset: dict) -> str | None:
     return None
 
 
-def _planar_image(cset: dict, X: np.ndarray) -> np.ndarray:
-    """The rows behind X C for stacked samples X of shape (T, m, 2), as
+def _spatial_form(cset: dict) -> str | None:
+    """How the spatial kernels read X C: "tetrahedron" when it is the hull of
+    four sampled points, "zonotope" as in ``_planar_form``, None for C-sets
+    without a spatial kernel."""
+    if cset["kind"] == "simplex" and cset["m"] == 4:
+        return "tetrahedron"
+    return "zonotope" if _planar_form(cset) == "zonotope" else None
+
+
+def _image_rows(cset: dict, X: np.ndarray) -> np.ndarray:
+    """The rows behind X C for stacked samples X of shape (T, m, n), as
     ``c_set_body`` builds them."""
     if cset["kind"] == "cube":
         return cset.get("half", 1.0) * X
@@ -304,7 +335,7 @@ def _planar_image(cset: dict, X: np.ndarray) -> np.ndarray:
 
 
 def _planar_rows(cset: dict) -> int:
-    """Rows per sample of ``_planar_image``."""
+    """Rows per sample of ``_image_rows``."""
     return cset["m"] * (2 if cset["kind"] == "bp" and cset["p"] == 1.0 else 1)
 
 
@@ -328,14 +359,33 @@ def _no_diagnostics() -> dict:
     return {"degenerate_hulls": 0, "unbounded_polars": 0}
 
 
+def _polar_values(hv: np.ndarray, measure: RadialMeasure, dim: int, diag: dict) -> np.ndarray:
+    """Polar measures of stacked support rows, counting each row with a
+    support value <= 0 (an unbounded polar) in ``diag``."""
+    diag["unbounded_polars"] += int(np.count_nonzero(hv.min(axis=1) <= 0.0))
+    return polar_measures(hv, measure, dim)
+
+
+def _grid_supports(G: np.ndarray, full: np.ndarray, nodes: int, hull_route) -> np.ndarray:
+    """sum_k |<g_k, u>| over the spatial grid of ``nodes`` directions for each
+    stacked generator set G[t], one support call per trial: its shape does
+    not depend on the chunk, so neither do its bits.  Trials outside the
+    mask ``full`` take ``hull_route(t)``."""
+    U = _grid(3, nodes)
+    hv = np.empty((len(G), nodes))
+    for t in range(len(G)):
+        hv[t] = Zonotope(G[t]).support_batch(U) if full[t] else hull_route(t)
+    return hv
+
+
 class _Trials:
     """The trials of one side (lln: of one row).  Trial i draws from its own
     stream RngStream(seed, (side, i)).
 
     ``chunk(first, count, diag)`` returns the values of trials first, ...,
     first + count - 1 and adds their diagnostics to ``diag``.  Here it runs
-    ``trial`` once per index; planar kinds override it with stacked kernels
-    and raise ``chunk_len`` from CHUNK_ENTRIES.
+    ``trial`` once per index; kinds with stacked kernels override it and
+    raise ``chunk_len`` from CHUNK_ENTRIES.
     """
 
     chunk_len = 1
@@ -406,11 +456,16 @@ class _Thm12Trials(_Trials):
         self.cset = build_c_set(config["c_set"], self.dim)
         self.measure = _measure(config)
         self.nodes = _quad_nodes(config, self.dim)
-        self.form = _planar_form(self.cset) if self.dim == 2 else None
-        if self.form == "cloud":
-            self._fit_chunk(_planar_rows(self.cset) * self.nodes)
-        elif self.form == "zonotope":
-            self._fit_chunk(self.nodes)
+        if self.dim == 2:
+            self.form = _planar_form(self.cset)
+            if self.form == "cloud":
+                self._fit_chunk(_planar_rows(self.cset) * self.nodes)
+            elif self.form == "zonotope":
+                self._fit_chunk(self.nodes)
+        else:
+            self.form = _spatial_form(self.cset)
+            if self.form is not None:
+                self._fit_chunk(self.nodes)
 
     def _projection_supports(self, body, diag: dict) -> np.ndarray:
         """The hull route: h_{Pi body} on the grid, counting a degenerate hull."""
@@ -422,24 +477,30 @@ class _Thm12Trials(_Trials):
     def trial(self, index: int, diag: dict) -> float:
         X = self.density.sample(self.generator(index), self.m)
         hv = self._projection_supports(c_set_body(self.cset, X), diag)
-        if np.min(hv) <= 0.0:
-            diag["unbounded_polars"] += 1
-        return polar_measure_from_support(hv, self.measure, self.dim)
+        return _polar_values(hv[None], self.measure, self.dim, diag)[0]
 
     def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
         if self.form is None:
             return super().chunk(first, count, diag)
         X, = self.stacked(first, count, [(self.density, self.m)])
-        P = _planar_image(self.cset, X)
-        W = _perp_grid(self.nodes)
-        if self.form == "zonotope":
-            hv = 2.0 * zonotope_supports(P, W)
+        P = _image_rows(self.cset, X)
+
+        def hull_route(t):
+            return self._projection_supports(c_set_body(self.cset, X[t]), diag)
+
+        if self.form == "tetrahedron":
+            full = spatial_full_rank(P - P.mean(axis=1, keepdims=True))
+            hv = _grid_supports(tetrahedron_projection_generators(P), full, self.nodes, hull_route)
+        elif self.dim == 3:
+            hv = _grid_supports(zonotope_projection_generators(P), spatial_full_rank(P),
+                                self.nodes, hull_route)
+        elif self.form == "zonotope":
+            hv = 2.0 * zonotope_supports(P, _perp_grid(self.nodes))
         else:
-            hv = cloud_widths(P, W)
+            hv = cloud_widths(P, _perp_grid(self.nodes))
             for t in np.flatnonzero(~planar_full_rank(P)):
-                hv[t] = self._projection_supports(hull(P[t]), diag)
-        diag["unbounded_polars"] += int(np.count_nonzero(hv.min(axis=1) <= 0.0))
-        return polar_measures(hv, self.measure, 2)
+                hv[t] = hull_route(t)
+        return _polar_values(hv, self.measure, self.dim, diag)
 
 
 def _validate_mixed_blocks(config: dict):
@@ -463,29 +524,63 @@ def _validate_mixed_blocks(config: dict):
     _quad_nodes(config, dim)
 
 
-class _Thm11Trials(_Trials):
+class _MixedTrials(_Trials):
+    """Polar measure of a mixed projection body Pi(K_1, K_2) in space, K_i
+    built from the i-th draw of ``self.blocks``.  Subclasses set ``blocks``,
+    ``measure`` and ``nodes``, build the bodies, and set ``zonotopes`` when
+    both bodies are zonotopes whose generator rows ``rows`` gives."""
+
+    zonotopes = False
+
+    def bodies(self, samples: list, diag: dict) -> list:
+        raise NotImplementedError
+
+    def rows(self, i: int, X: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _supports(self, samples: list, diag: dict) -> np.ndarray:
+        """The hull route: h_{Pi(K_1, K_2)} on the grid."""
+        return mixed_projection_support(self.bodies(samples, diag))(_grid(self.dim, self.nodes))
+
+    def trial(self, index: int, diag: dict) -> float:
+        gen = self.generator(index)
+        samples = [density.sample(gen, m) for density, m in self.blocks]
+        return _polar_values(self._supports(samples, diag)[None], self.measure, self.dim, diag)[0]
+
+    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
+        if not self.zonotopes:
+            return super().chunk(first, count, diag)
+        X, Y = self.stacked(first, count, self.blocks)
+        A, B = self.rows(0, X), self.rows(1, Y)
+        # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
+        full = spatial_full_rank(A) & spatial_full_rank(B)
+        hv = _grid_supports(mixed_projection_generators(A, B), full, self.nodes,
+                            lambda t: self._supports([X[t], Y[t]], diag))
+        return _polar_values(hv, self.measure, self.dim, diag)
+
+
+class _Thm11Trials(_MixedTrials):
     def __init__(self, config: dict, side: int):
         super().__init__(config, side)
         self.blocks = _blocks_from_config(config, self.dim, side)
         self.csets = [build_c_set(cs, self.dim) for cs in config["c_sets"]]
         self.measure = _measure(config)
         self.nodes = _quad_nodes(config, self.dim)
+        self.zonotopes = all(_planar_form(cs) == "zonotope" for cs in self.csets)
+        if self.zonotopes:
+            self._fit_chunk(self.nodes)
 
-    def trial(self, index: int, diag: dict) -> float:
-        gen = self.generator(index)
-        bodies = []
-        for (density, m), cset in zip(self.blocks, self.csets):
-            X = density.sample(gen, m)
+    def bodies(self, samples: list, diag: dict) -> list:
+        out = []
+        for X, cset in zip(samples, self.csets):
             body = c_set_body(cset, X)
             if isinstance(body, VPolytope) and body.is_degenerate():
                 diag["degenerate_hulls"] += 1
-            bodies.append(body)
-        h = mixed_projection_support(bodies)
-        U = _grid(self.dim, self.nodes)
-        hv = h(U)
-        if np.min(hv) <= 0.0:
-            diag["unbounded_polars"] += 1
-        return polar_measure_from_support(hv, self.measure, self.dim)
+            out.append(body)
+        return out
+
+    def rows(self, i: int, X: np.ndarray) -> np.ndarray:
+        return _image_rows(self.csets[i], X)
 
 
 def _validate_cor13(config: dict):
@@ -506,31 +601,31 @@ def _validate_cor13(config: dict):
     _quad_nodes(config, dim)
 
 
-class _Cor13Trials(_Trials):
+class _Cor13Trials(_MixedTrials):
+    """thm11 on the empirical centroid bodies Z_m = sum_i [-x_i/m, x_i/m] of
+    m uniform points of each body."""
+
+    zonotopes = True
+
     def __init__(self, config: dict, side: int):
         super().__init__(config, side)
-        self.m = int(config["m"])
-        self.densities = []
+        m = int(config["m"])
+        self.blocks = []
         for lit in config["bodies"]:
             body = body_from_literal(lit)
             if isinstance(body, Zonotope):
                 body = zonotope_to_vpolytope(body)
             d = Density.uniform(body)
-            self.densities.append(d.rearranged() if side == 1 else d)
+            self.blocks.append((d.rearranged() if side == 1 else d, m))
         self.measure = _measure(config)
         self.nodes = _quad_nodes(config, self.dim)
+        self._fit_chunk(self.nodes)
 
-    def trial(self, index: int, diag: dict) -> float:
-        gen = self.generator(index)
-        zonos = [
-            empirical_centroid_body(d.sample(gen, self.m)) for d in self.densities
-        ]
-        h = mixed_projection_support(zonos)
-        U = _grid(self.dim, self.nodes)
-        hv = h(U)
-        if np.min(hv) <= 0.0:
-            diag["unbounded_polars"] += 1
-        return polar_measure_from_support(hv, self.measure, self.dim)
+    def bodies(self, samples: list, diag: dict) -> list:
+        return [empirical_centroid_body(X) for X in samples]
+
+    def rows(self, i: int, X: np.ndarray) -> np.ndarray:
+        return X / X.shape[1]
 
 
 def _validate_empmixed(config: dict):
@@ -594,7 +689,7 @@ class _EmpMixedTrials(_Trials):
         if not self.pair_areas:
             return super().chunk(first, count, diag)
         X, = self.stacked(first, count, self.blocks)
-        P = _planar_image(self.csets[0], X)
+        P = _image_rows(self.csets[0], X)
         areas, ok = planar_hull_areas(P)
         for t in np.flatnonzero(~ok):
             body = hull(P[t])
@@ -833,13 +928,19 @@ def lln_target(body_literal: dict) -> float:
     return v1(K, centroid_body_support(L))
 
 
+def _lln_config(config: dict) -> dict:
+    """A copy of an lln config with the default sweep (one row, m1 = m2 = 64)."""
+    config = dict(config)
+    config.setdefault("m1_list", [64])
+    config.setdefault("m2_list", [64])
+    return config
+
+
 def run_lln(config: dict, threads: int | None = None) -> dict:
     """Sweep of (1/m2) E V1([K]_m1, [polar projection]_m2^inf) against the
     deterministic pairing limit, plus a constancy table over a body family."""
     threads = resolve_threads(threads)
-    config = dict(config)
-    config.setdefault("m1_list", [64])
-    config.setdefault("m2_list", [64])
+    config = _lln_config(config)
     _validate_lln(config)
     _, trials, seed = _common(config)
     target = lln_target(config["body"])
@@ -909,6 +1010,40 @@ def estimate(functional_id: str, config: dict, side: int = 0,
     trials = int(config.get("trials", DEFAULT_TRIALS))
     values, _ = run_trials(kind, config, side, trials, resolve_threads(threads))
     return summarize(values)
+
+
+def replay(kind: str, config: dict, key) -> dict:
+    """Rerun the trial with stream key (side, trial) of a ``kind`` experiment
+    (lln: (row, trial)) through the chunk route, as a chunk of one, and
+    through the per-trial route.  Each route gives its value and diagnostics,
+    or the error it raised; ``relative_difference`` compares the values."""
+    if kind not in RUNNERS:
+        raise ConfigError(f"unknown experiment {kind!r}")
+    builder, sides = kind, 2
+    if kind == "lln":
+        config = _lln_config(config)
+        builder, sides = "lln_row", len(config["m1_list"])
+    _VALIDATORS[kind](config)
+    side, index = (int(k) for k in key)
+    _require(0 <= side < sides and index >= 0,
+             f"key must be (side, trial) with side below {sides} and trial >= 0")
+    trials = _TRIAL_BUILDERS[builder](config, side)
+    routes = {
+        "chunk": lambda diag: trials.chunk(index, 1, diag)[0],
+        "trial": lambda diag: trials.trial(index, diag),
+    }
+    out = {"experiment": kind, "seed": trials.seed, "key": [side, index]}
+    for name, run in routes.items():
+        diag = _no_diagnostics()
+        try:
+            out[name] = {"value": float(run(diag)), "diagnostics": diag}
+        except Exception as exc:  # the report names what the trial raised
+            out[name] = {"error": f"{type(exc).__name__}: {exc}"}
+    a, b = out["chunk"].get("value"), out["trial"].get("value")
+    out["relative_difference"] = (
+        None if a is None or b is None else abs(a - b) / max(abs(b), 1e-300)
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ class Density:
         self.radius = radius
         self.sigma = sigma
         self._tri = None
-        self._tri_weights = None
+        self._tri_cdf = None
 
     def __getstate__(self):
         return (self.kind, self.dim, self.body, self.radius, self.sigma)
@@ -65,7 +65,7 @@ class Density:
     def __setstate__(self, state):
         self.kind, self.dim, self.body, self.radius, self.sigma = state
         self._tri = None
-        self._tri_weights = None
+        self._tri_cdf = None
 
     @staticmethod
     def uniform(body: VPolytope) -> "Density":
@@ -125,8 +125,8 @@ class Density:
             pts = tri.points[tri.simplices]
             vols = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(self.dim)
             self._tri = tri
-            self._tri_weights = vols / vols.sum()
-        return self._tri, self._tri_weights
+            self._tri_cdf = cumulative_weights(vols / vols.sum())
+        return self._tri, self._tri_cdf
 
     def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """Draw count points, shape (count, dim)."""
@@ -138,11 +138,21 @@ class Density:
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             radii = self.radius * gen.random(count) ** (1.0 / n)
             return dirs * radii[:, None]
-        tri, weights = self._triangulation()
-        idx = gen.choice(len(weights), size=count, p=weights)
+        tri, cdf = self._triangulation()
+        idx = cdf.searchsorted(gen.random(count), side="right")
         bary = gen.dirichlet(np.ones(n + 1), size=count)
         corners = tri.points[tri.simplices[idx]]
         return np.einsum("kj,kjd->kd", bary, corners)
+
+
+def cumulative_weights(weights: np.ndarray) -> np.ndarray:
+    """The normalized running sum of ``weights``.  Searching it with
+    ``searchsorted(gen.random(count), side="right")`` draws the indices that
+    ``gen.choice(len(weights), size=count, p=weights)`` draws, from the same
+    stream state, without re-checking the weights on every call."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return cdf
 
 
 def rearrange_body_volume(vol: float, dim: int, facets: int | None = None) -> VPolytope:

@@ -7,8 +7,9 @@ quantities, which the kernel reads off the surface-area measure, have two
 slow exact oracles built from plain hull volumes only:
 ``mixed_volume_inclusion_exclusion`` (subset Minkowski sums) and
 ``mixed_projection_polarization`` (three hull volumes per direction).  The
-stacked planar trial kernels are checked against the hull route.  The test
-suite imports these oracles; the command line runs the whole list.
+stacked trial kernels, planar and spatial, are checked against the hull
+route.  The test suite imports these oracles; the command line runs the
+whole list.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .bodies import (
     minkowski_sum,
     planar_full_rank,
     planar_hull_areas,
+    spatial_full_rank,
     polar,
     reduced_form,
     solid_simplex,
@@ -40,7 +42,14 @@ from .bodies import (
     zonotope_volume,
 )
 from .mixed import _as_polytope, mixed_volume, mixed_volume_fit_check, v1
-from .projections import centroid_body_support, mixed_projection_support, projection_body
+from .projections import (
+    centroid_body_support,
+    mixed_projection_generators,
+    mixed_projection_support,
+    projection_body,
+    tetrahedron_projection_generators,
+    zonotope_projection_generators,
+)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -409,6 +418,69 @@ def check_planar_kernels(seed: int = 0):
     return worst <= 1e-12 and masks_ok, f"max relative defect {worst:.2e}, masks ok: {masks_ok}"
 
 
+def spatial_test_clouds(gen: np.random.Generator, count: int, k: int = 4) -> np.ndarray:
+    """Stacked spatial clouds of k points, cycling through a random cloud, a
+    coplanar one, a collinear one and one whose last points repeat its
+    first; the flat ones sit off the origin."""
+    clouds = []
+    for i in range(count):
+        if i % 4 == 1:
+            pts = gen.normal(size=(k, 2)) @ gen.normal(size=(2, 3)) + gen.normal(size=3)
+        elif i % 4 == 2:
+            pts = np.outer(gen.normal(size=k), gen.normal(size=3)) + gen.normal(size=3)
+        else:
+            pts = gen.normal(size=(k, 3))
+            if i % 4 == 3:
+                pts[k // 2 + 1:] = pts[: k - k // 2 - 1]
+        clouds.append(pts)
+    return np.stack(clouds)
+
+
+def check_spatial_kernels(seed: int = 0):
+    """The generator forms of the spatial trial kernels against the
+    surface-measure route, on random, coplanar, collinear and repeated-point
+    clouds: tetrahedra against the projection body of their hull, zonotopes
+    against that of their vertex form, zonotope pairs against the mixed
+    projection support of their vertex forms.  The masks the trials use
+    must agree with the hull's dimension (tetrahedra) or with the SVD rank
+    of the generator rows (zonotopes); flat bodies are compared only through
+    the mask, since the trials send them to the hull route."""
+    gen = np.random.default_rng(seed)
+    U = sphere_directions(3, 64)
+    P = spatial_test_clouds(gen, 8, 4)
+    A = spatial_test_clouds(gen, 6, 3)
+    B = gen.normal(size=A.shape)
+
+    def vertex_form(G):
+        return zonotope_to_vpolytope(Zonotope(G))
+
+    def spans(G):
+        return np.linalg.matrix_rank(G) == 3
+
+    forms = [
+        (tetrahedron_projection_generators(P),
+         spatial_full_rank(P - P.mean(axis=1, keepdims=True)),
+         lambda t: hull(P[t]).affine_dim == 3,
+         lambda t: projection_body(hull(P[t]), allow_degenerate=True).support_batch(U)),
+        (zonotope_projection_generators(A), spatial_full_rank(A),
+         lambda t: spans(A[t]),
+         lambda t: projection_body(vertex_form(A[t]), allow_degenerate=True).support_batch(U)),
+        (mixed_projection_generators(A, B), spatial_full_rank(A) & spatial_full_rank(B),
+         lambda t: spans(A[t]) and spans(B[t]),
+         lambda t: mixed_projection_support([vertex_form(A[t]), vertex_form(B[t])])(U)),
+    ]
+    worst = 0.0
+    masks_ok = True
+    for G, full, expected, oracle in forms:
+        for t in range(len(G)):
+            masks_ok &= bool(full[t]) == expected(t)
+            if full[t]:
+                want = oracle(t)
+                got = Zonotope(G[t]).support_batch(U)
+                worst = max(worst, float(np.max(np.abs(got - want)) / np.max(want)))
+    return worst <= 1e-12 and masks_ok, f"max relative defect {worst:.2e}, masks ok: {masks_ok}"
+
+
 CHECKS = [
     ("hull vs gift wrapping", check_hull_oracle),
     ("support vs brute maxima", check_support_oracle),
@@ -422,6 +494,7 @@ CHECKS = [
     ("projection support vs shadow hull", check_shadow_oracle),
     ("centroid body support vs cubature", check_centroid_support_cubature),
     ("planar trial kernels vs hull route", check_planar_kernels),
+    ("spatial trial kernels vs hull route", check_spatial_kernels),
 ]
 
 

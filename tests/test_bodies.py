@@ -30,6 +30,7 @@ from pettylab import (
     zonotope_to_vpolytope,
     zonotope_volume,
 )
+from pettylab.bodies import _abs_pairing
 from pettylab.verify import (
     brute_hull_vertices_3d,
     gift_wrap_2d,
@@ -166,6 +167,23 @@ class TestZonotope:
         U = gen.normal(size=(2000, 3))
         known = [np.abs(Z.generators @ u).sum() for u in U]
         assert np.allclose(Z.support_batch(U), known, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("count, directions", [(0, 50), (1, 50), (4, 50), (64, 50),
+                                                    (3, 25000)],
+                             ids=["none", "one", "four", "sixty-four", "several-blocks"])
+    def test_abs_pairing_matches_an_explicit_weighted_sum(self, count, directions):
+        gen = np.random.default_rng(51 + count)
+        V = gen.normal(size=(count, 3))
+        w = gen.random(count)
+        U = gen.normal(size=(directions, 3))
+        for weights in (None, w):
+            wj = np.ones(count) if weights is None else weights
+            known = np.zeros(directions)
+            for j in range(count):
+                known += wj[j] * np.abs(U @ V[j])
+            got = _abs_pairing(U, V, weights)
+            assert got.shape == (directions,)
+            np.testing.assert_allclose(got, known, rtol=1e-13, atol=0.0)
 
     def test_planar_conversion_walks_the_exact_polygon(self):
         gen = np.random.default_rng(49)

@@ -24,7 +24,11 @@ from pettylab.harness import (
 from pettylab.mixed import v1
 from pettylab.projections import support_evaluator_of
 from pettylab.sampling import Density, RngStream
-from pettylab.verify import mixed_volume_inclusion_exclusion, planar_test_clouds
+from pettylab.verify import (
+    mixed_volume_inclusion_exclusion,
+    planar_test_clouds,
+    spatial_test_clouds,
+)
 from pettylab.bodies import sphere_directions, support
 
 SQUARE = {"type": "cube", "dim": 2}
@@ -238,7 +242,12 @@ _TRIANGLE_PI = {"type": "polygon", "vertices": [[0.0, 0.0], [math.sqrt(2 * math.
 _THM12_PLANE = {"dim": 2, "seed": 31, "blocks": [_uniform_block(_TRIANGLE_PI, 4)],
                 "c_set": {"kind": "simplex", "m": 4}}
 
-# (trial builder, config) for every planar kind with a stacked kernel
+_CUBE3 = {"type": "cube", "dim": 3}
+_GAUSS = {"type": "gaussian", "sigma": 1.0}
+_THM12_SPACE = {"dim": 3, "seed": 36, "blocks": [_uniform_block(_CUBE3, 4)],
+                "c_set": {"kind": "simplex", "m": 4}}
+
+# (trial builder, config) for every kind with a stacked kernel
 CHUNKED = {
     "thm12-lebesgue": ("thm12", dict(_THM12_PLANE, measure={"type": "lebesgue"})),
     "thm12-gaussian": ("thm12", dict(_THM12_PLANE, measure={"type": "gaussian"})),
@@ -251,16 +260,38 @@ CHUNKED = {
                                   "c_sets": [{"kind": "bp", "m": 3, "p": 1.0}]}),
     "emppetty2": ("emppetty2", {"dim": 2, "seed": 34, "body": SQUARE, "m1": 4, "m2": 4}),
     "lln": ("lln_row", {"dim": 2, "seed": 35, "body": SQUARE, "m1_list": [16, 6], "m2_list": [8, 5]}),
+    "thm12-3d-lebesgue": ("thm12", dict(_THM12_SPACE, measure={"type": "lebesgue"})),
+    "thm12-3d-gaussian": ("thm12", dict(_THM12_SPACE, measure=_GAUSS)),
+    "thm12-3d-cube": ("thm12", dict(_THM12_SPACE, blocks=[_uniform_block(_CUBE3, 3)],
+                                    c_set={"kind": "cube", "m": 3, "half": 0.5})),
+    "thm11-3d-zonotopes": ("thm11", {"dim": 3, "seed": 37, "measure": _GAUSS,
+                                     "blocks": [_uniform_block(_CUBE3, 3), {"density": _GAUSS, "m": 3}],
+                                     "c_sets": [{"kind": "cube", "m": 3},
+                                                {"kind": "bp", "m": 3, "p": math.inf}]}),
+    "cor13": ("cor13", {"dim": 3, "seed": 38, "m": 8, "measure": _GAUSS,
+                        "bodies": [_CUBE3, {"type": "simplex", "dim": 3}]}),
 }
 
 # kinds whose bodies are the hulls of the sampled clouds themselves
-HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "empmixed", "emppetty2", "lln"}
+HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "empmixed", "emppetty2", "lln",
+                    "thm12-3d-lebesgue", "thm12-3d-gaussian"}
 
 
-def _odd_clouds(self, gen, count):
-    """A random, collinear or repeated-point cloud, picked by the trial's own
-    stream so that every route sees the same cloud for the same trial."""
-    return planar_test_clouds(gen, 3, count)[gen.integers(3)]
+def _odd_clouds(kinds):
+    """A sampler that returns a cloud of one of the test kinds (planar: random,
+    collinear, repeated-point; spatial: random, coplanar, collinear,
+    repeated-point), picked by the trial's own stream so that every route
+    sees the same cloud for the same trial."""
+    def sample(self, gen, count):
+        make = planar_test_clouds if self.dim == 2 else spatial_test_clouds
+        return make(gen, max(kinds) + 1, count)[kinds[gen.integers(len(kinds))]]
+    return sample
+
+
+def _odd_kinds(name, dim):
+    # a collinear tetrahedron's polar projection body has infinite Lebesgue
+    # measure, which both routes reject with a GeometryError
+    return [0, 1, 3] if name == "thm12-3d-lebesgue" else list(range(3 if dim == 2 else 4))
 
 
 class TestChunks:
@@ -281,9 +312,9 @@ class TestChunks:
     @pytest.mark.parametrize("odd", [False, True], ids=["sampled", "odd-clouds"])
     @pytest.mark.parametrize("name", sorted(CHUNKED))
     def test_chunks_match_the_hull_route(self, name, odd, monkeypatch):
-        if odd:
-            monkeypatch.setattr(Density, "sample", _odd_clouds)
         kind, config = CHUNKED[name]
+        if odd:
+            monkeypatch.setattr(Density, "sample", _odd_clouds(_odd_kinds(name, config["dim"])))
         trials = harness._TRIAL_BUILDERS[kind](config, 1)
         n = 30
         hull_diag, chunk_diag = harness._no_diagnostics(), harness._no_diagnostics()
@@ -294,24 +325,38 @@ class TestChunks:
         if odd and name in HULLS_OF_SAMPLES:
             assert hull_diag["degenerate_hulls"] > 0
 
+    @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm11-3d-zonotopes", "cor13"])
+    def test_spatial_reports_do_not_depend_on_threads(self, name):
+        kind, config = CHUNKED[name]
+        config = dict(config, trials=20)
+        serial = report_to_json(harness.RUNNERS[kind](config, threads=1))
+        parallel = report_to_json(harness.RUNNERS[kind](config, threads=2))
+        assert serial == parallel
+
 
 class TestTrialErrors:
     # A collinear cloud does not raise: no node of the grid is exactly
     # normal to its line, so the grid sees a bounded polar.  Collapsing the
     # cloud of one trial to a point makes its Lebesgue polar measure infinite.
-    @pytest.mark.parametrize("c_set", [{"kind": "simplex", "m": 3}, {"kind": "bp", "m": 3, "p": 2.0}],
-                             ids=["stacked", "per-trial"])
-    def test_a_failing_trial_names_its_key(self, c_set, monkeypatch):
+    @pytest.mark.parametrize("dim, c_set", [
+        (2, {"kind": "simplex", "m": 3}),
+        (2, {"kind": "bp", "m": 3, "p": 2.0}),
+        (3, {"kind": "simplex", "m": 4}),
+    ], ids=["stacked", "per-trial", "stacked-3d"])
+    def test_a_failing_trial_names_its_key(self, dim, c_set, monkeypatch):
         real = Density.sample
-        target = real(Density.gaussian(2), RngStream(5, (0, 7)).generator(), 3)
+        m = c_set["m"]
+        target = real(Density.gaussian(dim), RngStream(5, (0, 7)).generator(), m)
 
         def sample(self, gen, count):
             pts = real(self, gen, count)
             return np.zeros_like(pts) if np.array_equal(pts, target) else pts
 
         monkeypatch.setattr(Density, "sample", sample)
+        config = dict(THM12_SMALL, dim=dim, c_set=c_set,
+                      blocks=[{"density": {"type": "gaussian"}, "m": m}])
         with pytest.raises(TrialError, match=r"trial \(0, 7\): GeometryError") as info:
-            run_theorem_1_2(dict(THM12_SMALL, c_set=c_set))
+            run_theorem_1_2(config)
         assert info.value.key == (0, 7)
 
     def test_the_error_survives_a_worker_process(self):
@@ -440,6 +485,32 @@ class TestCli:
             cli.run_petty(config)
         config["quadrature"]["nodes"] = 4096
         assert cli.run_petty(config)["product"] == pytest.approx(2.0, rel=1e-4)
+
+    def test_replay_reruns_one_trial_through_both_routes(self, tmp_path, capsys):
+        kind, config = CHUNKED["thm12-3d-lebesgue"]
+        cfg = self._write(tmp_path, config)
+        assert cli.main(["replay", kind, "--config", cfg, "--key", "1,7", "--seed", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["key"] == [1, 7] and report["seed"] == 3
+        want = harness._TRIAL_BUILDERS[kind](dict(config, seed=3), 1).trial(7, harness._no_diagnostics())
+        assert report["trial"]["value"] == want
+        assert report["chunk"]["diagnostics"] == report["trial"]["diagnostics"]
+        assert report["relative_difference"] <= 1e-12
+        _, lln = CHUNKED["lln"]
+        assert cli.main(["replay", "lln", "--config", self._write(tmp_path, lln), "--key", "1,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["chunk"]["value"] > 0.0
+        for key in ("2,0", "0,-1", "0", "a,b"):
+            assert cli.main(["replay", kind, "--config", cfg, "--key", key]) == 1
+        capsys.readouterr()
+
+    def test_replay_reports_what_a_failing_trial_raises(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(Density, "sample", lambda self, gen, count: np.zeros((count, self.dim)))
+        cfg = self._write(tmp_path, CHUNKED["thm12-3d-lebesgue"][1])
+        assert cli.main(["replay", "thm12", "--config", cfg, "--key", "0,7"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        for route in ("chunk", "trial"):
+            assert report[route]["error"].startswith("GeometryError: polar set is unbounded")
+        assert report["relative_difference"] is None
 
     def test_usage_errors_exit_one(self, tmp_path, capsys):
         assert cli.main(["no-such-command"]) == 1

@@ -23,6 +23,7 @@ from pettylab import (
     volume,
     zonotope_to_vpolytope,
 )
+from pettylab.sampling import cumulative_weights
 
 
 class TestRngStream:
@@ -126,6 +127,40 @@ class TestDensity:
             Density.from_literal(
                 {"type": "uniform", "body": {"type": "cube", "dim": 3}}, 2
             )
+
+    def test_cumulative_weights_draw_what_choice_draws(self):
+        # the same indices from the same stream state, checked by the
+        # dirichlet draw that follows, as Density.sample makes it
+        cases = np.random.default_rng(70)
+        for _ in range(300):
+            n = int(cases.integers(1, 40))
+            w = cases.random(n) ** float(cases.choice([1.0, 3.0, 8.0]))
+            w /= w.sum()
+            count = int(cases.integers(0, 40))
+            stream = RngStream(int(cases.integers(0, 2 ** 31)), (0, int(cases.integers(0, 100))))
+            a, b = stream.generator(), stream.generator()
+            want = a.choice(n, size=count, p=w)
+            got = cumulative_weights(w).searchsorted(b.random(count), side="right")
+            assert np.array_equal(got, want)
+            assert np.array_equal(a.dirichlet(np.ones(4), size=count),
+                                  b.dirichlet(np.ones(4), size=count))
+
+    @pytest.mark.parametrize("points", [4, 9, 30])
+    def test_uniform_sample_matches_the_choice_draw(self, points):
+        gen = np.random.default_rng(71 + points)
+        d = Density.uniform(hull(gen.normal(size=(points, 3))))
+        tri, _ = d._triangulation()
+        corners = tri.points[tri.simplices]
+        vols = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])) / 6.0
+        w = vols / vols.sum()
+        for seed in range(20):
+            count = int(gen.integers(1, 12))
+            a, b = RngStream(seed, (1, 2)).generator(), RngStream(seed, (1, 2)).generator()
+            idx = a.choice(len(w), size=count, p=w)
+            bary = a.dirichlet(np.ones(4), size=count)
+            want = np.einsum("kj,kjd->kd", bary, corners[idx])
+            assert np.array_equal(d.sample(b, count), want)
+            assert a.random() == b.random()
 
     def test_pickle_round_trip(self):
         import pickle
