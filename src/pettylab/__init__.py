@@ -59,18 +59,7 @@ from .projections import (
     projection_body,
     projection_body_of_zonotope,
 )
-from .sampling import (
-    BlockSpec,
-    Density,
-    RngStream,
-    random_hull,
-    random_lp_body,
-    random_zonotope,
-    rearrange_body_volume,
-    sample_matrix,
-    sample_point,
-    sample_points,
-)
+from .sampling import Density, RngStream, rearrange_body_volume
 from .stats import EstimateWithCI, classify, summarize
 from .symmetrize import (
     ShadowSystem,

@@ -542,6 +542,11 @@ def zonotope_to_vpolytope(Z: Zonotope) -> VPolytope:
     return hull(signs @ gens)
 
 
+def as_polytope(B) -> VPolytope:
+    """B as a vertex polytope: a zonotope goes to its exact vertex form."""
+    return zonotope_to_vpolytope(B) if isinstance(B, Zonotope) else B
+
+
 def polar_of_zonotope(Z: Zonotope, tol: float = 1e-14) -> VPolytope:
     """Exact polar of a full-dimensional zonotope via facet normal enumeration."""
     Zm = merge_parallel_generators(Z)
@@ -593,6 +598,17 @@ class MSpec:
             vertex_budget = 256
         return MSpec("lp", p=float(p), vertex_budget=vertex_budget)
 
+    def conjugate_ball_vertices(self, count: int) -> np.ndarray:
+        """The L_p rule's M in R^count: vertices of B_q, 1/p + 1/q = 1,
+        sampled with ``vertex_budget`` directions where not exact."""
+        if self.p == 1.0:
+            q = math.inf
+        elif math.isinf(self.p):
+            q = 1.0
+        else:
+            q = self.p / (self.p - 1.0)
+        return lp_ball_vertices(count, q, self.vertex_budget)
+
 
 def is_origin_symmetric(P: VPolytope, tol: float = 1e-9) -> bool:
     R = reduced_form(P)
@@ -636,13 +652,7 @@ def m_add(spec: MSpec, bodies: list) -> VPolytope:
             out = minkowski_sum(out, B)
         return out
     if spec.variant == "lp":
-        if spec.p == 1.0:
-            q = math.inf
-        elif math.isinf(spec.p):
-            q = 1.0
-        else:
-            q = spec.p / (spec.p - 1.0)
-        Mverts = lp_ball_vertices(len(bodies), q, spec.vertex_budget)
+        Mverts = spec.conjugate_ball_vertices(len(bodies))
     else:
         M = spec.M
         if M is None or M.dim != len(bodies):

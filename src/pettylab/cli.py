@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .bodies import GeometryError, Zonotope, body_from_literal, volume, zonotope_to_vpolytope
+from .bodies import GeometryError, as_polytope, body_from_literal, volume
 from .harness import (
     ConfigError,
     RUNNERS,
@@ -116,12 +116,11 @@ def run_petty(config: dict) -> dict:
     product = petty_product(K, method=method, quad=quad)
     dim = K.dim
     ball_bound = math.pi**2 / 4.0 if dim == 2 else 64.0 / 27.0
-    body = zonotope_to_vpolytope(K) if isinstance(K, Zonotope) else K
     verdict = "consistent" if product <= ball_bound * (1.0 + 1e-9) else "violated"
     return {
         "functional": "petty",
         "dim": dim,
-        "volume": volume(body),
+        "volume": volume(as_polytope(K)),
         "product": product,
         "ball_bound": ball_bound,
         "method": method,
@@ -140,9 +139,7 @@ def _petty_csv(report: dict) -> str:
 
 def run_symmetrize(config: dict) -> dict:
     lit = _body_literal_of(config)
-    K = body_from_literal(lit)
-    if isinstance(K, Zonotope):
-        K = zonotope_to_vpolytope(K)
+    K = as_polytope(body_from_literal(lit))
     iterations = int(config.get("iterations", 10))
     seed = int(config.get("seed", 0))
     gen = np.random.default_rng(seed)

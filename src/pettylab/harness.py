@@ -7,9 +7,16 @@ trial can be replayed.  Verdicts are ternary: consistent when the 95 percent
 intervals separate in the claimed order, violated when they separate the
 wrong way, inconclusive otherwise.
 
+A runner parses its config once into the spec of its kind (``SPECS``), a
+frozen, picklable object that holds every object the trials need that does
+not depend on the side.  Building it is the validation: a missing key, a
+key the kind does not read, an integer field that is not an integer, a
+size out of range or a dim that disagrees with a body raises a
+``ConfigError`` naming the key.  Workers get the spec and parse nothing.
+
 Trials run in chunks.  A worker takes a range of trial indices and hands it
-to the trial builder a chunk at a time; each trial in a chunk still draws
-its samples from its own stream, in the same order as when it runs alone.
+to the spec a chunk at a time; each trial in a chunk still draws its
+samples from its own stream, in the same order as when it runs alone.
 Planar kinds then stack those samples and run the geometry once per chunk,
 with no hull, by Cauchy's formula h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
 
@@ -59,14 +66,18 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .bodies import (
     GeometryError,
+    MSpec,
     VPolytope,
     Zonotope,
+    as_polytope,
+    ball_body,
     body_from_literal,
     cloud_widths,
     hull,
@@ -77,7 +88,6 @@ from .bodies import (
     sphere_directions,
     volume,
     zonotope_supports,
-    zonotope_to_vpolytope,
 )
 from .mixed import mixed_volume, v1
 from .projections import (
@@ -106,15 +116,6 @@ CHUNK_ENTRIES = 1 << 16
 # trial at 4 points and 0.14 ms at 24, against 0.2-0.3 ms for a hull, and
 # lost to the hull at 32.
 PAIR_AREA_MAX_POINTS = 24
-
-EXPERIMENT_DIRECTIONS = {
-    "thm12": "le",
-    "thm11": "le",
-    "cor13": "le",
-    "empmixed": "ge",
-    "emppetty2": "ge",
-}
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -147,6 +148,11 @@ def _perp_grid(nodes: int) -> np.ndarray:
     return W
 
 
+def _perp(W: np.ndarray) -> np.ndarray:
+    """Each planar row w turned by a quarter turn, (-w_1, w_0)."""
+    return np.stack([-W[..., 1], W[..., 0]], axis=-1)
+
+
 def resolve_threads(threads: int | None) -> int:
     env = os.environ.get(THREADS_ENV)
     if env is not None:
@@ -164,199 +170,214 @@ def resolve_threads(threads: int | None) -> int:
     return int(threads)
 
 
+# ---------------------------------------------------------------------------
+# reading config fields
+
+
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
 
 
-def _common(config: dict) -> tuple[int, int, int]:
-    dim = int(config.get("dim", 2))
-    _require(dim in (2, 3), "dim must be 2 or 3")
-    trials = int(config.get("trials", DEFAULT_TRIALS))
-    _require(trials >= 1, "trials must be positive")
-    seed = int(config.get("seed", 0))
-    return dim, trials, seed
+def _fields(value, where: str, required=(), optional=()) -> dict:
+    """``value`` when it is an object with every key of ``required`` and no
+    key outside ``required`` and ``optional``; ``where`` is the object's
+    own key, prefixed to the key names in messages ("" for the config)."""
+    prefix = f"{where}." if where else ""
+    _require(isinstance(value, dict), f"{where or 'config'} must be an object")
+    for key in required:
+        _require(key in value, f"{prefix}{key} is missing")
+    for key in value:
+        _require(key in required or key in optional, f"unknown key {prefix}{key}")
+    return value
+
+
+def _integer(value, key: str, low: int = 1) -> int:
+    """``value`` when it is an integer (not a bool) of at least ``low``."""
+    _require(type(value) is int and value >= low,
+             f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _positive(value, key: str) -> float:
+    """``value`` as a float when it is a positive number (not a bool)."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
+             f"{key} must be a positive number, got {value!r}")
+    return float(value)
+
+
+def _parse(key: str, build, *args):
+    """``build(*args)``, re-raising what a malformed literal raises there as
+    a ConfigError that names ``key``."""
+    try:
+        return build(*args)
+    except (GeometryError, LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def quadrature_block(config: dict) -> dict:
-    """The config's ``quadrature`` object, with ``nodes`` checked to be absent
-    or a positive integer."""
-    q = config.get("quadrature") or {}
-    _require(isinstance(q, dict), "quadrature must be an object")
-    nodes = q.get("nodes")
-    _require(
-        nodes is None or (type(nodes) is int and nodes >= 1),
-        f"quadrature.nodes must be a positive integer, got {nodes!r}",
-    )
+    """The config's ``quadrature`` object: ``nodes``, absent or a positive
+    integer, and ``certify``."""
+    q = _fields(config.get("quadrature") or {}, "quadrature", (), ("nodes", "certify"))
+    if q.get("nodes") is not None:
+        _integer(q["nodes"], "quadrature.nodes")
     return q
 
 
-def _quad_nodes(config: dict, dim: int) -> int:
-    q = quadrature_block(config)
-    _require(
-        not q.get("certify"),
-        "quadrature.certify is not supported in experiments (the petty command honours it)",
-    )
-    return QuadratureSpec(nodes=q.get("nodes")).node_count(dim)
+def _body(literal, key: str, dim: int) -> VPolytope:
+    """The body of ``literal`` as a vertex polytope in dimension ``dim``."""
+    K = _parse(key, lambda: as_polytope(body_from_literal(literal)))
+    _require(K.dim == dim, f"{key} lives in dimension {K.dim}, expected {dim}")
+    return K
 
 
-def _measure(config: dict) -> RadialMeasure:
-    return RadialMeasure.from_literal(config.get("measure", {"type": "lebesgue"}))
+def _polar_pair(literal, key: str, dim: int) -> tuple:
+    """K, the body of ``literal``, and its polar projection polytope."""
+    K = _body(literal, key, dim)
+    _require(not K.is_degenerate(), f"{key} must be full-dimensional")
+    return K, polar_projection_polytope(K)
+
+
+def _both_sides(draws) -> tuple:
+    """Side 0's (density, m) draws and side 1's, from the rearranged densities."""
+    draws = tuple(draws)
+    return draws, tuple((d.rearranged(), m) for d, m in draws)
 
 
 # ---------------------------------------------------------------------------
 # C-sets
 
+_CSET_KEYS = {
+    "simplex": (("kind", "m"), ()),
+    "cube": (("kind", "m"), ("half",)),
+    "bp": (("kind", "m"), ("p",)),
+    "msum": (("kind", "components"), ("M",)),
+}
 
-def build_c_set(spec: dict, dim: int) -> dict:
-    """Validated, picklable form of a C-set literal.
 
-    kinds: simplex (conv of columns), cube (zonotope of columns), bp
-    (image of the p-ball), msum (image of an explicit vertex set built by
-    M-addition of p-balls in orthogonal blocks).
+@dataclass(frozen=True, eq=False)
+class CSet:
+    """The coefficient set C of a random body X C, whose m columns X are
+    sampled (the rows of X here).
+
+    kind: simplex (X C is the hull of the columns), cube (the zonotope sum
+    of [-g, g] over ``half`` times the columns), bp (the image of the unit
+    p-ball) or msum (the image of p-balls in orthogonal blocks combined by
+    M-addition).  ``vertices`` holds C's vertices where X C is the hull of
+    their images: bp with 1 < p < inf, and msum.
     """
-    _require(isinstance(spec, dict) and "kind" in spec, "c_set needs a 'kind'")
-    kind = spec["kind"]
-    m = int(spec.get("m", 0))
-    if kind == "simplex":
-        _require(m >= 1, "simplex c_set needs m >= 1")
-        return {"kind": "simplex", "m": m}
-    if kind == "cube":
-        _require(m >= 1, "cube c_set needs m >= 1")
-        return {"kind": "cube", "m": m, "half": float(spec.get("half", 1.0))}
-    if kind == "bp":
-        p = float(spec.get("p", 2.0))
-        _require(p >= 1.0, "bp c_set needs p >= 1")
-        if not (p == 1.0 or math.isinf(p)):
-            _require(m in (2, 3), "bp c_set with 1 < p < inf needs m in {2, 3}")
-        return {"kind": "bp", "m": m, "p": p}
-    if kind == "msum":
-        comps = spec.get("components")
-        _require(isinstance(comps, list) and len(comps) >= 2, "msum needs components")
-        from .bodies import MSpec, m_add
 
-        parts = []
-        total = 0
-        for comp in comps:
-            c = build_c_set(comp, dim)
-            _require(c["kind"] == "bp", "msum components must be bp balls")
-            parts.append(c)
-            total += c["m"]
-        embedded = []
-        offset = 0
+    kind: str
+    m: int
+    half: float = 1.0
+    p: float = 2.0
+    vertices: np.ndarray | None = None
+
+    @classmethod
+    def from_literal(cls, spec, key: str = "c_set") -> "CSet":
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        _require(isinstance(kind, str) and kind in _CSET_KEYS,
+                 f"{key}.kind must be one of {sorted(_CSET_KEYS)}, got {kind!r}")
+        _fields(spec, key, *_CSET_KEYS[kind])
+        if kind == "msum":
+            return cls._msum(spec, key)
+        m = _integer(spec["m"], f"{key}.m")
+        if kind == "simplex":
+            return cls(kind, m)
+        if kind == "cube":
+            return cls(kind, m, half=_positive(spec.get("half", 1.0), f"{key}.half"))
+        p = _positive(spec.get("p", 2.0), f"{key}.p")
+        _require(p >= 1.0, f"{key}.p must be >= 1, got {p!r}")
+        if p == 1.0 or math.isinf(p):
+            return cls(kind, m, p=p)
+        _require(m in (2, 3), f"{key}.m must be 2 or 3 for a bp c_set with 1 < p < inf")
+        return cls(kind, m, p=p, vertices=lp_ball_body(m, p).vertices)
+
+    @classmethod
+    def _msum(cls, spec: dict, key: str) -> "CSet":
+        comps = spec["components"]
+        _require(isinstance(comps, list) and len(comps) >= 2,
+                 f"{key}.components must list at least two bp c_sets")
+        parts = [cls.from_literal(c, f"{key}.components[{i}]") for i, c in enumerate(comps)]
+        _require(all(c.kind == "bp" for c in parts), f"{key}.components must be bp balls")
+        total = sum(c.m for c in parts)
+        balls, offset = [], 0
         for c in parts:
-            ball = lp_ball_body(c["m"], c["p"])
-            emb = np.zeros((len(ball.vertices), total))
-            emb[:, offset : offset + c["m"]] = ball.vertices
-            embedded.append(VPolytope(emb))
-            offset += c["m"]
-        mspec_lit = spec.get("M", {"p": 2.0})
-        if "p" in mspec_lit:
-            mspec = MSpec.lp(float(mspec_lit["p"]))
+            ball = lp_ball_body(c.m, c.p).vertices
+            emb = np.zeros((len(ball), total))
+            emb[:, offset:offset + c.m] = ball
+            balls.append(emb)
+            offset += c.m
+        M = spec.get("M", {"p": 2.0})
+        if isinstance(M, dict) and "p" in M:
+            _fields(M, f"{key}.M", ("p",))
+            p = _positive(M["p"], f"{key}.M.p")
+            _require(p >= 1.0, f"{key}.M.p must be >= 1, got {p!r}")
+            # vertex candidates suffice for linear images, no high-dim hull needed
+            coeffs = MSpec.lp(p, vertex_budget=64).conjugate_ball_vertices(len(parts))
         else:
-            M = body_from_literal(mspec_lit)
-            if isinstance(M, Zonotope):
-                M = zonotope_to_vpolytope(M)
-            mspec = MSpec.polytope(M)
-        # vertex candidates suffice for linear images, no high-dim hull needed
-        if mspec.variant == "lp":
-            from .bodies import lp_ball_vertices
-
-            if mspec.p == 1.0:
-                q: float = math.inf
-            elif math.isinf(mspec.p):
-                q = 1.0
-            else:
-                q = mspec.p / (mspec.p - 1.0)
-            Mverts = lp_ball_vertices(len(parts), q, 64)
-        else:
-            Mverts = mspec.M.vertices
+            coeffs = _body(M, f"{key}.M", len(parts)).vertices
         pieces = []
-        for a in Mverts:
-            pts = embedded[0].vertices * a[0]
-            for coeff, Bv in zip(a[1:], embedded[1:]):
-                pts = (pts[:, None, :] + coeff * Bv.vertices[None, :, :]).reshape(
-                    -1, total
-                )
+        for a in coeffs:
+            pts = balls[0] * a[0]
+            for coeff, B in zip(a[1:], balls[1:]):
+                pts = (pts[:, None, :] + coeff * B[None, :, :]).reshape(-1, total)
             pieces.append(pts)
-        verts = np.vstack(pieces)
-        return {"kind": "explicit", "m": total, "vertices": verts.tolist()}
-    raise ConfigError(f"unknown c_set kind {spec.get('kind')!r}")
+        return cls("msum", total, vertices=np.vstack(pieces))
 
+    def form(self, dim: int) -> str | None:
+        """How the stacked kernels read X C in dimension ``dim``: "zonotope",
+        the sum of [-g, g] over the rows of ``rows(X)``; "cloud", the planar
+        hull of those rows; "tetrahedron", the spatial hull of four points;
+        None when no kernel reads it."""
+        if self.kind == "cube" or (self.kind == "bp" and math.isinf(self.p)):
+            return "zonotope"
+        if dim == 2 and (self.kind == "simplex" or (self.kind == "bp" and self.p == 1.0)):
+            return "cloud"
+        if dim == 3 and self.kind == "simplex" and self.m == 4:
+            return "tetrahedron"
+        return None
 
-def c_set_body(cset: dict, X: np.ndarray):
-    """Random body X C from sampled columns (rows of X are the columns)."""
-    kind = cset["kind"]
-    if kind == "simplex":
-        return hull(X)
-    if kind == "cube":
-        return Zonotope(cset.get("half", 1.0) * X)
-    if kind == "bp":
-        p = cset["p"]
-        if p == 1.0:
-            return hull(np.vstack([X, -X]))
-        if math.isinf(p):
-            return Zonotope(X)
-        C = lp_ball_body(cset["m"], p)
-        return hull(C.vertices @ X)
-    verts = np.asarray(cset["vertices"], dtype=float)
-    return hull(verts @ X)
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """The rows behind X C for samples X of shape (..., m, n), as ``body``
+        builds them."""
+        if self.kind == "cube":
+            return self.half * X
+        if self.kind == "bp" and self.p == 1.0:
+            return np.concatenate([X, -X], axis=-2)
+        return X
 
+    @property
+    def row_count(self) -> int:
+        """Rows per sample of ``rows``."""
+        return self.m * (2 if self.kind == "bp" and self.p == 1.0 else 1)
 
-def _planar_form(cset: dict) -> str | None:
-    """How the planar kernels read X C: "cloud" when it is the hull of the
-    rows of ``_image_rows``, "zonotope" when it is the sum of [-g, g] over
-    them, None for C-sets without a planar kernel."""
-    kind, p = cset["kind"], cset.get("p")
-    if kind == "simplex" or (kind == "bp" and p == 1.0):
-        return "cloud"
-    if kind == "cube" or (kind == "bp" and math.isinf(p)):
-        return "zonotope"
-    return None
+    def min_columns(self, dim: int) -> int:
+        """Columns needed for X C to be full-dimensional almost surely."""
+        return dim + 1 if self.kind == "simplex" else dim
 
-
-def _spatial_form(cset: dict) -> str | None:
-    """How the spatial kernels read X C: "tetrahedron" when it is the hull of
-    four sampled points, "zonotope" as in ``_planar_form``, None for C-sets
-    without a spatial kernel."""
-    if cset["kind"] == "simplex" and cset["m"] == 4:
-        return "tetrahedron"
-    return "zonotope" if _planar_form(cset) == "zonotope" else None
-
-
-def _image_rows(cset: dict, X: np.ndarray) -> np.ndarray:
-    """The rows behind X C for stacked samples X of shape (T, m, n), as
-    ``c_set_body`` builds them."""
-    if cset["kind"] == "cube":
-        return cset.get("half", 1.0) * X
-    if cset["kind"] == "bp" and cset["p"] == 1.0:
-        return np.concatenate([X, -X], axis=1)
-    return X
-
-
-def _planar_rows(cset: dict) -> int:
-    """Rows per sample of ``_image_rows``."""
-    return cset["m"] * (2 if cset["kind"] == "bp" and cset["p"] == 1.0 else 1)
-
-
-def _perp(W: np.ndarray) -> np.ndarray:
-    """Each planar row w turned by a quarter turn, (-w_1, w_0)."""
-    return np.stack([-W[..., 1], W[..., 0]], axis=-1)
-
-
-def _cset_full_dim_min_columns(cset: dict, dim: int) -> int:
-    """Columns needed for the image to be full-dimensional almost surely."""
-    if cset["kind"] == "simplex":
-        return dim + 1
-    return dim
+    def body(self, X: np.ndarray):
+        """The random body X C for sampled columns X."""
+        if self.vertices is not None:
+            return hull(self.vertices @ X)
+        if self.form(2) == "zonotope":
+            return Zonotope(self.rows(X))
+        return hull(self.rows(X))
 
 
 # ---------------------------------------------------------------------------
-# trial builders
+# experiment specs
 
 
 def _no_diagnostics() -> dict:
     return {"degenerate_hulls": 0, "unbounded_polars": 0}
+
+
+def _counted(body, diag: dict):
+    """``body``, counted in ``diag`` when it is a degenerate hull."""
+    if isinstance(body, VPolytope) and body.is_degenerate():
+        diag["degenerate_hulls"] += 1
+    return body
 
 
 def _polar_values(hv: np.ndarray, measure: RadialMeasure, dim: int, diag: dict) -> np.ndarray:
@@ -378,115 +399,137 @@ def _grid_supports(G: np.ndarray, full: np.ndarray, nodes: int, hull_route) -> n
     return hv
 
 
-class _Trials:
-    """The trials of one side (lln: of one row).  Trial i draws from its own
-    stream RngStream(seed, (side, i)).
+class _Spec:
+    """An experiment config parsed once; building it is the validation.
 
-    ``chunk(first, count, diag)`` returns the values of trials first, ...,
-    first + count - 1 and adds their diagnostics to ``diag``.  Here it runs
-    ``trial`` once per index; kinds with stacked kernels override it and
-    raise ``chunk_len`` from CHUNK_ENTRIES.
+    ``kind`` names the experiment, ``direction`` its claimed order ("le"
+    or "ge"; lln has none) and ``keys`` the top-level keys it reads besides
+    dim, trials and seed, as (required, optional).  ``parse`` sets
+    ``blocks``, one tuple of (density, m) draws per side (lln: per row),
+    and whatever else the kind reads.  The spec is frozen once built.
+
+    Trial i of side s draws from its own stream RngStream(seed, (s, i)).
+    ``chunk(side, first, count, diag)`` returns the values of trials first,
+    ..., first + count - 1 and adds their diagnostics to ``diag``.  Here it
+    runs ``trial`` once per index; kinds with stacked kernels override it
+    and set ``entries``, the chunk entries one trial takes.
     """
 
-    chunk_len = 1
+    kind = ""
+    keys: tuple = ((), ())
+    entries = 0
 
-    def __init__(self, config: dict, side: int):
-        self.dim, _, self.seed = _common(config)
-        self.side = side
+    def __init__(self, config: dict):
+        required, optional = self.keys
+        _fields(config, "", required, ("dim", "trials", "seed") + optional)
+        dim = config.get("dim", 2)
+        _require(type(dim) is int and dim in (2, 3), f"dim must be 2 or 3, got {dim!r}")
+        self.dim = dim
+        self.trials = _integer(config.get("trials", DEFAULT_TRIALS), "trials")
+        self.seed = _integer(config.get("seed", 0), "seed", 0)
+        self.parse(config)
+        self._frozen = True
 
-    def key(self, index: int) -> tuple:
-        return (self.side, index)
+    def __setattr__(self, name, value):
+        if getattr(self, "_frozen", False):
+            raise AttributeError(f"{type(self).__name__} is frozen")
+        object.__setattr__(self, name, value)
 
-    def generator(self, index: int) -> np.random.Generator:
-        return RngStream(self.seed, self.key(index)).generator()
+    def chunk_len(self, side: int) -> int:
+        return max(1, CHUNK_ENTRIES // self.entries) if self.entries else 1
 
-    def _fit_chunk(self, entries_per_trial: int):
-        self.chunk_len = max(1, CHUNK_ENTRIES // entries_per_trial)
+    def generator(self, side: int, index: int) -> np.random.Generator:
+        return RngStream(self.seed, (side, index)).generator()
 
-    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
-        return np.array([self.trial(i, diag) for i in range(first, first + count)])
+    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
+        return np.array([self.trial(side, i, diag) for i in range(first, first + count)])
 
-    def stacked(self, first: int, count: int, draws: list) -> list:
+    def stacked(self, side: int, first: int, count: int) -> list:
         """Samples of trials first, ..., first + count - 1, one array of shape
-        (count, m, dim) per (density, m) in ``draws``; each trial's generator
-        draws them in the order given, as ``trial`` does."""
+        (count, m, dim) per draw of the side; each trial's generator draws
+        them in order, as ``trial`` does."""
+        draws = self.blocks[side]
         out = [np.empty((count, m, self.dim)) for _, m in draws]
         for k in range(count):
-            gen = self.generator(first + k)
+            gen = self.generator(side, first + k)
             for arr, (density, m) in zip(out, draws):
                 arr[k] = density.sample(gen, m)
         return out
 
+    def _blocks(self, blocks) -> tuple:
+        """Both sides' draws from the ``blocks`` list."""
+        _require(isinstance(blocks, list) and blocks, "blocks must be a non-empty list")
+        draws = []
+        for i, blk in enumerate(blocks):
+            key = f"blocks[{i}]"
+            _fields(blk, key, ("density", "m"))
+            density = _parse(f"{key}.density", Density.from_literal, blk["density"], self.dim)
+            draws.append((density, _integer(blk["m"], f"{key}.m")))
+        return _both_sides(draws)
 
-def _blocks_from_config(config: dict, dim: int, side: int) -> list:
-    blocks = config.get("blocks")
-    _require(isinstance(blocks, list) and len(blocks) >= 1, "blocks must be a list")
-    out = []
-    for blk in blocks:
-        density = Density.from_literal(blk["density"], dim)
-        if side == 1:
-            density = density.rearranged()
-        m = int(blk["m"])
-        _require(m >= 1, "block m must be >= 1")
-        out.append((density, m))
-    return out
-
-
-def _validate_thm12(config: dict):
-    dim, _, _ = _common(config)
-    blocks = config.get("blocks")
-    _require(isinstance(blocks, list) and len(blocks) == 1, "thm12 takes one block")
-    cset = build_c_set(config["c_set"], dim)
-    m = int(blocks[0]["m"])
-    _require(cset["m"] == m, "c_set dimension must match the block column count")
-    measure = _measure(config)
-    _quad_nodes(config, dim)
-    if measure.variant == "lebesgue":
-        _require(
-            m >= _cset_full_dim_min_columns(cset, dim),
-            "Lebesgue polar measure needs enough columns for a full-dimensional body",
-        )
-    Density.from_literal(blocks[0]["density"], dim)
+    def _csets(self, literals) -> tuple:
+        """The ``c_sets`` list: one C-set per block, of its block's size."""
+        _require(isinstance(literals, list) and len(literals) == len(self.blocks[0]),
+                 "c_sets must hold one c_set per block")
+        out = tuple(CSet.from_literal(lit, f"c_sets[{i}]") for i, lit in enumerate(literals))
+        for i, (c, (_, m)) in enumerate(zip(out, self.blocks[0])):
+            _require(c.m == m, f"c_sets[{i}] has m = {c.m}, but blocks[{i}].m is {m}")
+        return out
 
 
-class _Thm12Trials(_Trials):
-    def __init__(self, config: dict, side: int):
-        super().__init__(config, side)
-        (self.density, self.m), = _blocks_from_config(config, self.dim, side)
-        self.cset = build_c_set(config["c_set"], self.dim)
-        self.measure = _measure(config)
-        self.nodes = _quad_nodes(config, self.dim)
-        if self.dim == 2:
-            self.form = _planar_form(self.cset)
-            if self.form == "cloud":
-                self._fit_chunk(_planar_rows(self.cset) * self.nodes)
-            elif self.form == "zonotope":
-                self._fit_chunk(self.nodes)
-        else:
-            self.form = _spatial_form(self.cset)
-            if self.form is not None:
-                self._fit_chunk(self.nodes)
+class _PolarSpec(_Spec):
+    """Kinds that average a polar measure: its radial measure and the node
+    count of the quadrature grid."""
+
+    direction = "le"
+
+    def parse(self, config: dict):
+        self.measure = _parse("measure", RadialMeasure.from_literal,
+                              config.get("measure", {"type": "lebesgue"}))
+        q = quadrature_block(config)
+        _require(not q.get("certify"),
+                 "quadrature.certify is not supported in experiments (the petty command honours it)")
+        self.nodes = QuadratureSpec(nodes=q.get("nodes")).node_count(self.dim)
+
+
+class _Thm12Spec(_PolarSpec):
+    kind = "thm12"
+    keys = (("blocks", "c_set"), ("measure", "quadrature"))
+
+    def parse(self, config: dict):
+        super().parse(config)
+        self.blocks = self._blocks(config["blocks"])
+        _require(len(self.blocks[0]) == 1, "thm12 takes one block")
+        m = self.blocks[0][0][1]
+        self.cset = CSet.from_literal(config["c_set"])
+        _require(self.cset.m == m, f"c_set has m = {self.cset.m}, but blocks[0].m is {m}")
+        _require(self.measure.variant != "lebesgue" or m >= self.cset.min_columns(self.dim),
+                 "Lebesgue polar measure needs enough columns for a full-dimensional body")
+        self.form = self.cset.form(self.dim)
+        if self.form == "cloud":
+            self.entries = self.cset.row_count * self.nodes
+        elif self.form is not None:
+            self.entries = self.nodes
 
     def _projection_supports(self, body, diag: dict) -> np.ndarray:
         """The hull route: h_{Pi body} on the grid, counting a degenerate hull."""
-        if isinstance(body, VPolytope) and body.is_degenerate():
-            diag["degenerate_hulls"] += 1
-        Z = projection_body(body, allow_degenerate=True)
+        Z = projection_body(_counted(body, diag), allow_degenerate=True)
         return Z.support_batch(_grid(self.dim, self.nodes))
 
-    def trial(self, index: int, diag: dict) -> float:
-        X = self.density.sample(self.generator(index), self.m)
-        hv = self._projection_supports(c_set_body(self.cset, X), diag)
+    def trial(self, side: int, index: int, diag: dict) -> float:
+        (density, m), = self.blocks[side]
+        X = density.sample(self.generator(side, index), m)
+        hv = self._projection_supports(self.cset.body(X), diag)
         return _polar_values(hv[None], self.measure, self.dim, diag)[0]
 
-    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
+    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
         if self.form is None:
-            return super().chunk(first, count, diag)
-        X, = self.stacked(first, count, [(self.density, self.m)])
-        P = _image_rows(self.cset, X)
+            return super().chunk(side, first, count, diag)
+        X, = self.stacked(side, first, count)
+        P = self.cset.rows(X)
 
         def hull_route(t):
-            return self._projection_supports(c_set_body(self.cset, X[t]), diag)
+            return self._projection_supports(self.cset.body(X[t]), diag)
 
         if self.form == "tetrahedron":
             full = spatial_full_rank(P - P.mean(axis=1, keepdims=True))
@@ -503,54 +546,31 @@ class _Thm12Trials(_Trials):
         return _polar_values(hv, self.measure, self.dim, diag)
 
 
-def _validate_mixed_blocks(config: dict):
-    dim, _, _ = _common(config)
-    _require(dim == 3, "mixed projection experiments need dim = 3")
-    blocks = config.get("blocks")
-    csets = config.get("c_sets")
-    _require(
-        isinstance(blocks, list) and len(blocks) == dim - 1,
-        f"thm11 needs {dim - 1} blocks",
-    )
-    _require(
-        isinstance(csets, list) and len(csets) == len(blocks),
-        "one c_set per block required",
-    )
-    for blk, cs in zip(blocks, csets):
-        built = build_c_set(cs, dim)
-        _require(built["m"] == int(blk["m"]), "c_set size must match its block")
-        Density.from_literal(blk["density"], dim)
-    _measure(config)
-    _quad_nodes(config, dim)
-
-
-class _MixedTrials(_Trials):
+class _MixedSpec(_PolarSpec):
     """Polar measure of a mixed projection body Pi(K_1, K_2) in space, K_i
-    built from the i-th draw of ``self.blocks``.  Subclasses set ``blocks``,
-    ``measure`` and ``nodes``, build the bodies, and set ``zonotopes`` when
-    both bodies are zonotopes whose generator rows ``rows`` gives."""
+    built from the i-th draw of a side.  Subclasses build the bodies, and
+    set ``zonotopes`` when both bodies are zonotopes whose generator rows
+    ``rows`` gives."""
 
     zonotopes = False
 
-    def bodies(self, samples: list, diag: dict) -> list:
-        raise NotImplementedError
-
-    def rows(self, i: int, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def parse(self, config: dict):
+        _require(self.dim == 3, f"{self.kind} needs dim = 3")
+        super().parse(config)
 
     def _supports(self, samples: list, diag: dict) -> np.ndarray:
         """The hull route: h_{Pi(K_1, K_2)} on the grid."""
         return mixed_projection_support(self.bodies(samples, diag))(_grid(self.dim, self.nodes))
 
-    def trial(self, index: int, diag: dict) -> float:
-        gen = self.generator(index)
-        samples = [density.sample(gen, m) for density, m in self.blocks]
+    def trial(self, side: int, index: int, diag: dict) -> float:
+        gen = self.generator(side, index)
+        samples = [density.sample(gen, m) for density, m in self.blocks[side]]
         return _polar_values(self._supports(samples, diag)[None], self.measure, self.dim, diag)[0]
 
-    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
+    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
         if not self.zonotopes:
-            return super().chunk(first, count, diag)
-        X, Y = self.stacked(first, count, self.blocks)
+            return super().chunk(side, first, count, diag)
+        X, Y = self.stacked(side, first, count)
         A, B = self.rows(0, X), self.rows(1, Y)
         # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
         full = spatial_full_rank(A) & spatial_full_rank(B)
@@ -559,67 +579,44 @@ class _MixedTrials(_Trials):
         return _polar_values(hv, self.measure, self.dim, diag)
 
 
-class _Thm11Trials(_MixedTrials):
-    def __init__(self, config: dict, side: int):
-        super().__init__(config, side)
-        self.blocks = _blocks_from_config(config, self.dim, side)
-        self.csets = [build_c_set(cs, self.dim) for cs in config["c_sets"]]
-        self.measure = _measure(config)
-        self.nodes = _quad_nodes(config, self.dim)
-        self.zonotopes = all(_planar_form(cs) == "zonotope" for cs in self.csets)
+class _Thm11Spec(_MixedSpec):
+    kind = "thm11"
+    keys = (("blocks", "c_sets"), ("measure", "quadrature"))
+
+    def parse(self, config: dict):
+        super().parse(config)
+        self.blocks = self._blocks(config["blocks"])
+        _require(len(self.blocks[0]) == self.dim - 1, f"thm11 needs {self.dim - 1} blocks")
+        self.csets = self._csets(config["c_sets"])
+        self.zonotopes = all(c.form(3) == "zonotope" for c in self.csets)
         if self.zonotopes:
-            self._fit_chunk(self.nodes)
+            self.entries = self.nodes
 
     def bodies(self, samples: list, diag: dict) -> list:
-        out = []
-        for X, cset in zip(samples, self.csets):
-            body = c_set_body(cset, X)
-            if isinstance(body, VPolytope) and body.is_degenerate():
-                diag["degenerate_hulls"] += 1
-            out.append(body)
-        return out
+        return [_counted(cset.body(X), diag) for X, cset in zip(samples, self.csets)]
 
     def rows(self, i: int, X: np.ndarray) -> np.ndarray:
-        return _image_rows(self.csets[i], X)
+        return self.csets[i].rows(X)
 
 
-def _validate_cor13(config: dict):
-    dim, _, _ = _common(config)
-    _require(dim == 3, "cor13 needs dim = 3")
-    bodies = config.get("bodies")
-    _require(
-        isinstance(bodies, list) and len(bodies) == dim - 1,
-        f"cor13 needs {dim - 1} bodies",
-    )
-    for lit in bodies:
-        body = body_from_literal(lit)
-        if isinstance(body, Zonotope):
-            body = zonotope_to_vpolytope(body)
-        _require(not body.is_degenerate(), "cor13 bodies must be full-dimensional")
-    _require(int(config.get("m", 0)) >= 1, "cor13 needs m >= 1 sample points")
-    _measure(config)
-    _quad_nodes(config, dim)
-
-
-class _Cor13Trials(_MixedTrials):
+class _Cor13Spec(_MixedSpec):
     """thm11 on the empirical centroid bodies Z_m = sum_i [-x_i/m, x_i/m] of
     m uniform points of each body."""
 
+    kind = "cor13"
+    keys = (("bodies", "m"), ("measure", "quadrature"))
     zonotopes = True
 
-    def __init__(self, config: dict, side: int):
-        super().__init__(config, side)
-        m = int(config["m"])
-        self.blocks = []
-        for lit in config["bodies"]:
-            body = body_from_literal(lit)
-            if isinstance(body, Zonotope):
-                body = zonotope_to_vpolytope(body)
-            d = Density.uniform(body)
-            self.blocks.append((d.rearranged() if side == 1 else d, m))
-        self.measure = _measure(config)
-        self.nodes = _quad_nodes(config, self.dim)
-        self._fit_chunk(self.nodes)
+    def parse(self, config: dict):
+        super().parse(config)
+        bodies = config["bodies"]
+        _require(isinstance(bodies, list) and len(bodies) == self.dim - 1,
+                 f"cor13 needs {self.dim - 1} bodies")
+        m = _integer(config["m"], "m")
+        self.blocks = _both_sides(
+            (_parse(f"bodies[{i}]", Density.uniform, _body(lit, f"bodies[{i}]", self.dim)), m)
+            for i, lit in enumerate(bodies))
+        self.entries = self.nodes
 
     def bodies(self, samples: list, diag: dict) -> list:
         return [empirical_centroid_body(X) for X in samples]
@@ -628,91 +625,45 @@ class _Cor13Trials(_MixedTrials):
         return X / X.shape[1]
 
 
-def _validate_empmixed(config: dict):
-    dim, _, _ = _common(config)
-    blocks = config.get("blocks")
-    csets = config.get("c_sets")
-    _require(isinstance(blocks, list) and len(blocks) >= 1, "blocks must be a list")
-    _require(
-        isinstance(csets, list) and len(csets) == len(blocks),
-        "one c_set per block required",
-    )
-    ball_slots = int(config.get("ball_slots", 0))
-    _require(ball_slots >= 0, "ball_slots must be nonnegative")
-    if len(blocks) > 1 or ball_slots > 0:
-        _require(
-            len(blocks) + ball_slots == dim,
-            "mixed volume needs blocks plus ball slots equal to dim",
-        )
-    for blk, cs in zip(blocks, csets):
-        built = build_c_set(cs, dim)
-        _require(built["m"] == int(blk["m"]), "c_set size must match its block")
-        Density.from_literal(blk["density"], dim)
+class _EmpMixedSpec(_Spec):
+    kind = "empmixed"
+    direction = "ge"
+    keys = (("blocks", "c_sets"), ("ball_slots", "ball_radius"))
 
-
-class _EmpMixedTrials(_Trials):
-    def __init__(self, config: dict, side: int):
-        super().__init__(config, side)
-        self.blocks = _blocks_from_config(config, self.dim, side)
-        self.csets = [build_c_set(cs, self.dim) for cs in config["c_sets"]]
-        self.ball_slots = int(config.get("ball_slots", 0))
-        self.volume_mode = len(self.blocks) == 1 and self.ball_slots == 0
-        if self.ball_slots:
-            from .bodies import ball_body
-
-            self.ball = ball_body(self.dim, float(config.get("ball_radius", 1.0)))
-        else:
-            self.ball = None
-        self.pair_areas = (
-            self.dim == 2 and self.volume_mode
-            and _planar_form(self.csets[0]) == "cloud"
-            and _planar_rows(self.csets[0]) <= PAIR_AREA_MAX_POINTS
-        )
+    def parse(self, config: dict):
+        self.blocks = self._blocks(config["blocks"])
+        self.csets = self._csets(config["c_sets"])
+        self.ball_slots = _integer(config.get("ball_slots", 0), "ball_slots", 0)
+        self.volume_mode = len(self.csets) == 1 and self.ball_slots == 0
+        if not self.volume_mode:
+            _require(len(self.csets) + self.ball_slots == self.dim,
+                     "mixed volume needs blocks plus ball slots equal to dim")
+        radius = _positive(config.get("ball_radius", 1.0), "ball_radius")
+        _require(self.ball_slots or "ball_radius" not in config, "ball_radius needs ball_slots >= 1")
+        self.ball = ball_body(self.dim, radius) if self.ball_slots else None
+        c = self.csets[0]
+        self.pair_areas = (self.dim == 2 and self.volume_mode and c.form(2) == "cloud"
+                           and c.row_count <= PAIR_AREA_MAX_POINTS)
         if self.pair_areas:
-            self._fit_chunk(_planar_rows(self.csets[0]) ** 3)
+            self.entries = c.row_count ** 3
 
-    def trial(self, index: int, diag: dict) -> float:
-        gen = self.generator(index)
-        bodies = []
-        for (density, m), cset in zip(self.blocks, self.csets):
-            X = density.sample(gen, m)
-            body = c_set_body(cset, X)
-            if isinstance(body, VPolytope) and body.is_degenerate():
-                diag["degenerate_hulls"] += 1
-            bodies.append(body)
+    def trial(self, side: int, index: int, diag: dict) -> float:
+        gen = self.generator(side, index)
+        bodies = [_counted(cset.body(density.sample(gen, m)), diag)
+                  for (density, m), cset in zip(self.blocks[side], self.csets)]
         if self.volume_mode:
             return volume(bodies[0])
-        bodies = bodies + [self.ball] * self.ball_slots
-        return mixed_volume(bodies)
+        return mixed_volume(bodies + [self.ball] * self.ball_slots)
 
-    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
+    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
         if not self.pair_areas:
-            return super().chunk(first, count, diag)
-        X, = self.stacked(first, count, self.blocks)
-        P = _image_rows(self.csets[0], X)
+            return super().chunk(side, first, count, diag)
+        X, = self.stacked(side, first, count)
+        P = self.csets[0].rows(X)
         areas, ok = planar_hull_areas(P)
         for t in np.flatnonzero(~ok):
-            body = hull(P[t])
-            diag["degenerate_hulls"] += body.is_degenerate()
-            areas[t] = volume(body)
+            areas[t] = volume(_counted(hull(P[t]), diag))
         return areas
-
-
-def _polar_projection_polytope_of(body_literal: dict) -> tuple[VPolytope, VPolytope]:
-    K = body_from_literal(body_literal)
-    if isinstance(K, Zonotope):
-        K = zonotope_to_vpolytope(K)
-    if K.is_degenerate():
-        raise ConfigError("body must be full-dimensional")
-    return K, polar_projection_polytope(K)
-
-
-def _validate_emppetty2(config: dict):
-    dim, _, _ = _common(config)
-    _require(int(config.get("m1", 0)) >= dim + 1, "emppetty2 needs m1 >= dim + 1")
-    _require(int(config.get("m2", 0)) >= 1, "emppetty2 needs m2 >= 1")
-    _require("body" in config, "emppetty2 needs a body literal")
-    _polar_projection_polytope_of(config["body"])
 
 
 def _planar_pairings(A: np.ndarray, Z: np.ndarray, diag: dict) -> np.ndarray:
@@ -720,137 +671,118 @@ def _planar_pairings(A: np.ndarray, Z: np.ndarray, diag: dict) -> np.ndarray:
     planar clouds A; clouds ``planar_full_rank`` cannot call are hulled."""
     out = cloud_widths(A, _perp(Z)).sum(axis=1)
     for t in np.flatnonzero(~planar_full_rank(A)):
-        body = hull(A[t])
-        diag["degenerate_hulls"] += body.is_degenerate()
-        out[t] = v1(body, Zonotope(Z[t]))
+        out[t] = v1(_counted(hull(A[t]), diag), Zonotope(Z[t]))
     return out
 
 
-class _EmpPetty2Trials(_Trials):
-    def __init__(self, config: dict, side: int):
-        super().__init__(config, side)
-        self.m1 = int(config["m1"])
-        self.m2 = int(config["m2"])
-        K, L = _polar_projection_polytope_of(config["body"])
-        dK, dL = Density.uniform(K), Density.uniform(L)
-        if side == 1:
-            dK, dL = dK.rearranged(), dL.rearranged()
-        self.density_K = dK
-        self.density_L = dL
-        if self.dim == 2:
-            self._fit_chunk(self.m1 * max(self.m1, self.m2))
+class _PairingSpec(_Spec):
+    """v1(conv A, Z): A is m1 draws from the uniform density on a body K,
+    Z the sum of the segments [-y, y] over m2 draws y from the uniform
+    density on its polar projection polytope (``centroid``: over y / m2,
+    the empirical centroid body).  ``strict`` kinds reject a degenerate
+    spatial hull."""
 
-    def trial(self, index: int, diag: dict) -> float:
-        gen = self.generator(index)
-        A = hull(self.density_K.sample(gen, self.m1))
-        if A.is_degenerate():
-            diag["degenerate_hulls"] += 1
-            if self.dim == 3:
-                raise GeometryError("degenerate spatial hull in v1 trial")
-        Z = Zonotope(self.density_L.sample(gen, self.m2))
-        return v1(A, Z)
+    centroid = False
+    strict = False
 
-    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
+    def chunk_len(self, side: int) -> int:
+        (_, m1), (_, m2) = self.blocks[side]
+        return max(1, CHUNK_ENTRIES // (m1 * max(m1, m2))) if self.dim == 2 else 1
+
+    def trial(self, side: int, index: int, diag: dict) -> float:
+        (dK, m1), (dL, m2) = self.blocks[side]
+        gen = self.generator(side, index)
+        A = _counted(hull(dK.sample(gen, m1)), diag)
+        if self.strict and self.dim == 3 and A.is_degenerate():
+            raise GeometryError("degenerate spatial hull in v1 trial")
+        Y = dL.sample(gen, m2)
+        return v1(A, Zonotope(Y / m2 if self.centroid else Y))
+
+    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
         if self.dim != 2:
-            return super().chunk(first, count, diag)
-        A, Z = self.stacked(first, count, [(self.density_K, self.m1),
-                                           (self.density_L, self.m2)])
-        return _planar_pairings(A, Z, diag)
+            return super().chunk(side, first, count, diag)
+        A, Y = self.stacked(side, first, count)
+        return _planar_pairings(A, Y / Y.shape[1] if self.centroid else Y, diag)
 
 
-def _validate_lln(config: dict):
-    dim, _, _ = _common(config)
-    _require("body" in config, "lln needs a body literal")
-    m1s = config.get("m1_list", [64])
-    m2s = config.get("m2_list", [64])
-    _require(
-        isinstance(m1s, list) and isinstance(m2s, list) and len(m1s) == len(m2s),
-        "m1_list and m2_list must be lists of equal length",
-    )
-    for m1, m2 in zip(m1s, m2s):
-        _require(int(m1) >= dim + 1 and int(m2) >= 1, "lln sweep sizes too small")
-    _polar_projection_polytope_of(config["body"])
+class _EmpPetty2Spec(_PairingSpec):
+    kind = "emppetty2"
+    direction = "ge"
+    keys = (("body", "m1", "m2"), ())
+    strict = True
+
+    def parse(self, config: dict):
+        m1 = _integer(config["m1"], "m1", self.dim + 1)
+        m2 = _integer(config["m2"], "m2")
+        K, L = _polar_pair(config["body"], "body", self.dim)
+        self.blocks = _both_sides([(Density.uniform(K), m1), (Density.uniform(L), m2)])
 
 
-class _LlnRowTrials(_Trials):
-    def __init__(self, config: dict, row: int):
-        super().__init__(config, row)
-        self.m1 = int(config["m1_list"][row])
-        self.m2 = int(config["m2_list"][row])
-        K, L = _polar_projection_polytope_of(config["body"])
-        self.density_K = Density.uniform(K)
-        self.density_L = Density.uniform(L)
-        if self.dim == 2:
-            self._fit_chunk(self.m1 * max(self.m1, self.m2))
+class _LlnSpec(_PairingSpec):
+    """One row per (m1, m2) of the sweep, all drawing from the densities on
+    K and its polar projection polytope; ``target`` is the deterministic
+    limit V1(K, centroid body of the polar projection polytope), and
+    ``family`` the limits of the ``family`` bodies."""
 
-    def trial(self, index: int, diag: dict) -> float:
-        gen = self.generator(index)
-        A = hull(self.density_K.sample(gen, self.m1))
-        if A.is_degenerate():
-            diag["degenerate_hulls"] += 1
-        Z = empirical_centroid_body(self.density_L.sample(gen, self.m2))
-        return v1(A, Z)
+    kind = "lln"
+    keys = (("body",), ("m1_list", "m2_list", "family"))
+    centroid = True
 
-    def chunk(self, first: int, count: int, diag: dict) -> np.ndarray:
-        if self.dim != 2:
-            return super().chunk(first, count, diag)
-        A, Y = self.stacked(first, count, [(self.density_K, self.m1),
-                                           (self.density_L, self.m2)])
-        return _planar_pairings(A, Y / self.m2, diag)
-
-
-_TRIAL_BUILDERS = {
-    "thm12": _Thm12Trials,
-    "thm11": _Thm11Trials,
-    "cor13": _Cor13Trials,
-    "empmixed": _EmpMixedTrials,
-    "emppetty2": _EmpPetty2Trials,
-    "lln_row": _LlnRowTrials,
-}
-
-_VALIDATORS = {
-    "thm12": _validate_thm12,
-    "thm11": _validate_mixed_blocks,
-    "cor13": _validate_cor13,
-    "empmixed": _validate_empmixed,
-    "emppetty2": _validate_emppetty2,
-    "lln": _validate_lln,
-}
+    def parse(self, config: dict):
+        m1s, m2s = config.get("m1_list", [64]), config.get("m2_list", [64])
+        _require(isinstance(m1s, list) and isinstance(m2s, list) and len(m1s) == len(m2s) > 0,
+                 "m1_list and m2_list must be non-empty lists of equal length")
+        family = config.get("family") or []
+        _require(isinstance(family, list), "family must be a list of body literals")
+        pairs = [_polar_pair(config["body"], "body", self.dim)] + [
+            _polar_pair(lit, f"family[{i}]", self.dim) for i, lit in enumerate(family)
+        ]
+        self.target, *self.family = [v1(K, centroid_body_support(L)) for K, L in pairs]
+        dK, dL = (Density.uniform(B) for B in pairs[0])
+        self.blocks = tuple(
+            ((dK, _integer(m1, f"m1_list[{i}]", self.dim + 1)), (dL, _integer(m2, f"m2_list[{i}]")))
+            for i, (m1, m2) in enumerate(zip(m1s, m2s))
+        )
 
 
-def _run_chunk(trials: _Trials, first: int, count: int, diag: dict) -> np.ndarray:
+SPECS = {spec.kind: spec for spec in (_Thm12Spec, _Thm11Spec, _Cor13Spec, _EmpMixedSpec,
+                                      _EmpPetty2Spec, _LlnSpec)}
+
+
+def _run_chunk(spec: _Spec, side: int, first: int, count: int, diag: dict) -> np.ndarray:
     try:
-        return trials.chunk(first, count, diag)
+        return spec.chunk(side, first, count, diag)
     except Exception:
         # Replay the chunk one trial at a time so the error names the trial
         # that raised it; the whole chunk fails either way.
         for index in range(first, first + count):
             try:
-                trials.chunk(index, 1, _no_diagnostics())
+                spec.chunk(side, index, 1, _no_diagnostics())
             except Exception as exc:
-                raise TrialError(trials.key(index), f"{type(exc).__name__}: {exc}") from exc
+                raise TrialError((side, index), f"{type(exc).__name__}: {exc}") from exc
         raise
 
 
 def _worker(payload: tuple) -> tuple:
-    kind, config, side, start, count = payload
-    trials = _TRIAL_BUILDERS[kind](config, side)
+    spec, side, start, count = payload
     diag = _no_diagnostics()
     values = np.empty(count)
-    for a in range(0, count, trials.chunk_len):
-        n = min(trials.chunk_len, count - a)
-        values[a:a + n] = _run_chunk(trials, start + a, n, diag)
+    step = spec.chunk_len(side)
+    for a in range(0, count, step):
+        n = min(step, count - a)
+        values[a:a + n] = _run_chunk(spec, side, start + a, n, diag)
     return values, diag
 
 
-def run_trials(kind: str, config: dict, side: int, trials: int, threads: int):
-    """Per-trial values in index order plus summed diagnostics."""
+def run_trials(spec: _Spec, side: int, threads: int):
+    """Per-trial values of one side (lln: one row) in index order plus
+    summed diagnostics."""
+    trials = spec.trials
     if threads <= 1 or trials < 2 * threads:
-        values, diag = _worker((kind, config, side, 0, trials))
-        return values, diag
+        return _worker((spec, side, 0, trials))
     bounds = np.linspace(0, trials, threads + 1, dtype=int)
     payloads = [
-        (kind, config, side, int(a), int(b - a))
+        (spec, side, int(a), int(b - a))
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
@@ -868,26 +800,20 @@ def run_trials(kind: str, config: dict, side: int, trials: int, threads: int):
 # experiment drivers
 
 
-def _echo_config(config: dict) -> dict:
-    drop = {"threads", "out", "format"}
-    return {k: v for k, v in config.items() if k not in drop}
-
-
 def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
-    _VALIDATORS[kind](config)
-    _, trials, seed = _common(config)
-    lhs_vals, lhs_diag = run_trials(kind, config, 0, trials, threads)
-    rhs_vals, rhs_diag = run_trials(kind, config, 1, trials, threads)
+    spec = SPECS[kind](config)
+    lhs_vals, lhs_diag = run_trials(spec, 0, threads)
+    rhs_vals, rhs_diag = run_trials(spec, 1, threads)
     lhs, rhs = summarize(lhs_vals), summarize(rhs_vals)
-    direction = EXPERIMENT_DIRECTIONS[kind]
+    direction = spec.direction
     diag = {
         key: lhs_diag[key] + rhs_diag[key] for key in sorted(lhs_diag)
     }
     return {
         "experiment": kind,
-        "config": _echo_config(config),
-        "seed": seed,
-        "trials": trials,
+        "config": dict(config),
+        "seed": spec.seed,
+        "trials": spec.trials,
         "direction": direction,
         "lhs": lhs.to_dict(),
         "rhs": rhs.to_dict(),
@@ -922,60 +848,42 @@ def run_emp_petty_2(config: dict, threads: int | None = None) -> dict:
     return _two_sided_report("emppetty2", config, resolve_threads(threads))
 
 
-def lln_target(body_literal: dict) -> float:
-    """Deterministic limit V1(K, centroid body of the polar projection body)."""
-    K, L = _polar_projection_polytope_of(body_literal)
-    return v1(K, centroid_body_support(L))
-
-
-def _lln_config(config: dict) -> dict:
-    """A copy of an lln config with the default sweep (one row, m1 = m2 = 64)."""
-    config = dict(config)
-    config.setdefault("m1_list", [64])
-    config.setdefault("m2_list", [64])
-    return config
-
-
 def run_lln(config: dict, threads: int | None = None) -> dict:
     """Sweep of (1/m2) E V1([K]_m1, [polar projection]_m2^inf) against the
     deterministic pairing limit, plus a constancy table over a body family."""
     threads = resolve_threads(threads)
-    config = _lln_config(config)
-    _validate_lln(config)
-    _, trials, seed = _common(config)
-    target = lln_target(config["body"])
+    spec = _LlnSpec(config)
+    sweep = [(m1, m2) for (_, m1), (_, m2) in spec.blocks]
     rows = []
     diag = _no_diagnostics()
-    m1s, m2s = config["m1_list"], config["m2_list"]
     last_within = False
-    for row in range(len(m1s)):
-        values, d = run_trials("lln_row", config, row, trials, threads)
+    for row, (m1, m2) in enumerate(sweep):
+        values, d = run_trials(spec, row, threads)
         est = summarize(values)
         for key in diag:
             diag[key] += d[key]
-        last_within = abs(est.mean - target) <= 3.0 * est.stderr
+        last_within = abs(est.mean - spec.target) <= 3.0 * est.stderr
         rows.append(
             {
-                "m1": int(m1s[row]),
-                "m2": int(m2s[row]),
+                "m1": m1,
+                "m2": m2,
                 "estimate": est.to_dict(),
-                "target": target,
+                "target": spec.target,
                 "within_3_stderr": bool(last_within),
             }
         )
-    family = config.get("family")
     constancy = None
-    if family:
-        targets = [lln_target(lit) for lit in family]
+    if spec.family:
+        targets = list(spec.family)
         spread = (max(targets) - min(targets)) / max(abs(max(targets)), 1e-300)
         constancy = {"targets": targets, "relative_spread": spread}
     return {
         "experiment": "lln",
-        "config": _echo_config(config),
-        "seed": seed,
-        "trials": trials,
+        "config": dict(config, m1_list=[m1 for m1, _ in sweep], m2_list=[m2 for _, m2 in sweep]),
+        "seed": spec.seed,
+        "trials": spec.trials,
         "rows": rows,
-        "target": target,
+        "target": spec.target,
         "constancy": constancy,
         "verdict": "consistent" if last_within else "inconclusive",
         "diagnostics": diag,
@@ -1003,12 +911,10 @@ FUNCTIONALS = {
 def estimate(functional_id: str, config: dict, side: int = 0,
              threads: int | None = None) -> EstimateWithCI:
     """One-sided Monte Carlo estimate of a registered functional."""
-    if functional_id not in FUNCTIONALS:
-        raise ConfigError(f"unknown functional {functional_id!r}")
-    kind = FUNCTIONALS[functional_id]
-    _VALIDATORS[kind](config)
-    trials = int(config.get("trials", DEFAULT_TRIALS))
-    values, _ = run_trials(kind, config, side, trials, resolve_threads(threads))
+    _require(functional_id in FUNCTIONALS, f"unknown functional {functional_id!r}")
+    spec = SPECS[FUNCTIONALS[functional_id]](config)
+    _require(side in (0, 1) and type(side) is int, f"side must be 0 or 1, got {side!r}")
+    values, _ = run_trials(spec, side, resolve_threads(threads))
     return summarize(values)
 
 
@@ -1017,22 +923,17 @@ def replay(kind: str, config: dict, key) -> dict:
     (lln: (row, trial)) through the chunk route, as a chunk of one, and
     through the per-trial route.  Each route gives its value and diagnostics,
     or the error it raised; ``relative_difference`` compares the values."""
-    if kind not in RUNNERS:
-        raise ConfigError(f"unknown experiment {kind!r}")
-    builder, sides = kind, 2
-    if kind == "lln":
-        config = _lln_config(config)
-        builder, sides = "lln_row", len(config["m1_list"])
-    _VALIDATORS[kind](config)
+    _require(kind in SPECS, f"unknown experiment {kind!r}")
+    spec = SPECS[kind](config)
     side, index = (int(k) for k in key)
+    sides = len(spec.blocks)
     _require(0 <= side < sides and index >= 0,
              f"key must be (side, trial) with side below {sides} and trial >= 0")
-    trials = _TRIAL_BUILDERS[builder](config, side)
     routes = {
-        "chunk": lambda diag: trials.chunk(index, 1, diag)[0],
-        "trial": lambda diag: trials.trial(index, diag),
+        "chunk": lambda diag: spec.chunk(side, index, 1, diag)[0],
+        "trial": lambda diag: spec.trial(side, index, diag),
     }
-    out = {"experiment": kind, "seed": trials.seed, "key": [side, index]}
+    out = {"experiment": kind, "seed": spec.seed, "key": [side, index]}
     for name, run in routes.items():
         diag = _no_diagnostics()
         try:

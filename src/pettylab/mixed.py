@@ -18,14 +18,13 @@ import numpy as np
 from .bodies import (
     GeometryError,
     VPolytope,
-    Zonotope,
     _abs_pairing,
+    as_polytope,
     facet_planes,
     hull,
     minkowski_sum,
     reduced_form,
     volume_of_points,
-    zonotope_to_vpolytope,
 )
 
 FACET_MERGE_DECIMALS = 9
@@ -143,10 +142,6 @@ def clip_halfspace(P: VPolytope, normal, offset: float = 0.0) -> np.ndarray:
 # the surface-area measure and the mixed quantities built on it
 
 
-def _as_polytope(B) -> VPolytope:
-    return zonotope_to_vpolytope(B) if isinstance(B, Zonotope) else B
-
-
 def _surface_measure(K) -> tuple[np.ndarray, np.ndarray]:
     """Surface-area measure S_K as (outward unit normals, masses).
 
@@ -155,7 +150,7 @@ def _surface_measure(K) -> tuple[np.ndarray, np.ndarray]:
     limit: a segment in the plane or a polygon in space has mass |K| on
     both unit normals, and anything flatter has no mass.
     """
-    R = reduced_form(_as_polytope(K))
+    R = reduced_form(as_polytope(K))
     n, k = R.dim, R.affine_dim
     if n == 2 and k >= 1:
         edges = np.roll(R.vertices, -1, axis=0) - R.vertices
@@ -194,7 +189,7 @@ def mixed_volume(bodies: list) -> float:
         raise GeometryError("mixed volume bodies must share a dimension")
     if n == 2:
         return v1(bodies[0], bodies[1])
-    A, B, C = _as_polytope(bodies[0]), _as_polytope(bodies[1]), bodies[2]
+    A, B, C = as_polytope(bodies[0]), as_polytope(bodies[1]), bodies[2]
     return 0.5 * (v1(minkowski_sum(A, B), C) - v1(A, C) - v1(B, C))
 
 

@@ -19,6 +19,7 @@ from .bodies import (
     VPolytope,
     Zonotope,
     _abs_pairing,
+    as_polytope,
     hull,
     merge_parallel_generators,
     minkowski_sum,
@@ -26,7 +27,7 @@ from .bodies import (
     sphere_directions,
     volume,
 )
-from .mixed import _as_polytope, _surface_measure, centroid, clip_halfspace
+from .mixed import _surface_measure, centroid, clip_halfspace
 
 DEFAULT_NODES = {2: 4096, 3: 8192}
 CERTIFY_REL_TOL = 1e-4
@@ -278,7 +279,7 @@ def mixed_projection_support(bodies: list) -> SupportEvaluator:
     if n == 2:
         terms = [(0.5, bodies[0])]
     else:
-        A, B = (_as_polytope(K) for K in bodies)
+        A, B = (as_polytope(K) for K in bodies)
         terms = [(0.25, minkowski_sum(A, B)), (-0.25, A), (-0.25, B)]
     measures = [_surface_measure(K) for _, K in terms]
     normals = np.vstack([v for v, _ in measures])

@@ -1,4 +1,4 @@
-"""Seeded random constructions: points, matrices, hulls, and zonotopes.
+"""Seeded sampling: densities, their rearrangements, and random streams.
 
 Randomness flows through counter-based Philox streams addressed by a master
 seed plus a stream key, so any trial can be regenerated in isolation and
@@ -16,13 +16,10 @@ from scipy.spatial import Delaunay
 from .bodies import (
     GeometryError,
     VPolytope,
-    Zonotope,
-    hull,
-    lp_ball_body,
+    as_polytope,
     reduced_form,
     unit_ball_volume,
     volume,
-    zonotope_to_vpolytope,
 )
 
 
@@ -88,10 +85,7 @@ class Density:
         if kind == "uniform":
             from .bodies import body_from_literal
 
-            body = body_from_literal(spec["body"])
-            if isinstance(body, Zonotope):
-                body = zonotope_to_vpolytope(body)
-            d = Density.uniform(body)
+            d = Density.uniform(as_polytope(body_from_literal(spec["body"])))
             if d.dim != dim:
                 raise GeometryError(f"density body lives in dimension {d.dim}, expected {dim}")
             if spec.get("rearranged"):
@@ -161,66 +155,3 @@ def rearrange_body_volume(vol: float, dim: int, facets: int | None = None) -> VP
     approx = ball_body(dim, 1.0, facets)
     scale = (vol / volume(approx)) ** (1.0 / dim)
     return VPolytope(approx.vertices * scale, reduced=True)
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Column blocks of a random matrix: (density, column count) pairs."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        for d, m in self.blocks:
-            if m < 1:
-                raise GeometryError("block column count must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.blocks[0][0].dim
-
-    @property
-    def total_columns(self) -> int:
-        return sum(m for _, m in self.blocks)
-
-    def rearranged(self) -> "BlockSpec":
-        return BlockSpec(tuple((d.rearranged(), m) for d, m in self.blocks))
-
-
-def sample_point(density: Density, rng: RngStream) -> np.ndarray:
-    return density.sample(rng.generator(), 1)[0]
-
-
-def sample_points(density: Density, count: int, rng: RngStream) -> np.ndarray:
-    return density.sample(rng.generator(), count)
-
-
-def sample_matrix(spec: BlockSpec, rng: RngStream) -> np.ndarray:
-    """n x m matrix whose column blocks are i.i.d. draws per block density."""
-    gen = rng.generator()
-    cols = [d.sample(gen, m) for d, m in spec.blocks]
-    return np.vstack(cols).T
-
-
-def random_hull(density: Density, m: int, rng: RngStream) -> VPolytope:
-    """Hull of m independent draws; degenerate hulls are legal output."""
-    if m < 1:
-        raise GeometryError("random hull needs at least one point")
-    return hull(density.sample(rng.generator(), m))
-
-
-def random_zonotope(density: Density, m: int, rng: RngStream) -> Zonotope:
-    """Sum of m centered random segments [-X_j, X_j]."""
-    return Zonotope(density.sample(rng.generator(), m))
-
-
-def random_lp_body(density: Density, m: int, p: float, rng: RngStream) -> VPolytope:
-    """Image X B_p^m of the p-ball under a random matrix with i.i.d. columns."""
-    if p < 1:
-        raise GeometryError("random lp body needs p >= 1")
-    X = density.sample(rng.generator(), m)  # rows are columns of the map
-    if math.isinf(p):
-        return zonotope_to_vpolytope(Zonotope(X))
-    if p == 1:
-        return hull(np.vstack([X, -X]))
-    C = lp_ball_body(m, p)
-    return hull(C.vertices @ X)

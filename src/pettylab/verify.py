@@ -22,6 +22,7 @@ import numpy as np
 from .bodies import (
     VPolytope,
     Zonotope,
+    as_polytope,
     cloud_widths,
     cube_body,
     hull,
@@ -41,7 +42,7 @@ from .bodies import (
     zonotope_to_vpolytope,
     zonotope_volume,
 )
-from .mixed import _as_polytope, mixed_volume, mixed_volume_fit_check, v1
+from .mixed import mixed_volume, mixed_volume_fit_check, v1
 from .projections import (
     centroid_body_support,
     mixed_projection_generators,
@@ -169,7 +170,7 @@ def shadow_oracle(K: VPolytope, u: np.ndarray) -> float:
 
 def mixed_volume_inclusion_exclusion(bodies: list) -> float:
     """V(K_1, ..., K_n) = (1/n!) sum over subsets S of (-1)^(n-|S|) |sum_S K_i|."""
-    bodies = [_as_polytope(B) for B in bodies]
+    bodies = [as_polytope(B) for B in bodies]
     n = len(bodies)
     total = 0.0
     for size in range(1, n + 1):
@@ -185,7 +186,7 @@ def mixed_projection_polarization(A, B, U) -> np.ndarray:
     """h_{Pi(A, B)} in space on the rows of U by polarization of
     |K + [0, u]| = |K| + h_{Pi K}(u) over K = A + B, A, B: three hull
     volumes per direction."""
-    va, vb = _as_polytope(A).vertices, _as_polytope(B).vertices
+    va, vb = as_polytope(A).vertices, as_polytope(B).vertices
     vab = (va[:, None, :] + vb[None, :, :]).reshape(-1, 3)
     out = []
     for u in np.atleast_2d(np.asarray(U, dtype=float)):

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ from pettylab import GeometryError, MSpec, cli, harness, hull, lp_ball_body, m_a
 from pettylab.harness import (
     THREADS_ENV,
     ConfigError,
+    SPECS,
+    CSet,
     TrialError,
-    build_c_set,
-    c_set_body,
     estimate,
-    lln_target,
     report_to_csv,
     report_to_json,
     resolve_threads,
+    run_corollary_1_3,
+    run_emp_mixed,
     run_emp_petty_2,
     run_lln,
     run_theorem_1_2,
@@ -40,6 +42,81 @@ THM12_SMALL = {
     "trials": 40,
     "blocks": [{"density": {"type": "gaussian"}, "m": 3}],
     "c_set": {"kind": "simplex", "m": 3},
+}
+
+
+_GAUSSIAN_BLOCK = {"density": {"type": "gaussian"}, "m": 3}
+_BALLS = [{"kind": "bp", "m": 2, "p": 2.0}, {"kind": "bp", "m": 2, "p": 2.0}]
+_CUBE_3D = {"type": "cube", "dim": 3}
+EMPMIXED_SMALL = {"dim": 2, "seed": 4, "trials": 4, "blocks": [_GAUSSIAN_BLOCK],
+                  "c_sets": [{"kind": "simplex", "m": 3}]}
+EMPMIXED_BALL = {"dim": 2, "seed": 4, "trials": 4, "blocks": [_GAUSSIAN_BLOCK],
+                 "c_sets": [{"kind": "simplex", "m": 3}], "ball_slots": 1}
+EMPPETTY2_SMALL = {"dim": 2, "seed": 4, "trials": 4, "body": SQUARE, "m1": 4, "m2": 4}
+LLN_SMALL = {"dim": 2, "seed": 4, "trials": 4, "body": SQUARE, "m1_list": [4], "m2_list": [4]}
+COR13_SMALL = {"dim": 3, "seed": 4, "trials": 2, "m": 4,
+               "bodies": [_CUBE_3D, {"type": "simplex", "dim": 3}]}
+
+
+def _block(**fields):
+    return dict(THM12_SMALL, blocks=[fields])
+
+
+def _msum(*components):
+    return dict(THM12_SMALL, blocks=[dict(_GAUSSIAN_BLOCK, m=4)],
+                c_set={"kind": "msum", "components": list(components)})
+
+
+# config -> the key its ConfigError names
+REJECTIONS = {
+    "trials-float": (run_theorem_1_2, dict(THM12_SMALL, trials=2.9), "trials"),
+    "trials-bool": (run_theorem_1_2, dict(THM12_SMALL, trials=True), "trials"),
+    "seed-float": (run_theorem_1_2, dict(THM12_SMALL, seed=5.5), "seed"),
+    "block-m-float": (run_theorem_1_2, _block(density={"type": "gaussian"}, m=3.7), "blocks[0].m"),
+    "c_set-m-float": (run_theorem_1_2, dict(THM12_SMALL, c_set={"kind": "simplex", "m": 3.0}),
+                      "c_set.m"),
+    "msum-m-float": (run_theorem_1_2, _msum(dict(_BALLS[0], m=2.0), _BALLS[1]),
+                     "c_set.components[0].m"),
+    "m1-float": (run_emp_petty_2, dict(EMPPETTY2_SMALL, m1=4.5), "m1"),
+    "m2-float": (run_emp_petty_2, dict(EMPPETTY2_SMALL, m2=4.0), "m2"),
+    "m1_list-float": (run_lln, dict(LLN_SMALL, m1_list=[4.0]), "m1_list[0]"),
+    "m2_list-float": (run_lln, dict(LLN_SMALL, m1_list=[4, 4], m2_list=[4, 1.5]), "m2_list[1]"),
+    "ball_slots-float": (run_emp_mixed, dict(EMPMIXED_BALL, ball_slots=1.0), "ball_slots"),
+    "ball_radius-negative": (run_emp_mixed, dict(EMPMIXED_BALL, ball_radius=-1), "ball_radius"),
+    "ball_radius-unread": (run_emp_mixed, dict(EMPMIXED_SMALL, ball_radius=2.0), "ball_radius"),
+    "half-negative": (run_theorem_1_2, dict(THM12_SMALL, c_set={"kind": "cube", "m": 3, "half": -1}),
+                      "c_set.half"),
+    "c_set-missing": (run_theorem_1_2, {k: v for k, v in THM12_SMALL.items() if k != "c_set"},
+                      "c_set"),
+    "density-missing": (run_theorem_1_2, _block(m=3), "blocks[0].density"),
+    "block-m-missing": (run_theorem_1_2, _block(density={"type": "gaussian"}), "blocks[0].m"),
+    "body-dim-3": (run_emp_petty_2, dict(EMPPETTY2_SMALL, dim=3), "body"),
+    "body-3d-default-dim": (run_emp_petty_2, {"body": _CUBE_3D, "m1": 4, "m2": 4}, "body"),
+    "density-3d-default-dim": (run_theorem_1_2,
+                               _block(density={"type": "uniform", "body": _CUBE_3D}, m=3),
+                               "blocks[0].density"),
+    "cor13-planar-bodies": (run_corollary_1_3, dict(COR13_SMALL, bodies=[SQUARE, TRIANGLE]),
+                            "bodies[0]"),
+    "family-dim": (run_lln, dict(LLN_SMALL, family=[SQUARE, _CUBE_3D]), "family[1]"),
+    "density-type": (run_theorem_1_2, _block(density={"type": "cauchy"}, m=3), "blocks[0].density"),
+    "measure-type": (run_theorem_1_2, dict(THM12_SMALL, measure={"type": "cauchy"}), "measure"),
+    "unknown-key": (run_theorem_1_2, dict(THM12_SMALL, trails=5), "trails"),
+    "unknown-block-key": (run_theorem_1_2, _block(density={"type": "gaussian"}, m=3, weight=1),
+                          "blocks[0].weight"),
+    "unknown-c_set-key": (run_theorem_1_2, dict(THM12_SMALL, c_set={"kind": "simplex", "m": 3,
+                                                                     "half": 1.0}), "c_set.half"),
+    "unknown-msum-key": (run_theorem_1_2, _msum(_BALLS[0], dict(_BALLS[1], q=2.0)),
+                         "c_set.components[1].q"),
+    "unknown-quadrature-key": (run_theorem_1_2, dict(THM12_SMALL, quadrature={"order": 3}),
+                               "quadrature.order"),
+    "empmixed-quadrature": (run_emp_mixed, dict(EMPMIXED_SMALL, quadrature={"certify": True}),
+                            "quadrature"),
+    "emppetty2-quadrature": (run_emp_petty_2, dict(EMPPETTY2_SMALL, quadrature={"certify": True}),
+                             "quadrature"),
+    "lln-quadrature": (run_lln, dict(LLN_SMALL, quadrature={"certify": True}), "quadrature"),
+    "threads": (run_theorem_1_2, dict(THM12_SMALL, threads=2), "threads"),
+    "out": (run_theorem_1_2, dict(THM12_SMALL, out="report.json"), "out"),
+    "format": (run_theorem_1_2, dict(THM12_SMALL, format="csv"), "format"),
 }
 
 
@@ -75,22 +152,21 @@ class TestValidation:
 
     def test_bp_rejects_bad_exponents(self):
         with pytest.raises(ConfigError):
-            build_c_set({"kind": "bp", "m": 2, "p": 0.5}, 2)
+            CSet.from_literal({"kind": "bp", "m": 2, "p": 0.5})
         with pytest.raises(ConfigError):
-            build_c_set({"kind": "bp", "m": 5, "p": 2.0}, 2)
+            CSet.from_literal({"kind": "bp", "m": 5, "p": 2.0})
 
     def test_msum_components_must_be_balls(self):
         with pytest.raises(ConfigError):
-            build_c_set(
+            CSet.from_literal(
                 {"kind": "msum",
                  "components": [{"kind": "simplex", "m": 2},
                                 {"kind": "bp", "m": 2, "p": 2.0}]},
-                2,
             )
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            build_c_set({"kind": "orlicz", "m": 2}, 2)
+            CSet.from_literal({"kind": "orlicz", "m": 2})
 
     @pytest.mark.parametrize(
         "quadrature, key",
@@ -110,6 +186,16 @@ class TestValidation:
     def test_quadrature_node_count_is_accepted(self):
         config = dict(THM12_SMALL, trials=3, quadrature={"nodes": 64, "certify": False})
         assert run_theorem_1_2(config)["trials"] == 3
+
+    @pytest.mark.parametrize("name", sorted(REJECTIONS))
+    def test_a_bad_field_is_rejected_by_its_key(self, name):
+        runner, config, key = REJECTIONS[name]
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            runner(config)
+
+    def test_estimate_rejects_a_side_it_does_not_have(self):
+        with pytest.raises(ConfigError, match="side"):
+            estimate("volume", EMPMIXED_SMALL, side=5)
 
     def test_threads_resolution(self, monkeypatch):
         monkeypatch.delenv(THREADS_ENV, raising=False)
@@ -135,14 +221,14 @@ class TestCSets:
     def test_cube_matches_unit_ball_image(self):
         gen = np.random.default_rng(60)
         X = gen.normal(size=(3, 2))
-        a = c_set_body(build_c_set({"kind": "cube", "m": 3}, 2), X)
-        b = c_set_body(build_c_set({"kind": "bp", "m": 3, "p": math.inf}, 2), X)
+        a = CSet.from_literal({"kind": "cube", "m": 3}).body(X)
+        b = CSet.from_literal({"kind": "bp", "m": 3, "p": math.inf}).body(X)
         assert np.array_equal(a.generators, b.generators)
 
     def test_crosspolytope_image_is_a_signed_hull(self):
         gen = np.random.default_rng(61)
         X = gen.normal(size=(3, 2))
-        body = c_set_body(build_c_set({"kind": "bp", "m": 3, "p": 1.0}, 2), X)
+        body = CSet.from_literal({"kind": "bp", "m": 3, "p": 1.0}).body(X)
         assert volume(body) == pytest.approx(
             volume(hull(np.vstack([X, -X]))), rel=1e-12
         )
@@ -156,11 +242,11 @@ class TestCSets:
             ],
             "M": {"p": 1.0},
         }
-        cset = build_c_set(spec, 2)
-        assert cset["kind"] == "explicit" and cset["m"] == 4
+        cset = CSet.from_literal(spec)
+        assert cset.kind == "msum" and cset.m == 4
         gen = np.random.default_rng(62)
         X = gen.normal(size=(4, 2))
-        body = c_set_body(cset, X)
+        body = cset.body(X)
         ball = lp_ball_body(2, 2.0)
         A = hull(ball.vertices @ X[:2])
         B = hull(ball.vertices @ X[2:])
@@ -179,10 +265,10 @@ class TestCSets:
             "M": {"type": "polygon",
                   "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]},
         }
-        cset = build_c_set(spec, 2)
+        cset = CSet.from_literal(spec)
         gen = np.random.default_rng(63)
         X = gen.normal(size=(4, 2))
-        body = c_set_body(cset, X)
+        body = cset.body(X)
         ball = lp_ball_body(2, 2.0)
         A = hull(ball.vertices @ X[:2])
         B = hull(ball.vertices @ X[2:])
@@ -247,7 +333,7 @@ _GAUSS = {"type": "gaussian", "sigma": 1.0}
 _THM12_SPACE = {"dim": 3, "seed": 36, "blocks": [_uniform_block(_CUBE3, 4)],
                 "c_set": {"kind": "simplex", "m": 4}}
 
-# (trial builder, config) for every kind with a stacked kernel
+# (kind, config) for every kind with a stacked kernel
 CHUNKED = {
     "thm12-lebesgue": ("thm12", dict(_THM12_PLANE, measure={"type": "lebesgue"})),
     "thm12-gaussian": ("thm12", dict(_THM12_PLANE, measure={"type": "gaussian"})),
@@ -259,7 +345,7 @@ CHUNKED = {
     "empmixed-bp1": ("empmixed", {"dim": 2, "seed": 33, "blocks": [_uniform_block(SQUARE, 3)],
                                   "c_sets": [{"kind": "bp", "m": 3, "p": 1.0}]}),
     "emppetty2": ("emppetty2", {"dim": 2, "seed": 34, "body": SQUARE, "m1": 4, "m2": 4}),
-    "lln": ("lln_row", {"dim": 2, "seed": 35, "body": SQUARE, "m1_list": [16, 6], "m2_list": [8, 5]}),
+    "lln": ("lln", {"dim": 2, "seed": 35, "body": SQUARE, "m1_list": [16, 6], "m2_list": [8, 5]}),
     "thm12-3d-lebesgue": ("thm12", dict(_THM12_SPACE, measure={"type": "lebesgue"})),
     "thm12-3d-gaussian": ("thm12", dict(_THM12_SPACE, measure=_GAUSS)),
     "thm12-3d-cube": ("thm12", dict(_THM12_SPACE, blocks=[_uniform_block(_CUBE3, 3)],
@@ -298,15 +384,16 @@ class TestChunks:
     @pytest.mark.parametrize("name", sorted(CHUNKED))
     def test_values_do_not_depend_on_the_split(self, name, monkeypatch):
         kind, config = CHUNKED[name]
+        spec = SPECS[kind](config)
         n = 23
-        whole, diag = harness._worker((kind, config, 0, 0, n))
+        whole, diag = harness._worker((spec, 0, 0, n))
         for cuts in ([0, 1, 2, 9, 10, 22, 23], list(range(n + 1))):
-            parts = [harness._worker((kind, config, 0, a, b - a))
+            parts = [harness._worker((spec, 0, a, b - a))
                      for a, b in zip(cuts[:-1], cuts[1:])]
             assert np.array_equal(np.concatenate([v for v, _ in parts]), whole)
             assert {key: sum(d[key] for _, d in parts) for key in diag} == diag
         monkeypatch.setattr(harness, "CHUNK_ENTRIES", 1)
-        values, d = harness._worker((kind, config, 0, 0, n))
+        values, d = harness._worker((spec, 0, 0, n))
         assert np.array_equal(values, whole) and d == diag
 
     @pytest.mark.parametrize("odd", [False, True], ids=["sampled", "odd-clouds"])
@@ -315,11 +402,11 @@ class TestChunks:
         kind, config = CHUNKED[name]
         if odd:
             monkeypatch.setattr(Density, "sample", _odd_clouds(_odd_kinds(name, config["dim"])))
-        trials = harness._TRIAL_BUILDERS[kind](config, 1)
+        spec = SPECS[kind](config)
         n = 30
         hull_diag, chunk_diag = harness._no_diagnostics(), harness._no_diagnostics()
-        want = np.array([trials.trial(i, hull_diag) for i in range(n)])
-        got = trials.chunk(0, n, chunk_diag)
+        want = np.array([spec.trial(1, i, hull_diag) for i in range(n)])
+        got = spec.chunk(1, 0, n, chunk_diag)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert chunk_diag == hull_diag
         if odd and name in HULLS_OF_SAMPLES:
@@ -332,6 +419,44 @@ class TestChunks:
         serial = report_to_json(harness.RUNNERS[kind](config, threads=1))
         parallel = report_to_json(harness.RUNNERS[kind](config, threads=2))
         assert serial == parallel
+
+
+class TestSpecs:
+    @pytest.mark.parametrize("name", sorted(CHUNKED))
+    def test_a_pickled_spec_gives_equal_chunks(self, name):
+        kind, config = CHUNKED[name]
+        spec = SPECS[kind](config)
+        copy = pickle.loads(pickle.dumps(spec))
+        for side in range(len(spec.blocks)):
+            a, b = harness._no_diagnostics(), harness._no_diagnostics()
+            assert np.array_equal(spec.chunk(side, 3, 5, a), copy.chunk(side, 3, 5, b))
+            assert a == b
+        with pytest.raises(AttributeError, match="frozen"):
+            copy.trials = 1
+
+    def test_each_report_builds_its_bodies_once(self, monkeypatch):
+        calls = {"polar": 0, "density": 0}
+        polar, from_literal = harness.polar_projection_polytope, Density.from_literal
+
+        def counted_polar(K):
+            calls["polar"] += 1
+            return polar(K)
+
+        def counted_from_literal(spec, dim):
+            calls["density"] += 1
+            return from_literal(spec, dim)
+
+        monkeypatch.setattr(harness, "polar_projection_polytope", counted_polar)
+        monkeypatch.setattr(Density, "from_literal", staticmethod(counted_from_literal))
+        run_emp_petty_2(EMPPETTY2_SMALL)
+        assert calls["polar"] == 1
+        run_lln(dict(LLN_SMALL, m1_list=[4, 6], m2_list=[4, 6], family=[SQUARE, TRIANGLE]))
+        assert calls["polar"] == 1 + 3
+        run_theorem_1_2(THM12_SMALL, threads=1)
+        assert calls["density"] == 1
+        run_emp_mixed(dict(EMPMIXED_SMALL, dim=3, blocks=[_GAUSSIAN_BLOCK] * 2,
+                           c_sets=[{"kind": "simplex", "m": 3}] * 2, ball_slots=1), threads=1)
+        assert calls["density"] == 1 + 2
 
 
 class TestTrialErrors:
@@ -366,11 +491,11 @@ class TestTrialErrors:
 
 class TestPairingLimit:
     def test_square_target_value(self):
-        assert lln_target(SQUARE) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert SPECS["lln"]({"body": SQUARE}).target == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_target_does_not_depend_on_the_body(self):
         for lit in (TRIANGLE, {"type": "ball", "dim": 2, "radius": 1.3}):
-            assert lln_target(lit) == pytest.approx(2.0 / 3.0, abs=1e-9)
+            assert SPECS["lln"]({"body": lit}).target == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_v1_from_an_evaluator_matches_the_polytope_form(self):
         gen = np.random.default_rng(65)
@@ -431,8 +556,8 @@ class TestSerialization:
 
 
 class TestCli:
-    def _write(self, tmp_path, payload):
-        path = tmp_path / "config.json"
+    def _write(self, tmp_path, payload, name="config.json"):
+        path = tmp_path / name
         path.write_text(json.dumps(payload))
         return str(path)
 
@@ -488,20 +613,21 @@ class TestCli:
 
     def test_replay_reruns_one_trial_through_both_routes(self, tmp_path, capsys):
         kind, config = CHUNKED["thm12-3d-lebesgue"]
-        cfg = self._write(tmp_path, config)
+        cfg = self._write(tmp_path, config, "thm12.json")
         assert cli.main(["replay", kind, "--config", cfg, "--key", "1,7", "--seed", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["key"] == [1, 7] and report["seed"] == 3
-        want = harness._TRIAL_BUILDERS[kind](dict(config, seed=3), 1).trial(7, harness._no_diagnostics())
+        want = SPECS[kind](dict(config, seed=3)).trial(1, 7, harness._no_diagnostics())
         assert report["trial"]["value"] == want
         assert report["chunk"]["diagnostics"] == report["trial"]["diagnostics"]
         assert report["relative_difference"] <= 1e-12
         _, lln = CHUNKED["lln"]
-        assert cli.main(["replay", "lln", "--config", self._write(tmp_path, lln), "--key", "1,0"]) == 0
+        lln_cfg = self._write(tmp_path, lln, "lln.json")
+        assert cli.main(["replay", "lln", "--config", lln_cfg, "--key", "1,0"]) == 0
         assert json.loads(capsys.readouterr().out)["chunk"]["value"] > 0.0
         for key in ("2,0", "0,-1", "0", "a,b"):
             assert cli.main(["replay", kind, "--config", cfg, "--key", key]) == 1
-        capsys.readouterr()
+            assert "key must be" in capsys.readouterr().err
 
     def test_replay_reports_what_a_failing_trial_raises(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(Density, "sample", lambda self, gen, count: np.zeros((count, self.dim)))

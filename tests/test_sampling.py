@@ -4,25 +4,20 @@ import numpy as np
 import pytest
 
 from pettylab import (
-    BlockSpec,
+    ConfigError,
     Density,
     GeometryError,
     RngStream,
     Zonotope,
     cube_body,
     hull,
-    random_hull,
-    random_lp_body,
-    random_zonotope,
-    sample_matrix,
-    sample_point,
-    sample_points,
     solid_simplex,
     support,
     unit_ball_volume,
     volume,
     zonotope_to_vpolytope,
 )
+from pettylab.harness import SPECS, CSet
 from pettylab.sampling import cumulative_weights
 
 
@@ -174,63 +169,33 @@ class TestDensity:
 
 
 class TestBlocksAndBuilders:
-    def test_block_spec_shape(self):
-        spec = BlockSpec(((Density.gaussian(2), 3), (Density.ball(2, 1.0), 2)))
-        assert spec.dim == 2
-        assert spec.total_columns == 5
-        X = sample_matrix(spec, RngStream(9))
-        assert X.shape == (2, 5)
-        again = sample_matrix(spec, RngStream(9))
-        assert np.array_equal(X, again)
+    BLOCK = {"density": {"type": "uniform", "body": {"type": "cube", "dim": 2}}, "m": 2}
+    CONFIG = {"blocks": [BLOCK], "c_sets": [{"kind": "simplex", "m": 2}]}
 
     def test_block_spec_rejects_empty_block(self):
-        with pytest.raises(GeometryError):
-            BlockSpec(((Density.gaussian(2), 0),))
+        with pytest.raises(ConfigError, match=r"blocks\[0\]\.m"):
+            SPECS["empmixed"](dict(self.CONFIG, blocks=[dict(self.BLOCK, m=0)]))
 
     def test_block_rearrangement_is_columnwise(self):
-        spec = BlockSpec(((Density.uniform(cube_body(2)), 2),))
-        r = spec.rearranged()
-        assert r.blocks[0][0].kind == "ball"
-        assert r.total_columns == 2
-
-    def test_sample_point_matches_first_of_batch(self):
-        d = Density.gaussian(3)
-        one = sample_point(d, RngStream(11))
-        batch = sample_points(d, 5, RngStream(11))
-        assert np.array_equal(one, batch[0])
-
-    def test_random_hull(self):
-        d = Density.uniform(cube_body(2))
-        K = random_hull(d, 50, RngStream(12))
-        assert volume(K) < 4.0
-        with pytest.raises(GeometryError):
-            random_hull(d, 0, RngStream(12))
-        # one point is a legal degenerate hull
-        P = random_hull(d, 1, RngStream(13))
-        assert len(P.vertices) == 1
-
-    def test_random_zonotope_generators_are_the_draw(self):
-        d = Density.gaussian(2)
-        Z = random_zonotope(d, 6, RngStream(14))
-        X = sample_points(d, 6, RngStream(14))
-        assert np.array_equal(Z.generators, X)
+        spec = SPECS["empmixed"](self.CONFIG)
+        (density, m), = spec.blocks[1]
+        assert density.kind == "ball" and m == 2
+        assert density.radius == pytest.approx(math.sqrt(4.0 / math.pi), rel=1e-12)
 
     def test_random_lp_endpoints(self):
-        d = Density.gaussian(2)
-        X = sample_points(d, 4, RngStream(15))
-        K1 = random_lp_body(d, 4, 1.0, RngStream(15))
+        X = Density.gaussian(2).sample(RngStream(15).generator(), 4)
+        K1 = CSet.from_literal({"kind": "bp", "m": 4, "p": 1.0}).body(X)
         assert volume(K1) == pytest.approx(volume(hull(np.vstack([X, -X]))))
-        Kinf = random_lp_body(d, 4, math.inf, RngStream(15))
-        assert volume(Kinf) == pytest.approx(
+        Kinf = CSet.from_literal({"kind": "bp", "m": 4, "p": math.inf}).body(X)
+        assert volume(zonotope_to_vpolytope(Kinf)) == pytest.approx(
             volume(zonotope_to_vpolytope(Zonotope(X)))
         )
-        with pytest.raises(GeometryError):
-            random_lp_body(d, 4, 0.5, RngStream(15))
+        with pytest.raises(ConfigError):
+            CSet.from_literal({"kind": "bp", "m": 4, "p": 0.5})
 
     def test_random_l2_body_is_an_ellipse_image(self):
-        d = Density.gaussian(2)
-        X = sample_points(d, 2, RngStream(16))
-        K = random_lp_body(d, 2, 2.0, RngStream(16))
+        X = Density.gaussian(2).sample(RngStream(16).generator(), 2)
+        K = CSet.from_literal({"kind": "bp", "m": 2, "p": 2.0}).body(X)
         gen = np.random.default_rng(17)
         for u in gen.normal(size=(8, 2)):
             assert support(K, u) == pytest.approx(

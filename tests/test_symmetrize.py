@@ -11,7 +11,6 @@ from pettylab import (
     cube_body,
     hull,
     rearrange_body,
-    sample_point,
     shadow_at,
     solid_simplex,
     sphere_directions,
@@ -153,7 +152,7 @@ class TestExpectationPairs:
         K = hull(slab @ R.T)
 
         def trial(densities, rng):
-            return float(sample_point(densities[0], rng)[0] ** 2)
+            return float(densities[0].sample(rng.generator(), 1)[0, 0] ** 2)
 
         orig, sym = steiner_step_expectation(
             trial, [Density.uniform(K)], E1, trials=4000, seed=3
