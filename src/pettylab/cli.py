@@ -24,13 +24,17 @@ from .bodies import GeometryError, as_polytope, body_from_literal, volume
 from .harness import (
     ConfigError,
     RUNNERS,
+    _fields,
+    _integer,
+    _parse,
+    _require,
     quadrature_block,
     replay,
     report_to_csv,
     report_to_json,
     resolve_threads,
 )
-from .projections import QuadratureSpec, petty_product
+from .projections import PETTY_METHODS, QuadratureSpec, petty_product
 from .symmetrize import rearrange_body, steiner_symmetrize
 from . import verify as verify_mod
 
@@ -56,10 +60,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pettylab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, help_text, config_required=True, trials=True):
+    def add(name, help_text, config_required=True, trials=True, seed=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=config_required, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="master seed")
         if trials:
             p.add_argument("--trials", type=int, default=None)
             p.add_argument("--threads", type=int, default=None)
@@ -69,7 +74,7 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("verify-kernel", help="run the kernel oracle suite")
     add("petty", "deterministic projection-volume product of one body",
-        trials=False)
+        trials=False, seed=False)
     for name in ("thm12", "thm11", "cor13", "empmixed", "emppetty2", "lln"):
         add(name, f"run the {name} experiment")
     add("symmetrize", "iterated Steiner symmetrization trace", trials=False)
@@ -99,18 +104,23 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _body_literal_of(config: dict) -> dict:
+def _body_of(config: dict, optional: tuple):
+    """The body of a petty or symmetrize config, which is the body literal
+    plus the command's ``optional`` keys, or an object holding the literal
+    under ``body``.  A key the command does not read raises a ConfigError
+    naming it."""
     if "type" in config:
-        return config
-    if "body" in config:
-        return config["body"]
-    raise ConfigError("petty config needs a body literal (or a 'body' field)")
+        literal = {k: v for k, v in config.items() if k not in optional}
+        return _parse("config", body_from_literal, literal, "")
+    _require("body" in config, "config needs a body literal (or a 'body' field)")
+    _fields(config, "", ("body",), optional)
+    return _parse("body", body_from_literal, config["body"], "body")
 
 
 def run_petty(config: dict) -> dict:
-    lit = _body_literal_of(config)
-    K = body_from_literal(lit)
+    K = _body_of(config, ("method", "quadrature"))
     method = config.get("method", "auto")
+    _require(method in PETTY_METHODS, f"method must be one of {PETTY_METHODS}, got {method!r}")
     q = quadrature_block(config)
     quad = QuadratureSpec(nodes=q.get("nodes"), certify=bool(q.get("certify", False)))
     product = petty_product(K, method=method, quad=quad)
@@ -138,10 +148,9 @@ def _petty_csv(report: dict) -> str:
 
 
 def run_symmetrize(config: dict) -> dict:
-    lit = _body_literal_of(config)
-    K = as_polytope(body_from_literal(lit))
-    iterations = int(config.get("iterations", 10))
-    seed = int(config.get("seed", 0))
+    K = as_polytope(_body_of(config, ("iterations", "seed")))
+    iterations = _integer(config.get("iterations", 10), "iterations", 0)
+    seed = _integer(config.get("seed", 0), "seed", 0)
     gen = np.random.default_rng(seed)
     vol0 = volume(K)
     ball = rearrange_body(K)

@@ -30,7 +30,9 @@ with no hull, by Cauchy's formula h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
   strictly to their left.
 
 The stacked planar kernels use no matrix product, so a trial's value is the
-same bit for bit whatever chunk it falls in.
+same bit for bit whatever chunk it falls in.  Projection bodies are
+symmetric and an even planar grid is antipodal, so planar support rows use
+the first half of the grid.
 
 In space, the projection bodies these kinds need are zonotopes whose
 generators have closed forms, built for the whole chunk with elementwise
@@ -41,21 +43,26 @@ cross products:
 * thm12, cube or bp p = inf C-set: 4 sum_{i<j} |<g_i x g_j, u>| with g the
   generators of X C (half X for the cube);
 * thm11 with two zonotope C-sets, and cor13 with A = X/m and B = Y/m:
-  h_{Pi(Z_A, Z_B)}(u) = 2 sum_{i,j} |<a_i x b_j, u>|.
+  h_{Pi(Z_A, Z_B)}(u) = 2 sum_{i,j} |<a_i x b_j, u>|;
+* thm11 with two simplex C-sets with m = 4: h_{Pi(A, B)}(u) =
+  (1/4) sum |<e x f, u>| over the edges e of A and f of B whose normal
+  arcs cross, the atoms of the mixed area measure S(A, B).
 
 Each trial then takes one support call over the grid, whose shape does not
 depend on the chunk, and one polar quadrature row, so its value is again
-the same bit for bit in every chunk.
+the same bit for bit in every chunk.  The same edge pairs give empmixed
+with two such C-sets and one ball slot: V(A, B, ball) = (1/6) sum
+h_ball(+-(e x f)), one support call per trial.
 
 A cloud a stacked kernel cannot classify with margin (degenerate, collinear,
-coplanar or repeated points, or generators that do not span space) goes
-through the hull route, which also counts degenerate hulls.  The other
-kinds and C-sets run their geometry one trial at a time inside the chunk:
-thm12 with other C-sets, thm11 with hull C-sets, empmixed in mixed mode
-(in space, with ball slots) and the spatial emppetty2 and lln.  Chunk
-length follows from ``CHUNK_ENTRIES``.  An error raised in a trial is
-re-raised as a ``TrialError`` that names its (side, trial) key (lln:
-(row, trial)); ``replay`` reruns that one trial.
+coplanar or repeated points, generators that do not span space, or an edge
+pair whose sign tests fall within the margin) goes through the hull route,
+which also counts degenerate hulls.  The other kinds and C-sets run their
+geometry one trial at a time inside the chunk: thm12 with other C-sets,
+thm11 with other hull C-sets, empmixed in other mixed modes and the
+spatial emppetty2 and lln.  Chunk length follows from ``CHUNK_ENTRIES``.
+An error raised in a trial is re-raised as a ``TrialError`` that names its
+(side, trial) key (lln: (row, trial)); ``replay`` reruns that one trial.
 """
 
 from __future__ import annotations
@@ -81,6 +88,7 @@ from .bodies import (
     body_from_literal,
     cloud_widths,
     hull,
+    literal_fields,
     lp_ball_body,
     planar_full_rank,
     planar_hull_areas,
@@ -100,6 +108,7 @@ from .projections import (
     polar_measures,
     polar_projection_polytope,
     projection_body,
+    tetrahedron_pair_normals,
     tetrahedron_projection_generators,
     zonotope_projection_generators,
 )
@@ -135,7 +144,14 @@ class TrialError(ValueError):
 
 @lru_cache(maxsize=16)
 def _grid(dim: int, nodes: int) -> np.ndarray:
+    """The quadrature directions of a projection-body support row.  In the
+    plane an even grid is antipodal, theta_{i + N/2} = theta_i + pi, and
+    every projection body is symmetric, so the first N/2 nodes carry the
+    row: the uniform-weight quadrature of the half row equals that of the
+    whole one up to rounding."""
     U = sphere_directions(dim, nodes)
+    if dim == 2 and nodes % 2 == 0:
+        U = U[: nodes // 2].copy()
     U.setflags(write=False)
     return U
 
@@ -180,16 +196,10 @@ def _require(cond: bool, message: str):
 
 
 def _fields(value, where: str, required=(), optional=()) -> dict:
-    """``value`` when it is an object with every key of ``required`` and no
-    key outside ``required`` and ``optional``; ``where`` is the object's
-    own key, prefixed to the key names in messages ("" for the config)."""
-    prefix = f"{where}." if where else ""
-    _require(isinstance(value, dict), f"{where or 'config'} must be an object")
-    for key in required:
-        _require(key in value, f"{prefix}{key} is missing")
-    for key in value:
-        _require(key in required or key in optional, f"unknown key {prefix}{key}")
-    return value
+    """``literal_fields`` raising a ConfigError: ``value`` when it is an
+    object with every key of ``required`` and no key outside ``required``
+    and ``optional``; ``where`` is the object's own key ("" for the config)."""
+    return literal_fields(value, where, required, optional, ConfigError)
 
 
 def _integer(value, key: str, low: int = 1) -> int:
@@ -226,7 +236,7 @@ def quadrature_block(config: dict) -> dict:
 
 def _body(literal, key: str, dim: int) -> VPolytope:
     """The body of ``literal`` as a vertex polytope in dimension ``dim``."""
-    K = _parse(key, lambda: as_polytope(body_from_literal(literal)))
+    K = _parse(key, lambda: as_polytope(body_from_literal(literal, key)))
     _require(K.dim == dim, f"{key} lives in dimension {K.dim}, expected {dim}")
     return K
 
@@ -387,11 +397,11 @@ def _polar_values(hv: np.ndarray, measure: RadialMeasure, dim: int, diag: dict) 
     return polar_measures(hv, measure, dim)
 
 
-def _grid_supports(G: np.ndarray, full: np.ndarray, nodes: int, hull_route) -> np.ndarray:
+def _grid_supports(G, full: np.ndarray, nodes: int, hull_route) -> np.ndarray:
     """sum_k |<g_k, u>| over the spatial grid of ``nodes`` directions for each
-    stacked generator set G[t], one support call per trial: its shape does
-    not depend on the chunk, so neither do its bits.  Trials outside the
-    mask ``full`` take ``hull_route(t)``."""
+    generator set G[t], stacked or listed, one support call per trial: its
+    shape does not depend on the chunk, so neither do its bits.  Trials
+    outside the mask ``full`` take ``hull_route(t)``."""
     U = _grid(3, nodes)
     hv = np.empty((len(G), nodes))
     for t in range(len(G)):
@@ -463,7 +473,8 @@ class _Spec:
         for i, blk in enumerate(blocks):
             key = f"blocks[{i}]"
             _fields(blk, key, ("density", "m"))
-            density = _parse(f"{key}.density", Density.from_literal, blk["density"], self.dim)
+            density = _parse(f"{key}.density", Density.from_literal, blk["density"], self.dim,
+                             f"{key}.density")
             draws.append((density, _integer(blk["m"], f"{key}.m")))
         return _both_sides(draws)
 
@@ -485,7 +496,7 @@ class _PolarSpec(_Spec):
 
     def parse(self, config: dict):
         self.measure = _parse("measure", RadialMeasure.from_literal,
-                              config.get("measure", {"type": "lebesgue"}))
+                              config.get("measure", {"type": "lebesgue"}), "measure")
         q = quadrature_block(config)
         _require(not q.get("certify"),
                  "quadrature.certify is not supported in experiments (the petty command honours it)")
@@ -507,7 +518,7 @@ class _Thm12Spec(_PolarSpec):
                  "Lebesgue polar measure needs enough columns for a full-dimensional body")
         self.form = self.cset.form(self.dim)
         if self.form == "cloud":
-            self.entries = self.cset.row_count * self.nodes
+            self.entries = self.cset.row_count * len(_grid(self.dim, self.nodes))
         elif self.form is not None:
             self.entries = self.nodes
 
@@ -549,10 +560,11 @@ class _Thm12Spec(_PolarSpec):
 class _MixedSpec(_PolarSpec):
     """Polar measure of a mixed projection body Pi(K_1, K_2) in space, K_i
     built from the i-th draw of a side.  Subclasses build the bodies, and
-    set ``zonotopes`` when both bodies are zonotopes whose generator rows
-    ``rows`` gives."""
+    set ``form`` when a stacked kernel reads both: "zonotope" when they are
+    the zonotopes with generator rows ``rows``, "tetrahedron" when they are
+    the hulls of those four rows."""
 
-    zonotopes = False
+    form = None
 
     def parse(self, config: dict):
         _require(self.dim == 3, f"{self.kind} needs dim = 3")
@@ -568,14 +580,18 @@ class _MixedSpec(_PolarSpec):
         return _polar_values(self._supports(samples, diag)[None], self.measure, self.dim, diag)[0]
 
     def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
-        if not self.zonotopes:
+        if self.form is None:
             return super().chunk(side, first, count, diag)
         X, Y = self.stacked(side, first, count)
         A, B = self.rows(0, X), self.rows(1, Y)
-        # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
-        full = spatial_full_rank(A) & spatial_full_rank(B)
-        hv = _grid_supports(mixed_projection_generators(A, B), full, self.nodes,
-                            lambda t: self._supports([X[t], Y[t]], diag))
+        if self.form == "tetrahedron":
+            normals, full = tetrahedron_pair_normals(A, B)
+            G = [0.25 * W for W in normals]
+        else:
+            # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
+            full = spatial_full_rank(A) & spatial_full_rank(B)
+            G = mixed_projection_generators(A, B)
+        hv = _grid_supports(G, full, self.nodes, lambda t: self._supports([X[t], Y[t]], diag))
         return _polar_values(hv, self.measure, self.dim, diag)
 
 
@@ -588,8 +604,9 @@ class _Thm11Spec(_MixedSpec):
         self.blocks = self._blocks(config["blocks"])
         _require(len(self.blocks[0]) == self.dim - 1, f"thm11 needs {self.dim - 1} blocks")
         self.csets = self._csets(config["c_sets"])
-        self.zonotopes = all(c.form(3) == "zonotope" for c in self.csets)
-        if self.zonotopes:
+        forms = {c.form(3) for c in self.csets}
+        if len(forms) == 1 and forms != {None}:
+            self.form, = forms
             self.entries = self.nodes
 
     def bodies(self, samples: list, diag: dict) -> list:
@@ -605,7 +622,7 @@ class _Cor13Spec(_MixedSpec):
 
     kind = "cor13"
     keys = (("bodies", "m"), ("measure", "quadrature"))
-    zonotopes = True
+    form = "zonotope"
 
     def parse(self, config: dict):
         super().parse(config)
@@ -644,26 +661,37 @@ class _EmpMixedSpec(_Spec):
         c = self.csets[0]
         self.pair_areas = (self.dim == 2 and self.volume_mode and c.form(2) == "cloud"
                            and c.row_count <= PAIR_AREA_MAX_POINTS)
+        # V(A, B, ball) of two tetrahedra from the edge pairs of A and B
+        self.tetrahedra = (len(self.csets) == 2 and self.ball_slots == 1
+                           and all(c.form(3) == "tetrahedron" for c in self.csets))
         if self.pair_areas:
             self.entries = c.row_count ** 3
+        elif self.tetrahedra:
+            self.entries = 36 * 3  # the 6 x 6 edge pairs' cross products
 
-    def trial(self, side: int, index: int, diag: dict) -> float:
-        gen = self.generator(side, index)
-        bodies = [_counted(cset.body(density.sample(gen, m)), diag)
-                  for (density, m), cset in zip(self.blocks[side], self.csets)]
+    def _value(self, samples: list, diag: dict) -> float:
+        """The hull route: the trial's value from its samples, one per block."""
+        bodies = [_counted(cset.body(X), diag) for X, cset in zip(samples, self.csets)]
         if self.volume_mode:
             return volume(bodies[0])
         return mixed_volume(bodies + [self.ball] * self.ball_slots)
 
+    def trial(self, side: int, index: int, diag: dict) -> float:
+        gen = self.generator(side, index)
+        return self._value([density.sample(gen, m) for density, m in self.blocks[side]], diag)
+
     def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
-        if not self.pair_areas:
+        if not (self.pair_areas or self.tetrahedra):
             return super().chunk(side, first, count, diag)
-        X, = self.stacked(side, first, count)
-        P = self.csets[0].rows(X)
-        areas, ok = planar_hull_areas(P)
-        for t in np.flatnonzero(~ok):
-            areas[t] = volume(_counted(hull(P[t]), diag))
-        return areas
+        samples = self.stacked(side, first, count)
+        if self.pair_areas:
+            values, full = planar_hull_areas(self.csets[0].rows(samples[0]))
+        else:
+            normals, full = tetrahedron_pair_normals(*samples)
+            values = np.array([self.ball.support_batch(W).sum() / 6.0 for W in normals])
+        for t in np.flatnonzero(~full):
+            values[t] = self._value([S[t] for S in samples], diag)
+        return values
 
 
 def _planar_pairings(A: np.ndarray, Z: np.ndarray, diag: dict) -> np.ndarray:

@@ -21,17 +21,25 @@ from .bodies import (
     _abs_pairing,
     as_polytope,
     hull,
+    literal_fields,
     merge_parallel_generators,
     minkowski_sum,
     reduced_form,
+    spatial_full_rank,
     sphere_directions,
     volume,
 )
 from .mixed import _surface_measure, centroid, clip_halfspace
 
 DEFAULT_NODES = {2: 4096, 3: 8192}
+PETTY_METHODS = ("auto", "exact", "quadrature")
 CERTIFY_REL_TOL = 1e-4
 SPHERE_SURFACE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
+# The keys of each measure literal type besides "type": (required, optional).
+_MEASURE_KEYS = {"lebesgue": ((), ()), "gaussian": ((), ("sigma",)), "ball": (("radius",), ())}
+# Radius, in units of sigma, past which the spatial Gaussian radial integral
+# equals its limit in float64 (see ``RadialMeasure.radial_integral``).
+GAUSSIAN_R_CLAMP = 40.0
 
 
 class SupportEvaluator:
@@ -102,15 +110,20 @@ class RadialMeasure:
         return RadialMeasure("ball", radius=radius)
 
     @staticmethod
-    def from_literal(spec: dict) -> "RadialMeasure":
+    def from_literal(spec: dict, where: str = "measure") -> "RadialMeasure":
+        """The measure of a literal {type: lebesgue}, {type: gaussian, sigma}
+        or {type: ball, radius}; ``where`` names it in errors, and a key its
+        type does not read raises a GeometryError naming it."""
         kind = spec.get("type")
+        if kind not in _MEASURE_KEYS:
+            raise GeometryError(f"unknown measure literal {kind!r}")
+        required, optional = _MEASURE_KEYS[kind]
+        literal_fields(spec, where, ("type",) + required, optional)
         if kind == "lebesgue":
             return RadialMeasure.lebesgue()
         if kind == "gaussian":
             return RadialMeasure.gaussian(float(spec.get("sigma", 1.0)))
-        if kind == "ball":
-            return RadialMeasure.ball(float(spec["radius"]))
-        raise GeometryError(f"unknown measure literal {kind!r}")
+        return RadialMeasure.ball(float(spec["radius"]))
 
     def radial_integral(self, R: np.ndarray, n: int) -> np.ndarray:
         """integral_0^R rho(r) r^(n-1) dr, vectorized; R may contain inf."""
@@ -125,15 +138,24 @@ class RadialMeasure:
         norm = (2.0 * math.pi * s * s) ** (-n / 2.0)
         if n == 2:
             # exp(-inf) = 0 gives R = inf its limit s^2 with no special case
-            out = s * s * (1.0 - np.exp(R * R * (-0.5 / (s * s))))
-        else:
-            finite = np.isfinite(R)
-            Rf = np.where(finite, R, 0.0)
-            tail = s * s * Rf * np.exp(-(Rf ** 2) / (2 * s * s))
-            main = (s ** 3) * math.sqrt(math.pi / 2.0) * erf(Rf / (s * math.sqrt(2.0)))
-            full = (s ** 3) * math.sqrt(math.pi / 2.0)
-            out = np.where(finite, main - tail, full)
-        return norm * out
+            return norm * (s * s * (1.0 - np.exp(R * R * (-0.5 / (s * s)))))
+        # From R = GAUSSIAN_R_CLAMP s on, erf is exactly 1.0 and the tail
+        # R exp(-R^2 / 2 s^2) exactly 0.0 in float64, so clamping R there
+        # changes no bit and gives R = inf its limit with no mask.  The
+        # steps are those of s^3 sqrt(pi/2) erf(R / (s sqrt 2)) - s^2 R
+        # exp(-R^2 / (2 s^2)), in place.
+        out = np.minimum(R, GAUSSIAN_R_CLAMP * s, out=np.empty(np.shape(R)))
+        tail = np.square(out, out=np.empty_like(out))
+        np.negative(tail, out=tail)
+        tail /= 2 * s * s
+        np.exp(tail, out=tail)
+        tail *= s * s * out
+        out /= s * math.sqrt(2.0)
+        erf(out, out=out)
+        out *= (s ** 3) * math.sqrt(math.pi / 2.0)
+        out -= tail
+        out *= norm
+        return out
 
 
 def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int) -> float:
@@ -144,8 +166,9 @@ def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int)
         if np.any(hv <= -1e-10):
             raise GeometryError("support evaluator returned negative values")
         hv = np.maximum(hv, 0.0)
-    with np.errstate(divide="ignore"):
-        R = np.abs(1.0 / hv)  # a zero support of either sign gives R = inf
+    with np.errstate(divide="ignore", over="ignore"):
+        R = 1.0 / hv
+    np.abs(R, out=R)  # a zero or subnormal support of either sign gives R = inf
     inner = measure.radial_integral(R, dim)
     return float(SPHERE_SURFACE[dim] / len(hv) * inner.sum())
 
@@ -240,6 +263,62 @@ def tetrahedron_projection_generators(P: np.ndarray) -> np.ndarray:
     Cauchy's formula with each face's area normal."""
     i, j, k = _TETRAHEDRON_FACES.T
     return 0.25 * np.cross(P[:, j] - P[:, i], P[:, k] - P[:, i])
+
+
+# The edges of a tetrahedron as (i, j, k, l): the edge p_i p_j and the two
+# vertices off it.
+_TETRAHEDRON_EDGES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2],
+                               [1, 2, 0, 3], [1, 3, 0, 2], [2, 3, 0, 1]])
+# A sign test <x, e x f> of ``tetrahedron_pair_normals`` holds only when it
+# clears this share of |x| |e| |f|; its rounding error is a few 1e-16 of that.
+EDGE_PAIR_MARGIN = 1e-9
+
+
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[list, np.ndarray]:
+    """The mixed area measure S(A, B) of A = conv P[t] and B = conv Q[t] for
+    stacked four-point clouds P and Q of shape (T, 4, 3), and the mask of
+    the trials where it holds.
+
+    S(A, B; v) = V(F_A(v), F_B(v)), the mixed area of the faces of A and B
+    with outward normal v (Schneider, Convex Bodies: The Brunn-Minkowski
+    Theory, section 5.1).  For tetrahedra in general position only edge
+    pairs carry mass: an edge e = p_j - p_i of A and an edge f of B put
+    |e x f| / 2 at v = w / |w|, w = +-(e x f), when v lies in the normal
+    cone of both, that is when the two other vertices of each tetrahedron
+    lie strictly below its edge along v.  Entry t lists the rows w of the
+    crossing pairs, so that h_{Pi(A, B)}(u) = sum |<w, u>| / 4 and
+    V(A, B, C) = sum h_C(w) / 6.
+
+    The mask is False where a centered cloud is one ``spatial_full_rank``
+    cannot call, or where a sign test <x, e x f> falls within
+    EDGE_PAIR_MARGIN |x| |e| |f| of zero: a face of one tetrahedron parallel
+    to an edge of the other, parallel edges, or repeated points.  Callers
+    take the hull route there.  Only elementwise products are used, so
+    entry t does not depend on the clouds stacked with it.
+    """
+    T = len(P)
+    i, j, k, l = _TETRAHEDRON_EDGES.T
+    sides = []
+    for C in (P, Q):
+        e, x, y = (C[:, b] - C[:, i] for b in (j, k, l))
+        sides.append((e, x, y, np.sqrt(_dot3(e, e))))
+    (e, xa, ya, ne), (f, xb, yb, nf) = sides
+    w = np.cross(e[:, :, None], f[:, None, :])  # (T, 6, 6, 3)
+    scale = EDGE_PAIR_MARGIN * ne[:, :, None] * nf[:, None, :]
+    below = above = True
+    holds = (spatial_full_rank(P - P.mean(axis=1, keepdims=True))
+             & spatial_full_rank(Q - Q.mean(axis=1, keepdims=True)))
+    for x in (xa[:, :, None], ya[:, :, None], xb[:, None, :], yb[:, None, :]):
+        test = _dot3(x, w)
+        below, above = below & (test < 0.0), above & (test > 0.0)
+        holds &= (np.abs(test) > scale * np.sqrt(_dot3(x, x))).reshape(T, -1).all(axis=1)
+    w[above] *= -1.0
+    crossing = below | above
+    return [w[t][crossing[t]] for t in range(T)], holds
 
 
 def zonotope_projection_generators(G: np.ndarray) -> np.ndarray:
@@ -348,7 +427,7 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
     n = K.dim
     if body_vol <= 0:
         raise GeometryError("Petty product needs a full-dimensional body")
-    if method not in ("auto", "exact", "quadrature"):
+    if method not in PETTY_METHODS:
         raise GeometryError(f"unknown petty_product method {method!r}")
     if method in ("auto", "exact"):
         try:

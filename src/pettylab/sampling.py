@@ -17,6 +17,7 @@ from .bodies import (
     GeometryError,
     VPolytope,
     as_polytope,
+    literal_fields,
     reduced_form,
     unit_ball_volume,
     volume,
@@ -80,18 +81,24 @@ class Density:
         return Density("gaussian", dim, sigma=sigma)
 
     @staticmethod
-    def from_literal(spec: dict, dim: int) -> "Density":
+    def from_literal(spec: dict, dim: int, where: str = "density") -> "Density":
+        """The density of a literal {type: uniform, body, rearranged} or
+        {type: gaussian, sigma} in dimension ``dim``; ``where`` names it in
+        errors, and a key its type does not read raises a GeometryError
+        naming it."""
         kind = spec.get("type")
         if kind == "uniform":
             from .bodies import body_from_literal
 
-            d = Density.uniform(as_polytope(body_from_literal(spec["body"])))
+            literal_fields(spec, where, ("type", "body"), ("rearranged",))
+            d = Density.uniform(as_polytope(body_from_literal(spec["body"], f"{where}.body")))
             if d.dim != dim:
                 raise GeometryError(f"density body lives in dimension {d.dim}, expected {dim}")
             if spec.get("rearranged"):
                 d = d.rearranged()
             return d
         if kind == "gaussian":
+            literal_fields(spec, where, ("type",), ("sigma",))
             return Density.gaussian(dim, float(spec.get("sigma", 1.0)))
         raise GeometryError(f"unknown density literal {kind!r}")
 

@@ -8,8 +8,8 @@ slow exact oracles built from plain hull volumes only:
 ``mixed_volume_inclusion_exclusion`` (subset Minkowski sums) and
 ``mixed_projection_polarization`` (three hull volumes per direction).  The
 stacked trial kernels, planar and spatial, are checked against the hull
-route.  The test suite imports these oracles; the command line runs the
-whole list.
+route, and the edge-pair kernels of two tetrahedra against both oracles.
+The test suite imports these oracles; the command line runs the whole list.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .bodies import (
     VPolytope,
     Zonotope,
     as_polytope,
+    ball_body,
     cloud_widths,
     cube_body,
     hull,
@@ -48,6 +49,7 @@ from .projections import (
     mixed_projection_generators,
     mixed_projection_support,
     projection_body,
+    tetrahedron_pair_normals,
     tetrahedron_projection_generators,
     zonotope_projection_generators,
 )
@@ -482,6 +484,55 @@ def check_spatial_kernels(seed: int = 0):
     return worst <= 1e-12 and masks_ok, f"max relative defect {worst:.2e}, masks ok: {masks_ok}"
 
 
+def tetrahedron_test_pairs(gen: np.random.Generator, count: int) -> tuple:
+    """Stacked pairs of four-point clouds (P, Q), cycling through six kinds:
+    a random pair; Q with a face parallel to a face of P; the same face
+    tilted by 1e-5; Q with an edge parallel to an edge of P; the same edge
+    tilted by 1e-5; a coplanar P.  The exact degeneracies sit at kinds 1,
+    3 and 5."""
+    P = gen.normal(size=(count, 4, 3))
+    Q = gen.normal(size=(count, 4, 3))
+    for t in range(count):
+        p, q = P[t], Q[t]
+        kind = t % 6
+        if kind in (1, 2):
+            n = np.cross(p[1] - p[0], p[2] - p[0])
+            n /= np.linalg.norm(n)
+            tilt = 1e-5 * (kind == 2) * np.array([0.0, 1.0, -1.0])
+            q[:3] -= np.outer((q[:3] - q[0]) @ n - tilt, n)
+        elif kind in (3, 4):
+            q[1] = q[0] + 0.7 * (p[1] - p[0]) + 1e-5 * (kind == 4) * gen.normal(size=3)
+        elif kind == 5:
+            p[3] = p[0] + 0.3 * (p[1] - p[0]) + 0.5 * (p[2] - p[0])
+    return P, Q
+
+
+def check_tetrahedron_pair_kernels(seed: int = 0):
+    """The edge-pair kernels of two tetrahedra against the hull oracles, on
+    random and near-degenerate pairs (``tetrahedron_test_pairs``): the
+    support of Pi(A, B) against three-hull polarization, and V(A, B, C)
+    for a coarse ball C against inclusion-exclusion.  The mask must send
+    exactly the degenerate pairs to the hull route."""
+    gen = np.random.default_rng(seed)
+    P, Q = tetrahedron_test_pairs(gen, 6)
+    U = gen.normal(size=(2, 3))
+    C = ball_body(3, facets=12)
+    normals, holds = tetrahedron_pair_normals(P, Q)
+    worst = 0.0
+    masks_ok = True
+    for t, W in enumerate(normals):
+        masks_ok &= bool(holds[t]) == (t % 6 in (0, 2, 4))
+        if not holds[t]:
+            continue
+        A, B = hull(P[t]), hull(Q[t])
+        want = mixed_projection_polarization(A, B, U)
+        got = Zonotope(0.25 * W).support_batch(U)
+        worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        want = mixed_volume_inclusion_exclusion([A, B, C])
+        worst = max(worst, abs(float(C.support_batch(W).sum()) / 6.0 - want) / want)
+    return worst <= 1e-9 and masks_ok, f"max relative defect {worst:.2e}, masks ok: {masks_ok}"
+
+
 CHECKS = [
     ("hull vs gift wrapping", check_hull_oracle),
     ("support vs brute maxima", check_support_oracle),
@@ -496,6 +547,7 @@ CHECKS = [
     ("centroid body support vs cubature", check_centroid_support_cubature),
     ("planar trial kernels vs hull route", check_planar_kernels),
     ("spatial trial kernels vs hull route", check_spatial_kernels),
+    ("tetrahedron pair kernels vs oracles", check_tetrahedron_pair_kernels),
 ]
 
 

@@ -114,6 +114,23 @@ REJECTIONS = {
     "emppetty2-quadrature": (run_emp_petty_2, dict(EMPPETTY2_SMALL, quadrature={"certify": True}),
                              "quadrature"),
     "lln-quadrature": (run_lln, dict(LLN_SMALL, quadrature={"certify": True}), "quadrature"),
+    "measure-unknown-key": (run_theorem_1_2, dict(THM12_SMALL, measure={"type": "gaussian",
+                                                                        "sigmaa": 2.0}),
+                            "measure.sigmaa"),
+    "lebesgue-sigma": (run_theorem_1_2, dict(THM12_SMALL, measure={"type": "lebesgue", "sigma": 2}),
+                       "measure.sigma"),
+    "density-unknown-key": (run_theorem_1_2, _block(density={"type": "gaussian", "sigmaa": 3.0}, m=3),
+                            "blocks[0].density.sigmaa"),
+    "density-body-unknown-key": (run_theorem_1_2,
+                                 _block(density={"type": "uniform", "body": dict(TRIANGLE, half=1.0)},
+                                        m=3), "blocks[0].density.body.half"),
+    "body-unknown-key": (run_emp_petty_2, dict(EMPPETTY2_SMALL, body=dict(SQUARE, radius=1.0)),
+                         "body.radius"),
+    "family-unknown-key": (run_lln, dict(LLN_SMALL, family=[dict(SQUARE, facets=8)]),
+                           "family[0].facets"),
+    "cor13-body-unknown-key": (run_corollary_1_3,
+                               dict(COR13_SMALL, bodies=[_CUBE_3D, {"type": "simplex", "dim": 3,
+                                                                    "m": 4}]), "bodies[1].m"),
     "threads": (run_theorem_1_2, dict(THM12_SMALL, threads=2), "threads"),
     "out": (run_theorem_1_2, dict(THM12_SMALL, out="report.json"), "out"),
     "format": (run_theorem_1_2, dict(THM12_SMALL, format="csv"), "format"),
@@ -356,11 +373,19 @@ CHUNKED = {
                                                 {"kind": "bp", "m": 3, "p": math.inf}]}),
     "cor13": ("cor13", {"dim": 3, "seed": 38, "m": 8, "measure": _GAUSS,
                         "bodies": [_CUBE3, {"type": "simplex", "dim": 3}]}),
+    "thm11-3d-simplices": ("thm11", {"dim": 3, "seed": 39, "measure": _GAUSS,
+                                     "blocks": [_uniform_block(_CUBE3, 4), {"density": _GAUSS, "m": 4}],
+                                     "c_sets": [{"kind": "simplex", "m": 4}] * 2}),
+    "empmixed-3d-simplices": ("empmixed", {"dim": 3, "seed": 40, "ball_slots": 1,
+                                           "blocks": [_uniform_block(_CUBE3, 4),
+                                                      {"density": _GAUSS, "m": 4}],
+                                           "c_sets": [{"kind": "simplex", "m": 4}] * 2}),
 }
 
 # kinds whose bodies are the hulls of the sampled clouds themselves
 HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "empmixed", "emppetty2", "lln",
-                    "thm12-3d-lebesgue", "thm12-3d-gaussian"}
+                    "thm12-3d-lebesgue", "thm12-3d-gaussian", "thm11-3d-simplices",
+                    "empmixed-3d-simplices"}
 
 
 def _odd_clouds(kinds):
@@ -412,7 +437,8 @@ class TestChunks:
         if odd and name in HULLS_OF_SAMPLES:
             assert hull_diag["degenerate_hulls"] > 0
 
-    @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm11-3d-zonotopes", "cor13"])
+    @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm11-3d-zonotopes", "cor13",
+                                      "thm11-3d-simplices", "empmixed-3d-simplices"])
     def test_spatial_reports_do_not_depend_on_threads(self, name):
         kind, config = CHUNKED[name]
         config = dict(config, trials=20)
@@ -442,9 +468,9 @@ class TestSpecs:
             calls["polar"] += 1
             return polar(K)
 
-        def counted_from_literal(spec, dim):
+        def counted_from_literal(spec, dim, where="density"):
             calls["density"] += 1
-            return from_literal(spec, dim)
+            return from_literal(spec, dim, where)
 
         monkeypatch.setattr(harness, "polar_projection_polytope", counted_polar)
         monkeypatch.setattr(Density, "from_literal", staticmethod(counted_from_literal))
@@ -604,6 +630,39 @@ class TestCli:
         assert cli.main(["petty", "--config", self._write(tmp_path, config)]) == 1
         assert "quadrature.nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, key", [
+        (dict(SQUARE, method="exactly"), "method"),
+        (dict(SQUARE, metod="exact"), "metod"),
+        ({"body": SQUARE, "metod": "exact"}, "metod"),
+        ({"body": dict(SQUARE, radius=2.0)}, "body.radius"),
+        ({"method": "exact"}, "body"),
+    ], ids=["method", "typo", "typo-beside-body", "body-key", "no-body"])
+    def test_petty_rejects_a_bad_field_by_its_key(self, tmp_path, capsys, config, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            cli.run_petty(config)
+        assert cli.main(["petty", "--config", self._write(tmp_path, config)]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", [
+        (dict(SQUARE, iterations=2.9), "iterations"),
+        (dict(SQUARE, iterations=-1), "iterations"),
+        (dict(SQUARE, seed=5.5), "seed"),
+        (dict(SQUARE, iteration=3), "iteration"),
+        ({"body": SQUARE, "seed": True}, "seed"),
+        ({"body": dict(SQUARE, half=1.0, dims=2)}, "body.dims"),
+    ], ids=["iterations-float", "iterations-negative", "seed-float", "typo", "seed-bool",
+            "body-key"])
+    def test_symmetrize_rejects_a_bad_field_by_its_key(self, tmp_path, capsys, config, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            cli.run_symmetrize(config)
+        assert cli.main(["symmetrize", "--config", self._write(tmp_path, config)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_symmetrize_reads_its_fields(self):
+        report = cli.run_symmetrize({"body": SQUARE, "iterations": 3, "seed": 5})
+        assert report["iterations"] == 3 and report["seed"] == 5 and len(report["steps"]) == 3
+        assert cli.run_symmetrize(dict(SQUARE, iterations=3, seed=5)) == report
+
     def test_petty_honours_certify(self):
         config = dict(SQUARE, method="quadrature", quadrature={"nodes": 64, "certify": True})
         with pytest.raises(GeometryError, match="certification"):
@@ -645,6 +704,8 @@ class TestCli:
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
         assert cli.main(["petty", "--config", str(broken)]) == 1
+        # petty is deterministic and has no seed to take
+        assert cli.main(["petty", "--config", self._write(tmp_path, SQUARE), "--seed", "3"]) == 1
         bad = self._write(tmp_path, dict(THM12_SMALL, dim=4))
         assert cli.main(["thm12", "--config", bad]) == 1
         capsys.readouterr()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from pettylab import (
     GeometryError,
@@ -27,10 +28,12 @@ from pettylab import (
     volume,
     zonotope_to_vpolytope,
 )
-from pettylab.mixed import surface_area
+from pettylab.mixed import mixed_volume, surface_area
+from pettylab.projections import polar_measure_from_support, tetrahedron_pair_normals
 from pettylab.verify import (
     centroid_support_cubature,
     mixed_projection_polarization,
+    mixed_volume_inclusion_exclusion,
     point_in_polygon,
     points_in_polygon,
     shadow_oracle,
@@ -136,6 +139,36 @@ class TestMixedProjection:
             oracle = mixed_projection_polarization(*bodies, U)
             assert np.abs(got - oracle).max() <= 1e-9 * oracle.max()
 
+    def test_tetrahedron_edge_pairs_match_the_surface_measure_route(self):
+        gen = np.random.default_rng(89)
+        P, Q = gen.normal(size=(2, 40, 4, 3))
+        normals, holds = tetrahedron_pair_normals(P, Q)
+        assert holds.all()
+        U = sphere_directions(3, 64)
+        ball = ball_body(3)
+        for t, W in enumerate(normals):
+            A, B = hull(P[t]), hull(Q[t])
+            got = Zonotope(0.25 * W).support_batch(U)
+            np.testing.assert_allclose(got, mixed_projection_support([A, B])(U), rtol=1e-12)
+            assert ball.support_batch(W).sum() / 6.0 == pytest.approx(
+                mixed_volume([A, B, ball]), rel=1e-12)
+        # a pair's atoms do not depend on the pairs stacked with it
+        alone, _ = tetrahedron_pair_normals(P[7:8], Q[7:8])
+        assert np.array_equal(alone[0], normals[7])
+
+    def test_tetrahedron_edge_pairs_send_degenerate_pairs_to_the_hull(self):
+        gen = np.random.default_rng(90)
+        P, Q = gen.normal(size=(2, 4, 4, 3))
+        Q[0] = P[0] + 1.0          # a translate: every face parallel to one of P
+        Q[1, 1] = Q[1, 0] + 0.5 * (P[1, 1] - P[1, 0])  # parallel edges
+        P[2, 3] = P[2, 0]          # a repeated point
+        assert tetrahedron_pair_normals(P, Q)[1].tolist() == [False, False, False, True]
+        A, B = hull(P[3]), hull(Q[3])
+        W = tetrahedron_pair_normals(P, Q)[0][3]
+        C = ball_body(3, facets=12)
+        assert C.support_batch(W).sum() / 6.0 == pytest.approx(
+            mixed_volume_inclusion_exclusion([A, B, C]), rel=1e-9)
+
     def test_even_and_one_homogeneous(self):
         gen = np.random.default_rng(86)
         K = hull(gen.normal(size=(7, 3)))
@@ -188,6 +221,27 @@ class TestPolarMeasure:
         Z = projection_body(seg, allow_degenerate=True)
         got = polar_measure(Z, RadialMeasure.gaussian(1.0))
         assert 0.0 < got < 1.0
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+    def test_clamped_gaussian_row_equals_the_masked_formula(self, sigma):
+        # the formula before R was clamped, with infinite R masked out
+        def masked(R, s):
+            finite = np.isfinite(R)
+            Rf = np.where(finite, R, 0.0)
+            tail = s * s * Rf * np.exp(-(Rf ** 2) / (2 * s * s))
+            main = (s ** 3) * math.sqrt(math.pi / 2.0) * erf(Rf / (s * math.sqrt(2.0)))
+            full = (s ** 3) * math.sqrt(math.pi / 2.0)
+            return (2.0 * math.pi * s * s) ** -1.5 * np.where(finite, main - tail, full)
+
+        gen = np.random.default_rng(91)
+        hv = np.concatenate([gen.uniform(0.01, 3.0, 8000), [0.0, -0.0, 5e-324, 1e-300, 1e-30],
+                             1.0 / (sigma * np.array([39.0, 39.999999, 40.0, 40.000001, 41.0, 1e3]))])
+        with np.errstate(divide="ignore", over="ignore"):
+            R = np.abs(1.0 / hv)
+            want = masked(R, sigma)
+        measure = RadialMeasure.gaussian(sigma)
+        assert np.array_equal(measure.radial_integral(R, 3), want)
+        assert polar_measure_from_support(hv, measure, 3) == 4.0 * math.pi / len(hv) * want.sum()
 
     def test_radial_integrals_match_numeric_quadrature(self):
         full = np.linspace(0.0, 3.0, 200_001)
