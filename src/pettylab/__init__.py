@@ -31,6 +31,7 @@ from .bodies import (
     unit_ball_volume,
     vertex_set_distance,
     volume,
+    zonotope_polar_volume,
     zonotope_to_vpolytope,
     zonotope_volume,
 )

@@ -27,6 +27,13 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # large node set reuses one small buffer instead of faulting in megabytes of
 # fresh pages whenever a body has more facets or generators than the last.
 ABS_BLOCK_ENTRIES = 1 << 15
+# Arcs per block of great circles in ``zonotope_polar_volume``: the 3-D
+# ball's projection body, some 320 generators and 2e5 arcs, then peaks at a
+# few MB instead of some 60.
+POLAR_BLOCK_ARCS = 1 << 13
+# Unit generators closer than this span one line in
+# ``merge_parallel_generators``.
+MERGE_GAP = 1e-9
 
 
 class GeometryError(ValueError):
@@ -268,12 +275,40 @@ def _affine_basis(points: np.ndarray, rank: int):
     return center, basis
 
 
-def _hull_full_dim(points: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class HullFacets:
+    """What one qhull run says about a full-dimensional body: its volume,
+    the facet equations (qhull's convention, normal . x + offset <= 0) and
+    the facet simplices as rows of the body's vertex list."""
+
+    volume: float
+    equations: np.ndarray
+    simplices: np.ndarray
+
+
+def _hull_full_dim(points: np.ndarray) -> tuple[np.ndarray, HullFacets | None]:
+    """The hull vertices of a full-dimensional cloud and, unless qhull had to
+    joggle the input (whose facets then belong to moved points), its facets
+    with simplices remapped to rows of those vertices."""
     try:
         h = ConvexHull(points)
     except QhullError:
         h = ConvexHull(points, qhull_options="QJ")
-    return points[h.vertices]
+        return points[h.vertices], None
+    rows = np.empty(len(points), dtype=np.intp)
+    rows[h.vertices] = np.arange(len(h.vertices))
+    return points[h.vertices], HullFacets(float(h.volume), h.equations, rows[h.simplices])
+
+
+def _hull_facets(R: VPolytope) -> HullFacets:
+    """The facets of a reduced full-dimensional body: those ``hull`` kept
+    from its own qhull run, or one run on the vertices, kept for later."""
+    got = R._cache.get("qhull")
+    if got is None:
+        h = ConvexHull(R.vertices)
+        got = HullFacets(float(h.volume), h.equations, h.simplices)
+        R._cache["qhull"] = got
+    return got
 
 
 def hull(points) -> VPolytope:
@@ -289,9 +324,11 @@ def hull(points) -> VPolytope:
         raise GeometryError(f"hull supports dimension 2 or 3, got {n}")
     rank = affine_dimension(pts)
     if rank == n:
-        verts = _hull_full_dim(pts)
+        verts, record = _hull_full_dim(pts)
         out = VPolytope(verts, reduced=True)
         out._cache["affine_dim"] = rank
+        if record is not None:
+            out._cache["qhull"] = record
         return out
     if rank == 0:
         out = VPolytope(pts[:1], reduced=True)
@@ -303,7 +340,7 @@ def hull(points) -> VPolytope:
         lo, hi = np.argmin(coords[:, 0]), np.argmax(coords[:, 0])
         verts = pts[[lo, hi]]
     else:
-        sub = _hull_full_dim(coords)
+        sub, _ = _hull_full_dim(coords)
         verts = sub @ basis + center
     out = VPolytope(verts, reduced=True)
     out._cache["affine_dim"] = rank
@@ -339,7 +376,7 @@ def volume(P) -> float:
     elif R.dim == 2:
         val = abs(_polygon_area(R.vertices))
     else:
-        val = float(ConvexHull(R.vertices).volume)
+        val = _hull_facets(R).volume
     R._cache["volume"] = val
     if R is not P:
         P._cache["volume"] = val
@@ -394,22 +431,13 @@ def segment(a, b) -> VPolytope:
 
 
 def facet_planes(P: VPolytope):
-    """Outward unit normals and offsets (h values) of a full-dimensional body."""
+    """Outward unit normals and offsets (h values) of a full-dimensional
+    body, and its ``HullFacets``."""
     R = reduced_form(P)
-    got = R._cache.get("planes")
-    if got is not None:
-        return got
     if R.affine_dim < R.dim:
         raise GeometryError("facet planes need a full-dimensional body")
-    h = ConvexHull(R.vertices)
-    # qhull convention: normal . x + offset <= 0
-    normals = h.equations[:, :-1]
-    offsets = -h.equations[:, -1]
-    got = (normals, offsets, h)
-    R._cache["planes"] = got
-    if R is not P:
-        P._cache["planes"] = got
-    return got
+    h = _hull_facets(R)
+    return h.equations[:, :-1], -h.equations[:, -1], h
 
 
 def polar(P: VPolytope, tol: float = INTERIOR_TOL) -> VPolytope:
@@ -464,17 +492,23 @@ def merge_parallel_generators(Z: Zonotope, tol: float = 1e-12) -> Zonotope:
     if len(gens) == 0:
         return Zonotope(np.zeros((0, Z.dim)))
     units = gens / norms[:, None]
-    # canonical orientation: first nonzero coordinate positive
-    for i, u in enumerate(units):
-        j = np.argmax(np.abs(u) > tol)
-        if u[j] < 0:
-            units[i] = -u
+    # canonical orientation: first coordinate above tol in size positive
+    lead = units[np.arange(len(units)), np.argmax(np.abs(units) > tol, axis=1)]
+    units[lead < 0] *= -1.0
     order = np.lexsort(units.T[::-1])
+    # A generator joins the group of the first one before it within
+    # MERGE_GAP.  When every gap between sorted neighbours clears MERGE_GAP
+    # by more than these norms and the walk's may differ in rounding, each
+    # group is a single generator and the walk would return units * norms
+    # in sorted order.
+    gaps = np.linalg.norm(np.diff(units[order], axis=0), axis=1)
+    if np.all(gaps >= MERGE_GAP * (1.0 + 1e-10)):
+        return Zonotope(units[order] * norms[order, None])
     merged = []
     current = units[order[0]] * norms[order[0]]
     current_u = units[order[0]]
     for idx in order[1:]:
-        if np.linalg.norm(units[idx] - current_u) < 1e-9:
+        if np.linalg.norm(units[idx] - current_u) < MERGE_GAP:
             current = current + units[idx] * norms[idx]
         else:
             merged.append(current)
@@ -569,6 +603,82 @@ def polar_of_zonotope(Z: Zonotope, tol: float = 1e-14) -> VPolytope:
     h = np.sum(np.abs(cand @ gens.T), axis=1)
     pts = cand / h[:, None]
     return hull(np.vstack([pts, -pts]))
+
+
+def zonotope_polar_volume(Z: Zonotope) -> float:
+    """|Z°| of a full-dimensional zonotope, exactly, from its normal fan and
+    with no hull; ``volume(polar_of_zonotope(Z))`` is the hull route.
+
+    The polar's vertices are n / h_Z(n) over the facet normals n of Z.  In
+    the plane they are +-g_i rotated a quarter turn, taken in angle order
+    for the shoelace formula.  In space the facets of Z° are the cones of
+    the vertices v of Z, each cut by the plane <x, v> = 1, and the edges of
+    Z° are the arcs of the great circles g_i^perp between consecutive
+    normals +-(g_i x g_j) / |g_i x g_j|.  Fanning each facet from its foot
+    point v / |v|^2 gives
+
+        |Z°| = (1/6) sum_i sum_arcs <a x b, v+ / |v+|^2 - v- / |v-|^2>,
+
+    with the arc (a, b) of polar vertices ordered counterclockwise around
+    g_i, and v+- = c +- g_i the two vertices of Z on the edge the arc
+    dualizes, c = sum_{k != i} sign<g_k, a + b> g_k.  An arc of length zero
+    (three coplanar generators) adds nothing.
+
+    The signs need no test: going counterclockwise around g_i, <g_j, .>
+    turns negative at g_i x g_j and positive at its antipode, so c moves by
+    -2 g_j at the one and by +2 g_j at the other, a running sum along each
+    circle.  Beyond h_Z at the m(m - 1)/2 facet normals (one matrix
+    product), the circles cost O(m^2 log m) work and, in blocks, O(m^2)
+    memory for m generators, with no m x (2m - 2) x m array of signs.
+    """
+    gens = merge_parallel_generators(Z).generators
+    m, n = gens.shape
+    if n not in (2, 3):
+        raise GeometryError("polar supports dimension 2 or 3")
+    if m < n or np.linalg.matrix_rank(gens) < n:
+        raise GeometryError("polar requires a full-dimensional zonotope")
+    if n == 2:
+        normals = np.column_stack([-gens[:, 1], gens[:, 0]])
+        normals = np.vstack([normals, -normals])
+        pts = normals / _abs_pairing(normals, gens)[:, None]
+        pts = pts[np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))]
+        return abs(_polygon_area(pts))
+    # Q[i, j] = (g_i x g_j) / h_Z(g_i x g_j), the polar vertex of the facet
+    # spanned by g_i and g_j; circle i carries +Q[i, j] and then -Q[i, j]
+    # over the other generators j = who[i].
+    i, j = np.triu_indices(m, k=1)
+    cross = np.cross(gens[i], gens[j])
+    Q = np.zeros((m, m, 3))
+    Q[i, j] = cross / _abs_pairing(cross, gens)[:, None]
+    Q[j, i] = -Q[i, j]
+    rest = np.arange(m - 1)
+    step = max(1, POLAR_BLOCK_ARCS // (2 * m - 2))
+    total = 0.0
+    for s in range(0, m, step):
+        rows = np.arange(s, min(s + step, m))
+        who = rest + (rest >= rows[:, None])
+        ring = Q[rows[:, None], who]
+        ring = np.concatenate([ring, -ring], axis=1)  # (circles, 2m - 2, 3)
+        who = np.concatenate([who, who], axis=1)
+        # angles in the frame (e, g x e / |g|) of each circle, e its first point
+        g = gens[rows, None, :]
+        e = ring[:, :1]
+        f = np.cross(g, e) / np.linalg.norm(g, axis=2, keepdims=True)
+        order = np.argsort(np.arctan2((ring * f).sum(axis=2), (ring * e).sum(axis=2)), axis=1)
+        a = np.take_along_axis(ring, order[:, :, None], axis=1)
+        # c on the arc ending at a circle's first point, where g_j has the
+        # sign set at the later of its two points, then the running sum
+        place = np.argsort(order, axis=1)
+        last = np.where(place[:, : m - 1] > place[:, m - 1:], -1.0, 1.0)
+        c = (last[:, :, None] * gens[who[:, : m - 1]]).sum(axis=1)
+        turn = np.where(order < m - 1, -2.0, 2.0)[:, :, None]
+        c = c[:, None, :] + np.cumsum(turn * gens[np.take_along_axis(who, order, axis=1)], axis=1)
+        feet = 0.0
+        for sign in (1.0, -1.0):
+            v = c + sign * g
+            feet = feet + sign * v / (v * v).sum(axis=2, keepdims=True)
+        total += float((np.cross(a, np.roll(a, -1, axis=1)) * feet).sum())
+    return total / 6.0
 
 
 # ---------------------------------------------------------------------------

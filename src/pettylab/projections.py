@@ -28,6 +28,7 @@ from .bodies import (
     spatial_full_rank,
     sphere_directions,
     volume,
+    zonotope_polar_volume,
 )
 from .mixed import _surface_measure, centroid, clip_halfspace
 
@@ -419,9 +420,10 @@ def polar_projection_polytope(K) -> VPolytope:
 def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -> float:
     """Affine invariant |Pi^o K| |K|^(n-1).
 
-    method 'exact' builds the polar projection body as a polytope and takes
-    its hull volume; 'quadrature' integrates the projection support in
-    polar-radial coordinates; 'auto' prefers exact.
+    method 'exact' takes |Pi^o K| from the normal fan of the projection
+    body (``zonotope_polar_volume``; the polar polytope's hull volume is its
+    oracle in ``verify``); 'quadrature' integrates the projection support
+    in polar-radial coordinates; 'auto' prefers exact.
     """
     body_vol = volume(K)
     n = K.dim
@@ -429,14 +431,13 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
         raise GeometryError("Petty product needs a full-dimensional body")
     if method not in PETTY_METHODS:
         raise GeometryError(f"unknown petty_product method {method!r}")
+    Z = projection_body(K)
     if method in ("auto", "exact"):
         try:
-            polar_vol = volume(polar_projection_polytope(K))
-            return polar_vol * body_vol ** (n - 1)
+            return zonotope_polar_volume(Z) * body_vol ** (n - 1)
         except GeometryError:
             if method == "exact":
                 raise
-    Z = projection_body(K)
     polar_vol = polar_measure(Z, RadialMeasure.lebesgue(), quad)
     return polar_vol * body_vol ** (n - 1)
 
@@ -447,6 +448,6 @@ def cauchy_surface_bound_defect(K: VPolytope) -> float:
     from .mixed import surface_area
 
     n = K.dim
-    pv = volume(polar_projection_polytope(K))
+    pv = zonotope_polar_volume(projection_body(K))
     bound = unit_ball_volume(n) ** (1.0 / n) * pv ** (-1.0 / n)
     return surface_area(K) - bound

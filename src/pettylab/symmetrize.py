@@ -27,6 +27,10 @@ from .sampling import rearrange_body_volume
 
 PARALLEL_TOL = 1e-10
 SNAP_TOL = 1e-12
+# Breakpoint x vertex entries per block in ``chord_profiles``: a polygon's
+# vertex count roughly doubles with each symmetrization, and ten rounds
+# from a triangle would otherwise take arrays of tens of MB.
+CHORD_BLOCK_ENTRIES = 1 << 15
 
 
 def _unit(u) -> np.ndarray:
@@ -63,22 +67,25 @@ def chord_profiles(K: VPolytope, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     coords = R.vertices @ B.T
     s_vals, t_vals = coords[:, 0], coords[:, 1]
     scale = max(1.0, float(np.max(np.abs(coords))))
-    breaks = np.unique(np.round(s_vals / (SNAP_TOL * scale)) * (SNAP_TOL * scale))
-    k = len(coords)
-    f = np.full(len(breaks), -np.inf)
-    g = np.full(len(breaks), np.inf)
-    for idx, s in enumerate(breaks):
-        at = np.abs(s_vals - s) <= SNAP_TOL * scale
-        if np.any(at):
-            f[idx] = max(f[idx], float(t_vals[at].max()))
-            g[idx] = min(g[idx], float(t_vals[at].min()))
-        for a in range(k):
-            b = (a + 1) % k
-            sa, sb = s_vals[a], s_vals[b]
-            if (sa < s < sb) or (sb < s < sa):
-                t = t_vals[a] + (s - sa) / (sb - sa) * (t_vals[b] - t_vals[a])
-                f[idx] = max(f[idx], t)
-                g[idx] = min(g[idx], t)
+    snap = SNAP_TOL * scale
+    breaks = np.unique(np.round(s_vals / snap) * snap)
+    sa, sb = s_vals, np.roll(s_vals, -1)
+    ta, tb = t_vals, np.roll(t_vals, -1)
+    f = np.empty(len(breaks))
+    g = np.empty(len(breaks))
+    step = max(1, CHORD_BLOCK_ENTRIES // len(s_vals))
+    for i in range(0, len(breaks), step):
+        # heights at each breakpoint s (rows): the vertices within snap of
+        # s, and the edges a -> a + 1 of the cycle whose open s-range holds s
+        S = breaks[i:i + step, None]
+        at = np.abs(s_vals - S) <= snap
+        crossing = ((sa < S) & (S < sb)) | ((sb < S) & (S < sa))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = ta + (S - sa) / (sb - sa) * (tb - ta)
+        f[i:i + step] = np.maximum(np.where(at, t_vals, -np.inf).max(axis=1),
+                                   np.where(crossing, t, -np.inf).max(axis=1))
+        g[i:i + step] = np.minimum(np.where(at, t_vals, np.inf).min(axis=1),
+                                   np.where(crossing, t, np.inf).min(axis=1))
     return breaks, g, f
 
 

@@ -9,6 +9,8 @@ slow exact oracles built from plain hull volumes only:
 ``mixed_projection_polarization`` (three hull volumes per direction).  The
 stacked trial kernels, planar and spatial, are checked against the hull
 route, and the edge-pair kernels of two tetrahedra against both oracles.
+The closed-form polar volume of a zonotope, which the exact Petty product
+uses, is checked against the hull volume of the polar polytope.
 The test suite imports these oracles; the command line runs the whole list.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .bodies import (
     planar_hull_areas,
     spatial_full_rank,
     polar,
+    polar_of_zonotope,
     reduced_form,
     solid_simplex,
     sphere_directions,
@@ -39,6 +43,7 @@ from .bodies import (
     vertex_set_distance,
     volume,
     volume_of_points,
+    zonotope_polar_volume,
     zonotope_supports,
     zonotope_to_vpolytope,
     zonotope_volume,
@@ -533,6 +538,34 @@ def check_tetrahedron_pair_kernels(seed: int = 0):
     return worst <= 1e-9 and masks_ok, f"max relative defect {worst:.2e}, masks ok: {masks_ok}"
 
 
+def zonotope_polar_test_cases(gen: np.random.Generator) -> list:
+    """(zonotope, known |Z°| or None) pairs: projection bodies of random
+    hulls in the plane and in space, the square (2), the cube (4/3), a
+    zonotope with three coplanar generators, and one with two generators
+    parallel to within 1e-10."""
+    cases = [(projection_body(hull(gen.normal(size=(8, n)))), None)
+             for n in (2, 2, 3, 3)]
+    cases += [(Zonotope(np.eye(2)), 2.0), (Zonotope(np.eye(3)), 4.0 / 3.0)]
+    coplanar = gen.normal(size=(5, 3))
+    coplanar[2] = 0.6 * coplanar[0] - 1.3 * coplanar[1]
+    near = gen.normal(size=(5, 3))
+    near[1] = 2.0 * near[0] + 1e-10 * gen.normal(size=3)
+    return cases + [(Zonotope(coplanar), None), (Zonotope(near), None)]
+
+
+def check_zonotope_polar_volume(seed: int = 0):
+    """The closed-form polar volume of a zonotope against the hull volume of
+    its polar polytope, and against the known value where there is one."""
+    gen = np.random.default_rng(seed)
+    worst = 0.0
+    for Z, known in zonotope_polar_test_cases(gen):
+        got = zonotope_polar_volume(Z)
+        for want in (volume(polar_of_zonotope(Z)), known):
+            if want is not None:
+                worst = max(worst, abs(got - want) / want)
+    return worst <= 1e-12, f"max relative defect {worst:.2e}"
+
+
 CHECKS = [
     ("hull vs gift wrapping", check_hull_oracle),
     ("support vs brute maxima", check_support_oracle),
@@ -548,13 +581,18 @@ CHECKS = [
     ("planar trial kernels vs hull route", check_planar_kernels),
     ("spatial trial kernels vs hull route", check_spatial_kernels),
     ("tetrahedron pair kernels vs oracles", check_tetrahedron_pair_kernels),
+    ("zonotope polar volume vs polar hull", check_zonotope_polar_volume),
 ]
 
 
 def run_all(emit=print) -> bool:
+    """Run every check and emit one line each: its verdict, name, detail and
+    wall time in milliseconds."""
     ok_all = True
     for name, fn in CHECKS:
+        start = time.perf_counter()
         ok, detail = fn()
+        took = (time.perf_counter() - start) * 1e3
         ok_all &= ok
-        emit(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+        emit(f"{'ok  ' if ok else 'FAIL'} {name}: {detail} ({took:.1f} ms)")
     return ok_all

@@ -1,4 +1,6 @@
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,10 +29,14 @@ from pettylab import (
     unit_ball_volume,
     vertex_set_distance,
     volume,
+    zonotope_polar_volume,
     zonotope_to_vpolytope,
     zonotope_volume,
 )
-from pettylab.bodies import _abs_pairing
+from pettylab import bodies
+from pettylab.bodies import _abs_pairing, merge_parallel_generators
+from pettylab.mixed import centroid, facets
+from pettylab.projections import projection_body
 from pettylab.verify import (
     brute_hull_vertices_3d,
     gift_wrap_2d,
@@ -228,6 +234,178 @@ class TestPolar:
     def test_degenerate_zonotope_polar_is_rejected(self):
         with pytest.raises(GeometryError):
             polar_of_zonotope(Zonotope(np.array([[1.0, 2.0], [2.0, 4.0]])))
+
+
+def merge_loop(Z: Zonotope, tol: float = 1e-12) -> np.ndarray:
+    """Reference for ``merge_parallel_generators``: orient and merge one
+    generator at a time."""
+    gens = Z.generators
+    norms = np.linalg.norm(gens, axis=1)
+    keep = norms > tol
+    gens, norms = gens[keep], norms[keep]
+    if len(gens) == 0:
+        return np.zeros((0, Z.dim))
+    units = gens / norms[:, None]
+    for i, u in enumerate(units):
+        j = np.argmax(np.abs(u) > tol)
+        if u[j] < 0:
+            units[i] = -u
+    order = np.lexsort(units.T[::-1])
+    merged = []
+    current = units[order[0]] * norms[order[0]]
+    current_u = units[order[0]]
+    for idx in order[1:]:
+        if np.linalg.norm(units[idx] - current_u) < 1e-9:
+            current = current + units[idx] * norms[idx]
+        else:
+            merged.append(current)
+            current = units[idx] * norms[idx]
+            current_u = units[idx]
+    merged.append(current)
+    return np.array(merged)
+
+
+class TestMergeParallelGenerators:
+    def test_equals_the_loop_reference_bit_for_bit(self):
+        gen = np.random.default_rng(52)
+        for n in (2, 3):
+            for k in range(60):
+                G = gen.normal(size=(int(gen.integers(1, 20)), n))
+                if k % 3 == 1:  # antiparallel and parallel copies
+                    G = np.vstack([G, -2.0 * G[: len(G) // 2], 1.5 * G[:3]])
+                elif k % 3 == 2:  # a zero leading coordinate, near copies
+                    G[:, 0] = 0.0
+                    G = np.vstack([G, -G[:2], G[:2] + 1e-11])
+                got = merge_parallel_generators(Zonotope(G)).generators
+                want = merge_loop(Zonotope(G))
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_orientation_skips_coordinates_below_tol(self):
+        Z = Zonotope(np.array([[1e-13, -1.0, 2.0], [0.0, 2.0, -4.0]]))
+        got = merge_parallel_generators(Z).generators
+        assert got.shape == (1, 3)
+        assert got[0, 1] > 0.0
+        assert got[0] == pytest.approx([0.0, 3.0, -6.0], abs=1e-12)
+
+
+class TestZonotopePolarVolume:
+    @pytest.mark.parametrize("gens, known", [
+        (np.eye(2), 2.0),
+        (np.eye(3), 4.0 / 3.0),
+        (np.diag([2.0, 0.5, 3.0]), 4.0 / (3.0 * 2.0 * 0.5 * 3.0)),
+        # unit generators at 0, 60 and 120 degrees: a regular hexagon of
+        # inradius sqrt(3), whose polar is one of circumradius 1 / sqrt(3)
+        ([[math.cos(a), math.sin(a)] for a in (0.0, math.pi / 3, 2 * math.pi / 3)],
+         math.sqrt(3.0) / 2.0),
+    ], ids=["square", "cube", "box", "hexagon"])
+    def test_known_values(self, gens, known):
+        assert zonotope_polar_volume(Zonotope(np.array(gens))) == pytest.approx(known, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_agrees_with_the_polar_hull_on_random_projection_bodies(self, n):
+        worst = 0.0
+        for seed in range(200):
+            gen = np.random.default_rng(seed)
+            Z = projection_body(hull(gen.normal(size=(int(gen.integers(n + 1, 16)), n))))
+            want = volume(polar_of_zonotope(Z))
+            worst = max(worst, abs(zonotope_polar_volume(Z) - want) / want)
+        assert worst <= 1e-12
+
+    def test_coplanar_and_near_parallel_generators_agree_with_the_polar_hull(self):
+        gen = np.random.default_rng(53)
+        coplanar = gen.normal(size=(6, 3))
+        coplanar[2] = 0.6 * coplanar[0] - 1.3 * coplanar[1]
+        coplanar[4] = 2.0 * coplanar[0] + 0.5 * coplanar[1]
+        near = gen.normal(size=(6, 3))
+        near[1] = 2.0 * near[0] + 1e-10 * gen.normal(size=3)
+        apart = gen.normal(size=(6, 3))
+        apart[1] = apart[0] + 1e-7 * gen.normal(size=3)
+        for G in (coplanar, near, apart):
+            Z = Zonotope(G)
+            want = volume(polar_of_zonotope(Z))
+            assert zonotope_polar_volume(Z) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("gens", [
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[1.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[0.0, 0.0, 0.0]],
+    ], ids=["parallel-2d", "one-2d", "coplanar-3d", "two-3d", "zero-3d"])
+    def test_a_flat_zonotope_raises(self, gens):
+        with pytest.raises(GeometryError):
+            zonotope_polar_volume(Zonotope(np.array(gens)))
+
+    def test_many_generators_agree_with_the_polar_hull(self):
+        Z = Zonotope(np.random.default_rng(54).normal(size=(90, 3)))
+        want = volume(polar_of_zonotope(Z))
+        assert zonotope_polar_volume(Z) == pytest.approx(want, rel=1e-12)
+
+    def test_the_ball_runs_in_memory_of_order_m_squared(self):
+        # ball_body(3) has about 320 facet generators: an m x (2m - 2) x m
+        # array of generator signs would take 0.5 GB, and the unblocked
+        # circles some 60 MB
+        Z = projection_body(ball_body(3))
+        m = len(Z.generators)
+        assert m > 300 and m * (2 * m - 2) > 10 * bodies.POLAR_BLOCK_ARCS  # many blocks
+        tracemalloc.start()
+        try:
+            got = zonotope_polar_volume(Z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert got * volume(ball_body(3)) ** 2 == pytest.approx(64.0 / 27.0, rel=2e-2)
+
+
+class TestHullCache:
+    def test_one_qhull_serves_volume_facets_and_centroid(self, monkeypatch):
+        runs = []
+        real = bodies.ConvexHull
+
+        def counted(*args, **kwargs):
+            runs.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bodies, "ConvexHull", counted)
+        K = hull(np.random.default_rng(54).normal(size=(30, 3)))
+        volume(K)
+        facets(K)
+        centroid(K)
+        assert runs == [30]
+
+    def test_simplices_index_the_vertex_rows(self):
+        K = hull(np.random.default_rng(55).normal(size=(30, 3)))
+        _, _, h = bodies.facet_planes(K)
+        corners = K.vertices[h.simplices]
+        assert np.abs(np.einsum("ikj,ij->ik", corners, h.equations[:, :3])
+                      + h.equations[:, 3:]).max() <= 1e-12
+        assert set(np.unique(h.simplices)) == set(range(len(K.vertices)))
+
+    def test_a_pickled_copy_recomputes_equal_values(self):
+        for n in (2, 3):
+            K = hull(np.random.default_rng(56 + n).normal(size=(30, n)))
+            copy = pickle.loads(pickle.dumps(K))
+            assert copy._cache == {}
+            assert volume(copy) == pytest.approx(volume(K), rel=1e-13)
+            assert centroid(copy) == pytest.approx(centroid(K), rel=1e-12)
+            a, b = facets(K), facets(copy)
+            order_a, order_b = (np.lexsort(f.normals.T) for f in (a, b))
+            assert a.normals[order_a] == pytest.approx(b.normals[order_b], abs=1e-13)
+            assert a.measures[order_a] == pytest.approx(b.measures[order_b], rel=1e-12)
+
+    def test_a_joggled_hull_caches_no_facets(self, monkeypatch):
+        real = bodies.ConvexHull
+
+        def refuse_plain(points, qhull_options=None):
+            if qhull_options is None:
+                raise bodies.QhullError("forced")
+            return real(points, qhull_options=qhull_options)
+
+        monkeypatch.setattr(bodies, "ConvexHull", refuse_plain)
+        K = hull(np.random.default_rng(57).normal(size=(12, 3)))
+        assert "qhull" not in K._cache
 
 
 class TestMAddition:

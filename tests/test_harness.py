@@ -594,6 +594,17 @@ class TestCli:
         assert report["product"] == pytest.approx(2.0, abs=1e-12)
         assert report["verdict"] == "consistent"
 
+    def test_verify_kernel_prints_each_check_with_its_wall_time(self, monkeypatch, capsys):
+        from pettylab import verify
+
+        monkeypatch.setattr(verify, "CHECKS", [("first", lambda: (True, "fine")),
+                                               ("second", lambda: (False, "off by 1"))])
+        assert cli.main(["verify-kernel"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert re.fullmatch(r"ok   first: fine \(\d+\.\d ms\)", lines[0])
+        assert re.fullmatch(r"FAIL second: off by 1 \(\d+\.\d ms\)", lines[1])
+
     def test_petty_csv_format(self, tmp_path, capsys):
         cfg = self._write(tmp_path, SQUARE)
         assert cli.main(["petty", "--config", cfg, "--format", "csv"]) == 0

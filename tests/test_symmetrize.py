@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pettylab import (
+    VPolytope,
     Density,
     GeometryError,
     ShadowSystem,
@@ -20,6 +21,8 @@ from pettylab import (
     vertex_set_distance,
     volume,
 )
+from pettylab.bodies import reduced_form
+from pettylab.symmetrize import SNAP_TOL, _frame, _unit
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -38,7 +41,45 @@ def assert_mirror_symmetric(S, u, tol=1e-9):
         assert support(S, a) == pytest.approx(support(S, b), abs=tol)
 
 
+def chord_profiles_loop(K, u):
+    """Reference for ``chord_profiles``: one breakpoint, then one edge, at a
+    time."""
+    u = _unit(u)
+    coords = reduced_form(K).vertices @ _frame(u).T
+    s_vals, t_vals = coords[:, 0], coords[:, 1]
+    scale = max(1.0, float(np.max(np.abs(coords))))
+    breaks = np.unique(np.round(s_vals / (SNAP_TOL * scale)) * (SNAP_TOL * scale))
+    k = len(coords)
+    f = np.full(len(breaks), -np.inf)
+    g = np.full(len(breaks), np.inf)
+    for idx, s in enumerate(breaks):
+        at = np.abs(s_vals - s) <= SNAP_TOL * scale
+        if np.any(at):
+            f[idx] = max(f[idx], float(t_vals[at].max()))
+            g[idx] = min(g[idx], float(t_vals[at].min()))
+        for a in range(k):
+            b = (a + 1) % k
+            sa, sb = s_vals[a], s_vals[b]
+            if (sa < s < sb) or (sb < s < sa):
+                t = t_vals[a] + (s - sa) / (sb - sa) * (t_vals[b] - t_vals[a])
+                f[idx] = max(f[idx], t)
+                g[idx] = min(g[idx], t)
+    return breaks, g, f
+
+
 class TestChordProfiles:
+    def test_equal_the_loop_reference_bit_for_bit(self):
+        gen = np.random.default_rng(61)
+        bodies = [hull(gen.normal(size=(int(gen.integers(3, 30)), 2))) for _ in range(40)]
+        # a 400-gon spans several blocks of breakpoints
+        bodies += [cube_body(2), solid_simplex(2), ball_body(2), ball_body(2, facets=400),
+                   VPolytope(np.array([[0.0, 0.0], [2.0, 1.0]]), reduced=True)]
+        for K in bodies:
+            for u in (E1, E2, gen.normal(size=2)):
+                got, want = chord_profiles(K, u), chord_profiles_loop(K, u)
+                for x, y in zip(got, want):
+                    assert x.tobytes() == y.tobytes()
+
     def test_square_chords(self):
         breaks, g, f = chord_profiles(cube_body(2), E2)
         assert breaks == pytest.approx([-1.0, 1.0])
