@@ -34,6 +34,14 @@ POLAR_BLOCK_ARCS = 1 << 13
 # Unit generators closer than this span one line in
 # ``merge_parallel_generators``.
 MERGE_GAP = 1e-9
+# ``merge_parallel_generators`` drops generators no longer than this and
+# orients each unit generator by its first coordinate larger than this.
+MERGE_TOL = 1e-12
+# ``polar_of_zonotope`` drops candidate facet normals no longer than this
+# (the cross products of parallel generators).
+POLAR_NORMAL_TOL = 1e-14
+# Relative vertex-set distance up to which a body counts as symmetric.
+SYMMETRY_TOL = 1e-9
 
 
 class GeometryError(ValueError):
@@ -255,7 +263,7 @@ def planar_hull_areas(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return areas, ok
 
 
-def affine_dimension(points: np.ndarray, tol: float = COPLANAR_TOL) -> int:
+def affine_dimension(points: np.ndarray) -> int:
     pts = as_points(points)
     if len(pts) <= 1:
         return 0
@@ -264,7 +272,7 @@ def affine_dimension(points: np.ndarray, tol: float = COPLANAR_TOL) -> int:
     if scale == 0.0:
         return 0
     sv = np.linalg.svd(centered / scale, compute_uv=False)
-    return int(np.sum(sv > tol * max(1.0, sv[0])))
+    return int(np.sum(sv > COPLANAR_TOL * max(1.0, sv[0])))
 
 
 def _affine_basis(points: np.ndarray, rank: int):
@@ -440,14 +448,14 @@ def facet_planes(P: VPolytope):
     return h.equations[:, :-1], -h.equations[:, -1], h
 
 
-def polar(P: VPolytope, tol: float = INTERIOR_TOL) -> VPolytope:
+def polar(P: VPolytope) -> VPolytope:
     """Polar body {x : <x, y> <= 1 for all y in P}; origin must be interior."""
     R = reduced_form(P)
     if R.affine_dim < R.dim:
         raise GeometryError("polar needs a full-dimensional body")
     normals, offsets, _ = facet_planes(R)
     scale_ref = max(1.0, float(np.max(np.abs(R.vertices))))
-    if np.min(offsets) <= tol * scale_ref:
+    if np.min(offsets) <= INTERIOR_TOL * scale_ref:
         raise GeometryError("polar requires the origin strictly interior")
     pts = normals / offsets[:, None]
     return hull(pts)
@@ -483,17 +491,17 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
 # zonotopes
 
 
-def merge_parallel_generators(Z: Zonotope, tol: float = 1e-12) -> Zonotope:
+def merge_parallel_generators(Z: Zonotope) -> Zonotope:
     """Combine generators spanning the same line; support is unchanged."""
     gens = Z.generators
     norms = np.linalg.norm(gens, axis=1)
-    keep = norms > tol
+    keep = norms > MERGE_TOL
     gens, norms = gens[keep], norms[keep]
     if len(gens) == 0:
         return Zonotope(np.zeros((0, Z.dim)))
     units = gens / norms[:, None]
-    # canonical orientation: first coordinate above tol in size positive
-    lead = units[np.arange(len(units)), np.argmax(np.abs(units) > tol, axis=1)]
+    # canonical orientation: first coordinate above MERGE_TOL in size positive
+    lead = units[np.arange(len(units)), np.argmax(np.abs(units) > MERGE_TOL, axis=1)]
     units[lead < 0] *= -1.0
     order = np.lexsort(units.T[::-1])
     # A generator joins the group of the first one before it within
@@ -518,16 +526,16 @@ def merge_parallel_generators(Z: Zonotope, tol: float = 1e-12) -> Zonotope:
     return Zonotope(np.array(merged))
 
 
-def zonotope_volume(Z: Zonotope, budget: int = ZONOTOPE_DET_BUDGET) -> float:
+def zonotope_volume(Z: Zonotope) -> float:
     """Exact volume via the generator determinant expansion, any dimension."""
     gens = Z.generators
     m, n = gens.shape
     if m < n:
         return 0.0
     count = math.comb(m, n)
-    if count > budget:
+    if count > ZONOTOPE_DET_BUDGET:
         raise GeometryError(
-            f"determinant expansion needs {count} terms (budget {budget}); "
+            f"determinant expansion needs {count} terms (budget {ZONOTOPE_DET_BUDGET}); "
             "convert to a vertex polytope and take its hull volume instead"
         )
     idx = np.fromiter(
@@ -584,7 +592,7 @@ def as_polytope(B) -> VPolytope:
     return zonotope_to_vpolytope(B) if isinstance(B, Zonotope) else B
 
 
-def polar_of_zonotope(Z: Zonotope, tol: float = 1e-14) -> VPolytope:
+def polar_of_zonotope(Z: Zonotope) -> VPolytope:
     """Exact polar of a full-dimensional zonotope via facet normal enumeration."""
     Zm = merge_parallel_generators(Z)
     gens = Zm.generators
@@ -597,7 +605,8 @@ def polar_of_zonotope(Z: Zonotope, tol: float = 1e-14) -> VPolytope:
     else:
         raise GeometryError("polar supports dimension 2 or 3")
     norms = np.linalg.norm(cand, axis=1)
-    cand = cand[norms > tol] / norms[norms > tol, None]
+    keep = norms > POLAR_NORMAL_TOL
+    cand = cand[keep] / norms[keep, None]
     if len(cand) == 0 or np.linalg.matrix_rank(gens) < n:
         raise GeometryError("polar requires a full-dimensional zonotope")
     h = np.sum(np.abs(cand @ gens.T), axis=1)
@@ -723,19 +732,19 @@ class MSpec:
         return lp_ball_vertices(count, q, self.vertex_budget)
 
 
-def is_origin_symmetric(P: VPolytope, tol: float = 1e-9) -> bool:
+def is_origin_symmetric(P: VPolytope) -> bool:
     R = reduced_form(P)
-    return vertex_set_distance(R, VPolytope(-R.vertices)) < tol * max(
+    return vertex_set_distance(R, VPolytope(-R.vertices)) < SYMMETRY_TOL * max(
         1.0, float(np.max(np.abs(R.vertices)))
     )
 
 
-def is_unconditional(M: VPolytope, tol: float = 1e-9) -> bool:
+def is_unconditional(M: VPolytope) -> bool:
     """Vertex set invariant under all coordinate sign flips."""
     R = reduced_form(M)
+    bound = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(R.vertices))))
     for signs in itertools.product((-1.0, 1.0), repeat=R.dim):
-        flipped = VPolytope(R.vertices * np.array(signs))
-        if vertex_set_distance(R, flipped) > tol * max(1.0, float(np.max(np.abs(R.vertices)))):
+        if vertex_set_distance(R, VPolytope(R.vertices * np.array(signs))) > bound:
             return False
     return True
 
@@ -840,7 +849,7 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def lp_ball_body(m: int, p: float, budget: int | None = None) -> VPolytope:
+def lp_ball_body(m: int, p: float) -> VPolytope:
     """B_p^m as a vertex polytope; exact for p in {1, inf}, sampled otherwise."""
     if p < 1:
         raise GeometryError("lp ball needs p >= 1")
@@ -850,8 +859,7 @@ def lp_ball_body(m: int, p: float, budget: int | None = None) -> VPolytope:
         return cube_body(m)
     if m not in (2, 3):
         raise GeometryError("lp ball sampling supports m = 2 or 3 only")
-    budget = budget or (256 if m == 2 else 1024)
-    return VPolytope(lp_ball_vertices(m, p, budget), reduced=False)
+    return VPolytope(lp_ball_vertices(m, p, 256 if m == 2 else 1024), reduced=False)
 
 
 def literal_fields(value, where: str, required=(), optional=(), error=GeometryError) -> dict:

@@ -60,9 +60,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pettylab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, help_text, config_required=True, trials=True, seed=True):
+    def add(name, help_text, trials=True, seed=True):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=config_required, help="JSON config path")
+        p.add_argument("--config", required=True, help="JSON config path")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="master seed")
         if trials:
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.command == "verify-kernel":
-            ok = verify_mod.run_all(emit=print)
+            ok = verify_mod.run_all()
             return 0 if ok else 2
         config = _load_config(args.config)
         if getattr(args, "seed", None) is not None:

@@ -16,9 +16,14 @@ size out of range or a dim that disagrees with a body raises a
 
 Trials run in chunks.  A worker takes a range of trial indices and hands it
 to the spec a chunk at a time; each trial in a chunk still draws its
-samples from its own stream, in the same order as when it runs alone.
-Planar kinds then stack those samples and run the geometry once per chunk,
-with no hull, by Cauchy's formula h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
+samples from its own stream, in the same order as when it runs alone, and
+the chunk stacks them.  A kind is a hull route, the value of one trial from
+its own samples, plus, optionally, a stacked kernel that takes the chunk's
+samples to values and a mask of the trials it could classify; the trials
+outside the mask take the hull route, which is also the reference a trial
+run alone (``replay``) takes.  Planar kernels run the geometry once per
+chunk, with no hull, by Cauchy's formula
+h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
 
 * thm12: the projection support of conv X on the node u is the width of
   the cloud X along u^perp, and that of the zonotope sum of [-g, g] is
@@ -54,11 +59,11 @@ the same bit for bit in every chunk.  The same edge pairs give empmixed
 with two such C-sets and one ball slot: V(A, B, ball) = (1/6) sum
 h_ball(+-(e x f)), one support call per trial.
 
-A cloud a stacked kernel cannot classify with margin (degenerate, collinear,
-coplanar or repeated points, generators that do not span space, or an edge
-pair whose sign tests fall within the margin) goes through the hull route,
-which also counts degenerate hulls.  The other kinds and C-sets run their
-geometry one trial at a time inside the chunk: thm12 with other C-sets,
+A kernel leaves out of its mask every cloud it cannot classify with margin
+(degenerate, collinear, coplanar or repeated points, generators that do not
+span space, or an edge pair whose sign tests fall within the margin); the
+hull route also counts degenerate hulls.  The other kinds and C-sets have
+no kernel and take the hull route on every trial: thm12 with other C-sets,
 thm11 with other hull C-sets, empmixed in other mixed modes and the
 spatial emppetty2 and lln.  Chunk length follows from ``CHUNK_ENTRIES``.
 An error raised in a trial is re-raised as a ``TrialError`` that names its
@@ -390,25 +395,6 @@ def _counted(body, diag: dict):
     return body
 
 
-def _polar_values(hv: np.ndarray, measure: RadialMeasure, dim: int, diag: dict) -> np.ndarray:
-    """Polar measures of stacked support rows, counting each row with a
-    support value <= 0 (an unbounded polar) in ``diag``."""
-    diag["unbounded_polars"] += int(np.count_nonzero(hv.min(axis=1) <= 0.0))
-    return polar_measures(hv, measure, dim)
-
-
-def _grid_supports(G, full: np.ndarray, nodes: int, hull_route) -> np.ndarray:
-    """sum_k |<g_k, u>| over the spatial grid of ``nodes`` directions for each
-    generator set G[t], stacked or listed, one support call per trial: its
-    shape does not depend on the chunk, so neither do its bits.  Trials
-    outside the mask ``full`` take ``hull_route(t)``."""
-    U = _grid(3, nodes)
-    hv = np.empty((len(G), nodes))
-    for t in range(len(G)):
-        hv[t] = Zonotope(G[t]).support_batch(U) if full[t] else hull_route(t)
-    return hv
-
-
 class _Spec:
     """An experiment config parsed once; building it is the validation.
 
@@ -419,10 +405,12 @@ class _Spec:
     and whatever else the kind reads.  The spec is frozen once built.
 
     Trial i of side s draws from its own stream RngStream(seed, (s, i)).
-    ``chunk(side, first, count, diag)`` returns the values of trials first,
-    ..., first + count - 1 and adds their diagnostics to ``diag``.  Here it
-    runs ``trial`` once per index; kinds with stacked kernels override it
-    and set ``entries``, the chunk entries one trial takes.
+    A kind supplies its hull route, ``value(samples, diag)``: one trial's
+    value from its samples, one array per draw, adding its diagnostics to
+    ``diag``.  A config with a stacked kernel sets ``entries``, the chunk
+    entries one trial takes, and the kind's ``kernel(samples, diag)`` takes
+    a chunk's stacked samples to (values, mask); the trials outside the
+    mask take ``value``.
     """
 
     kind = ""
@@ -445,26 +433,37 @@ class _Spec:
             raise AttributeError(f"{type(self).__name__} is frozen")
         object.__setattr__(self, name, value)
 
-    def chunk_len(self, side: int) -> int:
+    def chunk_len(self) -> int:
         return max(1, CHUNK_ENTRIES // self.entries) if self.entries else 1
-
-    def generator(self, side: int, index: int) -> np.random.Generator:
-        return RngStream(self.seed, (side, index)).generator()
-
-    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
-        return np.array([self.trial(side, i, diag) for i in range(first, first + count)])
 
     def stacked(self, side: int, first: int, count: int) -> list:
         """Samples of trials first, ..., first + count - 1, one array of shape
         (count, m, dim) per draw of the side; each trial's generator draws
-        them in order, as ``trial`` does."""
+        them in order."""
         draws = self.blocks[side]
         out = [np.empty((count, m, self.dim)) for _, m in draws]
         for k in range(count):
-            gen = self.generator(side, first + k)
+            gen = RngStream(self.seed, (side, first + k)).generator()
             for arr, (density, m) in zip(out, draws):
                 arr[k] = density.sample(gen, m)
         return out
+
+    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
+        """The values of trials first, ..., first + count - 1, adding their
+        diagnostics to ``diag``."""
+        samples = self.stacked(side, first, count)
+        if self.entries:
+            values, full = self.kernel(samples, diag)
+        else:
+            values, full = np.empty(count), np.zeros(count, dtype=bool)
+        for t in np.flatnonzero(~full):
+            values[t] = self.value([S[t] for S in samples], diag)
+        return values
+
+    def trial(self, side: int, index: int, diag: dict) -> float:
+        """Trial ``index`` of ``side`` through the hull route alone, the
+        reference every kernel must agree with."""
+        return self.value([S[0] for S in self.stacked(side, index, 1)], diag)
 
     def _blocks(self, blocks) -> tuple:
         """Both sides' draws from the ``blocks`` list."""
@@ -502,6 +501,31 @@ class _PolarSpec(_Spec):
                  "quadrature.certify is not supported in experiments (the petty command honours it)")
         self.nodes = QuadratureSpec(nodes=q.get("nodes")).node_count(self.dim)
 
+    def _polar_values(self, hv: np.ndarray, diag: dict) -> np.ndarray:
+        """Polar measures of stacked support rows, counting each row with a
+        support value <= 0 (an unbounded polar) in ``diag``."""
+        diag["unbounded_polars"] += int(np.count_nonzero(hv.min(axis=1) <= 0.0))
+        return polar_measures(hv, self.measure, self.dim)
+
+    def _masked_values(self, hv: np.ndarray, full: np.ndarray, diag: dict) -> tuple:
+        """(values, full) from the support rows ``hv``, one per trial in the
+        mask ``full``, in order; the values outside the mask are unset."""
+        values = np.empty(len(full))
+        values[full] = self._polar_values(hv, diag)
+        return values, full
+
+    def _grid_values(self, G, full: np.ndarray, diag: dict) -> tuple:
+        """``_masked_values`` of sum_k |<g_k, u>| over the spatial grid for the
+        generator sets G[t], stacked or listed, of the trials in the mask
+        ``full``, one support call per trial: its shape does not depend on
+        the chunk, so neither do its bits."""
+        U = _grid(3, self.nodes)
+        rows = np.flatnonzero(full)
+        hv = np.empty((len(rows), self.nodes))
+        for k, t in enumerate(rows):
+            hv[k] = Zonotope(G[t]).support_batch(U)
+        return self._masked_values(hv, full, diag)
+
 
 class _Thm12Spec(_PolarSpec):
     kind = "thm12"
@@ -522,39 +546,25 @@ class _Thm12Spec(_PolarSpec):
         elif self.form is not None:
             self.entries = self.nodes
 
-    def _projection_supports(self, body, diag: dict) -> np.ndarray:
-        """The hull route: h_{Pi body} on the grid, counting a degenerate hull."""
-        Z = projection_body(_counted(body, diag), allow_degenerate=True)
-        return Z.support_batch(_grid(self.dim, self.nodes))
+    def value(self, samples: list, diag: dict) -> float:
+        """The polar measure of Pi(X C) from h_{Pi(X C)} on the grid,
+        counting a degenerate hull."""
+        X, = samples
+        Z = projection_body(_counted(self.cset.body(X), diag), allow_degenerate=True)
+        return self._polar_values(Z.support_batch(_grid(self.dim, self.nodes))[None], diag)[0]
 
-    def trial(self, side: int, index: int, diag: dict) -> float:
-        (density, m), = self.blocks[side]
-        X = density.sample(self.generator(side, index), m)
-        hv = self._projection_supports(self.cset.body(X), diag)
-        return _polar_values(hv[None], self.measure, self.dim, diag)[0]
-
-    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
-        if self.form is None:
-            return super().chunk(side, first, count, diag)
-        X, = self.stacked(side, first, count)
-        P = self.cset.rows(X)
-
-        def hull_route(t):
-            return self._projection_supports(self.cset.body(X[t]), diag)
-
+    def kernel(self, samples: list, diag: dict) -> tuple:
+        P = self.cset.rows(samples[0])
         if self.form == "tetrahedron":
             full = spatial_full_rank(P - P.mean(axis=1, keepdims=True))
-            hv = _grid_supports(tetrahedron_projection_generators(P), full, self.nodes, hull_route)
-        elif self.dim == 3:
-            hv = _grid_supports(zonotope_projection_generators(P), spatial_full_rank(P),
-                                self.nodes, hull_route)
-        elif self.form == "zonotope":
-            hv = 2.0 * zonotope_supports(P, _perp_grid(self.nodes))
+            return self._grid_values(tetrahedron_projection_generators(P), full, diag)
+        if self.dim == 3:
+            return self._grid_values(zonotope_projection_generators(P), spatial_full_rank(P), diag)
+        if self.form == "zonotope":
+            hv, full = 2.0 * zonotope_supports(P, _perp_grid(self.nodes)), np.ones(len(P), bool)
         else:
-            hv = cloud_widths(P, _perp_grid(self.nodes))
-            for t in np.flatnonzero(~planar_full_rank(P)):
-                hv[t] = hull_route(t)
-        return _polar_values(hv, self.measure, self.dim, diag)
+            hv, full = cloud_widths(P, _perp_grid(self.nodes)), planar_full_rank(P)
+        return self._masked_values(hv[full], full, diag)
 
 
 class _MixedSpec(_PolarSpec):
@@ -570,29 +580,19 @@ class _MixedSpec(_PolarSpec):
         _require(self.dim == 3, f"{self.kind} needs dim = 3")
         super().parse(config)
 
-    def _supports(self, samples: list, diag: dict) -> np.ndarray:
-        """The hull route: h_{Pi(K_1, K_2)} on the grid."""
-        return mixed_projection_support(self.bodies(samples, diag))(_grid(self.dim, self.nodes))
+    def value(self, samples: list, diag: dict) -> float:
+        """The polar measure of Pi(K_1, K_2) from its support on the grid."""
+        h = mixed_projection_support(self.bodies(samples, diag))
+        return self._polar_values(h(_grid(self.dim, self.nodes))[None], diag)[0]
 
-    def trial(self, side: int, index: int, diag: dict) -> float:
-        gen = self.generator(side, index)
-        samples = [density.sample(gen, m) for density, m in self.blocks[side]]
-        return _polar_values(self._supports(samples, diag)[None], self.measure, self.dim, diag)[0]
-
-    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
-        if self.form is None:
-            return super().chunk(side, first, count, diag)
-        X, Y = self.stacked(side, first, count)
-        A, B = self.rows(0, X), self.rows(1, Y)
+    def kernel(self, samples: list, diag: dict) -> tuple:
+        A, B = (self.rows(i, X) for i, X in enumerate(samples))
         if self.form == "tetrahedron":
             normals, full = tetrahedron_pair_normals(A, B)
-            G = [0.25 * W for W in normals]
-        else:
-            # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
-            full = spatial_full_rank(A) & spatial_full_rank(B)
-            G = mixed_projection_generators(A, B)
-        hv = _grid_supports(G, full, self.nodes, lambda t: self._supports([X[t], Y[t]], diag))
-        return _polar_values(hv, self.measure, self.dim, diag)
+            return self._grid_values([0.25 * W for W in normals], full, diag)
+        # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
+        full = spatial_full_rank(A) & spatial_full_rank(B)
+        return self._grid_values(mixed_projection_generators(A, B), full, diag)
 
 
 class _Thm11Spec(_MixedSpec):
@@ -661,46 +661,24 @@ class _EmpMixedSpec(_Spec):
         c = self.csets[0]
         self.pair_areas = (self.dim == 2 and self.volume_mode and c.form(2) == "cloud"
                            and c.row_count <= PAIR_AREA_MAX_POINTS)
-        # V(A, B, ball) of two tetrahedra from the edge pairs of A and B
-        self.tetrahedra = (len(self.csets) == 2 and self.ball_slots == 1
-                           and all(c.form(3) == "tetrahedron" for c in self.csets))
         if self.pair_areas:
             self.entries = c.row_count ** 3
-        elif self.tetrahedra:
-            self.entries = 36 * 3  # the 6 x 6 edge pairs' cross products
+        elif (len(self.csets) == 2 and self.ball_slots == 1
+              and all(c.form(3) == "tetrahedron" for c in self.csets)):
+            # V(A, B, ball) of two tetrahedra from the 6 x 6 edge pairs' cross products
+            self.entries = 36 * 3
 
-    def _value(self, samples: list, diag: dict) -> float:
-        """The hull route: the trial's value from its samples, one per block."""
+    def value(self, samples: list, diag: dict) -> float:
         bodies = [_counted(cset.body(X), diag) for X, cset in zip(samples, self.csets)]
         if self.volume_mode:
             return volume(bodies[0])
         return mixed_volume(bodies + [self.ball] * self.ball_slots)
 
-    def trial(self, side: int, index: int, diag: dict) -> float:
-        gen = self.generator(side, index)
-        return self._value([density.sample(gen, m) for density, m in self.blocks[side]], diag)
-
-    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
-        if not (self.pair_areas or self.tetrahedra):
-            return super().chunk(side, first, count, diag)
-        samples = self.stacked(side, first, count)
+    def kernel(self, samples: list, diag: dict) -> tuple:
         if self.pair_areas:
-            values, full = planar_hull_areas(self.csets[0].rows(samples[0]))
-        else:
-            normals, full = tetrahedron_pair_normals(*samples)
-            values = np.array([self.ball.support_batch(W).sum() / 6.0 for W in normals])
-        for t in np.flatnonzero(~full):
-            values[t] = self._value([S[t] for S in samples], diag)
-        return values
-
-
-def _planar_pairings(A: np.ndarray, Z: np.ndarray, diag: dict) -> np.ndarray:
-    """v1(conv A[t], sum_j [-z_j, z_j]) over the rows z_j of Z[t], for stacked
-    planar clouds A; clouds ``planar_full_rank`` cannot call are hulled."""
-    out = cloud_widths(A, _perp(Z)).sum(axis=1)
-    for t in np.flatnonzero(~planar_full_rank(A)):
-        out[t] = v1(_counted(hull(A[t]), diag), Zonotope(Z[t]))
-    return out
+            return planar_hull_areas(self.csets[0].rows(samples[0]))
+        normals, full = tetrahedron_pair_normals(*samples)
+        return np.array([self.ball.support_batch(W).sum() / 6.0 for W in normals]), full
 
 
 class _PairingSpec(_Spec):
@@ -708,29 +686,29 @@ class _PairingSpec(_Spec):
     Z the sum of the segments [-y, y] over m2 draws y from the uniform
     density on its polar projection polytope (``centroid``: over y / m2,
     the empirical centroid body).  ``strict`` kinds reject a degenerate
-    spatial hull."""
+    spatial hull.  In the plane a kernel takes v1(conv A, Z) = sum_j width
+    of A along z_j^perp."""
 
     centroid = False
     strict = False
 
-    def chunk_len(self, side: int) -> int:
-        (_, m1), (_, m2) = self.blocks[side]
-        return max(1, CHUNK_ENTRIES // (m1 * max(m1, m2))) if self.dim == 2 else 1
+    def parse(self, config: dict):
+        """Sizes planar chunks by the largest (m1, m2) draws; subclasses call
+        it once they have set ``blocks``."""
+        if self.dim == 2:
+            self.entries = max(m1 * max(m1, m2) for (_, m1), (_, m2) in self.blocks)
 
-    def trial(self, side: int, index: int, diag: dict) -> float:
-        (dK, m1), (dL, m2) = self.blocks[side]
-        gen = self.generator(side, index)
-        A = _counted(hull(dK.sample(gen, m1)), diag)
+    def value(self, samples: list, diag: dict) -> float:
+        X, Y = samples
+        A = _counted(hull(X), diag)
         if self.strict and self.dim == 3 and A.is_degenerate():
             raise GeometryError("degenerate spatial hull in v1 trial")
-        Y = dL.sample(gen, m2)
-        return v1(A, Zonotope(Y / m2 if self.centroid else Y))
+        return v1(A, Zonotope(Y / len(Y) if self.centroid else Y))
 
-    def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
-        if self.dim != 2:
-            return super().chunk(side, first, count, diag)
-        A, Y = self.stacked(side, first, count)
-        return _planar_pairings(A, Y / Y.shape[1] if self.centroid else Y, diag)
+    def kernel(self, samples: list, diag: dict) -> tuple:
+        A, Y = samples
+        Z = Y / Y.shape[1] if self.centroid else Y
+        return cloud_widths(A, _perp(Z)).sum(axis=1), planar_full_rank(A)
 
 
 class _EmpPetty2Spec(_PairingSpec):
@@ -744,6 +722,7 @@ class _EmpPetty2Spec(_PairingSpec):
         m2 = _integer(config["m2"], "m2")
         K, L = _polar_pair(config["body"], "body", self.dim)
         self.blocks = _both_sides([(Density.uniform(K), m1), (Density.uniform(L), m2)])
+        super().parse(config)
 
 
 class _LlnSpec(_PairingSpec):
@@ -771,6 +750,7 @@ class _LlnSpec(_PairingSpec):
             ((dK, _integer(m1, f"m1_list[{i}]", self.dim + 1)), (dL, _integer(m2, f"m2_list[{i}]")))
             for i, (m1, m2) in enumerate(zip(m1s, m2s))
         )
+        super().parse(config)
 
 
 SPECS = {spec.kind: spec for spec in (_Thm12Spec, _Thm11Spec, _Cor13Spec, _EmpMixedSpec,
@@ -795,7 +775,7 @@ def _worker(payload: tuple) -> tuple:
     spec, side, start, count = payload
     diag = _no_diagnostics()
     values = np.empty(count)
-    step = spec.chunk_len(side)
+    step = spec.chunk_len()
     for a in range(0, count, step):
         n = min(step, count - a)
         values[a:a + n] = _run_chunk(spec, side, start + a, n, diag)

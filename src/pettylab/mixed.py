@@ -212,14 +212,16 @@ def shadow_convexity_probe(systems: list, t: float) -> float:
     return mixed_volume(bodies)
 
 
-def mixed_volume_fit_check(K1: VPolytope, K2: VPolytope, lams=(0.25, 0.5, 1.0, 2.0)) -> float:
-    """Max relative defect of |a K1 + b K2| against its polynomial expansion."""
+def mixed_volume_fit_check(K1: VPolytope, K2: VPolytope) -> float:
+    """Max relative defect of |a K1 + b K2| against its polynomial expansion,
+    over a and b in {1/4, 1/2, 1, 2}."""
     n = K1.dim
     worst = 0.0
     coeffs = []
     for j in range(n + 1):
         args = [K1] * (n - j) + [K2] * j
         coeffs.append(math.comb(n, j) * mixed_volume(args))
+    lams = (0.25, 0.5, 1.0, 2.0)
     for a in lams:
         for b in lams:
             pts_a = reduced_form(K1).vertices * a

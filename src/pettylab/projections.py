@@ -24,13 +24,15 @@ from .bodies import (
     literal_fields,
     merge_parallel_generators,
     minkowski_sum,
+    polar_of_zonotope,
     reduced_form,
     spatial_full_rank,
     sphere_directions,
+    unit_ball_volume,
     volume,
     zonotope_polar_volume,
 )
-from .mixed import _surface_measure, centroid, clip_halfspace
+from .mixed import _surface_measure, centroid, clip_halfspace, surface_area
 
 DEFAULT_NODES = {2: 4096, 3: 8192}
 PETTY_METHODS = ("auto", "exact", "quadrature")
@@ -411,8 +413,6 @@ def empirical_centroid_body(samples) -> Zonotope:
 
 def polar_projection_polytope(K) -> VPolytope:
     """Polar projection body as an explicit polytope (exact route)."""
-    from .bodies import polar_of_zonotope
-
     Z = projection_body(K)
     return polar_of_zonotope(Z)
 
@@ -444,9 +444,6 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
 
 def cauchy_surface_bound_defect(K: VPolytope) -> float:
     """S(K) minus the projection-body lower bound; nonnegative up to fp noise."""
-    from .bodies import unit_ball_volume
-    from .mixed import surface_area
-
     n = K.dim
     pv = zonotope_polar_volume(projection_body(K))
     bound = unit_ball_volume(n) ** (1.0 / n) * pv ** (-1.0 / n)

@@ -17,6 +17,8 @@ from .bodies import (
     GeometryError,
     VPolytope,
     as_polytope,
+    ball_body,
+    body_from_literal,
     literal_fields,
     reduced_form,
     unit_ball_volume,
@@ -88,8 +90,6 @@ class Density:
         naming it."""
         kind = spec.get("type")
         if kind == "uniform":
-            from .bodies import body_from_literal
-
             literal_fields(spec, where, ("type", "body"), ("rearranged",))
             d = Density.uniform(as_polytope(body_from_literal(spec["body"], f"{where}.body")))
             if d.dim != dim:
@@ -157,8 +157,6 @@ def cumulative_weights(weights: np.ndarray) -> np.ndarray:
 
 
 def rearrange_body_volume(vol: float, dim: int, facets: int | None = None) -> VPolytope:
-    from .bodies import ball_body
-
     approx = ball_body(dim, 1.0, facets)
     scale = (vol / volume(approx)) ** (1.0 / dim)
     return VPolytope(approx.vertices * scale, reduced=True)

@@ -23,7 +23,8 @@ from .bodies import (
     volume,
 )
 from .mixed import facets
-from .sampling import rearrange_body_volume
+from .sampling import Density, RngStream, rearrange_body_volume
+from .stats import summarize
 
 PARALLEL_TOL = 1e-10
 SNAP_TOL = 1e-12
@@ -114,27 +115,10 @@ def _steiner_3d(K: VPolytope, u: np.ndarray) -> VPolytope:
     verts2 = R.vertices @ B[:2].T
 
     _, _, qh = facet_planes(R)
-    edges = set()
-    for simplex in qh.simplices:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                edges.add((min(simplex[a], simplex[b]), max(simplex[a], simplex[b])))
-    edges = np.array(sorted(edges))
-
+    edges = _hull_edges(qh.simplices)
     # classify edges by whether they bound upper or lower facets
-    def _edge_class(kind_mask):
-        normals = fac.normals[kind_mask]
-        offsets = fac.offsets[kind_mask]
-        vals = R.vertices @ normals.T - offsets[None, :]
-        on = np.abs(vals) < 1e-9 * max(1.0, float(np.max(np.abs(R.vertices))))
-        out = []
-        for e, (a, b) in enumerate(edges):
-            if np.any(on[a] & on[b]):
-                out.append(e)
-        return np.array(out, dtype=int)
-
-    up_edges = _edge_class(upper)
-    low_edges = _edge_class(lower)
+    up_edges = _facet_edges(R.vertices, fac.normals[upper], fac.offsets[upper], edges)
+    low_edges = _facet_edges(R.vertices, fac.normals[lower], fac.offsets[lower], edges)
 
     candidates = [verts2]
     if len(up_edges) and len(low_edges):
@@ -164,6 +148,22 @@ def _steiner_3d(K: VPolytope, u: np.ndarray) -> VPolytope:
     upper_pts = np.column_stack([pts2, half])
     lower_pts = np.column_stack([pts2, -half])
     return hull(np.vstack([upper_pts, lower_pts]) @ B)
+
+
+def _hull_edges(simplices: np.ndarray) -> np.ndarray:
+    """The edges (a, b), a < b, of a hull's triangles, each once, in
+    lexicographic order."""
+    pairs = simplices[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
+    return np.unique(np.sort(pairs, axis=1), axis=0)
+
+
+def _facet_edges(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+                 edges: np.ndarray) -> np.ndarray:
+    """Indices of the ``edges`` (vertex row pairs) whose two ends lie on one
+    common plane <x, normal> = offset."""
+    vals = vertices @ normals.T - offsets[None, :]
+    on = np.abs(vals) < 1e-9 * max(1.0, float(np.max(np.abs(vertices))))
+    return np.flatnonzero((on[edges[:, 0]] & on[edges[:, 1]]).any(axis=1))
 
 
 def _segment_crossings(segs_a: np.ndarray, segs_b: np.ndarray) -> np.ndarray:
@@ -251,8 +251,7 @@ def chord_shadow_system(K: VPolytope, u) -> ShadowSystem:
     )
 
 
-def steiner_step_expectation(trial_fn, densities: list, u, trials: int, seed: int,
-                             rearrange=steiner_symmetrize):
+def steiner_step_expectation(trial_fn, densities: list, u, trials: int, seed: int):
     """Monte Carlo pair: E[trial_fn] under the densities versus under the
     densities with every carried body Steiner-symmetrized along u.
 
@@ -260,15 +259,12 @@ def steiner_step_expectation(trial_fn, densities: list, u, trials: int, seed: in
     densities can be symmetrized; independent substreams feed each side.
     Returns (original_estimate, symmetrized_estimate) as EstimateWithCI.
     """
-    from .sampling import Density, RngStream
-    from .stats import summarize
-
     u = _unit(u)
     symmetrized = []
     for d in densities:
         if d.kind != "uniform":
             raise GeometryError("Steiner step comparison needs indicator densities")
-        symmetrized.append(Density.uniform(rearrange(d.body, u)))
+        symmetrized.append(Density.uniform(steiner_symmetrize(d.body, u)))
     base = RngStream(seed)
     vals_orig = np.array(
         [trial_fn(densities, base.child(0, i)) for i in range(trials)]

@@ -585,8 +585,8 @@ CHECKS = [
 ]
 
 
-def run_all(emit=print) -> bool:
-    """Run every check and emit one line each: its verdict, name, detail and
+def run_all() -> bool:
+    """Run every check and print one line each: its verdict, name, detail and
     wall time in milliseconds."""
     ok_all = True
     for name, fn in CHECKS:
@@ -594,5 +594,5 @@ def run_all(emit=print) -> bool:
         ok, detail = fn()
         took = (time.perf_counter() - start) * 1e3
         ok_all &= ok
-        emit(f"{'ok  ' if ok else 'FAIL'} {name}: {detail} ({took:.1f} ms)")
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail} ({took:.1f} ms)")
     return ok_all

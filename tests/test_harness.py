@@ -382,10 +382,31 @@ CHUNKED = {
                                            "c_sets": [{"kind": "simplex", "m": 4}] * 2}),
 }
 
+# (kind, config) for configs that no stacked kernel reads
+PER_TRIAL = {
+    "thm12-bp2": ("thm12", dict(_THM12_PLANE, blocks=[_uniform_block(_TRIANGLE_PI, 3)],
+                                c_set={"kind": "bp", "m": 3, "p": 2.0})),
+    "thm12-3d-simplex5": ("thm12", dict(_THM12_SPACE, measure=_GAUSS,
+                                        blocks=[_uniform_block(_CUBE3, 5)],
+                                        c_set={"kind": "simplex", "m": 5})),
+    "thm11-3d-simplex5-cube": ("thm11", {"dim": 3, "seed": 43, "measure": _GAUSS,
+                                         "blocks": [_uniform_block(_CUBE3, 5),
+                                                    {"density": _GAUSS, "m": 3}],
+                                         "c_sets": [{"kind": "simplex", "m": 5},
+                                                    {"kind": "cube", "m": 3}]}),
+    "empmixed-3d-volume": ("empmixed", {"dim": 3, "seed": 44, "blocks": [_uniform_block(_CUBE3, 6)],
+                                        "c_sets": [{"kind": "simplex", "m": 6}]}),
+    "emppetty2-3d": ("emppetty2", {"dim": 3, "seed": 45, "body": _CUBE3, "m1": 5, "m2": 4}),
+    "lln-3d": ("lln", {"dim": 3, "seed": 46, "body": _CUBE3, "m1_list": [6, 5],
+                       "m2_list": [4, 3]}),
+}
+ROUTED = {**CHUNKED, **PER_TRIAL}
+
 # kinds whose bodies are the hulls of the sampled clouds themselves
 HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "empmixed", "emppetty2", "lln",
                     "thm12-3d-lebesgue", "thm12-3d-gaussian", "thm11-3d-simplices",
-                    "empmixed-3d-simplices"}
+                    "empmixed-3d-simplices", "thm12-3d-simplex5", "thm11-3d-simplex5-cube",
+                    "empmixed-3d-volume", "lln-3d"}
 
 
 def _odd_clouds(kinds):
@@ -401,14 +422,17 @@ def _odd_clouds(kinds):
 
 def _odd_kinds(name, dim):
     # a collinear tetrahedron's polar projection body has infinite Lebesgue
-    # measure, which both routes reject with a GeometryError
+    # measure, which both routes reject with a GeometryError, and spatial
+    # emppetty2 rejects every degenerate hull
+    if name == "emppetty2-3d":
+        return [0]
     return [0, 1, 3] if name == "thm12-3d-lebesgue" else list(range(3 if dim == 2 else 4))
 
 
 class TestChunks:
-    @pytest.mark.parametrize("name", sorted(CHUNKED))
+    @pytest.mark.parametrize("name", sorted(ROUTED))
     def test_values_do_not_depend_on_the_split(self, name, monkeypatch):
-        kind, config = CHUNKED[name]
+        kind, config = ROUTED[name]
         spec = SPECS[kind](config)
         n = 23
         whole, diag = harness._worker((spec, 0, 0, n))
@@ -422,9 +446,9 @@ class TestChunks:
         assert np.array_equal(values, whole) and d == diag
 
     @pytest.mark.parametrize("odd", [False, True], ids=["sampled", "odd-clouds"])
-    @pytest.mark.parametrize("name", sorted(CHUNKED))
+    @pytest.mark.parametrize("name", sorted(ROUTED))
     def test_chunks_match_the_hull_route(self, name, odd, monkeypatch):
-        kind, config = CHUNKED[name]
+        kind, config = ROUTED[name]
         if odd:
             monkeypatch.setattr(Density, "sample", _odd_clouds(_odd_kinds(name, config["dim"])))
         spec = SPECS[kind](config)
@@ -436,6 +460,16 @@ class TestChunks:
         assert chunk_diag == hull_diag
         if odd and name in HULLS_OF_SAMPLES:
             assert hull_diag["degenerate_hulls"] > 0
+        # the trials outside the kernel's mask take the hull route itself
+        kernel_diag, outside_diag = harness._no_diagnostics(), harness._no_diagnostics()
+        full = (spec.kernel(spec.stacked(1, 0, n), kernel_diag)[1] if spec.entries
+                else np.zeros(n, dtype=bool))
+        assert (name in CHUNKED) == full.any()
+        outside = np.flatnonzero(~full)
+        assert got[outside].tobytes() == want[outside].tobytes()
+        for i in outside:
+            spec.trial(1, i, outside_diag)
+        assert {key: kernel_diag[key] + outside_diag[key] for key in chunk_diag} == chunk_diag
 
     @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm11-3d-zonotopes", "cor13",
                                       "thm11-3d-simplices", "empmixed-3d-simplices"])
@@ -448,6 +482,13 @@ class TestChunks:
 
 
 class TestSpecs:
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_each_kind_writes_only_its_hull_route_and_kernel(self, kind):
+        spec = SPECS[kind]
+        for name in ("trial", "chunk", "chunk_len"):
+            assert getattr(spec, name) is getattr(harness._Spec, name)
+        assert callable(getattr(spec, "value", None))
+
     @pytest.mark.parametrize("name", sorted(CHUNKED))
     def test_a_pickled_spec_gives_equal_chunks(self, name):
         kind, config = CHUNKED[name]

@@ -21,8 +21,16 @@ from pettylab import (
     vertex_set_distance,
     volume,
 )
-from pettylab.bodies import reduced_form
-from pettylab.symmetrize import SNAP_TOL, _frame, _unit
+from pettylab.bodies import facet_planes, reduced_form
+from pettylab.mixed import facets
+from pettylab.symmetrize import (
+    PARALLEL_TOL,
+    SNAP_TOL,
+    _facet_edges,
+    _frame,
+    _hull_edges,
+    _unit,
+)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -65,6 +73,28 @@ def chord_profiles_loop(K, u):
                 f[idx] = max(f[idx], t)
                 g[idx] = min(g[idx], t)
     return breaks, g, f
+
+
+def steiner_edge_classes_loop(R, u):
+    """Reference for the edge lists of ``_steiner_3d``: the hull's edges from
+    a set of sorted pairs, then the edges on an upper (lower) facet plane of
+    R along u, one edge at a time."""
+    fac = facets(R)
+    _, _, qh = facet_planes(R)
+    edges = set()
+    for simplex in qh.simplices:
+        for a in range(3):
+            for b in range(a + 1, 3):
+                edges.add((min(simplex[a], simplex[b]), max(simplex[a], simplex[b])))
+    edges = np.array(sorted(edges))
+    dots = fac.normals @ u
+    classes = []
+    for mask in (dots > PARALLEL_TOL, dots < -PARALLEL_TOL):
+        vals = R.vertices @ fac.normals[mask].T - fac.offsets[mask][None, :]
+        on = np.abs(vals) < 1e-9 * max(1.0, float(np.max(np.abs(R.vertices))))
+        classes.append(np.array([e for e, (a, b) in enumerate(edges)
+                                 if np.any(on[a] & on[b])], dtype=int))
+    return edges, classes
 
 
 class TestChordProfiles:
@@ -120,6 +150,27 @@ class TestSteiner:
             S = steiner_symmetrize(K, u)
             assert volume(S) == pytest.approx(volume(K), rel=1e-8)
             assert_mirror_symmetric(S, u, tol=1e-7)
+
+    def test_edge_classes_equal_the_loop_reference(self):
+        # 3-round chains of 12-point hulls, whose symmetrals carry many
+        # nearly coplanar triangles, and the cube, whose facets are split
+        gen = np.random.default_rng(53)
+        cases = 0
+        for K in [cube_body(3)] + [hull(gen.normal(size=(12, 3))) for _ in range(5)]:
+            for _ in range(3):
+                u = _unit(gen.normal(size=3))
+                R = reduced_form(K)
+                want_edges, want = steiner_edge_classes_loop(R, u)
+                edges = _hull_edges(facet_planes(R)[2].simplices)
+                assert np.array_equal(edges, want_edges)
+                fac = facets(R)
+                dots = fac.normals @ u
+                for mask, classes in zip((dots > PARALLEL_TOL, dots < -PARALLEL_TOL), want):
+                    got = _facet_edges(R.vertices, fac.normals[mask], fac.offsets[mask], edges)
+                    assert np.array_equal(got, classes)
+                    cases += 1
+                K = steiner_symmetrize(K, u)
+        assert cases == 36
 
     def test_square_along_diagonal(self):
         u = np.array([1.0, 1.0]) / np.sqrt(2.0)
