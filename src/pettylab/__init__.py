@@ -9,7 +9,6 @@ from .bodies import (
     VPolytope,
     Zonotope,
     ball_body,
-    body_from_literal,
     cross_body,
     cube_body,
     hull,
@@ -23,7 +22,6 @@ from .bodies import (
     regular_polygon,
     scale,
     segment,
-    simplex_body,
     solid_simplex,
     sphere_directions,
     support,
@@ -40,7 +38,6 @@ from .mixed import (
     facets,
     mixed_volume,
     mixed_volume_fit_check,
-    mixed_volume_with_segment,
     projection_support,
     shadow_convexity_probe,
     surface_area,
@@ -54,6 +51,7 @@ from .projections import (
     centroid_body_support,
     empirical_centroid_body,
     mixed_projection_support,
+    mixed_volume_with_segment,
     petty_product,
     polar_measure,
     polar_projection_polytope,
@@ -73,6 +71,7 @@ from .symmetrize import (
 )
 from .harness import (
     ConfigError,
+    body_from_literal,
     estimate,
     run_corollary_1_3,
     run_emp_mixed,

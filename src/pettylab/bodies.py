@@ -797,7 +797,7 @@ def m_add(spec: MSpec, bodies: list) -> VPolytope:
 
 
 # ---------------------------------------------------------------------------
-# standard bodies and literals
+# standard bodies
 
 
 def cube_body(n: int, half: float = 1.0) -> VPolytope:
@@ -808,11 +808,6 @@ def cube_body(n: int, half: float = 1.0) -> VPolytope:
         raise GeometryError("explicit cube vertices limited to dimension 16")
     verts = half * np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
     return VPolytope(verts, reduced=(n == 3))
-
-
-def simplex_body(n: int) -> VPolytope:
-    """Standard simplex conv{e_1, ..., e_n} in R^n (affinely (n-1)-dimensional)."""
-    return VPolytope(np.eye(n), reduced=False)
 
 
 def solid_simplex(n: int) -> VPolytope:
@@ -860,69 +855,3 @@ def lp_ball_body(m: int, p: float) -> VPolytope:
     if m not in (2, 3):
         raise GeometryError("lp ball sampling supports m = 2 or 3 only")
     return VPolytope(lp_ball_vertices(m, p, 256 if m == 2 else 1024), reduced=False)
-
-
-def literal_fields(value, where: str, required=(), optional=(), error=GeometryError) -> dict:
-    """``value`` when it is an object with every key of ``required`` and no
-    key outside ``required`` and ``optional``, else ``error`` naming the
-    key; ``where`` is the object's own key, prefixed to the key names in
-    messages ("" for a root object)."""
-    prefix = f"{where}." if where else ""
-    if not isinstance(value, dict):
-        raise error(f"{where or 'config'} must be an object")
-    for key in required:
-        if key not in value:
-            raise error(f"{prefix}{key} is missing")
-    for key in value:
-        if key not in required and key not in optional:
-            raise error(f"unknown key {prefix}{key}")
-    return value
-
-
-# The keys of each body literal type besides "type": (required, optional).
-_BODY_KEYS = {
-    "polygon": (("vertices",), ()),
-    "polytope3": (("vertices",), ()),
-    "cube": (("dim",), ("half",)),
-    "simplex": (("dim",), ()),
-    "ball": (("dim",), ("radius", "facets")),
-    "zonotope": (("generators",), ()),
-}
-
-
-def body_from_literal(spec: dict, where: str = "body"):
-    """Build a body from its JSON literal form; ``where`` names the literal
-    in errors.
-
-    Accepted types: polygon, polytope3, cube, simplex, ball, zonotope.  A key
-    the type does not read raises a GeometryError naming it.
-    """
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise GeometryError("body literal must be an object with a 'type' field")
-    kind = spec["type"]
-    if kind in _BODY_KEYS:
-        required, optional = _BODY_KEYS[kind]
-        literal_fields(spec, where, ("type",) + required, optional)
-    if kind == "polygon":
-        v = as_points(spec["vertices"])
-        if v.shape[1] != 2:
-            raise GeometryError("polygon vertices must be planar")
-        return hull(v)
-    if kind == "polytope3":
-        v = as_points(spec["vertices"])
-        if v.shape[1] != 3:
-            raise GeometryError("polytope3 vertices must be 3-d")
-        return hull(v)
-    if kind == "cube":
-        return cube_body(int(spec["dim"]), float(spec.get("half", 1.0)))
-    if kind == "simplex":
-        return solid_simplex(int(spec["dim"]))
-    if kind == "ball":
-        return ball_body(
-            int(spec["dim"]),
-            float(spec.get("radius", 1.0)),
-            int(spec["facets"]) if "facets" in spec else None,
-        )
-    if kind == "zonotope":
-        return Zonotope(as_points(spec["generators"]))
-    raise GeometryError(f"unknown body literal type {kind!r}")

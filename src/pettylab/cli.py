@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .bodies import GeometryError, as_polytope, body_from_literal, volume
+from .bodies import GeometryError, as_polytope, volume
 from .harness import (
     ConfigError,
     RUNNERS,
@@ -28,6 +28,7 @@ from .harness import (
     _integer,
     _parse,
     _require,
+    body_from_literal,
     quadrature_block,
     replay,
     report_to_csv,
@@ -122,7 +123,7 @@ def run_petty(config: dict) -> dict:
     method = config.get("method", "auto")
     _require(method in PETTY_METHODS, f"method must be one of {PETTY_METHODS}, got {method!r}")
     q = quadrature_block(config)
-    quad = QuadratureSpec(nodes=q.get("nodes"), certify=bool(q.get("certify", False)))
+    quad = QuadratureSpec(nodes=q.get("nodes"), certify=q.get("certify", False))
     product = petty_product(K, method=method, quad=quad)
     dim = K.dim
     ball_bound = math.pi**2 / 4.0 if dim == 2 else 64.0 / 27.0

@@ -12,7 +12,9 @@ frozen, picklable object that holds every object the trials need that does
 not depend on the side.  Building it is the validation: a missing key, a
 key the kind does not read, an integer field that is not an integer, a
 size out of range or a dim that disagrees with a body raises a
-``ConfigError`` naming the key.  Workers get the spec and parse nothing.
+``ConfigError`` naming the key.  This module reads every config literal,
+bodies, densities, measures and C-sets alike, with the same field readers.
+Workers get the spec and parse nothing.
 
 Trials run in chunks.  A worker takes a range of trial indices and hands it
 to the spec a chunk at a time; each trial in a chunk still draws its
@@ -90,13 +92,13 @@ from .bodies import (
     Zonotope,
     as_polytope,
     ball_body,
-    body_from_literal,
     cloud_widths,
+    cube_body,
     hull,
-    literal_fields,
     lp_ball_body,
     planar_full_rank,
     planar_hull_areas,
+    solid_simplex,
     spatial_full_rank,
     sphere_directions,
     volume,
@@ -201,10 +203,31 @@ def _require(cond: bool, message: str):
 
 
 def _fields(value, where: str, required=(), optional=()) -> dict:
-    """``literal_fields`` raising a ConfigError: ``value`` when it is an
-    object with every key of ``required`` and no key outside ``required``
-    and ``optional``; ``where`` is the object's own key ("" for the config)."""
-    return literal_fields(value, where, required, optional, ConfigError)
+    """``value`` when it is an object with every key of ``required`` and no
+    key outside ``required`` and ``optional``, else a ConfigError naming the
+    key; ``where`` is the object's own key, prefixed to the key names in
+    messages ("" for the config)."""
+    prefix = f"{where}." if where else ""
+    _require(isinstance(value, dict), f"{where or 'config'} must be an object")
+    for key in required:
+        _require(key in value, f"{prefix}{key} is missing")
+    for key in value:
+        _require(key in required or key in optional, f"unknown key {prefix}{key}")
+    return value
+
+
+def _typed(value, where: str, keys: dict, tag: str) -> str:
+    """The type of the literal ``value``, its ``tag`` field: one of ``keys``,
+    each mapped to the (required, optional) keys the type reads besides
+    ``tag``.  A type outside ``keys`` or a key that does not fit raises a
+    ConfigError naming it."""
+    prefix = f"{where}." if where else ""
+    kind = value.get(tag) if isinstance(value, dict) else None
+    _require(isinstance(kind, str) and kind in keys,
+             f"{prefix}{tag} must be one of {sorted(keys)}, got {kind!r}")
+    required, optional = keys[kind]
+    _fields(value, where, (tag,) + required, optional)
+    return kind
 
 
 def _integer(value, key: str, low: int = 1) -> int:
@@ -221,22 +244,86 @@ def _positive(value, key: str) -> float:
     return float(value)
 
 
+def _boolean(value, key: str) -> bool:
+    """``value`` when it is a JSON boolean."""
+    _require(isinstance(value, bool), f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _points(value, key: str, width: int | None) -> np.ndarray:
+    """``value`` as an array of rows when it is a non-empty list of lists of
+    finite numbers (not bools), all of one length: ``width`` unless None."""
+    _require(isinstance(value, list) and value and all(
+        isinstance(row, list) and row and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+            for x in row) for row in value),
+        f"{key} must be a non-empty list of lists of finite numbers, got {value!r}")
+    lengths = {len(row) for row in value}
+    _require(len(lengths) == 1 and width in (None, *lengths),
+             f"{key} rows must all have {width or 'the same number of'} entries, got {value!r}")
+    return np.array(value, dtype=float)
+
+
 def _parse(key: str, build, *args):
-    """``build(*args)``, re-raising what a malformed literal raises there as
-    a ConfigError that names ``key``."""
+    """``build(*args)``, re-raising the GeometryError that building a body
+    or density from valid fields can raise as a ConfigError naming ``key``."""
     try:
         return build(*args)
-    except (GeometryError, LookupError, TypeError, AttributeError, ValueError) as exc:
+    except GeometryError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
 def quadrature_block(config: dict) -> dict:
     """The config's ``quadrature`` object: ``nodes``, absent or a positive
-    integer, and ``certify``."""
+    integer, and ``certify``, absent or a boolean."""
     q = _fields(config.get("quadrature") or {}, "quadrature", (), ("nodes", "certify"))
     if q.get("nodes") is not None:
         _integer(q["nodes"], "quadrature.nodes")
+    if "certify" in q:
+        _boolean(q["certify"], "quadrature.certify")
     return q
+
+
+# ---------------------------------------------------------------------------
+# body, density and measure literals
+
+# The keys of each literal type besides "type": (required, optional).
+_BODY_KEYS = {
+    "polygon": (("vertices",), ()),
+    "polytope3": (("vertices",), ()),
+    "cube": (("dim",), ("half",)),
+    "simplex": (("dim",), ()),
+    "ball": (("dim",), ("radius", "facets")),
+    "zonotope": (("generators",), ()),
+}
+_DENSITY_KEYS = {"uniform": (("body",), ("rearranged",)), "gaussian": ((), ("sigma",))}
+_MEASURE_KEYS = {"lebesgue": ((), ()), "gaussian": ((), ("sigma",)), "ball": (("radius",), ())}
+
+
+def body_from_literal(spec: dict, where: str = "body"):
+    """Build a body from its JSON literal form; ``where`` names the literal
+    in errors.
+
+    Accepted types: polygon, polytope3, cube, simplex, ball, zonotope.  A
+    missing key, a key the type does not read or a field of the wrong type
+    or range raises a ConfigError naming it; building a body from valid
+    fields can still raise a GeometryError (a cube past dimension 16, a ball
+    outside dimensions 2 and 3).
+    """
+    prefix = f"{where}." if where else ""
+    kind = _typed(spec, where, _BODY_KEYS, "type")
+    if kind in ("polygon", "polytope3"):
+        return hull(_points(spec["vertices"], f"{prefix}vertices", 2 if kind == "polygon" else 3))
+    if kind == "zonotope":
+        return Zonotope(_points(spec["generators"], f"{prefix}generators", None))
+    dim = _integer(spec["dim"], f"{prefix}dim")
+    if kind == "cube":
+        return cube_body(dim, _positive(spec.get("half", 1.0), f"{prefix}half"))
+    if kind == "simplex":
+        return solid_simplex(dim)
+    facets = spec.get("facets")
+    return ball_body(dim, _positive(spec.get("radius", 1.0), f"{prefix}radius"),
+                     None if facets is None else _integer(facets, f"{prefix}facets", 3))
 
 
 def _body(literal, key: str, dim: int) -> VPolytope:
@@ -244,6 +331,26 @@ def _body(literal, key: str, dim: int) -> VPolytope:
     K = _parse(key, lambda: as_polytope(body_from_literal(literal, key)))
     _require(K.dim == dim, f"{key} lives in dimension {K.dim}, expected {dim}")
     return K
+
+
+def _density(literal, key: str, dim: int) -> Density:
+    """The density of a literal {type: uniform, body, rearranged} or
+    {type: gaussian, sigma} in dimension ``dim``."""
+    if _typed(literal, key, _DENSITY_KEYS, "type") == "gaussian":
+        return Density.gaussian(dim, _positive(literal.get("sigma", 1.0), f"{key}.sigma"))
+    d = _parse(key, Density.uniform, _body(literal["body"], f"{key}.body", dim))
+    return d.rearranged() if _boolean(literal.get("rearranged", False), f"{key}.rearranged") else d
+
+
+def _measure(literal) -> RadialMeasure:
+    """The radial measure of a literal {type: lebesgue}, {type: gaussian,
+    sigma} or {type: ball, radius}, the config's ``measure``."""
+    kind = _typed(literal, "measure", _MEASURE_KEYS, "type")
+    if kind == "lebesgue":
+        return RadialMeasure.lebesgue()
+    if kind == "gaussian":
+        return RadialMeasure.gaussian(_positive(literal.get("sigma", 1.0), "measure.sigma"))
+    return RadialMeasure.ball(_positive(literal["radius"], "measure.radius"))
 
 
 def _polar_pair(literal, key: str, dim: int) -> tuple:
@@ -263,10 +370,10 @@ def _both_sides(draws) -> tuple:
 # C-sets
 
 _CSET_KEYS = {
-    "simplex": (("kind", "m"), ()),
-    "cube": (("kind", "m"), ("half",)),
-    "bp": (("kind", "m"), ("p",)),
-    "msum": (("kind", "components"), ("M",)),
+    "simplex": (("m",), ()),
+    "cube": (("m",), ("half",)),
+    "bp": (("m",), ("p",)),
+    "msum": (("components",), ("M",)),
 }
 
 
@@ -290,10 +397,7 @@ class CSet:
 
     @classmethod
     def from_literal(cls, spec, key: str = "c_set") -> "CSet":
-        kind = spec.get("kind") if isinstance(spec, dict) else None
-        _require(isinstance(kind, str) and kind in _CSET_KEYS,
-                 f"{key}.kind must be one of {sorted(_CSET_KEYS)}, got {kind!r}")
-        _fields(spec, key, *_CSET_KEYS[kind])
+        kind = _typed(spec, key, _CSET_KEYS, "kind")
         if kind == "msum":
             return cls._msum(spec, key)
         m = _integer(spec["m"], f"{key}.m")
@@ -472,9 +576,8 @@ class _Spec:
         for i, blk in enumerate(blocks):
             key = f"blocks[{i}]"
             _fields(blk, key, ("density", "m"))
-            density = _parse(f"{key}.density", Density.from_literal, blk["density"], self.dim,
-                             f"{key}.density")
-            draws.append((density, _integer(blk["m"], f"{key}.m")))
+            draws.append((_density(blk["density"], f"{key}.density", self.dim),
+                          _integer(blk["m"], f"{key}.m")))
         return _both_sides(draws)
 
     def _csets(self, literals) -> tuple:
@@ -494,8 +597,7 @@ class _PolarSpec(_Spec):
     direction = "le"
 
     def parse(self, config: dict):
-        self.measure = _parse("measure", RadialMeasure.from_literal,
-                              config.get("measure", {"type": "lebesgue"}), "measure")
+        self.measure = _measure(config.get("measure", {"type": "lebesgue"}))
         q = quadrature_block(config)
         _require(not q.get("certify"),
                  "quadrature.certify is not supported in experiments (the petty command honours it)")

@@ -193,14 +193,6 @@ def mixed_volume(bodies: list) -> float:
     return 0.5 * (v1(minkowski_sum(A, B), C) - v1(A, C) - v1(B, C))
 
 
-def mixed_volume_with_segment(bodies: list, y) -> float:
-    """V(K_1, ..., K_{n-1}, [0, y]) = h_{Pi(K_1, ..., K_{n-1})}(y) / n."""
-    from .projections import mixed_projection_support
-
-    y = np.asarray(y, dtype=float)
-    return mixed_projection_support(bodies).value(y) / y.shape[0]
-
-
 def shadow_convexity_probe(systems: list, t: float) -> float:
     """Mixed volume of n shadow systems evaluated at a common parameter."""
     bodies = []

@@ -21,7 +21,6 @@ from .bodies import (
     _abs_pairing,
     as_polytope,
     hull,
-    literal_fields,
     merge_parallel_generators,
     minkowski_sum,
     polar_of_zonotope,
@@ -38,8 +37,6 @@ DEFAULT_NODES = {2: 4096, 3: 8192}
 PETTY_METHODS = ("auto", "exact", "quadrature")
 CERTIFY_REL_TOL = 1e-4
 SPHERE_SURFACE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
-# The keys of each measure literal type besides "type": (required, optional).
-_MEASURE_KEYS = {"lebesgue": ((), ()), "gaussian": ((), ("sigma",)), "ball": (("radius",), ())}
 # Radius, in units of sigma, past which the spatial Gaussian radial integral
 # equals its limit in float64 (see ``RadialMeasure.radial_integral``).
 GAUSSIAN_R_CLAMP = 40.0
@@ -111,22 +108,6 @@ class RadialMeasure:
         if radius <= 0:
             raise GeometryError("ball radius must be positive")
         return RadialMeasure("ball", radius=radius)
-
-    @staticmethod
-    def from_literal(spec: dict, where: str = "measure") -> "RadialMeasure":
-        """The measure of a literal {type: lebesgue}, {type: gaussian, sigma}
-        or {type: ball, radius}; ``where`` names it in errors, and a key its
-        type does not read raises a GeometryError naming it."""
-        kind = spec.get("type")
-        if kind not in _MEASURE_KEYS:
-            raise GeometryError(f"unknown measure literal {kind!r}")
-        required, optional = _MEASURE_KEYS[kind]
-        literal_fields(spec, where, ("type",) + required, optional)
-        if kind == "lebesgue":
-            return RadialMeasure.lebesgue()
-        if kind == "gaussian":
-            return RadialMeasure.gaussian(float(spec.get("sigma", 1.0)))
-        return RadialMeasure.ball(float(spec["radius"]))
 
     def radial_integral(self, R: np.ndarray, n: int) -> np.ndarray:
         """integral_0^R rho(r) r^(n-1) dr, vectorized; R may contain inf."""
@@ -367,6 +348,12 @@ def mixed_projection_support(bodies: list) -> SupportEvaluator:
     normals = np.vstack([v for v, _ in measures])
     weights = np.concatenate([c * m for (c, _), (_, m) in zip(terms, measures)])
     return SupportEvaluator(n, lambda U: _abs_pairing(U, normals, weights), "surface-measure")
+
+
+def mixed_volume_with_segment(bodies: list, y) -> float:
+    """V(K_1, ..., K_{n-1}, [0, y]) = h_{Pi(K_1, ..., K_{n-1})}(y) / n."""
+    y = np.asarray(y, dtype=float)
+    return mixed_projection_support(bodies).value(y) / y.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .bodies import (
-    GeometryError,
-    VPolytope,
-    as_polytope,
-    ball_body,
-    body_from_literal,
-    literal_fields,
-    reduced_form,
-    unit_ball_volume,
-    volume,
-)
+from .bodies import GeometryError, VPolytope, ball_body, reduced_form, unit_ball_volume, volume
 
 
 @dataclass(frozen=True)
@@ -81,26 +71,6 @@ class Density:
     @staticmethod
     def gaussian(dim: int, sigma: float = 1.0) -> "Density":
         return Density("gaussian", dim, sigma=sigma)
-
-    @staticmethod
-    def from_literal(spec: dict, dim: int, where: str = "density") -> "Density":
-        """The density of a literal {type: uniform, body, rearranged} or
-        {type: gaussian, sigma} in dimension ``dim``; ``where`` names it in
-        errors, and a key its type does not read raises a GeometryError
-        naming it."""
-        kind = spec.get("type")
-        if kind == "uniform":
-            literal_fields(spec, where, ("type", "body"), ("rearranged",))
-            d = Density.uniform(as_polytope(body_from_literal(spec["body"], f"{where}.body")))
-            if d.dim != dim:
-                raise GeometryError(f"density body lives in dimension {d.dim}, expected {dim}")
-            if spec.get("rearranged"):
-                d = d.rearranged()
-            return d
-        if kind == "gaussian":
-            literal_fields(spec, where, ("type",), ("sigma",))
-            return Density.gaussian(dim, float(spec.get("sigma", 1.0)))
-        raise GeometryError(f"unknown density literal {kind!r}")
 
     def rearranged(self) -> "Density":
         """Symmetric decreasing rearrangement: uniform goes to the equal-volume

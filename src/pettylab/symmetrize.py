@@ -32,6 +32,10 @@ SNAP_TOL = 1e-12
 # vertex count roughly doubles with each symmetrization, and ten rounds
 # from a triangle would otherwise take arrays of tens of MB.
 CHORD_BLOCK_ENTRIES = 1 << 15
+# Upper x lower edge pairs per block in ``_segment_crossings``: the third
+# round of a 3-D chain from 12 points pairs some 500 upper edges with 500
+# lower ones, and one block of all pairs took about 17 MiB of temporaries.
+CROSSING_BLOCK_ENTRIES = 1 << 15
 
 
 def _unit(u) -> np.ndarray:
@@ -167,20 +171,25 @@ def _facet_edges(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
 
 
 def _segment_crossings(segs_a: np.ndarray, segs_b: np.ndarray) -> np.ndarray:
-    """Pairwise intersections of two planar segment families, vectorized."""
-    p1 = segs_a[:, None, 0, :]
-    d1 = (segs_a[:, 1, :] - segs_a[:, 0, :])[:, None, :]
+    """Pairwise intersections of two planar segment families in row-major
+    (a, b) order, vectorized over blocks of rows of ``segs_a``."""
     q1 = segs_b[None, :, 0, :]
     d2 = (segs_b[:, 1, :] - segs_b[:, 0, :])[None, :, :]
-    denom = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    ok = np.abs(denom) > 1e-14
-    denom_safe = np.where(ok, denom, 1.0)
-    r = q1 - p1
-    t = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / denom_safe
-    s = (r[..., 0] * d1[..., 1] - r[..., 1] * d1[..., 0]) / denom_safe
-    hit = ok & (t >= -1e-12) & (t <= 1 + 1e-12) & (s >= -1e-12) & (s <= 1 + 1e-12)
-    pts = p1 + t[..., None] * d1
-    return pts[hit]
+    step = max(1, CROSSING_BLOCK_ENTRIES // len(segs_b))
+    out = []
+    for i in range(0, len(segs_a), step):
+        block = segs_a[i:i + step]
+        p1 = block[:, None, 0, :]
+        d1 = (block[:, 1, :] - block[:, 0, :])[:, None, :]
+        denom = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+        ok = np.abs(denom) > 1e-14
+        denom_safe = np.where(ok, denom, 1.0)
+        r = q1 - p1
+        t = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / denom_safe
+        s = (r[..., 0] * d1[..., 1] - r[..., 1] * d1[..., 0]) / denom_safe
+        hit = ok & (t >= -1e-12) & (t <= 1 + 1e-12) & (s >= -1e-12) & (s <= 1 + 1e-12)
+        out.append((p1 + t[..., None] * d1)[hit])
+    return np.vstack(out)
 
 
 def steiner_symmetrize(K: VPolytope, u) -> VPolytope:

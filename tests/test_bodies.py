@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pettylab import (
+    ConfigError,
     GeometryError,
     MSpec,
     Zonotope,
@@ -508,11 +509,11 @@ class TestFactoriesAndLiterals:
         assert isinstance(Z, Zonotope)
 
     def test_bad_literals_raise(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError):
             body_from_literal({"type": "frisbee"})
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError):
             body_from_literal({"vertices": [[0, 0]]})
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError):
             body_from_literal({"type": "polygon", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]})
 
 

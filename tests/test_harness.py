@@ -6,7 +6,19 @@ import re
 import numpy as np
 import pytest
 
-from pettylab import GeometryError, MSpec, cli, harness, hull, lp_ball_body, m_add, volume
+from pettylab import (
+    GeometryError,
+    MSpec,
+    bodies,
+    cli,
+    harness,
+    hull,
+    lp_ball_body,
+    m_add,
+    projections,
+    sampling,
+    volume,
+)
 from pettylab.harness import (
     THREADS_ENV,
     ConfigError,
@@ -60,6 +72,10 @@ COR13_SMALL = {"dim": 3, "seed": 4, "trials": 2, "m": 4,
 
 def _block(**fields):
     return dict(THM12_SMALL, blocks=[fields])
+
+
+def _body_block(**body):
+    return _block(density={"type": "uniform", "body": body}, m=3)
 
 
 def _msum(*components):
@@ -131,6 +147,41 @@ REJECTIONS = {
     "cor13-body-unknown-key": (run_corollary_1_3,
                                dict(COR13_SMALL, bodies=[_CUBE_3D, {"type": "simplex", "dim": 3,
                                                                     "m": 4}]), "bodies[1].m"),
+    "body-dim-float": (run_theorem_1_2, _body_block(type="cube", dim=2.9),
+                       "blocks[0].density.body.dim"),
+    "cube-half-bool": (run_theorem_1_2, _body_block(type="cube", dim=2, half=True),
+                       "blocks[0].density.body.half"),
+    "cube-half-negative": (run_theorem_1_2, _body_block(type="cube", dim=2, half=-1),
+                           "blocks[0].density.body.half"),
+    "ball-radius-negative": (run_theorem_1_2, _body_block(type="ball", dim=2, radius=-1),
+                             "blocks[0].density.body.radius"),
+    "ball-radius-string": (run_theorem_1_2, _body_block(type="ball", dim=2, radius="3"),
+                           "blocks[0].density.body.radius"),
+    "ball-facets-float": (run_theorem_1_2, _body_block(type="ball", dim=2, facets=12.7),
+                          "blocks[0].density.body.facets"),
+    "polygon-vertices-strings": (run_theorem_1_2,
+                                 _body_block(type="polygon",
+                                             vertices=[["0", "0"], ["1", "0"], ["0", "1"]]),
+                                 "blocks[0].density.body.vertices"),
+    "polygon-vertices-ragged": (run_theorem_1_2,
+                                _body_block(type="polygon", vertices=[[0, 0], [1, 0, 0], [0, 1]]),
+                                "blocks[0].density.body.vertices"),
+    "zonotope-generators-bool": (run_theorem_1_2,
+                                 _body_block(type="zonotope", generators=[[True, 0], [0, 1]]),
+                                 "blocks[0].density.body.generators"),
+    "density-sigma-negative": (run_theorem_1_2, _block(density={"type": "gaussian", "sigma": -2},
+                                                       m=3), "blocks[0].density.sigma"),
+    "density-sigma-bool": (run_theorem_1_2, _block(density={"type": "gaussian", "sigma": True},
+                                                   m=3), "blocks[0].density.sigma"),
+    "measure-sigma-bool": (run_theorem_1_2, dict(THM12_SMALL, measure={"type": "gaussian",
+                                                                       "sigma": True}),
+                           "measure.sigma"),
+    "measure-radius-string": (run_theorem_1_2, dict(THM12_SMALL, measure={"type": "ball",
+                                                                          "radius": "2"}),
+                              "measure.radius"),
+    "rearranged-string": (run_theorem_1_2,
+                          _block(density={"type": "uniform", "body": SQUARE, "rearranged": "no"},
+                                 m=3), "blocks[0].density.rearranged"),
     "threads": (run_theorem_1_2, dict(THM12_SMALL, threads=2), "threads"),
     "out": (run_theorem_1_2, dict(THM12_SMALL, out="report.json"), "out"),
     "format": (run_theorem_1_2, dict(THM12_SMALL, format="csv"), "format"),
@@ -489,6 +540,15 @@ class TestSpecs:
             assert getattr(spec, name) is getattr(harness._Spec, name)
         assert callable(getattr(spec, "value", None))
 
+    @pytest.mark.parametrize("module", [bodies, projections, sampling],
+                             ids=["bodies", "projections", "sampling"])
+    def test_only_the_harness_reads_literals(self, module):
+        names = {"from_literal", "literal_fields", "body_from_literal", "_BODY_KEYS",
+                 "_MEASURE_KEYS"}
+        assert not names & set(vars(module))
+        for obj in vars(module).values():
+            assert not (isinstance(obj, type) and hasattr(obj, "from_literal")), obj
+
     @pytest.mark.parametrize("name", sorted(CHUNKED))
     def test_a_pickled_spec_gives_equal_chunks(self, name):
         kind, config = CHUNKED[name]
@@ -503,18 +563,18 @@ class TestSpecs:
 
     def test_each_report_builds_its_bodies_once(self, monkeypatch):
         calls = {"polar": 0, "density": 0}
-        polar, from_literal = harness.polar_projection_polytope, Density.from_literal
+        polar, density = harness.polar_projection_polytope, harness._density
 
         def counted_polar(K):
             calls["polar"] += 1
             return polar(K)
 
-        def counted_from_literal(spec, dim, where="density"):
+        def counted_density(literal, key, dim):
             calls["density"] += 1
-            return from_literal(spec, dim, where)
+            return density(literal, key, dim)
 
         monkeypatch.setattr(harness, "polar_projection_polytope", counted_polar)
-        monkeypatch.setattr(Density, "from_literal", staticmethod(counted_from_literal))
+        monkeypatch.setattr(harness, "_density", counted_density)
         run_emp_petty_2(EMPPETTY2_SMALL)
         assert calls["polar"] == 1
         run_lln(dict(LLN_SMALL, m1_list=[4, 6], m2_list=[4, 6], family=[SQUARE, TRIANGLE]))
@@ -688,7 +748,10 @@ class TestCli:
         ({"body": SQUARE, "metod": "exact"}, "metod"),
         ({"body": dict(SQUARE, radius=2.0)}, "body.radius"),
         ({"method": "exact"}, "body"),
-    ], ids=["method", "typo", "typo-beside-body", "body-key", "no-body"])
+        (dict(SQUARE, dim=2.5), "dim"),
+        (dict(SQUARE, quadrature={"certify": "no"}), "quadrature.certify"),
+    ], ids=["method", "typo", "typo-beside-body", "body-key", "no-body", "dim-float",
+            "certify-string"])
     def test_petty_rejects_a_bad_field_by_its_key(self, tmp_path, capsys, config, key):
         with pytest.raises(ConfigError, match=re.escape(key)):
             cli.run_petty(config)

@@ -23,11 +23,11 @@ from pettylab.mixed import (
     facets,
     mixed_volume,
     mixed_volume_fit_check,
-    mixed_volume_with_segment,
     projection_support,
     surface_area,
     v1,
 )
+from pettylab.projections import mixed_volume_with_segment
 from pettylab.verify import mixed_volume_inclusion_exclusion, shadow_oracle
 
 

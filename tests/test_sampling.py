@@ -17,7 +17,7 @@ from pettylab import (
     volume,
     zonotope_to_vpolytope,
 )
-from pettylab.harness import SPECS, CSet
+from pettylab.harness import SPECS, CSet, _density
 from pettylab.sampling import cumulative_weights
 
 
@@ -105,22 +105,22 @@ class TestDensity:
             Density.gaussian(2).comparison_body()
 
     def test_from_literal(self):
-        d = Density.from_literal(
-            {"type": "uniform", "body": {"type": "cube", "dim": 2}}, 2
+        d = _density(
+            {"type": "uniform", "body": {"type": "cube", "dim": 2}}, "density", 2
         )
         assert d.kind == "uniform"
-        r = Density.from_literal(
+        r = _density(
             {"type": "uniform", "body": {"type": "cube", "dim": 2},
-             "rearranged": True}, 2
+             "rearranged": True}, "density", 2
         )
         assert r.kind == "ball"
-        g = Density.from_literal({"type": "gaussian", "sigma": 0.5}, 3)
+        g = _density({"type": "gaussian", "sigma": 0.5}, "density", 3)
         assert g.sigma == 0.5 and g.dim == 3
-        with pytest.raises(GeometryError):
-            Density.from_literal({"type": "cauchy"}, 2)
-        with pytest.raises(GeometryError):
-            Density.from_literal(
-                {"type": "uniform", "body": {"type": "cube", "dim": 3}}, 2
+        with pytest.raises(ConfigError):
+            _density({"type": "cauchy"}, "density", 2)
+        with pytest.raises(ConfigError):
+            _density(
+                {"type": "uniform", "body": {"type": "cube", "dim": 3}}, "density", 2
             )
 
     def test_cumulative_weights_draw_what_choice_draws(self):

@@ -24,11 +24,13 @@ from pettylab import (
 from pettylab.bodies import facet_planes, reduced_form
 from pettylab.mixed import facets
 from pettylab.symmetrize import (
+    CROSSING_BLOCK_ENTRIES,
     PARALLEL_TOL,
     SNAP_TOL,
     _facet_edges,
     _frame,
     _hull_edges,
+    _segment_crossings,
     _unit,
 )
 
@@ -95,6 +97,22 @@ def steiner_edge_classes_loop(R, u):
         classes.append(np.array([e for e, (a, b) in enumerate(edges)
                                  if np.any(on[a] & on[b])], dtype=int))
     return edges, classes
+
+
+def segment_crossings_one_block(segs_a, segs_b):
+    """Reference for ``_segment_crossings``: every (a, b) pair in one array."""
+    p1 = segs_a[:, None, 0, :]
+    d1 = (segs_a[:, 1, :] - segs_a[:, 0, :])[:, None, :]
+    q1 = segs_b[None, :, 0, :]
+    d2 = (segs_b[:, 1, :] - segs_b[:, 0, :])[None, :, :]
+    denom = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    ok = np.abs(denom) > 1e-14
+    denom_safe = np.where(ok, denom, 1.0)
+    r = q1 - p1
+    t = (r[..., 0] * d2[..., 1] - r[..., 1] * d2[..., 0]) / denom_safe
+    s = (r[..., 0] * d1[..., 1] - r[..., 1] * d1[..., 0]) / denom_safe
+    hit = ok & (t >= -1e-12) & (t <= 1 + 1e-12) & (s >= -1e-12) & (s <= 1 + 1e-12)
+    return (p1 + t[..., None] * d1)[hit]
 
 
 class TestChordProfiles:
@@ -171,6 +189,14 @@ class TestSteiner:
                     cases += 1
                 K = steiner_symmetrize(K, u)
         assert cases == 36
+
+    def test_segment_crossings_equal_one_block_bit_for_bit(self):
+        gen = np.random.default_rng(54)
+        # 400 x 300 pairs span several blocks; one upper segment spans one
+        for na, nb in ((400, 300), (1, 300), (7, 2 * CROSSING_BLOCK_ENTRIES)):
+            a, b = gen.random(size=(na, 2, 2)), gen.random(size=(nb, 2, 2))
+            got, want = _segment_crossings(a, b), segment_crossings_one_block(a, b)
+            assert len(got) > 0 and got.tobytes() == want.tobytes()
 
     def test_square_along_diagonal(self):
         u = np.array([1.0, 1.0]) / np.sqrt(2.0)
