@@ -16,16 +16,28 @@ size out of range or a dim that disagrees with a body raises a
 bodies, densities, measures and C-sets alike, with the same field readers.
 Workers get the spec and parse nothing.
 
-Trials run in chunks.  A worker takes a range of trial indices and hands it
-to the spec a chunk at a time; each trial in a chunk still draws its
-samples from its own stream, in the same order as when it runs alone, and
-the chunk stacks them.  A kind is a hull route, the value of one trial from
-its own samples, plus, optionally, a stacked kernel that takes the chunk's
-samples to values and a mask of the trials it could classify; the trials
-outside the mask take the hull route, which is also the reference a trial
-run alone (``replay``) takes.  Planar kernels run the geometry once per
-chunk, with no hull, by Cauchy's formula
-h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
+Samples are drawn per block and the geometry runs per chunk:
+
+* a worker draws its range of trial indices in sample blocks of at most
+  ``CHUNK_ENTRIES`` sample entries, and hands each block to the spec a
+  chunk at a time;
+* trial i of side s keeps its own Philox stream RngStream(seed, (s, i)),
+  whose key is numpy's SeedSequence hash of (seed, s, i): the seed and side
+  words are hashed once per block and only the index word per trial
+  (``RngStream.child_keys``), and one Philox draws each trial's raw draws
+  from its own key, counter 0 and an empty buffer (``draw_block``);
+* the per-trial route, each trial's own generator followed by
+  ``Density.sample`` (``sampling.draw_per_trial``), is the oracle the
+  blocks equal bit for bit; ``verify.CHECKS`` and the tests compare them.
+  ``trial``, the replay of a failing chunk and ``replay`` draw blocks of
+  one trial.
+
+A kind is a hull route, the value of one trial from its own samples, plus,
+optionally, a stacked kernel that takes the chunk's samples to values and
+a mask of the trials it could classify; the trials outside the mask take
+the hull route, which is also the reference a trial run alone (``replay``)
+takes.  Planar kernels run the geometry once per chunk, with no hull, by
+Cauchy's formula h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
 
 * thm12: the projection support of conv X on the node u is the width of
   the cloud X along u^perp, and that of the zonotope sum of [-g, g] is
@@ -119,13 +131,14 @@ from .projections import (
     tetrahedron_projection_generators,
     zonotope_projection_generators,
 )
-from .sampling import Density, RngStream
+from .sampling import INDEX_LIMIT, Density, RngStream, draw_block
 from .stats import EstimateWithCI, classify, summarize
 
 DEFAULT_TRIALS = 20000
 THREADS_ENV = "PETTY_LAB_THREADS"
 # Entries of a chunk's largest stacked temporary (512 KiB of float64): a
-# chunk holds as many trials as fit, and at least one.
+# chunk holds as many trials as fit, and at least one.  A sample block holds
+# as many trials as fit this many sample entries.
 CHUNK_ENTRIES = 1 << 16
 # Points up to which empmixed takes hull areas from edge pairs.  The pair
 # rule costs k^3 entries per trial; on a 2-vCPU Xeon it took 0.03 ms per
@@ -276,7 +289,7 @@ def _parse(key: str, build, *args):
 def quadrature_block(config: dict) -> dict:
     """The config's ``quadrature`` object: ``nodes``, absent or a positive
     integer, and ``certify``, absent or a boolean."""
-    q = _fields(config.get("quadrature") or {}, "quadrature", (), ("nodes", "certify"))
+    q = _fields(config.get("quadrature", {}), "quadrature", (), ("nodes", "certify"))
     if q.get("nodes") is not None:
         _integer(q["nodes"], "quadrature.nodes")
     if "certify" in q:
@@ -540,22 +553,26 @@ class _Spec:
     def chunk_len(self) -> int:
         return max(1, CHUNK_ENTRIES // self.entries) if self.entries else 1
 
+    def block_len(self, side: int) -> int:
+        """Trials per sample block of ``side``: as many as fit CHUNK_ENTRIES
+        sample entries, and at least one."""
+        return max(1, CHUNK_ENTRIES // (self.dim * sum(m for _, m in self.blocks[side])))
+
     def stacked(self, side: int, first: int, count: int) -> list:
         """Samples of trials first, ..., first + count - 1, one array of shape
-        (count, m, dim) per draw of the side; each trial's generator draws
-        them in order."""
-        draws = self.blocks[side]
-        out = [np.empty((count, m, self.dim)) for _, m in draws]
-        for k in range(count):
-            gen = RngStream(self.seed, (side, first + k)).generator()
-            for arr, (density, m) in zip(out, draws):
-                arr[k] = density.sample(gen, m)
-        return out
+        (count, m, dim) per draw of the side, drawn as one block: trial i's
+        rows are what its own stream RngStream(seed, (side, i)) gives."""
+        return draw_block(RngStream(self.seed, (side,)), first, count, self.blocks[side])
 
     def chunk(self, side: int, first: int, count: int, diag: dict) -> np.ndarray:
-        """The values of trials first, ..., first + count - 1, adding their
-        diagnostics to ``diag``."""
-        samples = self.stacked(side, first, count)
+        """The values of trials first, ..., first + count - 1, drawn as one
+        block, adding their diagnostics to ``diag``."""
+        return self.chunk_values(self.stacked(side, first, count), diag)
+
+    def chunk_values(self, samples: list, diag: dict) -> np.ndarray:
+        """The values of the trials whose stacked samples are ``samples``,
+        adding their diagnostics to ``diag``."""
+        count = len(samples[0])
         if self.entries:
             values, full = self.kernel(samples, diag)
         else:
@@ -841,7 +858,7 @@ class _LlnSpec(_PairingSpec):
         m1s, m2s = config.get("m1_list", [64]), config.get("m2_list", [64])
         _require(isinstance(m1s, list) and isinstance(m2s, list) and len(m1s) == len(m2s) > 0,
                  "m1_list and m2_list must be non-empty lists of equal length")
-        family = config.get("family") or []
+        family = config.get("family", [])
         _require(isinstance(family, list), "family must be a list of body literals")
         pairs = [_polar_pair(config["body"], "body", self.dim)] + [
             _polar_pair(lit, f"family[{i}]", self.dim) for i, lit in enumerate(family)
@@ -859,13 +876,16 @@ SPECS = {spec.kind: spec for spec in (_Thm12Spec, _Thm11Spec, _Cor13Spec, _EmpMi
                                       _EmpPetty2Spec, _LlnSpec)}
 
 
-def _run_chunk(spec: _Spec, side: int, first: int, count: int, diag: dict) -> np.ndarray:
+def _run_chunk(spec: _Spec, side: int, first: int, samples: list, diag: dict) -> np.ndarray:
+    """The values of the chunk of trials from ``first`` whose samples are
+    ``samples``."""
     try:
-        return spec.chunk(side, first, count, diag)
+        return spec.chunk_values(samples, diag)
     except Exception:
-        # Replay the chunk one trial at a time so the error names the trial
-        # that raised it; the whole chunk fails either way.
-        for index in range(first, first + count):
+        # Replay the chunk one trial at a time, each drawn as a block of one,
+        # so the error names the trial that raised it; the whole chunk fails
+        # either way.
+        for index in range(first, first + len(samples[0])):
             try:
                 spec.chunk(side, index, 1, _no_diagnostics())
             except Exception as exc:
@@ -877,10 +897,12 @@ def _worker(payload: tuple) -> tuple:
     spec, side, start, count = payload
     diag = _no_diagnostics()
     values = np.empty(count)
-    step = spec.chunk_len()
-    for a in range(0, count, step):
-        n = min(step, count - a)
-        values[a:a + n] = _run_chunk(spec, side, start + a, n, diag)
+    step, block = spec.chunk_len(), spec.block_len(side)
+    for b in range(0, count, block):
+        samples = spec.stacked(side, start + b, min(block, count - b))
+        for a in range(b, b + len(samples[0]), step):
+            chunk = [S[a - b:a - b + step] for S in samples]
+            values[a:a + len(chunk[0])] = _run_chunk(spec, side, start + a, chunk, diag)
     return values, diag
 
 
@@ -1037,8 +1059,8 @@ def replay(kind: str, config: dict, key) -> dict:
     spec = SPECS[kind](config)
     side, index = (int(k) for k in key)
     sides = len(spec.blocks)
-    _require(0 <= side < sides and index >= 0,
-             f"key must be (side, trial) with side below {sides} and trial >= 0")
+    _require(0 <= side < sides and 0 <= index < INDEX_LIMIT,
+             f"key must be (side, trial) with side below {sides} and 0 <= trial < 2**32")
     routes = {
         "chunk": lambda diag: spec.chunk(side, index, 1, diag)[0],
         "trial": lambda diag: spec.trial(side, index, diag),

@@ -3,14 +3,26 @@
 Randomness flows through counter-based Philox streams addressed by a master
 seed plus a stream key, so any trial can be regenerated in isolation and
 parallel schedules cannot change the numbers.
+
+A stream's Philox key is numpy's SeedSequence hash of (seed, key): plain
+uint32 arithmetic over a pool of four words, whose hash constants step by
+fixed multipliers whatever the words are.  So the children of one stream
+share every step but the last word's, and ``RngStream.child_keys`` hashes
+the seed and key words once, as Python ints, and only the index word per
+child.  ``draw_block`` draws the samples of a block of children through one
+Philox, setting each child's key in turn, and finishes them for the whole
+block at once; ``draw_per_trial``, each child's own generator followed by
+``Density.sample``, is the reference it equals bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.spatial import Delaunay
 
 from .bodies import GeometryError, VPolytope, ball_body, reduced_form, unit_ball_volume, volume
@@ -29,6 +41,117 @@ class RngStream:
 
     def child(self, *key) -> "RngStream":
         return RngStream(self.seed, tuple(self.key) + tuple(key))
+
+    def child_keys(self, first: int, count: int) -> np.ndarray:
+        """The Philox keys of child(first), ..., child(first + count - 1),
+        shape (count, 2) uint64: what their generators' SeedSequence gives
+        from ``generate_state(2, np.uint64)``, for all of them at once."""
+        return np.array(self._child_keys(first, count), dtype=np.uint64).reshape(count, 2)
+
+    def _child_keys(self, first: int, count: int) -> list:
+        """``child_keys`` as a list of (k0, k1) Python ints."""
+        if not 0 <= first <= first + count <= INDEX_LIMIT:
+            raise ValueError(f"child indices must lie in [0, 2**32), got {first} "
+                             f"to {first + count - 1}")
+        # each pool word meets the index word with its own pair of hash
+        # constants, then the pool word's mix term, then generate_state's
+        # pair; the four output words pair up little-endian into two uint64
+        consts = _child_hash(self.seed, tuple(self.key))
+        if count >= _SMALL_BLOCK:
+            xor, mul, pool, out_xor, out_mul = np.array(consts, dtype=np.uint32).T
+            v = np.arange(first, first + count, dtype=np.uint32)[:, None] ^ xor
+            v *= mul
+            v ^= v >> 16
+            v *= np.uint32(_MIX_MULT_R)
+            v = pool - v
+            v ^= v >> 16
+            v ^= out_xor
+            v *= out_mul
+            v ^= v >> 16
+            return v.astype("<u4").view("<u8").tolist()
+        keys = []
+        for index in range(first, first + count):
+            w = []
+            for xor, mul, pool, out_xor, out_mul in consts:
+                v = (index ^ xor) * mul & _MASK32
+                v = (pool - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+                v = (v ^ v >> 16 ^ out_xor) * out_mul & _MASK32
+                w.append(v ^ v >> 16)
+            keys.append((w[0] | w[1] << 32, w[2] | w[3] << 32))
+        return keys
+
+
+# numpy's SeedSequence hash constants (numpy.random.bit_generator).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# A child index is one uint32 word of the spawn key only below this.
+INDEX_LIMIT = 1 << 32
+# Blocks of fewer children hash their index words as Python ints: each numpy
+# step costs 1-2 us on arrays this small, against some 3 us per child.
+_SMALL_BLOCK = 8
+
+
+def _steps(const: int, mult: int, count: int) -> list:
+    """``const`` and the ``count`` hash constants after it."""
+    out = [const]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hashmix(value: int, const: int) -> tuple:
+    """(value hashed with the constant ``const``, the next constant)."""
+    nxt = const * _MULT_A & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _words(n) -> list:
+    """The uint32 words SeedSequence reads from a non-negative integer, low
+    word first."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"stream seeds and keys must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@lru_cache(maxsize=64)
+def _child_hash(seed: int, key: tuple) -> tuple:
+    """What the children of RngStream(seed, key) share, one row per pool
+    word: the hash constant the index word meets there and the one after it,
+    the pool word's mix term from the seed and key words, and the two
+    constants ``generate_state`` hashes that pool word's output with."""
+    entropy = _words(seed)
+    # SeedSequence pads the seed to the pool size when a spawn key follows
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy += [w for k in key for w in _words(k)]
+    const, pool = _INIT_A, []
+    for word in entropy[:_POOL_SIZE]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    a, b = _steps(const, _MULT_A, _POOL_SIZE), _steps(_INIT_B, _MULT_B, _POOL_SIZE)
+    return tuple((a[d], a[d + 1], _MIX_MULT_L * pool[d] & _MASK32, b[d], b[d + 1])
+                 for d in range(_POOL_SIZE))
 
 
 class Density:
@@ -114,6 +237,84 @@ class Density:
         bary = gen.dirichlet(np.ones(n + 1), size=count)
         corners = tri.points[tri.simplices[idx]]
         return np.einsum("kj,kjd->kd", bary, corners)
+
+    def _raw_draws(self, count: int) -> tuple:
+        """The draws ``sample`` takes from its generator for ``count``
+        points, in stream order: (Generator method, shape) pairs.
+        ``dirichlet(ones)`` draws standard exponentials and normalizes them."""
+        n = self.dim
+        if self.kind == "gaussian":
+            return (("standard_normal", (count, n)),)
+        if self.kind == "ball":
+            return (("standard_normal", (count, n)), ("random", (count,)))
+        return (("random", (count,)), ("standard_exponential", (count, n + 1)))
+
+    def _finish(self, raw: list) -> np.ndarray:
+        """The points ``sample`` makes from its raw draws, shape (N, dim), for
+        any number of draws stacked along a leading axis, in the order
+        ``_raw_draws`` lists them."""
+        n = self.dim
+        if self.kind == "gaussian":
+            return self.sigma * raw[0].reshape(-1, n)
+        if self.kind == "ball":
+            dirs = raw[0].reshape(-1, n)
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            radii = self.radius * raw[1].reshape(-1) ** (1.0 / n)
+            return dirs * radii[:, None]
+        tri, cdf = self._triangulation()
+        idx = cdf.searchsorted(raw[0].reshape(-1), side="right")
+        E = raw[1].reshape(-1, n + 1)
+        # as Generator.dirichlet: a sequential sum, then one reciprocal
+        acc = E[:, 0].copy()
+        for j in range(1, n + 1):
+            acc += E[:, j]
+        bary = E * (1.0 / acc)[:, None]
+        return np.einsum("kj,kjd->kd", bary, tri.points[tri.simplices[idx]])
+
+
+class _ZeroKey(ISeedSequence):
+    """Seeds a Philox with key 0 without hashing; ``draw_block`` sets every
+    child's key itself."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+def draw_block(stream: RngStream, first: int, count: int, draws) -> list:
+    """The samples of the children first, ..., first + count - 1 of
+    ``stream``: one array of shape (count, m, dim) per (density, m) of
+    ``draws``, bit for bit what ``draw_per_trial`` gives.  One Philox draws
+    every child's raw draws in stream order, with the child's key, counter 0
+    and an empty buffer; each density then finishes the block's draws at
+    once."""
+    bitgen = np.random.Philox(_ZeroKey())
+    gen = np.random.Generator(bitgen)
+    raw, fills = [], []
+    for density, m in draws:
+        raw.append([])
+        for name, shape in density._raw_draws(m):
+            raw[-1].append(np.empty((count,) + shape))
+            fills.append((getattr(gen, name), raw[-1][-1]))
+    key = [0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for k, child in enumerate(stream._child_keys(first, count)):
+        key[:] = child
+        bitgen.state = state
+        for fill, out in fills:
+            fill(out=out[k])
+    return [d._finish(outs).reshape(count, m, d.dim) for (d, m), outs in zip(draws, raw)]
+
+
+def draw_per_trial(stream: RngStream, first: int, count: int, draws) -> list:
+    """``draw_block`` one child at a time, each through its own generator and
+    ``Density.sample``, draw after draw: the reference route."""
+    out = [np.empty((count, m, d.dim)) for d, m in draws]
+    for k in range(count):
+        gen = stream.child(first + k).generator()
+        for arr, (density, m) in zip(out, draws):
+            arr[k] = density.sample(gen, m)
+    return out
 
 
 def cumulative_weights(weights: np.ndarray) -> np.ndarray:

@@ -32,9 +32,11 @@ SNAP_TOL = 1e-12
 # vertex count roughly doubles with each symmetrization, and ten rounds
 # from a triangle would otherwise take arrays of tens of MB.
 CHORD_BLOCK_ENTRIES = 1 << 15
-# Upper x lower edge pairs per block in ``_segment_crossings``: the third
-# round of a 3-D chain from 12 points pairs some 500 upper edges with 500
-# lower ones, and one block of all pairs took about 17 MiB of temporaries.
+# Pairs per block in ``_segment_crossings`` (upper x lower edges) and in
+# ``_plane_heights`` (candidate points x facet planes): the third round of a
+# 3-D chain from 12 points pairs some 500 upper edges with 500 lower ones,
+# and one block of all pairs took about 17 MiB of temporaries; in the fourth
+# round, heights over all candidates and facets at once peaked at 227 MiB.
 CROSSING_BLOCK_ENTRIES = 1 << 15
 
 
@@ -133,18 +135,8 @@ def _steiner_3d(K: VPolytope, u: np.ndarray) -> VPolytope:
             candidates.append(crossings)
     pts2 = np.vstack(candidates)
 
-    n_up, o_up = fac.normals[upper], fac.offsets[upper]
-    n_lo, o_lo = fac.normals[lower], fac.offsets[lower]
-    # plane height t(x) solves <n, x1 w1 + x2 w2 + t u> = offset
-    W = B[:2]
-
-    def heights(normals, offsets, X):
-        denom = normals @ u
-        base = X @ (normals @ W.T).T
-        return (offsets[None, :] - base) / denom[None, :]
-
-    f_vals = np.min(heights(n_up, o_up, pts2), axis=1)
-    g_vals = np.max(heights(n_lo, o_lo, pts2), axis=1)
+    f_vals = _plane_heights(pts2, fac.normals[upper], fac.offsets[upper], B, np.min)
+    g_vals = _plane_heights(pts2, fac.normals[lower], fac.offsets[lower], B, np.max)
     scale = max(1.0, float(np.max(np.abs(R.vertices))))
     keep = f_vals - g_vals >= -1e-9 * scale
     pts2, f_vals, g_vals = pts2[keep], f_vals[keep], g_vals[keep]
@@ -152,6 +144,24 @@ def _steiner_3d(K: VPolytope, u: np.ndarray) -> VPolytope:
     upper_pts = np.column_stack([pts2, half])
     lower_pts = np.column_stack([pts2, -half])
     return hull(np.vstack([upper_pts, lower_pts]) @ B)
+
+
+def _plane_heights(X: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+                   B: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` over the planes <n, x> = offset of the height t at which
+    each plane meets the line x1 w1 + x2 w2 + t u, for each row (x1, x2) of
+    ``X``, with (w1, w2, u) the rows of the frame ``B``.  Blocks of rows
+    take elementwise products only, so a row's value does not depend on
+    its block."""
+    A = normals @ B[:2].T
+    denom = normals @ B[2]
+    out = np.empty(len(X))
+    step = max(1, CROSSING_BLOCK_ENTRIES // len(normals))
+    for i in range(0, len(X), step):
+        block = X[i:i + step, None, :]
+        base = block[..., 0] * A[:, 0] + block[..., 1] * A[:, 1]
+        out[i:i + step] = reduce((offsets - base) / denom, axis=1)
+    return out
 
 
 def _hull_edges(simplices: np.ndarray) -> np.ndarray:

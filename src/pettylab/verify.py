@@ -10,7 +10,9 @@ slow exact oracles built from plain hull volumes only:
 stacked trial kernels, planar and spatial, are checked against the hull
 route, and the edge-pair kernels of two tetrahedra against both oracles.
 The closed-form polar volume of a zonotope, which the exact Petty product
-uses, is checked against the hull volume of the polar polytope.
+uses, is checked against the hull volume of the polar polytope.  The block
+sample route is checked against numpy's SeedSequence and each trial's own
+generator.
 The test suite imports these oracles; the command line runs the whole list.
 """
 
@@ -58,6 +60,7 @@ from .projections import (
     tetrahedron_projection_generators,
     zonotope_projection_generators,
 )
+from .sampling import INDEX_LIMIT, Density, RngStream, draw_block, draw_per_trial
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -566,6 +569,34 @@ def check_zonotope_polar_volume(seed: int = 0):
     return worst <= 1e-12, f"max relative defect {worst:.2e}"
 
 
+def check_block_streams(seed: int = 0):
+    """The block route against the per-trial one, bit for bit: its Philox
+    keys against numpy's SeedSequence, its uniform, ball and Gaussian
+    samples in the plane and in space against each trial's own generator
+    and ``Density.sample``, over blocks of 1, 7 and 64 trials.  The block of
+    64 ends at the largest index under a three-word seed; to stay within a
+    few milliseconds it draws the uniform density alone, whose finish has the
+    most steps."""
+    gen = np.random.default_rng(seed)
+    keys = entries = trials = 0
+    for dim, count, entropy, side, first, kinds in (
+            (2, 1, seed, 0, 0, 3),
+            (3, 7, int(gen.integers(2 ** 62)), 5, int(gen.integers(2 ** 20)), 3),
+            (2, 64, 2 ** 64 + 3, 1, INDEX_LIMIT - 64, 1)):
+        stream = RngStream(entropy, (side,))
+        want = [np.random.SeedSequence(entropy, spawn_key=(side, i)).generate_state(2, np.uint64)
+                for i in range(first, first + count)]
+        keys += int(np.count_nonzero(stream.child_keys(first, count) != np.array(want)))
+        draws = [(Density.uniform(cube_body(dim, 0.7)), 3), (Density.ball(dim, 1.5), 2),
+                 (Density.gaussian(dim, 0.5), 2)][:kinds]
+        for a, b in zip(draw_block(stream, first, count, draws),
+                        draw_per_trial(stream, first, count, draws)):
+            entries += int(np.count_nonzero(a.view(np.uint64) != b.view(np.uint64)))
+        trials += count
+    return keys == entries == 0, (f"{keys} keys and {entries} sample entries differ "
+                                  f"over {trials} trials")
+
+
 CHECKS = [
     ("hull vs gift wrapping", check_hull_oracle),
     ("support vs brute maxima", check_support_oracle),
@@ -582,6 +613,7 @@ CHECKS = [
     ("spatial trial kernels vs hull route", check_spatial_kernels),
     ("tetrahedron pair kernels vs oracles", check_tetrahedron_pair_kernels),
     ("zonotope polar volume vs polar hull", check_zonotope_polar_volume),
+    ("block streams vs per-trial generators", check_block_streams),
 ]
 
 

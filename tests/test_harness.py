@@ -130,6 +130,12 @@ REJECTIONS = {
     "emppetty2-quadrature": (run_emp_petty_2, dict(EMPPETTY2_SMALL, quadrature={"certify": True}),
                              "quadrature"),
     "lln-quadrature": (run_lln, dict(LLN_SMALL, quadrature={"certify": True}), "quadrature"),
+    "quadrature-false": (run_theorem_1_2, dict(THM12_SMALL, quadrature=False), "quadrature"),
+    "quadrature-zero": (run_theorem_1_2, dict(THM12_SMALL, quadrature=0), "quadrature"),
+    "quadrature-empty-list": (run_theorem_1_2, dict(THM12_SMALL, quadrature=[]), "quadrature"),
+    "quadrature-empty-string": (run_theorem_1_2, dict(THM12_SMALL, quadrature=""), "quadrature"),
+    "family-false": (run_lln, dict(LLN_SMALL, family=False), "family"),
+    "family-zero": (run_lln, dict(LLN_SMALL, family=0), "family"),
     "measure-unknown-key": (run_theorem_1_2, dict(THM12_SMALL, measure={"type": "gaussian",
                                                                         "sigmaa": 2.0}),
                             "measure.sigmaa"),
@@ -460,6 +466,13 @@ HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "empmixed", "emppetty2",
                     "empmixed-3d-volume", "lln-3d"}
 
 
+def _patch_sample(monkeypatch, sample):
+    """Draw every trial through the per-trial reference route, its own
+    generator and ``Density.sample``, with ``sample`` as ``Density.sample``."""
+    monkeypatch.setattr(harness, "draw_block", sampling.draw_per_trial)
+    monkeypatch.setattr(Density, "sample", sample)
+
+
 def _odd_clouds(kinds):
     """A sampler that returns a cloud of one of the test kinds (planar: random,
     collinear, repeated-point; spatial: random, coplanar, collinear,
@@ -492,6 +505,12 @@ class TestChunks:
                      for a, b in zip(cuts[:-1], cuts[1:])]
             assert np.array_equal(np.concatenate([v for v, _ in parts]), whole)
             assert {key: sum(d[key] for _, d in parts) for key in diag} == diag
+        # sample blocks of 5 trials, so that the range spans five of them
+        entries = spec.dim * sum(m for _, m in spec.blocks[0])
+        monkeypatch.setattr(harness, "CHUNK_ENTRIES", 5 * entries)
+        assert spec.block_len(0) == 5
+        values, d = harness._worker((spec, 0, 0, n))
+        assert np.array_equal(values, whole) and d == diag
         monkeypatch.setattr(harness, "CHUNK_ENTRIES", 1)
         values, d = harness._worker((spec, 0, 0, n))
         assert np.array_equal(values, whole) and d == diag
@@ -501,7 +520,7 @@ class TestChunks:
     def test_chunks_match_the_hull_route(self, name, odd, monkeypatch):
         kind, config = ROUTED[name]
         if odd:
-            monkeypatch.setattr(Density, "sample", _odd_clouds(_odd_kinds(name, config["dim"])))
+            _patch_sample(monkeypatch, _odd_clouds(_odd_kinds(name, config["dim"])))
         spec = SPECS[kind](config)
         n = 30
         hull_diag, chunk_diag = harness._no_diagnostics(), harness._no_diagnostics()
@@ -536,7 +555,7 @@ class TestSpecs:
     @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_each_kind_writes_only_its_hull_route_and_kernel(self, kind):
         spec = SPECS[kind]
-        for name in ("trial", "chunk", "chunk_len"):
+        for name in ("trial", "chunk", "chunk_values", "chunk_len", "block_len", "stacked"):
             assert getattr(spec, name) is getattr(harness._Spec, name)
         assert callable(getattr(spec, "value", None))
 
@@ -604,7 +623,7 @@ class TestTrialErrors:
             pts = real(self, gen, count)
             return np.zeros_like(pts) if np.array_equal(pts, target) else pts
 
-        monkeypatch.setattr(Density, "sample", sample)
+        _patch_sample(monkeypatch, sample)
         config = dict(THM12_SMALL, dim=dim, c_set=c_set,
                       blocks=[{"density": {"type": "gaussian"}, "m": m}])
         with pytest.raises(TrialError, match=r"trial \(0, 7\): GeometryError") as info:
@@ -799,12 +818,12 @@ class TestCli:
         lln_cfg = self._write(tmp_path, lln, "lln.json")
         assert cli.main(["replay", "lln", "--config", lln_cfg, "--key", "1,0"]) == 0
         assert json.loads(capsys.readouterr().out)["chunk"]["value"] > 0.0
-        for key in ("2,0", "0,-1", "0", "a,b"):
+        for key in ("2,0", "0,-1", "0", "a,b", "0,4294967296"):
             assert cli.main(["replay", kind, "--config", cfg, "--key", key]) == 1
             assert "key must be" in capsys.readouterr().err
 
     def test_replay_reports_what_a_failing_trial_raises(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(Density, "sample", lambda self, gen, count: np.zeros((count, self.dim)))
+        _patch_sample(monkeypatch, lambda self, gen, count: np.zeros((count, self.dim)))
         cfg = self._write(tmp_path, CHUNKED["thm12-3d-lebesgue"][1])
         assert cli.main(["replay", "thm12", "--config", cfg, "--key", "0,7"]) == 2
         report = json.loads(capsys.readouterr().out)

@@ -17,8 +17,15 @@ from pettylab import (
     volume,
     zonotope_to_vpolytope,
 )
+from pettylab import verify
 from pettylab.harness import SPECS, CSet, _density
-from pettylab.sampling import cumulative_weights
+from pettylab.sampling import INDEX_LIMIT, cumulative_weights, draw_block, draw_per_trial
+
+
+def seed_sequence_keys(seed, key, indices):
+    """The Philox keys numpy's SeedSequence gives the streams key + (i,)."""
+    return np.array([np.random.SeedSequence(seed, spawn_key=tuple(key) + (i,))
+                     .generate_state(2, np.uint64) for i in indices])
 
 
 class TestRngStream:
@@ -47,6 +54,82 @@ class TestRngStream:
         corr = np.corrcoef(draws)
         off = corr[~np.eye(40, dtype=bool)]
         assert np.abs(off).max() < 0.55
+
+
+class TestChildKeys:
+    # 2**64 + 3 is three words of entropy; blocks below 8 hash in Python ints
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("first, count", [(0, 1), (5, 7), (0, 40)])
+    def test_keys_equal_seed_sequence(self, seed, first, count):
+        for side in (0, 1):
+            got = RngStream(seed, (side,)).child_keys(first, count)
+            assert got.dtype == np.uint64 and got.shape == (count, 2)
+            assert np.array_equal(got, seed_sequence_keys(seed, (side,), range(first, first + count)))
+
+    @pytest.mark.parametrize("count", [1, 2, 9])
+    def test_the_last_index_word(self, count):
+        first = INDEX_LIMIT - count
+        got = RngStream(7, (1,)).child_keys(first, count)
+        assert np.array_equal(got, seed_sequence_keys(7, (1,), range(first, INDEX_LIMIT)))
+
+    @pytest.mark.parametrize("first, count", [(INDEX_LIMIT, 1), (INDEX_LIMIT - 1, 2), (-1, 1)])
+    def test_an_index_past_one_word_is_an_error(self, first, count):
+        with pytest.raises(ValueError, match=r"child indices must lie in \[0, 2\*\*32\)"):
+            RngStream(7, (1,)).child_keys(first, count)
+
+    def test_lln_row_keys(self):
+        spec = SPECS["lln"]({"dim": 2, "seed": 2**40 + 9, "trials": 4, "body": {"type": "cube", "dim": 2},
+                             "m1_list": [4, 6, 5], "m2_list": [4, 3, 8]})
+        for row in range(3):
+            got = RngStream(spec.seed, (row,)).child_keys(11, 9)
+            assert np.array_equal(got, seed_sequence_keys(spec.seed, (row,), range(11, 20)))
+            want = draw_per_trial(RngStream(spec.seed, (row,)), 11, 9, spec.blocks[row])
+            for a, b in zip(spec.stacked(row, 11, 9), want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_keys_seed_the_trial_generators(self):
+        k0, k1 = RngStream(3, (0,)).child_keys(4, 1)[0]
+        state = RngStream(3, (0, 4)).generator().bit_generator.state
+        assert list(state["state"]["key"]) == [k0, k1]
+
+
+class TestBlockDraws:
+    @staticmethod
+    def draws(dim):
+        gen = np.random.default_rng(dim)
+        return [(Density.uniform(hull(gen.normal(size=(9, dim)))), 4),
+                (Density.ball(dim, 1.3), 3), (Density.gaussian(dim, 0.7), 2),
+                (Density.uniform(cube_body(dim)), 1)]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 7, 64])
+    def test_blocks_equal_the_per_trial_route(self, dim, count):
+        draws = self.draws(dim)
+        for subset in (draws, draws[1:2], draws[2::-1]):
+            stream = RngStream(2**33 + count, (1,))
+            got = draw_block(stream, 3, count, subset)
+            want = draw_per_trial(stream, 3, count, subset)
+            for a, b, (density, m) in zip(got, want, subset):
+                assert a.shape == (count, m, dim) and a.tobytes() == b.tobytes()
+
+    def test_dirichlet_of_ones_normalizes_standard_exponentials(self):
+        # the assumption the uniform block finish rests on, on this numpy:
+        # dirichlet(ones(k)) draws a (size, k) standard exponential block from
+        # the same stream, sums each row in order and multiplies by 1 / sum
+        for seed in range(50):
+            for k in (3, 4):
+                a, b = (RngStream(seed, (0, k)).generator() for _ in range(2))
+                want = a.dirichlet(np.ones(k), size=6)
+                E = b.standard_exponential((6, k))
+                acc = np.zeros(6)
+                for j in range(k):
+                    acc = acc + E[:, j]
+                assert want.tobytes() == (E * (1.0 / acc)[:, None]).tobytes()
+                assert a.random() == b.random()
+
+    def test_the_oracle_check_passes(self):
+        ok, detail = verify.check_block_streams(3)
+        assert ok, detail
 
 
 class TestDensity:

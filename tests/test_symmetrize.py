@@ -23,6 +23,7 @@ from pettylab import (
 )
 from pettylab.bodies import facet_planes, reduced_form
 from pettylab.mixed import facets
+from pettylab import symmetrize
 from pettylab.symmetrize import (
     CROSSING_BLOCK_ENTRIES,
     PARALLEL_TOL,
@@ -30,6 +31,7 @@ from pettylab.symmetrize import (
     _facet_edges,
     _frame,
     _hull_edges,
+    _plane_heights,
     _segment_crossings,
     _unit,
 )
@@ -115,6 +117,13 @@ def segment_crossings_one_block(segs_a, segs_b):
     return (p1 + t[..., None] * d1)[hit]
 
 
+def plane_heights_one_block(X, normals, offsets, B, reduce):
+    """Reference for ``_plane_heights``: every (point, plane) pair in one array."""
+    A = normals @ B[:2].T
+    base = X[:, None, 0] * A[:, 0] + X[:, None, 1] * A[:, 1]
+    return reduce((offsets - base) / (normals @ B[2]), axis=1)
+
+
 class TestChordProfiles:
     def test_equal_the_loop_reference_bit_for_bit(self):
         gen = np.random.default_rng(61)
@@ -197,6 +206,27 @@ class TestSteiner:
             a, b = gen.random(size=(na, 2, 2)), gen.random(size=(nb, 2, 2))
             got, want = _segment_crossings(a, b), segment_crossings_one_block(a, b)
             assert len(got) > 0 and got.tobytes() == want.tobytes()
+
+    def test_a_chain_round_does_not_depend_on_the_blocks(self, monkeypatch):
+        # the third round of a 3-D chain from 12 Gaussian points: its
+        # candidates x facets span several blocks of heights
+        gen = np.random.default_rng(1003)
+        K = hull(gen.normal(size=(12, 3)))
+        for _ in range(2):
+            K = steiner_symmetrize(K, _unit(gen.normal(size=3)))
+        u = _unit(gen.normal(size=3))
+        R, B = reduced_form(K), _frame(u)
+        fac = facets(R)
+        X = np.vstack([R.vertices @ B[:2].T, gen.normal(size=(1000, 2))])
+        for mask, reduce in ((fac.normals @ u > PARALLEL_TOL, np.min),
+                             (fac.normals @ u < -PARALLEL_TOL, np.max)):
+            assert len(X) * np.count_nonzero(mask) > 2 * CROSSING_BLOCK_ENTRIES
+            args = (X, fac.normals[mask], fac.offsets[mask], B, reduce)
+            assert _plane_heights(*args).tobytes() == plane_heights_one_block(*args).tobytes()
+        want = steiner_symmetrize(K, u).vertices
+        for entries in (1, 1 << 40):
+            monkeypatch.setattr(symmetrize, "CROSSING_BLOCK_ENTRIES", entries)
+            assert steiner_symmetrize(K, u).vertices.tobytes() == want.tobytes()
 
     def test_square_along_diagonal(self):
         u = np.array([1.0, 1.0]) / np.sqrt(2.0)
