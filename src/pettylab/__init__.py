@@ -36,9 +36,9 @@ from .bodies import (
 from .mixed import (
     centroid,
     facets,
+    mixed_area_measure,
     mixed_volume,
     mixed_volume_fit_check,
-    projection_support,
     shadow_convexity_probe,
     surface_area,
     v1,

@@ -36,8 +36,11 @@ A kind is a hull route, the value of one trial from its own samples, plus,
 optionally, a stacked kernel that takes the chunk's samples to values and
 a mask of the trials it could classify; the trials outside the mask take
 the hull route, which is also the reference a trial run alone (``replay``)
-takes.  Planar kernels run the geometry once per chunk, with no hull, by
-Cauchy's formula h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
+takes.  thm12, thm11 and cor13 share one hull route, ``_PolarSpec.value``,
+over the zonotope ``mixed_projection_support`` builds from the kind's
+n - 1 bodies (thm12: n - 1 copies of X C).  Planar kernels run the
+geometry once per chunk, with no hull, by Cauchy's formula
+h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
 
 * thm12: the projection support of conv X on the node u is the width of
   the cloud X along u^perp, and that of the zonotope sum of [-g, g] is
@@ -126,7 +129,6 @@ from .projections import (
     mixed_projection_support,
     polar_measures,
     polar_projection_polytope,
-    projection_body,
     tetrahedron_pair_normals,
     tetrahedron_projection_generators,
     zonotope_projection_generators,
@@ -201,9 +203,7 @@ def resolve_threads(threads: int | None) -> int:
         return value
     if threads is None:
         return 1
-    if threads < 1:
-        raise ConfigError("threads must be positive")
-    return int(threads)
+    return _integer(threads, "threads")
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +608,10 @@ class _Spec:
 
 
 class _PolarSpec(_Spec):
-    """Kinds that average a polar measure: its radial measure and the node
-    count of the quadrature grid."""
+    """Kinds that average the polar measure of a mixed projection body: its
+    radial measure, the node count of the quadrature grid, and the one hull
+    route of every such kind, over the n - 1 bodies a kind's
+    ``bodies(samples, diag)`` builds from one trial's samples."""
 
     direction = "le"
 
@@ -619,6 +621,11 @@ class _PolarSpec(_Spec):
         _require(not q.get("certify"),
                  "quadrature.certify is not supported in experiments (the petty command honours it)")
         self.nodes = QuadratureSpec(nodes=q.get("nodes")).node_count(self.dim)
+
+    def value(self, samples: list, diag: dict) -> float:
+        """The polar measure of Pi(``bodies``) from its support on the grid."""
+        Z = mixed_projection_support(self.bodies(samples, diag))
+        return self._polar_values(Z.support_batch(_grid(self.dim, self.nodes))[None], diag)[0]
 
     def _polar_values(self, hv: np.ndarray, diag: dict) -> np.ndarray:
         """Polar measures of stacked support rows, counting each row with a
@@ -665,12 +672,10 @@ class _Thm12Spec(_PolarSpec):
         elif self.form is not None:
             self.entries = self.nodes
 
-    def value(self, samples: list, diag: dict) -> float:
-        """The polar measure of Pi(X C) from h_{Pi(X C)} on the grid,
-        counting a degenerate hull."""
+    def bodies(self, samples: list, diag: dict) -> list:
+        """n - 1 copies of X C, counting a degenerate hull once."""
         X, = samples
-        Z = projection_body(_counted(self.cset.body(X), diag), allow_degenerate=True)
-        return self._polar_values(Z.support_batch(_grid(self.dim, self.nodes))[None], diag)[0]
+        return [_counted(self.cset.body(X), diag)] * (self.dim - 1)
 
     def kernel(self, samples: list, diag: dict) -> tuple:
         P = self.cset.rows(samples[0])
@@ -698,11 +703,6 @@ class _MixedSpec(_PolarSpec):
     def parse(self, config: dict):
         _require(self.dim == 3, f"{self.kind} needs dim = 3")
         super().parse(config)
-
-    def value(self, samples: list, diag: dict) -> float:
-        """The polar measure of Pi(K_1, K_2) from its support on the grid."""
-        h = mixed_projection_support(self.bodies(samples, diag))
-        return self._polar_values(h(_grid(self.dim, self.nodes))[None], diag)[0]
 
     def kernel(self, samples: list, diag: dict) -> tuple:
         A, B = (self.rows(i, X) for i, X in enumerate(samples))
@@ -1057,10 +1057,11 @@ def replay(kind: str, config: dict, key) -> dict:
     or the error it raised; ``relative_difference`` compares the values."""
     _require(kind in SPECS, f"unknown experiment {kind!r}")
     spec = SPECS[kind](config)
-    side, index = (int(k) for k in key)
     sides = len(spec.blocks)
-    _require(0 <= side < sides and 0 <= index < INDEX_LIMIT,
-             f"key must be (side, trial) with side below {sides} and 0 <= trial < 2**32")
+    shape = f"key must be (side, trial) with side below {sides} and 0 <= trial < 2**32"
+    _require(isinstance(key, (tuple, list)) and len(key) == 2, f"{shape}, got {key!r}")
+    side, index = (_integer(k, "key", 0) for k in key)
+    _require(side < sides and index < INDEX_LIMIT, shape)
     routes = {
         "chunk": lambda diag: spec.chunk(side, index, 1, diag)[0],
         "trial": lambda diag: spec.trial(side, index, diag),

@@ -1,11 +1,12 @@
 """Facet data, the surface-area measure, and the mixed volumes built on it.
 
-Every mixed quantity reads one primitive, the surface-area measure S_K as
-(unit normals, masses): v1(K, L) = (1/n) sum h_L(v) S_K(v), and in space
-the mixed measure S(A, B) = [S(A + B) - S(A) - S(B)] / 2 gives the rest
-(Schneider, Convex Bodies: The Brunn-Minkowski Theory, section 5.1).  The
-inclusion-exclusion definition over subset sums lives in ``verify`` as the
-independent oracle.
+Every mixed quantity reads one primitive, the mixed area measure
+S(K_1, ..., K_{n-1}) of ``mixed_area_measure`` as (unit normals, masses):
+the surface-area measure S_K for n - 1 copies of K, and in space
+S(A, B) = [S(A + B) - S(A) - S(B)] / 2 (Schneider, Convex Bodies: The
+Brunn-Minkowski Theory, section 5.1).  Mixed volumes pair it with the last
+body's support, and the projection bodies of ``projections`` are zonotopes
+over it.  The inclusion-exclusion oracle over subset sums lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .bodies import (
+    MERGE_GAP,
     GeometryError,
     VPolytope,
-    _abs_pairing,
     as_polytope,
     facet_planes,
     hull,
@@ -28,6 +30,9 @@ from .bodies import (
 )
 
 FACET_MERGE_DECIMALS = 9
+# ``mixed_area_measure`` drops a merged mass within this share of the total
+# absolute mass of its pieces, and raises on a mass below minus that share.
+MIXED_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,16 +80,6 @@ def facets(P: VPolytope) -> FacetData:
 
 def surface_area(P: VPolytope) -> float:
     return float(np.sum(facets(P).measures))
-
-
-def projection_support(P: VPolytope, U) -> np.ndarray:
-    """(n-1)-volume of the shadow of P orthogonal to each row of U.
-
-    Cauchy's formula: half the surface measure weighted by |<normal, u>|.
-    Rows of U need not be unit; values scale 1-homogeneously.
-    """
-    normals, masses = _surface_measure(P)
-    return 0.5 * _abs_pairing(np.atleast_2d(U), normals, masses)
 
 
 def centroid(P: VPolytope) -> np.ndarray:
@@ -167,30 +162,60 @@ def _surface_measure(K) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((0, n)), np.zeros(0)
 
 
-def v1(K, L) -> float:
-    """V(K, ..., K, L) = (1/n) sum of h_L over the surface measure of K.
+def _shared_dim(bodies: list, missing: int) -> int:
+    """The dimension n of ``bodies`` when they all share it and number n - missing."""
+    n = bodies[0].dim if bodies else 0
+    if len(bodies) != n - missing or any(B.dim != n for B in bodies):
+        raise GeometryError(f"needs n - {missing} bodies of one dimension n, got {len(bodies)}")
+    return n
 
-    L is any support carrier: a VPolytope, a Zonotope or a SupportEvaluator.
+
+def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:
+    """The mixed area measure S(K_1, ..., K_{n-1}) as (outward unit normals,
+    masses).
+
+    n - 1 copies of one body give its surface-area measure.  Two bodies in
+    space give S(A, B) = [S(A + B) - S(A) - S(B)] / 2 with equal normals
+    merged, never antipodal ones: ``mixed_volume`` pairs the measure with a
+    support that need not be even.  The merged masses are nonnegative up to
+    rounding; those within MIXED_MASS_TOL of the pieces' total absolute mass
+    are dropped, and a clearly negative one raises.
     """
-    if L.dim != K.dim:
-        raise GeometryError("dimension mismatch in v1")
-    normals, masses = _surface_measure(K)
-    h = getattr(L, "support_batch", L)
-    return float(masses @ h(normals) / K.dim)
+    _shared_dim(bodies, 1)
+    if all(B is bodies[0] for B in bodies):
+        return _surface_measure(bodies[0])
+    A, B = (as_polytope(K) for K in bodies)
+    pieces = [_surface_measure(K) for K in (minkowski_sum(A, B), A, B)]
+    normals = np.vstack([v for v, _ in pieces])
+    signed = np.concatenate([c * m for c, (_, m) in zip((0.5, -0.5, -0.5), pieces)])
+    # each normal joins the first one within MERGE_GAP of it
+    close = cKDTree(normals).query_pairs(MERGE_GAP, output_type="ndarray")
+    rep = np.arange(len(normals))
+    np.minimum.at(rep, close[:, 1], close[:, 0])
+    first, group = np.unique(rep, return_inverse=True)
+    masses = np.bincount(group, weights=signed)
+    tol = MIXED_MASS_TOL * float(np.abs(signed).sum())
+    if np.any(masses < -tol):
+        raise GeometryError(f"mixed area measure has a negative mass {masses.min():.3g}")
+    keep = masses > tol
+    return normals[first[keep]], masses[keep]
 
 
 def mixed_volume(bodies: list) -> float:
-    """V(K_1, ..., K_n): v1 in the plane, and in space by polarization of
-    v1(A + B, C) = v1(A, C) + 2 V(A, B, C) + v1(B, C)."""
-    n = bodies[0].dim
-    if len(bodies) != n:
-        raise GeometryError(f"mixed volume in dimension {n} needs exactly {n} bodies")
-    if any(B.dim != n for B in bodies):
-        raise GeometryError("mixed volume bodies must share a dimension")
-    if n == 2:
-        return v1(bodies[0], bodies[1])
-    A, B, C = as_polytope(bodies[0]), as_polytope(bodies[1]), bodies[2]
-    return 0.5 * (v1(minkowski_sum(A, B), C) - v1(A, C) - v1(B, C))
+    """V(K_1, ..., K_n) = (1/n) sum h_{K_n}(v) S(K_1, ..., K_{n-1}; v).
+
+    K_n is any support carrier: a VPolytope, a Zonotope or a
+    SupportEvaluator.
+    """
+    n = _shared_dim(bodies, 0)
+    normals, masses = mixed_area_measure(bodies[:-1])
+    h = getattr(bodies[-1], "support_batch", bodies[-1])
+    return float(masses @ h(normals) / n)
+
+
+def v1(K, L) -> float:
+    """V(K, ..., K, L) = (1/n) sum of h_L over the surface measure of K."""
+    return mixed_volume([K] * (K.dim - 1) + [L])
 
 
 def shadow_convexity_probe(systems: list, t: float) -> float:

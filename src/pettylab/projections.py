@@ -1,9 +1,10 @@
 """Projection bodies, polar radial measures, and centroid bodies.
 
-Support functions are the working currency here: a projection body is kept
-as a zonotope whose support equals shadow volumes, mixed projection bodies
-are support evaluators read off the mixed surface-area measure, and polar
-measures integrate a radial density in polar coordinates over 1/h.
+Support functions are the working currency here.  Every projection body,
+mixed or not, is a zonotope with generators (mass/2) * normal over the mixed
+area measure, so its support equals shadow volumes; the centroid body is
+the one ``SupportEvaluator``.  Polar measures integrate a radial density in
+polar coordinates over 1/h.
 """
 
 from __future__ import annotations
@@ -18,11 +19,8 @@ from .bodies import (
     GeometryError,
     VPolytope,
     Zonotope,
-    _abs_pairing,
-    as_polytope,
     hull,
     merge_parallel_generators,
-    minkowski_sum,
     polar_of_zonotope,
     reduced_form,
     spatial_full_rank,
@@ -31,7 +29,7 @@ from .bodies import (
     volume,
     zonotope_polar_volume,
 )
-from .mixed import _surface_measure, centroid, clip_halfspace, surface_area
+from .mixed import _shared_dim, centroid, clip_halfspace, mixed_area_measure, surface_area
 
 DEFAULT_NODES = {2: 4096, 3: 8192}
 PETTY_METHODS = ("auto", "exact", "quadrature")
@@ -57,17 +55,6 @@ class SupportEvaluator:
         if U.shape[1] != self.dim:
             raise GeometryError("direction dimension mismatch")
         return self._fn(U)
-
-    def value(self, u) -> float:
-        return float(self(np.asarray(u, dtype=float)[None, :])[0])
-
-
-def support_evaluator_of(body) -> SupportEvaluator:
-    if isinstance(body, SupportEvaluator):
-        return body
-    if isinstance(body, Zonotope):
-        return SupportEvaluator(body.dim, body.support_batch, "zonotope")
-    return SupportEvaluator(body.dim, body.support_batch, "vpolytope")
 
 
 @dataclass(frozen=True)
@@ -168,23 +155,23 @@ def polar_measures(HV: np.ndarray, measure: RadialMeasure, dim: int) -> np.ndarr
     return np.array([polar_measure_from_support(h, measure, dim) for h in HV])
 
 
-def _polar_measure_at(h: SupportEvaluator, measure: RadialMeasure, nodes: int) -> float:
-    U = sphere_directions(h.dim, nodes)
-    return polar_measure_from_support(h(U), measure, h.dim)
+def _polar_measure_at(body, measure: RadialMeasure, nodes: int) -> float:
+    h = getattr(body, "support_batch", body)
+    return polar_measure_from_support(h(sphere_directions(body.dim, nodes)), measure, body.dim)
 
 
-def polar_measure(h, measure: RadialMeasure, quad: QuadratureSpec | None = None) -> float:
-    """measure({x : h(x) <= 1}) in polar-radial coordinates.
+def polar_measure(body, measure: RadialMeasure, quad: QuadratureSpec | None = None) -> float:
+    """measure({x : h(x) <= 1}) in polar-radial coordinates, h the support
+    of ``body``: a VPolytope, a Zonotope or a SupportEvaluator.
 
     With certify=True the node count is doubled and both values must agree
     to a relative 1e-4, otherwise the quadrature is rejected.
     """
-    h = support_evaluator_of(h)
     quad = quad or QuadratureSpec()
-    nodes = quad.node_count(h.dim)
-    value = _polar_measure_at(h, measure, nodes)
+    nodes = quad.node_count(body.dim)
+    value = _polar_measure_at(body, measure, nodes)
     if quad.certify:
-        refined = _polar_measure_at(h, measure, 2 * nodes)
+        refined = _polar_measure_at(body, measure, 2 * nodes)
         denom = max(abs(refined), 1e-300)
         if abs(refined - value) / denom > CERTIFY_REL_TOL:
             raise GeometryError(
@@ -200,20 +187,17 @@ def polar_measure(h, measure: RadialMeasure, quad: QuadratureSpec | None = None)
 
 
 def projection_body(K, allow_degenerate: bool = False) -> Zonotope:
-    """Zonotope whose support in direction u is the shadow volume |P_{u^perp} K|.
+    """Zonotope whose support in direction u is the shadow volume |P_{u^perp} K|,
+    the mixed projection body of n - 1 copies of K.
 
-    Generators are (mass/2) * normal over the surface-area measure, merged
-    over parallel directions.  Degenerate input is rejected unless
-    allow_degenerate is set, in which case the flat-body conventions of that
-    measure apply (a segment in the plane or a polygon in space casts shadows
-    through its normal, anything flatter has zero shadow volume).
+    Degenerate input is rejected unless allow_degenerate is set, in which
+    case the flat-body conventions of the surface-area measure apply (a
+    segment in the plane or a polygon in space casts shadows through its
+    normal, anything flatter has zero shadow volume).
     """
-    if isinstance(K, Zonotope):
-        return projection_body_of_zonotope(K)
-    if K.is_degenerate() and not allow_degenerate:
+    if not isinstance(K, Zonotope) and K.is_degenerate() and not allow_degenerate:
         raise GeometryError("projection body needs a full-dimensional body")
-    normals, masses = _surface_measure(K)
-    return merge_parallel_generators(Zonotope(0.5 * masses[:, None] * normals))
+    return mixed_projection_support([K] * (K.dim - 1))
 
 
 def projection_body_of_zonotope(Z: Zonotope) -> Zonotope:
@@ -318,42 +302,29 @@ def mixed_projection_generators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return 2.0 * np.cross(A[:, :, None], B[:, None, :]).reshape(len(A), -1, 3)
 
 
-def mixed_projection_support(bodies: list) -> SupportEvaluator:
-    """Support evaluator of the mixed projection body Pi(K_1, ..., K_{n-1}).
+def mixed_projection_support(bodies: list) -> Zonotope:
+    """The mixed projection body Pi(K_1, ..., K_{n-1}) as a zonotope.
 
-    h(u) = n V(K_1, ..., K_{n-1}, [0, u]) is linear in the surface-area
-    measure, h_{Pi K}(u) = (1/2) sum |<u, v>| S_K(v), and in space
-    h_{Pi(A, B)} = [h_{Pi(A + B)} - h_{Pi A} - h_{Pi B}] / 2.  A pair of
-    zonotopes takes the closed form of that identity, generator cross
-    products, with no hull.
+    h(u) = n V(K_1, ..., K_{n-1}, [0, u]) = (1/2) sum |<u, v>| S(v) over the
+    mixed area measure S, so the generators are (mass/2) * normal, merged
+    over parallel directions.  Zonotopes take closed forms with no hull:
+    n - 1 copies of one zonotope its projection body from generator pairs,
+    and two zonotopes in space generator cross products.
     """
-    if len(bodies) == 0:
-        raise GeometryError("mixed projection needs n-1 bodies")
-    n = bodies[0].dim
-    if any(B.dim != n for B in bodies):
-        raise GeometryError("mixed projection bodies must share a dimension")
-    if len(bodies) != n - 1:
-        raise GeometryError(f"dimension {n} needs exactly {n - 1} bodies")
-
-    if n == 3 and all(isinstance(B, Zonotope) for B in bodies):
-        ga, gb = bodies[0].generators, bodies[1].generators
-        Zc = merge_parallel_generators(Zonotope(mixed_projection_generators(ga[None], gb[None])[0]))
-        return SupportEvaluator(3, Zc.support_batch, "zonotope")
-    if n == 2:
-        terms = [(0.5, bodies[0])]
-    else:
-        A, B = (as_polytope(K) for K in bodies)
-        terms = [(0.25, minkowski_sum(A, B)), (-0.25, A), (-0.25, B)]
-    measures = [_surface_measure(K) for _, K in terms]
-    normals = np.vstack([v for v, _ in measures])
-    weights = np.concatenate([c * m for (c, _), (_, m) in zip(terms, measures)])
-    return SupportEvaluator(n, lambda U: _abs_pairing(U, normals, weights), "surface-measure")
+    _shared_dim(bodies, 1)
+    if all(isinstance(B, Zonotope) for B in bodies):
+        if all(B is bodies[0] for B in bodies):
+            return projection_body_of_zonotope(bodies[0])
+        ga, gb = (B.generators[None] for B in bodies)
+        return merge_parallel_generators(Zonotope(mixed_projection_generators(ga, gb)[0]))
+    normals, masses = mixed_area_measure(bodies)
+    return merge_parallel_generators(Zonotope(0.5 * masses[:, None] * normals))
 
 
 def mixed_volume_with_segment(bodies: list, y) -> float:
     """V(K_1, ..., K_{n-1}, [0, y]) = h_{Pi(K_1, ..., K_{n-1})}(y) / n."""
     y = np.asarray(y, dtype=float)
-    return mixed_projection_support(bodies).value(y) / y.shape[0]
+    return mixed_projection_support(bodies).support(y) / y.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,7 @@ def check_mixed_projection_oracle(seed: int = 0):
     ):
         A, B = (_random_body(gen, 3, k) for k in kinds)
         want = mixed_projection_polarization(A, B, U)
-        got = mixed_projection_support([A, B])(U)
+        got = mixed_projection_support([A, B]).support_batch(U)
         worst = max(worst, float(np.max(np.abs(got - want) / want)))
     return worst <= 1e-9, f"max relative defect {worst:.2e}"
 
@@ -478,7 +478,7 @@ def check_spatial_kernels(seed: int = 0):
          lambda t: projection_body(vertex_form(A[t]), allow_degenerate=True).support_batch(U)),
         (mixed_projection_generators(A, B), spatial_full_rank(A) & spatial_full_rank(B),
          lambda t: spans(A[t]) and spans(B[t]),
-         lambda t: mixed_projection_support([vertex_form(A[t]), vertex_form(B[t])])(U)),
+         lambda t: mixed_projection_support([vertex_form(A[t]), vertex_form(B[t])]).support_batch(U)),
     ]
     worst = 0.0
     masks_ok = True

@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from pettylab.harness import (
     run_theorem_1_2,
 )
 from pettylab.mixed import v1
-from pettylab.projections import support_evaluator_of
+from pettylab.projections import SupportEvaluator
 from pettylab.sampling import Density, RngStream
 from pettylab.verify import (
     mixed_volume_inclusion_exclusion,
@@ -277,6 +279,9 @@ class TestValidation:
         assert resolve_threads(4) == 4
         with pytest.raises(ConfigError):
             resolve_threads(0)
+        for bad in (2.5, True, "2"):
+            with pytest.raises(ConfigError, match="threads must be an integer"):
+                resolve_threads(bad)
         monkeypatch.setenv(THREADS_ENV, "3")
         assert resolve_threads(1) == 3
         monkeypatch.setenv(THREADS_ENV, "zero")
@@ -558,6 +563,8 @@ class TestSpecs:
         for name in ("trial", "chunk", "chunk_values", "chunk_len", "block_len", "stacked"):
             assert getattr(spec, name) is getattr(harness._Spec, name)
         assert callable(getattr(spec, "value", None))
+        # every polar kind shares one hull route over its mixed projection body
+        assert (spec.value is harness._PolarSpec.value) == (kind in ("thm12", "thm11", "cor13"))
 
     @pytest.mark.parametrize("module", [bodies, projections, sampling],
                              ids=["bodies", "projections", "sampling"])
@@ -567,6 +574,27 @@ class TestSpecs:
         assert not names & set(vars(module))
         for obj in vars(module).values():
             assert not (isinstance(obj, type) and hasattr(obj, "from_literal")), obj
+
+    def test_only_the_centroid_body_builds_a_support_evaluator(self):
+        # every other support is a body with a generator or vertex form
+        builders = []
+        for path in sorted(Path(projections.__file__).parent.glob("*.py")):
+            scopes = [path.name]
+
+            class Calls(ast.NodeVisitor):
+                def visit_FunctionDef(self, node):
+                    scopes.append(node.name)
+                    self.generic_visit(node)
+                    scopes.pop()
+
+                def visit_Call(self, node):
+                    func = node.func
+                    if getattr(func, "id", getattr(func, "attr", None)) == "SupportEvaluator":
+                        builders.append((path.name, scopes[-1]))
+                    self.generic_visit(node)
+
+            Calls().visit(ast.parse(path.read_text()))
+        assert builders == [("projections.py", "centroid_body_support")]
 
     @pytest.mark.parametrize("name", sorted(CHUNKED))
     def test_a_pickled_spec_gives_equal_chunks(self, name):
@@ -647,7 +675,7 @@ class TestPairingLimit:
         gen = np.random.default_rng(65)
         K = hull(gen.normal(size=(7, 2)))
         L = hull(gen.normal(size=(6, 2)))
-        got = v1(K, support_evaluator_of(L))
+        got = v1(K, SupportEvaluator(L.dim, L.support_batch, "vpolytope"))
         assert got == pytest.approx(mixed_volume_inclusion_exclusion([K, L]), rel=1e-9)
 
     def test_sweep_report_structure(self):
@@ -821,6 +849,12 @@ class TestCli:
         for key in ("2,0", "0,-1", "0", "a,b", "0,4294967296"):
             assert cli.main(["replay", kind, "--config", cfg, "--key", key]) == 1
             assert "key must be" in capsys.readouterr().err
+
+    def test_replay_rejects_a_key_that_is_not_an_integer_pair(self):
+        kind, config = CHUNKED["thm12-3d-lebesgue"]
+        for key in ((0.9, 2.7), (0, 1, 2), (True, 0)):
+            with pytest.raises(ConfigError, match="key must be"):
+                harness.replay(kind, config, key)
 
     def test_replay_reports_what_a_failing_trial_raises(self, tmp_path, capsys, monkeypatch):
         _patch_sample(monkeypatch, lambda self, gen, count: np.zeros((count, self.dim)))

@@ -23,11 +23,10 @@ from pettylab.mixed import (
     facets,
     mixed_volume,
     mixed_volume_fit_check,
-    projection_support,
     surface_area,
     v1,
 )
-from pettylab.projections import mixed_volume_with_segment
+from pettylab.projections import mixed_volume_with_segment, projection_body
 from pettylab.verify import mixed_volume_inclusion_exclusion, shadow_oracle
 
 
@@ -198,7 +197,7 @@ class TestSegmentsAndProjections:
                 K = hull(gen.normal(size=(n + 5, n)))
                 u = gen.normal(size=n)
                 u /= np.linalg.norm(u)
-                assert projection_support(K, u[None, :])[0] == pytest.approx(
+                assert projection_body(K).support_batch(u[None, :])[0] == pytest.approx(
                     shadow_oracle(K, u), abs=1e-10
                 )
 

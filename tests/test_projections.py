@@ -28,7 +28,8 @@ from pettylab import (
     volume,
     zonotope_to_vpolytope,
 )
-from pettylab.mixed import mixed_volume, surface_area
+from pettylab import mixed
+from pettylab.mixed import mixed_area_measure, mixed_volume, surface_area
 from pettylab.projections import polar_measure_from_support, tetrahedron_pair_normals
 from pettylab.verify import (
     centroid_support_cubature,
@@ -37,6 +38,7 @@ from pettylab.verify import (
     point_in_polygon,
     points_in_polygon,
     shadow_oracle,
+    tetrahedron_test_pairs,
 )
 
 
@@ -105,7 +107,7 @@ class TestMixedProjection:
         h = mixed_projection_support([K, K])
         Z = projection_body(K)
         U = sphere_directions(3, 128)
-        assert np.abs(h(U) - Z.support_batch(U)).max() <= 1e-8
+        assert np.abs(h.support_batch(U) - Z.support_batch(U)).max() <= 1e-8
 
     def test_zonotope_pair_cross_form_agrees_with_polytopes(self):
         gen = np.random.default_rng(84)
@@ -116,7 +118,7 @@ class TestMixedProjection:
         slow = mixed_projection_polarization(
             zonotope_to_vpolytope(A), zonotope_to_vpolytope(B), U
         )
-        assert np.abs(fast(U) - slow).max() <= 1e-8 * max(1.0, slow.max())
+        assert np.abs(fast.support_batch(U) - slow).max() <= 1e-8 * max(1.0, slow.max())
 
     def test_zonotope_with_polytope_segment_width_form(self):
         gen = np.random.default_rng(85)
@@ -125,7 +127,7 @@ class TestMixedProjection:
         fast = mixed_projection_support([P, B])
         U = sphere_directions(3, 96)
         slow = mixed_projection_polarization(P, zonotope_to_vpolytope(B), U)
-        assert np.abs(fast(U) - slow).max() <= 1e-8 * max(1.0, slow.max())
+        assert np.abs(fast.support_batch(U) - slow).max() <= 1e-8 * max(1.0, slow.max())
 
     def test_flat_triangle_with_a_tetrahedron(self):
         # a triangle in space carries its area on both unit normals
@@ -135,7 +137,7 @@ class TestMixedProjection:
         assert tri.affine_dim == 2
         U = sphere_directions(3, 24)
         for bodies in ([tri, tet], [tet, tri]):
-            got = mixed_projection_support(bodies)(U)
+            got = mixed_projection_support(bodies).support_batch(U)
             oracle = mixed_projection_polarization(*bodies, U)
             assert np.abs(got - oracle).max() <= 1e-9 * oracle.max()
 
@@ -149,7 +151,7 @@ class TestMixedProjection:
         for t, W in enumerate(normals):
             A, B = hull(P[t]), hull(Q[t])
             got = Zonotope(0.25 * W).support_batch(U)
-            np.testing.assert_allclose(got, mixed_projection_support([A, B])(U), rtol=1e-12)
+            np.testing.assert_allclose(got, mixed_projection_support([A, B]).support_batch(U), rtol=1e-12)
             assert ball.support_batch(W).sum() / 6.0 == pytest.approx(
                 mixed_volume([A, B, ball]), rel=1e-12)
         # a pair's atoms do not depend on the pairs stacked with it
@@ -175,8 +177,77 @@ class TestMixedProjection:
         L = hull(gen.normal(size=(7, 3)))
         h = mixed_projection_support([K, L])
         u = gen.normal(size=(4, 3))
-        assert h(u) == pytest.approx(h(-u), rel=1e-10)
-        assert h(2.0 * u) == pytest.approx(2.0 * h(u), rel=1e-10)
+        assert h.support_batch(u) == pytest.approx(h.support_batch(-u), rel=1e-10)
+        assert h.support_batch(2.0 * u) == pytest.approx(2.0 * h.support_batch(u), rel=1e-10)
+
+
+def measure_test_pairs() -> list:
+    """Pairs of spatial bodies (A, B): two of each of the six kinds of
+    ``tetrahedron_test_pairs``, whose parallel-face, parallel-edge and
+    coplanar kinds give S(A + B) normals shared with S(A) or S(B), then
+    triangle-triangle, segment-solid and segment-segment pairs."""
+    gen = np.random.default_rng(91)
+    P, Q = tetrahedron_test_pairs(gen, 12)
+    pairs = [(hull(p), hull(q)) for p, q in zip(P, Q)]
+    for a, b in ((3, 3), (2, 6), (2, 2)):
+        pairs.append((hull(gen.normal(size=(a, 3))), hull(gen.normal(size=(b, 3)))))
+    return pairs
+
+
+class TestMixedAreaMeasure:
+    def test_mixed_projection_bodies_are_zonotopes(self):
+        gen = np.random.default_rng(92)
+        K = hull(gen.normal(size=(7, 3)))
+        Z = Zonotope(gen.normal(size=(4, 3)))
+        square = cube_body(2)
+        for bodies in ([K, K], [K, Z], [Z, Z], [Z, Zonotope(gen.normal(size=(3, 3)))],
+                       [square], [Zonotope(np.eye(2))], *map(list, measure_test_pairs())):
+            assert isinstance(mixed_projection_support(bodies), Zonotope)
+        for body in (K, Z, square):
+            assert isinstance(projection_body(body), Zonotope)
+
+    def test_support_matches_three_hull_polarization(self):
+        U = np.random.default_rng(93).normal(size=(6, 3))
+        for A, B in measure_test_pairs():
+            want = mixed_projection_polarization(A, B, U)
+            got = mixed_projection_support([A, B]).support_batch(U)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_masses_are_nonnegative_and_give_the_mixed_volume(self):
+        # a C off the origin has an uneven support, which an antipodal merge would break
+        gen = np.random.default_rng(94)
+        C = hull(gen.normal(size=(6, 3)) + 2.0)
+        for A, B in measure_test_pairs():
+            normals, masses = mixed_area_measure([A, B])
+            assert np.all(masses >= 0.0)
+            want = mixed_volume_inclusion_exclusion([A, B, C])
+            assert mixed_volume([A, B, C]) == pytest.approx(want, rel=1e-9)
+            assert masses @ C.support_batch(normals) / 3.0 == pytest.approx(want, rel=1e-9)
+
+    def test_copies_of_one_body_give_its_surface_measure(self):
+        gen = np.random.default_rng(95)
+        K = hull(gen.normal(size=(8, 3)))
+        normals, masses = mixed_area_measure([K, K])
+        assert np.array_equal(masses, mixed.facets(K).measures)
+        # an equal body that is another object goes through the polarization
+        twin = hull(K.vertices.copy())
+        U = sphere_directions(3, 64)
+        want = projection_body(K).support_batch(U)
+        got = mixed_projection_support([K, twin]).support_batch(U)
+        assert np.abs(got - want).max() <= 1e-9 * want.max()
+
+    def test_a_negative_merged_mass_raises(self, monkeypatch):
+        gen = np.random.default_rng(96)
+        A, B = hull(gen.normal(size=(4, 3))), hull(gen.normal(size=(4, 3)))
+        real = mixed._surface_measure
+
+        def shrunk_sum(K):
+            normals, masses = real(K)
+            return normals, (masses if K is A or K is B else 0.5 * masses)
+
+        monkeypatch.setattr(mixed, "_surface_measure", shrunk_sum)
+        with pytest.raises(GeometryError, match="negative mass"):
+            mixed_area_measure([A, B])
 
 
 class TestPolarMeasure:
