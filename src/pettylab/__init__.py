@@ -56,7 +56,6 @@ from .projections import (
     polar_measure,
     polar_projection_polytope,
     projection_body,
-    projection_body_of_zonotope,
 )
 from .sampling import Density, RngStream, rearrange_body_volume
 from .stats import EstimateWithCI, classify, summarize

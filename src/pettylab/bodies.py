@@ -5,7 +5,8 @@ harness) reduces to a small kernel of operations on two representations:
 ``VPolytope`` (convex hull of finitely many points) and ``Zonotope``
 (Minkowski sum of centered segments).  Exact hull-based algorithms are
 restricted to ambient dimension 2 and 3; zonotope determinant volumes and
-plain vertex arithmetic work in any dimension.
+plain vertex arithmetic work in any dimension.  One Minkowski point-sum
+loop, ``point_sums``, serves M-addition, C-set vertices and zonotope hulls.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.spatial import ConvexHull, QhullError
 COPLANAR_TOL = 1e-12
 INTERIOR_TOL = 1e-12
 ZONOTOPE_DET_BUDGET = 10 ** 6
-ZONOTOPE_VERTEX_GEN_LIMIT = 20
+POINT_SUM_ROWS = 4096
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Entries of one block of |<u, v>| values in ``_abs_pairing``: 256 KiB, so a
@@ -130,9 +131,9 @@ class Zonotope:
         return _abs_pairing(U, self.generators)
 
 
-def _abs_pairing(U, V: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_j w_j |<u, v_j>| for each row u of U (every w_j = 1 by default),
-    in blocks of rows of at most ``ABS_BLOCK_ENTRIES`` products.
+def _abs_pairing(U, V: np.ndarray) -> np.ndarray:
+    """sum_j |<u, v_j>| for each row u of U, in blocks of rows of at most
+    ``ABS_BLOCK_ENTRIES`` products.
 
     A block holds the products as (len(V), rows), one row per v_j, and is
     reduced by one vector-matrix product: with three coordinates the
@@ -142,7 +143,7 @@ def _abs_pairing(U, V: np.ndarray, weights: np.ndarray | None = None) -> np.ndar
     give equal bits.
     """
     U = np.asarray(U, dtype=float)
-    w = np.ones(len(V)) if weights is None else weights
+    w = np.ones(len(V))
     out = np.empty(len(U))
     step = max(1, ABS_BLOCK_ENTRIES // max(len(V), 1))
     for s in range(0, len(U), step):
@@ -418,6 +419,18 @@ def minkowski_sum(A: VPolytope, B: VPolytope) -> VPolytope:
     return hull(pts)
 
 
+def point_sums(arrays) -> np.ndarray:
+    """Every sum of one row from each vertex array, added left to right, so
+    its hull is the Minkowski sum of theirs; in dimension 2 or 3 a running
+    sum past POINT_SUM_ROWS rows is cut back to its hull's vertices."""
+    pts = arrays[0]
+    for V in arrays[1:]:
+        pts = (pts[:, None, :] + V[None, :, :]).reshape(-1, pts.shape[1])
+        if len(pts) > POINT_SUM_ROWS and pts.shape[1] in (2, 3):
+            pts = hull(pts).vertices
+    return pts
+
+
 def linear_image(X, C) -> VPolytope:
     """Image X C of a body under a linear map into dimension 2 or 3."""
     X = np.asarray(X, dtype=float)
@@ -504,26 +517,25 @@ def merge_parallel_generators(Z: Zonotope) -> Zonotope:
     lead = units[np.arange(len(units)), np.argmax(np.abs(units) > MERGE_TOL, axis=1)]
     units[lead < 0] *= -1.0
     order = np.lexsort(units.T[::-1])
+    units, norms = units[order], norms[order]
     # A generator joins the group of the first one before it within
-    # MERGE_GAP.  When every gap between sorted neighbours clears MERGE_GAP
-    # by more than these norms and the walk's may differ in rounding, each
-    # group is a single generator and the walk would return units * norms
-    # in sorted order.
-    gaps = np.linalg.norm(np.diff(units[order], axis=0), axis=1)
-    if np.all(gaps >= MERGE_GAP * (1.0 + 1e-10)):
-        return Zonotope(units[order] * norms[order, None])
-    merged = []
-    current = units[order[0]] * norms[order[0]]
-    current_u = units[order[0]]
-    for idx in order[1:]:
-        if np.linalg.norm(units[idx] - current_u) < MERGE_GAP:
-            current = current + units[idx] * norms[idx]
-        else:
-            merged.append(current)
-            current = units[idx] * norms[idx]
-            current_u = units[idx]
-    merged.append(current)
-    return Zonotope(np.array(merged))
+    # MERGE_GAP, and each group is summed in sorted order.  When every gap
+    # between sorted neighbours is 0 (a mixed area measure holds each line
+    # as +-) or clears MERGE_GAP by more than these norms and the walk's may
+    # differ in rounding, the groups are the runs of equal units.
+    terms = units * norms[:, None]
+    gaps = np.linalg.norm(np.diff(units, axis=0), axis=1)
+    joins = gaps == 0.0
+    if not np.all(joins | (gaps >= MERGE_GAP * (1.0 + 1e-10))):
+        head = units[0]
+        for k in range(1, len(units)):
+            joins[k - 1] = np.linalg.norm(units[k] - head) < MERGE_GAP
+            head = head if joins[k - 1] else units[k]
+    if not joins.any():
+        return Zonotope(terms)
+    merged = terms[np.concatenate([[True], ~joins])]
+    np.add.at(merged, np.cumsum(~joins)[joins], terms[1:][joins])
+    return Zonotope(merged)
 
 
 def zonotope_volume(Z: Zonotope) -> float:
@@ -568,23 +580,17 @@ def _zonotope_polygon_vertices(gens: np.ndarray) -> np.ndarray:
 
 
 def zonotope_to_vpolytope(Z: Zonotope) -> VPolytope:
-    """Exact vertex form: sorted edge walk in 2-D, sign-pattern hull in 3-D."""
-    Zm = merge_parallel_generators(Z)
-    gens = Zm.generators
-    n = Zm.dim
-    if n == 2:
+    """Exact vertex form, for any number of generators: the sorted edge walk
+    in 2-D, and in 3-D the hull of ``point_sums`` over the merged segments
+    {-g, g}, which prunes the running sum to hull vertices as it grows."""
+    gens = merge_parallel_generators(Z).generators
+    if Z.dim == 2:
         return hull(_zonotope_polygon_vertices(gens))
-    if n != 3:
+    if Z.dim != 3:
         raise GeometryError("vertex conversion supports dimension 2 or 3")
-    m = len(gens)
-    if m == 0:
+    if len(gens) == 0:
         return VPolytope(np.zeros((1, 3)), reduced=True)
-    if m > ZONOTOPE_VERTEX_GEN_LIMIT:
-        raise GeometryError(
-            f"{m} generators exceed the sign-pattern limit {ZONOTOPE_VERTEX_GEN_LIMIT}"
-        )
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
-    return hull(signs @ gens)
+    return hull(point_sums(np.stack([-gens, gens], axis=1)))
 
 
 def as_polytope(B) -> VPolytope:
@@ -640,7 +646,12 @@ def zonotope_polar_volume(Z: Zonotope) -> float:
     product), the circles cost O(m^2 log m) work and, in blocks, O(m^2)
     memory for m generators, with no m x (2m - 2) x m array of signs.
     """
-    gens = merge_parallel_generators(Z).generators
+    return _merged_polar_volume(merge_parallel_generators(Z).generators)
+
+
+def _merged_polar_volume(gens: np.ndarray) -> float:
+    """``zonotope_polar_volume`` from generators already merged, as every
+    projection body's are."""
     m, n = gens.shape
     if n not in (2, 3):
         raise GeometryError("polar supports dimension 2 or 3")
@@ -769,10 +780,7 @@ def m_add(spec: MSpec, bodies: list) -> VPolytope:
         raise GeometryError("m_add bodies must share a dimension")
     bodies = [reduced_form(B) for B in bodies]
     if spec.variant == "minkowski":
-        out = bodies[0]
-        for B in bodies[1:]:
-            out = minkowski_sum(out, B)
-        return out
+        return hull(point_sums([B.vertices for B in bodies]))
     if spec.variant == "lp":
         Mverts = spec.conjugate_ball_vertices(len(bodies))
     else:
@@ -785,14 +793,7 @@ def m_add(spec: MSpec, bodies: list) -> VPolytope:
     for B in bodies:
         if not is_origin_symmetric(B):
             raise GeometryError("m_add with a nontrivial M needs origin-symmetric bodies")
-    pieces = []
-    for a in Mverts:
-        pts = bodies[0].vertices * a[0]
-        for coeff, B in zip(a[1:], bodies[1:]):
-            pts = (pts[:, None, :] + coeff * B.vertices[None, :, :]).reshape(-1, pts.shape[1])
-            if len(pts) > 4096:
-                pts = hull(pts).vertices
-        pieces.append(pts)
+    pieces = [point_sums([c * B.vertices for c, B in zip(a, bodies)]) for a in Mverts]
     return hull(np.vstack(pieces))
 
 

@@ -131,7 +131,7 @@ def run_petty(config: dict) -> dict:
     return {
         "functional": "petty",
         "dim": dim,
-        "volume": volume(as_polytope(K)),
+        "volume": volume(K),
         "product": product,
         "ball_bound": ball_bound,
         "method": method,

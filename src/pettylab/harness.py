@@ -113,6 +113,7 @@ from .bodies import (
     lp_ball_body,
     planar_full_rank,
     planar_hull_areas,
+    point_sums,
     solid_simplex,
     spatial_full_rank,
     sphere_directions,
@@ -449,12 +450,7 @@ class CSet:
             coeffs = MSpec.lp(p, vertex_budget=64).conjugate_ball_vertices(len(parts))
         else:
             coeffs = _body(M, f"{key}.M", len(parts)).vertices
-        pieces = []
-        for a in coeffs:
-            pts = balls[0] * a[0]
-            for coeff, B in zip(a[1:], balls[1:]):
-                pts = (pts[:, None, :] + coeff * B[None, :, :]).reshape(-1, total)
-            pieces.append(pts)
+        pieces = [point_sums([c * B for c, B in zip(a, balls)]) for a in coeffs]
         return cls("msum", total, vertices=np.vstack(pieces))
 
     def form(self, dim: int) -> str | None:

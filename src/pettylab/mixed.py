@@ -2,11 +2,12 @@
 
 Every mixed quantity reads one primitive, the mixed area measure
 S(K_1, ..., K_{n-1}) of ``mixed_area_measure`` as (unit normals, masses):
-the surface-area measure S_K for n - 1 copies of K, and in space
-S(A, B) = [S(A + B) - S(A) - S(B)] / 2 (Schneider, Convex Bodies: The
-Brunn-Minkowski Theory, section 5.1).  Mixed volumes pair it with the last
-body's support, and the projection bodies of ``projections`` are zonotopes
-over it.  The inclusion-exclusion oracle over subset sums lives in ``verify``.
+zonotopes' from their generators, the surface-area measure S_K for n - 1
+copies of K, and in space S(A, B) = [S(A + B) - S(A) - S(B)] / 2
+(Schneider, Convex Bodies: The Brunn-Minkowski Theory, chapter 5).  Mixed
+volumes pair it with the last body's support, and the projection bodies of
+``projections`` are zonotopes over it.  The inclusion-exclusion oracle
+over subset sums lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from scipy.spatial import cKDTree
 
 from .bodies import (
     MERGE_GAP,
+    MERGE_TOL,
     GeometryError,
     VPolytope,
+    Zonotope,
     as_polytope,
     facet_planes,
     hull,
@@ -137,7 +140,7 @@ def clip_halfspace(P: VPolytope, normal, offset: float = 0.0) -> np.ndarray:
 # the surface-area measure and the mixed quantities built on it
 
 
-def _surface_measure(K) -> tuple[np.ndarray, np.ndarray]:
+def _surface_measure(K: VPolytope) -> tuple[np.ndarray, np.ndarray]:
     """Surface-area measure S_K as (outward unit normals, masses).
 
     The plane reads it off the counterclockwise vertex cycle (a segment is a
@@ -145,7 +148,7 @@ def _surface_measure(K) -> tuple[np.ndarray, np.ndarray]:
     limit: a segment in the plane or a polygon in space has mass |K| on
     both unit normals, and anything flatter has no mass.
     """
-    R = reduced_form(as_polytope(K))
+    R = reduced_form(K)
     n, k = R.dim, R.affine_dim
     if n == 2 and k >= 1:
         edges = np.roll(R.vertices, -1, axis=0) - R.vertices
@@ -174,14 +177,37 @@ def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:
     """The mixed area measure S(K_1, ..., K_{n-1}) as (outward unit normals,
     masses).
 
-    n - 1 copies of one body give its surface-area measure.  Two bodies in
-    space give S(A, B) = [S(A + B) - S(A) - S(B)] / 2 with equal normals
-    merged, never antipodal ones: ``mixed_volume`` pairs the measure with a
-    support that need not be even.  The merged masses are nonnegative up to
-    rounding; those within MIXED_MASS_TOL of the pieces' total absolute mass
-    are dropped, and a clearly negative one raises.
+    Zonotopes, by multilinearity over their segments [-g, g], put mass
+    c|w| on +-w/|w|: w = g^perp with c = 2 in the plane; in space
+    w = g_i x g_j, c = 4 over i < j for copies of one (its facets), or
+    w = g x h, c = 2 over the generators of two.  Normals may repeat, every
+    mass is positive, and atoms with |w| <= MERGE_TOL are dropped.
+
+    Otherwise n - 1 copies of one body give its surface-area measure.  Two
+    bodies in space (a zonotope in its vertex form) give
+    S(A, B) = [S(A + B) - S(A) - S(B)] / 2 with equal normals merged, never
+    antipodal ones: ``mixed_volume`` pairs the measure with a support that
+    need not be even.  The merged masses are nonnegative up to rounding;
+    those within MIXED_MASS_TOL of the pieces' total absolute mass are
+    dropped, and a clearly negative one raises.
     """
-    _shared_dim(bodies, 1)
+    n = _shared_dim(bodies, 1)
+    if all(isinstance(B, Zonotope) for B in bodies):
+        G, H = bodies[0].generators, bodies[-1].generators
+        if n == 2:
+            w, c = np.column_stack([-G[:, 1], G[:, 0]]), 2.0
+        elif bodies[-1] is bodies[0]:
+            # pairs i < j, without np.triu_indices and np.cross: 3x as fast
+            i, j = np.nonzero(np.arange(len(G))[:, None] < np.arange(len(G)))
+            a, b, r, s = G[i], G[j], [1, 2, 0], [2, 0, 1]
+            w, c = a[:, r] * b[:, s] - a[:, s] * b[:, r], 4.0
+        else:
+            w, c = np.cross(G[:, None], H[None]).reshape(-1, 3), 2.0
+        norms = np.linalg.norm(w, axis=1)
+        keep = norms > MERGE_TOL
+        normals = w[keep] / norms[keep, None]
+        masses = c * norms[keep]
+        return np.concatenate([normals, -normals]), np.concatenate([masses, masses])
     if all(B is bodies[0] for B in bodies):
         return _surface_measure(bodies[0])
     A, B = (as_polytope(K) for K in bodies)

@@ -2,9 +2,9 @@
 
 Support functions are the working currency here.  Every projection body,
 mixed or not, is a zonotope with generators (mass/2) * normal over the mixed
-area measure, so its support equals shadow volumes; the centroid body is
-the one ``SupportEvaluator``.  Polar measures integrate a radial density in
-polar coordinates over 1/h.
+area measure (for zonotopes, its generator closed form), so its support
+equals shadow volumes; the centroid body is the one ``SupportEvaluator``.
+Polar measures integrate a radial density in polar coordinates over 1/h.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .bodies import (
     GeometryError,
     VPolytope,
     Zonotope,
+    _merged_polar_volume,
     hull,
     merge_parallel_generators,
     polar_of_zonotope,
@@ -27,9 +28,8 @@ from .bodies import (
     sphere_directions,
     unit_ball_volume,
     volume,
-    zonotope_polar_volume,
 )
-from .mixed import _shared_dim, centroid, clip_halfspace, mixed_area_measure, surface_area
+from .mixed import centroid, clip_halfspace, mixed_area_measure, surface_area
 
 DEFAULT_NODES = {2: 4096, 3: 8192}
 PETTY_METHODS = ("auto", "exact", "quadrature")
@@ -200,21 +200,6 @@ def projection_body(K, allow_degenerate: bool = False) -> Zonotope:
     return mixed_projection_support([K] * (K.dim - 1))
 
 
-def projection_body_of_zonotope(Z: Zonotope) -> Zonotope:
-    """Exact projection body of a zonotope from generator pairs."""
-    Zm = merge_parallel_generators(Z)
-    gens = Zm.generators
-    n = Zm.dim
-    if n == 2:
-        out = np.column_stack([-2.0 * gens[:, 1], 2.0 * gens[:, 0]])
-        return merge_parallel_generators(Zonotope(out))
-    if n != 3:
-        raise GeometryError("projection body supports dimension 2 or 3")
-    if len(gens) < 2:
-        return Zonotope(np.zeros((0, 3)))
-    return merge_parallel_generators(Zonotope(zonotope_projection_generators(gens[None])[0]))
-
-
 # Stacked projection bodies in space.  Each builder takes T stacked samples
 # and returns generators G of shape (T, k, 3) such that sum_k |<g_k, u>| is
 # the projection support of the t-th body at u.  Parallel generators are
@@ -307,16 +292,9 @@ def mixed_projection_support(bodies: list) -> Zonotope:
 
     h(u) = n V(K_1, ..., K_{n-1}, [0, u]) = (1/2) sum |<u, v>| S(v) over the
     mixed area measure S, so the generators are (mass/2) * normal, merged
-    over parallel directions.  Zonotopes take closed forms with no hull:
-    n - 1 copies of one zonotope its projection body from generator pairs,
-    and two zonotopes in space generator cross products.
+    over parallel directions.  For zonotopes the measure holds each line as
+    +-, and the merge adds each such pair.
     """
-    _shared_dim(bodies, 1)
-    if all(isinstance(B, Zonotope) for B in bodies):
-        if all(B is bodies[0] for B in bodies):
-            return projection_body_of_zonotope(bodies[0])
-        ga, gb = (B.generators[None] for B in bodies)
-        return merge_parallel_generators(Zonotope(mixed_projection_generators(ga, gb)[0]))
     normals, masses = mixed_area_measure(bodies)
     return merge_parallel_generators(Zonotope(0.5 * masses[:, None] * normals))
 
@@ -378,10 +356,10 @@ def polar_projection_polytope(K) -> VPolytope:
 def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -> float:
     """Affine invariant |Pi^o K| |K|^(n-1).
 
-    method 'exact' takes |Pi^o K| from the normal fan of the projection
-    body (``zonotope_polar_volume``; the polar polytope's hull volume is its
-    oracle in ``verify``); 'quadrature' integrates the projection support
-    in polar-radial coordinates; 'auto' prefers exact.
+    method 'exact' takes |Pi^o K| from the normal fan of the merged
+    projection body (``zonotope_polar_volume`` with no second merge; the
+    polar hull volume is its oracle in ``verify``); 'quadrature' integrates
+    the projection support in polar-radial coordinates; 'auto' prefers exact.
     """
     body_vol = volume(K)
     n = K.dim
@@ -392,7 +370,7 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
     Z = projection_body(K)
     if method in ("auto", "exact"):
         try:
-            return zonotope_polar_volume(Z) * body_vol ** (n - 1)
+            return _merged_polar_volume(Z.generators) * body_vol ** (n - 1)
         except GeometryError:
             if method == "exact":
                 raise
@@ -403,6 +381,6 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
 def cauchy_surface_bound_defect(K: VPolytope) -> float:
     """S(K) minus the projection-body lower bound; nonnegative up to fp noise."""
     n = K.dim
-    pv = zonotope_polar_volume(projection_body(K))
+    pv = _merged_polar_volume(projection_body(K).generators)
     bound = unit_ball_volume(n) ** (1.0 / n) * pv ** (-1.0 / n)
     return surface_area(K) - bound

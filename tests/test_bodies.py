@@ -150,6 +150,10 @@ class TestZonotope:
                 known = volume(zonotope_to_vpolytope(Z))
                 assert zonotope_volume(Z) == pytest.approx(known, rel=1e-9)
 
+    def test_vertex_form_has_no_generator_cap(self):
+        Z = Zonotope(np.random.default_rng(47).normal(size=(24, 3)))
+        assert volume(zonotope_to_vpolytope(Z)) == pytest.approx(zonotope_volume(Z), rel=1e-12)
+
     def test_single_generator_volume_is_zero(self):
         assert zonotope_volume(Zonotope(np.array([[3.0, 4.0]]))) == 0.0
 
@@ -181,16 +185,13 @@ class TestZonotope:
     def test_abs_pairing_matches_an_explicit_weighted_sum(self, count, directions):
         gen = np.random.default_rng(51 + count)
         V = gen.normal(size=(count, 3))
-        w = gen.random(count)
         U = gen.normal(size=(directions, 3))
-        for weights in (None, w):
-            wj = np.ones(count) if weights is None else weights
-            known = np.zeros(directions)
-            for j in range(count):
-                known += wj[j] * np.abs(U @ V[j])
-            got = _abs_pairing(U, V, weights)
-            assert got.shape == (directions,)
-            np.testing.assert_allclose(got, known, rtol=1e-13, atol=0.0)
+        known = np.zeros(directions)
+        for j in range(count):
+            known += np.abs(U @ V[j])
+        got = _abs_pairing(U, V)
+        assert got.shape == (directions,)
+        np.testing.assert_allclose(got, known, rtol=1e-13, atol=0.0)
 
     def test_planar_conversion_walks_the_exact_polygon(self):
         gen = np.random.default_rng(49)
@@ -277,6 +278,21 @@ class TestMergeParallelGenerators:
                 elif k % 3 == 2:  # a zero leading coordinate, near copies
                     G[:, 0] = 0.0
                     G = np.vstack([G, -G[:2], G[:2] + 1e-11])
+                got = merge_parallel_generators(Zonotope(G)).generators
+                want = merge_loop(Zonotope(G))
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_exact_antipodal_copies_merge_bit_for_bit(self):
+        # each line held as +-g, as a zonotope's mixed area measure holds it,
+        # with zeros of either sign: every sorted gap is 0 or wide
+        gen = np.random.default_rng(53)
+        for n in (2, 3):
+            for _ in range(40):
+                G = gen.normal(size=(int(gen.integers(1, 12)), n))
+                G[gen.random(G.shape) < 0.2] = 0.0
+                G = np.vstack([G, -G, G[: len(G) // 2]])
+                G = G[gen.permutation(len(G))]
                 got = merge_parallel_generators(Zonotope(G)).generators
                 want = merge_loop(Zonotope(G))
                 assert got.shape == want.shape
@@ -419,6 +435,7 @@ class TestMAddition:
         got = m_add(MSpec.lp(1.0), [A, B])
         known = minkowski_sum(A, B)
         assert vertex_set_distance(got, known) <= 1e-9
+        assert vertex_set_distance(m_add(MSpec.minkowski(), [A, B]), known) == 0.0
 
     def test_p_infinity_is_convex_hull_of_the_union(self):
         A = cube_body(2, 1.0)

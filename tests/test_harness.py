@@ -546,6 +546,15 @@ class TestChunks:
             spec.trial(1, i, outside_diag)
         assert {key: kernel_diag[key] + outside_diag[key] for key in chunk_diag} == chunk_diag
 
+    def test_a_cube_c_set_past_twenty_columns_beside_a_simplex(self):
+        # the hull route reads the 21-generator zonotope with no vertex cap
+        config = {"dim": 3, "seed": 47, "trials": 3, "measure": _GAUSS,
+                  "blocks": [_uniform_block(_CUBE3, 21), {"density": _GAUSS, "m": 4}],
+                  "c_sets": [{"kind": "cube", "m": 21}, {"kind": "simplex", "m": 4}]}
+        report = harness.RUNNERS["thm11"](config, threads=1)
+        assert report["verdict"] in ("consistent", "violated", "inconclusive")
+        assert math.isfinite(report["lhs"]["mean"]) and math.isfinite(report["rhs"]["mean"])
+
     @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm11-3d-zonotopes", "cor13",
                                       "thm11-3d-simplices", "empmixed-3d-simplices"])
     def test_spatial_reports_do_not_depend_on_threads(self, name):
@@ -595,6 +604,18 @@ class TestSpecs:
 
             Calls().visit(ast.parse(path.read_text()))
         assert builders == [("projections.py", "centroid_body_support")]
+
+    def test_projection_bodies_read_zonotopes_through_the_measure(self):
+        # no projection body takes a vertex form, and no zonotope branch
+        # bypasses the mixed area measure
+        trees = {path.name: ast.parse(path.read_text())
+                 for path in Path(projections.__file__).parent.glob("*.py")}
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(trees["projections.py"]) if isinstance(node, ast.Call)}
+        assert not called & {"as_polytope", "zonotope_to_vpolytope"}
+        defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+        assert "projection_body_of_zonotope" not in defined
 
     @pytest.mark.parametrize("name", sorted(CHUNKED))
     def test_a_pickled_spec_gives_equal_chunks(self, name):
@@ -741,6 +762,15 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["product"] == pytest.approx(2.0, abs=1e-12)
         assert report["verdict"] == "consistent"
+
+    def test_petty_reads_a_zonotope_past_twenty_generators(self, tmp_path, capsys):
+        gens = np.random.default_rng(93).normal(size=(21, 3))
+        cfg = self._write(tmp_path, {"type": "zonotope", "generators": gens.tolist()})
+        assert cli.main(["petty", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # the volume the product divides by, from the generator determinants
+        assert report["volume"] == bodies.zonotope_volume(bodies.Zonotope(gens))
+        assert 0.0 < report["product"] <= report["ball_bound"]
 
     def test_verify_kernel_prints_each_check_with_its_wall_time(self, monkeypatch, capsys):
         from pettylab import verify

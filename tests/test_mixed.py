@@ -16,6 +16,7 @@ from pettylab import (
     volume,
     zonotope_to_vpolytope,
 )
+from pettylab import mixed
 from pettylab.bodies import facet_planes, reduced_form
 from pettylab.mixed import (
     centroid,
@@ -232,6 +233,24 @@ class TestV1:
                     [K] * (n - 1) + [zonotope_to_vpolytope(Z)]
                 )
                 assert direct == pytest.approx(oracle, rel=1e-8)
+
+    def test_zonotope_slots_build_no_vertex_form(self, monkeypatch):
+        def refused(Z):
+            raise AssertionError("vertex form built")
+
+        monkeypatch.setattr(mixed, "as_polytope", refused)
+        gen = np.random.default_rng(72)
+        for n in (2, 3):
+            Z = Zonotope(gen.normal(size=(6, n)))
+            W = Zonotope(gen.normal(size=(5, n)))
+            K = hull(gen.normal(size=(n + 5, n)))
+            oracle = mixed_volume_inclusion_exclusion(
+                [zonotope_to_vpolytope(Z)] * (n - 1) + [K])
+            assert v1(Z, K) == pytest.approx(oracle, rel=1e-9)
+            if n == 3:
+                oracle = mixed_volume_inclusion_exclusion(
+                    [zonotope_to_vpolytope(Z), zonotope_to_vpolytope(W), K])
+                assert mixed_volume([Z, W, K]) == pytest.approx(oracle, rel=1e-9)
 
     def test_planar_segment_follows_the_flat_convention(self):
         # a segment carries its length on both unit normals

@@ -20,7 +20,7 @@ from pettylab import (
     polar_measure,
     polar_projection_polytope,
     projection_body,
-    projection_body_of_zonotope,
+    segment,
     solid_simplex,
     sphere_directions,
     support,
@@ -28,7 +28,7 @@ from pettylab import (
     volume,
     zonotope_to_vpolytope,
 )
-from pettylab import mixed
+from pettylab import bodies, mixed, projections
 from pettylab.mixed import mixed_area_measure, mixed_volume, surface_area
 from pettylab.projections import polar_measure_from_support, tetrahedron_pair_normals
 from pettylab.verify import (
@@ -67,7 +67,7 @@ class TestProjectionBody:
         for n in (2, 3):
             for m in (n, n + 2, n + 3):
                 Z = Zonotope(gen.normal(size=(m, n)))
-                direct = projection_body_of_zonotope(Z)
+                direct = projection_body(Z)
                 via_facets = projection_body(zonotope_to_vpolytope(Z))
                 U = sphere_directions(n, 64)
                 got = direct.support_batch(U)
@@ -128,6 +128,21 @@ class TestMixedProjection:
         U = sphere_directions(3, 96)
         slow = mixed_projection_polarization(P, zonotope_to_vpolytope(B), U)
         assert np.abs(fast.support_batch(U) - slow).max() <= 1e-8 * max(1.0, slow.max())
+
+    def test_zonotope_past_twenty_generators_beside_a_polytope(self):
+        # multilinearity over the segments [-g, g] of Z: no oracle needs
+        # Z's vertex form
+        gen = np.random.default_rng(86)
+        Z = Zonotope(gen.normal(size=(24, 3)))
+        P = hull(gen.normal(size=(7, 3)))
+        L = hull(gen.normal(size=(6, 3)))
+        segs = [segment(-g, g) for g in Z.generators]
+        U = sphere_directions(3, 12)
+        known = sum(mixed_projection_polarization(P, s, U) for s in segs)
+        got = mixed_projection_support([P, Z]).support_batch(U)
+        assert np.abs(got - known).max() <= 1e-9 * max(1.0, known.max())
+        known = sum(mixed_volume_inclusion_exclusion([s, P, L]) for s in segs)
+        assert mixed_volume([Z, P, L]) == pytest.approx(known, rel=1e-9)
 
     def test_flat_triangle_with_a_tetrahedron(self):
         # a triangle in space carries its area on both unit normals
@@ -419,6 +434,20 @@ class TestPetty:
     def test_zonotope_input(self):
         Z = Zonotope(np.eye(2))
         assert petty_product(Z) == pytest.approx(2.0, abs=1e-12)
+
+    def test_an_exact_product_merges_the_projection_body_once(self, monkeypatch):
+        calls = []
+        merge = bodies.merge_parallel_generators
+
+        def counted(Z):
+            calls.append(Z)
+            return merge(Z)
+
+        for module in (bodies, projections):
+            monkeypatch.setattr(module, "merge_parallel_generators", counted)
+        K = hull(np.random.default_rng(94).normal(size=(12, 3)))
+        petty_product(K, "exact")
+        assert len(calls) == 1
 
 
 def test_cauchy_bound_never_exceeds_surface_area():
