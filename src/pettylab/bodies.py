@@ -565,8 +565,6 @@ def zonotope_volume(Z: Zonotope) -> float:
 
 
 def _zonotope_polygon_vertices(gens: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(gens, axis=1)
-    gens = gens[norms > 1e-14]
     if len(gens) == 0:
         return np.zeros((1, 2))
     flip = (gens[:, 1] < 0) | ((gens[:, 1] == 0) & (gens[:, 0] < 0))
@@ -575,8 +573,7 @@ def _zonotope_polygon_vertices(gens: np.ndarray) -> np.ndarray:
     gens = gens[np.argsort(angles, kind="stable")]
     start = -np.sum(gens, axis=0)
     chain = np.vstack([start, start + 2.0 * np.cumsum(gens, axis=0)])
-    verts = np.vstack([chain[:-1], -chain[:-1]])
-    return verts
+    return np.vstack([chain[:-1], -chain[:-1]])
 
 
 def zonotope_to_vpolytope(Z: Zonotope) -> VPolytope:

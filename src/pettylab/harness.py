@@ -120,19 +120,22 @@ from .bodies import (
     volume,
     zonotope_supports,
 )
-from .mixed import mixed_volume, v1
+from .mixed import (
+    mixed_projection_generators,
+    mixed_volume,
+    v1,
+    zonotope_projection_generators,
+)
 from .projections import (
     QuadratureSpec,
     RadialMeasure,
     centroid_body_support,
     empirical_centroid_body,
-    mixed_projection_generators,
     mixed_projection_support,
     polar_measures,
     polar_projection_polytope,
     tetrahedron_pair_normals,
     tetrahedron_projection_generators,
-    zonotope_projection_generators,
 )
 from .sampling import INDEX_LIMIT, Density, RngStream, draw_block
 from .stats import EstimateWithCI, classify, summarize

@@ -12,6 +12,7 @@ over subset sums lives in ``verify``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ from scipy.spatial import cKDTree
 
 from .bodies import (
     MERGE_GAP,
-    MERGE_TOL,
     GeometryError,
     VPolytope,
     Zonotope,
@@ -28,6 +28,7 @@ from .bodies import (
     facet_planes,
     hull,
     minkowski_sum,
+    point_sums,
     reduced_form,
     volume_of_points,
 )
@@ -61,9 +62,7 @@ def facets(P: VPolytope) -> FacetData:
         return got
     normals, offsets, h = facet_planes(R)
     scale = max(1.0, float(np.max(np.abs(R.vertices))))
-    keys = np.round(
-        np.column_stack([normals, offsets / scale]), FACET_MERGE_DECIMALS
-    )
+    keys = np.round(np.column_stack([normals, offsets / scale]), FACET_MERGE_DECIMALS)
     _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -116,15 +115,10 @@ def clip_halfspace(P: VPolytope, normal, offset: float = 0.0) -> np.ndarray:
     kept = R.vertices[vals >= -tol]
     if R.affine_dim == R.dim:
         _, _, h = facet_planes(R)
-        edges = set()
-        for simplex in h.simplices:
-            k = len(simplex)
-            for a in range(k):
-                for b in range(a + 1, k):
-                    edges.add((min(simplex[a], simplex[b]), max(simplex[a], simplex[b])))
+        edges = {(min(a, b), max(a, b))
+                 for s in h.simplices for a, b in itertools.combinations(s, 2)}
     else:
-        k = len(R.vertices)
-        edges = {(a, b) for a in range(k) for b in range(a + 1, k)}
+        edges = set(itertools.combinations(range(len(R.vertices)), 2))
     crossings = []
     for a, b in edges:
         va, vb = vals[a], vals[b]
@@ -173,15 +167,41 @@ def _shared_dim(bodies: list, missing: int) -> int:
     return n
 
 
+# Stacked projection bodies of zonotopes in space: for T stacked generator
+# sets, w of shape (T, k, 3) with h(u) = sum_k |<w_k, u>| for the t-th body,
+# elementwise in t, parallel rows left apart (their sum has the same
+# support).  The mixed area measure of the zonotopes is |w_k| on +-w_k/|w_k|.
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise a x b by the operations of np.cross, so with its bits, faster."""
+    r, s = [1, 2, 0], [2, 0, 1]
+    return a[..., r] * b[..., s] - a[..., s] * b[..., r]
+
+
+def zonotope_projection_generators(G: np.ndarray) -> np.ndarray:
+    """Pi of the zonotope sum of [-g_i, g_i] over the rows of G[t]:
+    h(u) = 4 sum_{i<j} |<g_i x g_j, u>|."""
+    i, j = np.nonzero(np.arange(G.shape[1])[:, None] < np.arange(G.shape[1]))
+    return 4.0 * _cross(G[:, i], G[:, j])
+
+
+def mixed_projection_generators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pi(Z_A, Z_B) of the zonotopes with generator rows A[t] and B[t]:
+    h(u) = 2 sum_{i,j} |<a_i x b_j, u>|."""
+    return 2.0 * _cross(A[:, :, None], B[:, None, :]).reshape(len(A), -1, 3)
+
+
 def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:
     """The mixed area measure S(K_1, ..., K_{n-1}) as (outward unit normals,
-    masses).
+    masses), in dimension 2 or 3.
 
-    Zonotopes, by multilinearity over their segments [-g, g], put mass
-    c|w| on +-w/|w|: w = g^perp with c = 2 in the plane; in space
-    w = g_i x g_j, c = 4 over i < j for copies of one (its facets), or
-    w = g x h, c = 2 over the generators of two.  Normals may repeat, every
-    mass is positive, and atoms with |w| <= MERGE_TOL are dropped.
+    Zonotopes, by multilinearity over their segments [-g, g], put mass |w|
+    on +-w/|w| for each generator w of their projection body: w = 2 g^perp
+    in the plane, and in space those of ``zonotope_projection_generators``
+    for copies of one and of ``mixed_projection_generators`` for two.
+    Normals may repeat, every mass is positive, and atoms with w = 0 are
+    dropped.
 
     Otherwise n - 1 copies of one body give its surface-area measure.  Two
     bodies in space (a zonotope in its vertex form) give
@@ -192,22 +212,20 @@ def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:
     dropped, and a clearly negative one raises.
     """
     n = _shared_dim(bodies, 1)
+    if n not in (2, 3):
+        raise GeometryError(f"mixed area measure supports dimension 2 or 3, got {n}")
     if all(isinstance(B, Zonotope) for B in bodies):
-        G, H = bodies[0].generators, bodies[-1].generators
+        G, H = bodies[0].generators[None], bodies[-1].generators[None]
         if n == 2:
-            w, c = np.column_stack([-G[:, 1], G[:, 0]]), 2.0
+            w = 2.0 * np.column_stack([-G[0, :, 1], G[0, :, 0]])
         elif bodies[-1] is bodies[0]:
-            # pairs i < j, without np.triu_indices and np.cross: 3x as fast
-            i, j = np.nonzero(np.arange(len(G))[:, None] < np.arange(len(G)))
-            a, b, r, s = G[i], G[j], [1, 2, 0], [2, 0, 1]
-            w, c = a[:, r] * b[:, s] - a[:, s] * b[:, r], 4.0
+            w = zonotope_projection_generators(G)[0]
         else:
-            w, c = np.cross(G[:, None], H[None]).reshape(-1, 3), 2.0
+            w = mixed_projection_generators(G, H)[0]
         norms = np.linalg.norm(w, axis=1)
-        keep = norms > MERGE_TOL
-        normals = w[keep] / norms[keep, None]
-        masses = c * norms[keep]
-        return np.concatenate([normals, -normals]), np.concatenate([masses, masses])
+        w, norms = w[norms > 0.0], norms[norms > 0.0]
+        normals = w / norms[:, None]
+        return np.concatenate([normals, -normals]), np.concatenate([norms, norms])
     if all(B is bodies[0] for B in bodies):
         return _surface_measure(bodies[0])
     A, B = (as_polytope(K) for K in bodies)
@@ -267,12 +285,8 @@ def mixed_volume_fit_check(K1: VPolytope, K2: VPolytope) -> float:
     lams = (0.25, 0.5, 1.0, 2.0)
     for a in lams:
         for b in lams:
-            pts_a = reduced_form(K1).vertices * a
-            pts_b = reduced_form(K2).vertices * b
-            s = (pts_a[:, None, :] + pts_b[None, :, :]).reshape(-1, n)
+            s = point_sums([reduced_form(K1).vertices * a, reduced_form(K2).vertices * b])
             direct = volume_of_points(s)
-            predicted = sum(
-                c * (a ** (n - j)) * (b ** j) for j, c in enumerate(coeffs)
-            )
+            predicted = sum(c * (a ** (n - j)) * (b ** j) for j, c in enumerate(coeffs))
             worst = max(worst, abs(direct - predicted) / max(abs(direct), 1e-300))
     return worst

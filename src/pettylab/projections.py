@@ -200,12 +200,8 @@ def projection_body(K, allow_degenerate: bool = False) -> Zonotope:
     return mixed_projection_support([K] * (K.dim - 1))
 
 
-# Stacked projection bodies in space.  Each builder takes T stacked samples
-# and returns generators G of shape (T, k, 3) such that sum_k |<g_k, u>| is
-# the projection support of the t-th body at u.  Parallel generators are
-# left apart: summing them separately gives the same support, so nothing is
-# merged.  The builders are elementwise, so G[t] does not depend on the
-# samples stacked with it.
+# Stacked projection bodies of tetrahedra in space, in the form of the
+# zonotope builders of ``mixed``.
 
 _TETRAHEDRON_FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 
@@ -274,19 +270,6 @@ def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[list, np.nda
     return [w[t][crossing[t]] for t in range(T)], holds
 
 
-def zonotope_projection_generators(G: np.ndarray) -> np.ndarray:
-    """Pi of the zonotope sum of [-g_i, g_i] over the rows of G[t]:
-    h(u) = 4 sum_{i<j} |<g_i x g_j, u>|."""
-    i, j = np.triu_indices(G.shape[1], k=1)
-    return 4.0 * np.cross(G[:, i], G[:, j])
-
-
-def mixed_projection_generators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pi(Z_A, Z_B) of the zonotopes with generator rows A[t] and B[t]:
-    h(u) = 2 sum_{i,j} |<a_i x b_j, u>|."""
-    return 2.0 * np.cross(A[:, :, None], B[:, None, :]).reshape(len(A), -1, 3)
-
-
 def mixed_projection_support(bodies: list) -> Zonotope:
     """The mixed projection body Pi(K_1, ..., K_{n-1}) as a zonotope.
 
@@ -349,8 +332,7 @@ def empirical_centroid_body(samples) -> Zonotope:
 
 def polar_projection_polytope(K) -> VPolytope:
     """Polar projection body as an explicit polytope (exact route)."""
-    Z = projection_body(K)
-    return polar_of_zonotope(Z)
+    return polar_of_zonotope(projection_body(K))
 
 
 def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -> float:

@@ -50,15 +50,19 @@ from .bodies import (
     zonotope_to_vpolytope,
     zonotope_volume,
 )
-from .mixed import mixed_volume, mixed_volume_fit_check, v1
+from .mixed import (
+    mixed_projection_generators,
+    mixed_volume,
+    mixed_volume_fit_check,
+    v1,
+    zonotope_projection_generators,
+)
 from .projections import (
     centroid_body_support,
-    mixed_projection_generators,
     mixed_projection_support,
     projection_body,
     tetrahedron_pair_normals,
     tetrahedron_projection_generators,
-    zonotope_projection_generators,
 )
 from .sampling import INDEX_LIMIT, Density, RngStream, draw_block, draw_per_trial
 

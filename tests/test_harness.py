@@ -772,6 +772,11 @@ class TestCli:
         assert report["volume"] == bodies.zonotope_volume(bodies.Zonotope(gens))
         assert 0.0 < report["product"] <= report["ball_bound"]
 
+    def test_petty_refuses_a_zonotope_past_space(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, {"type": "zonotope", "generators": np.eye(4).tolist()})
+        assert cli.main(["petty", "--config", cfg]) == 1
+        assert "dimension 2 or 3" in capsys.readouterr().err
+
     def test_verify_kernel_prints_each_check_with_its_wall_time(self, monkeypatch, capsys):
         from pettylab import verify
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pettylab import (
+    GeometryError,
     Zonotope,
     ball_body,
     cube_body,
@@ -251,6 +252,30 @@ class TestV1:
                 oracle = mixed_volume_inclusion_exclusion(
                     [zonotope_to_vpolytope(Z), zonotope_to_vpolytope(W), K])
                 assert mixed_volume([Z, W, K]) == pytest.approx(oracle, rel=1e-9)
+
+    def test_tiny_zonotopes_keep_their_mass(self):
+        # V(Z, ..., Z, K) and V(Z, W, K) are homogeneous in the zonotopes, down
+        # to generators of size 1e-6, whose atoms |g x h| are near 1e-12
+        gen = np.random.default_rng(76)
+        for n in (2, 3):
+            Z = gen.normal(size=(6, n))
+            W = gen.normal(size=(5, n))
+            K = hull(gen.normal(size=(n + 5, n)))
+            s = 1e-6
+            assert v1(Zonotope(s * Z), K) == pytest.approx(
+                s ** (n - 1) * v1(Zonotope(Z), K), rel=1e-12)
+            if n == 3:
+                assert mixed_volume([Zonotope(s * Z), Zonotope(s * W), K]) == pytest.approx(
+                    s * s * mixed_volume([Zonotope(Z), Zonotope(W), K]), rel=1e-12)
+
+    def test_zonotopes_past_space_are_refused(self):
+        # the measure exists in dimension 2 or 3 only, whatever the bodies
+        gen = np.random.default_rng(77)
+        Z, W = (Zonotope(gen.normal(size=(6, 4))) for _ in range(2))
+        with pytest.raises(GeometryError, match="dimension 2 or 3"):
+            v1(Z, W)
+        with pytest.raises(GeometryError, match="dimension 2 or 3"):
+            mixed_volume([Z, W, Z, W])
 
     def test_planar_segment_follows_the_flat_convention(self):
         # a segment carries its length on both unit normals

@@ -435,6 +435,13 @@ class TestPetty:
         Z = Zonotope(np.eye(2))
         assert petty_product(Z) == pytest.approx(2.0, abs=1e-12)
 
+    def test_a_zonotope_past_space_is_refused(self):
+        # a 4-D zonotope has no projection body here, and never the one of
+        # its first three coordinates
+        for method in ("exact", "quadrature"):
+            with pytest.raises(GeometryError, match="dimension 2 or 3"):
+                petty_product(Zonotope(np.eye(4)), method)
+
     def test_an_exact_product_merges_the_projection_body_once(self, monkeypatch):
         calls = []
         merge = bodies.merge_parallel_generators
