@@ -565,15 +565,14 @@ def zonotope_volume(Z: Zonotope) -> float:
 
 
 def _zonotope_polygon_vertices(gens: np.ndarray) -> np.ndarray:
-    if len(gens) == 0:
-        return np.zeros((1, 2))
     flip = (gens[:, 1] < 0) | ((gens[:, 1] == 0) & (gens[:, 0] < 0))
     gens = np.where(flip[:, None], -gens, gens)
     angles = np.arctan2(gens[:, 1], gens[:, 0])
     gens = gens[np.argsort(angles, kind="stable")]
     start = -np.sum(gens, axis=0)
     chain = np.vstack([start, start + 2.0 * np.cumsum(gens, axis=0)])
-    return np.vstack([chain[:-1], -chain[:-1]])
+    verts = np.vstack([chain[:-1], -chain[:-1]])
+    return verts
 
 
 def zonotope_to_vpolytope(Z: Zonotope) -> VPolytope:
@@ -581,12 +580,12 @@ def zonotope_to_vpolytope(Z: Zonotope) -> VPolytope:
     in 2-D, and in 3-D the hull of ``point_sums`` over the merged segments
     {-g, g}, which prunes the running sum to hull vertices as it grows."""
     gens = merge_parallel_generators(Z).generators
-    if Z.dim == 2:
-        return hull(_zonotope_polygon_vertices(gens))
-    if Z.dim != 3:
+    if Z.dim not in (2, 3):
         raise GeometryError("vertex conversion supports dimension 2 or 3")
     if len(gens) == 0:
-        return VPolytope(np.zeros((1, 3)), reduced=True)
+        return hull(np.zeros((1, Z.dim)))
+    if Z.dim == 2:
+        return hull(_zonotope_polygon_vertices(gens))
     return hull(point_sums(np.stack([-gens, gens], axis=1)))
 
 

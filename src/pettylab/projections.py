@@ -200,8 +200,7 @@ def projection_body(K, allow_degenerate: bool = False) -> Zonotope:
     return mixed_projection_support([K] * (K.dim - 1))
 
 
-# Stacked projection bodies of tetrahedra in space, in the form of the
-# zonotope builders of ``mixed``.
+# Stacked projection bodies of tetrahedra, in the form of ``mixed``'s of zonotopes.
 
 _TETRAHEDRON_FACES = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 
@@ -332,7 +331,8 @@ def empirical_centroid_body(samples) -> Zonotope:
 
 def polar_projection_polytope(K) -> VPolytope:
     """Polar projection body as an explicit polytope (exact route)."""
-    return polar_of_zonotope(projection_body(K))
+    Z = projection_body(K)
+    return polar_of_zonotope(Z)
 
 
 def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -> float:

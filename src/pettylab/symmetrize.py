@@ -9,7 +9,6 @@ projected upper and lower edges).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
