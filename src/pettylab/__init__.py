@@ -16,6 +16,7 @@ from .bodies import (
     lp_ball_body,
     m_add,
     minkowski_sum,
+    planar_polar_measure,
     polar,
     polar_of_zonotope,
     reduced_form,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+from scipy.special import owens_t
 
 COPLANAR_TOL = 1e-12
 INTERIOR_TOL = 1e-12
@@ -171,16 +172,6 @@ def cloud_widths(P: np.ndarray, W: np.ndarray) -> np.ndarray:
     return pairs.max(axis=1) - pairs.min(axis=1)
 
 
-def zonotope_supports(G: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """sum_i |<g_i, w>|: the support of each zonotope sum [-g_i, g_i] over the
-    generator rows of G[t] along each direction row w of W (as in
-    ``cloud_widths``), summed in generator order, shape (T, N)."""
-    out = np.zeros((len(G), W.shape[-2]))
-    for i in range(G.shape[1]):
-        out += np.abs(G[:, i, 0, None] * W[..., 0] + G[:, i, 1, None] * W[..., 1])
-    return out
-
-
 # A cloud counts as full-dimensional without a hull only when its singular
 # value ratio clears the COPLANAR_TOL rank threshold of ``hull`` by this
 # factor, which covers the duplicate points ``hull`` drops before its test.
@@ -195,7 +186,9 @@ def _pair_crosses(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def planar_full_rank(P: np.ndarray) -> np.ndarray:
     """Mask of the clouds P[t] whose hull ``hull`` would find two-dimensional,
     decided with a FULL_RANK_MARGIN margin; False means "degenerate or too
-    close to call", which callers settle with ``hull``.
+    close to call", which callers settle with ``hull``.  The cloud +-g of a
+    zonotope's generators g gives the mask of the zonotopes that span the
+    plane.
 
     With C the centered cloud, det(C^T C) = sum over pairs of cross(c_i, c_j)^2
     (Cauchy-Binet), so the ratio of the singular values s1/s0 follows from
@@ -237,17 +230,14 @@ def spatial_full_rank(V: np.ndarray) -> np.ndarray:
     return det > SPATIAL_RANK_RATIO ** 2 * trace ** 3
 
 
-def planar_hull_areas(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Areas of the hulls conv P[t] without a hull, and the mask of clouds
-    where they hold.
-
-    An ordered pair (i, j) is a counterclockwise hull edge when every other
-    point lies strictly to its left, and the area is half the sum of
-    cross(p_i, p_j) over the edges.  A cloud with an orientation within
-    COPLANAR_TOL of zero relative to its squared diameter (repeated or
-    collinear points), or that ``planar_full_rank`` cannot call, is masked
-    out; callers hull it.  Costs k^3 entries per cloud.
-    """
+def _planar_edge_test(P: np.ndarray) -> tuple:
+    """(d, edges, ok) for stacked planar clouds P of shape (T, k, 2):
+    d[t, i, j] = p_j - p_i; edges[t, i, j] True when (i, j) is a
+    counterclockwise hull edge, every other point strictly to its left; ok
+    the mask of the clouds where that test holds with margin.  A cloud with
+    an orientation within COPLANAR_TOL of zero relative to its squared
+    diameter (repeated or collinear points), or that ``planar_full_rank``
+    cannot call, is masked out.  Costs k^3 entries per cloud."""
     T, k, _ = P.shape
     d = P[:, None, :, :] - P[:, :, None, :]  # d[t, i, j] = p_j - p_i
     orient = (d[:, :, :, None, 0] * d[:, :, None, :, 1]
@@ -258,10 +248,27 @@ def planar_hull_areas(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tol = COPLANAR_TOL * diam_sq[:, None, None, None]
     near = (np.abs(orient) <= tol) & other
     edges = ((orient > 0.0) | ~other).all(axis=-1) & ~eye
-    crosses = np.where(edges, _pair_crosses(P, P), 0.0)
-    areas = 0.5 * crosses.reshape(T, -1).sum(axis=1)
     ok = planar_full_rank(P) & ~near.reshape(T, -1).any(axis=1)
-    return areas, ok
+    return d, edges, ok
+
+
+def planar_hull_areas(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Areas of the hulls conv P[t] without a hull, and the mask of clouds
+    where they hold: half the sum of cross(p_i, p_j) over the hull edges
+    (i, j) of ``_planar_edge_test``; callers hull the clouds outside the
+    mask.  Costs k^3 entries per cloud."""
+    _, edges, ok = _planar_edge_test(P)
+    crosses = np.where(edges, _pair_crosses(P, P), 0.0)
+    return 0.5 * crosses.reshape(len(P), -1).sum(axis=1), ok
+
+
+def planar_hull_edges(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The counterclockwise hull edges of the clouds P[t] without a hull, as
+    (E, ok): E[t, i] = p_j - p_i for the edge (i, j) leaving p_i, zero when
+    p_i is not a hull vertex, and ok the mask of ``_planar_edge_test``.
+    Each row of E sums at most one nonzero term, so it is exact."""
+    d, edges, ok = _planar_edge_test(P)
+    return np.where(edges[..., None], d, 0.0).sum(axis=2), ok
 
 
 def affine_dimension(points: np.ndarray) -> int:
@@ -621,8 +628,9 @@ def zonotope_polar_volume(Z: Zonotope) -> float:
     with no hull; ``volume(polar_of_zonotope(Z))`` is the hull route.
 
     The polar's vertices are n / h_Z(n) over the facet normals n of Z.  In
-    the plane they are +-g_i rotated a quarter turn, taken in angle order
-    for the shoelace formula.  In space the facets of Z° are the cones of
+    the plane they are +-g_i rotated a quarter turn, and the area is the
+    Lebesgue case of ``planar_polar_measures``, a triangle per arc between
+    neighbouring vertices.  In space the facets of Z° are the cones of
     the vertices v of Z, each cut by the plane <x, v> = 1, and the edges of
     Z° are the arcs of the great circles g_i^perp between consecutive
     normals +-(g_i x g_j) / |g_i x g_j|.  Fanning each facet from its foot
@@ -651,14 +659,14 @@ def _merged_polar_volume(gens: np.ndarray) -> float:
     m, n = gens.shape
     if n not in (2, 3):
         raise GeometryError("polar supports dimension 2 or 3")
+    if n == 2:
+        # merged generators are exactly parallel only when there is one
+        values, flat = planar_polar_measures(gens[None])
+        if flat[0]:
+            raise GeometryError("polar requires a full-dimensional zonotope")
+        return float(values[0])
     if m < n or np.linalg.matrix_rank(gens) < n:
         raise GeometryError("polar requires a full-dimensional zonotope")
-    if n == 2:
-        normals = np.column_stack([-gens[:, 1], gens[:, 0]])
-        normals = np.vstack([normals, -normals])
-        pts = normals / _abs_pairing(normals, gens)[:, None]
-        pts = pts[np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))]
-        return abs(_polygon_area(pts))
     # Q[i, j] = (g_i x g_j) / h_Z(g_i x g_j), the polar vertex of the facet
     # spanned by g_i and g_j; circle i carries +Q[i, j] and then -Q[i, j]
     # over the other generators j = who[i].
@@ -695,6 +703,103 @@ def _merged_polar_volume(gens: np.ndarray) -> float:
             feet = feet + sign * v / (v * v).sum(axis=2, keepdims=True)
         total += float((np.cross(a, np.roll(a, -1, axis=1)) * feet).sum())
     return total / 6.0
+
+
+def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.ndarray]:
+    """nu(Z°) for the planar zonotopes Z = sum [-g, g] over the generator
+    rows of G[t], shape (T, k, 2), exactly and with no hull or grid, and the
+    mask of the flat ones (rank below 2, whose polar is a strip or the
+    plane).  ``measure`` is a ``projections.RadialMeasure``, or None for
+    Lebesgue measure.
+
+    With I the measure's radial integral, nu(Z°) = int I(1 / h_Z(u)) dtheta
+    over the circle.  h_Z is even and linear between the breakpoints w =
+    g^perp: on each arc (a, b) it is <v, u> = |v| cos(phi) for the vertex v
+    of Z the arc stands for, phi = theta - theta_v, and the arc's integral
+    has a closed form:
+
+    * Lebesgue: (tan phi_b - tan phi_a) / (2 |v|^2), the triangle of the
+      polar vertices w_a / h_Z(w_a) and w_b / h_Z(w_b), computed as
+      cross(w_a, w_b) / (2 h_Z(w_a) h_Z(w_b)) with no cancellation;
+    * Gaussian of scale sigma: [(phi_b - phi_a) - 2 pi (T(s, tan phi_b)
+      - T(s, tan phi_a))] / (2 pi) with s = 1 / (sigma |v|), T Owen's T
+      function (Owen, "Tables for computing bivariate normal
+      probabilities", 1956);
+    * the ball of radius r: the Lebesgue form where |phi| < arccos(1 /
+      (r |v|)), and r^2 / 2 per radian outside it.
+
+    The half circle from the first breakpoint is summed and doubled.  With
+    each g turned so that w lies in [0, pi], <g, u> turns negative as u
+    passes w counterclockwise, so v is the sum of the generators after the
+    arc's breakpoint minus those up to it, a running sum with no sign test.
+    tan phi = cross(v, w) / h_Z(w) at a breakpoint w, with h_Z(w) the sum of
+    |<g, w>|, which vanishes exactly when the generators are exactly
+    parallel, as merged ones are: a flat Z then gets +inf under Lebesgue
+    measure and the exact measure of its strip otherwise.  Zero and
+    parallel generators add arcs of length zero, which add nothing, and no
+    generator at all leaves the whole plane.  Only elementwise steps,
+    running sums and last-axis sums are used, so a row's value does not
+    depend on the rows stacked with it.  Costs k^2 entries per zonotope.
+    """
+    variant = "lebesgue" if measure is None else measure.variant
+    # turn each g so that g_x >= 0, with no sign bit: w = (-g_y, g_x) then
+    # lies in [0, pi]
+    G = G * np.copysign(1.0, G[..., :1])
+    gx, gy = G[..., 0], G[..., 1]
+    live = (gx != 0.0) | (gy != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # breakpoints in angle order; a zero generator's key is inf or nan,
+        # which sort last
+        order = np.argsort(np.arctan2(gx, -gy) / live, axis=-1, kind="stable")
+        rows = np.arange(len(G))[:, None]
+        G, live = G[rows, order], live[rows, order]
+        gx, gy = G[..., 0], G[..., 1]
+        # a zero generator takes the breakpoint -w of the first, so that its
+        # arcs have length zero and each arc ends where the next begins
+        wx, wy = np.where(live, -gy, gy[:, :1]), np.where(live, gx, -gx[:, :1])
+        h = np.abs(gx[:, None, :] * wx[:, :, None] + gy[:, None, :] * wy[:, :, None]).sum(axis=-1)
+        ex = np.concatenate([wx[:, 1:], -wx[:, :1]], axis=-1)
+        ey = np.concatenate([wy[:, 1:], -wy[:, :1]], axis=-1)
+        he = np.concatenate([h[:, 1:], h[:, :1]], axis=-1)
+        if variant == "lebesgue":
+            parts = (wx * ey - wy * ex) / (2.0 * h * he)
+        else:
+            c = np.cumsum(G, axis=1)
+            v = c[:, -1:] - 2.0 * c
+            vx, vy = v[..., 0], v[..., 1]
+            sq = vx * vx + vy * vy
+            ca, cb = vx * wy - vy * wx, vx * ey - vy * ex
+            ta, tb = ca / h, cb / he
+            pa, pb = np.arctan2(ca, h), np.arctan2(cb, he)
+            if variant == "gaussian":
+                s = 1.0 / (measure.sigma * np.sqrt(sq))
+                parts = (pb - pa) / (2.0 * math.pi) - (owens_t(s, tb) - owens_t(s, ta))
+            else:
+                r = measure.radius
+                alpha = np.arccos(np.minimum(1.0 / (r * np.sqrt(sq)), 1.0))
+                top = np.sqrt(np.maximum(r * r * sq - 1.0, 0.0))  # tan alpha
+                lo, hi = np.clip(pa, -alpha, alpha), np.clip(pb, -alpha, alpha)
+                tlo = np.where(pa < -alpha, -top, np.where(pa > alpha, top, ta))
+                thi = np.where(pb < -alpha, -top, np.where(pb > alpha, top, tb))
+                parts = (thi - tlo) / (2.0 * sq) + 0.5 * r * r * ((pb - pa) - (hi - lo))
+            parts = np.where((ex != wx) | (ey != wy), parts, 0.0)
+    values = 2.0 * parts.sum(axis=-1)
+    empty = ~live[:, 0] if live.shape[1] else np.ones(len(G), dtype=bool)
+    flat = empty | (h == 0.0).any(axis=-1)
+    if variant == "lebesgue":
+        values[flat] = math.inf
+    else:
+        values[empty] = 1.0 if variant == "gaussian" else math.pi * measure.radius ** 2
+    return values, flat
+
+
+def planar_polar_measure(Z: Zonotope, measure=None) -> float:
+    """``planar_polar_measures`` of one planar zonotope, its generators merged
+    first so that a flat Z is found exactly."""
+    if Z.dim != 2:
+        raise GeometryError(f"planar polar measure needs dimension 2, got {Z.dim}")
+    gens = merge_parallel_generators(Z).generators
+    return float(planar_polar_measures(gens[None], measure)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -38,23 +38,25 @@ a mask of the trials it could classify; the trials outside the mask take
 the hull route, which is also the reference a trial run alone (``replay``)
 takes.  thm12, thm11 and cor13 share one hull route, ``_PolarSpec.value``,
 over the zonotope ``mixed_projection_support`` builds from the kind's
-n - 1 bodies (thm12: n - 1 copies of X C).  Planar kernels run the
-geometry once per chunk, with no hull, by Cauchy's formula
+n - 1 bodies (thm12: n - 1 copies of X C).  In the plane that zonotope's
+polar measure is exact, a closed form on each arc of its normal fan
+(``bodies.planar_polar_measures``), and takes no grid.  Planar kernels run
+the geometry once per chunk, with no hull, by Cauchy's formula
 h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
 
-* thm12: the projection support of conv X on the node u is the width of
-  the cloud X along u^perp, and that of the zonotope sum of [-g, g] is
-  2 sum |<g, u^perp>|;
+* thm12: Pi conv X turned a quarter turn is the zonotope sum of [-e/2, e/2]
+  over the counterclockwise hull edges e of the cloud X, found by the edge
+  test of ``bodies.planar_hull_edges``, and Pi of the zonotope sum of
+  [-g, g] turned so is the sum of [-2g, 2g]; a rotation keeps the polar
+  measure;
 * emppetty2 and lln: v1(conv A, sum_j [-z_j, z_j]) = sum_j width of A
   along z_j^perp;
 * empmixed volume mode: the area of conv X is half the sum of
-  cross(x_i, x_j) over the ordered pairs (i, j) with every other point
-  strictly to their left.
+  cross(x_i, x_j) over the hull edges (i, j), the ordered pairs with every
+  other point strictly to their left.
 
 The stacked planar kernels use no matrix product, so a trial's value is the
-same bit for bit whatever chunk it falls in.  Projection bodies are
-symmetric and an even planar grid is antipodal, so planar support rows use
-the first half of the grid.
+same bit for bit whatever chunk it falls in.
 
 In space, the projection bodies these kinds need are zonotopes whose
 generators have closed forms, built for the whole chunk with elementwise
@@ -78,11 +80,12 @@ h_ball(+-(e x f)), one support call per trial.
 
 A kernel leaves out of its mask every cloud it cannot classify with margin
 (degenerate, collinear, coplanar or repeated points, generators that do not
-span space, or an edge pair whose sign tests fall within the margin); the
-hull route also counts degenerate hulls.  The other kinds and C-sets have
-no kernel and take the hull route on every trial: thm12 with other C-sets,
-thm11 with other hull C-sets, empmixed in other mixed modes and the
-spatial emppetty2 and lln.  Chunk length follows from ``CHUNK_ENTRIES``.
+span the plane or space, or an edge pair whose sign tests fall within the
+margin); the hull route also counts degenerate hulls, and a flat planar
+projection body as an unbounded polar, whose Lebesgue measure is infinite.
+The other kinds and C-sets have no kernel and take the hull route on every
+trial: thm12 with other C-sets, thm11 with other hull C-sets, empmixed in
+other mixed modes and the spatial emppetty2 and lln.  Chunk length follows from ``CHUNK_ENTRIES``.
 An error raised in a trial is re-raised as a ``TrialError`` that names its
 (side, trial) key (lln: (row, trial)); ``replay`` reruns that one trial.
 """
@@ -113,12 +116,13 @@ from .bodies import (
     lp_ball_body,
     planar_full_rank,
     planar_hull_areas,
+    planar_hull_edges,
+    planar_polar_measures,
     point_sums,
     solid_simplex,
     spatial_full_rank,
     sphere_directions,
     volume,
-    zonotope_supports,
 )
 from .mixed import (
     mixed_projection_generators,
@@ -169,25 +173,11 @@ class TrialError(ValueError):
 
 
 @lru_cache(maxsize=16)
-def _grid(dim: int, nodes: int) -> np.ndarray:
-    """The quadrature directions of a projection-body support row.  In the
-    plane an even grid is antipodal, theta_{i + N/2} = theta_i + pi, and
-    every projection body is symmetric, so the first N/2 nodes carry the
-    row: the uniform-weight quadrature of the half row equals that of the
-    whole one up to rounding."""
-    U = sphere_directions(dim, nodes)
-    if dim == 2 and nodes % 2 == 0:
-        U = U[: nodes // 2].copy()
+def _grid(nodes: int) -> np.ndarray:
+    """The spatial quadrature directions of a projection-body support row."""
+    U = sphere_directions(3, nodes)
     U.setflags(write=False)
     return U
-
-
-@lru_cache(maxsize=16)
-def _perp_grid(nodes: int) -> np.ndarray:
-    """The planar grid of ``nodes`` directions, each turned by a quarter turn."""
-    W = _perp(_grid(2, nodes))
-    W.setflags(write=False)
-    return W
 
 
 def _perp(W: np.ndarray) -> np.ndarray:
@@ -608,9 +598,10 @@ class _Spec:
 
 class _PolarSpec(_Spec):
     """Kinds that average the polar measure of a mixed projection body: its
-    radial measure, the node count of the quadrature grid, and the one hull
-    route of every such kind, over the n - 1 bodies a kind's
-    ``bodies(samples, diag)`` builds from one trial's samples."""
+    radial measure, the node count of the spatial quadrature grid (planar
+    polar measures are exact and take no grid), and the one hull route of
+    every such kind, over the n - 1 bodies a kind's ``bodies(samples,
+    diag)`` builds from one trial's samples."""
 
     direction = "le"
 
@@ -619,37 +610,48 @@ class _PolarSpec(_Spec):
         q = quadrature_block(config)
         _require(not q.get("certify"),
                  "quadrature.certify is not supported in experiments (the petty command honours it)")
-        self.nodes = QuadratureSpec(nodes=q.get("nodes")).node_count(self.dim)
+        _require(self.dim == 3 or q.get("nodes") is None,
+                 "quadrature.nodes sizes the spatial grid; planar polar measures are exact")
+        self.nodes = QuadratureSpec(nodes=q.get("nodes")).node_count(3) if self.dim == 3 else None
 
     def value(self, samples: list, diag: dict) -> float:
-        """The polar measure of Pi(``bodies``) from its support on the grid."""
+        """The polar measure of Pi(``bodies``): exact in the plane, from its
+        support on the grid in space."""
         Z = mixed_projection_support(self.bodies(samples, diag))
-        return self._polar_values(Z.support_batch(_grid(self.dim, self.nodes))[None], diag)[0]
+        if self.dim == 2:
+            return self._planar_values(Z.generators[None], diag)[0]
+        return self._polar_values(Z.support_batch(_grid(self.nodes))[None], diag)[0]
+
+    def _planar_values(self, G: np.ndarray, diag: dict) -> np.ndarray:
+        """Exact polar measures of the stacked planar zonotopes with generator
+        rows G[t], counting each flat one (an unbounded polar) in ``diag``;
+        under Lebesgue measure a flat one raises."""
+        values, flat = planar_polar_measures(G, self.measure)
+        diag["unbounded_polars"] += int(np.count_nonzero(flat))
+        if self.measure.variant == "lebesgue" and flat.any():
+            raise GeometryError("polar set is unbounded, Lebesgue measure infinite")
+        return values
 
     def _polar_values(self, hv: np.ndarray, diag: dict) -> np.ndarray:
-        """Polar measures of stacked support rows, counting each row with a
-        support value <= 0 (an unbounded polar) in ``diag``."""
+        """Polar measures of stacked spatial support rows, counting each row
+        with a support value <= 0 (an unbounded polar) in ``diag``."""
         diag["unbounded_polars"] += int(np.count_nonzero(hv.min(axis=1) <= 0.0))
-        return polar_measures(hv, self.measure, self.dim)
-
-    def _masked_values(self, hv: np.ndarray, full: np.ndarray, diag: dict) -> tuple:
-        """(values, full) from the support rows ``hv``, one per trial in the
-        mask ``full``, in order; the values outside the mask are unset."""
-        values = np.empty(len(full))
-        values[full] = self._polar_values(hv, diag)
-        return values, full
+        return polar_measures(hv, self.measure, 3)
 
     def _grid_values(self, G, full: np.ndarray, diag: dict) -> tuple:
-        """``_masked_values`` of sum_k |<g_k, u>| over the spatial grid for the
-        generator sets G[t], stacked or listed, of the trials in the mask
-        ``full``, one support call per trial: its shape does not depend on
-        the chunk, so neither do its bits."""
-        U = _grid(3, self.nodes)
+        """(values, full): the polar measures of sum_k |<g_k, u>| over the
+        spatial grid for the generator sets G[t], stacked or listed, of the
+        trials in the mask ``full``, one support call per trial: its shape
+        does not depend on the chunk, so neither do its bits.  The values
+        outside the mask are unset."""
+        U = _grid(self.nodes)
         rows = np.flatnonzero(full)
         hv = np.empty((len(rows), self.nodes))
         for k, t in enumerate(rows):
             hv[k] = Zonotope(G[t]).support_batch(U)
-        return self._masked_values(hv, full, diag)
+        values = np.empty(len(full))
+        values[full] = self._polar_values(hv, diag)
+        return values, full
 
 
 class _Thm12Spec(_PolarSpec):
@@ -666,8 +668,9 @@ class _Thm12Spec(_PolarSpec):
         _require(self.measure.variant != "lebesgue" or m >= self.cset.min_columns(self.dim),
                  "Lebesgue polar measure needs enough columns for a full-dimensional body")
         self.form = self.cset.form(self.dim)
-        if self.form == "cloud":
-            self.entries = self.cset.row_count * len(_grid(self.dim, self.nodes))
+        if self.dim == 2 and self.form is not None:
+            # the edge test's k^3 orientations, the largest planar temporary
+            self.entries = self.cset.row_count ** 3
         elif self.form is not None:
             self.entries = self.nodes
 
@@ -683,11 +686,17 @@ class _Thm12Spec(_PolarSpec):
             return self._grid_values(tetrahedron_projection_generators(P), full, diag)
         if self.dim == 3:
             return self._grid_values(zonotope_projection_generators(P), spatial_full_rank(P), diag)
+        # Pi K turned a quarter turn, which keeps its polar measure: 2 g over
+        # the generators g of a zonotope, whose rank is that of the cloud
+        # +-g, and e / 2 over the hull edges e of a cloud
         if self.form == "zonotope":
-            hv, full = 2.0 * zonotope_supports(P, _perp_grid(self.nodes)), np.ones(len(P), bool)
+            G, full = 2.0 * P, planar_full_rank(np.concatenate([P, -P], axis=1))
         else:
-            hv, full = cloud_widths(P, _perp_grid(self.nodes)), planar_full_rank(P)
-        return self._masked_values(hv[full], full, diag)
+            E, full = planar_hull_edges(P)
+            G = 0.5 * E
+        values = np.empty(len(P))
+        values[full] = self._planar_values(G[full], diag)
+        return values, full
 
 
 class _MixedSpec(_PolarSpec):

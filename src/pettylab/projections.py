@@ -145,7 +145,9 @@ def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int)
 
 
 def polar_measures(HV: np.ndarray, measure: RadialMeasure, dim: int) -> np.ndarray:
-    """``polar_measure_from_support`` of each row of HV.
+    """``polar_measure_from_support`` of each row of HV; experiments take it
+    in space only, since planar polar measures of zonotopes are exact
+    (``bodies.planar_polar_measures``).
 
     Rows are integrated one at a time, so a row's value does not depend on
     the rows stacked with it, and its temporaries stay in cache: on a 2-vCPU
@@ -165,7 +167,9 @@ def polar_measure(body, measure: RadialMeasure, quad: QuadratureSpec | None = No
     of ``body``: a VPolytope, a Zonotope or a SupportEvaluator.
 
     With certify=True the node count is doubled and both values must agree
-    to a relative 1e-4, otherwise the quadrature is rejected.
+    to a relative 1e-4, otherwise the quadrature is rejected.  For a planar
+    zonotope ``bodies.planar_polar_measure`` is exact, and this grid is its
+    oracle in ``verify``.
     """
     quad = quad or QuadratureSpec()
     nodes = quad.node_count(body.dim)

@@ -10,7 +10,9 @@ slow exact oracles built from plain hull volumes only:
 stacked trial kernels, planar and spatial, are checked against the hull
 route, and the edge-pair kernels of two tetrahedra against both oracles.
 The closed-form polar volume of a zonotope, which the exact Petty product
-uses, is checked against the hull volume of the polar polytope.  The block
+uses, is checked against the hull volume of the polar polytope, and the
+exact planar polar measures of the experiments against the polar hull and
+the 2^16-node grid of ``polar_measure``.  The block
 sample route is checked against numpy's SeedSequence and each trial's own
 generator.
 The test suite imports these oracles; the command line runs the whole list.
@@ -35,6 +37,9 @@ from .bodies import (
     minkowski_sum,
     planar_full_rank,
     planar_hull_areas,
+    planar_hull_edges,
+    planar_polar_measure,
+    planar_polar_measures,
     spatial_full_rank,
     polar,
     polar_of_zonotope,
@@ -46,7 +51,6 @@ from .bodies import (
     volume,
     volume_of_points,
     zonotope_polar_volume,
-    zonotope_supports,
     zonotope_to_vpolytope,
     zonotope_volume,
 )
@@ -58,8 +62,10 @@ from .mixed import (
     zonotope_projection_generators,
 )
 from .projections import (
+    RadialMeasure,
     centroid_body_support,
     mixed_projection_support,
+    polar_measure_from_support,
     projection_body,
     tetrahedron_pair_normals,
     tetrahedron_projection_generators,
@@ -403,31 +409,42 @@ def planar_test_clouds(gen: np.random.Generator, count: int, k: int = 5) -> np.n
 def check_planar_kernels(seed: int = 0):
     """The hull-free planar trial kernels against the hull route, on random,
     collinear and repeated-point clouds: widths against projection body
-    supports, zonotope supports against the projection body of the
-    zonotope, width sums against v1, pair-rule areas against hull areas
-    where they claim to hold, and the masks that send clouds to the hull."""
+    supports, width sums against v1, pair-rule areas against hull areas,
+    and the thm12 kernel generators, e / 2 over the hull edges e of a cloud
+    and 2 g over the generators g of a zonotope, against the projection
+    bodies the hull route builds, turned a quarter turn: their supports and
+    their exact Gaussian polar measures, where the kernels claim to hold;
+    and the masks that send clouds to the hull."""
     gen = np.random.default_rng(seed)
     P = planar_test_clouds(gen, 12)
     U = sphere_directions(2, 64)
     perp = np.column_stack([-U[:, 1], U[:, 0]])
     Z = gen.normal(size=(len(P), 3, 2))
     widths = cloud_widths(P, perp)
-    zonotopes = 2.0 * zonotope_supports(P, perp)
     pairings = cloud_widths(P, np.stack([-Z[..., 1], Z[..., 0]], axis=-1)).sum(axis=1)
     areas, areas_hold = planar_hull_areas(P)
+    edges, edges_hold = planar_hull_edges(P)
     full = planar_full_rank(P)
+    spans = planar_full_rank(np.concatenate([P, -P], axis=1))
+    nu = RadialMeasure.gaussian(0.8)
     pairs = []
     masks_ok = True
     for t, X in enumerate(P):
         K = hull(X)
         pairs += [
             (widths[t], projection_body(K, allow_degenerate=True).support_batch(U)),
-            (zonotopes[t], projection_body(Zonotope(X)).support_batch(U)),
             (pairings[t], v1(K, Zonotope(Z[t]))),
         ]
+        for G, holds, body in ((0.5 * edges, edges_hold, K), (2.0 * P, spans, Zonotope(X))):
+            if holds[t]:
+                Pi = projection_body(body)
+                pairs += [(Zonotope(G[t]).support_batch(perp), Pi.support_batch(U)),
+                          (planar_polar_measures(G[t:t + 1], nu)[0],
+                           planar_polar_measures(Pi.generators[None], nu)[0])]
         if areas_hold[t]:
             pairs.append((areas[t], volume(K)))
-        masks_ok &= bool(full[t]) == (t % 3 != 1) and bool(areas_hold[t]) == (t % 3 == 0)
+        masks_ok &= (bool(full[t]) == (t % 3 != 1) and bool(spans[t]) == (np.linalg.matrix_rank(X) == 2)
+                     and bool(areas_hold[t]) == bool(edges_hold[t]) == (t % 3 == 0))
     worst = max(float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
                 for got, want in pairs)
     return worst <= 1e-12 and masks_ok, f"max relative defect {worst:.2e}, masks ok: {masks_ok}"
@@ -573,6 +590,42 @@ def check_zonotope_polar_volume(seed: int = 0):
     return worst <= 1e-12, f"max relative defect {worst:.2e}"
 
 
+def planar_polar_test_zonotopes(gen: np.random.Generator) -> list:
+    """(zonotope, flat) pairs: two random planar zonotopes, a needle of four
+    generators within about 1e-4 of one line, and a flat one of three
+    parallel generators."""
+    g = gen.normal(size=2)
+    return [(Zonotope(gen.normal(size=(4, 2))), False), (Zonotope(gen.normal(size=(7, 2))), False),
+            (Zonotope(np.outer(gen.uniform(0.5, 2.0, size=4), g)
+                      + 1e-4 * gen.normal(size=(4, 2))), False),
+            (Zonotope(np.outer([1.0, -2.5, 0.7], g)), True)]
+
+
+def check_planar_polar_measures(seed: int = 0):
+    """The exact planar polar measure against two oracles, on random, needle
+    and flat zonotopes: the 2^16-node grid of ``polar_measure`` under
+    Gaussian measure and the ball measures whose disc lies inside the
+    polar or crosses its boundary, and the polar hull volume under
+    Lebesgue measure and a ball that holds the whole polar (not for the flat
+    zonotope, whose polar is a strip)."""
+    gen = np.random.default_rng(seed)
+    U = sphere_directions(2, 1 << 16)
+    grid = exact = 0.0
+    for Z, flat in planar_polar_test_zonotopes(gen):
+        hv = Z.support_batch(U)
+        low, high = float(hv.min()), float(hv.max())
+        for nu in (RadialMeasure.gaussian(0.8), RadialMeasure.ball(0.5 / high),
+                   RadialMeasure.ball(2.0 / (low + high))):
+            want = polar_measure_from_support(hv, nu, 2)
+            grid = max(grid, abs(planar_polar_measure(Z, nu) - want) / want)
+        if not flat:
+            want = volume(polar_of_zonotope(Z))
+            for nu in (None, RadialMeasure.ball(2.0 / low)):
+                exact = max(exact, abs(planar_polar_measure(Z, nu) - want) / want)
+    return grid <= 1e-8 and exact <= 1e-11, (f"max relative defect {grid:.2e} against the grid, "
+                                             f"{exact:.2e} against the polar hull")
+
+
 def check_block_streams(seed: int = 0):
     """The block route against the per-trial one, bit for bit: its Philox
     keys against numpy's SeedSequence, its uniform, ball and Gaussian
@@ -617,6 +670,7 @@ CHECKS = [
     ("spatial trial kernels vs hull route", check_spatial_kernels),
     ("tetrahedron pair kernels vs oracles", check_tetrahedron_pair_kernels),
     ("zonotope polar volume vs polar hull", check_zonotope_polar_volume),
+    ("planar polar measures vs grid and polar hull", check_planar_polar_measures),
     ("block streams vs per-trial generators", check_block_streams),
 ]
 

@@ -19,6 +19,7 @@ from pettylab import (
     lp_ball_body,
     m_add,
     minkowski_sum,
+    planar_polar_measure,
     polar,
     polar_of_zonotope,
     reduced_form,
@@ -35,9 +36,9 @@ from pettylab import (
     zonotope_volume,
 )
 from pettylab import bodies
-from pettylab.bodies import _abs_pairing, merge_parallel_generators
+from pettylab.bodies import _abs_pairing, merge_parallel_generators, planar_polar_measures
 from pettylab.mixed import centroid, facets
-from pettylab.projections import projection_body
+from pettylab.projections import RadialMeasure, projection_body
 from pettylab.verify import (
     brute_hull_vertices_3d,
     gift_wrap_2d,
@@ -374,6 +375,79 @@ class TestZonotopePolarVolume:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
         assert got * volume(ball_body(3)) ** 2 == pytest.approx(64.0 / 27.0, rel=2e-2)
+
+
+LEBESGUE, GAUSSIAN, BALL = None, RadialMeasure.gaussian(0.8), RadialMeasure.ball(1.5)
+
+
+def _strip_in_disc(half_width: float, r: float) -> float:
+    """Area of the strip |<x, n>| <= a cut by the disc of radius r > a."""
+    a = half_width
+    return 2.0 * (r * r * math.asin(a / r) + a * math.sqrt(r * r - a * a))
+
+
+class TestPlanarPolarMeasures:
+    def test_the_square_has_a_polar_of_area_two(self):
+        # the polar of [-1, 1]^2 is the diamond |x| + |y| <= 1, of inradius
+        # 1 / sqrt 2, inside the disc of radius 1
+        square = Zonotope(np.eye(2))
+        assert planar_polar_measure(square) == pytest.approx(2.0, rel=1e-15)
+        assert planar_polar_measure(square, RadialMeasure.ball(1.0)) == pytest.approx(2.0, rel=1e-15)
+        small = RadialMeasure.ball(0.5)
+        assert planar_polar_measure(square, small) == pytest.approx(math.pi / 4.0, rel=1e-15)
+
+    @pytest.mark.parametrize("gens", [[[0.6, -1.3]], [[0.6, -1.3], [-1.5, 3.25], [0.42, -0.91]]],
+                             ids=["one", "parallel"])
+    def test_a_flat_zonotope_has_a_strip_for_its_polar(self, gens):
+        Z = Zonotope(np.array(gens))
+        length = float(np.linalg.norm(merge_parallel_generators(Z).generators))
+        strip = math.erf(1.0 / (length * GAUSSIAN.sigma * math.sqrt(2.0)))
+        assert planar_polar_measure(Z, GAUSSIAN) == pytest.approx(strip, rel=1e-12, abs=0.0)
+        want = _strip_in_disc(1.0 / length, BALL.radius)
+        assert planar_polar_measure(Z, BALL) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert planar_polar_measure(Z) == math.inf
+        G = merge_parallel_generators(Z).generators[None]
+        assert planar_polar_measures(G, GAUSSIAN)[1].tolist() == [True]
+
+    def test_no_generator_leaves_the_whole_plane(self):
+        for nu, whole in ((LEBESGUE, math.inf), (GAUSSIAN, 1.0), (BALL, math.pi * 1.5 ** 2)):
+            for G in (np.zeros((2, 0, 2)), np.zeros((2, 3, 2))):
+                values, flat = planar_polar_measures(G, nu)
+                assert values.tolist() == [whole, whole] and flat.all()
+
+    @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
+    def test_zero_and_parallel_generators_add_nothing(self, nu):
+        gen = np.random.default_rng(61)
+        G = gen.normal(size=(5, 2))
+        # [-2g, 2g] + [-(-g), -g] = [-3g, 3g]
+        padded = np.vstack([G[:2], np.zeros((2, 2)), 2.0 * G[2:3], -G[2:3], G[3:]])
+        want = planar_polar_measure(Zonotope(np.vstack([G[:2], 3.0 * G[2:3], G[3:]])), nu)
+        got = planar_polar_measures(padded[None], nu)[0][0]
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
+    def test_a_row_does_not_depend_on_the_rows_beside_it(self, nu):
+        G = np.random.default_rng(62).normal(size=(9, 6, 2))
+        G[3, 2:] = 0.0
+        G[5, 1] = -G[5, 0]
+        values, flat = planar_polar_measures(G, nu)
+        for t in range(len(G)):
+            alone, alone_flat = planar_polar_measures(G[t:t + 1], nu)
+            assert alone.tobytes() == values[t:t + 1].tobytes() and alone_flat[0] == flat[t]
+
+    def test_agrees_with_the_polar_hull_and_a_fine_grid(self):
+        gen = np.random.default_rng(63)
+        for _ in range(20):
+            Z = projection_body(hull(gen.normal(size=(int(gen.integers(3, 12)), 2))))
+            area = volume(polar_of_zonotope(Z))
+            assert planar_polar_measure(Z) == pytest.approx(area, rel=1e-12)
+            # a disc that holds the whole polar measures its area
+            outer = RadialMeasure.ball(2.0 / Z.support_batch(bodies.sphere_directions(2, 256)).min())
+            assert planar_polar_measure(Z, outer) == pytest.approx(area, rel=1e-12)
+
+    def test_rejects_space(self):
+        with pytest.raises(GeometryError, match="dimension 2"):
+            planar_polar_measure(Zonotope(np.eye(3)))
 
 
 class TestHullCache:

@@ -127,6 +127,8 @@ REJECTIONS = {
                          "c_set.components[1].q"),
     "unknown-quadrature-key": (run_theorem_1_2, dict(THM12_SMALL, quadrature={"order": 3}),
                                "quadrature.order"),
+    "quadrature-nodes-2d": (run_theorem_1_2, dict(THM12_SMALL, quadrature={"nodes": 64}),
+                            "quadrature.nodes"),
     "empmixed-quadrature": (run_emp_mixed, dict(EMPMIXED_SMALL, quadrature={"certify": True}),
                             "quadrature"),
     "emppetty2-quadrature": (run_emp_petty_2, dict(EMPPETTY2_SMALL, quadrature={"certify": True}),
@@ -260,7 +262,10 @@ class TestValidation:
             run_theorem_1_2(dict(THM12_SMALL, quadrature=quadrature))
 
     def test_quadrature_node_count_is_accepted(self):
-        config = dict(THM12_SMALL, trials=3, quadrature={"nodes": 64, "certify": False})
+        # the spatial grid takes a node count; planar polar measures are exact
+        config = dict(THM12_SMALL, dim=3, trials=3, c_set={"kind": "simplex", "m": 4},
+                      blocks=[{"density": {"type": "gaussian"}, "m": 4}],
+                      quadrature={"nodes": 64, "certify": False})
         assert run_theorem_1_2(config)["trials"] == 3
 
     @pytest.mark.parametrize("name", sorted(REJECTIONS))
@@ -416,7 +421,10 @@ _THM12_SPACE = {"dim": 3, "seed": 36, "blocks": [_uniform_block(_CUBE3, 4)],
 CHUNKED = {
     "thm12-lebesgue": ("thm12", dict(_THM12_PLANE, measure={"type": "lebesgue"})),
     "thm12-gaussian": ("thm12", dict(_THM12_PLANE, measure={"type": "gaussian"})),
+    "thm12-ball": ("thm12", dict(_THM12_PLANE, measure={"type": "ball", "radius": 0.7})),
     "thm12-cube": ("thm12", dict(_THM12_PLANE, c_set={"kind": "cube", "m": 4, "half": 0.5})),
+    "thm12-cube-ball": ("thm12", dict(_THM12_PLANE, c_set={"kind": "cube", "m": 4, "half": 0.5},
+                                      measure={"type": "ball", "radius": 0.7})),
     "thm12-bp1": ("thm12", dict(_THM12_PLANE, c_set={"kind": "bp", "m": 4, "p": 1.0})),
     "thm12-bpinf": ("thm12", dict(_THM12_PLANE, c_set={"kind": "bp", "m": 4, "p": math.inf})),
     "empmixed": ("empmixed", {"dim": 2, "seed": 32, "blocks": [_uniform_block(SQUARE, 4)],
@@ -465,7 +473,7 @@ PER_TRIAL = {
 ROUTED = {**CHUNKED, **PER_TRIAL}
 
 # kinds whose bodies are the hulls of the sampled clouds themselves
-HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "empmixed", "emppetty2", "lln",
+HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "thm12-ball", "empmixed", "emppetty2", "lln",
                     "thm12-3d-lebesgue", "thm12-3d-gaussian", "thm11-3d-simplices",
                     "empmixed-3d-simplices", "thm12-3d-simplex5", "thm11-3d-simplex5-cube",
                     "empmixed-3d-volume", "lln-3d"}
@@ -490,12 +498,19 @@ def _odd_clouds(kinds):
 
 
 def _odd_kinds(name, dim):
-    # a collinear tetrahedron's polar projection body has infinite Lebesgue
-    # measure, which both routes reject with a GeometryError, and spatial
-    # emppetty2 rejects every degenerate hull
+    # the polar projection body of a collinear triangle or tetrahedron has
+    # infinite Lebesgue measure, which both routes reject with a
+    # GeometryError, and spatial emppetty2 rejects every degenerate hull
     if name == "emppetty2-3d":
         return [0]
+    if name == "thm12-lebesgue":
+        return [0, 2]
     return [0, 1, 3] if name == "thm12-3d-lebesgue" else list(range(3 if dim == 2 else 4))
+
+
+# the flat kinds of ``_odd_clouds``: collinear in the plane, coplanar and
+# collinear in space
+FLAT_KINDS = {2: {1}, 3: {1, 2}}
 
 
 class TestChunks:
@@ -524,8 +539,9 @@ class TestChunks:
     @pytest.mark.parametrize("name", sorted(ROUTED))
     def test_chunks_match_the_hull_route(self, name, odd, monkeypatch):
         kind, config = ROUTED[name]
+        kinds = _odd_kinds(name, config["dim"])
         if odd:
-            _patch_sample(monkeypatch, _odd_clouds(_odd_kinds(name, config["dim"])))
+            _patch_sample(monkeypatch, _odd_clouds(kinds))
         spec = SPECS[kind](config)
         n = 30
         hull_diag, chunk_diag = harness._no_diagnostics(), harness._no_diagnostics()
@@ -533,7 +549,7 @@ class TestChunks:
         got = spec.chunk(1, 0, n, chunk_diag)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert chunk_diag == hull_diag
-        if odd and name in HULLS_OF_SAMPLES:
+        if odd and name in HULLS_OF_SAMPLES and FLAT_KINDS[config["dim"]] & set(kinds):
             assert hull_diag["degenerate_hulls"] > 0
         # the trials outside the kernel's mask take the hull route itself
         kernel_diag, outside_diag = harness._no_diagnostics(), harness._no_diagnostics()
@@ -655,9 +671,10 @@ class TestSpecs:
 
 
 class TestTrialErrors:
-    # A collinear cloud does not raise: no node of the grid is exactly
-    # normal to its line, so the grid sees a bounded polar.  Collapsing the
-    # cloud of one trial to a point makes its Lebesgue polar measure infinite.
+    # Collapsing the cloud of one trial to a point makes its Lebesgue polar
+    # measure infinite: the polar is the plane, or in space the grid sees a
+    # zero support.  A collinear planar cloud has a strip for its polar,
+    # which the exact planar measure also finds unbounded.
     @pytest.mark.parametrize("dim, c_set", [
         (2, {"kind": "simplex", "m": 3}),
         (2, {"kind": "bp", "m": 3, "p": 2.0}),
@@ -678,6 +695,33 @@ class TestTrialErrors:
         with pytest.raises(TrialError, match=r"trial \(0, 7\): GeometryError") as info:
             run_theorem_1_2(config)
         assert info.value.key == (0, 7)
+
+    def test_a_collinear_trial_has_a_strip_for_its_polar(self, monkeypatch):
+        real = Density.sample
+        target = real(Density.gaussian(2), RngStream(5, (0, 7)).generator(), 3)
+        line = np.outer([0.3, -1.1, 0.8], [1.5, -0.4])
+
+        def sample(self, gen, count):
+            pts = real(self, gen, count)
+            return line.copy() if np.array_equal(pts, target) else pts
+
+        _patch_sample(monkeypatch, sample)
+        with pytest.raises(TrialError, match=r"trial \(0, 7\): GeometryError: polar set is unbounded"
+                           ) as info:
+            run_theorem_1_2(THM12_SMALL)
+        assert info.value.key == (0, 7)
+        # under Gaussian measure the polar of the segment's projection body
+        # is the strip |<x, |s| n>| <= 1, of measure erf(1 / (|s| sigma sqrt 2))
+        config = dict(THM12_SMALL, measure={"type": "gaussian", "sigma": 0.8})
+        spec = SPECS["thm12"](config)
+        diag = harness._no_diagnostics()
+        values = spec.chunk(0, 0, 10, diag)
+        strip = math.erf(1.0 / (np.linalg.norm(line[2] - line[1]) * 0.8 * math.sqrt(2.0)))
+        assert values[7] == pytest.approx(strip, rel=1e-12, abs=0.0)
+        assert diag == {"degenerate_hulls": 1, "unbounded_polars": 1}
+        out = harness.replay("thm12", config, (0, 7))
+        assert out["chunk"]["value"] == out["trial"]["value"] == values[7]
+        assert out["trial"]["diagnostics"] == diag
 
     def test_the_error_survives_a_worker_process(self):
         err = pickle.loads(pickle.dumps(TrialError((1, 3), "GeometryError: boom")))
