@@ -784,7 +784,7 @@ def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.n
                 parts = (thi - tlo) / (2.0 * sq) + 0.5 * r * r * ((pb - pa) - (hi - lo))
             parts = np.where((ex != wx) | (ey != wy), parts, 0.0)
     values = 2.0 * parts.sum(axis=-1)
-    empty = ~live[:, 0] if live.shape[1] else np.ones(len(G), dtype=bool)
+    empty = ~live.any(axis=-1)
     flat = empty | (h == 0.0).any(axis=-1)
     if variant == "lebesgue":
         values[flat] = math.inf

@@ -668,11 +668,9 @@ class _Thm12Spec(_PolarSpec):
         _require(self.measure.variant != "lebesgue" or m >= self.cset.min_columns(self.dim),
                  "Lebesgue polar measure needs enough columns for a full-dimensional body")
         self.form = self.cset.form(self.dim)
-        if self.dim == 2 and self.form is not None:
-            # the edge test's k^3 orientations, the largest planar temporary
-            self.entries = self.cset.row_count ** 3
-        elif self.form is not None:
-            self.entries = self.nodes
+        if self.form is not None:
+            # in the plane, the edge test's k^3 orientations are the largest temporary
+            self.entries = self.cset.row_count ** 3 if self.dim == 2 else self.nodes
 
     def bodies(self, samples: list, diag: dict) -> list:
         """n - 1 copies of X C, counting a degenerate hull once."""
