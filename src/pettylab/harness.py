@@ -48,7 +48,8 @@ h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
   over the counterclockwise hull edges e of the cloud X, found by the edge
   test of ``bodies.planar_hull_edges``, and Pi of the zonotope sum of
   [-g, g] turned so is the sum of [-2g, 2g]; a rotation keeps the polar
-  measure;
+  measure (clouds past ``PAIR_AREA_MAX_POINTS`` points take the hull
+  route);
 * emppetty2 and lln: v1(conv A, sum_j [-z_j, z_j]) = sum_j width of A
   along z_j^perp;
 * empmixed volume mode: the area of conv X is half the sum of
@@ -150,10 +151,11 @@ THREADS_ENV = "PETTY_LAB_THREADS"
 # chunk holds as many trials as fit, and at least one.  A sample block holds
 # as many trials as fit this many sample entries.
 CHUNK_ENTRIES = 1 << 16
-# Points up to which empmixed takes hull areas from edge pairs.  The pair
-# rule costs k^3 entries per trial; on a 2-vCPU Xeon it took 0.03 ms per
-# trial at 4 points and 0.14 ms at 24, against 0.2-0.3 ms for a hull, and
-# lost to the hull at 32.
+# Points up to which a planar cloud's hull is read from the edge test of
+# ``bodies.planar_hull_areas`` (empmixed's areas, thm12's hull edges); larger
+# clouds take the hull route.  The test costs k^3 entries per trial; on a
+# 2-vCPU Xeon it took 0.03 ms per trial at 4 points and 0.14 ms at 24,
+# against 0.2-0.3 ms for a hull, and lost to the hull at 32.
 PAIR_AREA_MAX_POINTS = 24
 
 class ConfigError(ValueError):
@@ -636,7 +638,7 @@ class _PolarSpec(_Spec):
         """Polar measures of stacked spatial support rows, counting each row
         with a support value <= 0 (an unbounded polar) in ``diag``."""
         diag["unbounded_polars"] += int(np.count_nonzero(hv.min(axis=1) <= 0.0))
-        return polar_measures(hv, self.measure, 3)
+        return polar_measures(hv, self.measure)
 
     def _grid_values(self, G, full: np.ndarray, diag: dict) -> tuple:
         """(values, full): the polar measures of sum_k |<g_k, u>| over the
@@ -668,9 +670,16 @@ class _Thm12Spec(_PolarSpec):
         _require(self.measure.variant != "lebesgue" or m >= self.cset.min_columns(self.dim),
                  "Lebesgue polar measure needs enough columns for a full-dimensional body")
         self.form = self.cset.form(self.dim)
-        if self.form is not None:
-            # in the plane, the edge test's k^3 orientations are the largest temporary
-            self.entries = self.cset.row_count ** 3 if self.dim == 2 else self.nodes
+        k = self.cset.row_count
+        if self.form == "cloud" and k > PAIR_AREA_MAX_POINTS:
+            self.form = None
+        # the largest temporaries: a cloud's k^3 edge test orientations, the
+        # (2k)^2 pair crosses of a planar zonotope's rank test on +-g, and a
+        # spatial grid
+        if self.form == "cloud":
+            self.entries = k ** 3
+        elif self.form is not None:
+            self.entries = 4 * k * k if self.dim == 2 else self.nodes
 
     def bodies(self, samples: list, diag: dict) -> list:
         """n - 1 copies of X C, counting a degenerate hull once."""

@@ -144,9 +144,9 @@ def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int)
     return float(SPHERE_SURFACE[dim] / len(hv) * inner.sum())
 
 
-def polar_measures(HV: np.ndarray, measure: RadialMeasure, dim: int) -> np.ndarray:
-    """``polar_measure_from_support`` of each row of HV; experiments take it
-    in space only, since planar polar measures of zonotopes are exact
+def polar_measures(HV: np.ndarray, measure: RadialMeasure) -> np.ndarray:
+    """``polar_measure_from_support`` of each row of HV, support values on
+    the spatial grid; planar polar measures of zonotopes are exact
     (``bodies.planar_polar_measures``).
 
     Rows are integrated one at a time, so a row's value does not depend on
@@ -154,7 +154,7 @@ def polar_measures(HV: np.ndarray, measure: RadialMeasure, dim: int) -> np.ndarr
     Xeon a stack of sixteen 8192-node rows took 0.43 ms per Gaussian row,
     one row alone 0.19 ms.
     """
-    return np.array([polar_measure_from_support(h, measure, dim) for h in HV])
+    return np.array([polar_measure_from_support(h, measure, 3) for h in HV])
 
 
 def _polar_measure_at(body, measure: RadialMeasure, nodes: int) -> float:

@@ -571,6 +571,20 @@ class TestChunks:
         assert report["verdict"] in ("consistent", "violated", "inconclusive")
         assert math.isfinite(report["lhs"]["mean"]) and math.isfinite(report["rhs"]["mean"])
 
+    @pytest.mark.parametrize("c_set", [{"kind": "simplex", "m": 25},
+                                       {"kind": "bp", "m": 13, "p": 1.0}], ids=["simplex", "bp1"])
+    def test_a_planar_cloud_past_the_edge_test_takes_the_hull_route(self, c_set):
+        # the edge test costs k^3 entries per trial: past PAIR_AREA_MAX_POINTS
+        # rows a 2-D thm12 trial takes the exact hull route instead
+        def spec(m):
+            return SPECS["thm12"](dict(THM12_SMALL, blocks=[dict(_GAUSSIAN_BLOCK, m=m)],
+                                       c_set=dict(c_set, m=m)))
+        large, small = spec(c_set["m"]), spec(c_set["m"] - 1)
+        assert small.cset.row_count == harness.PAIR_AREA_MAX_POINTS < large.cset.row_count
+        assert small.entries == small.cset.row_count ** 3 and large.entries == 0
+        values = large.chunk(0, 0, 3, harness._no_diagnostics())
+        assert values.shape == (3,) and np.isfinite(values).all()
+
     @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm11-3d-zonotopes", "cor13",
                                       "thm11-3d-simplices", "empmixed-3d-simplices"])
     def test_spatial_reports_do_not_depend_on_threads(self, name):
