@@ -24,6 +24,7 @@ from .bodies import (
     scale,
     segment,
     solid_simplex,
+    spatial_polar_measure,
     sphere_directions,
     support,
     translate,

@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
-from scipy.special import owens_t
+from scipy.special import erf, owens_t
 
 COPLANAR_TOL = 1e-12
 INTERIOR_TOL = 1e-12
@@ -630,25 +631,9 @@ def zonotope_polar_volume(Z: Zonotope) -> float:
     The polar's vertices are n / h_Z(n) over the facet normals n of Z.  In
     the plane they are +-g_i rotated a quarter turn, and the area is the
     Lebesgue case of ``planar_polar_measures``, a triangle per arc between
-    neighbouring vertices.  In space the facets of Z° are the cones of
-    the vertices v of Z, each cut by the plane <x, v> = 1, and the edges of
-    Z° are the arcs of the great circles g_i^perp between consecutive
-    normals +-(g_i x g_j) / |g_i x g_j|.  Fanning each facet from its foot
-    point v / |v|^2 gives
-
-        |Z°| = (1/6) sum_i sum_arcs <a x b, v+ / |v+|^2 - v- / |v-|^2>,
-
-    with the arc (a, b) of polar vertices ordered counterclockwise around
-    g_i, and v+- = c +- g_i the two vertices of Z on the edge the arc
-    dualizes, c = sum_{k != i} sign<g_k, a + b> g_k.  An arc of length zero
-    (three coplanar generators) adds nothing.
-
-    The signs need no test: going counterclockwise around g_i, <g_j, .>
-    turns negative at g_i x g_j and positive at its antipode, so c moves by
-    -2 g_j at the one and by +2 g_j at the other, a running sum along each
-    circle.  Beyond h_Z at the m(m - 1)/2 facet normals (one matrix
-    product), the circles cost O(m^2 log m) work and, in blocks, O(m^2)
-    memory for m generators, with no m x (2m - 2) x m array of signs.
+    neighbouring vertices.  In space it is the Lebesgue case of the arc
+    walk of ``spatial_polar_measures``, a signed cone sum over the arcs of
+    the normal fan.
     """
     return _merged_polar_volume(merge_parallel_generators(Z).generators)
 
@@ -665,44 +650,396 @@ def _merged_polar_volume(gens: np.ndarray) -> float:
         if flat[0]:
             raise GeometryError("polar requires a full-dimensional zonotope")
         return float(values[0])
-    if m < n or np.linalg.matrix_rank(gens) < n:
+    return _merged_spatial_measure(gens, None)
+
+
+# Gauss-Legendre order of the rule on each piece of an edge in
+# ``spatial_polar_measures``, a constant: against order 64 it moved Gaussian
+# polar measures (sigma 1) of 400 random tetrahedron projection bodies by at
+# most 3e-6 and of 200 mixed 3 x 3 zonotopes by at most 4e-5, and ball
+# measures by at most 1e-7.
+POLAR_WALK_ORDER = 8
+_WALK_RULE = np.polynomial.legendre.leggauss(POLAR_WALK_ORDER)
+# An arc whose edge is shorter than this share of |a|, or whose line passes
+# that close to the origin, adds nothing under a Gaussian or ball measure:
+# that is a zero-length arc (coplanar generators), whose ends differ by
+# rounding alone, and its weight |<a x b, F>| <= L D |F| is at most this
+# share of its scale anyway.
+WALK_EDGE_TOL = 1e-12
+# Rule nodes with R^2 - d^2 below this share of sigma^2 + d^2 take the
+# first-order Taylor form of the Gaussian H at the foot: there the divided
+# difference would lose eps / FOOT_GAP of its digits, and the Taylor form
+# errs by about FOOT_GAP^2.
+FOOT_GAP = 1e-5
+
+
+# The walk keeps 3-vectors with their coordinates on the leading axis, so
+# that every elementwise step runs over long contiguous rows.
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a * b).sum(axis=0)
+
+
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+
+
+def _vcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[_NEXT] * b[_LAST] - a[_LAST] * b[_NEXT]
+
+
+def _circle_index(k: int, rows: range) -> tuple:
+    """Index arrays of the circles ``rows`` of k generators: the rows; for
+    each circle the other generators j (once, and twice over for its points
+    +Q and -Q), the triu position of each point's pair (i, j), i < j, and
+    its sign, -1 where the circle's generator is the larger index or the
+    point is -Q; the next arc's index around a circle; and the circles'
+    positions as a column."""
+    rest = np.arange(k - 1)
+    circles = np.arange(rows.start, rows.stop)
+    who = rest + (rest >= circles[:, None])
+    lo, hi = np.minimum(circles[:, None], who), np.maximum(circles[:, None], who)
+    pair = lo * (2 * k - lo - 1) // 2 + hi - lo - 1
+    sign = np.where(circles[:, None] < who, 1.0, -1.0)
+    return (circles, who, np.concatenate([who, who], axis=1), np.concatenate([pair, pair], axis=1),
+            np.concatenate([sign, -sign], axis=1), np.roll(np.arange(2 * k - 2), -1),
+            np.arange(len(circles))[:, None])
+
+
+@lru_cache(maxsize=32)
+def _stacked_index(k: int) -> tuple:
+    """The pairs i < j of k generators and the ``_circle_index`` of all k
+    circles, read-only, built once per k for ``spatial_polar_measures``."""
+    out = (*np.triu_indices(k, k=1), *_circle_index(k, range(k)))
+    for index in out:
+        index.setflags(write=False)
+    return out
+
+
+def _rule_nodes(measure) -> int:
+    """Rule nodes on each edge: none under Lebesgue measure, one piece under
+    a Gaussian and the two pieces outside the ball under a ball measure."""
+    pieces = {"gaussian": 1, "ball": 2}.get(getattr(measure, "variant", "lebesgue"), 0)
+    return pieces * POLAR_WALK_ORDER
+
+
+def spatial_polar_entries(k: int, measure=None) -> int:
+    """Entries of the largest temporary ``spatial_polar_measures`` builds per
+    zonotope of k generators: the rule nodes of the two facets of each arc
+    on its k circles of 2k - 2 arcs, the running sums of those circles,
+    3(k - 1) terms of three coordinates each, or the supports at the k(k -
+    1)/2 crossings, k pairings each."""
+    return max(k * (2 * k - 2) * 2 * _rule_nodes(measure), 9 * k * (k - 1), k * k * (k - 1) // 2)
+
+
+def spatial_polar_measures(G, measure=None) -> tuple[np.ndarray, np.ndarray]:
+    """nu(Z°) for the spatial zonotopes Z = sum [-g, g] over the generator
+    rows of G[t], with no hull or grid, and the mask of the zonotopes the
+    walk reads.  G is stacked, shape (T, k, 3), or a list of T generator
+    arrays of shape (k_t, 3), which the walk takes in one stack per size,
+    never padded, with the rule run once over the arcs of every stack.
+    ``measure`` is a ``projections.RadialMeasure``, or None for Lebesgue
+    measure.
+
+    The facets of Z° are the cones of the vertices v of Z, cut by the
+    planes <x, v> = 1 at distance d = 1/|v| from the origin, and its edges
+    are the arcs of the great circles g_i^perp between consecutive polar
+    vertices +-(g_i x g_j) / h_Z(g_i x g_j).  Fanning each facet from its
+    foot F = v / |v|^2, the cone over the triangle (F, A, B) of an edge
+    A -> B has measure
+
+        <A x B, F> * int_0^1 H(|A + t (B - A)|) dt,
+        H(R) = (G(R) - G(d)) / (R^2 - d^2),  G = F_rho - I / R,
+
+    with I the measure's radial integral and F_rho(R) = int_0^R rho(s) s ds,
+    since int_d^R I(s) / s^2 ds = G(R) - G(d) by parts.  The arc adds this
+    for its two facets v+- = c +- g_i, with signs + and -:
+
+    * Lebesgue: H = 1/6, the cone sum (1/6) <A x B, F+ - F->;
+    * Gaussian of scale sigma: G(R) = c sigma^2 (1 - sigma sqrt(pi/2)
+      erf(R / (sigma sqrt 2)) / R), c = (2 pi sigma^2)^(-3/2), one erf per
+      rule node shared by both facets; nodes within FOOT_GAP of the foot
+      take the first-order Taylor form of H there;
+    * the ball of radius r: H = 1/6 where R <= r, which the rule skips, and
+      r^3 / (3 R d (R + d)) or ((r^2 - d^2)/6 + r^2 (R - r) / (3R)) /
+      (R^2 - d^2) beyond, where d >= r or d < r.
+
+    The rule is Gauss-Legendre of order POLAR_WALK_ORDER in tau = tan(psi/2),
+    psi the angle seen from the origin from the edge line's closest point at
+    distance D: R = D (1 + tau^2) / (1 - tau^2) and dt = (2D / L) (1 + tau^2)
+    / (1 - tau^2)^2 dtau for an edge of length L, so no node needs trig and
+    a long edge's peak at its closest point is spread out.  The ball splits
+    each edge where R = r.
+
+    The circles are read as in the cone sum of the polar volume: going
+    counterclockwise around g_i, <g_j, .> turns negative at g_i x g_j and
+    positive at its antipode, so c is a running sum along each circle with
+    no sign test.  A zero generator's points sort last onto the circle's
+    first, so its arcs have length zero, and an edge shorter than
+    WALK_EDGE_TOL, or whose line passes that close to the origin (a
+    zero-length arc of coplanar generators), adds nothing.  The mask is
+    False where two nonzero generators are exactly parallel (merge them
+    first), h_Z vanishes at a crossing (Z is flat) or no generators cross,
+    and the values there are NaN; callers also keep out zonotopes that do
+    not span space.  Only elementwise steps, sorts, running sums and sums
+    along axes whose length does not depend on the stack are used, so a
+    row's value does not depend on the rows stacked with it.  Costs
+    ``spatial_polar_entries(k, measure)`` entries per zonotope.
+    """
+    return _stacked_walk(G, measure, _WALK_RULE)
+
+
+def _stacked_walk(G, measure, rule: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``spatial_polar_measures`` with the Gauss-Legendre ``rule`` (nodes,
+    weights) on [-1, 1]; ``verify`` checks the constant order against a
+    finer one."""
+    if isinstance(G, np.ndarray):
+        sets = [(np.arange(len(G)), G)]
+    else:
+        sizes = np.array([len(g) for g in G], dtype=int)
+        sets = [(np.flatnonzero(sizes == k), np.stack([g for g in G if len(g) == k]))
+                for k in np.unique(sizes)]
+    values, ok = np.full(len(G), np.nan), np.zeros(len(G), dtype=bool)
+    groups, rows = [], []
+    for index, stack in sets:
+        k = stack.shape[1]
+        if k < 3:
+            continue
+        stack = stack.transpose(2, 0, 1).copy()  # (3, T, k)
+        i, j, *circles = _stacked_index(k)
+        X, h = _crossings(stack, i, j)
+        # a positive support at every crossing reads; else a zero crossing
+        # must involve a zero generator, and some crossing must have a support
+        read = (h > 0.0).all(axis=1)
+        if not read.all():
+            live, nonzero = X.any(axis=0), stack.any(axis=0)
+            read = (live & (h > 0.0)).any(axis=1) & ~(
+                (live & (h == 0.0)) | (~live & nonzero[:, i] & nonzero[:, j])).any(axis=1)
+            # walk the unit cube in the place of the sets the walk cannot read
+            stack[:, ~read] = np.eye(3, k)[:, None, :]
+            X, h = _crossings(stack, i, j)
+            h[h == 0.0] = 1.0
+        groups.append((stack, X / h, circles))
+        rows.append((index, read))
+    for (index, read), got in zip(rows, _walk(groups, measure, rule)):
+        values[index[read]], ok[index] = got[read], read
+    return values, ok
+
+
+def _crossings(G: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple:
+    """(X, h) for the pairs (i, j) of the generators G, shape (3, T, k): X =
+    g_i x g_j and h = h_Z(X) = sum_l |<g_l, X>|."""
+    X = _vcross(G[:, :, i], G[:, :, j])
+    return X, np.abs(_vdot(X[..., None], G[:, :, None])).sum(axis=-1)
+
+
+def spatial_polar_measure(Z: Zonotope, measure=None) -> float:
+    """``spatial_polar_measures`` of one spatial zonotope, its generators
+    merged first; a Z that does not span space raises GeometryError."""
+    if Z.dim != 3:
+        raise GeometryError(f"spatial polar measure needs dimension 3, got {Z.dim}")
+    return _merged_spatial_measure(merge_parallel_generators(Z).generators, measure)
+
+
+def _merged_spatial_measure(gens: np.ndarray, measure) -> float:
+    """nu(Z°) from merged spatial generators: h_Z at the m(m - 1)/2 crossings
+    in one blocked product, then the circles in blocks of about
+    POLAR_BLOCK_ARCS arcs or rule nodes, so the memory is O(m^2)."""
+    m = len(gens)
+    if m < 3 or np.linalg.matrix_rank(gens) < 3:
         raise GeometryError("polar requires a full-dimensional zonotope")
-    # Q[i, j] = (g_i x g_j) / h_Z(g_i x g_j), the polar vertex of the facet
-    # spanned by g_i and g_j; circle i carries +Q[i, j] and then -Q[i, j]
-    # over the other generators j = who[i].
     i, j = np.triu_indices(m, k=1)
     cross = np.cross(gens[i], gens[j])
-    Q = np.zeros((m, m, 3))
-    Q[i, j] = cross / _abs_pairing(cross, gens)[:, None]
-    Q[j, i] = -Q[i, j]
-    rest = np.arange(m - 1)
-    step = max(1, POLAR_BLOCK_ARCS // (2 * m - 2))
+    Q = np.ascontiguousarray((cross / _abs_pairing(cross, gens)[:, None]).T[:, None])
+    G = np.ascontiguousarray(gens.T[:, None])
+    step = max(1, POLAR_BLOCK_ARCS // ((2 * m - 2) * max(1, _rule_nodes(measure))))
     total = 0.0
     for s in range(0, m, step):
-        rows = np.arange(s, min(s + step, m))
-        who = rest + (rest >= rows[:, None])
-        ring = Q[rows[:, None], who]
-        ring = np.concatenate([ring, -ring], axis=1)  # (circles, 2m - 2, 3)
-        who = np.concatenate([who, who], axis=1)
-        # angles in the frame (e, g x e / |g|) of each circle, e its first point
-        g = gens[rows, None, :]
-        e = ring[:, :1]
-        f = np.cross(g, e) / np.linalg.norm(g, axis=2, keepdims=True)
-        order = np.argsort(np.arctan2((ring * f).sum(axis=2), (ring * e).sum(axis=2)), axis=1)
-        a = np.take_along_axis(ring, order[:, :, None], axis=1)
-        # c on the arc ending at a circle's first point, where g_j has the
-        # sign set at the later of its two points, then the running sum
-        place = np.argsort(order, axis=1)
-        last = np.where(place[:, : m - 1] > place[:, m - 1:], -1.0, 1.0)
-        c = (last[:, :, None] * gens[who[:, : m - 1]]).sum(axis=1)
-        turn = np.where(order < m - 1, -2.0, 2.0)[:, :, None]
-        c = c[:, None, :] + np.cumsum(turn * gens[np.take_along_axis(who, order, axis=1)], axis=1)
-        feet = 0.0
-        for sign in (1.0, -1.0):
-            v = c + sign * g
-            feet = feet + sign * v / (v * v).sum(axis=2, keepdims=True)
-        total += float((np.cross(a, np.roll(a, -1, axis=1)) * feet).sum())
-    return total / 6.0
+        index = _circle_index(m, range(s, min(s + step, m)))
+        total += float(_walk([(G, Q, index)], measure, _WALK_RULE)[0][0])
+    return total
+
+
+def _walk(groups: list, measure, rule: tuple) -> list:
+    """For each (G, Q, index) of ``groups``, the part of nu(Z°) that the
+    circles g_i^perp of the ``_circle_index`` ``index`` carry for the stacked
+    zonotopes with generators G[:, t], shape (3, T, k), and polar vertices
+    Q[:, t], shape (3, T, k(k - 1)/2): (g_i x g_j) / h_Z(g_i x g_j) over the
+    pairs i < j in triu order, zero where g_i x g_j is; shape (T,).  Under a
+    Gaussian or ball measure the rule runs once over the arcs of every
+    group.  See ``spatial_polar_measures``."""
+    arcs = [_circle_arcs(G, Q, index) for G, Q, index in groups]
+    shapes = [(w.shape[1], w.shape[2] * w.shape[3]) for *_, w, _ in arcs]
+    if not arcs or measure is None or measure.variant == "lebesgue":
+        return [w.sum(axis=0).reshape(shape).sum(axis=1) / 6.0
+                for (*_, w, _), shape in zip(arcs, shapes)]
+    a, b, ab, q = (np.concatenate([arc[n].reshape(len(arc[n]), T * size)
+                                   for arc, (T, size) in zip(arcs, shapes)], axis=1)
+                   for n in (0, 1, 2, 4))
+    S = _edge_integrals(_edge_lines(a, b, ab), q, measure, rule)
+    out, start = [], 0
+    for (*_, w, _), (T, size) in zip(arcs, shapes):
+        part = S[:, start:start + T * size].reshape(w.shape)
+        out.append((w * part).sum(axis=0).reshape(T, size).sum(axis=1))
+        start += T * size
+    return out
+
+
+def _circle_arcs(G: np.ndarray, Q: np.ndarray, index: tuple) -> tuple:
+    """The arcs of the circles g_i^perp of ``index``: (a, b, a x b, w, q),
+    with a the polar vertices sorted counterclockwise around g_i, shape (3,
+    T, circles, 2k - 2), b the next of each, and for the two facets v+- =
+    c +- g_i of the arc from a to b, stacked on a leading axis, the weights
+    w = +-<a x b, F+->, F = v / |v|^2, and q = |v+-|^2 = 1 / d^2."""
+    _, T, k = G.shape
+    m = k - 1
+    circles, who, both, pairs, signs, step, rr = index
+    tt = np.arange(T)[:, None, None]
+    ring = Q[:, :, pairs] * signs
+    g = G[:, :, circles, None]
+    # angles around g from the circle's first nonzero point e: atan2 of
+    # <p, g x e> and <p, e> is monotone in the angle with no normalizing
+    live = ring.any(axis=0)
+    everywhere = live.all()
+    e = ring[..., :1] if everywhere else ring[:, tt[..., 0], rr.T, live.argmax(axis=-1)][..., None]
+    key = np.arctan2(_vdot(ring, _vcross(g, e)), _vdot(ring, e))
+    if not everywhere:
+        key[~live] = np.inf
+    order = np.argsort(key, axis=-1, kind="stable")
+    a = ring[:, tt, rr, order]
+    if not everywhere:
+        a = np.where(live[tt, rr, order], a, a[..., :1])
+    # c on the arc ending at a circle's first point, where g_j has the sign
+    # set at the later of its two points, then the running sum: one
+    # cumulative sum over both
+    place = np.argsort(order, axis=-1)
+    sign = np.where(place[..., :m] > place[..., m:], -1.0, 1.0)
+    turn = np.where(order < m, -2.0, 2.0)
+    terms = np.concatenate([sign * G[:, :, who], turn * G[:, tt, both[rr, order]]], axis=-1)
+    c = np.cumsum(terms, axis=-1)[..., m:]
+    b = a[..., step]
+    ab = _vcross(a, b)
+    v = np.empty((3, 2) + c.shape[1:])
+    np.add(c, g, out=v[:, 0])
+    np.subtract(g, c, out=v[:, 1])
+    q = _vdot(v, v)
+    return a, b, ab, _vdot(ab[:, None], v) / q, q
+
+
+def _edge_lines(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> tuple:
+    """The edges a -> b as (keep, L, D, sa, sb, ta, tb): keep, False where
+    WALK_EDGE_TOL drops the edge; its length L (1 where it is 0); the
+    distance D = |a x b| / L of its line from the origin (1 where dropped);
+    the positions sa, sb of its ends from the line's closest point, and
+    their tau = tan(psi / 2) = s / (|p| + D), ta and tb (0 where
+    dropped)."""
+    ed = b - a
+    length = np.sqrt(_vdot(ed, ed))
+    L = np.where(length > 0.0, length, 1.0)
+    D = np.sqrt(_vdot(ab, ab)) / L
+    na = np.sqrt(_vdot(a, a))
+    keep = np.minimum(length, D) > WALK_EDGE_TOL * na
+    sa = _vdot(a, ed) / L
+    sb = sa + length
+    if keep.all():
+        return keep, L, D, sa, sb, sa / (na + D), sb / (np.sqrt(_vdot(b, b)) + D)
+    D = np.where(keep, D, 1.0)
+    ta = np.where(keep, sa / (na + D), 0.0)
+    tb = np.where(keep, sb / (np.sqrt(_vdot(b, b)) + D), 0.0)
+    return keep, L, D, sa, sb, ta, tb
+
+
+def _edge_integrals(edges: tuple, q: np.ndarray, measure, rule: tuple) -> np.ndarray:
+    """int_0^1 H(|a + t (b - a)|) dt for the two facets of each edge, at
+    squared distances 1 / q (facets on the leading axis), under a Gaussian
+    or ball measure: the Gauss-Legendre ``rule`` in tau, its nodes on a
+    further leading axis.  With R = D (1 + tau^2) / (1 - tau^2), dt = (2 /
+    L) R / (1 - tau^2) dtau, whose 2 / L and constants are applied per edge.
+    The node sums are running sums, so their order does not depend on the
+    stack."""
+    keep, L, D, sa, sb, ta, tb = edges
+    if measure.variant == "gaussian":
+        pieces = [(ta, tb)]
+        # in units u = R / (sigma sqrt 2): H = kappa / (2 sigma^2) (E(u0) -
+        # E(u)) / (u^2 - u0^2), E(u) = erf(u) / u, kappa = c sigma^2 sqrt(pi) / 2
+        unit = measure.sigma * math.sqrt(2.0)
+        D = D / unit
+        scale = (2.0 * math.pi) ** -1.5 * math.sqrt(math.pi) / (measure.sigma * unit * L)
+    else:
+        r = measure.radius
+        tr = np.sqrt(np.maximum(r - D, 0.0) / (r + D))
+        pieces = [(ta, np.minimum(tb, -tr)), (np.maximum(ta, tr), tb)]
+        scale = 2.0 / L
+    shape = (-1, 1) + (1,) * D.ndim
+    x, w = (np.asarray(v).reshape(shape) for v in rule)
+    tau, weight = [], []
+    for lo, hi in pieces:
+        hw = 0.5 * np.maximum(hi - lo, 0.0)
+        tau.append((lo + hw) + x * hw)
+        weight.append(w * hw)
+    tau, weight = (np.concatenate(v) if len(v) > 1 else v[0] for v in (tau, weight))
+    dual = (1.0 - tau) * (1.0 + tau)
+    tau *= tau
+    tau += 1.0  # now 1 + tau^2
+    R = D * tau
+    R /= dual
+    weight *= R
+    weight /= dual
+    if measure.variant == "gaussian":
+        EU = erf(R)
+        EU /= R
+        H = _gaussian_ratio(EU, R * R, 1.0 / (q * unit * unit), D)
+    else:
+        H = _ball_h(R, 1.0 / q, r)
+    H *= weight
+    S = np.cumsum(H, axis=0)[-1] * scale
+    if measure.variant == "ball":
+        # the part of the edge inside the ball, where H = 1/6
+        reach = np.sqrt(np.maximum(r * r - D * D, 0.0))
+        inner = np.where(keep, np.clip(sb, -reach, reach) - np.clip(sa, -reach, reach), 0.0)
+        S += inner / (6.0 * L)
+    return S
+
+
+def _gaussian_ratio(EU: np.ndarray, uu: np.ndarray, u02: np.ndarray, Du: np.ndarray) -> np.ndarray:
+    """(E(u0) - E(u)) / (u^2 - u0^2), E(u) = erf(u) / u, at the rule nodes
+    (EU, uu = u^2, nodes on the leading axis) of the edges whose facets have
+    u0^2 = ``u02`` and whose lines pass at ``Du``, in units of sigma sqrt 2.
+    On an edge that passes within FOOT_GAP of its foot, nodes that close
+    take the first-order Taylor form at the foot, h1 + (4 e^(-u0^2) /
+    sqrt(pi) - 6 h1) (u^2 - u0^2) / (8 u0^2) with h1 = (E(u0) - 2 e^(-u0^2)
+    / sqrt(pi)) / (2 u0^2)."""
+    u0 = np.sqrt(u02)
+    E0 = erf(u0) / u0
+    gap = uu - u02
+    near = FOOT_GAP * (0.5 + u02)
+    close = Du * Du - u02 <= near
+    if not close.any():
+        out = E0 - EU
+        out /= gap
+        return out
+    part = gap[:, close]
+    gap[:, close] = 1.0
+    out = (E0 - EU) / gap
+    u02c, E0c, at = u02[close], E0[close], part <= near[close]
+    ex = np.exp(-u02c) / math.sqrt(math.pi)
+    h1 = (E0c - 2.0 * ex) / (2.0 * u02c)
+    taylor = h1 + (4.0 * ex - 6.0 * h1) * part / (8.0 * u02c)
+    EUc = np.broadcast_to(EU, out.shape)[:, close]
+    out[:, close] = np.where(at, taylor, (E0c - EUc) / np.where(at, 1.0, part))
+    return out
+
+
+def _ball_h(R: np.ndarray, d2: np.ndarray, r: float) -> np.ndarray:
+    """H(R) of the ball of radius r at the rule nodes R >= r, for facets at
+    squared distance d2, in forms with no cancellation: r^3 / (3 R d (R +
+    d)) where d >= r, ((r^2 - d^2)/6 + r^2 (R - r) / (3R)) / (R^2 - d^2)
+    where d < r."""
+    d = np.sqrt(d2)
+    gap = R * R - d2
+    far = r ** 3 / (3.0 * R * d * (R + d))
+    near = ((r - d) * (r + d) / 6.0 + r * r * (R - r) / (3.0 * R)) / np.where(gap > 0.0, gap, 1.0)
+    return np.where(d >= r, far, np.where(gap > 0.0, near, 1.0 / 6.0))
 
 
 def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.ndarray]:

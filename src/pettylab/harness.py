@@ -40,8 +40,9 @@ takes.  thm12, thm11 and cor13 share one hull route, ``_PolarSpec.value``,
 over the zonotope ``mixed_projection_support`` builds from the kind's
 n - 1 bodies (thm12: n - 1 copies of X C).  In the plane that zonotope's
 polar measure is exact, a closed form on each arc of its normal fan
-(``bodies.planar_polar_measures``), and takes no grid.  Planar kernels run
-the geometry once per chunk, with no hull, by Cauchy's formula
+(``bodies.planar_polar_measures``), and takes no grid; in space a rule
+along the same fan's arcs replaces the grid where it pays (below).  Planar
+kernels run the geometry once per chunk, with no hull, by Cauchy's formula
 h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
 
 * thm12: Pi conv X turned a quarter turn is the zonotope sum of [-e/2, e/2]
@@ -73,11 +74,17 @@ cross products:
   (1/4) sum |<e x f, u>| over the edges e of A and f of B whose normal
   arcs cross, the atoms of the mixed area measure S(A, B).
 
-Each trial then takes one support call over the grid, whose shape does not
-depend on the chunk, and one polar quadrature row, so its value is again
-the same bit for bit in every chunk.  The same edge pairs give empmixed
-with two such C-sets and one ball slot: V(A, B, ball) = (1/6) sum
-h_ball(+-(e x f)), one support call per trial.
+Under a Gaussian or ball measure, projection bodies of at most
+POLAR_WALK_MAX_GENERATORS generators then take the arc walk of
+``bodies.spatial_polar_measures`` over their normal fan, stacked for the
+chunk (tetrahedron pairs one stack per atom count, never padded), with no
+grid; the hull route of such a spec takes the same walk.  Lebesgue
+measure, larger projection bodies, an explicit ``quadrature.nodes`` and the
+kinds with no kernel take one support call per trial over the spatial grid
+and one polar quadrature row.  Neither route depends on the chunk, so a
+trial's value is again the same bit for bit in every chunk.  The same edge
+pairs give empmixed with two such C-sets and one ball slot: V(A, B, ball) =
+(1/6) sum h_ball(+-(e x f)), one support call per trial.
 
 A kernel leaves out of its mask every cloud it cannot classify with margin
 (degenerate, collinear, coplanar or repeated points, generators that do not
@@ -122,6 +129,9 @@ from .bodies import (
     point_sums,
     solid_simplex,
     spatial_full_rank,
+    spatial_polar_entries,
+    spatial_polar_measure,
+    spatial_polar_measures,
     sphere_directions,
     volume,
 )
@@ -157,6 +167,18 @@ CHUNK_ENTRIES = 1 << 16
 # 2-vCPU Xeon it took 0.03 ms per trial at 4 points and 0.14 ms at 24,
 # against 0.2-0.3 ms for a hull, and lost to the hull at 32.
 PAIR_AREA_MAX_POINTS = 24
+# Generators up to which a spatial kernel's projection bodies take the arc
+# walk of ``bodies.spatial_polar_measures`` instead of the grid, under a
+# Gaussian or ball measure.  On a 2-vCPU Xeon, per trial at chunk size, the
+# walk took 0.03 ms at 4 generators, 0.11-0.15 ms at 9 and 0.22 ms at 12,
+# against 0.20-0.27 ms for the 8192-node grid, and lost at 16 (0.42 ms
+# against 0.29 ms).
+POLAR_WALK_MAX_GENERATORS = 12
+# Atoms of the mixed area measure S(A, B) of two tetrahedra in general
+# position, at most: the crossings X of their normal fans' 6 + 6 arcs make a
+# common refinement with 6 + X cells, one per vertex pair of A + B, of which
+# there are at most 16.
+TETRAHEDRON_PAIR_ATOMS = 10
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -600,12 +622,21 @@ class _Spec:
 
 class _PolarSpec(_Spec):
     """Kinds that average the polar measure of a mixed projection body: its
-    radial measure, the node count of the spatial quadrature grid (planar
-    polar measures are exact and take no grid), and the one hull route of
-    every such kind, over the n - 1 bodies a kind's ``bodies(samples,
-    diag)`` builds from one trial's samples."""
+    radial measure, the node count of the spatial quadrature grid, and the
+    one hull route of every such kind, over the n - 1 bodies a kind's
+    ``bodies(samples, diag)`` builds from one trial's samples.
+
+    Planar polar measures are exact and take no grid.  In space a kind
+    whose kernel reads projection bodies of at most
+    POLAR_WALK_MAX_GENERATORS generators takes the arc walk of
+    ``bodies.spatial_polar_measures`` under a Gaussian or ball measure,
+    unless the config gives ``quadrature.nodes``; its kernel and hull route
+    then both take the walk, so a trial and its replay never take different
+    rules.  Lebesgue measure, larger projection bodies, an explicit node
+    count and kinds with no kernel keep the grid."""
 
     direction = "le"
+    walk = False
 
     def parse(self, config: dict):
         self.measure = _measure(config.get("measure", {"type": "lebesgue"}))
@@ -615,13 +646,28 @@ class _PolarSpec(_Spec):
         _require(self.dim == 3 or q.get("nodes") is None,
                  "quadrature.nodes sizes the spatial grid; planar polar measures are exact")
         self.nodes = QuadratureSpec(nodes=q.get("nodes")).node_count(3) if self.dim == 3 else None
+        self.walkable = (self.dim == 3 and self.measure.variant != "lebesgue"
+                         and q.get("nodes") is None)
+
+    def _spatial_kernel(self, generators: int):
+        """Route a spatial kernel whose projection bodies have at most
+        ``generators`` generators to the walk or the grid, and size its
+        chunk by that route's largest temporary."""
+        self.walk = self.walkable and generators <= POLAR_WALK_MAX_GENERATORS
+        self.entries = spatial_polar_entries(generators, self.measure) if self.walk else self.nodes
 
     def value(self, samples: list, diag: dict) -> float:
-        """The polar measure of Pi(``bodies``): exact in the plane, from its
-        support on the grid in space."""
+        """The polar measure of Pi(``bodies``): exact in the plane; in space
+        by the arc walk or from its support on the grid (a flat Pi, whose
+        polar is unbounded, always takes the grid)."""
         Z = mixed_projection_support(self.bodies(samples, diag))
         if self.dim == 2:
             return self._planar_values(Z.generators[None], diag)[0]
+        if self.walk:
+            try:
+                return spatial_polar_measure(Z, self.measure)
+            except GeometryError:
+                pass
         return self._polar_values(Z.support_batch(_grid(self.nodes))[None], diag)[0]
 
     def _planar_values(self, G: np.ndarray, diag: dict) -> np.ndarray:
@@ -640,19 +686,26 @@ class _PolarSpec(_Spec):
         diag["unbounded_polars"] += int(np.count_nonzero(hv.min(axis=1) <= 0.0))
         return polar_measures(hv, self.measure)
 
-    def _grid_values(self, G, full: np.ndarray, diag: dict) -> tuple:
-        """(values, full): the polar measures of sum_k |<g_k, u>| over the
-        spatial grid for the generator sets G[t], stacked or listed, of the
-        trials in the mask ``full``, one support call per trial: its shape
-        does not depend on the chunk, so neither do its bits.  The values
-        outside the mask are unset."""
-        U = _grid(self.nodes)
-        rows = np.flatnonzero(full)
-        hv = np.empty((len(rows), self.nodes))
-        for k, t in enumerate(rows):
-            hv[k] = Zonotope(G[t]).support_batch(U)
+    def _spatial_values(self, G, full: np.ndarray, diag: dict) -> tuple:
+        """(values, full): the polar measures of the zonotopes sum_k [-g_k,
+        g_k] over the generator sets G[t], stacked or listed, of the trials
+        in the mask ``full``.  The walk leaves the sets it cannot read out
+        of the mask; the grid takes one support call per trial.  Neither
+        depends on the chunk, so neither do the bits.  The values outside
+        the mask are unset."""
         values = np.empty(len(full))
-        values[full] = self._polar_values(hv, diag)
+        rows = np.flatnonzero(full)
+        if not self.walk:
+            U = _grid(self.nodes)
+            hv = np.empty((len(rows), self.nodes))
+            for k, t in enumerate(rows):
+                hv[k] = Zonotope(G[t]).support_batch(U)
+            values[full] = self._polar_values(hv, diag)
+            return values, full
+        sets = G[rows] if isinstance(G, np.ndarray) else [G[t] for t in rows]
+        values[rows], ok = spatial_polar_measures(sets, self.measure)
+        full = full.copy()
+        full[rows] = ok
         return values, full
 
 
@@ -674,12 +727,15 @@ class _Thm12Spec(_PolarSpec):
         if self.form == "cloud" and k > PAIR_AREA_MAX_POINTS:
             self.form = None
         # the largest temporaries: a cloud's k^3 edge test orientations, the
-        # (2k)^2 pair crosses of a planar zonotope's rank test on +-g, and a
-        # spatial grid
+        # (2k)^2 pair crosses of a planar zonotope's rank test on +-g, and in
+        # space the walk or grid of Pi K: four face normals of a tetrahedron,
+        # the k(k - 1)/2 pair crosses of a zonotope's generators
         if self.form == "cloud":
             self.entries = k ** 3
+        elif self.form is not None and self.dim == 2:
+            self.entries = 4 * k * k
         elif self.form is not None:
-            self.entries = 4 * k * k if self.dim == 2 else self.nodes
+            self._spatial_kernel(4 if self.form == "tetrahedron" else k * (k - 1) // 2)
 
     def bodies(self, samples: list, diag: dict) -> list:
         """n - 1 copies of X C, counting a degenerate hull once."""
@@ -690,9 +746,10 @@ class _Thm12Spec(_PolarSpec):
         P = self.cset.rows(samples[0])
         if self.form == "tetrahedron":
             full = spatial_full_rank(P - P.mean(axis=1, keepdims=True))
-            return self._grid_values(tetrahedron_projection_generators(P), full, diag)
+            return self._spatial_values(tetrahedron_projection_generators(P), full, diag)
         if self.dim == 3:
-            return self._grid_values(zonotope_projection_generators(P), spatial_full_rank(P), diag)
+            G = zonotope_projection_generators(P)
+            return self._spatial_values(G, spatial_full_rank(P), diag)
         # Pi K turned a quarter turn, which keeps its polar measure: 2 g over
         # the generators g of a zonotope, whose rank is that of the cloud
         # +-g, and e / 2 over the hull edges e of a cloud
@@ -723,10 +780,10 @@ class _MixedSpec(_PolarSpec):
         A, B = (self.rows(i, X) for i, X in enumerate(samples))
         if self.form == "tetrahedron":
             normals, full = tetrahedron_pair_normals(A, B)
-            return self._grid_values([0.25 * W for W in normals], full, diag)
+            return self._spatial_values([0.25 * W for W in normals], full, diag)
         # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
         full = spatial_full_rank(A) & spatial_full_rank(B)
-        return self._grid_values(mixed_projection_generators(A, B), full, diag)
+        return self._spatial_values(mixed_projection_generators(A, B), full, diag)
 
 
 class _Thm11Spec(_MixedSpec):
@@ -741,7 +798,8 @@ class _Thm11Spec(_MixedSpec):
         forms = {c.form(3) for c in self.csets}
         if len(forms) == 1 and forms != {None}:
             self.form, = forms
-            self.entries = self.nodes
+            a, b = (c.m for c in self.csets)
+            self._spatial_kernel(TETRAHEDRON_PAIR_ATOMS if self.form == "tetrahedron" else a * b)
 
     def bodies(self, samples: list, diag: dict) -> list:
         return [_counted(cset.body(X), diag) for X, cset in zip(samples, self.csets)]
@@ -767,7 +825,7 @@ class _Cor13Spec(_MixedSpec):
         self.blocks = _both_sides(
             (_parse(f"bodies[{i}]", Density.uniform, _body(lit, f"bodies[{i}]", self.dim)), m)
             for i, lit in enumerate(bodies))
-        self.entries = self.nodes
+        self._spatial_kernel(m * m)
 
     def bodies(self, samples: list, diag: dict) -> list:
         return [empirical_centroid_body(X) for X in samples]

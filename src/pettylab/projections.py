@@ -146,8 +146,11 @@ def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int)
 
 def polar_measures(HV: np.ndarray, measure: RadialMeasure) -> np.ndarray:
     """``polar_measure_from_support`` of each row of HV, support values on
-    the spatial grid; planar polar measures of zonotopes are exact
-    (``bodies.planar_polar_measures``).
+    the spatial grid.  Polar measures of planar zonotopes are exact
+    (``bodies.planar_polar_measures``), and experiments take spatial ones
+    from the arc walk of ``bodies.spatial_polar_measures`` where it pays;
+    this grid serves 3-D Lebesgue experiments, larger projection bodies and
+    explicit node counts.
 
     Rows are integrated one at a time, so a row's value does not depend on
     the rows stacked with it, and its temporaries stay in cache: on a 2-vCPU
@@ -168,8 +171,9 @@ def polar_measure(body, measure: RadialMeasure, quad: QuadratureSpec | None = No
 
     With certify=True the node count is doubled and both values must agree
     to a relative 1e-4, otherwise the quadrature is rejected.  For a planar
-    zonotope ``bodies.planar_polar_measure`` is exact, and this grid is its
-    oracle in ``verify``.
+    zonotope ``bodies.planar_polar_measure`` is exact and for a spatial one
+    ``bodies.spatial_polar_measure`` walks its normal fan; this grid is
+    their oracle in ``verify``.
     """
     quad = quad or QuadratureSpec()
     nodes = quad.node_count(body.dim)

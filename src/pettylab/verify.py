@@ -10,9 +10,10 @@ slow exact oracles built from plain hull volumes only:
 stacked trial kernels, planar and spatial, are checked against the hull
 route, and the edge-pair kernels of two tetrahedra against both oracles.
 The closed-form polar volume of a zonotope, which the exact Petty product
-uses, is checked against the hull volume of the polar polytope, and the
-exact planar polar measures of the experiments against the polar hull and
-the 2^16-node grid of ``polar_measure``.  The block
+uses, is checked against the hull volume of the polar polytope, the exact
+planar polar measures of the experiments against the polar hull and the
+2^16-node grid of ``polar_measure``, and the spatial arc walk against the
+polar hull, a 2^16-node grid and a rule of four times its order.  The block
 sample route is checked against numpy's SeedSequence and each trial's own
 generator.
 The test suite imports these oracles; the command line runs the whole list.
@@ -27,6 +28,7 @@ import time
 import numpy as np
 
 from .bodies import (
+    POLAR_WALK_ORDER,
     VPolytope,
     Zonotope,
     as_polytope,
@@ -41,6 +43,7 @@ from .bodies import (
     planar_polar_measure,
     planar_polar_measures,
     spatial_full_rank,
+    spatial_polar_measures,
     polar,
     polar_of_zonotope,
     reduced_form,
@@ -53,6 +56,7 @@ from .bodies import (
     zonotope_polar_volume,
     zonotope_to_vpolytope,
     zonotope_volume,
+    _stacked_walk,
 )
 from .mixed import (
     mixed_projection_generators,
@@ -626,6 +630,55 @@ def check_planar_polar_measures(seed: int = 0):
                                              f"{exact:.2e} against the polar hull")
 
 
+def spatial_polar_test_zonotopes(gen: np.random.Generator) -> list:
+    """(generator rows, needle) pairs of spatial zonotopes: the projection
+    bodies of a random tetrahedron and of a needle one 1e-3 thin, a 3 x 3
+    mixed zonotope (its rows a_i x b_j make coplanar triples by design), and
+    the edge-pair atoms of a random tetrahedron pair."""
+    P = gen.normal(size=(2, 4, 3))
+    P[1] = (P[1] * [1.0, 1e-3, 1e-3]) @ np.linalg.qr(gen.normal(size=(3, 3)))[0]
+    tets = tetrahedron_projection_generators(P)
+    mixed = mixed_projection_generators(gen.normal(size=(1, 3, 3)), gen.normal(size=(1, 3, 3)))
+    while True:
+        normals, holds = tetrahedron_pair_normals(*gen.normal(size=(2, 1, 4, 3)))
+        if holds[0]:
+            break
+    return [(tets[0], False), (tets[1], True), (mixed[0], False), (0.25 * normals[0], False)]
+
+
+def check_spatial_polar_measures(seed: int = 0):
+    """The arc walk of ``spatial_polar_measures`` against three oracles on
+    ``spatial_polar_test_zonotopes``: the polar hull volume under Lebesgue
+    measure (the needle too), the 2^16-node grid of ``polar_measure`` under a
+    Gaussian and a ball that crosses the polar's boundary, and in the grid's
+    place on the needle the Gaussian rule of four times POLAR_WALK_ORDER.
+    The grid runs in blocks of 2^12 nodes (the mean of equal blocks' polar
+    measures is the whole grid's), so the check holds a few MB; 2^16 nodes
+    keep it near 30 ms, where the grid's own error is some 1e-5 (2^18 nodes
+    take 22 ms and 7 MB for the node set alone)."""
+    gen = np.random.default_rng(seed)
+    U = sphere_directions(3, 1 << 16)
+    fine = np.polynomial.legendre.leggauss(4 * POLAR_WALK_ORDER)
+    exact = grid = order = 0.0
+    for G, needle in spatial_polar_test_zonotopes(gen):
+        Z = Zonotope(G)
+        want = volume(polar_of_zonotope(Z))
+        exact = max(exact, abs(spatial_polar_measures(G[None])[0][0] - want) / want)
+        if needle:
+            nu = RadialMeasure.gaussian(0.8)
+            want = _stacked_walk(G[None], nu, fine)[0][0]
+            order = max(order, abs(spatial_polar_measures(G[None], nu)[0][0] - want) / want)
+            continue
+        blocks = [Z.support_batch(U[s:s + (1 << 12)]) for s in range(0, len(U), 1 << 12)]
+        low, high = min(hv.min() for hv in blocks), max(hv.max() for hv in blocks)
+        for nu in (RadialMeasure.gaussian(0.8), RadialMeasure.ball(2.0 / (low + high))):
+            want = np.mean([polar_measure_from_support(hv, nu, 3) for hv in blocks])
+            grid = max(grid, abs(spatial_polar_measures(G[None], nu)[0][0] - want) / want)
+    ok = exact <= 1e-11 and grid <= 1e-4 and order <= 1e-5
+    return ok, (f"max relative defect {exact:.2e} against the polar hull, {grid:.2e} against "
+                f"the grid, {order:.2e} against order {4 * POLAR_WALK_ORDER} on the needle")
+
+
 def check_block_streams(seed: int = 0):
     """The block route against the per-trial one, bit for bit: its Philox
     keys against numpy's SeedSequence, its uniform, ball and Gaussian
@@ -671,6 +724,7 @@ CHECKS = [
     ("tetrahedron pair kernels vs oracles", check_tetrahedron_pair_kernels),
     ("zonotope polar volume vs polar hull", check_zonotope_polar_volume),
     ("planar polar measures vs grid and polar hull", check_planar_polar_measures),
+    ("spatial polar measures vs grid and polar hull", check_spatial_polar_measures),
     ("block streams vs per-trial generators", check_block_streams),
 ]
 

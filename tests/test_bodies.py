@@ -1,9 +1,12 @@
+import ast
 import math
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 from pettylab import (
     ConfigError,
@@ -26,6 +29,7 @@ from pettylab import (
     regular_polygon,
     segment,
     solid_simplex,
+    spatial_polar_measure,
     support,
     translate,
     unit_ball_volume,
@@ -36,9 +40,15 @@ from pettylab import (
     zonotope_volume,
 )
 from pettylab import bodies
-from pettylab.bodies import _abs_pairing, merge_parallel_generators, planar_polar_measures
-from pettylab.mixed import centroid, facets
-from pettylab.projections import RadialMeasure, projection_body
+from pettylab.bodies import (
+    _abs_pairing,
+    merge_parallel_generators,
+    planar_polar_measures,
+    sphere_directions,
+    spatial_polar_measures,
+)
+from pettylab.mixed import centroid, facets, mixed_projection_generators
+from pettylab.projections import RadialMeasure, polar_measure_from_support, projection_body
 from pettylab.verify import (
     brute_hull_vertices_3d,
     gift_wrap_2d,
@@ -448,6 +458,140 @@ class TestPlanarPolarMeasures:
     def test_rejects_space(self):
         with pytest.raises(GeometryError, match="dimension 2"):
             planar_polar_measure(Zonotope(np.eye(3)))
+
+
+def _foot_family(lam: float) -> np.ndarray:
+    """Generators of a zonotope whose polar has facets with their foot on an
+    edge line at lam = 1, and within 2e-7 (relative R^2 - d^2) of one at
+    lam = 1.4302."""
+    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [lam, 0.7 * lam, 0.4]])
+
+
+def _de_dy(y: np.ndarray) -> np.ndarray:
+    """d/dy of erf(sqrt y) / sqrt y."""
+    u = np.sqrt(y)
+    return np.exp(-y) / (math.sqrt(math.pi) * y) - scipy_erf(u) / (2.0 * y * u)
+
+
+class TestSpatialPolarMeasures:
+    def test_the_cube_has_the_octahedron_for_its_polar(self):
+        # the polar of [-1, 1]^3 is |x| + |y| + |z| <= 1: volume 4/3,
+        # inradius 1 / sqrt 3 and circumradius 1
+        cube = Zonotope(np.eye(3))
+        assert spatial_polar_measure(cube) == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert spatial_polar_measure(cube, RadialMeasure.ball(1.0)) == pytest.approx(4.0 / 3.0,
+                                                                                     rel=1e-14)
+        inside = 4.0 * math.pi * 0.5 ** 3 / 3.0
+        assert spatial_polar_measure(cube, RadialMeasure.ball(0.5)) == pytest.approx(inside,
+                                                                                     rel=1e-9)
+
+    @pytest.mark.parametrize("nu", [GAUSSIAN, RadialMeasure.gaussian(0.3), BALL,
+                                    RadialMeasure.ball(0.4)],
+                             ids=["gaussian", "narrow-gaussian", "ball", "small-ball"])
+    def test_agrees_with_the_polar_hull_and_a_fine_grid(self, nu):
+        gen = np.random.default_rng(71)
+        U = sphere_directions(3, 1 << 17)
+        for _ in range(3):
+            Z = projection_body(hull(gen.normal(size=(int(gen.integers(4, 9)), 3))))
+            want = polar_measure_from_support(Z.support_batch(U), nu, 3)
+            assert spatial_polar_measure(Z, nu) == pytest.approx(want, rel=1e-4)
+            G = Z.generators[None]
+            assert spatial_polar_measures(G)[0][0] == pytest.approx(volume(polar_of_zonotope(Z)),
+                                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
+    def test_a_row_does_not_depend_on_the_rows_beside_it(self, nu):
+        G = np.random.default_rng(72).normal(size=(9, 5, 3))
+        G[3, 3:] = 0.0
+        G[5, 1] = 2.0 * G[5, 0]
+        values, ok = spatial_polar_measures(G, nu)
+        assert ok.tolist() == [t != 5 for t in range(9)]
+        for t in range(len(G)):
+            alone, alone_ok = spatial_polar_measures(G[t:t + 1], nu)
+            assert alone.tobytes() == values[t:t + 1].tobytes() and alone_ok[0] == ok[t]
+        # listed sets of several sizes: one stack per size, never padded
+        listed = [G[t, :3 + t % 3] for t in range(len(G))]
+        values, ok = spatial_polar_measures(listed, nu)
+        for t, g in enumerate(listed):
+            alone, alone_ok = spatial_polar_measures(g[None], nu)
+            assert alone.tobytes() == values[t:t + 1].tobytes() and alone_ok[0] == ok[t]
+
+    @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
+    def test_zero_generators_add_nothing(self, nu):
+        G = np.random.default_rng(73).normal(size=(5, 3))
+        padded = np.vstack([G[:2], np.zeros((2, 3)), G[2:], np.zeros((1, 3))])
+        want = spatial_polar_measures(G[None], nu)[0][0]
+        got, ok = spatial_polar_measures(padded[None], nu)
+        assert ok[0] and got[0] == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
+    def test_coplanar_triples_of_mixed_zonotopes(self, nu):
+        # a_i x b_j over j lie in the plane a_i^perp, so their circles meet in
+        # arcs of length zero whose ends differ by rounding alone: the edge
+        # has no direction and its line may pass through the origin
+        gen = np.random.default_rng(74)
+        G = mixed_projection_generators(gen.normal(size=(64, 3, 3)), gen.normal(size=(64, 3, 3)))
+        values, ok = spatial_polar_measures(G, nu)
+        assert ok.all() and np.isfinite(values).all()
+        for t in range(0, 64, 7):
+            assert values[t] == pytest.approx(spatial_polar_measure(Zonotope(G[t]), nu), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1.0, 1.4302])
+    def test_a_foot_on_or_near_an_edge_line(self, lam):
+        G = _foot_family(lam)
+        hv = Zonotope(G).support_batch(sphere_directions(3, 1 << 17))
+        for nu in (GAUSSIAN, RadialMeasure.gaussian(0.2), BALL, RadialMeasure.ball(0.4)):
+            got = spatial_polar_measures(G[None], nu)[0][0]
+            assert got == pytest.approx(polar_measure_from_support(hv, nu, 3), rel=1e-4)
+            # the value moves smoothly with the generators
+            moved = spatial_polar_measures(_foot_family(lam + 1e-9)[None], nu)[0][0]
+            assert moved == pytest.approx(got, rel=1e-7)
+
+    @pytest.mark.parametrize("u02", [1e-4, 0.3, 20.0])
+    def test_the_gaussian_ratio_is_smooth_at_the_foot(self, u02):
+        # (E(u0) - E(u)) / (u^2 - u0^2), E(u) = erf(u) / u, against the mean
+        # of -dE/d(u^2) over [u0^2, u^2] by a 16-point rule: across the
+        # switch to the Taylor form at FOOT_GAP (0.5 + u0^2) and at the foot
+        # itself, where the divided difference is 0 / 0
+        y0 = np.array([u02])
+        switch = bodies.FOOT_GAP * (0.5 + u02)
+        x, w = np.polynomial.legendre.leggauss(16)
+        for gap in (0.0, 1e-14, 1e-10, 1e-7, 0.99 * switch, 1.01 * switch, 1e-3, 0.1):
+            # one rule node on an edge through the foot
+            uu = (y0 + gap)[None]
+            u = np.sqrt(uu)
+            got = bodies._gaussian_ratio(scipy_erf(u) / u, uu, y0, np.sqrt(y0))[0, 0]
+            want = -0.5 * float(w @ _de_dy(u02 + 0.5 * gap * (1.0 + x)))
+            assert got == pytest.approx(want, rel=1e-9)
+
+    def test_flat_and_parallel_sets_are_not_read(self):
+        coplanar = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]])
+        parallel = np.array([[[1.0, 2.0, 0.5], [2.0, 4.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+        for G in (coplanar, parallel, np.zeros((1, 4, 3)), np.eye(3)[None, :2]):
+            assert spatial_polar_measures(G, GAUSSIAN)[1].tolist() == [False]
+        assert spatial_polar_measures(np.eye(3)[None], GAUSSIAN)[1].tolist() == [True]
+        with pytest.raises(GeometryError, match="full-dimensional"):
+            spatial_polar_measure(Zonotope(coplanar[0]), GAUSSIAN)
+        with pytest.raises(GeometryError, match="dimension 3"):
+            spatial_polar_measure(Zonotope(np.eye(2)))
+
+    def test_the_stacked_walk_uses_no_matrix_product(self):
+        # a matrix product blocks its sums by the size of the stack, so a
+        # row's bits would depend on the rows beside it
+        names = {"spatial_polar_measures", "_stacked_walk", "_stacked_index", "_circle_index",
+                 "_crossings", "_walk", "_circle_arcs", "_edge_lines", "_edge_integrals",
+                 "_gaussian_ratio", "_ball_h", "_vdot", "_vcross"}
+        tree = ast.parse(Path(bodies.__file__).read_text())
+        found = {node.name: node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names}
+        assert set(found) == names
+        products = {"matmul", "dot", "einsum", "tensordot", "inner"}
+        for name, node in found.items():
+            for sub in ast.walk(node):
+                assert not (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult)), name
+                if isinstance(sub, ast.Call):
+                    called = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                    assert called not in products, name
 
 
 class TestHullCache:

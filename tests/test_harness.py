@@ -435,6 +435,7 @@ CHUNKED = {
     "lln": ("lln", {"dim": 2, "seed": 35, "body": SQUARE, "m1_list": [16, 6], "m2_list": [8, 5]}),
     "thm12-3d-lebesgue": ("thm12", dict(_THM12_SPACE, measure={"type": "lebesgue"})),
     "thm12-3d-gaussian": ("thm12", dict(_THM12_SPACE, measure=_GAUSS)),
+    "thm12-3d-ball": ("thm12", dict(_THM12_SPACE, measure={"type": "ball", "radius": 0.4})),
     "thm12-3d-cube": ("thm12", dict(_THM12_SPACE, blocks=[_uniform_block(_CUBE3, 3)],
                                     c_set={"kind": "cube", "m": 3, "half": 0.5})),
     "thm11-3d-zonotopes": ("thm11", {"dim": 3, "seed": 37, "measure": _GAUSS,
@@ -446,6 +447,11 @@ CHUNKED = {
     "thm11-3d-simplices": ("thm11", {"dim": 3, "seed": 39, "measure": _GAUSS,
                                      "blocks": [_uniform_block(_CUBE3, 4), {"density": _GAUSS, "m": 4}],
                                      "c_sets": [{"kind": "simplex", "m": 4}] * 2}),
+    "thm11-3d-simplices-ball": ("thm11", {"dim": 3, "seed": 41,
+                                          "measure": {"type": "ball", "radius": 0.5},
+                                          "blocks": [_uniform_block(_CUBE3, 4),
+                                                     {"density": _GAUSS, "m": 4}],
+                                          "c_sets": [{"kind": "simplex", "m": 4}] * 2}),
     "empmixed-3d-simplices": ("empmixed", {"dim": 3, "seed": 40, "ball_slots": 1,
                                            "blocks": [_uniform_block(_CUBE3, 4),
                                                       {"density": _GAUSS, "m": 4}],
@@ -474,7 +480,8 @@ ROUTED = {**CHUNKED, **PER_TRIAL}
 
 # kinds whose bodies are the hulls of the sampled clouds themselves
 HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "thm12-ball", "empmixed", "emppetty2", "lln",
-                    "thm12-3d-lebesgue", "thm12-3d-gaussian", "thm11-3d-simplices",
+                    "thm12-3d-lebesgue", "thm12-3d-gaussian", "thm12-3d-ball", "thm11-3d-simplices",
+                    "thm11-3d-simplices-ball",
                     "empmixed-3d-simplices", "thm12-3d-simplex5", "thm11-3d-simplex5-cube",
                     "empmixed-3d-volume", "lln-3d"}
 
@@ -585,14 +592,81 @@ class TestChunks:
         values = large.chunk(0, 0, 3, harness._no_diagnostics())
         assert values.shape == (3,) and np.isfinite(values).all()
 
-    @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm11-3d-zonotopes", "cor13",
-                                      "thm11-3d-simplices", "empmixed-3d-simplices"])
+    @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm12-3d-ball", "thm11-3d-zonotopes",
+                                      "cor13", "thm11-3d-simplices", "empmixed-3d-simplices"])
     def test_spatial_reports_do_not_depend_on_threads(self, name):
         kind, config = CHUNKED[name]
         config = dict(config, trials=20)
         serial = report_to_json(harness.RUNNERS[kind](config, threads=1))
         parallel = report_to_json(harness.RUNNERS[kind](config, threads=2))
         assert serial == parallel
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the spatial grid was called")
+
+
+def _thm11_cubes(m1: int, m2: int) -> dict:
+    return {"dim": 3, "seed": 48, "trials": 3, "measure": _GAUSS,
+            "blocks": [_uniform_block(_CUBE3, m1), {"density": _GAUSS, "m": m2}],
+            "c_sets": [{"kind": "cube", "m": m1}, {"kind": "cube", "m": m2}]}
+
+
+class TestSpatialRoutes:
+    @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm12-3d-ball", "thm11-3d-zonotopes",
+                                      "thm11-3d-simplices", "thm11-3d-simplices-ball"])
+    def test_gaussian_and_ball_kernels_take_the_walk_and_no_grid(self, name, monkeypatch):
+        kind, config = CHUNKED[name]
+        monkeypatch.setattr(harness, "_grid", _refuse)
+        monkeypatch.setattr(harness, "polar_measures", _refuse)
+        monkeypatch.setattr(projections, "polar_measures", _refuse)
+        monkeypatch.setattr(projections, "polar_measure_from_support", _refuse)
+        assert SPECS[kind](config).walk
+        report = harness.RUNNERS[kind](dict(config, trials=30), threads=1)
+        assert math.isfinite(report["lhs"]["mean"]) and math.isfinite(report["rhs"]["mean"])
+
+    @pytest.mark.parametrize("name", ["cor13", "thm12-3d-lebesgue", "thm12-3d-cube"])
+    def test_lebesgue_and_large_projection_bodies_keep_the_grid(self, name, monkeypatch):
+        # cor13 at m = 8 reads 64 generators, past POLAR_WALK_MAX_GENERATORS
+        kind, config = CHUNKED[name]
+        calls = []
+        grid = harness._grid
+        monkeypatch.setattr(harness, "_grid", lambda nodes: calls.append(nodes) or grid(nodes))
+        spec = SPECS[kind](config)
+        assert not spec.walk and spec.entries == spec.nodes == 8192
+        harness.RUNNERS[kind](dict(config, trials=2), threads=1)
+        assert calls and set(calls) == {8192}
+
+    def test_an_explicit_node_count_keeps_the_grid_of_that_size(self, monkeypatch):
+        kind, config = CHUNKED["thm12-3d-gaussian"]
+        calls = []
+        grid = harness._grid
+        monkeypatch.setattr(harness, "_grid", lambda nodes: calls.append(nodes) or grid(nodes))
+        spec = SPECS[kind](dict(config, quadrature={"nodes": 512}))
+        assert not spec.walk and spec.entries == spec.nodes == 512
+        harness.RUNNERS[kind](dict(config, trials=3, quadrature={"nodes": 512}), threads=1)
+        assert set(calls) == {512}
+        calls.clear()
+        harness.RUNNERS[kind](dict(config, trials=3), threads=1)
+        assert calls == []
+
+    def test_the_walk_stops_at_the_crossover(self):
+        # a 3 x 4 cube pair reads 12 generators, a 4 x 4 pair 16
+        assert SPECS["thm11"](_thm11_cubes(3, 4)).walk
+        assert not SPECS["thm11"](_thm11_cubes(4, 4)).walk
+        assert SPECS["cor13"](dict(COR13_SMALL, m=3, measure=_GAUSS)).walk
+        assert not SPECS["cor13"](dict(COR13_SMALL, measure=_GAUSS)).walk
+
+    def test_a_chunk_holds_a_whole_spatial_thm12_report(self):
+        kind, config = CHUNKED["thm12-3d-gaussian"]
+        spec = SPECS[kind](dict(config, trials=100))
+        assert spec.walk and spec.chunk_len() >= 100
+
+    def test_tetrahedron_pairs_have_at_most_ten_atoms(self):
+        # the bound that sizes the tetrahedron-pair walk
+        P, Q = np.random.default_rng(49).normal(size=(2, 4000, 4, 3))
+        normals, holds = projections.tetrahedron_pair_normals(P, Q)
+        assert max(len(W) for W in normals) <= harness.TETRAHEDRON_PAIR_ATOMS
 
 
 class TestSpecs:
