@@ -796,9 +796,10 @@ def _stacked_walk(G, measure, rule: tuple) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(G, np.ndarray):
         sets = [(np.arange(len(G)), G)]
     else:
-        sizes = np.array([len(g) for g in G], dtype=int)
-        sets = [(np.flatnonzero(sizes == k), np.stack([g for g in G if len(g) == k]))
-                for k in np.unique(sizes)]
+        by_size = {}
+        for t, g in enumerate(G):
+            by_size.setdefault(len(g), []).append(t)
+        sets = [(np.array(rows), np.stack([G[t] for t in rows])) for _, rows in sorted(by_size.items())]
     values, ok = np.full(len(G), np.nan), np.zeros(len(G), dtype=bool)
     groups, rows = [], []
     for index, stack in sets:
@@ -988,7 +989,7 @@ def _edge_integrals(edges: tuple, q: np.ndarray, measure, rule: tuple) -> np.nda
     if measure.variant == "gaussian":
         EU = erf(R)
         EU /= R
-        H = _gaussian_ratio(EU, R * R, 1.0 / (q * unit * unit), D)
+        H = _gaussian_ratio(EU, R * R, 1.0 / (q * unit * unit), D, keep)
     else:
         H = _ball_h(R, 1.0 / q, r)
     H *= weight
@@ -1001,32 +1002,35 @@ def _edge_integrals(edges: tuple, q: np.ndarray, measure, rule: tuple) -> np.nda
     return S
 
 
-def _gaussian_ratio(EU: np.ndarray, uu: np.ndarray, u02: np.ndarray, Du: np.ndarray) -> np.ndarray:
+def _gaussian_ratio(EU: np.ndarray, uu: np.ndarray, u02: np.ndarray, Du: np.ndarray,
+                    keep: np.ndarray) -> np.ndarray:
     """(E(u0) - E(u)) / (u^2 - u0^2), E(u) = erf(u) / u, at the rule nodes
     (EU, uu = u^2, nodes on the leading axis) of the edges whose facets have
     u0^2 = ``u02`` and whose lines pass at ``Du``, in units of sigma sqrt 2.
-    On an edge that passes within FOOT_GAP of its foot, nodes that close
-    take the first-order Taylor form at the foot, h1 + (4 e^(-u0^2) /
-    sqrt(pi) - 6 h1) (u^2 - u0^2) / (8 u0^2) with h1 = (E(u0) - 2 e^(-u0^2)
-    / sqrt(pi)) / (2 u0^2)."""
+    Nodes within FOOT_GAP of the foot of a kept edge's facet take the
+    first-order Taylor form at the foot, h1 + (4 e^(-u0^2) / sqrt(pi) - 6
+    h1) (u^2 - u0^2) / (8 u0^2) with h1 = (E(u0) - 2 e^(-u0^2) / sqrt(pi))
+    / (2 u0^2); only edges whose line passes that close can have such
+    nodes."""
     u0 = np.sqrt(u02)
     E0 = erf(u0) / u0
     gap = uu - u02
     near = FOOT_GAP * (0.5 + u02)
-    close = Du * Du - u02 <= near
-    if not close.any():
-        out = E0 - EU
-        out /= gap
-        return out
-    part = gap[:, close]
-    gap[:, close] = 1.0
-    out = (E0 - EU) / gap
-    u02c, E0c, at = u02[close], E0[close], part <= near[close]
-    ex = np.exp(-u02c) / math.sqrt(math.pi)
-    h1 = (E0c - 2.0 * ex) / (2.0 * u02c)
-    taylor = h1 + (4.0 * ex - 6.0 * h1) * part / (8.0 * u02c)
-    EUc = np.broadcast_to(EU, out.shape)[:, close]
-    out[:, close] = np.where(at, taylor, (E0c - EUc) / np.where(at, 1.0, part))
+    close = (Du * Du - u02 <= near) & keep
+    if close.any():
+        part = gap[:, close]
+        at = part <= near[close]
+        if at.any():
+            u02c, E0c = u02[close], E0[close]
+            ex = np.exp(-u02c) / math.sqrt(math.pi)
+            h1 = (E0c - 2.0 * ex) / (2.0 * u02c)
+            taylor = h1 + (4.0 * ex - 6.0 * h1) * part / (8.0 * u02c)
+            gap[:, close] = np.where(at, 1.0, part)
+            out = (E0 - EU) / gap
+            out[:, close] = np.where(at, taylor, out[:, close])
+            return out
+    out = E0 - EU
+    out /= gap
     return out
 
 

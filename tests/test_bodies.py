@@ -560,7 +560,7 @@ class TestSpatialPolarMeasures:
             # one rule node on an edge through the foot
             uu = (y0 + gap)[None]
             u = np.sqrt(uu)
-            got = bodies._gaussian_ratio(scipy_erf(u) / u, uu, y0, np.sqrt(y0))[0, 0]
+            got = bodies._gaussian_ratio(scipy_erf(u) / u, uu, y0, np.sqrt(y0), True)[0, 0]
             want = -0.5 * float(w @ _de_dy(u02 + 0.5 * gap * (1.0 + x)))
             assert got == pytest.approx(want, rel=1e-9)
 
