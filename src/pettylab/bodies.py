@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -706,16 +705,6 @@ def _circle_index(k: int, rows: range) -> tuple:
             np.arange(len(circles))[:, None])
 
 
-@lru_cache(maxsize=32)
-def _stacked_index(k: int) -> tuple:
-    """The pairs i < j of k generators and the ``_circle_index`` of all k
-    circles, read-only, built once per k for ``spatial_polar_measures``."""
-    out = (*np.triu_indices(k, k=1), *_circle_index(k, range(k)))
-    for index in out:
-        index.setflags(write=False)
-    return out
-
-
 def _rule_nodes(measure) -> int:
     """Rule nodes on each edge: none under Lebesgue measure, one piece under
     a Gaussian and the two pieces outside the ball under a ball measure."""
@@ -732,14 +721,11 @@ def spatial_polar_entries(k: int, measure=None) -> int:
     return max(k * (2 * k - 2) * 2 * _rule_nodes(measure), 9 * k * (k - 1), k * k * (k - 1) // 2)
 
 
-def spatial_polar_measures(G, measure=None) -> tuple[np.ndarray, np.ndarray]:
+def spatial_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.ndarray]:
     """nu(Z°) for the spatial zonotopes Z = sum [-g, g] over the generator
-    rows of G[t], with no hull or grid, and the mask of the zonotopes the
-    walk reads.  G is stacked, shape (T, k, 3), or a list of T generator
-    arrays of shape (k_t, 3), which the walk takes in one stack per size,
-    never padded, with the rule run once over the arcs of every stack.
-    ``measure`` is a ``projections.RadialMeasure``, or None for Lebesgue
-    measure.
+    rows of G[t], shape (T, k, 3), with no hull or grid, and the mask of the
+    zonotopes the walk reads.  ``measure`` is a
+    ``projections.RadialMeasure``, or None for Lebesgue measure.
 
     The facets of Z° are the cones of the vertices v of Z, cut by the
     planes <x, v> = 1 at distance d = 1/|v| from the origin, and its edges
@@ -789,41 +775,30 @@ def spatial_polar_measures(G, measure=None) -> tuple[np.ndarray, np.ndarray]:
     return _stacked_walk(G, measure, _WALK_RULE)
 
 
-def _stacked_walk(G, measure, rule: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_walk(G: np.ndarray, measure, rule: tuple) -> tuple[np.ndarray, np.ndarray]:
     """``spatial_polar_measures`` with the Gauss-Legendre ``rule`` (nodes,
     weights) on [-1, 1]; ``verify`` checks the constant order against a
     finer one."""
-    if isinstance(G, np.ndarray):
-        sets = [(np.arange(len(G)), G)]
-    else:
-        by_size = {}
-        for t, g in enumerate(G):
-            by_size.setdefault(len(g), []).append(t)
-        sets = [(np.array(rows), np.stack([G[t] for t in rows])) for _, rows in sorted(by_size.items())]
     values, ok = np.full(len(G), np.nan), np.zeros(len(G), dtype=bool)
-    groups, rows = [], []
-    for index, stack in sets:
-        k = stack.shape[1]
-        if k < 3:
-            continue
-        stack = stack.transpose(2, 0, 1).copy()  # (3, T, k)
-        i, j, *circles = _stacked_index(k)
-        X, h = _crossings(stack, i, j)
-        # a positive support at every crossing reads; else a zero crossing
-        # must involve a zero generator, and some crossing must have a support
-        read = (h > 0.0).all(axis=1)
-        if not read.all():
-            live, nonzero = X.any(axis=0), stack.any(axis=0)
-            read = (live & (h > 0.0)).any(axis=1) & ~(
-                (live & (h == 0.0)) | (~live & nonzero[:, i] & nonzero[:, j])).any(axis=1)
-            # walk the unit cube in the place of the sets the walk cannot read
-            stack[:, ~read] = np.eye(3, k)[:, None, :]
-            X, h = _crossings(stack, i, j)
-            h[h == 0.0] = 1.0
-        groups.append((stack, X / h, circles))
-        rows.append((index, read))
-    for (index, read), got in zip(rows, _walk(groups, measure, rule)):
-        values[index[read]], ok[index] = got[read], read
+    k = G.shape[1]
+    if k < 3:
+        return values, ok
+    G = G.transpose(2, 0, 1).copy()  # (3, T, k)
+    i, j = np.triu_indices(k, k=1)
+    X, h = _crossings(G, i, j)
+    # a positive support at every crossing reads; else a zero crossing must
+    # involve a zero generator, and some crossing must have a support
+    read = (h > 0.0).all(axis=1)
+    if not read.all():
+        live, nonzero = X.any(axis=0), G.any(axis=0)
+        read = (live & (h > 0.0)).any(axis=1) & ~(
+            (live & (h == 0.0)) | (~live & nonzero[:, i] & nonzero[:, j])).any(axis=1)
+        # walk the unit cube in the place of the sets the walk cannot read
+        G[:, ~read] = np.eye(3, k)[:, None, :]
+        X, h = _crossings(G, i, j)
+        h[h == 0.0] = 1.0
+    got = _walk(G, X / h, _circle_index(k, range(k)), measure, rule)
+    values[read], ok[:] = got[read], read
     return values, ok
 
 
@@ -857,33 +832,22 @@ def _merged_spatial_measure(gens: np.ndarray, measure) -> float:
     total = 0.0
     for s in range(0, m, step):
         index = _circle_index(m, range(s, min(s + step, m)))
-        total += float(_walk([(G, Q, index)], measure, _WALK_RULE)[0][0])
+        total += float(_walk(G, Q, index, measure, _WALK_RULE)[0])
     return total
 
 
-def _walk(groups: list, measure, rule: tuple) -> list:
-    """For each (G, Q, index) of ``groups``, the part of nu(Z°) that the
-    circles g_i^perp of the ``_circle_index`` ``index`` carry for the stacked
-    zonotopes with generators G[:, t], shape (3, T, k), and polar vertices
-    Q[:, t], shape (3, T, k(k - 1)/2): (g_i x g_j) / h_Z(g_i x g_j) over the
-    pairs i < j in triu order, zero where g_i x g_j is; shape (T,).  Under a
-    Gaussian or ball measure the rule runs once over the arcs of every
-    group.  See ``spatial_polar_measures``."""
-    arcs = [_circle_arcs(G, Q, index) for G, Q, index in groups]
-    shapes = [(w.shape[1], w.shape[2] * w.shape[3]) for *_, w, _ in arcs]
-    if not arcs or measure is None or measure.variant == "lebesgue":
-        return [w.sum(axis=0).reshape(shape).sum(axis=1) / 6.0
-                for (*_, w, _), shape in zip(arcs, shapes)]
-    a, b, ab, q = (np.concatenate([arc[n].reshape(len(arc[n]), T * size)
-                                   for arc, (T, size) in zip(arcs, shapes)], axis=1)
-                   for n in (0, 1, 2, 4))
+def _walk(G: np.ndarray, Q: np.ndarray, index: tuple, measure, rule: tuple) -> np.ndarray:
+    """The part of nu(Z°) that the circles g_i^perp of the ``_circle_index``
+    ``index`` carry for the stacked zonotopes with generators G[:, t], shape
+    (3, T, k), and polar vertices Q[:, t], shape (3, T, k(k - 1)/2): (g_i x
+    g_j) / h_Z(g_i x g_j) over the pairs i < j in triu order, zero where g_i
+    x g_j is; shape (T,).  See ``spatial_polar_measures``."""
+    a, b, ab, w, q = _circle_arcs(G, Q, index)
+    shape = (w.shape[1], w.shape[2] * w.shape[3])
+    if measure is None or measure.variant == "lebesgue":
+        return w.sum(axis=0).reshape(shape).sum(axis=1) / 6.0
     S = _edge_integrals(_edge_lines(a, b, ab), q, measure, rule)
-    out, start = [], 0
-    for (*_, w, _), (T, size) in zip(arcs, shapes):
-        part = S[:, start:start + T * size].reshape(w.shape)
-        out.append((w * part).sum(axis=0).reshape(T, size).sum(axis=1))
-        start += T * size
-    return out
+    return (w * S).sum(axis=0).reshape(shape).sum(axis=1)
 
 
 def _circle_arcs(G: np.ndarray, Q: np.ndarray, index: tuple) -> tuple:

@@ -74,17 +74,17 @@ cross products:
   (1/4) sum |<e x f, u>| over the edges e of A and f of B whose normal
   arcs cross, the atoms of the mixed area measure S(A, B).
 
-Under a Gaussian or ball measure, projection bodies of at most
-POLAR_WALK_MAX_GENERATORS generators then take the arc walk of
-``bodies.spatial_polar_measures`` over their normal fan, stacked for the
-chunk (tetrahedron pairs one stack per atom count, never padded), with no
-grid; the hull route of such a spec takes the same walk.  Lebesgue
-measure, larger projection bodies, an explicit ``quadrature.nodes`` and the
-kinds with no kernel take one support call per trial over the spatial grid
-and one polar quadrature row.  Neither route depends on the chunk, so a
-trial's value is again the same bit for bit in every chunk.  The same edge
-pairs give empmixed with two such C-sets and one ball slot: V(A, B, ball) =
-(1/6) sum h_ball(+-(e x f)), one support call per trial.
+Under a Gaussian or ball measure, zonotope projection bodies of at most
+POLAR_WALK_MAX_GENERATORS generators for that measure then take the arc
+walk of ``bodies.spatial_polar_measures`` over their normal fan, stacked
+for the chunk, with no grid; the hull route of such a spec takes the same
+walk.  Lebesgue measure, larger projection bodies, tetrahedron pairs, an
+explicit ``quadrature.nodes`` and the kinds with no kernel take one support
+call per trial over the spatial grid and one polar quadrature row.  Neither
+route depends on the chunk, so a trial's value is again the same bit for
+bit in every chunk.  The same edge pairs give empmixed with two such C-sets
+and one ball slot: V(A, B, ball) = (1/6) sum h_ball(+-(e x f)), one support
+call per trial.
 
 A kernel leaves out of its mask every cloud it cannot classify with margin
 (degenerate, collinear, coplanar or repeated points, generators that do not
@@ -168,17 +168,16 @@ CHUNK_ENTRIES = 1 << 16
 # against 0.2-0.3 ms for a hull, and lost to the hull at 32.
 PAIR_AREA_MAX_POINTS = 24
 # Generators up to which a spatial kernel's projection bodies take the arc
-# walk of ``bodies.spatial_polar_measures`` instead of the grid, under a
-# Gaussian or ball measure.  On a 2-vCPU Xeon, per trial at chunk size, the
-# walk took 0.03 ms at 4 generators, 0.11-0.15 ms at 9 and 0.22 ms at 12,
-# against 0.20-0.27 ms for the 8192-node grid, and lost at 16 (0.42 ms
-# against 0.29 ms).
-POLAR_WALK_MAX_GENERATORS = 12
-# Atoms of the mixed area measure S(A, B) of two tetrahedra in general
-# position, at most: the crossings X of their normal fans' 6 + 6 arcs make a
-# common refinement with 6 + X cells, one per vertex pair of A + B, of which
-# there are at most 16.
-TETRAHEDRON_PAIR_ATOMS = 10
+# walk of ``bodies.spatial_polar_measures`` instead of the 8192-node grid,
+# per measure.  On a 2-vCPU Xeon, per trial at chunk size, the Gaussian walk
+# took 0.02-0.03 ms at 4 generators, 0.12-0.13 ms at 9 and 0.20-0.25 ms at
+# 12, against 0.20-0.32 ms for the grid, and lost at 16 (0.47 ms against
+# 0.35 ms).  The ball walk runs the rule on the two pieces of each edge
+# outside the ball and its grid needs no erf: 0.05 ms at 4 generators and
+# 0.14 ms at 8 against 0.12 and 0.14 ms for the grid, and it lost at 9
+# (0.17 ms against 0.14-0.15 ms) and 12 (0.33-0.42 ms against 0.20-0.23 ms).
+POLAR_WALK_MAX_GENERATORS = {"gaussian": 12, "ball": 8}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -627,13 +626,13 @@ class _PolarSpec(_Spec):
     ``bodies(samples, diag)`` builds from one trial's samples.
 
     Planar polar measures are exact and take no grid.  In space a kind
-    whose kernel reads projection bodies of at most
-    POLAR_WALK_MAX_GENERATORS generators takes the arc walk of
-    ``bodies.spatial_polar_measures`` under a Gaussian or ball measure,
-    unless the config gives ``quadrature.nodes``; its kernel and hull route
-    then both take the walk, so a trial and its replay never take different
-    rules.  Lebesgue measure, larger projection bodies, an explicit node
-    count and kinds with no kernel keep the grid."""
+    whose kernel reads zonotope projection bodies of at most
+    POLAR_WALK_MAX_GENERATORS generators for its Gaussian or ball measure
+    takes the arc walk of ``bodies.spatial_polar_measures``, unless the
+    config gives ``quadrature.nodes``; its kernel and hull route then both
+    take the walk, so a trial and its replay never take different rules.
+    Lebesgue measure, larger projection bodies, tetrahedron pairs, an
+    explicit node count and kinds with no kernel keep the grid."""
 
     direction = "le"
     walk = False
@@ -653,7 +652,8 @@ class _PolarSpec(_Spec):
         """Route a spatial kernel whose projection bodies have at most
         ``generators`` generators to the walk or the grid, and size its
         chunk by that route's largest temporary."""
-        self.walk = self.walkable and generators <= POLAR_WALK_MAX_GENERATORS
+        limit = POLAR_WALK_MAX_GENERATORS.get(self.measure.variant, 0)
+        self.walk = self.walkable and generators <= limit
         self.entries = spatial_polar_entries(generators, self.measure) if self.walk else self.nodes
 
     def value(self, samples: list, diag: dict) -> float:
@@ -688,11 +688,11 @@ class _PolarSpec(_Spec):
 
     def _spatial_values(self, G, full: np.ndarray, diag: dict) -> tuple:
         """(values, full): the polar measures of the zonotopes sum_k [-g_k,
-        g_k] over the generator sets G[t], stacked or listed, of the trials
-        in the mask ``full``.  The walk leaves the sets it cannot read out
-        of the mask; the grid takes one support call per trial.  Neither
-        depends on the chunk, so neither do the bits.  The values outside
-        the mask are unset."""
+        g_k] over the generator sets G[t], stacked or (on the grid) listed,
+        of the trials in the mask ``full``.  The walk leaves the sets it
+        cannot read out of the mask; the grid takes one support call per
+        trial.  Neither depends on the chunk, so neither do the bits.  The
+        values outside the mask are unset."""
         values = np.empty(len(full))
         rows = np.flatnonzero(full)
         if not self.walk:
@@ -702,8 +702,7 @@ class _PolarSpec(_Spec):
                 hv[k] = Zonotope(G[t]).support_batch(U)
             values[full] = self._polar_values(hv, diag)
             return values, full
-        sets = G[rows] if isinstance(G, np.ndarray) else [G[t] for t in rows]
-        values[rows], ok = spatial_polar_measures(sets, self.measure)
+        values[rows], ok = spatial_polar_measures(G[rows], self.measure)
         full = full.copy()
         full[rows] = ok
         return values, full
@@ -799,7 +798,13 @@ class _Thm11Spec(_MixedSpec):
         if len(forms) == 1 and forms != {None}:
             self.form, = forms
             a, b = (c.m for c in self.csets)
-            self._spatial_kernel(TETRAHEDRON_PAIR_ATOMS if self.form == "tetrahedron" else a * b)
+            # tetrahedron pairs keep the grid: their atom counts differ from
+            # trial to trial, so a walk takes one stack per count, and on
+            # two-trial chunks that showed no measurable gain over the grid
+            if self.form == "tetrahedron":
+                self.entries = self.nodes
+            else:
+                self._spatial_kernel(a * b)
 
     def bodies(self, samples: list, diag: dict) -> list:
         return [_counted(cset.body(X), diag) for X, cset in zip(samples, self.csets)]

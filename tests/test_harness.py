@@ -447,11 +447,8 @@ CHUNKED = {
     "thm11-3d-simplices": ("thm11", {"dim": 3, "seed": 39, "measure": _GAUSS,
                                      "blocks": [_uniform_block(_CUBE3, 4), {"density": _GAUSS, "m": 4}],
                                      "c_sets": [{"kind": "simplex", "m": 4}] * 2}),
-    "thm11-3d-simplices-ball": ("thm11", {"dim": 3, "seed": 41,
-                                          "measure": {"type": "ball", "radius": 0.5},
-                                          "blocks": [_uniform_block(_CUBE3, 4),
-                                                     {"density": _GAUSS, "m": 4}],
-                                          "c_sets": [{"kind": "simplex", "m": 4}] * 2}),
+    "thm12-3d-cube-ball": ("thm12", dict(_THM12_SPACE, c_set={"kind": "cube", "m": 4},
+                                         measure={"type": "ball", "radius": 0.5})),
     "empmixed-3d-simplices": ("empmixed", {"dim": 3, "seed": 40, "ball_slots": 1,
                                            "blocks": [_uniform_block(_CUBE3, 4),
                                                       {"density": _GAUSS, "m": 4}],
@@ -593,7 +590,8 @@ class TestChunks:
         assert values.shape == (3,) and np.isfinite(values).all()
 
     @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm12-3d-ball", "thm11-3d-zonotopes",
-                                      "cor13", "thm11-3d-simplices", "empmixed-3d-simplices"])
+                                      "cor13", "thm11-3d-simplices", "empmixed-3d-simplices",
+                                      "thm12-3d-cube-ball"])
     def test_spatial_reports_do_not_depend_on_threads(self, name):
         kind, config = CHUNKED[name]
         config = dict(config, trials=20)
@@ -613,8 +611,8 @@ def _thm11_cubes(m1: int, m2: int) -> dict:
 
 
 class TestSpatialRoutes:
-    @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm12-3d-ball", "thm11-3d-zonotopes",
-                                      "thm11-3d-simplices", "thm11-3d-simplices-ball"])
+    @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm12-3d-ball", "thm12-3d-cube-ball",
+                                      "thm11-3d-zonotopes"])
     def test_gaussian_and_ball_kernels_take_the_walk_and_no_grid(self, name, monkeypatch):
         kind, config = CHUNKED[name]
         monkeypatch.setattr(harness, "_grid", _refuse)
@@ -625,10 +623,13 @@ class TestSpatialRoutes:
         report = harness.RUNNERS[kind](dict(config, trials=30), threads=1)
         assert math.isfinite(report["lhs"]["mean"]) and math.isfinite(report["rhs"]["mean"])
 
-    @pytest.mark.parametrize("name", ["cor13", "thm12-3d-lebesgue", "thm12-3d-cube"])
-    def test_lebesgue_and_large_projection_bodies_keep_the_grid(self, name, monkeypatch):
+    @pytest.mark.parametrize("name", ["cor13", "thm12-3d-lebesgue", "thm12-3d-cube",
+                                      "thm11-3d-simplices", "thm11-3d-simplices-ball"])
+    def test_lebesgue_large_bodies_and_tetrahedron_pairs_keep_the_grid(self, name, monkeypatch):
         # cor13 at m = 8 reads 64 generators, past POLAR_WALK_MAX_GENERATORS
-        kind, config = CHUNKED[name]
+        kind, config = CHUNKED[name.removesuffix("-ball")]
+        if name.endswith("-ball"):
+            config = dict(config, measure={"type": "ball", "radius": 0.5})
         calls = []
         grid = harness._grid
         monkeypatch.setattr(harness, "_grid", lambda nodes: calls.append(nodes) or grid(nodes))
@@ -656,17 +657,20 @@ class TestSpatialRoutes:
         assert not SPECS["thm11"](_thm11_cubes(4, 4)).walk
         assert SPECS["cor13"](dict(COR13_SMALL, m=3, measure=_GAUSS)).walk
         assert not SPECS["cor13"](dict(COR13_SMALL, measure=_GAUSS)).walk
+        # the ball's walk stops sooner: a 3 x 3 cube pair reads 9 generators,
+        # and the zonotope C-set of 4 or 5 points 6 or 10
+        ball = {"type": "ball", "radius": 0.5}
+        assert not SPECS["thm11"](dict(_thm11_cubes(3, 3), measure=ball)).walk
+        _, cube = CHUNKED["thm12-3d-cube-ball"]
+        assert SPECS["thm12"](cube).walk
+        five = dict(cube, blocks=[_uniform_block(_CUBE3, 5)], c_set={"kind": "cube", "m": 5})
+        assert not SPECS["thm12"](five).walk
+        assert SPECS["thm12"](dict(five, measure=_GAUSS)).walk
 
     def test_a_chunk_holds_a_whole_spatial_thm12_report(self):
         kind, config = CHUNKED["thm12-3d-gaussian"]
         spec = SPECS[kind](dict(config, trials=100))
         assert spec.walk and spec.chunk_len() >= 100
-
-    def test_tetrahedron_pairs_have_at_most_ten_atoms(self):
-        # the bound that sizes the tetrahedron-pair walk
-        P, Q = np.random.default_rng(49).normal(size=(2, 4000, 4, 3))
-        normals, holds = projections.tetrahedron_pair_normals(P, Q)
-        assert max(len(W) for W in normals) <= harness.TETRAHEDRON_PAIR_ATOMS
 
 
 class TestSpecs:
