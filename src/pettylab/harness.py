@@ -80,11 +80,20 @@ walk of ``bodies.spatial_polar_measures`` over their normal fan, stacked
 for the chunk, with no grid; the hull route of such a spec takes the same
 walk.  Lebesgue measure, larger projection bodies, tetrahedron pairs, an
 explicit ``quadrature.nodes`` and the kinds with no kernel take one support
-call per trial over the spatial grid and one polar quadrature row.  Neither
-route depends on the chunk, so a trial's value is again the same bit for
-bit in every chunk.  The same edge pairs give empmixed with two such C-sets
-and one ball slot: V(A, B, ball) = (1/6) sum h_ball(+-(e x f)), one support
-call per trial.
+call per trial over the spatial grid and one polar quadrature row.  The
+grid of a larger projection body has the nodes of its POLAR_GRID_NODES row
+(measure and generator count); the others keep DEFAULT_NODES[3], or the
+config's count.  Neither route depends on the chunk, so a trial's value is
+again the same bit for bit in every chunk.  The same edge pairs give
+empmixed with two such C-sets and one ball slot: V(A, B, ball) = (1/6) sum
+h_ball(+-(e x f)), one support call per trial.
+
+The report of a polar kind names its rule under ``quadrature``, outside
+``diagnostics``: ``exact``, ``walk`` with its order or ``grid`` with its
+nodes.  Where a POLAR_GRID_NODES row shrank the grid, it adds a
+certificate: the trials of each side whose index is a multiple of
+CERTIFY_STRIDE rerun on DEFAULT_NODES[3] nodes, and each side's worst
+relative gap.
 
 A kernel leaves out of its mask every cloud it cannot classify with margin
 (degenerate, collinear, coplanar or repeated points, generators that do not
@@ -112,6 +121,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bodies import (
+    POLAR_WALK_ORDER,
     GeometryError,
     MSpec,
     VPolytope,
@@ -142,7 +152,7 @@ from .mixed import (
     zonotope_projection_generators,
 )
 from .projections import (
-    QuadratureSpec,
+    DEFAULT_NODES,
     RadialMeasure,
     centroid_body_support,
     empirical_centroid_body,
@@ -177,6 +187,27 @@ PAIR_AREA_MAX_POINTS = 24
 # 0.14 ms at 8 against 0.12 and 0.14 ms for the grid, and it lost at 9
 # (0.17 ms against 0.14-0.15 ms) and 12 (0.33-0.42 ms against 0.20-0.23 ms).
 POLAR_WALK_MAX_GENERATORS = {"gaussian": 12, "ball": 8}
+# Spatial grid nodes past the walk, per measure: rows (first generator
+# count, nodes), a row covering the counts up to the next row's first.  Each
+# row takes the smallest of 2048, 4096 and 8192 nodes whose relative error
+# against the walk stayed within POLAR_GRID_TOL on every count it covers,
+# over mixed bodies 2 a_i x b_j as cor13 builds them (``verify.
+# grid_table_test_generators``: random, thin and needle) under a Gaussian
+# of scale 1.  From 13 to 30 generators 4096 nodes read up to 6.5e-5 (at
+# 15, over 150 bodies per count) and 5.0e-5 (a needle at 24), against
+# 1.8e-5 for 8192; from 31 to 70 they read at most 3.2e-5 (75 bodies per
+# count to 50, then 36), and up to 100 at most 1.9e-5 over five sweeps of
+# the test's bodies.  2048 nodes read 1.4e-4 at 15 and 5.2e-5 at 79 (30
+# bodies per count), so no row takes them.
+# Under a ball crossing the polar's boundary even 8192 nodes read up to
+# 7.4e-5, so the ball keeps them.  At every node count the error grows as
+# the polar shrinks against the measure's scale, so a report whose grid a
+# row shrank also carries a certificate against DEFAULT_NODES[3] nodes.
+POLAR_GRID_NODES = {"gaussian": ((13, 8192), (31, 4096))}
+POLAR_GRID_TOL = 5e-5
+# Trials of each side, those whose index is a multiple of this, that the
+# certificate of a shrunk grid reruns on DEFAULT_NODES[3] nodes.
+CERTIFY_STRIDE = 64
 
 
 class ConfigError(ValueError):
@@ -201,6 +232,17 @@ def _grid(nodes: int) -> np.ndarray:
     U = sphere_directions(3, nodes)
     U.setflags(write=False)
     return U
+
+
+def grid_nodes(variant: str, generators: int) -> int:
+    """Spatial grid nodes for projection bodies of ``generators`` generators
+    under a measure of ``variant``: those of the last POLAR_GRID_NODES row
+    whose first count they reach, else DEFAULT_NODES[3]."""
+    nodes = DEFAULT_NODES[3]
+    for first, count in POLAR_GRID_NODES.get(variant, ()):
+        if generators >= first:
+            nodes = count
+    return nodes
 
 
 def _perp(W: np.ndarray) -> np.ndarray:
@@ -565,6 +607,10 @@ class _Spec:
     def chunk_len(self) -> int:
         return max(1, CHUNK_ENTRIES // self.entries) if self.entries else 1
 
+    def rule(self) -> dict | None:
+        """The polar rule of the spec's trials (polar kinds), else None."""
+        return None
+
     def block_len(self, side: int) -> int:
         """Trials per sample block of ``side``: as many as fit CHUNK_ENTRIES
         sample entries, and at least one."""
@@ -629,10 +675,13 @@ class _PolarSpec(_Spec):
     whose kernel reads zonotope projection bodies of at most
     POLAR_WALK_MAX_GENERATORS generators for its Gaussian or ball measure
     takes the arc walk of ``bodies.spatial_polar_measures``, unless the
-    config gives ``quadrature.nodes``; its kernel and hull route then both
-    take the walk, so a trial and its replay never take different rules.
-    Lebesgue measure, larger projection bodies, tetrahedron pairs, an
-    explicit node count and kinds with no kernel keep the grid."""
+    config gives ``quadrature.nodes``.  Lebesgue measure, larger projection
+    bodies, tetrahedron pairs, an explicit node count and kinds with no
+    kernel keep the grid: ``nodes`` is the config's count, else for a
+    larger projection body its POLAR_GRID_NODES row, else DEFAULT_NODES[3].
+    The rule and node count are fixed at parse time and the kernel and hull
+    route both read them, so a trial and its replay never take different
+    rules."""
 
     direction = "le"
     walk = False
@@ -644,17 +693,30 @@ class _PolarSpec(_Spec):
                  "quadrature.certify is not supported in experiments (the petty command honours it)")
         _require(self.dim == 3 or q.get("nodes") is None,
                  "quadrature.nodes sizes the spatial grid; planar polar measures are exact")
-        self.nodes = QuadratureSpec(nodes=q.get("nodes")).node_count(3) if self.dim == 3 else None
+        self.nodes = (q.get("nodes") or DEFAULT_NODES[3]) if self.dim == 3 else None
         self.walkable = (self.dim == 3 and self.measure.variant != "lebesgue"
                          and q.get("nodes") is None)
 
     def _spatial_kernel(self, generators: int):
         """Route a spatial kernel whose projection bodies have at most
-        ``generators`` generators to the walk or the grid, and size its
-        chunk by that route's largest temporary."""
+        ``generators`` generators to the walk or the grid, size the grid by
+        its POLAR_GRID_NODES row unless the config gave its nodes, and size
+        the chunk by that route's largest temporary."""
         limit = POLAR_WALK_MAX_GENERATORS.get(self.measure.variant, 0)
         self.walk = self.walkable and generators <= limit
+        if self.walkable and not self.walk:
+            self.nodes = grid_nodes(self.measure.variant, generators)
         self.entries = spatial_polar_entries(generators, self.measure) if self.walk else self.nodes
+
+    def rule(self) -> dict:
+        """The polar rule of the spec's trials, for its reports: ``exact``
+        in the plane, else ``walk`` with its order or ``grid`` with its
+        nodes."""
+        if self.dim == 2:
+            return {"rule": "exact"}
+        if self.walk:
+            return {"rule": "walk", "order": POLAR_WALK_ORDER}
+        return {"rule": "grid", "nodes": self.nodes}
 
     def value(self, samples: list, diag: dict) -> float:
         """The polar measure of Pi(``bodies``): exact in the plane; in space
@@ -1010,6 +1072,25 @@ def run_trials(spec: _Spec, side: int, threads: int):
 # experiment drivers
 
 
+def _certificate(kind: str, config: dict, sides: tuple) -> dict:
+    """Each side's worst relative gap between its trial values ``sides[s]``
+    and the same trials through the chunk route on DEFAULT_NODES[3] nodes,
+    over the trials whose index is a multiple of CERTIFY_STRIDE; it depends
+    on trial indices alone, not on threads."""
+    fine = SPECS[kind](dict(config, quadrature={"nodes": DEFAULT_NODES[3]}))
+    checked = range(0, len(sides[0]), CERTIFY_STRIDE)
+    gaps = {}
+    for side, name in enumerate(("lhs", "rhs")):
+        gap = 0.0
+        for index in checked:
+            want = _run_chunk(fine, side, index, fine.stacked(side, index, 1),
+                              _no_diagnostics())[0]
+            gap = max(gap, float(abs(sides[side][index] - want) / max(abs(want), 1e-300)))
+        gaps[name] = gap
+    return {"nodes": DEFAULT_NODES[3], "trials_per_side": len(checked),
+            "max_relative_gap": gaps}
+
+
 def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
     spec = SPECS[kind](config)
     lhs_vals, lhs_diag = run_trials(spec, 0, threads)
@@ -1019,7 +1100,7 @@ def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
     diag = {
         key: lhs_diag[key] + rhs_diag[key] for key in sorted(lhs_diag)
     }
-    return {
+    report = {
         "experiment": kind,
         "config": dict(config),
         "seed": spec.seed,
@@ -1030,6 +1111,13 @@ def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
         "verdict": classify(lhs, rhs, direction),
         "diagnostics": diag,
     }
+    rule = spec.rule()
+    if rule is not None:
+        # a grid that POLAR_GRID_NODES shrank is certified against the default
+        if spec.walkable and spec.nodes < DEFAULT_NODES[3]:
+            rule["certificate"] = _certificate(kind, config, (lhs_vals, rhs_vals))
+        report["quadrature"] = rule
+    return report
 
 
 def run_theorem_1_2(config: dict, threads: int | None = None) -> dict:
@@ -1145,6 +1233,9 @@ def replay(kind: str, config: dict, key) -> dict:
         "trial": lambda diag: spec.trial(side, index, diag),
     }
     out = {"experiment": kind, "seed": spec.seed, "key": [side, index]}
+    rule = spec.rule()
+    if rule is not None:
+        out["quadrature"] = rule
     for name, run in routes.items():
         diag = _no_diagnostics()
         try:

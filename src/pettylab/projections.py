@@ -149,8 +149,9 @@ def polar_measures(HV: np.ndarray, measure: RadialMeasure) -> np.ndarray:
     the spatial grid.  Polar measures of planar zonotopes are exact
     (``bodies.planar_polar_measures``), and experiments take spatial ones
     from the arc walk of ``bodies.spatial_polar_measures`` where it pays;
-    this grid serves 3-D Lebesgue experiments, larger projection bodies and
-    explicit node counts.
+    this grid serves 3-D Lebesgue experiments, tetrahedron pairs, explicit
+    node counts and larger projection bodies, whose grid the harness sizes
+    by measure and generator count (``harness.POLAR_GRID_NODES``).
 
     Rows are integrated one at a time, so a row's value does not depend on
     the rows stacked with it, and its temporaries stay in cache: on a 2-vCPU

@@ -13,7 +13,8 @@ The closed-form polar volume of a zonotope, which the exact Petty product
 uses, is checked against the hull volume of the polar polytope, the exact
 planar polar measures of the experiments against the polar hull and the
 2^16-node grid of ``polar_measure``, and the spatial arc walk against the
-polar hull, a 2^16-node grid and a rule of four times its order.  The block
+polar hull, a 2^16-node grid and a rule of four times its order, and each
+row of the harness's sized spatial grid against the walk.  The block
 sample route is checked against numpy's SeedSequence and each trial's own
 generator.
 The test suite imports these oracles; the command line runs the whole list.
@@ -43,6 +44,7 @@ from .bodies import (
     planar_polar_measure,
     planar_polar_measures,
     spatial_full_rank,
+    spatial_polar_measure,
     spatial_polar_measures,
     polar,
     polar_of_zonotope,
@@ -58,6 +60,7 @@ from .bodies import (
     zonotope_volume,
     _stacked_walk,
 )
+from .harness import POLAR_GRID_NODES, POLAR_GRID_TOL
 from .mixed import (
     mixed_projection_generators,
     mixed_volume,
@@ -679,6 +682,47 @@ def check_spatial_polar_measures(seed: int = 0):
                 f"the grid, {order:.2e} against order {4 * POLAR_WALK_ORDER} on the needle")
 
 
+def grid_table_test_generators(gen: np.random.Generator, k: int) -> np.ndarray:
+    """Three mixed projection bodies of k generators 2 a_i x b_j (the first k
+    of them), shape (3, k, 3), with a and b uniform points of the cube over
+    their counts p and q, pq >= k, as cor13 builds them: a random one, one
+    whose a is 0.05 thin along an axis and one whose a is a needle (1e-3 on
+    two axes), each a turned at random."""
+    p = math.ceil(math.sqrt(k))
+    q = math.ceil(k / p)
+    out = []
+    for squash in ([1.0, 1.0, 1.0], [1.0, 1.0, 0.05], [1.0, 1e-3, 1e-3]):
+        A = (gen.uniform(-1.0, 1.0, size=(p, 3)) / p * squash) @ np.linalg.qr(
+            gen.normal(size=(3, 3)))[0]
+        B = gen.uniform(-1.0, 1.0, size=(1, q, 3)) / q
+        out.append(mixed_projection_generators(A[None], B)[0, :k])
+    return np.array(out)
+
+
+def grid_table_error(G: np.ndarray, nodes: int) -> float:
+    """The relative error of the ``nodes``-node grid against the walk of
+    ``spatial_polar_measure`` for the spatial zonotope with generator rows
+    G, under the Gaussian of scale 1 that ``harness.POLAR_GRID_NODES`` was
+    measured with."""
+    Z, nu = Zonotope(G), RadialMeasure.gaussian(1.0)
+    want = spatial_polar_measure(Z, nu)
+    return abs(polar_measure_from_support(Z.support_batch(sphere_directions(3, nodes)), nu, 3)
+               - want) / want
+
+
+def check_grid_table(seed: int = 0):
+    """Each row of ``harness.POLAR_GRID_NODES`` at its first generator count,
+    on the three bodies of ``grid_table_test_generators``: the grid of the
+    row's nodes within POLAR_GRID_TOL of the walk.  The test suite sweeps
+    every count of each row."""
+    gen = np.random.default_rng(seed)
+    rows = [(k, n) for table in POLAR_GRID_NODES.values() for k, n in table]
+    worst = max(grid_table_error(G, nodes) for k, nodes in rows
+                for G in grid_table_test_generators(gen, k))
+    return worst <= POLAR_GRID_TOL, (f"max relative error {worst:.2e} over {len(rows)} rows "
+                                     f"(bound {POLAR_GRID_TOL:.0e})")
+
+
 def check_block_streams(seed: int = 0):
     """The block route against the per-trial one, bit for bit: its Philox
     keys against numpy's SeedSequence, its uniform, ball and Gaussian
@@ -725,6 +769,7 @@ CHECKS = [
     ("zonotope polar volume vs polar hull", check_zonotope_polar_volume),
     ("planar polar measures vs grid and polar hull", check_planar_polar_measures),
     ("spatial polar measures vs grid and polar hull", check_spatial_polar_measures),
+    ("sized spatial grid vs walk", check_grid_table),
     ("block streams vs per-trial generators", check_block_streams),
 ]
 

@@ -41,6 +41,8 @@ from pettylab.mixed import v1
 from pettylab.projections import SupportEvaluator
 from pettylab.sampling import Density, RngStream
 from pettylab.verify import (
+    grid_table_error,
+    grid_table_test_generators,
     mixed_volume_inclusion_exclusion,
     planar_test_clouds,
     spatial_test_clouds,
@@ -401,6 +403,7 @@ class TestEstimates:
         assert report["verdict"] in ("consistent", "violated", "inconclusive")
         assert "threads" not in report["config"]
         assert "wall_time" not in report
+        assert report["quadrature"] == {"rule": "exact"}
 
 
 def _uniform_block(body: dict, m: int) -> dict:
@@ -598,6 +601,20 @@ class TestChunks:
         serial = report_to_json(harness.RUNNERS[kind](config, threads=1))
         parallel = report_to_json(harness.RUNNERS[kind](config, threads=2))
         assert serial == parallel
+        rule = json.loads(serial).get("quadrature")
+        if kind == "empmixed":
+            assert rule is None
+        elif name == "cor13":
+            # 64 generators take a shrunk grid, certified on trial 0 of each side
+            certificate = rule.pop("certificate")
+            assert rule == {"rule": "grid", "nodes": harness.grid_nodes("gaussian", 64)}
+            assert certificate["nodes"] == projections.DEFAULT_NODES[3]
+            assert certificate["trials_per_side"] == 1
+            assert max(certificate["max_relative_gap"].values()) <= harness.POLAR_GRID_TOL
+        elif name == "thm11-3d-simplices":
+            assert rule == {"rule": "grid", "nodes": projections.DEFAULT_NODES[3]}
+        else:
+            assert rule == {"rule": "walk", "order": bodies.POLAR_WALK_ORDER}
 
 
 def _refuse(*args, **kwargs):
@@ -623,10 +640,9 @@ class TestSpatialRoutes:
         report = harness.RUNNERS[kind](dict(config, trials=30), threads=1)
         assert math.isfinite(report["lhs"]["mean"]) and math.isfinite(report["rhs"]["mean"])
 
-    @pytest.mark.parametrize("name", ["cor13", "thm12-3d-lebesgue", "thm12-3d-cube",
+    @pytest.mark.parametrize("name", ["thm12-3d-lebesgue", "thm12-3d-cube",
                                       "thm11-3d-simplices", "thm11-3d-simplices-ball"])
     def test_lebesgue_large_bodies_and_tetrahedron_pairs_keep_the_grid(self, name, monkeypatch):
-        # cor13 at m = 8 reads 64 generators, past POLAR_WALK_MAX_GENERATORS
         kind, config = CHUNKED[name.removesuffix("-ball")]
         if name.endswith("-ball"):
             config = dict(config, measure={"type": "ball", "radius": 0.5})
@@ -650,6 +666,55 @@ class TestSpatialRoutes:
         calls.clear()
         harness.RUNNERS[kind](dict(config, trials=3), threads=1)
         assert calls == []
+
+    def test_cor13_past_the_walk_takes_its_table_grid_in_every_route(self, monkeypatch):
+        # cor13 at m = 8 reads 64 generators, past POLAR_WALK_MAX_GENERATORS
+        kind, config = CHUNKED["cor13"]
+        nodes = harness.grid_nodes("gaussian", 64)
+        assert nodes < projections.DEFAULT_NODES[3]
+        spec = SPECS[kind](config)
+        assert not spec.walk and spec.entries == spec.nodes == nodes
+        calls = []
+        grid = harness._grid
+        monkeypatch.setattr(harness, "_grid", lambda n: calls.append(n) or grid(n))
+        spec.chunk(0, 0, 3, harness._no_diagnostics())
+        assert set(calls) == {nodes}
+        calls.clear()
+        spec.trial(0, 1, harness._no_diagnostics())
+        assert set(calls) == {nodes}
+        calls.clear()
+        out = harness.replay(kind, config, (1, 2))
+        assert set(calls) == {nodes} and out["relative_difference"] == 0.0
+        assert out["quadrature"] == {"rule": "grid", "nodes": nodes}
+
+    def test_an_explicit_node_count_on_cor13_keeps_it_with_no_certificate(self, monkeypatch):
+        kind, config = CHUNKED["cor13"]
+        config = dict(config, trials=3, quadrature={"nodes": 2048})
+        calls = []
+        grid = harness._grid
+        monkeypatch.setattr(harness, "_grid", lambda n: calls.append(n) or grid(n))
+        assert SPECS[kind](config).nodes == 2048
+        report = harness.RUNNERS[kind](config, threads=1)
+        assert set(calls) == {2048}
+        assert report["quadrature"] == {"rule": "grid", "nodes": 2048}
+
+    def test_the_grid_table_holds_its_bound_on_every_count_it_covers(self):
+        # grid_table_error measures under the Gaussian the table was measured with
+        assert set(harness.POLAR_GRID_NODES) == {"gaussian"}
+        table = harness.POLAR_GRID_NODES["gaussian"]
+        gen = np.random.default_rng(11)
+        worst = {}
+        for (first, nodes), end in zip(table, [k for k, _ in table[1:]] + [101]):
+            assert harness.grid_nodes("gaussian", first) == nodes
+            for k in range(first, end):
+                # random, thin and needle bodies in turn: 17 at 13 generators,
+                # where the walk is cheap, 3 at 31 and one from 55 on
+                worst[k] = max(grid_table_error(grid_table_test_generators(gen, k)[(k + i) % 3],
+                                                nodes) for i in range(max(1, 3000 // k ** 2)))
+        # one spot check far past the sweep, on a random body
+        worst[400] = grid_table_error(grid_table_test_generators(gen, 400)[0],
+                                      harness.grid_nodes("gaussian", 400))
+        assert max(worst.values()) <= harness.POLAR_GRID_TOL, max(worst.items(), key=lambda kv: kv[1])
 
     def test_the_walk_stops_at_the_crossover(self):
         # a 3 x 4 cube pair reads 12 generators, a 4 x 4 pair 16
