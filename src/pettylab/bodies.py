@@ -57,6 +57,13 @@ def as_points(points) -> np.ndarray:
     return pts
 
 
+def _finite_points(points) -> np.ndarray:
+    pts = as_points(points)
+    if not np.isfinite(pts).all():
+        raise GeometryError("point coordinates are not finite")
+    return pts
+
+
 class VPolytope:
     """Convex polytope given by a vertex list.
 
@@ -95,7 +102,7 @@ class VPolytope:
         """Dimension of the affine hull; flags degenerate bodies."""
         got = self._cache.get("affine_dim")
         if got is None:
-            got = affine_dimension(self.vertices)
+            got = _affine_rank(self.vertices)
             self._cache["affine_dim"] = got
         return got
 
@@ -271,6 +278,39 @@ def planar_hull_edges(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(edges[..., None], d, 0.0).sum(axis=2), ok
 
 
+def _affine_rank(pts: np.ndarray) -> int:
+    """``affine_dimension`` with no SVD where the Gram matrix M of the centered
+    cloud, scaled to entries of at most 1, has det M > SPATIAL_RANK_RATIO^2
+    trace(M)^n, n = 2 or 3: then s_min / s_max > SPATIAL_RANK_RATIO (see
+    ``spatial_full_rank``), far above the COPLANAR_TOL threshold of the SVD."""
+    k, n = pts.shape
+    if n in (2, 3) and k > n:
+        C = pts - pts.mean(axis=0)
+        scale = np.abs(C).max()
+        if scale > 0.0:
+            C /= scale
+            M = (C.T @ C).tolist()
+            if n == 2:
+                (a, b), (_, d) = M
+                det, trace = a * d - b * b, a + d
+            else:
+                (a, b, c), (_, d, e), (_, _, f) = M
+                det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+                trace = a + d + f
+            if det > SPATIAL_RANK_RATIO ** 2 * trace ** n:
+                return n
+    return affine_dimension(pts)
+
+
+def sort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, new): the stable lexicographic row order of a and the mask of
+    sorted rows unlike the last, so a[order[new]] = np.unique(a, axis=0)."""
+    order = np.lexsort(a.T[::-1])
+    s, new = a[order], np.ones(len(a), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return order, new
+
+
 def affine_dimension(points: np.ndarray) -> int:
     pts = as_points(points)
     if len(pts) <= 1:
@@ -281,14 +321,6 @@ def affine_dimension(points: np.ndarray) -> int:
         return 0
     sv = np.linalg.svd(centered / scale, compute_uv=False)
     return int(np.sum(sv > COPLANAR_TOL * max(1.0, sv[0])))
-
-
-def _affine_basis(points: np.ndarray, rank: int):
-    center = points.mean(axis=0)
-    centered = points - center
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[:rank]
-    return center, basis
 
 
 @dataclass(frozen=True)
@@ -332,34 +364,31 @@ def hull(points) -> VPolytope:
 
     Degenerate clouds are legal: the result keeps the ambient dimension and
     reports a smaller ``affine_dim``.  Planar hulls come back in
-    counterclockwise order.
+    counterclockwise order.  Non-finite coordinates raise GeometryError.
     """
-    pts = np.unique(as_points(points), axis=0)
+    pts = _finite_points(points)
     n = pts.shape[1]
     if n not in (2, 3):
         raise GeometryError(f"hull supports dimension 2 or 3, got {n}")
-    rank = affine_dimension(pts)
+    order, new = sort_rows(pts)
+    pts = pts[order[new]]
+    rank, record = _affine_rank(pts), None
     if rank == n:
         verts, record = _hull_full_dim(pts)
-        out = VPolytope(verts, reduced=True)
-        out._cache["affine_dim"] = rank
-        if record is not None:
-            out._cache["qhull"] = record
-        return out
-    if rank == 0:
-        out = VPolytope(pts[:1], reduced=True)
-        out._cache["affine_dim"] = 0
-        return out
-    center, basis = _affine_basis(pts, rank)
-    coords = (pts - center) @ basis.T
-    if rank == 1:
-        lo, hi = np.argmin(coords[:, 0]), np.argmax(coords[:, 0])
-        verts = pts[[lo, hi]]
+    elif rank == 0:
+        verts = pts[:1]
     else:
-        sub, _ = _hull_full_dim(coords)
-        verts = sub @ basis + center
+        center = pts.mean(axis=0)
+        basis = np.linalg.svd(pts - center, full_matrices=False)[2][:rank]
+        coords = (pts - center) @ basis.T
+        if rank == 1:
+            verts = pts[[np.argmin(coords[:, 0]), np.argmax(coords[:, 0])]]
+        else:
+            verts = _hull_full_dim(coords)[0] @ basis + center
     out = VPolytope(verts, reduced=True)
     out._cache["affine_dim"] = rank
+    if record is not None:
+        out._cache["qhull"] = record
     return out
 
 
@@ -375,8 +404,8 @@ def reduced_form(P: VPolytope) -> VPolytope:
 
 
 def _polygon_area(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    (x, y), (xn, yn) = verts.T, np.concatenate((verts[1:], verts[:1])).T
+    return 0.5 * float(np.sum(x * yn - xn * y))
 
 
 def volume(P) -> float:
@@ -401,7 +430,7 @@ def volume(P) -> float:
 
 def volume_of_points(points: np.ndarray) -> float:
     """Volume of the hull of a point cloud, with a fast simplex path."""
-    pts = as_points(points)
+    pts = _finite_points(points)
     n = pts.shape[1]
     if len(pts) <= n:
         return 0.0
@@ -514,7 +543,7 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
 def merge_parallel_generators(Z: Zonotope) -> Zonotope:
     """Combine generators spanning the same line; support is unchanged."""
     gens = Z.generators
-    norms = np.linalg.norm(gens, axis=1)
+    norms = np.sqrt(np.add.reduce(gens * gens, axis=1))  # np.linalg.norm's bits
     keep = norms > MERGE_TOL
     gens, norms = gens[keep], norms[keep]
     if len(gens) == 0:
@@ -531,7 +560,7 @@ def merge_parallel_generators(Z: Zonotope) -> Zonotope:
     # as +-) or clears MERGE_GAP by more than these norms and the walk's may
     # differ in rounding, the groups are the runs of equal units.
     terms = units * norms[:, None]
-    gaps = np.linalg.norm(np.diff(units, axis=0), axis=1)
+    gaps = np.sqrt(np.add.reduce(np.square(units[1:] - units[:-1]), axis=1))
     joins = gaps == 0.0
     if not np.all(joins | (gaps >= MERGE_GAP * (1.0 + 1e-10))):
         head = units[0]
@@ -565,7 +594,7 @@ def zonotope_volume(Z: Zonotope) -> float:
     if n == 2:
         dets = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
     elif n == 3:
-        dets = np.einsum("ki,ki->k", np.cross(sub[:, 0], sub[:, 1]), sub[:, 2])
+        dets = np.einsum("ki,ki->k", cross3(sub[:, 0], sub[:, 1]), sub[:, 2])
     else:
         dets = np.linalg.det(sub)
     return float((2.0 ** n) * np.sum(np.abs(dets)))
@@ -610,7 +639,7 @@ def polar_of_zonotope(Z: Zonotope) -> VPolytope:
         cand = np.column_stack([-gens[:, 1], gens[:, 0]])
     elif n == 3:
         i, j = np.triu_indices(len(gens), k=1)
-        cand = np.cross(gens[i], gens[j])
+        cand = cross3(gens[i], gens[j])
     else:
         raise GeometryError("polar supports dimension 2 or 3")
     norms = np.linalg.norm(cand, axis=1)
@@ -687,6 +716,11 @@ def _vcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[_NEXT] * b[_LAST] - a[_LAST] * b[_NEXT]
 
 
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of 3-vectors on the last axis: its operations and bits."""
+    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
+
+
 def _circle_index(k: int, rows: range) -> tuple:
     """Index arrays of the circles ``rows`` of k generators: the rows; for
     each circle the other generators j (once, and twice over for its points
@@ -701,7 +735,7 @@ def _circle_index(k: int, rows: range) -> tuple:
     pair = lo * (2 * k - lo - 1) // 2 + hi - lo - 1
     sign = np.where(circles[:, None] < who, 1.0, -1.0)
     return (circles, who, np.concatenate([who, who], axis=1), np.concatenate([pair, pair], axis=1),
-            np.concatenate([sign, -sign], axis=1), np.roll(np.arange(2 * k - 2), -1),
+            np.concatenate([sign, -sign], axis=1), (np.arange(2 * k - 2) + 1) % (2 * k - 2),
             np.arange(len(circles))[:, None])
 
 
@@ -825,7 +859,7 @@ def _merged_spatial_measure(gens: np.ndarray, measure) -> float:
     if m < 3 or np.linalg.matrix_rank(gens) < 3:
         raise GeometryError("polar requires a full-dimensional zonotope")
     i, j = np.triu_indices(m, k=1)
-    cross = np.cross(gens[i], gens[j])
+    cross = cross3(gens[i], gens[j])
     Q = np.ascontiguousarray((cross / _abs_pairing(cross, gens)[:, None]).T[:, None])
     G = np.ascontiguousarray(gens.T[:, None])
     step = max(1, POLAR_BLOCK_ARCS // ((2 * m - 2) * max(1, _rule_nodes(measure))))

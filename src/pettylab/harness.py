@@ -116,7 +116,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -142,7 +141,6 @@ from .bodies import (
     spatial_polar_entries,
     spatial_polar_measure,
     spatial_polar_measures,
-    sphere_directions,
     volume,
 )
 from .mixed import (
@@ -157,6 +155,7 @@ from .projections import (
     centroid_body_support,
     empirical_centroid_body,
     mixed_projection_support,
+    node_set,
     polar_measures,
     polar_projection_polytope,
     tetrahedron_pair_normals,
@@ -226,12 +225,9 @@ class TrialError(ValueError):
         return f"trial {self.key}: {self.args[1]}"
 
 
-@lru_cache(maxsize=16)
 def _grid(nodes: int) -> np.ndarray:
     """The spatial quadrature directions of a projection-body support row."""
-    U = sphere_directions(3, nodes)
-    U.setflags(write=False)
-    return U
+    return node_set(3, nodes)
 
 
 def grid_nodes(variant: str, generators: int) -> int:

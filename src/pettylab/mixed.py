@@ -24,11 +24,13 @@ from .bodies import (
     VPolytope,
     Zonotope,
     as_polytope,
+    cross3,
     facet_planes,
     hull,
     minkowski_sum,
     point_sums,
     reduced_form,
+    sort_rows,
     volume_of_points,
 )
 
@@ -64,19 +66,18 @@ def facets(P: VPolytope) -> FacetData:
     keys = np.round(
         np.column_stack([normals, offsets / scale]), FACET_MERGE_DECIMALS
     )
-    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    corners = R.vertices[h.simplices]
+    order, new = sort_rows(keys)  # equal keys merge, in order of first appearance
+    first, group = order[new], np.empty_like(order)
+    group[order] = np.cumsum(new) - 1
+    rank = np.argsort(np.argsort(first))
+    e = R.vertices[h.simplices[:, 1:]] - R.vertices[h.simplices[:, :1]]
     if R.dim == 2:
-        pieces = np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
+        pieces = np.linalg.norm(e[:, 0], axis=1)
     else:
-        pieces = 0.5 * np.linalg.norm(
-            np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=1
-        )
-    areas = np.bincount(rank[group.ravel()], weights=pieces)
-    data = FacetData(normals[first[order]], areas, offsets[first[order]])
+        pieces = 0.5 * np.linalg.norm(cross3(e[:, 0], e[:, 1]), axis=1)
+    areas = np.bincount(rank[group], weights=pieces)
+    first.sort()
+    data = FacetData(normals[first], areas, offsets[first])
     R._cache["facets"] = data
     return data
 
@@ -151,7 +152,7 @@ def _surface_measure(K: VPolytope) -> tuple[np.ndarray, np.ndarray]:
     R = reduced_form(K)
     n, k = R.dim, R.affine_dim
     if n == 2 and k >= 1:
-        edges = np.roll(R.vertices, -1, axis=0) - R.vertices
+        edges = np.concatenate((R.vertices[1:], R.vertices[:1])) - R.vertices
         masses = np.linalg.norm(edges, axis=1)
         return np.column_stack([edges[:, 1], -edges[:, 0]]) / masses[:, None], masses
     if n == 3 and k == 3:
@@ -159,7 +160,7 @@ def _surface_measure(K: VPolytope) -> tuple[np.ndarray, np.ndarray]:
         return f.normals, f.measures
     if n == 3 and k == 2:
         v = R.vertices - R.vertices.mean(axis=0)
-        area = 0.5 * np.sum(np.cross(v, np.roll(v, -1, axis=0)), axis=0)
+        area = 0.5 * np.sum(cross3(v, np.concatenate((v[1:], v[:1]))), axis=0)
         a = float(np.linalg.norm(area))
         return np.array([area, -area]) / a, np.array([a, a])
     return np.zeros((0, n)), np.zeros(0)
@@ -180,15 +181,13 @@ def zonotope_projection_generators(G: np.ndarray) -> np.ndarray:
     """Pi of the zonotope sum of [-g_i, g_i] over the rows of G[t]:
     h(u) = 4 sum_{i<j} |<g_i x g_j, u>|."""
     i, j = np.nonzero(np.arange(G.shape[1])[:, None] < np.arange(G.shape[1]))
-    a, b, r, s = G[:, i], G[:, j], [1, 2, 0], [2, 0, 1]
-    # the operations of np.cross, so its bits, in half its time on one set
-    return 4.0 * (a[..., r] * b[..., s] - a[..., s] * b[..., r])
+    return 4.0 * cross3(G[:, i], G[:, j])
 
 
 def mixed_projection_generators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pi(Z_A, Z_B) of the zonotopes with generator rows A[t] and B[t]:
     h(u) = 2 sum_{i,j} |<a_i x b_j, u>|."""
-    return 2.0 * np.cross(A[:, :, None], B[:, None, :]).reshape(len(A), -1, 3)
+    return 2.0 * cross3(A[:, :, None], B[:, None, :]).reshape(len(A), -1, 3)
 
 
 def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:

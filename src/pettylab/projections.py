@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf
@@ -161,9 +162,18 @@ def polar_measures(HV: np.ndarray, measure: RadialMeasure) -> np.ndarray:
     return np.array([polar_measure_from_support(h, measure, 3) for h in HV])
 
 
+@lru_cache(maxsize=16)
+def node_set(n: int, nodes: int) -> np.ndarray:
+    """``sphere_directions(n, nodes)`` read-only, built once per size: the
+    nodes of ``polar_measure`` and of the harness's spatial grid."""
+    U = sphere_directions(n, nodes)
+    U.setflags(write=False)
+    return U
+
+
 def _polar_measure_at(body, measure: RadialMeasure, nodes: int) -> float:
     h = getattr(body, "support_batch", body)
-    return polar_measure_from_support(h(sphere_directions(body.dim, nodes)), measure, body.dim)
+    return polar_measure_from_support(h(node_set(body.dim, nodes)), measure, body.dim)
 
 
 def polar_measure(body, measure: RadialMeasure, quad: QuadratureSpec | None = None) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 from .bodies import (
     GeometryError,
     VPolytope,
+    cross3,
     facet_planes,
     hull,
     reduced_form,
@@ -55,7 +56,7 @@ def _frame(u: np.ndarray) -> np.ndarray:
     base = np.eye(3)[np.argmin(np.abs(u))]
     w1 = base - (base @ u) * u
     w1 /= np.linalg.norm(w1)
-    w2 = np.cross(u, w1)
+    w2 = cross3(u, w1)
     return np.vstack([w1, w2, u])
 
 
@@ -75,8 +76,8 @@ def chord_profiles(K: VPolytope, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     scale = max(1.0, float(np.max(np.abs(coords))))
     snap = SNAP_TOL * scale
     breaks = np.unique(np.round(s_vals / snap) * snap)
-    sa, sb = s_vals, np.roll(s_vals, -1)
-    ta, tb = t_vals, np.roll(t_vals, -1)
+    sa, sb = s_vals, np.concatenate((s_vals[1:], s_vals[:1]))
+    ta, tb = t_vals, np.concatenate((t_vals[1:], t_vals[:1]))
     f = np.empty(len(breaks))
     g = np.empty(len(breaks))
     step = max(1, CHORD_BLOCK_ENTRIES // len(s_vals))

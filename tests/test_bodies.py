@@ -42,6 +42,7 @@ from pettylab import (
 from pettylab import bodies
 from pettylab.bodies import (
     _abs_pairing,
+    cross3,
     merge_parallel_generators,
     planar_polar_measures,
     sphere_directions,
@@ -95,6 +96,85 @@ class TestHull:
         flat = hull(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.0]]))
         assert flat.affine_dim == 2
         assert volume(flat) == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_raise(self, value):
+        for pts in ([[0.0, 0.0], [1.0, 0.0], [0.0, value], [1.0, 1.0]],
+                    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, value]]):
+            with pytest.raises(GeometryError, match="not finite"):
+                hull(pts)
+            with pytest.raises(GeometryError, match="not finite"):
+                bodies.volume_of_points(pts)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_an_empty_cloud_stays_legal(self, n):
+        H = hull(np.zeros((0, n)))
+        assert H.vertices.shape == (0, n) and H.affine_dim == 0
+
+
+def _fast_path_clouds(n: int):
+    """(kind, cloud) pairs: random, integer-lattice with duplicates, exactly
+    flat, repeated-point, and random clouds thinned along one direction to
+    widths that straddle SPATIAL_RANK_RATIO."""
+    gen = np.random.default_rng(60 + n)
+    for _ in range(40):
+        k = int(gen.integers(1, 45))
+        yield "random", gen.normal(size=(k, n))
+        yield "lattice", gen.integers(-2, 3, size=(k, n)).astype(float)
+        B = gen.normal(size=(int(gen.integers(1, n)), n))
+        yield "flat", gen.normal(size=(k, len(B))) @ B + gen.normal(size=n)
+        base = gen.normal(size=(max(1, k // 4), n))
+        yield "repeated", base[gen.integers(0, len(base), size=k)]
+        Q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+        for width in (1e-9, 1e-7, 1e-6, 1e-5):
+            P = gen.normal(size=(k + n, n))
+            P[:, -1] *= width
+            yield f"thin {width:g}", P @ Q
+
+
+class TestHullFastPath:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equals_the_hull_of_the_unique_rows(self, n):
+        for _, P in _fast_path_clouds(n):
+            U = np.unique(P, axis=0)
+            order, new = bodies.sort_rows(P)
+            assert np.array_equal(P[order[new]], U)
+            H, ref = hull(P), hull(U)
+            assert H.vertices.tobytes() == ref.vertices.tobytes()
+            assert H.affine_dim == ref.affine_dim == bodies.affine_dimension(U)
+            if H.affine_dim == n:  # the qhull run on the np.unique rows
+                verts, _ = bodies._hull_full_dim(U)
+                assert H.vertices.tobytes() == verts.tobytes()
+            got, want = H._cache.get("qhull"), ref._cache.get("qhull")
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.volume == want.volume
+                assert np.array_equal(got.equations, want.equations)
+                assert np.array_equal(got.simplices, want.simplices)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_certified_rank_is_the_svd_rank(self, n, monkeypatch):
+        svd_rank = bodies.affine_dimension
+        fallbacks = []
+        monkeypatch.setattr(bodies, "affine_dimension", lambda P: fallbacks.append(1) or svd_rank(P))
+        fired = {}
+        for kind, P in _fast_path_clouds(n):
+            fallbacks.clear()
+            rank = bodies._affine_rank(P)
+            assert rank == svd_rank(P)
+            assert bodies.VPolytope(P).affine_dim == rank
+            fired.setdefault(kind, []).append(not fallbacks)
+        # the certificate settles most full clouds and no flat or thinner ones
+        assert sum(fired["random"]) > 30 and sum(fired["thin 1e-05"]) > 30
+        for kind in ("flat", "thin 1e-09", "thin 1e-07"):
+            assert not any(fired[kind])
+
+
+def test_cross3_gives_the_bits_of_np_cross():
+    gen = np.random.default_rng(66)
+    a, b = gen.normal(size=(5, 1, 3)), gen.normal(size=(1, 7, 3))
+    assert cross3(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert cross3(a[0, 0], b[0, 0]).tobytes() == np.cross(a[0, 0], b[0, 0]).tobytes()
 
 
 class TestSupport:

@@ -91,6 +91,31 @@ class TestFacets:
                     loop[hit] += piece
                 assert f.measures == pytest.approx(loop, rel=1e-12)
 
+    def test_merged_facets_equal_the_np_unique_grouping_bit_for_bit(self):
+        gen = np.random.default_rng(61)
+        bodies = [cube_body(2), cube_body(3), ball_body(3),
+                  zonotope_to_vpolytope(Zonotope(gen.normal(size=(5, 3))))]
+        bodies += [hull(gen.normal(size=(n + 20, n))) for n in (2, 3) for _ in range(5)]
+        for K in bodies:
+            R = reduced_form(K)
+            normals, offsets, h = facet_planes(R)
+            scale = max(1.0, float(np.max(np.abs(R.vertices))))
+            keys = np.round(np.column_stack([normals, offsets / scale]), mixed.FACET_MERGE_DECIMALS)
+            _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            corners = R.vertices[h.simplices]
+            if R.dim == 2:
+                pieces = np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
+            else:
+                pieces = 0.5 * np.linalg.norm(
+                    np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=1)
+            f = facets(R)
+            assert f.normals.tobytes() == normals[first[order]].tobytes()
+            assert f.offsets.tobytes() == offsets[first[order]].tobytes()
+            assert f.measures.tobytes() == np.bincount(rank[group.ravel()], weights=pieces).tobytes()
+
     def test_facet_identity_sums_to_zero(self):
         # sum of area-weighted outward normals vanishes for a closed body
         gen = np.random.default_rng(60)

@@ -290,6 +290,25 @@ class TestPolarMeasure:
         assert trunc == pytest.approx(math.pi * 0.25, rel=1e-3)
         assert trunc < full
 
+    def test_one_read_only_node_set_per_size_serves_both_callers(self, monkeypatch):
+        from pettylab import harness
+
+        built = []
+        monkeypatch.setattr(projections, "sphere_directions",
+                            lambda n, count: built.append((n, count)) or sphere_directions(n, count))
+        projections.node_set.cache_clear()
+        try:
+            for _ in range(3):
+                polar_measure(cube_body(2), RadialMeasure.lebesgue(), QuadratureSpec(nodes=300))
+                polar_measure(cube_body(3), RadialMeasure.lebesgue(), QuadratureSpec(nodes=500))
+            assert harness._grid(500) is projections.node_set(3, 500)
+            assert built == [(2, 300), (3, 500)]
+        finally:
+            projections.node_set.cache_clear()
+        U = projections.node_set(3, 500)
+        assert not U.flags.writeable and np.array_equal(U, sphere_directions(3, 500))
+        assert sphere_directions(3, 500).flags.writeable
+
     def test_unbounded_lebesgue_region_is_rejected(self):
         with pytest.raises(GeometryError):
             RadialMeasure.lebesgue().radial_integral(np.array([np.inf]), 2)
