@@ -30,8 +30,8 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # fresh pages whenever a body has more facets or generators than the last.
 ABS_BLOCK_ENTRIES = 1 << 15
 # Arcs per block of great circles in ``zonotope_polar_volume``: the 3-D
-# ball's projection body, some 320 generators and 2e5 arcs, then peaks at a
-# few MB instead of some 60.
+# ball's projection body, some 320 generators and 1e5 half-circle arcs,
+# then peaks at about 8 MiB under tracemalloc instead of about 40.
 POLAR_BLOCK_ARCS = 1 << 13
 # Unit generators closer than this span one line in
 # ``merge_parallel_generators``.
@@ -341,11 +341,22 @@ def _hull_full_dim(points: np.ndarray) -> tuple[np.ndarray, HullFacets | None]:
     try:
         h = ConvexHull(points)
     except QhullError:
-        h = ConvexHull(points, qhull_options="QJ")
+        h = _joggled_hull(points)
         return points[h.vertices], None
     rows = np.empty(len(points), dtype=np.intp)
     rows[h.vertices] = np.arange(len(h.vertices))
     return points[h.vertices], HullFacets(float(h.volume), h.equations, rows[h.simplices])
+
+
+def _joggled_hull(points: np.ndarray) -> ConvexHull:
+    """qhull's run on the joggled cloud (``QJ``), for a full-dimensional
+    cloud its plain run refused; where that fails too (coordinates of about
+    1e150 and up overflow its round-off estimate), GeometryError."""
+    try:
+        return ConvexHull(points, qhull_options="QJ")
+    except QhullError as exc:
+        raise GeometryError(f"qhull cannot hull the cloud, even joggled: "
+                            f"{str(exc).splitlines()[0]}") from exc
 
 
 def _hull_facets(R: VPolytope) -> HullFacets:
@@ -441,7 +452,7 @@ def volume_of_points(points: np.ndarray) -> float:
     except QhullError:
         if affine_dimension(pts) < n:
             return 0.0
-        return float(ConvexHull(pts, qhull_options="QJ").volume)
+        return float(_joggled_hull(pts).volume)
 
 
 def support(body, u) -> float:
@@ -723,10 +734,9 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _circle_index(k: int, rows: range) -> tuple:
     """Index arrays of the circles ``rows`` of k generators: the rows; for
-    each circle the other generators j (once, and twice over for its points
-    +Q and -Q), the triu position of each point's pair (i, j), i < j, and
-    its sign, -1 where the circle's generator is the larger index or the
-    point is -Q; the next arc's index around a circle; and the circles'
+    each circle the other generators j, the triu position of each pair (i,
+    j), i < j, and its sign, -1 where the circle's generator is the larger
+    index, so that Q[pair] * sign = (g_i x g_j) / h; and the circles'
     positions as a column."""
     rest = np.arange(k - 1)
     circles = np.arange(rows.start, rows.stop)
@@ -734,9 +744,7 @@ def _circle_index(k: int, rows: range) -> tuple:
     lo, hi = np.minimum(circles[:, None], who), np.maximum(circles[:, None], who)
     pair = lo * (2 * k - lo - 1) // 2 + hi - lo - 1
     sign = np.where(circles[:, None] < who, 1.0, -1.0)
-    return (circles, who, np.concatenate([who, who], axis=1), np.concatenate([pair, pair], axis=1),
-            np.concatenate([sign, -sign], axis=1), (np.arange(2 * k - 2) + 1) % (2 * k - 2),
-            np.arange(len(circles))[:, None])
+    return circles, who, pair, sign, np.arange(len(circles))[:, None]
 
 
 def _rule_nodes(measure) -> int:
@@ -749,10 +757,10 @@ def _rule_nodes(measure) -> int:
 def spatial_polar_entries(k: int, measure=None) -> int:
     """Entries of the largest temporary ``spatial_polar_measures`` builds per
     zonotope of k generators: the rule nodes of the two facets of each arc
-    on its k circles of 2k - 2 arcs, the running sums of those circles,
-    3(k - 1) terms of three coordinates each, or the supports at the k(k -
-    1)/2 crossings, k pairings each."""
-    return max(k * (2 * k - 2) * 2 * _rule_nodes(measure), 9 * k * (k - 1), k * k * (k - 1) // 2)
+    on its k half circles of k - 1 arcs, the running sums of those half
+    circles, 2(k - 1) terms of three coordinates each, or the supports at
+    the k(k - 1)/2 crossings, k pairings of three coordinates each."""
+    return max(k * (k - 1) * 2 * _rule_nodes(measure), 6 * k * (k - 1), 3 * k * k * (k - 1) // 2)
 
 
 def spatial_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.ndarray]:
@@ -791,11 +799,17 @@ def spatial_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.
     a long edge's peak at its closest point is spread out.  The ball splits
     each edge where R = r.
 
-    The circles are read as in the cone sum of the polar volume: going
-    counterclockwise around g_i, <g_j, .> turns negative at g_i x g_j and
-    positive at its antipode, so c is a running sum along each circle with
-    no sign test.  A zero generator's points sort last onto the circle's
-    first, so its arcs have length zero, and an edge shorter than
+    Z° is origin-symmetric, and the arc from -a to -b carries what the arc
+    from a to b does, so each circle is walked half way and the sum
+    doubled.  Of each pair +-(g_i x g_j) / h a circle keeps the point p = s_j
+    (g_i x g_j) / h, s_j = +-1, whose angle from the circle's first live
+    point e lies in [0, pi), by the sign of <p, g_i x e>; it sorts those k -
+    1 points and closes the half with the arc from the last to -a[0].  Going
+    counterclockwise around g_i, <g_j, .> turns negative at g_i x g_j, so
+    g_j has the sign s_j on the arc ending at a[0] and flips at its point:
+    c starts at sum s_j g_j and is a running sum along the half with no
+    sign test.  A zero generator's points sort last onto the half's end
+    -a[0], so its arcs have length zero, and an edge shorter than
     WALK_EDGE_TOL, or whose line passes that close to the origin (a
     zero-length arc of coplanar generators), adds nothing.  The mask is
     False where two nonzero generators are exactly parallel (merge them
@@ -862,7 +876,7 @@ def _merged_spatial_measure(gens: np.ndarray, measure) -> float:
     cross = cross3(gens[i], gens[j])
     Q = np.ascontiguousarray((cross / _abs_pairing(cross, gens)[:, None]).T[:, None])
     G = np.ascontiguousarray(gens.T[:, None])
-    step = max(1, POLAR_BLOCK_ARCS // ((2 * m - 2) * max(1, _rule_nodes(measure))))
+    step = max(1, POLAR_BLOCK_ARCS // ((m - 1) * max(1, _rule_nodes(measure))))
     total = 0.0
     for s in range(0, m, step):
         index = _circle_index(m, range(s, min(s + step, m)))
@@ -878,50 +892,59 @@ def _walk(G: np.ndarray, Q: np.ndarray, index: tuple, measure, rule: tuple) -> n
     x g_j is; shape (T,).  See ``spatial_polar_measures``."""
     a, b, ab, w, q = _circle_arcs(G, Q, index)
     shape = (w.shape[1], w.shape[2] * w.shape[3])
+    # Z° is origin-symmetric: the arc from -a to -b carries what a to b does
     if measure is None or measure.variant == "lebesgue":
-        return w.sum(axis=0).reshape(shape).sum(axis=1) / 6.0
+        return w.sum(axis=0).reshape(shape).sum(axis=1) / 3.0
     S = _edge_integrals(_edge_lines(a, b, ab), q, measure, rule)
-    return (w * S).sum(axis=0).reshape(shape).sum(axis=1)
+    return 2.0 * (w * S).sum(axis=0).reshape(shape).sum(axis=1)
 
 
 def _circle_arcs(G: np.ndarray, Q: np.ndarray, index: tuple) -> tuple:
-    """The arcs of the circles g_i^perp of ``index``: (a, b, a x b, w, q),
-    with a the polar vertices sorted counterclockwise around g_i, shape (3,
-    T, circles, 2k - 2), b the next of each, and for the two facets v+- =
-    c +- g_i of the arc from a to b, stacked on a leading axis, the weights
-    w = +-<a x b, F+->, F = v / |v|^2, and q = |v+-|^2 = 1 / d^2."""
+    """The arcs of the half circles g_i^perp of ``index``: (a, b, a x b, w,
+    q), with a the polar vertices at angles in [0, pi) from the circle's
+    first live point e, one of each pair +-(g_i x g_j) / h, sorted
+    counterclockwise around g_i, shape (3, T, circles, k - 1), b the next of
+    each and -a[0] after the last, and for the two facets v+- = c +- g_i of
+    the arc from a to b, stacked on a leading axis, the weights w = +-<a x
+    b, F+->, F = v / |v|^2, and q = |v+-|^2 = 1 / d^2."""
     _, T, k = G.shape
     m = k - 1
-    circles, who, both, pairs, signs, step, rr = index
+    circles, who, pairs, signs, rr = index
     tt = np.arange(T)[:, None, None]
     ring = Q[:, :, pairs] * signs
     g = G[:, :, circles, None]
     # angles around g from the circle's first nonzero point e: atan2 of
-    # <p, g x e> and <p, e> is monotone in the angle with no normalizing
+    # <p, g x e> and <p, e> is monotone in the angle with no normalizing;
+    # of +-p the one at an angle in [0, pi) stays, s p with s = +-1
     live = ring.any(axis=0)
     everywhere = live.all()
     e = ring[..., :1] if everywhere else ring[:, tt[..., 0], rr.T, live.argmax(axis=-1)][..., None]
-    key = np.arctan2(_vdot(ring, _vcross(g, e)), _vdot(ring, e))
+    y, x = _vdot(ring, _vcross(g, e)), _vdot(ring, e)
+    s = np.where((y < 0.0) | ((y == 0.0) & (x < 0.0)), -1.0, 1.0)
+    key = np.arctan2(s * y, s * x)
     if not everywhere:
         key[~live] = np.inf
     order = np.argsort(key, axis=-1, kind="stable")
-    a = ring[:, tt, rr, order]
+    s_sorted = s[tt, rr, order]
+    a = ring[:, tt, rr, order] * s_sorted
     if not everywhere:
-        a = np.where(live[tt, rr, order], a, a[..., :1])
-    # c on the arc ending at a circle's first point, where g_j has the sign
-    # set at the later of its two points, then the running sum: one
-    # cumulative sum over both
-    place = np.argsort(order, axis=-1)
-    sign = np.where(place[..., :m] > place[..., m:], -1.0, 1.0)
-    turn = np.where(order < m, -2.0, 2.0)
-    terms = np.concatenate([sign * G[:, :, who], turn * G[:, tt, both[rr, order]]], axis=-1)
+        # a zero generator's points sort last onto the half's end, -a[0]
+        a = np.where(live[tt, rr, order], a, -a[..., :1])
+    b = np.concatenate([a[..., 1:], -a[..., :1]], axis=-1)
+    # <g_j, .> turns negative at g x g_j going counterclockwise, so g_j has
+    # the sign s_j on the arc ending at a[0] and flips at its point: c
+    # starts at sum s_j g_j, and one cumulative sum runs over both
+    terms = np.concatenate([s * G[:, :, who], -2.0 * s_sorted * G[:, tt, who[rr, order]]], axis=-1)
     c = np.cumsum(terms, axis=-1)[..., m:]
-    b = a[..., step]
     ab = _vcross(a, b)
     v = np.empty((3, 2) + c.shape[1:])
     np.add(c, g, out=v[:, 0])
     np.subtract(g, c, out=v[:, 1])
     q = _vdot(v, v)
+    if not everywhere:
+        # on a zero generator's circle, all of whose arcs have length zero,
+        # c may be 0
+        q[q == 0.0] = 1.0
     return a, b, ab, _vdot(ab[:, None], v) / q, q
 
 
@@ -1009,12 +1032,16 @@ def _gaussian_ratio(EU: np.ndarray, uu: np.ndarray, u02: np.ndarray, Du: np.ndar
     first-order Taylor form at the foot, h1 + (4 e^(-u0^2) / sqrt(pi) - 6
     h1) (u^2 - u0^2) / (8 u0^2) with h1 = (E(u0) - 2 e^(-u0^2) / sqrt(pi))
     / (2 u0^2); only edges whose line passes that close can have such
-    nodes."""
+    nodes.  The nodes of a dropped edge, whose weights are zero, all sit at
+    its placeholder distance Du, and take the Taylor form where that falls
+    within FOOT_GAP of the foot on either side, where the divided
+    difference could read 0 / 0."""
     u0 = np.sqrt(u02)
     E0 = erf(u0) / u0
     gap = uu - u02
     near = FOOT_GAP * (0.5 + u02)
-    close = (Du * Du - u02 <= near) & keep
+    lift = Du * Du - u02
+    close = (lift <= near) & (keep | (lift >= -near))
     if close.any():
         part = gap[:, close]
         at = part <= near[close]

@@ -77,10 +77,12 @@ cross products:
 Under a Gaussian or ball measure, zonotope projection bodies of at most
 POLAR_WALK_MAX_GENERATORS generators for that measure then take the arc
 walk of ``bodies.spatial_polar_measures`` over their normal fan, stacked
-for the chunk, with no grid; the hull route of such a spec takes the same
-walk.  Lebesgue measure, larger projection bodies, tetrahedron pairs, an
-explicit ``quadrature.nodes`` and the kinds with no kernel take one support
-call per trial over the spatial grid and one polar quadrature row.  The
+for the chunk, with no grid; the polar is origin-symmetric, so the walk
+runs half of each great circle and doubles the sum.  The hull route of
+such a spec takes the same walk.  Lebesgue measure, larger projection
+bodies, tetrahedron pairs, an explicit ``quadrature.nodes`` and the kinds
+with no kernel take one support call per trial over the spatial grid and
+one polar quadrature row.  The
 grid of a larger projection body has the nodes of its POLAR_GRID_NODES row
 (measure and generator count); the others keep DEFAULT_NODES[3], or the
 config's count.  Neither route depends on the chunk, so a trial's value is
@@ -178,14 +180,19 @@ CHUNK_ENTRIES = 1 << 16
 PAIR_AREA_MAX_POINTS = 24
 # Generators up to which a spatial kernel's projection bodies take the arc
 # walk of ``bodies.spatial_polar_measures`` instead of the 8192-node grid,
-# per measure.  On a 2-vCPU Xeon, per trial at chunk size, the Gaussian walk
-# took 0.02-0.03 ms at 4 generators, 0.12-0.13 ms at 9 and 0.20-0.25 ms at
-# 12, against 0.20-0.32 ms for the grid, and lost at 16 (0.47 ms against
-# 0.35 ms).  The ball walk runs the rule on the two pieces of each edge
-# outside the ball and its grid needs no erf: 0.05 ms at 4 generators and
-# 0.14 ms at 8 against 0.12 and 0.14 ms for the grid, and it lost at 9
-# (0.17 ms against 0.14-0.15 ms) and 12 (0.33-0.42 ms against 0.20-0.23 ms).
-POLAR_WALK_MAX_GENERATORS = {"gaussian": 12, "ball": 8}
+# per measure.  The walk runs half of each great circle.  On a 2-vCPU Xeon,
+# per trial at chunk size over a few rounds, the Gaussian walk took 0.015
+# ms at 4 generators, 0.08-0.10 ms at 9, 0.13-0.19 ms at 12 and 0.25-0.36
+# ms at 16, against 0.17-0.47 ms for the grid; it tied or lost at 17
+# (0.26-0.41 ms against 0.26-0.46 ms) and lost at 18 (0.30-0.37 ms against
+# 0.25-0.30 ms) and 20 (0.39-0.58 ms against 0.27-0.44 ms).  The ball walk
+# runs the rule on the two pieces of each edge outside the ball and its
+# grid needs no erf: 0.03 ms at 4 generators, 0.14-0.20 ms at 9 and
+# 0.18-0.25 ms at 10, against 0.11-0.18, 0.15-0.30 and 0.16-0.30 ms for the
+# grid (at 10 the walk wins narrowly or ties, and the ball grid errs by up
+# to 7.4e-5 there); it tied at 11 (0.21-0.30 ms against 0.17-0.31 ms) and
+# lost at 12 (0.27-0.36 ms against 0.18-0.25 ms).
+POLAR_WALK_MAX_GENERATORS = {"gaussian": 16, "ball": 10}
 # Spatial grid nodes past the walk, per measure: rows (first generator
 # count, nodes), a row covering the counts up to the next row's first.  Each
 # row takes the smallest of 2048, 4096 and 8192 nodes whose relative error

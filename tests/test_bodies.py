@@ -107,6 +107,18 @@ class TestHull:
                 bodies.volume_of_points(pts)
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_huge_coordinates_raise_a_geometry_error(self, n):
+        # about 1e150 and up, qhull's round-off estimate overflows and even
+        # its joggled run fails on a full-rank cloud
+        pts = 1e160 * np.vstack([np.eye(n), -np.ones((1, n)), np.full((1, n), 0.1)])
+        with pytest.raises(GeometryError, match="joggled"):
+            hull(pts[:n + 1])
+        with pytest.raises(GeometryError, match="joggled"):
+            hull(pts)
+        with pytest.raises(GeometryError, match="joggled"):
+            bodies.volume_of_points(pts)
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_an_empty_cloud_stays_legal(self, n):
         H = hull(np.zeros((0, n)))
         assert H.vertices.shape == (0, n) and H.affine_dim == 0
@@ -553,6 +565,25 @@ def _de_dy(y: np.ndarray) -> np.ndarray:
     return np.exp(-y) / (math.sqrt(math.pi) * y) - scipy_erf(u) / (2.0 * y * u)
 
 
+def _sign_and_order_sets() -> list:
+    """Generator sets for the walk's symmetry tests: random ones, integer
+    lattice ones (the cube, the cube with two diagonals, and e1, e2, e1 - e2,
+    e3, whose circle of e1 holds the exactly antipodal points +-e3 / h), sets
+    padded with zero generators (one with e1, e2, e3 and -e1 - e2 - e3, so
+    that c can be 0 on the zero generator's circle), and mixed 3 x 3 sets
+    a_i x b_j, whose triples are coplanar."""
+    gen = np.random.default_rng(75)
+    random = [gen.normal(size=(k, 3)) for k in (3, 4, 6, 9, 12)]
+    lattice = [np.eye(3), np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 1]]),
+               np.array([[1, 0, 0], [0, 1, 0], [1, -1, 0], [0, 0, 1]])]
+    padded = [np.vstack([np.zeros((1, 3)), G[:2], np.zeros((2, 3)), G[2:]])
+              for G in gen.normal(size=(2, 4, 3))]
+    padded.append(np.vstack([np.eye(3), -np.ones((1, 3)), np.zeros((1, 3))]))
+    coplanar = list(mixed_projection_generators(0.4 * gen.normal(size=(2, 3, 3)),
+                                                0.4 * gen.normal(size=(2, 3, 3))))
+    return [np.asarray(G, dtype=float) for G in random + lattice + padded + coplanar]
+
+
 class TestSpatialPolarMeasures:
     def test_the_cube_has_the_octahedron_for_its_polar(self):
         # the polar of [-1, 1]^3 is |x| + |y| + |z| <= 1: volume 4/3,
@@ -609,6 +640,27 @@ class TestSpatialPolarMeasures:
         assert ok.all() and np.isfinite(values).all()
         for t in range(0, 64, 7):
             assert values[t] == pytest.approx(spatial_polar_measure(Zonotope(G[t]), nu), rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
+    def test_signs_and_order_of_the_generators_do_not_matter(self, nu):
+        # Z = sum [-g, g] sees neither a generator's sign nor the order of
+        # the generators, while the walk keeps one point of each pair +-p per
+        # circle by its side of the circle's first point: a flipped generator
+        # moves its points to the other half
+        gen = np.random.default_rng(76)
+        for G in _sign_and_order_sets():
+            k = len(G)
+            flips = np.where(gen.random((8, k, 1)) < 0.5, -1.0, 1.0)
+            flips[0] = -1.0
+            perms = np.array([gen.permutation(k) for _ in range(8)])
+            variants = np.concatenate([G * flips, G[perms], np.take_along_axis(
+                G * flips, perms[..., None], axis=1)])
+            want, ok = spatial_polar_measures(G[None], nu)
+            got, got_ok = spatial_polar_measures(variants, nu)
+            assert ok[0] and got_ok.all()
+            assert np.abs(got - want[0]).max() <= 1e-12 * want[0]
+            if nu is LEBESGUE:
+                assert want[0] == pytest.approx(volume(polar_of_zonotope(Zonotope(G))), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [1.0, 1.4302])
     def test_a_foot_on_or_near_an_edge_line(self, lam):

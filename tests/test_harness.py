@@ -717,25 +717,33 @@ class TestSpatialRoutes:
         assert max(worst.values()) <= harness.POLAR_GRID_TOL, max(worst.items(), key=lambda kv: kv[1])
 
     def test_the_walk_stops_at_the_crossover(self):
-        # a 3 x 4 cube pair reads 12 generators, a 4 x 4 pair 16
-        assert SPECS["thm11"](_thm11_cubes(3, 4)).walk
-        assert not SPECS["thm11"](_thm11_cubes(4, 4)).walk
-        assert SPECS["cor13"](dict(COR13_SMALL, m=3, measure=_GAUSS)).walk
-        assert not SPECS["cor13"](dict(COR13_SMALL, measure=_GAUSS)).walk
+        # a 4 x 4 cube pair reads 16 generators, a 3 x 6 pair 18
+        assert SPECS["thm11"](_thm11_cubes(4, 4)).walk
+        assert not SPECS["thm11"](_thm11_cubes(3, 6)).walk
+        assert SPECS["cor13"](dict(COR13_SMALL, measure=_GAUSS)).walk
+        assert not SPECS["cor13"](dict(COR13_SMALL, m=5, measure=_GAUSS)).walk
         # the ball's walk stops sooner: a 3 x 3 cube pair reads 9 generators,
-        # and the zonotope C-set of 4 or 5 points 6 or 10
+        # a 3 x 4 pair 12, and the zonotope C-set of 5 or 6 points 10 or 15
         ball = {"type": "ball", "radius": 0.5}
-        assert not SPECS["thm11"](dict(_thm11_cubes(3, 3), measure=ball)).walk
+        assert SPECS["thm11"](dict(_thm11_cubes(3, 3), measure=ball)).walk
+        assert not SPECS["thm11"](dict(_thm11_cubes(3, 4), measure=ball)).walk
         _, cube = CHUNKED["thm12-3d-cube-ball"]
-        assert SPECS["thm12"](cube).walk
         five = dict(cube, blocks=[_uniform_block(_CUBE3, 5)], c_set={"kind": "cube", "m": 5})
-        assert not SPECS["thm12"](five).walk
-        assert SPECS["thm12"](dict(five, measure=_GAUSS)).walk
+        assert SPECS["thm12"](five).walk
+        six = dict(cube, blocks=[_uniform_block(_CUBE3, 6)], c_set={"kind": "cube", "m": 6})
+        assert not SPECS["thm12"](six).walk
+        assert SPECS["thm12"](dict(six, measure=_GAUSS)).walk
 
     def test_a_chunk_holds_a_whole_spatial_thm12_report(self):
         kind, config = CHUNKED["thm12-3d-gaussian"]
         spec = SPECS[kind](dict(config, trials=100))
         assert spec.walk and spec.chunk_len() >= 100
+
+    def test_a_chunk_holds_twice_the_full_circle_walk_trials(self):
+        # the walk keeps half of each circle's arcs, so a 3 x 3 Gaussian pair
+        # (9 generators) fits twice the 28 trials a full-circle walk did
+        spec = SPECS["thm11"](_thm11_cubes(3, 3))
+        assert spec.walk and spec.chunk_len() >= 2 * 28
 
 
 class TestSpecs:
