@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -179,62 +180,41 @@ def cloud_widths(P: np.ndarray, W: np.ndarray) -> np.ndarray:
     return pairs.max(axis=1) - pairs.min(axis=1)
 
 
-# A cloud counts as full-dimensional without a hull only when its singular
-# value ratio clears the COPLANAR_TOL rank threshold of ``hull`` by this
-# factor, which covers the duplicate points ``hull`` drops before its test.
-FULL_RANK_MARGIN = 1e3
+# A row set counts as full rank without an SVD only when s_min/s_max clears
+# this ratio.  The Gram determinant det M = (s_0 ... s_{n-1})^2 carries a
+# rounding error of about 1e-15 trace(M)^n, so it cannot resolve much
+# smaller ratios; this one lies far above the COPLANAR_TOL threshold of the
+# SVD in ``affine_dimension``, which covers the duplicate points ``hull``
+# drops before its test.
+RANK_RATIO = 1e-6
 
 
-def _pair_crosses(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """cross(a_i, b_j) for every pair of rows, shape (T, k, k)."""
-    return A[:, :, None, 0] * B[:, None, :, 1] - A[:, :, None, 1] * B[:, None, :, 0]
+def full_rank(V: np.ndarray) -> np.ndarray:
+    """Mask of the stacked row sets V[t], shape (T, k, n) with n = 2 or 3,
+    whose rows span R^n with margin, s_min/s_max > RANK_RATIO; False means
+    "flat or too close to call", which callers settle with ``hull``.
+    Centered clouds give the mask of hulls that ``hull`` would find
+    full-dimensional; the generator rows of zonotopes, of those that are.
 
-
-def planar_full_rank(P: np.ndarray) -> np.ndarray:
-    """Mask of the clouds P[t] whose hull ``hull`` would find two-dimensional,
-    decided with a FULL_RANK_MARGIN margin; False means "degenerate or too
-    close to call", which callers settle with ``hull``.  The cloud +-g of a
-    zonotope's generators g gives the mask of the zonotopes that span the
-    plane.
-
-    With C the centered cloud, det(C^T C) = sum over pairs of cross(c_i, c_j)^2
-    (Cauchy-Binet), so the ratio of the singular values s1/s0 follows from
-    products of centered points without cancellation.
+    Each set is scaled to entries of at most 1, as in ``_affine_rank``, and
+    with M = V^T V, s_min/s_max >= sqrt(det M) / trace(M)^(n/2), since the
+    other singular values are at most s_max and s_max^2 <= trace M.  M sums
+    the rows' outer products in row order, so a set's answer does not depend
+    on the sets stacked with it.  Costs k n^2 entries per set.
     """
-    T, k, _ = P.shape
-    center = P[:, 0].copy()
-    for i in range(1, k):
-        center += P[:, i]
-    C = P - (center / k)[:, None, :]
-    gram_det = 0.5 * np.square(_pair_crosses(C, C)).reshape(T, -1).sum(axis=1)
-    trace = np.square(C).reshape(T, -1).sum(axis=1)
-    s0_sq = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * gram_det, 0.0)))
-    return np.sqrt(gram_det) > COPLANAR_TOL * FULL_RANK_MARGIN * s0_sq
-
-
-# The Gram determinant det(V^T V) = (s0 s1 s2)^2 of a spatial row set
-# carries a rounding error of about 1e-15 trace^3, so it cannot resolve the
-# planar threshold COPLANAR_TOL * FULL_RANK_MARGIN; a spatial set counts as
-# full rank only when s2/s0 clears this larger ratio.
-SPATIAL_RANK_RATIO = 1e-6
-
-
-def spatial_full_rank(V: np.ndarray) -> np.ndarray:
-    """Mask of the stacked spatial row sets V[t], shape (T, k, 3), whose rows
-    span space with margin, s2/s0 > SPATIAL_RANK_RATIO; False means "flat or
-    too close to call".  Centered clouds give the mask of hulls that
-    ``hull`` would find three-dimensional.
-
-    With M = V^T V, s2/s0 >= sqrt(det M) / trace(M)^(3/2), since s1 <= s0
-    and s0^2 <= trace M.  M sums the rows' outer products in row order, so
-    a set's answer does not depend on the sets stacked with it.
-    """
+    T, _, n = V.shape
+    scale = np.abs(V).reshape(T, -1).max(axis=1)
+    V = V / np.where(scale > 0.0, scale, 1.0)[:, None, None]
     M = (V[:, :, :, None] * V[:, :, None, :]).sum(axis=1)
-    det = (M[:, 0, 0] * (M[:, 1, 1] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 1])
-           - M[:, 0, 1] * (M[:, 1, 0] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 0])
-           + M[:, 0, 2] * (M[:, 1, 0] * M[:, 2, 1] - M[:, 1, 1] * M[:, 2, 0]))
-    trace = M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2]
-    return det > SPATIAL_RANK_RATIO ** 2 * trace ** 3
+    if n == 2:
+        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+        trace = M[:, 0, 0] + M[:, 1, 1]
+    else:
+        det = (M[:, 0, 0] * (M[:, 1, 1] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 1])
+               - M[:, 0, 1] * (M[:, 1, 0] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 0])
+               + M[:, 0, 2] * (M[:, 1, 0] * M[:, 2, 1] - M[:, 1, 1] * M[:, 2, 0]))
+        trace = M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2]
+    return det > RANK_RATIO ** 2 * trace ** n
 
 
 def _planar_edge_test(P: np.ndarray) -> tuple:
@@ -243,8 +223,8 @@ def _planar_edge_test(P: np.ndarray) -> tuple:
     counterclockwise hull edge, every other point strictly to its left; ok
     the mask of the clouds where that test holds with margin.  A cloud with
     an orientation within COPLANAR_TOL of zero relative to its squared
-    diameter (repeated or collinear points), or that ``planar_full_rank``
-    cannot call, is masked out.  Costs k^3 entries per cloud."""
+    diameter (repeated or collinear points), or whose centered points
+    ``full_rank`` cannot call, is masked out.  Costs k^3 entries per cloud."""
     T, k, _ = P.shape
     d = P[:, None, :, :] - P[:, :, None, :]  # d[t, i, j] = p_j - p_i
     orient = (d[:, :, :, None, 0] * d[:, :, None, :, 1]
@@ -255,8 +235,13 @@ def _planar_edge_test(P: np.ndarray) -> tuple:
     tol = COPLANAR_TOL * diam_sq[:, None, None, None]
     near = (np.abs(orient) <= tol) & other
     edges = ((orient > 0.0) | ~other).all(axis=-1) & ~eye
-    ok = planar_full_rank(P) & ~near.reshape(T, -1).any(axis=1)
+    ok = full_rank(P - P.mean(axis=1, keepdims=True)) & ~near.reshape(T, -1).any(axis=1)
     return d, edges, ok
+
+
+def _pair_crosses(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """cross(a_i, b_j) for every pair of rows, shape (T, k, k)."""
+    return A[:, :, None, 0] * B[:, None, :, 1] - A[:, :, None, 1] * B[:, None, :, 0]
 
 
 def planar_hull_areas(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,9 +265,10 @@ def planar_hull_edges(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _affine_rank(pts: np.ndarray) -> int:
     """``affine_dimension`` with no SVD where the Gram matrix M of the centered
-    cloud, scaled to entries of at most 1, has det M > SPATIAL_RANK_RATIO^2
-    trace(M)^n, n = 2 or 3: then s_min / s_max > SPATIAL_RANK_RATIO (see
-    ``spatial_full_rank``), far above the COPLANAR_TOL threshold of the SVD."""
+    cloud, scaled to entries of at most 1, has det M > RANK_RATIO^2
+    trace(M)^n, n = 2 or 3: then s_min / s_max > RANK_RATIO, the certificate
+    of ``full_rank`` for one cloud, far above the COPLANAR_TOL threshold of
+    the SVD."""
     k, n = pts.shape
     if n in (2, 3) and k > n:
         C = pts - pts.mean(axis=0)
@@ -297,7 +283,7 @@ def _affine_rank(pts: np.ndarray) -> int:
                 (a, b, c), (_, d, e), (_, _, f) = M
                 det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
                 trace = a + d + f
-            if det > SPATIAL_RANK_RATIO ** 2 * trace ** n:
+            if det > RANK_RATIO ** 2 * trace ** n:
                 return n
     return affine_dimension(pts)
 
@@ -332,6 +318,10 @@ class HullFacets:
     volume: float
     equations: np.ndarray
     simplices: np.ndarray
+
+    def __post_init__(self):
+        self.equations.setflags(write=False)
+        self.simplices.setflags(write=False)
 
 
 def _hull_full_dim(points: np.ndarray) -> tuple[np.ndarray, HullFacets | None]:
@@ -440,13 +430,19 @@ def volume(P) -> float:
 
 
 def volume_of_points(points: np.ndarray) -> float:
-    """Volume of the hull of a point cloud, with a fast simplex path."""
+    """Volume of the hull of a point cloud, with a fast simplex path.  A
+    cloud too large for either path (coordinates of about 1e150 and up)
+    raises GeometryError."""
     pts = _finite_points(points)
     n = pts.shape[1]
     if len(pts) <= n:
         return 0.0
     if len(pts) == n + 1:
-        return abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(pts[1:] - pts[0])
+        if not np.isfinite(det):
+            raise GeometryError("simplex volume overflows: the coordinates are too large")
+        return abs(det) / math.factorial(n)
     try:
         return float(ConvexHull(pts).volume)
     except QhullError:
@@ -1293,11 +1289,14 @@ def regular_polygon(radius: float, sides: int) -> VPolytope:
     return VPolytope(v, reduced=True)
 
 
+@lru_cache(maxsize=16)
 def ball_body(n: int, radius: float = 1.0, facets: int | None = None) -> VPolytope:
     """Inscribed polytope stand-in for the Euclidean ball.
 
     Defaults: 64-gon in the plane, 320-facet triangulated sphere in space
-    (162 quasi-uniform vertices).
+    (162 quasi-uniform vertices).  Built once per process for each argument
+    list and shared, with its read-only vertices and whatever its callers
+    derive from it.
     """
     if n == 2:
         return regular_polygon(radius, facets or 64)

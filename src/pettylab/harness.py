@@ -14,7 +14,11 @@ key the kind does not read, an integer field that is not an integer, a
 size out of range or a dim that disagrees with a body raises a
 ``ConfigError`` naming the key.  This module reads every config literal,
 bodies, densities, measures and C-sets alike, with the same field readers.
-Workers get the spec and parse nothing.
+Workers get the spec and parse nothing.  A process parses each body
+literal once: ``_literal`` keeps, for the last LITERAL_MEMO_SIZE literals,
+the body and what reports derive from it (its uniform density, its polar
+projection polytope and the density on that, lln's target), so a second
+report on the same literal builds none of them.
 
 Samples are drawn per block and the geometry runs per chunk:
 
@@ -118,6 +122,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,15 +136,14 @@ from .bodies import (
     ball_body,
     cloud_widths,
     cube_body,
+    full_rank,
     hull,
     lp_ball_body,
-    planar_full_rank,
     planar_hull_areas,
     planar_hull_edges,
     planar_polar_measures,
     point_sums,
     solid_simplex,
-    spatial_full_rank,
     spatial_polar_entries,
     spatial_polar_measure,
     spatial_polar_measures,
@@ -214,6 +218,11 @@ POLAR_GRID_TOL = 5e-5
 # Trials of each side, those whose index is a multiple of this, that the
 # certificate of a shrunk grid reruns on DEFAULT_NODES[3] nodes.
 CERTIFY_STRIDE = 64
+# Body literals, with what they derive, that a process keeps between
+# reports (``_literal``): the last this many (literal, dim) pairs used.  A
+# 3-D body's polar projection polytope can hold 1e5 vertices, so the bound
+# stays small; a benchmark unit reads two or three literals.
+LITERAL_MEMO_SIZE = 16
 
 
 class ConfigError(ValueError):
@@ -401,11 +410,57 @@ def body_from_literal(spec: dict, where: str = "body"):
                      None if facets is None else _integer(facets, f"{prefix}facets", 3))
 
 
-def _body(literal, key: str, dim: int) -> VPolytope:
+def _parse_body(literal, key: str, dim: int) -> VPolytope:
     """The body of ``literal`` as a vertex polytope in dimension ``dim``."""
     K = _parse(key, lambda: as_polytope(body_from_literal(literal, key)))
     _require(K.dim == dim, f"{key} lives in dimension {K.dim}, expected {dim}")
     return K
+
+
+@lru_cache(maxsize=LITERAL_MEMO_SIZE)
+def _literal_record(text: str, dim: int) -> dict:
+    """The record ``_literal`` keeps for the canonical JSON ``text`` of a
+    body literal in dimension ``dim``.  A literal that fails raises here,
+    and lru_cache keeps nothing for it."""
+    return {"body": _parse_body(json.loads(text), "body", dim)}
+
+
+def _literal(literal, key: str, dim: int) -> dict:
+    """The record of the body literal ``literal`` in dimension ``dim``: its
+    body under "body", plus what ``_derived`` adds (densities, the polar
+    projection polytope, the lln target).
+
+    A plain JSON literal's record is kept for the process, keyed by its
+    canonical JSON (sorted keys) and ``dim``, so later reports reuse its
+    hull, triangulations and cubatures.  A literal that JSON would change
+    (tuples, non-finite or non-JSON numbers) gets a fresh record each call,
+    and one that fails is parsed again here, so that its error names
+    ``key`` and is the same on every call."""
+    try:
+        text = json.dumps(literal, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError):
+        text = None
+    if text is not None and json.loads(text) == literal:
+        try:
+            return _literal_record(text, dim)
+        except ConfigError:
+            pass
+    return {"body": _parse_body(literal, key, dim)}
+
+
+def _derived(record: dict, name: str, build):
+    """``record[name]``, set to ``build()`` the first time it is asked for."""
+    got = record.get(name)
+    if got is None:
+        got = record[name] = build()
+    return got
+
+
+def _uniform(record: dict, key: str, member: str = "body") -> Density:
+    """The uniform density on the body ``record[member]``, kept in the
+    record with its triangulation once drawn from."""
+    return _derived(record, f"uniform {member}",
+                    lambda: _parse(key, Density.uniform, record[member]))
 
 
 def _density(literal, key: str, dim: int) -> Density:
@@ -413,7 +468,7 @@ def _density(literal, key: str, dim: int) -> Density:
     {type: gaussian, sigma} in dimension ``dim``."""
     if _typed(literal, key, _DENSITY_KEYS, "type") == "gaussian":
         return Density.gaussian(dim, _positive(literal.get("sigma", 1.0), f"{key}.sigma"))
-    d = _parse(key, Density.uniform, _body(literal["body"], f"{key}.body", dim))
+    d = _uniform(_literal(literal["body"], f"{key}.body", dim), key)
     return d.rearranged() if _boolean(literal.get("rearranged", False), f"{key}.rearranged") else d
 
 
@@ -428,11 +483,21 @@ def _measure(literal) -> RadialMeasure:
     return RadialMeasure.ball(_positive(literal["radius"], "measure.radius"))
 
 
-def _polar_pair(literal, key: str, dim: int) -> tuple:
-    """K, the body of ``literal``, and its polar projection polytope."""
-    K = _body(literal, key, dim)
+def _polar_pair(literal, key: str, dim: int) -> dict:
+    """The record of ``literal``, whose body K must be full-dimensional,
+    with K's polar projection polytope under "polar"."""
+    record = _literal(literal, key, dim)
+    K = record["body"]
     _require(not K.is_degenerate(), f"{key} must be full-dimensional")
-    return K, polar_projection_polytope(K)
+    _derived(record, "polar", lambda: polar_projection_polytope(K))
+    return record
+
+
+def _pairing_target(record: dict) -> float:
+    """V1(K, centroid body of L) for the body K and polar projection
+    polytope L of a ``_polar_pair`` record, kept in the record."""
+    return _derived(record, "target",
+                    lambda: v1(record["body"], centroid_body_support(record["polar"])))
 
 
 def _both_sides(draws) -> tuple:
@@ -510,7 +575,7 @@ class CSet:
             # vertex candidates suffice for linear images, no high-dim hull needed
             coeffs = MSpec.lp(p, vertex_budget=64).conjugate_ball_vertices(len(parts))
         else:
-            coeffs = _body(M, f"{key}.M", len(parts)).vertices
+            coeffs = _literal(M, f"{key}.M", len(parts))["body"].vertices
         pieces = [point_sums([c * B for c, B in zip(a, balls)]) for a in coeffs]
         return cls("msum", total, vertices=np.vstack(pieces))
 
@@ -791,13 +856,13 @@ class _Thm12Spec(_PolarSpec):
         if self.form == "cloud" and k > PAIR_AREA_MAX_POINTS:
             self.form = None
         # the largest temporaries: a cloud's k^3 edge test orientations, the
-        # (2k)^2 pair crosses of a planar zonotope's rank test on +-g, and in
+        # k^2 arc terms of a planar zonotope's exact polar measure, and in
         # space the walk or grid of Pi K: four face normals of a tetrahedron,
         # the k(k - 1)/2 pair crosses of a zonotope's generators
         if self.form == "cloud":
             self.entries = k ** 3
         elif self.form is not None and self.dim == 2:
-            self.entries = 4 * k * k
+            self.entries = k * k
         elif self.form is not None:
             self._spatial_kernel(4 if self.form == "tetrahedron" else k * (k - 1) // 2)
 
@@ -809,16 +874,16 @@ class _Thm12Spec(_PolarSpec):
     def kernel(self, samples: list, diag: dict) -> tuple:
         P = self.cset.rows(samples[0])
         if self.form == "tetrahedron":
-            full = spatial_full_rank(P - P.mean(axis=1, keepdims=True))
+            full = full_rank(P - P.mean(axis=1, keepdims=True))
             return self._spatial_values(tetrahedron_projection_generators(P), full, diag)
         if self.dim == 3:
             G = zonotope_projection_generators(P)
-            return self._spatial_values(G, spatial_full_rank(P), diag)
+            return self._spatial_values(G, full_rank(P), diag)
         # Pi K turned a quarter turn, which keeps its polar measure: 2 g over
-        # the generators g of a zonotope, whose rank is that of the cloud
-        # +-g, and e / 2 over the hull edges e of a cloud
+        # the generators g of a zonotope, which spans the plane where they
+        # do, and e / 2 over the hull edges e of a cloud
         if self.form == "zonotope":
-            G, full = 2.0 * P, planar_full_rank(np.concatenate([P, -P], axis=1))
+            G, full = 2.0 * P, full_rank(P)
         else:
             E, full = planar_hull_edges(P)
             G = 0.5 * E
@@ -846,7 +911,7 @@ class _MixedSpec(_PolarSpec):
             normals, full = tetrahedron_pair_normals(A, B)
             return self._spatial_values([0.25 * W for W in normals], full, diag)
         # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
-        full = spatial_full_rank(A) & spatial_full_rank(B)
+        full = full_rank(A) & full_rank(B)
         return self._spatial_values(mixed_projection_generators(A, B), full, diag)
 
 
@@ -893,7 +958,7 @@ class _Cor13Spec(_MixedSpec):
                  f"cor13 needs {self.dim - 1} bodies")
         m = _integer(config["m"], "m")
         self.blocks = _both_sides(
-            (_parse(f"bodies[{i}]", Density.uniform, _body(lit, f"bodies[{i}]", self.dim)), m)
+            (_uniform(_literal(lit, f"bodies[{i}]", self.dim), f"bodies[{i}]"), m)
             for i, lit in enumerate(bodies))
         self._spatial_kernel(m * m)
 
@@ -949,7 +1014,9 @@ class _PairingSpec(_Spec):
     density on its polar projection polytope (``centroid``: over y / m2,
     the empirical centroid body).  ``strict`` kinds reject a degenerate
     spatial hull.  In the plane a kernel takes v1(conv A, Z) = sum_j width
-    of A along z_j^perp."""
+    of A along z_j^perp, on the clouds whose centered points
+    ``bodies.full_rank`` finds spanning the plane: its Gram test costs 4 m1
+    entries per trial, the widths m1 m2."""
 
     centroid = False
     strict = False
@@ -958,7 +1025,7 @@ class _PairingSpec(_Spec):
         """Sizes planar chunks by the largest (m1, m2) draws; subclasses call
         it once they have set ``blocks``."""
         if self.dim == 2:
-            self.entries = max(m1 * max(m1, m2) for (_, m1), (_, m2) in self.blocks)
+            self.entries = max(m1 * max(m2, 4) for (_, m1), (_, m2) in self.blocks)
 
     def value(self, samples: list, diag: dict) -> float:
         X, Y = samples
@@ -970,7 +1037,7 @@ class _PairingSpec(_Spec):
     def kernel(self, samples: list, diag: dict) -> tuple:
         A, Y = samples
         Z = Y / Y.shape[1] if self.centroid else Y
-        return cloud_widths(A, _perp(Z)).sum(axis=1), planar_full_rank(A)
+        return cloud_widths(A, _perp(Z)).sum(axis=1), full_rank(A - A.mean(axis=1, keepdims=True))
 
 
 class _EmpPetty2Spec(_PairingSpec):
@@ -982,8 +1049,9 @@ class _EmpPetty2Spec(_PairingSpec):
     def parse(self, config: dict):
         m1 = _integer(config["m1"], "m1", self.dim + 1)
         m2 = _integer(config["m2"], "m2")
-        K, L = _polar_pair(config["body"], "body", self.dim)
-        self.blocks = _both_sides([(Density.uniform(K), m1), (Density.uniform(L), m2)])
+        pair = _polar_pair(config["body"], "body", self.dim)
+        self.blocks = _both_sides([(_uniform(pair, "body"), m1),
+                                   (_uniform(pair, "body", "polar"), m2)])
         super().parse(config)
 
 
@@ -1006,8 +1074,8 @@ class _LlnSpec(_PairingSpec):
         pairs = [_polar_pair(config["body"], "body", self.dim)] + [
             _polar_pair(lit, f"family[{i}]", self.dim) for i, lit in enumerate(family)
         ]
-        self.target, *self.family = [v1(K, centroid_body_support(L)) for K, L in pairs]
-        dK, dL = (Density.uniform(B) for B in pairs[0])
+        self.target, *self.family = [_pairing_target(pair) for pair in pairs]
+        dK, dL = (_uniform(pairs[0], "body", member) for member in ("body", "polar"))
         self.blocks = tuple(
             ((dK, _integer(m1, f"m1_list[{i}]", self.dim + 1)), (dL, _integer(m2, f"m2_list[{i}]")))
             for i, (m1, m2) in enumerate(zip(m1s, m2s))

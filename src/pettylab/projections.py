@@ -24,8 +24,8 @@ from .bodies import (
     hull,
     merge_parallel_generators,
     polar_of_zonotope,
+    full_rank,
     reduced_form,
-    spatial_full_rank,
     sphere_directions,
     unit_ball_volume,
     volume,
@@ -260,7 +260,7 @@ def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[list, np.nda
     crossing pairs, so that h_{Pi(A, B)}(u) = sum |<w, u>| / 4 and
     V(A, B, C) = sum h_C(w) / 6.
 
-    The mask is False where a centered cloud is one ``spatial_full_rank``
+    The mask is False where a centered cloud is one ``full_rank``
     cannot call, or where a sign test <x, e x f> falls within
     EDGE_PAIR_MARGIN |x| |e| |f| of zero: a face of one tetrahedron parallel
     to an edge of the other, parallel edges, or repeated points.  Callers
@@ -277,8 +277,8 @@ def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[list, np.nda
     w = np.cross(e[:, :, None], f[:, None, :])  # (T, 6, 6, 3)
     scale = EDGE_PAIR_MARGIN * ne[:, :, None] * nf[:, None, :]
     below = above = True
-    holds = (spatial_full_rank(P - P.mean(axis=1, keepdims=True))
-             & spatial_full_rank(Q - Q.mean(axis=1, keepdims=True)))
+    holds = (full_rank(P - P.mean(axis=1, keepdims=True))
+             & full_rank(Q - Q.mean(axis=1, keepdims=True)))
     for x in (xa[:, :, None], ya[:, :, None], xb[:, None, :], yb[:, None, :]):
         test = _dot3(x, w)
         below, above = below & (test < 0.0), above & (test > 0.0)

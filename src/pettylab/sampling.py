@@ -220,6 +220,7 @@ class Density:
             vols = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(self.dim)
             self._tri = tri
             self._tri_cdf = cumulative_weights(vols / vols.sum())
+            self._tri_cdf.setflags(write=False)
         return self._tri, self._tri_cdf
 
     def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:

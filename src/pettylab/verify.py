@@ -37,13 +37,12 @@ from .bodies import (
     cloud_widths,
     cube_body,
     hull,
+    full_rank,
     minkowski_sum,
-    planar_full_rank,
     planar_hull_areas,
     planar_hull_edges,
     planar_polar_measure,
     planar_polar_measures,
-    spatial_full_rank,
     spatial_polar_measure,
     spatial_polar_measures,
     polar,
@@ -431,8 +430,8 @@ def check_planar_kernels(seed: int = 0):
     pairings = cloud_widths(P, np.stack([-Z[..., 1], Z[..., 0]], axis=-1)).sum(axis=1)
     areas, areas_hold = planar_hull_areas(P)
     edges, edges_hold = planar_hull_edges(P)
-    full = planar_full_rank(P)
-    spans = planar_full_rank(np.concatenate([P, -P], axis=1))
+    full = full_rank(P - P.mean(axis=1, keepdims=True))
+    spans = full_rank(P)
     nu = RadialMeasure.gaussian(0.8)
     pairs = []
     masks_ok = True
@@ -498,13 +497,13 @@ def check_spatial_kernels(seed: int = 0):
 
     forms = [
         (tetrahedron_projection_generators(P),
-         spatial_full_rank(P - P.mean(axis=1, keepdims=True)),
+         full_rank(P - P.mean(axis=1, keepdims=True)),
          lambda t: hull(P[t]).affine_dim == 3,
          lambda t: projection_body(hull(P[t]), allow_degenerate=True).support_batch(U)),
-        (zonotope_projection_generators(A), spatial_full_rank(A),
+        (zonotope_projection_generators(A), full_rank(A),
          lambda t: spans(A[t]),
          lambda t: projection_body(vertex_form(A[t]), allow_degenerate=True).support_batch(U)),
-        (mixed_projection_generators(A, B), spatial_full_rank(A) & spatial_full_rank(B),
+        (mixed_projection_generators(A, B), full_rank(A) & full_rank(B),
          lambda t: spans(A[t]) and spans(B[t]),
          lambda t: mixed_projection_support([vertex_form(A[t]), vertex_form(B[t])]).support_batch(U)),
     ]

@@ -119,6 +119,15 @@ class TestHull:
             bodies.volume_of_points(pts)
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_a_huge_simplex_volume_raises_a_geometry_error(self, n):
+        # the determinant of n + 1 points overflows where their hull fails
+        pts = 1e160 * np.vstack([np.eye(n), -np.ones((1, n))])
+        with pytest.raises(GeometryError, match="overflows"):
+            bodies.volume_of_points(pts)
+        with pytest.raises(GeometryError, match="joggled"):
+            hull(pts)
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_an_empty_cloud_stays_legal(self, n):
         H = hull(np.zeros((0, n)))
         assert H.vertices.shape == (0, n) and H.affine_dim == 0
@@ -127,7 +136,7 @@ class TestHull:
 def _fast_path_clouds(n: int):
     """(kind, cloud) pairs: random, integer-lattice with duplicates, exactly
     flat, repeated-point, and random clouds thinned along one direction to
-    widths that straddle SPATIAL_RANK_RATIO."""
+    widths that straddle RANK_RATIO."""
     gen = np.random.default_rng(60 + n)
     for _ in range(40):
         k = int(gen.integers(1, 45))
@@ -180,6 +189,46 @@ class TestHullFastPath:
         assert sum(fired["random"]) > 30 and sum(fired["thin 1e-05"]) > 30
         for kind in ("flat", "thin 1e-09", "thin 1e-07"):
             assert not any(fired[kind])
+
+
+def _rank_stacks(n: int) -> list:
+    """The clouds of ``_fast_path_clouds``, centered and stacked by shape, as
+    (kinds, stack) pairs."""
+    groups = {}
+    for kind, P in _fast_path_clouds(n):
+        kinds, clouds = groups.setdefault(P.shape, ([], []))
+        kinds.append(kind)
+        clouds.append(P - P.mean(axis=0))
+    return [(kinds, np.stack(clouds)) for kinds, clouds in groups.values()]
+
+
+class TestFullRank:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_mask_certifies_full_rank(self, n):
+        fired = {}
+        for kinds, V in _rank_stacks(n):
+            mask = bodies.full_rank(V)
+            for kind, C, full in zip(kinds, V, mask):
+                if full:
+                    assert bodies.affine_dimension(C) == n
+                # a set's answer does not depend on the sets stacked with it
+                assert bodies.full_rank(C[None])[0] == full
+                if kind != "random" or len(C) > n:
+                    fired.setdefault(kind, []).append(bool(full))
+            # each set is scaled to entries of at most 1 before its test
+            for factor in (2.0 ** 300, 2.0 ** -300):
+                assert np.array_equal(bodies.full_rank(V * factor), mask)
+        assert all(fired["random"]) and sum(fired["thin 1e-05"]) > 30
+        for kind in ("flat", "thin 1e-09", "thin 1e-07"):
+            assert not any(fired[kind])
+
+    def test_a_zero_or_flat_generator_set_is_left_out(self):
+        gen = np.random.default_rng(67)
+        for n in (2, 3):
+            G = gen.normal(size=(5, n + 1, n))
+            G[1] = 0.0
+            G[2, :, -1] = 0.0
+            assert bodies.full_rank(G).tolist() == [True, False, False, True, True]
 
 
 def test_cross3_gives_the_bits_of_np_cross():

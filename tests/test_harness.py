@@ -1,4 +1,5 @@
 import ast
+import collections
 import json
 import math
 import pickle
@@ -544,7 +545,7 @@ class TestChunks:
 
     @pytest.mark.parametrize("odd", [False, True], ids=["sampled", "odd-clouds"])
     @pytest.mark.parametrize("name", sorted(ROUTED))
-    def test_chunks_match_the_hull_route(self, name, odd, monkeypatch):
+    def test_chunks_match_the_hull_route(self, name, odd, monkeypatch, cold_memo):
         kind, config = ROUTED[name]
         kinds = _odd_kinds(name, config["dim"])
         if odd:
@@ -810,29 +811,69 @@ class TestSpecs:
         with pytest.raises(AttributeError, match="frozen"):
             copy.trials = 1
 
-    def test_each_report_builds_its_bodies_once(self, monkeypatch):
-        calls = {"polar": 0, "density": 0}
-        polar, density = harness.polar_projection_polytope, harness._density
+    def test_a_process_builds_each_literal_once(self, monkeypatch, cold_memo):
+        calls = collections.Counter()
 
-        def counted_polar(K):
-            calls["polar"] += 1
-            return polar(K)
+        def count(owner, name, wrap=lambda f: f):
+            real = getattr(owner, name)
 
-        def counted_density(literal, key, dim):
-            calls["density"] += 1
-            return density(literal, key, dim)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrap(counted))
 
-        monkeypatch.setattr(harness, "polar_projection_polytope", counted_polar)
-        monkeypatch.setattr(harness, "_density", counted_density)
-        run_emp_petty_2(EMPPETTY2_SMALL)
-        assert calls["polar"] == 1
-        run_lln(dict(LLN_SMALL, m1_list=[4, 6], m2_list=[4, 6], family=[SQUARE, TRIANGLE]))
-        assert calls["polar"] == 1 + 3
-        run_theorem_1_2(THM12_SMALL, threads=1)
-        assert calls["density"] == 1
-        run_emp_mixed(dict(EMPMIXED_SMALL, dim=3, blocks=[_GAUSSIAN_BLOCK] * 2,
-                           c_sets=[{"kind": "simplex", "m": 3}] * 2, ball_slots=1), threads=1)
-        assert calls["density"] == 1 + 2
+        for name in ("body_from_literal", "polar_projection_polytope", "centroid_body_support"):
+            count(harness, name)
+        count(Density, "uniform", staticmethod)
+        polygon = {"type": "polygon", "vertices": [[0, 0], [2, 0], [0, 1], [1, 1]]}
+        reports = [
+            (run_emp_petty_2, EMPPETTY2_SMALL),
+            (run_lln, dict(LLN_SMALL, m1_list=[4, 6], m2_list=[4, 6], family=[SQUARE, TRIANGLE])),
+            (run_theorem_1_2, _body_block(**polygon)),
+            (run_emp_mixed, dict(EMPMIXED_SMALL, dim=3, blocks=[_GAUSSIAN_BLOCK] * 2,
+                                 c_sets=[{"kind": "simplex", "m": 3}] * 2, ball_slots=1)),
+            (run_corollary_1_3, COR13_SMALL),
+        ]
+        # bodies: the square, triangle, polygon, cube and simplex, each once;
+        # densities on the square and its polar, the polygon, cube and simplex
+        built = {"body_from_literal": 5, "polar_projection_polytope": 2,
+                 "centroid_body_support": 2, "uniform": 5}
+        cold = [report_to_json(run(config, threads=1)) for run, config in reports]
+        assert calls == built and bodies.ball_body.cache_info().misses == 1
+        warm = [report_to_json(run(config, threads=1)) for run, config in reports]
+        assert calls == built and bodies.ball_body.cache_info().misses == 1
+        assert warm == cold
+        # workers get the specs pickled, without the memo's lazy members
+        for (run, config), want in zip(reports[:3], cold):
+            assert report_to_json(run(config, threads=2)) == want
+
+    @pytest.mark.parametrize("run, config, message, kept", [
+        (run_emp_petty_2, dict(EMPPETTY2_SMALL, dim=3), "body lives in dimension 2", 0),
+        (run_emp_petty_2, dict(EMPPETTY2_SMALL, body={"type": "cube", "dim": 2, "size": 1}),
+         "unknown key body.size", 0),
+        (run_emp_petty_2, dict(EMPPETTY2_SMALL, body={"type": "polygon",
+                                                     "vertices": ((0, 0), (1, 0), (0, 1))}),
+         "body.vertices must be a non-empty list", 0),
+        (run_theorem_1_2, _body_block(type="cube", dim=17),
+         r"blocks\[0\].density.body: explicit cube vertices", 0),
+        # bodies that parse and are kept, but whose use fails
+        (run_emp_petty_2, dict(EMPPETTY2_SMALL, body={"type": "polygon",
+                                                     "vertices": [[0, 0], [1, 1], [2, 2]]}),
+         "body must be full-dimensional", 1),
+        (run_corollary_1_3, dict(COR13_SMALL, bodies=[_CUBE_3D, {"type": "zonotope",
+                                                                 "generators": [[1, 0, 0]]}]),
+         r"bodies\[1\]: uniform density needs a full-dimensional body", 2),
+    ], ids=["dim", "unknown-key", "tuples", "cube-17", "flat-polar", "flat-density"])
+    def test_a_bad_literal_raises_the_same_error_on_every_call(self, run, config, message, kept,
+                                                               cold_memo):
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ConfigError, match=message) as info:
+                run(config)
+            errors.append(str(info.value))
+        assert errors[1:] == errors[:-1]
+        # the memo keeps the bodies that parsed, never one that failed
+        assert harness._literal_record.cache_info().currsize == kept
 
 
 class TestTrialErrors:
@@ -845,7 +886,7 @@ class TestTrialErrors:
         (2, {"kind": "bp", "m": 3, "p": 2.0}),
         (3, {"kind": "simplex", "m": 4}),
     ], ids=["stacked", "per-trial", "stacked-3d"])
-    def test_a_failing_trial_names_its_key(self, dim, c_set, monkeypatch):
+    def test_a_failing_trial_names_its_key(self, dim, c_set, monkeypatch, cold_memo):
         real = Density.sample
         m = c_set["m"]
         target = real(Density.gaussian(dim), RngStream(5, (0, 7)).generator(), m)
@@ -861,7 +902,7 @@ class TestTrialErrors:
             run_theorem_1_2(config)
         assert info.value.key == (0, 7)
 
-    def test_a_collinear_trial_has_a_strip_for_its_polar(self, monkeypatch):
+    def test_a_collinear_trial_has_a_strip_for_its_polar(self, monkeypatch, cold_memo):
         real = Density.sample
         target = real(Density.gaussian(2), RngStream(5, (0, 7)).generator(), 3)
         line = np.outer([0.3, -1.1, 0.8], [1.5, -0.4])
@@ -1100,7 +1141,8 @@ class TestCli:
             with pytest.raises(ConfigError, match="key must be"):
                 harness.replay(kind, config, key)
 
-    def test_replay_reports_what_a_failing_trial_raises(self, tmp_path, capsys, monkeypatch):
+    def test_replay_reports_what_a_failing_trial_raises(self, tmp_path, capsys, monkeypatch,
+                                                        cold_memo):
         _patch_sample(monkeypatch, lambda self, gen, count: np.zeros((count, self.dim)))
         cfg = self._write(tmp_path, CHUNKED["thm12-3d-lebesgue"][1])
         assert cli.main(["replay", "thm12", "--config", cfg, "--key", "0,7"]) == 2
