@@ -40,7 +40,6 @@ from .mixed import (
     facets,
     mixed_area_measure,
     mixed_volume,
-    mixed_volume_fit_check,
     shadow_convexity_probe,
     surface_area,
     v1,

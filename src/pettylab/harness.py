@@ -75,8 +75,8 @@ cross products:
 * thm11 with two zonotope C-sets, and cor13 with A = X/m and B = Y/m:
   h_{Pi(Z_A, Z_B)}(u) = 2 sum_{i,j} |<a_i x b_j, u>|;
 * thm11 with two simplex C-sets with m = 4: h_{Pi(A, B)}(u) =
-  (1/4) sum |<e x f, u>| over the edges e of A and f of B whose normal
-  arcs cross, the atoms of the mixed area measure S(A, B).
+  (1/4) sum |<e x f, u>| over the edge pairs whose arcs cross, the atoms
+  of S(A, B) that ``mixed.edge_crossings`` finds on a tetrahedron's edges.
 
 Under a Gaussian or ball measure, zonotope projection bodies of at most
 POLAR_WALK_MAX_GENERATORS generators for that measure then take the arc

@@ -3,11 +3,11 @@
 Every mixed quantity reads one primitive, the mixed area measure
 S(K_1, ..., K_{n-1}) of ``mixed_area_measure`` as (unit normals, masses):
 zonotopes' from their generators, the surface-area measure S_K for n - 1
-copies of K, and in space S(A, B) = [S(A + B) - S(A) - S(B)] / 2
-(Schneider, Convex Bodies: The Brunn-Minkowski Theory, chapter 5).  Mixed
-volumes pair it with the last body's support, and the projection bodies of
-``projections`` are zonotopes over it.  The inclusion-exclusion oracle
-over subset sums lives in ``verify``.
+copies of K, and in space S(A, B; v) = V(F_A(v), F_B(v)) from the crossings
+of two bodies' edge arcs on the sphere (Schneider, Convex Bodies, section
+5.1).  Mixed volumes pair it with the last body's support, and the
+projection bodies of ``projections`` are zonotopes over it.  No Minkowski
+sum is taken here: the oracles that take them live in ``verify``.
 """
 
 from __future__ import annotations
@@ -16,28 +16,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bodies import (
     MERGE_GAP,
     GeometryError,
     VPolytope,
     Zonotope,
-    as_polytope,
     cross3,
     facet_planes,
     hull,
-    minkowski_sum,
-    point_sums,
     reduced_form,
     sort_rows,
-    volume_of_points,
 )
 
 FACET_MERGE_DECIMALS = 9
-# ``mixed_area_measure`` drops a merged mass within this share of the total
-# absolute mass of its pieces, and raises on a mass below minus that share.
-MIXED_MASS_TOL = 1e-12
+# ``edge_crossings`` ties a sign test <x, e x f> within this share of |x||e||f|.
+EDGE_PAIR_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,8 @@ def facets(P: VPolytope) -> FacetData:
         pieces = np.linalg.norm(e[:, 0], axis=1)
     else:
         pieces = 0.5 * np.linalg.norm(cross3(e[:, 0], e[:, 1]), axis=1)
-    areas = np.bincount(rank[group], weights=pieces)
+    label = R._cache["facet_of"] = rank[group]  # each simplex's merged facet
+    areas = np.bincount(label, weights=pieces)
     first.sort()
     data = FacetData(normals[first], areas, offsets[first])
     R._cache["facets"] = data
@@ -190,24 +185,84 @@ def mixed_projection_generators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return 2.0 * cross3(A[:, :, None], B[:, None, :]).reshape(len(A), -1, 3)
 
 
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def edge_table(K) -> tuple:
+    """(e, x, normals, face) of a body in space: its edges e, for each the
+    vectors x from the edge to the vertices whose sign tests bound its arc,
+    its facet normals, and face(i), facet i's vertices.  A solid has its
+    triangulation edges between two merged facets, with a vertex off the
+    edge from each; a polygon its cycle edges, with the centroid of its
+    vertices; a segment or a zonotope (edges 2g) no test.  x is perpendicular
+    to e, so a test <x, e x f> ties when |<n, f>| <= EDGE_PAIR_MARGIN |f|
+    at the facet normal n, alike for every edge of that facet."""
+    if isinstance(K, Zonotope):
+        return 2.0 * K.generators, np.zeros((len(K.generators), 0, 3)), np.zeros((0, 3)), None
+    R = reduced_form(K)
+    V, got = R.vertices, R._cache.get("edges")
+    if got is not None:
+        return got
+    if R.affine_dim == 3:
+        normals, S, label = facets(R).normals, facet_planes(R)[2].simplices, R._cache["facet_of"]
+        rows = np.concatenate([S, S[:, [1, 2, 0]], S[:, [2, 0, 1]]])  # (p, q, off)
+        order, _ = sort_rows(np.sort(rows[:, :2], axis=1))  # each edge twice, side by side
+        one, two = order[0::2], order[1::2]
+        true = label[one % len(S)] != label[two % len(S)]
+        (p, q, x), y = rows[one[true]].T, rows[two[true], 2]
+        got = (V[q] - V[p], V[np.column_stack([x, y])] - V[p, None], normals,
+               lambda i: V[np.unique(S[label == i])])
+    elif R.affine_dim == 2:
+        e = np.roll(V, -1, axis=0) - V
+        got = e, (V.mean(axis=0) - V)[:, None], _surface_measure(R)[0], lambda i: V
+    else:
+        got = V[1:] - V[:1], np.zeros((len(V) - 1, 0, 3)), np.zeros((0, 3)), None
+    e, x = got[:2]
+    got = (e, x - (_dot3(x, e[:, None]) / _dot3(e, e)[:, None])[..., None] * e[:, None]) + got[2:]
+    R._cache["edges"] = got
+    return got
+
+
+def edge_crossings(a: tuple, b: tuple) -> tuple:
+    """The crossings of two bodies' edge arcs on the sphere, stacked over
+    any leading axes: a = (e, x) holds the edges (..., k, 3) and test
+    vectors (..., k, r, 3) of A's ``edge_table``, b = (f, y) B's.  Edges e
+    and f put |w| / 2, w = e x f, at s w / |w| for each sign s with every
+    test vector strictly below along s w (Schneider, Convex Bodies, 5.1).
+    A test within EDGE_PAIR_MARGIN |x| |e| |f| of zero ties.  A pair that
+    ties on one body sits at a facet normal of it and counts half: over the
+    facet's edges the halves add up to V(F, f).  A pair that ties on both
+    counts nothing (the caller adds the two facets' mixed area).  Returns w,
+    the shares of |w| / 2 at +-w / |w| and the pairs with a tie; an entry
+    does not depend on those stacked with it."""
+    (e, x), (f, y) = a, b
+    w = cross3(e[..., :, None, :], f[..., None, :, :])
+    scale = EDGE_PAIR_MARGIN * np.sqrt(_dot3(e, e))[..., None] * np.sqrt(_dot3(f, f))[..., None, :]
+    (below, above), tied = np.ones((2,) + w.shape[:-1], bool), np.zeros((2,) + w.shape[:-1], bool)
+    for side, (X, at) in enumerate(((x, np.s_[..., :, None, :]), (y, np.s_[..., None, :, :]))):
+        for r in range(X.shape[-2]):
+            v = X[..., r, :][at]
+            test = _dot3(v, w)
+            near = np.abs(test) <= scale * np.sqrt(_dot3(v, v))
+            below &= (test < 0.0) | near
+            above &= (test > 0.0) | near
+            tied[side] |= near
+    share = 1.0 - 0.5 * tied.sum(axis=0)
+    return w, below * share, above * share, tied.any(axis=0)
+
+
 def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:
     """The mixed area measure S(K_1, ..., K_{n-1}) as (outward unit normals,
-    masses), in dimension 2 or 3.
-
-    Zonotopes, by multilinearity over their segments [-g, g], put mass |w|
-    on +-w/|w| for each generator w of their projection body: w = 2 g^perp
-    in the plane, and in space those of ``zonotope_projection_generators``
-    for copies of one and of ``mixed_projection_generators`` for two.
-    Normals may repeat, every mass is positive, and atoms with w = 0 are
-    dropped.
-
-    Otherwise n - 1 copies of one body give its surface-area measure.  Two
-    bodies in space (a zonotope in its vertex form) give
-    S(A, B) = [S(A + B) - S(A) - S(B)] / 2 with equal normals merged, never
-    antipodal ones: ``mixed_volume`` pairs the measure with a support that
-    need not be even.  The merged masses are nonnegative up to rounding;
-    those within MIXED_MASS_TOL of the pieces' total absolute mass are
-    dropped, and a clearly negative one raises.
+    masses), in dimension 2 or 3; normals may repeat.  Zonotopes, by
+    multilinearity over their segments [-g, g], put mass |w| on +-w/|w| for
+    each generator w of their projection body: w = 2 g^perp in the plane,
+    and in space those of ``zonotope_projection_generators`` for copies of
+    one and of ``mixed_projection_generators`` for two.  Otherwise n - 1
+    copies of one body give its surface-area measure, and two bodies in
+    space S(A, B; v) = V(F_A(v), F_B(v)): the crossings of their edge arcs,
+    and at each facet normal v they share within MERGE_GAP the planar mixed
+    area of the two facets.
     """
     n = _shared_dim(bodies, 1)
     if n not in (2, 3):
@@ -226,21 +281,19 @@ def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:
         return np.concatenate([normals, -normals]), np.concatenate([norms, norms])
     if all(B is bodies[0] for B in bodies):
         return _surface_measure(bodies[0])
-    A, B = (as_polytope(K) for K in bodies)
-    pieces = [_surface_measure(K) for K in (minkowski_sum(A, B), A, B)]
-    normals = np.vstack([v for v, _ in pieces])
-    signed = np.concatenate([c * m for c, (_, m) in zip((0.5, -0.5, -0.5), pieces)])
-    # each normal joins the first one within MERGE_GAP of it
-    close = cKDTree(normals).query_pairs(MERGE_GAP, output_type="ndarray")
-    rep = np.arange(len(normals))
-    np.minimum.at(rep, close[:, 1], close[:, 0])
-    first, group = np.unique(rep, return_inverse=True)
-    masses = np.bincount(group, weights=signed)
-    tol = MIXED_MASS_TOL * float(np.abs(signed).sum())
-    if np.any(masses < -tol):
-        raise GeometryError(f"mixed area measure has a negative mass {masses.min():.3g}")
-    keep = masses > tol
-    return normals[first[keep]], masses[keep]
+    (e, x, na, fa), (f, y, nb, fb) = (edge_table(K) for K in bodies)
+    w, plus, minus, _ = edge_crossings((e, x), (f, y))
+    hit = (norms := np.sqrt(_dot3(w, w))) > 0.0
+    units, half = w[hit] / norms[hit, None], 0.5 * norms[hit]
+    normals, masses = [units, -units], [half * plus[hit], half * minus[hit]]
+    for i, j in np.argwhere(np.linalg.norm(na[:, None] - nb[None], axis=2) < MERGE_GAP):
+        plane = np.linalg.svd(na[i, None])[2][1:].T  # an orthonormal basis of v^perp
+        P, Q = fa(i) @ plane, fb(j) @ plane  # faces in convex position: no hull needed
+        Q = Q[np.argsort(np.arctan2(*(Q - Q.mean(axis=0)).T[::-1]))]  # counterclockwise
+        normals.append(na[i, None])
+        masses.append([mixed_volume([VPolytope(Q, reduced=True), VPolytope(P)])])
+    normals, masses = np.concatenate(normals), np.concatenate(masses)
+    return normals[masses > 0.0], masses[masses > 0.0]
 
 
 def mixed_volume(bodies: list) -> float:
@@ -269,24 +322,3 @@ def shadow_convexity_probe(systems: list, t: float) -> float:
         )
         bodies.append(hull(pts))
     return mixed_volume(bodies)
-
-
-def mixed_volume_fit_check(K1: VPolytope, K2: VPolytope) -> float:
-    """Max relative defect of |a K1 + b K2| against its polynomial expansion,
-    over a and b in {1/4, 1/2, 1, 2}."""
-    n = K1.dim
-    worst = 0.0
-    coeffs = []
-    for j in range(n + 1):
-        args = [K1] * (n - j) + [K2] * j
-        coeffs.append(math.comb(n, j) * mixed_volume(args))
-    lams = (0.25, 0.5, 1.0, 2.0)
-    for a in lams:
-        for b in lams:
-            s = point_sums([reduced_form(K1).vertices * a, reduced_form(K2).vertices * b])
-            direct = volume_of_points(s)
-            predicted = sum(
-                c * (a ** (n - j)) * (b ** j) for j, c in enumerate(coeffs)
-            )
-            worst = max(worst, abs(direct - predicted) / max(abs(direct), 1e-300))
-    return worst

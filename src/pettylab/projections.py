@@ -30,7 +30,7 @@ from .bodies import (
     unit_ball_volume,
     volume,
 )
-from .mixed import centroid, clip_halfspace, mixed_area_measure, surface_area
+from .mixed import centroid, clip_halfspace, edge_crossings, mixed_area_measure, surface_area
 
 DEFAULT_NODES = {2: 4096, 3: 8192}
 PETTY_METHODS = ("auto", "exact", "quadrature")
@@ -236,56 +236,24 @@ def tetrahedron_projection_generators(P: np.ndarray) -> np.ndarray:
 # vertices off it.
 _TETRAHEDRON_EDGES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2],
                                [1, 2, 0, 3], [1, 3, 0, 2], [2, 3, 0, 1]])
-# A sign test <x, e x f> of ``tetrahedron_pair_normals`` holds only when it
-# clears this share of |x| |e| |f|; its rounding error is a few 1e-16 of that.
-EDGE_PAIR_MARGIN = 1e-9
-
-
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[list, np.ndarray]:
     """The mixed area measure S(A, B) of A = conv P[t] and B = conv Q[t] for
     stacked four-point clouds P and Q of shape (T, 4, 3), and the mask of
-    the trials where it holds.
-
-    S(A, B; v) = V(F_A(v), F_B(v)), the mixed area of the faces of A and B
-    with outward normal v (Schneider, Convex Bodies: The Brunn-Minkowski
-    Theory, section 5.1).  For tetrahedra in general position only edge
-    pairs carry mass: an edge e = p_j - p_i of A and an edge f of B put
-    |e x f| / 2 at v = w / |w|, w = +-(e x f), when v lies in the normal
-    cone of both, that is when the two other vertices of each tetrahedron
-    lie strictly below its edge along v.  Entry t lists the rows w of the
-    crossing pairs, so that h_{Pi(A, B)}(u) = sum |<w, u>| / 4 and
-    V(A, B, C) = sum h_C(w) / 6.
-
-    The mask is False where a centered cloud is one ``full_rank``
-    cannot call, or where a sign test <x, e x f> falls within
-    EDGE_PAIR_MARGIN |x| |e| |f| of zero: a face of one tetrahedron parallel
-    to an edge of the other, parallel edges, or repeated points.  Callers
-    take the hull route there.  Only elementwise products are used, so
-    entry t does not depend on the clouds stacked with it.
-    """
-    T = len(P)
-    i, j, k, l = _TETRAHEDRON_EDGES.T
-    sides = []
-    for C in (P, Q):
-        e, x, y = (C[:, b] - C[:, i] for b in (j, k, l))
-        sides.append((e, x, y, np.sqrt(_dot3(e, e))))
-    (e, xa, ya, ne), (f, xb, yb, nf) = sides
-    w = np.cross(e[:, :, None], f[:, None, :])  # (T, 6, 6, 3)
-    scale = EDGE_PAIR_MARGIN * ne[:, :, None] * nf[:, None, :]
-    below = above = True
+    the trials where it holds: ``edge_crossings`` on the fixed edge table
+    _TETRAHEDRON_EDGES.  Entry t lists the rows w of the crossing pairs,
+    signed to their atoms' normals, so h_{Pi(A, B)}(u) = sum |<w, u>| / 4 and
+    V(A, B, C) = sum h_C(w) / 6.  The mask is False where ``full_rank``
+    cannot call a centered cloud or a pair ties (a face parallel to an edge,
+    parallel edges, repeated points); callers take the hull route there."""
+    i, j, off = _TETRAHEDRON_EDGES[:, 0], _TETRAHEDRON_EDGES[:, 1], _TETRAHEDRON_EDGES[:, 2:]
+    w, plus, minus, tied = edge_crossings(*((C[:, j] - C[:, i], C[:, off] - C[:, i, None])
+                                            for C in (P, Q)))
     holds = (full_rank(P - P.mean(axis=1, keepdims=True))
-             & full_rank(Q - Q.mean(axis=1, keepdims=True)))
-    for x in (xa[:, :, None], ya[:, :, None], xb[:, None, :], yb[:, None, :]):
-        test = _dot3(x, w)
-        below, above = below & (test < 0.0), above & (test > 0.0)
-        holds &= (np.abs(test) > scale * np.sqrt(_dot3(x, x))).reshape(T, -1).all(axis=1)
-    w[above] *= -1.0
-    crossing = below | above
-    return [w[t][crossing[t]] for t in range(T)], holds
+             & full_rank(Q - Q.mean(axis=1, keepdims=True)) & ~tied.reshape(len(P), -1).any(axis=1))
+    w[minus > 0.0] *= -1.0
+    return [w[t][(plus[t] > 0.0) | (minus[t] > 0.0)] for t in range(len(P))], holds
 
 
 def mixed_projection_support(bodies: list) -> Zonotope:

@@ -3,12 +3,17 @@
 Every check recomputes its expected value with an independent method
 (gift wrapping, brute-force support maxima, determinant simplex volumes,
 midpoint cubature) and compares against the kernel routines.  The mixed
-quantities, which the kernel reads off the surface-area measure, have two
+quantities, which the kernel reads off the mixed area measure, have two
 slow exact oracles built from plain hull volumes only:
 ``mixed_volume_inclusion_exclusion`` (subset Minkowski sums) and
-``mixed_projection_polarization`` (three hull volumes per direction).  The
+``mixed_projection_polarization`` (three hull volumes per direction).  Both
+face the edge crossings of ``mixed.edge_crossings`` on random bodies of
+every kind and on bodies whose faces meet in a segment or a polygon
+(``coincidence_test_pairs``), where its tie rule holds; mixed volumes also
+face the polynomial fit of |a K1 + b K2| (``mixed_volume_fit_check``).  The
 stacked trial kernels, planar and spatial, are checked against the hull
-route, and the edge-pair kernels of two tetrahedra against both oracles.
+route, and the edge-pair kernels of two tetrahedra, and the hull route of
+the pairs they mask out, against both oracles.
 The closed-form polar volume of a zonotope, which the exact Petty product
 uses, is checked against the hull volume of the polar polytope, the exact
 planar polar measures of the experiments against the polar hull and the
@@ -43,14 +48,17 @@ from .bodies import (
     planar_hull_edges,
     planar_polar_measure,
     planar_polar_measures,
+    point_sums,
     spatial_polar_measure,
     spatial_polar_measures,
     polar,
     polar_of_zonotope,
     reduced_form,
+    scale,
     solid_simplex,
     sphere_directions,
     support,
+    translate,
     vertex_set_distance,
     volume,
     volume_of_points,
@@ -63,7 +71,6 @@ from .harness import POLAR_GRID_NODES, POLAR_GRID_TOL
 from .mixed import (
     mixed_projection_generators,
     mixed_volume,
-    mixed_volume_fit_check,
     v1,
     zonotope_projection_generators,
 )
@@ -208,18 +215,38 @@ def mixed_volume_inclusion_exclusion(bodies: list) -> float:
     return total / math.factorial(n)
 
 
+def mixed_volume_fit_check(K1: VPolytope, K2: VPolytope) -> float:
+    """Max relative defect of |a K1 + b K2| against its polynomial expansion,
+    over a and b in {1/4, 1/2, 1, 2}."""
+    n = K1.dim
+    worst = 0.0
+    coeffs = []
+    for j in range(n + 1):
+        args = [K1] * (n - j) + [K2] * j
+        coeffs.append(math.comb(n, j) * mixed_volume(args))
+    lams = (0.25, 0.5, 1.0, 2.0)
+    for a in lams:
+        for b in lams:
+            s = point_sums([reduced_form(K1).vertices * a, reduced_form(K2).vertices * b])
+            direct = volume_of_points(s)
+            predicted = sum(
+                c * (a ** (n - j)) * (b ** j) for j, c in enumerate(coeffs)
+            )
+            worst = max(worst, abs(direct - predicted) / max(abs(direct), 1e-300))
+    return worst
+
+
 def mixed_projection_polarization(A, B, U) -> np.ndarray:
     """h_{Pi(A, B)} in space on the rows of U by polarization of
     |K + [0, u]| = |K| + h_{Pi K}(u) over K = A + B, A, B: three hull
     volumes per direction."""
     va, vb = as_polytope(A).vertices, as_polytope(B).vertices
     vab = (va[:, None, :] + vb[None, :, :]).reshape(-1, 3)
+    base = [volume_of_points(v) for v in (vab, va, vb)]
     out = []
     for u in np.atleast_2d(np.asarray(U, dtype=float)):
-        s_ab, s_a, s_b = (
-            volume_of_points(np.vstack([v, v + u])) - volume_of_points(v)
-            for v in (vab, va, vb)
-        )
+        s_ab, s_a, s_b = (volume_of_points(np.vstack([v, v + u])) - b
+                          for v, b in zip((vab, va, vb), base))
         out.append((s_ab - s_a - s_b) / 2.0)
     return np.array(out)
 
@@ -325,31 +352,79 @@ def _random_body(gen: np.random.Generator, n: int, kind: str):
     return hull(gen.normal(size=(points, n)))
 
 
+def coincidence_test_pairs(gen: np.random.Generator):
+    """Pairs of spatial bodies (A, B), one at a time, with faces that meet
+    in a segment or a polygon at some normal, where S(A, B) takes the tie
+    rule of ``mixed.edge_crossings``.  The first three are the cube and the
+    solid simplex, a random hull K and a translate, and two triangles in
+    one plane.  Then come the cube beside a shifted half cube and beside
+    itself turned 45 degrees, a triangle and a pentagon in one plane, a
+    triangle and a segment in a facet plane of the cube, a segment parallel
+    to its edges, K beside -K and 2K, the cube beside the zonotope of the
+    identity and beside that turned, and a triangle beside a zonotope with
+    two generators in its plane."""
+    cube = cube_body(3)
+    K = hull(gen.normal(size=(8, 3)))
+    plane, shift = np.linalg.qr(gen.normal(size=(3, 3)))[0][:2], gen.normal(size=3)
+    c = math.sqrt(0.5)
+    turn = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
+    angles = 2.0 * math.pi * np.arange(5) / 5
+
+    def flat(points):
+        return hull(points @ plane + shift)
+
+    def on_facet(k):
+        return hull(np.column_stack([gen.uniform(-1.5, 1.5, size=(k, 2)), np.ones(k)]))
+
+    yield cube, solid_simplex(3)
+    yield K, translate(K, gen.normal(size=3))
+    yield flat(gen.normal(size=(3, 2))), flat(gen.normal(size=(3, 2)))
+    yield cube, translate(cube_body(3, 0.5), [0.5, 0.2, -0.5])
+    yield cube, hull(cube.vertices @ turn.T)
+    yield flat(gen.normal(size=(3, 2))), flat(np.column_stack([np.cos(angles), np.sin(angles)]))
+    yield on_facet(3), cube
+    yield on_facet(2), cube
+    yield hull(np.array([[2.0, 0.3, -0.4], [2.0, 0.3, 0.9]])), cube
+    yield K, hull(-K.vertices)
+    yield K, scale(K, 2.0)
+    yield cube, Zonotope(np.eye(3))
+    yield cube, Zonotope(turn)
+    G = np.vstack([gen.normal(size=(2, 2)) @ plane, gen.normal(size=(1, 3))])
+    yield flat(gen.normal(size=(3, 2))), Zonotope(G)
+
+
 def check_mixed_volume_oracle(seed: int = 0):
+    """Mixed volumes against inclusion-exclusion on random bodies of every
+    kind, and on the first three ``coincidence_test_pairs`` with a random
+    third body."""
     gen = np.random.default_rng(seed)
-    worst = 0.0
-    for kinds in (
+    cases = [[_random_body(gen, len(kinds), k) for k in kinds] for kinds in (
         ("solid", "solid"), ("segment", "solid"), ("segment", "segment"),
         ("solid", "zonotope"), ("solid", "solid", "solid"),
         ("triangle", "solid", "solid"), ("triangle", "segment", "zonotope"),
         ("segment", "segment", "segment"),
-    ):
-        bodies = [_random_body(gen, len(kinds), k) for k in kinds]
+    )]
+    cases += [[A, B, _random_body(gen, 3, "solid")]
+              for A, B in itertools.islice(coincidence_test_pairs(gen), 3)]
+    worst = 0.0
+    for bodies in cases:
         want = mixed_volume_inclusion_exclusion(bodies)
         worst = max(worst, abs(mixed_volume(bodies) - want) / abs(want))
     return worst <= 1e-9, f"max relative defect {worst:.2e}"
 
 
 def check_mixed_projection_oracle(seed: int = 0):
+    """Mixed projection supports against three-hull polarization on random
+    bodies of every kind, and on the first three ``coincidence_test_pairs``."""
     gen = np.random.default_rng(seed)
     U = gen.normal(size=(4, 3))
-    worst = 0.0
-    for kinds in (
+    pairs = [tuple(_random_body(gen, 3, k) for k in kinds) for kinds in (
         ("solid", "solid"), ("triangle", "solid"), ("triangle", "triangle"),
         ("segment", "solid"), ("segment", "segment"), ("zonotope", "solid"),
         ("zonotope", "zonotope"),
-    ):
-        A, B = (_random_body(gen, 3, k) for k in kinds)
+    )]
+    worst = 0.0
+    for A, B in pairs + list(itertools.islice(coincidence_test_pairs(gen), 3)):
         want = mixed_projection_polarization(A, B, U)
         got = mixed_projection_support([A, B]).support_batch(U)
         worst = max(worst, float(np.max(np.abs(got - want) / want)))
@@ -547,7 +622,9 @@ def check_tetrahedron_pair_kernels(seed: int = 0):
     random and near-degenerate pairs (``tetrahedron_test_pairs``): the
     support of Pi(A, B) against three-hull polarization, and V(A, B, C)
     for a coarse ball C against inclusion-exclusion.  The mask must send
-    exactly the degenerate pairs to the hull route."""
+    exactly the degenerate pairs to the hull route, and there the hull
+    route's ``mixed_projection_support`` and ``mixed_volume``, which take
+    the tie rule, face the same oracles."""
     gen = np.random.default_rng(seed)
     P, Q = tetrahedron_test_pairs(gen, 6)
     U = gen.normal(size=(2, 3))
@@ -557,14 +634,15 @@ def check_tetrahedron_pair_kernels(seed: int = 0):
     masks_ok = True
     for t, W in enumerate(normals):
         masks_ok &= bool(holds[t]) == (t % 6 in (0, 2, 4))
-        if not holds[t]:
-            continue
         A, B = hull(P[t]), hull(Q[t])
+        if holds[t]:
+            Pi, V = Zonotope(0.25 * W), float(C.support_batch(W).sum()) / 6.0
+        else:
+            Pi, V = mixed_projection_support([A, B]), mixed_volume([A, B, C])
         want = mixed_projection_polarization(A, B, U)
-        got = Zonotope(0.25 * W).support_batch(U)
-        worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        worst = max(worst, float(np.max(np.abs(Pi.support_batch(U) - want) / want)))
         want = mixed_volume_inclusion_exclusion([A, B, C])
-        worst = max(worst, abs(float(C.support_batch(W).sum()) / 6.0 - want) / want)
+        worst = max(worst, abs(V - want) / want)
     return worst <= 1e-9 and masks_ok, f"max relative defect {worst:.2e}, masks ok: {masks_ok}"
 
 

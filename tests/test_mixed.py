@@ -17,19 +17,18 @@ from pettylab import (
     volume,
     zonotope_to_vpolytope,
 )
-from pettylab import mixed
+from pettylab import bodies, mixed
 from pettylab.bodies import facet_planes, reduced_form
 from pettylab.mixed import (
     centroid,
     clip_halfspace,
     facets,
     mixed_volume,
-    mixed_volume_fit_check,
     surface_area,
     v1,
 )
 from pettylab.projections import mixed_volume_with_segment, projection_body
-from pettylab.verify import mixed_volume_inclusion_exclusion, shadow_oracle
+from pettylab.verify import mixed_volume_fit_check, mixed_volume_inclusion_exclusion, shadow_oracle
 
 
 def box(sides, corner=None):
@@ -264,7 +263,7 @@ class TestV1:
         def refused(Z):
             raise AssertionError("vertex form built")
 
-        monkeypatch.setattr(mixed, "as_polytope", refused)
+        monkeypatch.setattr(bodies, "zonotope_to_vpolytope", refused)
         gen = np.random.default_rng(72)
         for n in (2, 3):
             Z = Zonotope(gen.normal(size=(6, n)))
