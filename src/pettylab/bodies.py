@@ -30,9 +30,10 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # large node set reuses one small buffer instead of faulting in megabytes of
 # fresh pages whenever a body has more facets or generators than the last.
 ABS_BLOCK_ENTRIES = 1 << 15
-# Arcs per block of great circles in ``zonotope_polar_volume``: the 3-D
-# ball's projection body, some 320 generators and 1e5 half-circle arcs,
-# then peaks at about 8 MiB under tracemalloc instead of about 40.
+# Arcs, or rule nodes, per block of great circles in the walk of
+# ``spatial_polar_measures``, which every spatial polar measure runs: the
+# 3-D ball's projection body, some 320 generators and 1e5 half-circle arcs,
+# then peaks at about 7 MiB under tracemalloc instead of about 44.
 POLAR_BLOCK_ARCS = 1 << 13
 # Unit generators closer than this span one line in
 # ``merge_parallel_generators``.
@@ -306,7 +307,10 @@ def affine_dimension(points: np.ndarray) -> int:
     if scale == 0.0:
         return 0
     sv = np.linalg.svd(centered / scale, compute_uv=False)
-    return int(np.sum(sv > COPLANAR_TOL * max(1.0, sv[0])))
+    # the centring rounds by about eps max|p|, which far from the origin
+    # alone exceeds COPLANAR_TOL of the cloud's spread
+    tol = max(COPLANAR_TOL, 16.0 * np.finfo(float).eps * np.abs(pts).max() / scale)
+    return min(int(np.sum(sv > tol * max(1.0, sv[0]))), len(pts) - 1)
 
 
 @dataclass(frozen=True)
@@ -670,22 +674,27 @@ def zonotope_polar_volume(Z: Zonotope) -> float:
     walk of ``spatial_polar_measures``, a signed cone sum over the arcs of
     the normal fan.
     """
-    return _merged_polar_volume(merge_parallel_generators(Z).generators)
+    return _merged_polar_measure(merge_parallel_generators(Z).generators)
 
 
-def _merged_polar_volume(gens: np.ndarray) -> float:
-    """``zonotope_polar_volume`` from generators already merged, as every
-    projection body's are."""
+def _merged_polar_measure(gens: np.ndarray, measure=None) -> float:
+    """nu(Z°), Lebesgue measure by default, from generators already merged,
+    as every projection body's are; a Z that does not span its space raises
+    GeometryError."""
     m, n = gens.shape
-    if n not in (2, 3):
-        raise GeometryError("polar supports dimension 2 or 3")
     if n == 2:
         # merged generators are exactly parallel only when there is one
-        values, flat = planar_polar_measures(gens[None])
-        if flat[0]:
+        values, flat = planar_polar_measures(gens[None], measure)
+        read = ~flat
+    elif n == 3:
+        if m < 3 or np.linalg.matrix_rank(gens) < 3:
             raise GeometryError("polar requires a full-dimensional zonotope")
-        return float(values[0])
-    return _merged_spatial_measure(gens, None)
+        values, read = spatial_polar_measures(gens[None], measure)
+    else:
+        raise GeometryError("polar supports dimension 2 or 3")
+    if not read[0]:
+        raise GeometryError("polar requires a full-dimensional zonotope")
+    return float(values[0])
 
 
 # Gauss-Legendre order of the rule on each piece of an edge in
@@ -752,11 +761,11 @@ def _rule_nodes(measure) -> int:
 
 def spatial_polar_entries(k: int, measure=None) -> int:
     """Entries of the largest temporary ``spatial_polar_measures`` builds per
-    zonotope of k generators: the rule nodes of the two facets of each arc
-    on its k half circles of k - 1 arcs, the running sums of those half
-    circles, 2(k - 1) terms of three coordinates each, or the supports at
-    the k(k - 1)/2 crossings, k pairings of three coordinates each."""
-    return max(k * (k - 1) * 2 * _rule_nodes(measure), 6 * k * (k - 1), 3 * k * k * (k - 1) // 2)
+    zonotope of k generators whose circles fit one block: the rule nodes of
+    the two facets of each arc on its k half circles of k - 1 arcs, or the
+    running sums of those half circles, 2(k - 1) terms of three coordinates
+    each."""
+    return k * (k - 1) * max(2 * _rule_nodes(measure), 6)
 
 
 def spatial_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.ndarray]:
@@ -797,24 +806,28 @@ def spatial_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.
 
     Z° is origin-symmetric, and the arc from -a to -b carries what the arc
     from a to b does, so each circle is walked half way and the sum
-    doubled.  Of each pair +-(g_i x g_j) / h a circle keeps the point p = s_j
-    (g_i x g_j) / h, s_j = +-1, whose angle from the circle's first live
-    point e lies in [0, pi), by the sign of <p, g_i x e>; it sorts those k -
-    1 points and closes the half with the arc from the last to -a[0].  Going
-    counterclockwise around g_i, <g_j, .> turns negative at g_i x g_j, so
-    g_j has the sign s_j on the arc ending at a[0] and flips at its point:
-    c starts at sum s_j g_j and is a running sum along the half with no
-    sign test.  A zero generator's points sort last onto the half's end
-    -a[0], so its arcs have length zero, and an edge shorter than
-    WALK_EDGE_TOL, or whose line passes that close to the origin (a
-    zero-length arc of coplanar generators), adds nothing.  The mask is
-    False where two nonzero generators are exactly parallel (merge them
-    first), h_Z vanishes at a crossing (Z is flat) or no generators cross,
-    and the values there are NaN; callers also keep out zonotopes that do
-    not span space.  Only elementwise steps, sorts, running sums and sums
-    along axes whose length does not depend on the stack are used, so a
-    row's value does not depend on the rows stacked with it.  Costs
-    ``spatial_polar_entries(k, measure)`` entries per zonotope.
+    doubled.  Of each pair of crossings +-(g_i x g_j) a circle keeps p =
+    s_j (g_i x g_j), s_j = +-1, whose angle from the circle's first live
+    crossing e lies in [0, pi), by the sign of <p, g_i x e>; it sorts those
+    k - 1 points and closes the half with the arc from the last to -a[0].
+    Going counterclockwise around g_i, <g_j, .> turns negative at g_i x g_j,
+    so g_j has the sign s_j on the arc ending at p and flips there: c starts
+    at sum s_j g_j and is a running sum along the half with no sign test.
+    Since <g_i, p> = <g_j, p> = 0, h_Z(p) = <c, p> for the c of either arc
+    at p, and the polar vertex is a = p / <c, p>.  A zero generator's points
+    sort last onto the half's end -a[0], so its arcs have length zero, and
+    an edge shorter than WALK_EDGE_TOL, or whose line passes that close to
+    the origin (a zero-length arc of coplanar generators), adds nothing.
+    The mask is False where two nonzero generators are exactly parallel
+    (merge them first), h_Z <= 0 at a crossing (Z is flat) or no generators
+    cross, and the values there are NaN; callers also keep out zonotopes
+    that do not span space.  The circles run in blocks of about
+    POLAR_BLOCK_ARCS arcs or rule nodes, a count fixed by k and the measure,
+    so a zonotope of many generators takes O(k^2) memory.  Only elementwise
+    steps, sorts, running sums and sums along axes whose length does not
+    depend on the stack are used, so a row's value does not depend on the
+    rows stacked with it.  Costs ``spatial_polar_entries(k, measure)``
+    entries per zonotope whose circles fit one block.
     """
     return _stacked_walk(G, measure, _WALK_RULE)
 
@@ -829,28 +842,29 @@ def _stacked_walk(G: np.ndarray, measure, rule: tuple) -> tuple[np.ndarray, np.n
         return values, ok
     G = G.transpose(2, 0, 1).copy()  # (3, T, k)
     i, j = np.triu_indices(k, k=1)
-    X, h = _crossings(G, i, j)
-    # a positive support at every crossing reads; else a zero crossing must
-    # involve a zero generator, and some crossing must have a support
-    read = (h > 0.0).all(axis=1)
+    X = _vcross(G[:, :, i], G[:, :, j])
+    # some generators must cross, and no nonzero ones may be parallel
+    live, nonzero = X.any(axis=0), G.any(axis=0)
+    read = live.any(axis=1) & ~(~live & nonzero[:, i] & nonzero[:, j]).any(axis=1)
     if not read.all():
-        live, nonzero = X.any(axis=0), G.any(axis=0)
-        read = (live & (h > 0.0)).any(axis=1) & ~(
-            (live & (h == 0.0)) | (~live & nonzero[:, i] & nonzero[:, j])).any(axis=1)
         # walk the unit cube in the place of the sets the walk cannot read
         G[:, ~read] = np.eye(3, k)[:, None, :]
-        X, h = _crossings(G, i, j)
-        h[h == 0.0] = 1.0
-    got = _walk(G, X / h, _circle_index(k, range(k)), measure, rule)
-    values[read], ok[:] = got[read], read
+        X = _vcross(G[:, :, i], G[:, :, j])
+    # the circles in blocks, their parts summed; Z° is origin-symmetric, so
+    # the arc from -a to -b carries what a to b does
+    step = max(1, POLAR_BLOCK_ARCS // ((k - 1) * max(1, _rule_nodes(measure))))
+    total = np.zeros(len(read))
+    for s in range(0, k, step):
+        a, b, ab, w, q, flat = _circle_arcs(G, X, _circle_index(k, range(s, min(s + step, k))))
+        shape = (w.shape[1], w.shape[2] * w.shape[3])
+        if measure is None or measure.variant == "lebesgue":
+            total += w.sum(axis=0).reshape(shape).sum(axis=1) / 3.0
+        else:
+            S = _edge_integrals(_edge_lines(a, b, ab), q, measure, rule)
+            total += 2.0 * (w * S).sum(axis=0).reshape(shape).sum(axis=1)
+        read &= ~flat
+    values[read], ok[:] = total[read], read
     return values, ok
-
-
-def _crossings(G: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple:
-    """(X, h) for the pairs (i, j) of the generators G, shape (3, T, k): X =
-    g_i x g_j and h = h_Z(X) = sum_l |<g_l, X>|."""
-    X = _vcross(G[:, :, i], G[:, :, j])
-    return X, np.abs(_vdot(X[..., None], G[:, :, None])).sum(axis=-1)
 
 
 def spatial_polar_measure(Z: Zonotope, measure=None) -> float:
@@ -858,90 +872,71 @@ def spatial_polar_measure(Z: Zonotope, measure=None) -> float:
     merged first; a Z that does not span space raises GeometryError."""
     if Z.dim != 3:
         raise GeometryError(f"spatial polar measure needs dimension 3, got {Z.dim}")
-    return _merged_spatial_measure(merge_parallel_generators(Z).generators, measure)
+    return _merged_polar_measure(merge_parallel_generators(Z).generators, measure)
 
 
-def _merged_spatial_measure(gens: np.ndarray, measure) -> float:
-    """nu(Z°) from merged spatial generators: h_Z at the m(m - 1)/2 crossings
-    in one blocked product, then the circles in blocks of about
-    POLAR_BLOCK_ARCS arcs or rule nodes, so the memory is O(m^2)."""
-    m = len(gens)
-    if m < 3 or np.linalg.matrix_rank(gens) < 3:
-        raise GeometryError("polar requires a full-dimensional zonotope")
-    i, j = np.triu_indices(m, k=1)
-    cross = cross3(gens[i], gens[j])
-    Q = np.ascontiguousarray((cross / _abs_pairing(cross, gens)[:, None]).T[:, None])
-    G = np.ascontiguousarray(gens.T[:, None])
-    step = max(1, POLAR_BLOCK_ARCS // ((m - 1) * max(1, _rule_nodes(measure))))
-    total = 0.0
-    for s in range(0, m, step):
-        index = _circle_index(m, range(s, min(s + step, m)))
-        total += float(_walk(G, Q, index, measure, _WALK_RULE)[0])
-    return total
-
-
-def _walk(G: np.ndarray, Q: np.ndarray, index: tuple, measure, rule: tuple) -> np.ndarray:
-    """The part of nu(Z°) that the circles g_i^perp of the ``_circle_index``
-    ``index`` carry for the stacked zonotopes with generators G[:, t], shape
-    (3, T, k), and polar vertices Q[:, t], shape (3, T, k(k - 1)/2): (g_i x
-    g_j) / h_Z(g_i x g_j) over the pairs i < j in triu order, zero where g_i
-    x g_j is; shape (T,).  See ``spatial_polar_measures``."""
-    a, b, ab, w, q = _circle_arcs(G, Q, index)
-    shape = (w.shape[1], w.shape[2] * w.shape[3])
-    # Z° is origin-symmetric: the arc from -a to -b carries what a to b does
-    if measure is None or measure.variant == "lebesgue":
-        return w.sum(axis=0).reshape(shape).sum(axis=1) / 3.0
-    S = _edge_integrals(_edge_lines(a, b, ab), q, measure, rule)
-    return 2.0 * (w * S).sum(axis=0).reshape(shape).sum(axis=1)
-
-
-def _circle_arcs(G: np.ndarray, Q: np.ndarray, index: tuple) -> tuple:
-    """The arcs of the half circles g_i^perp of ``index``: (a, b, a x b, w,
-    q), with a the polar vertices at angles in [0, pi) from the circle's
-    first live point e, one of each pair +-(g_i x g_j) / h, sorted
-    counterclockwise around g_i, shape (3, T, circles, k - 1), b the next of
-    each and -a[0] after the last, and for the two facets v+- = c +- g_i of
-    the arc from a to b, stacked on a leading axis, the weights w = +-<a x
-    b, F+->, F = v / |v|^2, and q = |v+-|^2 = 1 / d^2."""
+def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
+    """The arcs of the half circles g_i^perp of the ``_circle_index``
+    ``index`` of the stacked zonotopes with generators G[:, t], shape (3, T,
+    k), and crossings X[:, t] = g_i x g_j over the pairs i < j in triu
+    order: (a, b, a x b, w, q, flat), with a the polar vertices p / h_Z(p)
+    of the crossings p = s_j (g_i x g_j) at angles in [0, pi) from the
+    circle's first live crossing e, sorted counterclockwise around g_i,
+    shape (3, T, circles, k - 1), b the next of each and -a[0] after the
+    last, for the two facets v+- = c +- g_i of the arc from a to b, stacked
+    on a leading axis, the weights w = +-<a x b, F+->, F = v / |v|^2, and q
+    = |v+-|^2 = 1 / d^2, and flat the mask of the zonotopes with h_Z(p) <=
+    0 at a live crossing, shape (T,).  See ``spatial_polar_measures``."""
     _, T, k = G.shape
     m = k - 1
     circles, who, pairs, signs, rr = index
     tt = np.arange(T)[:, None, None]
-    ring = Q[:, :, pairs] * signs
+    ring = X[:, :, pairs] * signs
     g = G[:, :, circles, None]
     # angles around g from the circle's first nonzero point e: atan2 of
-    # <p, g x e> and <p, e> is monotone in the angle with no normalizing;
-    # of +-p the one at an angle in [0, pi) stays, s p with s = +-1
+    # <p, g x e> / |g| and <p, e>, whatever the lengths of p, e and g; of
+    # +-p the one at an angle in [0, pi) stays, s p with s = +-1
     live = ring.any(axis=0)
     everywhere = live.all()
     e = ring[..., :1] if everywhere else ring[:, tt[..., 0], rr.T, live.argmax(axis=-1)][..., None]
-    y, x = _vdot(ring, _vcross(g, e)), _vdot(ring, e)
+    gg = _vdot(g, g)
+    y, x = _vdot(ring, _vcross(g, e) / np.sqrt(np.where(gg > 0.0, gg, 1.0))), _vdot(ring, e)
     s = np.where((y < 0.0) | ((y == 0.0) & (x < 0.0)), -1.0, 1.0)
     key = np.arctan2(s * y, s * x)
     if not everywhere:
         key[~live] = np.inf
     order = np.argsort(key, axis=-1, kind="stable")
     s_sorted = s[tt, rr, order]
-    a = ring[:, tt, rr, order] * s_sorted
-    if not everywhere:
-        # a zero generator's points sort last onto the half's end, -a[0]
-        a = np.where(live[tt, rr, order], a, -a[..., :1])
-    b = np.concatenate([a[..., 1:], -a[..., :1]], axis=-1)
+    p = ring[:, tt, rr, order] * s_sorted
     # <g_j, .> turns negative at g x g_j going counterclockwise, so g_j has
     # the sign s_j on the arc ending at a[0] and flips at its point: c
     # starts at sum s_j g_j, and one cumulative sum runs over both
     terms = np.concatenate([s * G[:, :, who], -2.0 * s_sorted * G[:, tt, who[rr, order]]], axis=-1)
     c = np.cumsum(terms, axis=-1)[..., m:]
+    # h_Z(p) = <c, p> on the arc from p, 0 at a zero generator's points
+    h = _vdot(c, p)
+    low = h <= 0.0
+    flat = (low & live[tt, rr, order]).any(axis=(1, 2)) if low.any() else np.zeros(T, dtype=bool)
+    h[low] = 1.0
+    a = p / h
+    if not everywhere:
+        # a zero generator's points sort last onto the half's end, -a[0]
+        a = np.where(live[tt, rr, order], a, -a[..., :1])
+    if flat.any():
+        # a flat zonotope's value is dropped: one point for all its a puts
+        # each arc at length zero or through the origin, so no edge is kept
+        a[:, flat] = 1.0
+    b = np.concatenate([a[..., 1:], -a[..., :1]], axis=-1)
     ab = _vcross(a, b)
     v = np.empty((3, 2) + c.shape[1:])
     np.add(c, g, out=v[:, 0])
     np.subtract(g, c, out=v[:, 1])
     q = _vdot(v, v)
-    if not everywhere:
+    if not everywhere or flat.any():
         # on a zero generator's circle, all of whose arcs have length zero,
-        # c may be 0
+        # c may be 0, and on a flat zonotope's circles c +- g_i may be
         q[q == 0.0] = 1.0
-    return a, b, ab, _vdot(ab[:, None], v) / q, q
+    return a, b, ab, _vdot(ab[:, None], v) / q, q, flat
 
 
 def _edge_lines(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> tuple:
@@ -985,7 +980,9 @@ def _edge_integrals(edges: tuple, q: np.ndarray, measure, rule: tuple) -> np.nda
         scale = (2.0 * math.pi) ** -1.5 * math.sqrt(math.pi) / (measure.sigma * unit * L)
     else:
         r = measure.radius
-        tr = np.sqrt(np.maximum(r - D, 0.0) / (r + D))
+        # below 1, so that an edge within eps r of the origin, wholly in the
+        # ball, puts the nodes of its empty outer pieces at a finite R
+        tr = np.minimum(np.sqrt(np.maximum(r - D, 0.0) / (r + D)), 1.0 - 2.0 ** -53)
         pieces = [(ta, np.minimum(tb, -tr)), (np.maximum(ta, tr), tb)]
         scale = 2.0 / L
     shape = (-1, 1) + (1,) * D.ndim

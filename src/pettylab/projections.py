@@ -20,7 +20,8 @@ from .bodies import (
     GeometryError,
     VPolytope,
     Zonotope,
-    _merged_polar_volume,
+    _merged_polar_measure,
+    cross3,
     hull,
     merge_parallel_generators,
     polar_of_zonotope,
@@ -229,7 +230,7 @@ def tetrahedron_projection_generators(P: np.ndarray) -> np.ndarray:
     h(u) = (1/4) sum over the faces ijk of |<(p_j - p_i) x (p_k - p_i), u>|,
     Cauchy's formula with each face's area normal."""
     i, j, k = _TETRAHEDRON_FACES.T
-    return 0.25 * np.cross(P[:, j] - P[:, i], P[:, k] - P[:, i])
+    return 0.25 * cross3(P[:, j] - P[:, i], P[:, k] - P[:, i])
 
 
 # The edges of a tetrahedron as (i, j, k, l): the edge p_i p_j and the two
@@ -339,7 +340,7 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
     Z = projection_body(K)
     if method in ("auto", "exact"):
         try:
-            return _merged_polar_volume(Z.generators) * body_vol ** (n - 1)
+            return _merged_polar_measure(Z.generators) * body_vol ** (n - 1)
         except GeometryError:
             if method == "exact":
                 raise
@@ -350,6 +351,6 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
 def cauchy_surface_bound_defect(K: VPolytope) -> float:
     """S(K) minus the projection-body lower bound; nonnegative up to fp noise."""
     n = K.dim
-    pv = _merged_polar_volume(projection_body(K).generators)
+    pv = _merged_polar_measure(projection_body(K).generators)
     bound = unit_ball_volume(n) ** (1.0 / n) * pv ** (-1.0 / n)
     return surface_area(K) - bound

@@ -132,6 +132,21 @@ class TestHull:
         H = hull(np.zeros((0, n)))
         assert H.vertices.shape == (0, n) and H.affine_dim == 0
 
+    def test_the_rank_holds_far_from_the_origin(self):
+        # the centring rounds by about eps times the offset, which must not
+        # read as a direction of the cloud
+        gen = np.random.default_rng(45)
+        for offset in (1.0, 1e2, 1e4, 1e5, 1e6):
+            for _ in range(50):
+                u, v = gen.normal(size=(2, 3))
+                cases = [(gen.normal(size=(3, 3)), 2),
+                         (gen.normal(size=(4, 1)) * u + gen.normal(size=(4, 1)) * v, 2),
+                         (gen.normal(size=(3, 1)) * gen.normal(size=2), 1),
+                         (gen.normal(size=(6, 3)), 3)]
+                for P, rank in cases:
+                    assert bodies.affine_dimension(P + offset) == rank, (offset, len(P))
+                    assert hull(P + offset).affine_dim == rank, (offset, len(P))
+
 
 def _fast_path_clouds(n: int):
     """(kind, cloud) pairs: random, integer-lattice with duplicates, exactly
@@ -659,9 +674,12 @@ class TestSpatialPolarMeasures:
             assert spatial_polar_measures(G)[0][0] == pytest.approx(volume(polar_of_zonotope(Z)),
                                                                     rel=1e-12)
 
-    @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
-    def test_a_row_does_not_depend_on_the_rows_beside_it(self, nu):
-        G = np.random.default_rng(72).normal(size=(9, 5, 3))
+    @pytest.mark.parametrize("nu, k", [(LEBESGUE, 5), (GAUSSIAN, 5), (BALL, 5), (LEBESGUE, 100),
+                                       (GAUSSIAN, 40), (BALL, 40)],
+                             ids=["lebesgue", "gaussian", "ball", "lebesgue-blocks",
+                                  "gaussian-blocks", "ball-blocks"])
+    def test_a_row_does_not_depend_on_the_rows_beside_it(self, nu, k):
+        G = np.random.default_rng(72).normal(size=(9, k, 3))
         G[3, 3:] = 0.0
         G[5, 1] = 2.0 * G[5, 0]
         values, ok = spatial_polar_measures(G, nu)
@@ -669,6 +687,32 @@ class TestSpatialPolarMeasures:
         for t in range(len(G)):
             alone, alone_ok = spatial_polar_measures(G[t:t + 1], nu)
             assert alone.tobytes() == values[t:t + 1].tobytes() and alone_ok[0] == ok[t]
+
+    @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
+    def test_one_body_is_a_row_of_the_stack(self, nu):
+        for k in (3, 9, 40):
+            Z = Zonotope(np.random.default_rng(77 + k).normal(size=(k, 3)))
+            merged = merge_parallel_generators(Z).generators
+            want = spatial_polar_measures(merged[None], nu)[0][:1]
+            assert np.array([spatial_polar_measure(Z, nu)]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nu, k", [(LEBESGUE, 100), (GAUSSIAN, 40), (BALL, 40)],
+                             ids=["lebesgue", "gaussian", "ball"])
+    def test_a_walk_of_several_blocks_agrees_with_one_block(self, nu, k, monkeypatch):
+        # the circles of k generators span several blocks of POLAR_BLOCK_ARCS
+        assert k * (k - 1) * max(1, bodies._rule_nodes(nu)) > bodies.POLAR_BLOCK_ARCS
+        G = np.random.default_rng(78).normal(size=(3, k, 3))
+        got, ok = spatial_polar_measures(G, nu)
+        assert ok.all()
+        if nu is LEBESGUE:
+            want = [volume(polar_of_zonotope(Zonotope(g))) for g in G]
+            assert got == pytest.approx(want, rel=1e-12)
+            return
+        # a finer rule on the circles of one block
+        monkeypatch.setattr(bodies, "POLAR_BLOCK_ARCS", 1 << 30)
+        fine = np.polynomial.legendre.leggauss(4 * bodies.POLAR_WALK_ORDER)
+        want, ok = bodies._stacked_walk(G, nu, fine)
+        assert ok.all() and got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
     def test_zero_generators_add_nothing(self, nu):
@@ -710,6 +754,19 @@ class TestSpatialPolarMeasures:
             assert np.abs(got - want[0]).max() <= 1e-12 * want[0]
             if nu is LEBESGUE:
                 assert want[0] == pytest.approx(volume(polar_of_zonotope(Zonotope(G))), rel=1e-12)
+
+    def test_the_scale_of_the_generators_does_not_matter(self):
+        # (s Z)° = Z° / s: a Gaussian of scale sigma reads it as one of scale
+        # s sigma reads Z°, and Lebesgue measure, on all of space or on the
+        # ball of radius r, as s^3 times it reads Z° (on the ball of s r)
+        G = np.random.default_rng(79).normal(size=(4, 7, 3))
+        for s in (1e-20, 1e-8, 1e8, 3e15, 1e20):
+            for nu, wide in ((LEBESGUE, LEBESGUE),
+                             (GAUSSIAN, RadialMeasure.gaussian(s * GAUSSIAN.sigma)),
+                             (BALL, RadialMeasure.ball(s * BALL.radius))):
+                got, ok = spatial_polar_measures(s * G, nu)
+                want = spatial_polar_measures(G, wide)[0] / (1.0 if nu is GAUSSIAN else s ** 3)
+                assert ok.all() and got == pytest.approx(want, rel=1e-12), s
 
     @pytest.mark.parametrize("lam", [1.0, 1.4302])
     def test_a_foot_on_or_near_an_edge_line(self, lam):
@@ -757,9 +814,9 @@ class TestSpatialPolarMeasures:
     def test_the_stacked_walk_uses_no_matrix_product(self):
         # a matrix product blocks its sums by the size of the stack, so a
         # row's bits would depend on the rows beside it
-        names = {"spatial_polar_measures", "_stacked_walk", "_circle_index", "_crossings",
-                 "_walk", "_circle_arcs", "_edge_lines", "_edge_integrals", "_gaussian_ratio",
-                 "_ball_h", "_vdot", "_vcross"}
+        names = {"spatial_polar_measures", "_stacked_walk", "_circle_index", "_circle_arcs",
+                 "_edge_lines", "_edge_integrals", "_gaussian_ratio", "_ball_h", "_vdot",
+                 "_vcross"}
         tree = ast.parse(Path(bodies.__file__).read_text())
         found = {node.name: node for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names}

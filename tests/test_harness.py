@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from pettylab.harness import (
     run_theorem_1_2,
 )
 from pettylab.mixed import v1
-from pettylab.projections import SupportEvaluator
+from pettylab.projections import RadialMeasure, SupportEvaluator
 from pettylab.sampling import Density, RngStream
 from pettylab.verify import (
     grid_table_error,
@@ -745,6 +746,21 @@ class TestSpatialRoutes:
         # (9 generators) fits twice the 28 trials a full-circle walk did
         spec = SPECS["thm11"](_thm11_cubes(3, 3))
         assert spec.walk and spec.chunk_len() >= 2 * 28
+
+    @pytest.mark.parametrize("nu", [None, RadialMeasure.gaussian(1.0), RadialMeasure.ball(1.0)],
+                             ids=["lebesgue", "gaussian", "ball"])
+    @pytest.mark.parametrize("k", [4, 9, 10, 16])
+    def test_a_walk_chunk_holds_the_memory_it_is_sized_for(self, nu, k):
+        # spatial_polar_entries is the only bound that sizes a walk chunk
+        rows = harness.CHUNK_ENTRIES // bodies.spatial_polar_entries(k, nu)
+        G = np.random.default_rng(k).normal(size=(rows, k, 3))
+        tracemalloc.start()
+        try:
+            bodies.spatial_polar_measures(G, nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * harness.CHUNK_ENTRIES * 8
 
 
 class TestSpecs:
