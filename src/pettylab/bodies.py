@@ -478,6 +478,13 @@ def point_sums(arrays) -> np.ndarray:
     return pts
 
 
+def m_combinations(coeffs, arrays) -> np.ndarray:
+    """The ``point_sums`` of c_i times arrays[i] for each row c of coeffs,
+    stacked: for 1-unconditional M = conv(coeffs) and origin-symmetric
+    bodies, their hull is the M-sum of the arrays' hulls."""
+    return np.vstack([point_sums([c * B for c, B in zip(a, arrays)]) for a in coeffs])
+
+
 def linear_image(X, C) -> VPolytope:
     """Image X C of a body under a linear map into dimension 2 or 3."""
     X = np.asarray(X, dtype=float)
@@ -1253,8 +1260,7 @@ def m_add(spec: MSpec, bodies: list) -> VPolytope:
     for B in bodies:
         if not is_origin_symmetric(B):
             raise GeometryError("m_add with a nontrivial M needs origin-symmetric bodies")
-    pieces = [point_sums([c * B.vertices for c, B in zip(a, bodies)]) for a in Mverts]
-    return hull(np.vstack(pieces))
+    return hull(m_combinations(Mverts, [B.vertices for B in bodies]))
 
 
 # ---------------------------------------------------------------------------

@@ -138,11 +138,12 @@ from .bodies import (
     cube_body,
     full_rank,
     hull,
+    is_unconditional,
     lp_ball_body,
+    m_combinations,
     planar_hull_areas,
     planar_hull_edges,
     planar_polar_measures,
-    point_sums,
     solid_simplex,
     spatial_polar_entries,
     spatial_polar_measure,
@@ -575,9 +576,10 @@ class CSet:
             # vertex candidates suffice for linear images, no high-dim hull needed
             coeffs = MSpec.lp(p, vertex_budget=64).conjugate_ball_vertices(len(parts))
         else:
-            coeffs = _literal(M, f"{key}.M", len(parts))["body"].vertices
-        pieces = [point_sums([c * B for c, B in zip(a, balls)]) for a in coeffs]
-        return cls("msum", total, vertices=np.vstack(pieces))
+            M = _literal(M, f"{key}.M", len(parts))["body"]
+            _require(is_unconditional(M), f"{key}.M must be 1-unconditional")
+            coeffs = M.vertices
+        return cls("msum", total, vertices=m_combinations(coeffs, balls))
 
     def form(self, dim: int) -> str | None:
         """How the stacked kernels read X C in dimension ``dim``: "zonotope",

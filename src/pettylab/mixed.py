@@ -77,6 +77,25 @@ def facets(P: VPolytope) -> FacetData:
     return data
 
 
+def triangulation_edges(R: VPolytope) -> tuple:
+    """Every edge of the hull triangulation of a reduced solid R in space,
+    once, as arrays (p, q, x, y, a, b): its end rows p and q, the rows x and
+    y off it in its two triangles, and the merged facets a and b of those
+    triangles (the ``facets`` order).  p, q and x run in the first
+    triangle's vertex order, and an edge with a == b is a diagonal inside a
+    merged facet."""
+    got = R._cache.get("triangulation_edges")
+    if got is None:
+        facets(R)  # labels each simplex with its merged facet
+        S, label = facet_planes(R)[2].simplices, R._cache["facet_of"]
+        rows = np.concatenate([S, S[:, [1, 2, 0]], S[:, [2, 0, 1]]])  # (p, q, off)
+        order, _ = sort_rows(np.sort(rows[:, :2], axis=1))  # each edge twice, side by side
+        one, two = order[0::2], order[1::2]
+        got = (*rows[one].T, rows[two, 2], label[one % len(S)], label[two % len(S)])
+        R._cache["triangulation_edges"] = got
+    return got
+
+
 def surface_area(P: VPolytope) -> float:
     return float(np.sum(facets(P).measures))
 
@@ -100,36 +119,30 @@ def centroid(P: VPolytope) -> np.ndarray:
 
 
 def clip_halfspace(P: VPolytope, normal, offset: float = 0.0) -> np.ndarray:
-    """Vertices of P intersected with {x : <normal, x> >= offset}.
+    """Vertices of P intersected with {x : <normal, x> >= offset}: P's
+    vertices on that side and the crossings of the boundary plane with P's
+    edges, taken from the low row to the high one.  A solid's edges are its
+    ``triangulation_edges``, a polygon's its vertex cycle, and a flat body's
+    every pair of vertices.
 
     Returns a possibly empty point array; callers hull it as needed.
     """
     R = reduced_form(P)
-    u = np.asarray(normal, dtype=float)
-    vals = R.vertices @ u - offset
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    tol = 1e-13 * scale
-    kept = R.vertices[vals >= -tol]
-    if R.affine_dim == R.dim:
-        _, _, h = facet_planes(R)
-        edges = set()
-        for simplex in h.simplices:
-            k = len(simplex)
-            for a in range(k):
-                for b in range(a + 1, k):
-                    edges.add((min(simplex[a], simplex[b]), max(simplex[a], simplex[b])))
+    V = R.vertices
+    vals = V @ np.asarray(normal, dtype=float) - offset
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(vals))))
+    if R.affine_dim < R.dim:
+        a, b = np.triu_indices(len(V), 1)
+    elif R.dim == 2:
+        a = np.arange(len(V))
+        a, b = np.sort([a, np.roll(a, -1)], axis=0)
     else:
-        k = len(R.vertices)
-        edges = {(a, b) for a in range(k) for b in range(a + 1, k)}
-    crossings = []
-    for a, b in edges:
-        va, vb = vals[a], vals[b]
-        if (va > tol and vb < -tol) or (va < -tol and vb > tol):
-            t = va / (va - vb)
-            crossings.append(R.vertices[a] + t * (R.vertices[b] - R.vertices[a]))
-    if crossings:
-        kept = np.vstack([kept, np.array(crossings)])
-    return kept
+        a, b = np.sort(triangulation_edges(R)[:2], axis=0)
+    va, vb = vals[a], vals[b]
+    hit = ((va > tol) & (vb < -tol)) | ((va < -tol) & (vb > tol))
+    a, b, va, vb = a[hit], b[hit], va[hit], vb[hit]
+    t = (va / (va - vb))[:, None]
+    return np.vstack([V[vals >= -tol], V[a] + t * (V[b] - V[a])])
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +206,8 @@ def edge_table(K) -> tuple:
     """(e, x, normals, face) of a body in space: its edges e, for each the
     vectors x from the edge to the vertices whose sign tests bound its arc,
     its facet normals, and face(i), facet i's vertices.  A solid has its
-    triangulation edges between two merged facets, with a vertex off the
-    edge from each; a polygon its cycle edges, with the centroid of its
+    ``triangulation_edges`` between two merged facets, with the vertex off
+    the edge in each; a polygon its cycle edges, with the centroid of its
     vertices; a segment or a zonotope (edges 2g) no test.  x is perpendicular
     to e, so a test <x, e x f> ties when |<n, f>| <= EDGE_PAIR_MARGIN |f|
     at the facet normal n, alike for every edge of that facet."""
@@ -205,13 +218,10 @@ def edge_table(K) -> tuple:
     if got is not None:
         return got
     if R.affine_dim == 3:
-        normals, S, label = facets(R).normals, facet_planes(R)[2].simplices, R._cache["facet_of"]
-        rows = np.concatenate([S, S[:, [1, 2, 0]], S[:, [2, 0, 1]]])  # (p, q, off)
-        order, _ = sort_rows(np.sort(rows[:, :2], axis=1))  # each edge twice, side by side
-        one, two = order[0::2], order[1::2]
-        true = label[one % len(S)] != label[two % len(S)]
-        (p, q, x), y = rows[one[true]].T, rows[two[true], 2]
-        got = (V[q] - V[p], V[np.column_stack([x, y])] - V[p, None], normals,
+        p, q, x, y, a, b = triangulation_edges(R)
+        true, S, label = a != b, facet_planes(R)[2].simplices, R._cache["facet_of"]
+        p, q = p[true], q[true]
+        got = (V[q] - V[p], V[np.column_stack([x, y])[true]] - V[p, None], facets(R).normals,
                lambda i: V[np.unique(S[label == i])])
     elif R.affine_dim == 2:
         e = np.roll(V, -1, axis=0) - V

@@ -8,11 +8,12 @@ A stream's Philox key is numpy's SeedSequence hash of (seed, key): plain
 uint32 arithmetic over a pool of four words, whose hash constants step by
 fixed multipliers whatever the words are.  So the children of one stream
 share every step but the last word's, and ``RngStream.child_keys`` hashes
-the seed and key words once, as Python ints, and only the index word per
-child.  ``draw_block`` draws the samples of a block of children through one
-Philox, setting each child's key in turn, and finishes them for the whole
-block at once; ``draw_per_trial``, each child's own generator followed by
-``Density.sample``, is the reference it equals bit for bit.
+the seed and key words once, as Python ints, and then the index words of a
+whole block as one uint32 array.  ``draw_block`` draws the samples of a
+block of children through one Philox, setting each child's key in turn, and
+finishes them for the whole block at once; ``draw_per_trial``, each child's
+own generator followed by ``Density.sample``, is the reference it equals bit
+for bit.
 """
 
 from __future__ import annotations
@@ -46,39 +47,24 @@ class RngStream:
         """The Philox keys of child(first), ..., child(first + count - 1),
         shape (count, 2) uint64: what their generators' SeedSequence gives
         from ``generate_state(2, np.uint64)``, for all of them at once."""
-        return np.array(self._child_keys(first, count), dtype=np.uint64).reshape(count, 2)
-
-    def _child_keys(self, first: int, count: int) -> list:
-        """``child_keys`` as a list of (k0, k1) Python ints."""
         if not 0 <= first <= first + count <= INDEX_LIMIT:
             raise ValueError(f"child indices must lie in [0, 2**32), got {first} "
                              f"to {first + count - 1}")
         # each pool word meets the index word with its own pair of hash
         # constants, then the pool word's mix term, then generate_state's
         # pair; the four output words pair up little-endian into two uint64
-        consts = _child_hash(self.seed, tuple(self.key))
-        if count >= _SMALL_BLOCK:
-            xor, mul, pool, out_xor, out_mul = np.array(consts, dtype=np.uint32).T
-            v = np.arange(first, first + count, dtype=np.uint32)[:, None] ^ xor
-            v *= mul
-            v ^= v >> 16
-            v *= np.uint32(_MIX_MULT_R)
-            v = pool - v
-            v ^= v >> 16
-            v ^= out_xor
-            v *= out_mul
-            v ^= v >> 16
-            return v.astype("<u4").view("<u8").tolist()
-        keys = []
-        for index in range(first, first + count):
-            w = []
-            for xor, mul, pool, out_xor, out_mul in consts:
-                v = (index ^ xor) * mul & _MASK32
-                v = (pool - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-                v = (v ^ v >> 16 ^ out_xor) * out_mul & _MASK32
-                w.append(v ^ v >> 16)
-            keys.append((w[0] | w[1] << 32, w[2] | w[3] << 32))
-        return keys
+        xor, mul, pool, out_xor, out_mul = np.array(_child_hash(self.seed, tuple(self.key)),
+                                                    dtype=np.uint32).T
+        v = np.arange(first, first + count, dtype=np.uint32)[:, None] ^ xor
+        v *= mul
+        v ^= v >> 16
+        v *= np.uint32(_MIX_MULT_R)
+        v = pool - v
+        v ^= v >> 16
+        v ^= out_xor
+        v *= out_mul
+        v ^= v >> 16
+        return v.astype("<u4").view("<u8")
 
 
 # numpy's SeedSequence hash constants (numpy.random.bit_generator).
@@ -89,9 +75,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # A child index is one uint32 word of the spawn key only below this.
 INDEX_LIMIT = 1 << 32
-# Blocks of fewer children hash their index words as Python ints: each numpy
-# step costs 1-2 us on arrays this small, against some 3 us per child.
-_SMALL_BLOCK = 8
 
 
 def _steps(const: int, mult: int, count: int) -> list:
@@ -299,7 +282,7 @@ def draw_block(stream: RngStream, first: int, count: int, draws) -> list:
     key = [0, 0]
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for k, child in enumerate(stream._child_keys(first, count)):
+    for k, child in enumerate(stream.child_keys(first, count).tolist()):
         key[:] = child
         bitgen.state = state
         for fill, out in fills:

@@ -3,8 +3,11 @@
 Symmetrization along a direction replaces every chord parallel to it by a
 centered chord of equal length.  For vertex polytopes the construction is
 exact: chord endpoints are piecewise linear in the orthogonal coordinates,
-and all breakpoints come from vertices (plus, in space, crossings between
-projected upper and lower edges).
+and all breakpoints come from vertices.  In space they come also from the
+crossings of projected upper and lower edges: the ``triangulation_edges``
+between two merged facets, next to a facet that faces along u (upper) or
+against it (lower).  A diagonal inside a merged facet creases neither
+chord end, so it takes no part.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ from .bodies import (
     GeometryError,
     VPolytope,
     cross3,
-    facet_planes,
     hull,
     reduced_form,
     volume,
 )
-from .mixed import facets
+from .mixed import facets, triangulation_edges
 from .sampling import Density, RngStream, rearrange_body_volume
 from .stats import summarize
 
@@ -33,10 +35,10 @@ SNAP_TOL = 1e-12
 # from a triangle would otherwise take arrays of tens of MB.
 CHORD_BLOCK_ENTRIES = 1 << 15
 # Pairs per block in ``_segment_crossings`` (upper x lower edges) and in
-# ``_plane_heights`` (candidate points x facet planes): the third round of a
-# 3-D chain from 12 points pairs some 500 upper edges with 500 lower ones,
-# and one block of all pairs took about 17 MiB of temporaries; in the fourth
-# round, heights over all candidates and facets at once peaked at 227 MiB.
+# ``_plane_heights`` (candidate points x facet planes): in the fourth round
+# of a 3-D chain from 12 points, some 1200 upper edges meet 1300 lower ones,
+# and with both steps in one block the round peaked at 124 MiB of
+# temporaries (tracemalloc); in these blocks it peaks at about 3 MiB.
 CROSSING_BLOCK_ENTRIES = 1 << 15
 
 
@@ -119,31 +121,19 @@ def _steiner_3d(K: VPolytope, u: np.ndarray) -> VPolytope:
         raise GeometryError("degenerate facet structure along the direction")
 
     verts2 = R.vertices @ B[:2].T
-
-    _, _, qh = facet_planes(R)
-    edges = _hull_edges(qh.simplices)
-    # classify edges by whether they bound upper or lower facets
-    up_edges = _facet_edges(R.vertices, fac.normals[upper], fac.offsets[upper], edges)
-    low_edges = _facet_edges(R.vertices, fac.normals[lower], fac.offsets[lower], edges)
-
-    candidates = [verts2]
-    if len(up_edges) and len(low_edges):
-        seg_u = verts2[edges[up_edges]]
-        seg_l = verts2[edges[low_edges]]
-        crossings = _segment_crossings(seg_u, seg_l)
-        if len(crossings):
-            candidates.append(crossings)
-    pts2 = np.vstack(candidates)
-
+    # the chord ends crease only over the true edges next to an upper
+    # (lower) facet: not over a diagonal inside a merged facet
+    p, q, _, _, a, b = triangulation_edges(R)
+    true = a != b
+    segs = verts2[np.sort(np.column_stack([p, q])[true], axis=1)]
+    sides = np.column_stack([a, b])[true]
+    crossings = _segment_crossings(segs[upper[sides].any(axis=1)], segs[lower[sides].any(axis=1)])
+    pts2 = np.vstack([verts2, crossings])
     f_vals = _plane_heights(pts2, fac.normals[upper], fac.offsets[upper], B, np.min)
     g_vals = _plane_heights(pts2, fac.normals[lower], fac.offsets[lower], B, np.max)
-    scale = max(1.0, float(np.max(np.abs(R.vertices))))
-    keep = f_vals - g_vals >= -1e-9 * scale
-    pts2, f_vals, g_vals = pts2[keep], f_vals[keep], g_vals[keep]
+    # every candidate lies in the projection of K, where f >= g but for rounding
     half = np.maximum(f_vals - g_vals, 0.0) / 2.0
-    upper_pts = np.column_stack([pts2, half])
-    lower_pts = np.column_stack([pts2, -half])
-    return hull(np.vstack([upper_pts, lower_pts]) @ B)
+    return hull(np.vstack([np.column_stack([pts2, half]), np.column_stack([pts2, -half])]) @ B)
 
 
 def _plane_heights(X: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
@@ -162,22 +152,6 @@ def _plane_heights(X: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
         base = block[..., 0] * A[:, 0] + block[..., 1] * A[:, 1]
         out[i:i + step] = reduce((offsets - base) / denom, axis=1)
     return out
-
-
-def _hull_edges(simplices: np.ndarray) -> np.ndarray:
-    """The edges (a, b), a < b, of a hull's triangles, each once, in
-    lexicographic order."""
-    pairs = simplices[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
-    return np.unique(np.sort(pairs, axis=1), axis=0)
-
-
-def _facet_edges(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
-                 edges: np.ndarray) -> np.ndarray:
-    """Indices of the ``edges`` (vertex row pairs) whose two ends lie on one
-    common plane <x, normal> = offset."""
-    vals = vertices @ normals.T - offsets[None, :]
-    on = np.abs(vals) < 1e-9 * max(1.0, float(np.max(np.abs(vertices))))
-    return np.flatnonzero((on[edges[:, 0]] & on[edges[:, 1]]).any(axis=1))
 
 
 def _segment_crossings(segs_a: np.ndarray, segs_b: np.ndarray) -> np.ndarray:

@@ -84,9 +84,9 @@ def _body_block(**body):
     return _block(density={"type": "uniform", "body": body}, m=3)
 
 
-def _msum(*components):
+def _msum(*components, **fields):
     return dict(THM12_SMALL, blocks=[dict(_GAUSSIAN_BLOCK, m=4)],
-                c_set={"kind": "msum", "components": list(components)})
+                c_set={"kind": "msum", "components": list(components), **fields})
 
 
 # config -> the key its ConfigError names
@@ -245,6 +245,14 @@ class TestValidation:
                  "components": [{"kind": "simplex", "m": 2},
                                 {"kind": "bp", "m": 2, "p": 2.0}]},
             )
+
+    def test_msum_M_must_be_unconditional_as_in_m_add(self):
+        triangle = {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}
+        M = MSpec.polytope(hull(np.array(triangle["vertices"], dtype=float)))
+        with pytest.raises(GeometryError, match="polytope M must be 1-unconditional"):
+            m_add(M, [lp_ball_body(2, 2.0), lp_ball_body(2, 3.0)])
+        with pytest.raises(ConfigError, match=re.escape("c_set.M must be 1-unconditional")):
+            run_theorem_1_2(_msum(_BALLS[0], dict(_BALLS[1], p=3.0), M=triangle))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

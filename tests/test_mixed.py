@@ -31,6 +31,35 @@ from pettylab.projections import mixed_volume_with_segment, projection_body
 from pettylab.verify import mixed_volume_fit_check, mixed_volume_inclusion_exclusion, shadow_oracle
 
 
+def clip_halfspace_loop(P, normal, offset=0.0):
+    """Reference for ``clip_halfspace``: the edges as a set of sorted row
+    pairs from the hull's simplices (every pair of a flat body's vertices),
+    crossed one edge at a time."""
+    R = reduced_form(P)
+    vals = R.vertices @ np.asarray(normal, dtype=float) - offset
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(vals))))
+    kept = R.vertices[vals >= -tol]
+    if R.affine_dim == R.dim:
+        edges = set()
+        for simplex in facet_planes(R)[2].simplices:
+            k = len(simplex)
+            for a in range(k):
+                for b in range(a + 1, k):
+                    edges.add((min(simplex[a], simplex[b]), max(simplex[a], simplex[b])))
+    else:
+        k = len(R.vertices)
+        edges = {(a, b) for a in range(k) for b in range(a + 1, k)}
+    crossings = []
+    for a, b in edges:
+        va, vb = vals[a], vals[b]
+        if (va > tol and vb < -tol) or (va < -tol and vb > tol):
+            t = va / (va - vb)
+            crossings.append(R.vertices[a] + t * (R.vertices[b] - R.vertices[a]))
+    if crossings:
+        kept = np.vstack([kept, np.array(crossings)])
+    return kept
+
+
 def box(sides, corner=None):
     """Axis-aligned box [0, s1] x ... given by its side lengths."""
     sides = np.asarray(sides, dtype=float)
@@ -146,6 +175,22 @@ class TestClip:
     def test_half_of_a_square(self):
         pts = clip_halfspace(cube_body(2), np.array([1.0, 0.0]), 0.0)
         assert volume(hull(pts)) == pytest.approx(2.0)
+
+    def test_clipped_points_equal_the_loop_reference(self):
+        gen = np.random.default_rng(66)
+        plane = np.linalg.qr(gen.normal(size=(3, 3)))[0][:2]
+        bodies = [cube_body(2), cube_body(3), ball_body(3)]
+        for _ in range(10):
+            bodies += [hull(gen.normal(size=(int(gen.integers(3, 25)), 2))),
+                       hull(gen.normal(size=(int(gen.integers(4, 25)), 3))),
+                       hull(gen.normal(size=(int(gen.integers(3, 9)), 2)) @ plane),
+                       hull(gen.normal(size=(2, 2))), hull(gen.normal(size=(2, 3)))]
+        for K in bodies:
+            for _ in range(4):
+                u, c = gen.normal(size=K.dim), float(gen.normal() * 0.3)
+                got, want = clip_halfspace(K, u, c), clip_halfspace_loop(K, u, c)
+                assert len(got) == len(want)
+                assert got[np.lexsort(got.T)].tobytes() == want[np.lexsort(want.T)].tobytes()
 
     def test_clip_pieces_partition_volume(self):
         gen = np.random.default_rng(62)

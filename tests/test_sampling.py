@@ -57,7 +57,7 @@ class TestRngStream:
 
 
 class TestChildKeys:
-    # 2**64 + 3 is three words of entropy; blocks below 8 hash in Python ints
+    # 2**64 + 3 is three words of entropy
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
     @pytest.mark.parametrize("first, count", [(0, 1), (5, 7), (0, 40)])
     def test_keys_equal_seed_sequence(self, seed, first, count):

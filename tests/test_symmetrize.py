@@ -22,15 +22,13 @@ from pettylab import (
     volume,
 )
 from pettylab.bodies import facet_planes, reduced_form
-from pettylab.mixed import facets
+from pettylab.mixed import facets, triangulation_edges
 from pettylab import symmetrize
 from pettylab.symmetrize import (
     CROSSING_BLOCK_ENTRIES,
     PARALLEL_TOL,
     SNAP_TOL,
-    _facet_edges,
     _frame,
-    _hull_edges,
     _plane_heights,
     _segment_crossings,
     _unit,
@@ -79,10 +77,24 @@ def chord_profiles_loop(K, u):
     return breaks, g, f
 
 
+def triangulation_edges_loop(R):
+    """Reference for ``triangulation_edges``: each triangle's edges one at a
+    time, as (p, q, x, facet) in the triangle's vertex order with the vertex
+    x off the edge, gathered under the edge's sorted ends."""
+    facets(R)
+    S, label = facet_planes(R)[2].simplices, R._cache["facet_of"]
+    halves = {}
+    for t, tri in enumerate(S.tolist()):
+        for i in range(3):
+            p, q, x = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+            halves.setdefault((min(p, q), max(p, q)), set()).add((p, q, x, int(label[t])))
+    return halves
+
+
 def steiner_edge_classes_loop(R, u):
-    """Reference for the edge lists of ``_steiner_3d``: the hull's edges from
-    a set of sorted pairs, then the edges on an upper (lower) facet plane of
-    R along u, one edge at a time."""
+    """Oracle for the edge lists of ``_steiner_3d``: the hull's edges from
+    a set of sorted pairs, then the edges with both ends on an upper (lower)
+    facet plane of R along u, one edge at a time."""
     fac = facets(R)
     _, _, qh = facet_planes(R)
     edges = set()
@@ -182,22 +194,48 @@ class TestSteiner:
         # 3-round chains of 12-point hulls, whose symmetrals carry many
         # nearly coplanar triangles, and the cube, whose facets are split
         gen = np.random.default_rng(53)
-        cases = 0
+        cases = diagonals = 0
         for K in [cube_body(3)] + [hull(gen.normal(size=(12, 3))) for _ in range(5)]:
             for _ in range(3):
                 u = _unit(gen.normal(size=3))
                 R = reduced_form(K)
-                want_edges, want = steiner_edge_classes_loop(R, u)
-                edges = _hull_edges(facet_planes(R)[2].simplices)
-                assert np.array_equal(edges, want_edges)
-                fac = facets(R)
-                dots = fac.normals @ u
-                for mask, classes in zip((dots > PARALLEL_TOL, dots < -PARALLEL_TOL), want):
-                    got = _facet_edges(R.vertices, fac.normals[mask], fac.offsets[mask], edges)
-                    assert np.array_equal(got, classes)
+                want = triangulation_edges_loop(R)
+                p, q, x, y, a, b = (v.tolist() for v in triangulation_edges(R))
+                ends = [(min(e), max(e)) for e in zip(p, q)]
+                assert ends == sorted(want)
+                for i, e in enumerate(ends):
+                    assert (p[i], q[i], x[i], a[i]) in want[e]
+                    assert {(x[i], a[i]), (y[i], b[i])} == {h[2:] for h in want[e]}
+                # every upper (lower) edge has both ends on an upper (lower)
+                # facet plane; the oracle's other edges are diagonals
+                loop_edges, loop_classes = steiner_edge_classes_loop(R, u)
+                assert [tuple(e) for e in loop_edges.tolist()] == ends
+                dots = facets(R).normals @ u
+                true = np.array(a) != np.array(b)
+                sides = np.column_stack([a, b])
+                for mask, oracle in zip((dots > PARALLEL_TOL, dots < -PARALLEL_TOL), loop_classes):
+                    got = np.flatnonzero(true & mask[sides].any(axis=1))
+                    assert len(got) and set(got) <= set(oracle)
+                    assert not true[np.setdiff1d(oracle, got)].any()
                     cases += 1
+                diagonals += np.count_nonzero(~true)
                 K = steiner_symmetrize(K, u)
-        assert cases == 36
+        assert cases == 36 and diagonals > 0
+
+    @pytest.mark.parametrize("tilt", [1e-4, 1e-6, 1e-8, 1e-9, 1e-10])
+    def test_volume_holds_along_a_direction_near_a_facet_plane(self, tilt):
+        # u within ``tilt`` of a random facet plane: that facet is nearly
+        # parallel to u, and its silhouette chords can come out slightly
+        # negative (about -1e-8) before they are clamped to zero
+        gen = np.random.default_rng(56)
+        worst = 0.0
+        for _ in range(40):
+            K = hull(gen.normal(size=(int(gen.integers(6, 20)), 3)))
+            normals = facets(K).normals
+            n = normals[gen.integers(len(normals))]
+            S = steiner_symmetrize(K, _unit(np.cross(n, gen.normal(size=3))) + tilt * n)
+            worst = max(worst, abs(volume(S) / volume(K) - 1.0))
+        assert worst <= 1e-5
 
     def test_segment_crossings_equal_one_block_bit_for_bit(self):
         gen = np.random.default_rng(54)
