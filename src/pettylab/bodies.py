@@ -759,6 +759,19 @@ def _circle_index(k: int, rows: range) -> tuple:
     return circles, who, pair, sign, np.arange(len(circles))[:, None]
 
 
+@lru_cache(maxsize=64)
+def _walk_index(k: int, step: int) -> tuple:
+    """The walk's index tables for k generators in blocks of ``step``
+    circles, read-only and built once (at 10 generators building them cost
+    about 30 us a walk): the pairs i < j in triu order, then each block's
+    ``_circle_index``."""
+    tables = (*np.triu_indices(k, k=1),
+              *(_circle_index(k, range(s, min(s + step, k))) for s in range(0, k, step)))
+    for a in itertools.chain(tables[:2], *tables[2:]):
+        a.setflags(write=False)
+    return tables
+
+
 def _rule_nodes(measure) -> int:
     """Rule nodes on each edge: none under Lebesgue measure, one piece under
     a Gaussian and the two pieces outside the ball under a ball measure."""
@@ -848,7 +861,8 @@ def _stacked_walk(G: np.ndarray, measure, rule: tuple) -> tuple[np.ndarray, np.n
     if k < 3:
         return values, ok
     G = G.transpose(2, 0, 1).copy()  # (3, T, k)
-    i, j = np.triu_indices(k, k=1)
+    step = max(1, POLAR_BLOCK_ARCS // ((k - 1) * max(1, _rule_nodes(measure))))
+    i, j, *blocks = _walk_index(k, step)
     X = _vcross(G[:, :, i], G[:, :, j])
     # some generators must cross, and no nonzero ones may be parallel
     live, nonzero = X.any(axis=0), G.any(axis=0)
@@ -859,10 +873,9 @@ def _stacked_walk(G: np.ndarray, measure, rule: tuple) -> tuple[np.ndarray, np.n
         X = _vcross(G[:, :, i], G[:, :, j])
     # the circles in blocks, their parts summed; Z° is origin-symmetric, so
     # the arc from -a to -b carries what a to b does
-    step = max(1, POLAR_BLOCK_ARCS // ((k - 1) * max(1, _rule_nodes(measure))))
     total = np.zeros(len(read))
-    for s in range(0, k, step):
-        a, b, ab, w, q, flat = _circle_arcs(G, X, _circle_index(k, range(s, min(s + step, k))))
+    for index in blocks:
+        a, b, ab, w, q, flat = _circle_arcs(G, X, index)
         shape = (w.shape[1], w.shape[2] * w.shape[3])
         if measure is None or measure.variant == "lebesgue":
             total += w.sum(axis=0).reshape(shape).sum(axis=1) / 3.0

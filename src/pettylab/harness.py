@@ -76,23 +76,24 @@ cross products:
   h_{Pi(Z_A, Z_B)}(u) = 2 sum_{i,j} |<a_i x b_j, u>|;
 * thm11 with two simplex C-sets with m = 4: h_{Pi(A, B)}(u) =
   (1/4) sum |<e x f, u>| over the edge pairs whose arcs cross, the atoms
-  of S(A, B) that ``mixed.edge_crossings`` finds on a tetrahedron's edges.
+  of S(A, B) that ``mixed.edge_crossings`` finds on a tetrahedron's edges,
+  TETRAHEDRON_PAIR_ATOMS rows per trial with zero rows after the atoms.
 
-Under a Gaussian or ball measure, zonotope projection bodies of at most
+Under a Gaussian or ball measure, projection bodies of at most
 POLAR_WALK_MAX_GENERATORS generators for that measure then take the arc
 walk of ``bodies.spatial_polar_measures`` over their normal fan, stacked
-for the chunk, with no grid; the polar is origin-symmetric, so the walk
-runs half of each great circle and doubles the sum.  The hull route of
-such a spec takes the same walk.  Lebesgue measure, larger projection
-bodies, tetrahedron pairs, an explicit ``quadrature.nodes`` and the kinds
-with no kernel take one support call per trial over the spatial grid and
-one polar quadrature row.  The
-grid of a larger projection body has the nodes of its POLAR_GRID_NODES row
-(measure and generator count); the others keep DEFAULT_NODES[3], or the
-config's count.  Neither route depends on the chunk, so a trial's value is
-again the same bit for bit in every chunk.  The same edge pairs give
-empmixed with two such C-sets and one ball slot: V(A, B, ball) = (1/6) sum
-h_ball(+-(e x f)), one support call per trial.
+for the chunk, with no grid (a zero row adds arcs of length zero); the
+polar is origin-symmetric, so the walk runs half of each great circle and
+doubles the sum.  The hull route of such a spec takes the same walk.
+Lebesgue measure, larger projection bodies, an explicit
+``quadrature.nodes`` and the kinds with no kernel take one support call per
+trial over the spatial grid and one polar quadrature row.  The grid of a
+larger projection body has the nodes of its POLAR_GRID_NODES row (measure
+and generator count); the others keep DEFAULT_NODES[3], or the config's
+count.  Neither route depends on the chunk, so a trial's value is again the
+same bit for bit in every chunk.  The same rows give empmixed with two such
+C-sets and one ball slot: V(A, B, ball) = (1/6) sum h_ball(w), h_ball(0) =
+0, one support call per chunk.
 
 The report of a polar kind names its rule under ``quadrature``, outside
 ``diagnostics``: ``exact``, ``walk`` with its order or ``grid`` with its
@@ -158,6 +159,7 @@ from .mixed import (
 )
 from .projections import (
     DEFAULT_NODES,
+    TETRAHEDRON_PAIR_ATOMS,
     RadialMeasure,
     centroid_body_support,
     empirical_centroid_body,
@@ -742,13 +744,14 @@ class _PolarSpec(_Spec):
     ``bodies(samples, diag)`` builds from one trial's samples.
 
     Planar polar measures are exact and take no grid.  In space a kind
-    whose kernel reads zonotope projection bodies of at most
+    whose kernel reads projection bodies of at most
     POLAR_WALK_MAX_GENERATORS generators for its Gaussian or ball measure
-    takes the arc walk of ``bodies.spatial_polar_measures``, unless the
-    config gives ``quadrature.nodes``.  Lebesgue measure, larger projection
-    bodies, tetrahedron pairs, an explicit node count and kinds with no
-    kernel keep the grid: ``nodes`` is the config's count, else for a
-    larger projection body its POLAR_GRID_NODES row, else DEFAULT_NODES[3].
+    (a tetrahedron pair's TETRAHEDRON_PAIR_ATOMS among them) takes the arc
+    walk of ``bodies.spatial_polar_measures``, unless the config gives
+    ``quadrature.nodes``.  Lebesgue measure, larger projection bodies, an
+    explicit node count and kinds with no kernel keep the grid: ``nodes``
+    is the config's count, else for a larger projection body its
+    POLAR_GRID_NODES row, else DEFAULT_NODES[3].
     The rule and node count are fixed at parse time and the kernel and hull
     route both read them, so a trial and its replay never take different
     rules."""
@@ -818,26 +821,22 @@ class _PolarSpec(_Spec):
         diag["unbounded_polars"] += int(np.count_nonzero(hv.min(axis=1) <= 0.0))
         return polar_measures(hv, self.measure)
 
-    def _spatial_values(self, G, full: np.ndarray, diag: dict) -> tuple:
+    def _spatial_values(self, G: np.ndarray, full: np.ndarray, diag: dict) -> tuple:
         """(values, full): the polar measures of the zonotopes sum_k [-g_k,
-        g_k] over the generator sets G[t], stacked or (on the grid) listed,
-        of the trials in the mask ``full``.  The walk leaves the sets it
-        cannot read out of the mask; the grid takes one support call per
-        trial.  Neither depends on the chunk, so neither do the bits.  The
-        values outside the mask are unset."""
+        g_k] over the stacked generator sets G[t] of the trials in the mask
+        ``full``.  The walk leaves the sets it cannot read out of the mask;
+        the grid takes one support call per trial.  Neither depends on the
+        chunk, so neither do the bits.  The values outside the mask are
+        unset."""
         values = np.empty(len(full))
-        rows = np.flatnonzero(full)
         if not self.walk:
-            U = _grid(self.nodes)
-            hv = np.empty((len(rows), self.nodes))
-            for k, t in enumerate(rows):
-                hv[k] = Zonotope(G[t]).support_batch(U)
-            values[full] = self._polar_values(hv, diag)
+            hv = [Zonotope(g).support_batch(_grid(self.nodes)) for g in G[full]]
+            values[full] = self._polar_values(np.reshape(hv, (-1, self.nodes)), diag)
             return values, full
-        values[rows], ok = spatial_polar_measures(G[rows], self.measure)
-        full = full.copy()
-        full[rows] = ok
-        return values, full
+        values[full], read = spatial_polar_measures(G[full], self.measure)
+        held = full.copy()
+        held[full] = read
+        return values, held
 
 
 class _Thm12Spec(_PolarSpec):
@@ -910,8 +909,8 @@ class _MixedSpec(_PolarSpec):
     def kernel(self, samples: list, diag: dict) -> tuple:
         A, B = (self.rows(i, X) for i, X in enumerate(samples))
         if self.form == "tetrahedron":
-            normals, full = tetrahedron_pair_normals(A, B)
-            return self._spatial_values([0.25 * W for W in normals], full, diag)
+            W, full = tetrahedron_pair_normals(A, B)
+            return self._spatial_values(0.25 * W, full, diag)
         # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
         full = full_rank(A) & full_rank(B)
         return self._spatial_values(mixed_projection_generators(A, B), full, diag)
@@ -930,13 +929,7 @@ class _Thm11Spec(_MixedSpec):
         if len(forms) == 1 and forms != {None}:
             self.form, = forms
             a, b = (c.m for c in self.csets)
-            # tetrahedron pairs keep the grid: their atom counts differ from
-            # trial to trial, so a walk takes one stack per count, and on
-            # two-trial chunks that showed no measurable gain over the grid
-            if self.form == "tetrahedron":
-                self.entries = self.nodes
-            else:
-                self._spatial_kernel(a * b)
+            self._spatial_kernel(TETRAHEDRON_PAIR_ATOMS if self.form == "tetrahedron" else a * b)
 
     def bodies(self, samples: list, diag: dict) -> list:
         return [_counted(cset.body(X), diag) for X, cset in zip(samples, self.csets)]
@@ -1006,8 +999,8 @@ class _EmpMixedSpec(_Spec):
     def kernel(self, samples: list, diag: dict) -> tuple:
         if self.pair_areas:
             return planar_hull_areas(self.csets[0].rows(samples[0]))
-        normals, full = tetrahedron_pair_normals(*samples)
-        return np.array([self.ball.support_batch(W).sum() / 6.0 for W in normals]), full
+        W, full = tetrahedron_pair_normals(*samples)
+        return self.ball.support_batch(W.reshape(-1, 3)).reshape(len(W), -1).sum(axis=1) / 6.0, full
 
 
 class _PairingSpec(_Spec):

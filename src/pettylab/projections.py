@@ -151,9 +151,9 @@ def polar_measures(HV: np.ndarray, measure: RadialMeasure) -> np.ndarray:
     the spatial grid.  Polar measures of planar zonotopes are exact
     (``bodies.planar_polar_measures``), and experiments take spatial ones
     from the arc walk of ``bodies.spatial_polar_measures`` where it pays;
-    this grid serves 3-D Lebesgue experiments, tetrahedron pairs, explicit
-    node counts and larger projection bodies, whose grid the harness sizes
-    by measure and generator count (``harness.POLAR_GRID_NODES``).
+    this grid serves 3-D Lebesgue experiments, explicit node counts and
+    larger projection bodies, whose grid the harness sizes by measure and
+    generator count (``harness.POLAR_GRID_NODES``).
 
     Rows are integrated one at a time, so a row's value does not depend on
     the rows stacked with it, and its temporaries stay in cache: on a 2-vCPU
@@ -237,24 +237,37 @@ def tetrahedron_projection_generators(P: np.ndarray) -> np.ndarray:
 # vertices off it.
 _TETRAHEDRON_EDGES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2],
                                [1, 2, 0, 3], [1, 3, 0, 2], [2, 3, 0, 1]])
+# Atoms of S(A, B) for two tetrahedra in general position, at most: each
+# edge-arc crossing of their normal fans is one atom, and the overlay of
+# the fans (4 + 4 vertices, 6 + 6 arcs, c crossings) has V = 8 + c, E = 12 +
+# 2c and, by Euler's formula, F = 6 + c regions, one per vertex of A + B,
+# which has at most 16 (Schneider, Convex Bodies, 5.1): so c <= 10.
+TETRAHEDRON_PAIR_ATOMS = 10
 
 
-def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[list, np.ndarray]:
+def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The mixed area measure S(A, B) of A = conv P[t] and B = conv Q[t] for
     stacked four-point clouds P and Q of shape (T, 4, 3), and the mask of
     the trials where it holds: ``edge_crossings`` on the fixed edge table
-    _TETRAHEDRON_EDGES.  Entry t lists the rows w of the crossing pairs,
-    signed to their atoms' normals, so h_{Pi(A, B)}(u) = sum |<w, u>| / 4 and
-    V(A, B, C) = sum h_C(w) / 6.  The mask is False where ``full_rank``
-    cannot call a centered cloud or a pair ties (a face parallel to an edge,
-    parallel edges, repeated points); callers take the hull route there."""
+    _TETRAHEDRON_EDGES.  Row t of the stack holds the rows w of the crossing
+    pairs in edge-table order, signed to their atoms' normals, then zero
+    rows up to TETRAHEDRON_PAIR_ATOMS, so h_{Pi(A, B)}(u) = sum |<w, u>| / 4
+    and V(A, B, C) = sum h_C(w) / 6.  The mask is False where ``full_rank``
+    cannot call a centered cloud, a pair ties (a face parallel to an edge,
+    parallel edges, repeated points) or a row lists more pairs than fit,
+    which only tied rows do; callers take the hull route there."""
     i, j, off = _TETRAHEDRON_EDGES[:, 0], _TETRAHEDRON_EDGES[:, 1], _TETRAHEDRON_EDGES[:, 2:]
     w, plus, minus, tied = edge_crossings(*((C[:, j] - C[:, i], C[:, off] - C[:, i, None])
                                             for C in (P, Q)))
+    T, hit = len(P), (plus > 0.0) | (minus > 0.0)
     holds = (full_rank(P - P.mean(axis=1, keepdims=True))
-             & full_rank(Q - Q.mean(axis=1, keepdims=True)) & ~tied.reshape(len(P), -1).any(axis=1))
+             & full_rank(Q - Q.mean(axis=1, keepdims=True)) & ~tied.reshape(T, -1).any(axis=1)
+             & (hit.reshape(T, -1).sum(axis=1) <= TETRAHEDRON_PAIR_ATOMS))
     w[minus > 0.0] *= -1.0
-    return [w[t][(plus[t] > 0.0) | (minus[t] > 0.0)] for t in range(len(P))], holds
+    w[~hit] = 0.0
+    # the crossing rows first, in edge-table order
+    front = np.argsort(~hit.reshape(T, -1), axis=1, kind="stable")[:, :TETRAHEDRON_PAIR_ATOMS, None]
+    return np.take_along_axis(w.reshape(T, -1, 3), front, axis=1), holds
 
 
 def mixed_projection_support(bodies: list) -> Zonotope:

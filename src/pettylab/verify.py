@@ -69,12 +69,14 @@ from .bodies import (
 )
 from .harness import POLAR_GRID_NODES, POLAR_GRID_TOL
 from .mixed import (
+    mixed_area_measure,
     mixed_projection_generators,
     mixed_volume,
     v1,
     zonotope_projection_generators,
 )
 from .projections import (
+    TETRAHEDRON_PAIR_ATOMS,
     RadialMeasure,
     centroid_body_support,
     mixed_projection_support,
@@ -114,21 +116,18 @@ def gift_wrap_2d(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def brute_hull_vertices_3d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Hull vertices of a full-dimensional spatial set by facet enumeration."""
+    """Hull vertices of a full-dimensional spatial set by facet enumeration:
+    every point triple whose plane has all points on one side within
+    ``tol`` keeps the points on that plane.  All triples run in one pass,
+    m^4 / 6 entries for m points."""
     pts = np.asarray(points, dtype=float)
-    m = len(pts)
-    keep = np.zeros(m, dtype=bool)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                nrm = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-                scale = np.linalg.norm(nrm)
-                if scale < tol:
-                    continue
-                s = (pts - pts[i]) @ (nrm / scale)
-                if np.all(s <= tol) or np.all(s >= -tol):
-                    keep |= np.abs(s) <= tol
-    return pts[keep]
+    i, j, k = np.array(list(itertools.combinations(range(len(pts)), 3)), dtype=int).reshape(-1, 3).T
+    nrm = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+    scale = np.linalg.norm(nrm, axis=1)
+    plane = scale >= tol
+    s = ((pts[None] - pts[i[plane], None]) * (nrm[plane] / scale[plane, None])[:, None]).sum(axis=2)
+    facet = (s <= tol).all(axis=1) | (s >= -tol).all(axis=1)
+    return pts[(np.abs(s[facet]) <= tol).any(axis=0)]
 
 
 def shoelace_area(cycle: np.ndarray) -> float:
@@ -624,18 +623,22 @@ def check_tetrahedron_pair_kernels(seed: int = 0):
     for a coarse ball C against inclusion-exclusion.  The mask must send
     exactly the degenerate pairs to the hull route, and there the hull
     route's ``mixed_projection_support`` and ``mixed_volume``, which take
-    the tie rule, face the same oracles."""
+    the tie rule, face the same oracles.  A held pair's row must hold as
+    many nonzero rows, all in front, as the hull route's measure has
+    atoms, and those at most TETRAHEDRON_PAIR_ATOMS."""
     gen = np.random.default_rng(seed)
     P, Q = tetrahedron_test_pairs(gen, 6)
     U = gen.normal(size=(2, 3))
     C = ball_body(3, facets=12)
-    normals, holds = tetrahedron_pair_normals(P, Q)
-    worst = 0.0
-    masks_ok = True
-    for t, W in enumerate(normals):
-        masks_ok &= bool(holds[t]) == (t % 6 in (0, 2, 4))
+    stack, holds = tetrahedron_pair_normals(P, Q)
+    worst, atoms_ok = 0.0, True
+    masks_ok = holds.tolist() == [True, False] * 3
+    for t, W in enumerate(stack):
         A, B = hull(P[t]), hull(Q[t])
         if holds[t]:
+            atoms = len(mixed_area_measure([A, B])[1])
+            front = np.arange(len(W)) < atoms
+            atoms_ok &= atoms <= TETRAHEDRON_PAIR_ATOMS and np.array_equal(W.any(axis=1), front)
             Pi, V = Zonotope(0.25 * W), float(C.support_batch(W).sum()) / 6.0
         else:
             Pi, V = mixed_projection_support([A, B]), mixed_volume([A, B, C])
@@ -643,7 +646,8 @@ def check_tetrahedron_pair_kernels(seed: int = 0):
         worst = max(worst, float(np.max(np.abs(Pi.support_batch(U) - want) / want)))
         want = mixed_volume_inclusion_exclusion([A, B, C])
         worst = max(worst, abs(V - want) / want)
-    return worst <= 1e-9 and masks_ok, f"max relative defect {worst:.2e}, masks ok: {masks_ok}"
+    return worst <= 1e-9 and masks_ok and atoms_ok, (f"max relative defect {worst:.2e}, masks ok: "
+                                                     f"{masks_ok}, atoms ok: {atoms_ok}")
 
 
 def zonotope_polar_test_cases(gen: np.random.Generator) -> list:
@@ -714,16 +718,13 @@ def spatial_polar_test_zonotopes(gen: np.random.Generator) -> list:
     """(generator rows, needle) pairs of spatial zonotopes: the projection
     bodies of a random tetrahedron and of a needle one 1e-3 thin, a 3 x 3
     mixed zonotope (its rows a_i x b_j make coplanar triples by design), and
-    the edge-pair atoms of a random tetrahedron pair."""
+    the edge-pair row of a random tetrahedron pair, zero rows and all."""
     P = gen.normal(size=(2, 4, 3))
     P[1] = (P[1] * [1.0, 1e-3, 1e-3]) @ np.linalg.qr(gen.normal(size=(3, 3)))[0]
     tets = tetrahedron_projection_generators(P)
     mixed = mixed_projection_generators(gen.normal(size=(1, 3, 3)), gen.normal(size=(1, 3, 3)))
-    while True:
-        normals, holds = tetrahedron_pair_normals(*gen.normal(size=(2, 1, 4, 3)))
-        if holds[0]:
-            break
-    return [(tets[0], False), (tets[1], True), (mixed[0], False), (0.25 * normals[0], False)]
+    stack, holds = tetrahedron_pair_normals(*gen.normal(size=(2, 8, 4, 3)))
+    return [(tets[0], False), (tets[1], True), (mixed[0], False), (0.25 * stack[holds][0], False)]
 
 
 def check_spatial_polar_measures(seed: int = 0):

@@ -76,6 +76,30 @@ class TestHull:
             observed = reduced_form(hull(pts)).vertices
             assert vertex_set_distance(observed, known) <= 1e-9
 
+    def test_one_pass_facet_enumeration_matches_a_triple_loop(self):
+        def loop(pts, tol=1e-9):
+            keep = np.zeros(len(pts), dtype=bool)
+            for i in range(len(pts)):
+                for j in range(i + 1, len(pts)):
+                    for k in range(j + 1, len(pts)):
+                        nrm = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+                        scale = np.linalg.norm(nrm)
+                        if scale < tol:
+                            continue
+                        s = (pts - pts[i]) @ (nrm / scale)
+                        if np.all(s <= tol) or np.all(s >= -tol):
+                            keep |= np.abs(s) <= tol
+            return pts[keep]
+
+        gen = np.random.default_rng(44)
+        for t in range(60):
+            pts = gen.normal(size=(int(gen.integers(5, 12)), 3))
+            if t % 3 == 1:
+                pts[:4, 2] = pts[:, 2].max() + 1.0  # four coplanar points on a facet
+            elif t % 3 == 2:
+                pts[-1] = pts[1]  # a duplicate point
+            assert np.array_equal(brute_hull_vertices_3d(pts), loop(pts))
+
     def test_planar_vertices_are_counterclockwise(self):
         gen = np.random.default_rng(43)
         for _ in range(20):

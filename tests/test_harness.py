@@ -487,6 +487,11 @@ PER_TRIAL = {
                        "m2_list": [4, 3]}),
 }
 ROUTED = {**CHUNKED, **PER_TRIAL}
+# the chunked configs, and the tetrahedron-pair one under a ball and under Lebesgue measure
+_SIMPLICES = CHUNKED["thm11-3d-simplices"][1]
+SPATIAL = {**CHUNKED,
+           "thm11-3d-simplices-ball": ("thm11", dict(_SIMPLICES, measure={"type": "ball", "radius": 0.5})),
+           "thm11-3d-simplices-lebesgue": ("thm11", dict(_SIMPLICES, measure={"type": "lebesgue"}))}
 
 # kinds whose bodies are the hulls of the sampled clouds themselves
 HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "thm12-ball", "empmixed", "emppetty2", "lln",
@@ -621,8 +626,6 @@ class TestChunks:
             assert certificate["nodes"] == projections.DEFAULT_NODES[3]
             assert certificate["trials_per_side"] == 1
             assert max(certificate["max_relative_gap"].values()) <= harness.POLAR_GRID_TOL
-        elif name == "thm11-3d-simplices":
-            assert rule == {"rule": "grid", "nodes": projections.DEFAULT_NODES[3]}
         else:
             assert rule == {"rule": "walk", "order": bodies.POLAR_WALK_ORDER}
 
@@ -639,9 +642,10 @@ def _thm11_cubes(m1: int, m2: int) -> dict:
 
 class TestSpatialRoutes:
     @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm12-3d-ball", "thm12-3d-cube-ball",
-                                      "thm11-3d-zonotopes"])
+                                      "thm11-3d-zonotopes", "thm11-3d-simplices",
+                                      "thm11-3d-simplices-ball"])
     def test_gaussian_and_ball_kernels_take_the_walk_and_no_grid(self, name, monkeypatch):
-        kind, config = CHUNKED[name]
+        kind, config = SPATIAL[name]
         monkeypatch.setattr(harness, "_grid", _refuse)
         monkeypatch.setattr(harness, "polar_measures", _refuse)
         monkeypatch.setattr(projections, "polar_measures", _refuse)
@@ -651,11 +655,9 @@ class TestSpatialRoutes:
         assert math.isfinite(report["lhs"]["mean"]) and math.isfinite(report["rhs"]["mean"])
 
     @pytest.mark.parametrize("name", ["thm12-3d-lebesgue", "thm12-3d-cube",
-                                      "thm11-3d-simplices", "thm11-3d-simplices-ball"])
+                                      "thm11-3d-simplices-lebesgue"])
     def test_lebesgue_large_bodies_and_tetrahedron_pairs_keep_the_grid(self, name, monkeypatch):
-        kind, config = CHUNKED[name.removesuffix("-ball")]
-        if name.endswith("-ball"):
-            config = dict(config, measure={"type": "ball", "radius": 0.5})
+        kind, config = SPATIAL[name]
         calls = []
         grid = harness._grid
         monkeypatch.setattr(harness, "_grid", lambda nodes: calls.append(nodes) or grid(nodes))
@@ -663,6 +665,18 @@ class TestSpatialRoutes:
         assert not spec.walk and spec.entries == spec.nodes == 8192
         harness.RUNNERS[kind](dict(config, trials=2), threads=1)
         assert calls and set(calls) == {8192}
+
+    @pytest.mark.parametrize("name", ["thm11-3d-simplices", "thm11-3d-simplices-ball",
+                                      "empmixed-3d-simplices"])
+    def test_tetrahedron_pair_rows_do_not_depend_on_their_stack(self, name):
+        kind, config = SPATIAL[name]
+        spec = SPECS[kind](config)
+        n = 40
+        assert spec.kernel(spec.stacked(0, 0, n), harness._no_diagnostics())[1].any()
+        diag, one_diag = harness._no_diagnostics(), harness._no_diagnostics()
+        whole = spec.chunk(0, 0, n, diag)
+        ones = np.concatenate([spec.chunk(0, i, 1, one_diag) for i in range(n)])
+        assert ones.tobytes() == whole.tobytes() and one_diag == diag
 
     def test_an_explicit_node_count_keeps_the_grid_of_that_size(self, monkeypatch):
         kind, config = CHUNKED["thm12-3d-gaussian"]

@@ -208,6 +208,83 @@ class TestMixedProjection:
         assert h.support_batch(2.0 * u) == pytest.approx(2.0 * h.support_batch(u), rel=1e-10)
 
 
+def near_parallel_pairs(gen: np.random.Generator, count: int, tilt: float) -> tuple:
+    """Stacked pairs of four-point clouds (P, Q) where Q has an edge (even
+    t) or a face (odd t) parallel to one of P, then tilted by ``tilt``."""
+    P, Q = gen.normal(size=(2, count, 4, 3))
+    for t in range(count):
+        p, q = P[t], Q[t]
+        if t % 2:
+            n = np.cross(p[1] - p[0], p[2] - p[0])
+            n /= np.linalg.norm(n)
+            q[:3] -= np.outer((q[:3] - q[0]) @ n, n)
+            q[1] += tilt * np.linalg.norm(q[1] - q[0]) * n
+        else:
+            d = gen.normal(size=3)
+            d *= tilt * np.linalg.norm(p[1] - p[0]) / np.linalg.norm(d)
+            q[1] = q[0] + 0.7 * (p[1] - p[0]) + d
+    return P, Q
+
+
+def atom_sweeps():
+    """(name, (P, Q)) sweeps of tetrahedron pairs: uniform in the cube,
+    Gaussian, 1e-2 thin, ``tetrahedron_test_pairs`` and near-parallel
+    edges or faces at tilts 1e-6 to 1e-10."""
+    gen = np.random.default_rng(103)
+    rotation = np.linalg.qr(gen.normal(size=(3, 3)))[0]
+    yield "cube", gen.uniform(-1.0, 1.0, size=(2, 3000, 4, 3))
+    yield "gaussian", gen.normal(size=(2, 3000, 4, 3))
+    yield "thin", (gen.normal(size=(2, 3000, 4, 3)) * [1.0, 1.0, 1e-2]) @ rotation
+    yield "test pairs", tetrahedron_test_pairs(gen, 3000)
+    for tilt in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        yield f"tilt {tilt:g}", near_parallel_pairs(gen, 1000, tilt)
+
+
+def _wide_pair_normals(monkeypatch, P, Q) -> tuple:
+    """``tetrahedron_pair_normals`` with a row for each of the 36 edge pairs."""
+    with monkeypatch.context() as m:
+        m.setattr(projections, "TETRAHEDRON_PAIR_ATOMS", 36)
+        return tetrahedron_pair_normals(P, Q)
+
+
+class TestTetrahedronPairStack:
+    def test_held_rows_fit_the_atom_bound_with_their_atoms_in_front(self, monkeypatch):
+        atoms = projections.TETRAHEDRON_PAIR_ATOMS
+        assert atoms == 10
+        for name, (P, Q) in atom_sweeps():
+            W, holds = tetrahedron_pair_normals(P, Q)
+            wide, held = _wide_pair_normals(monkeypatch, P, Q)
+            count = wide.any(axis=2).sum(axis=1)
+            assert W.shape == (len(P), atoms, 3), name
+            # at tilts of 1e-9 and below every pair ties
+            assert holds.any() or name.startswith("tilt"), name
+            assert count[held].max(initial=0) <= atoms, name
+            assert np.array_equal(holds, held) and np.array_equal(W, wide[:, :atoms]), name
+            front = np.arange(36) < count[:, None]
+            assert np.array_equal(wide.any(axis=2)[held], front[held]), name
+        # Euler's formula on the fans' overlay: A + B has 6 + c vertices
+        P, Q = np.random.default_rng(104).normal(size=(2, 100, 4, 3))
+        W, holds = tetrahedron_pair_normals(P, Q)
+        for t in np.flatnonzero(holds):
+            sums = hull((P[t][:, None] + Q[t][None]).reshape(-1, 3))
+            assert np.count_nonzero(W[t].any(axis=1)) == len(sums.vertices) - 6
+
+    def test_a_row_listing_more_pairs_than_fit_leaves_the_mask(self, monkeypatch):
+        gen = np.random.default_rng(105)
+        P, Q = gen.normal(size=(2, 200, 4, 3))
+        P[100:, 3] = P[100:, 0]  # a repeated point ties, and some such rows list 11 or more pairs
+        wide, held = _wide_pair_normals(monkeypatch, P, Q)
+        count = wide.any(axis=2).sum(axis=1)
+        assert (count[100:] > projections.TETRAHEDRON_PAIR_ATOMS).any() and not held[100:].any()
+        W, holds = tetrahedron_pair_normals(P, Q)
+        assert np.array_equal(holds, held) and np.array_equal(W, wide[:, :10])
+        # a narrower stack drops exactly the held rows that list more pairs than it holds
+        monkeypatch.setattr(projections, "TETRAHEDRON_PAIR_ATOMS", 6)
+        narrow, kept = tetrahedron_pair_normals(P, Q)
+        assert (count[held] > 6).any() and np.array_equal(kept, held & (count <= 6))
+        assert np.array_equal(narrow[kept], wide[kept, :6])
+
+
 def measure_test_pairs() -> list:
     """Pairs of spatial bodies (A, B): two of each of the six kinds of
     ``tetrahedron_test_pairs``, whose parallel-face, parallel-edge and
