@@ -16,7 +16,6 @@ from .bodies import (
     lp_ball_body,
     m_add,
     minkowski_sum,
-    planar_polar_measure,
     polar,
     polar_of_zonotope,
     reduced_form,
@@ -24,14 +23,13 @@ from .bodies import (
     scale,
     segment,
     solid_simplex,
-    spatial_polar_measure,
     sphere_directions,
     support,
     translate,
     unit_ball_volume,
     vertex_set_distance,
     volume,
-    zonotope_polar_volume,
+    zonotope_polar_measure,
     zonotope_to_vpolytope,
     zonotope_volume,
 )
@@ -40,7 +38,6 @@ from .mixed import (
     facets,
     mixed_area_measure,
     mixed_volume,
-    shadow_convexity_probe,
     surface_area,
     v1,
 )
@@ -66,6 +63,7 @@ from .symmetrize import (
     chord_shadow_system,
     rearrange_body,
     shadow_at,
+    shadow_convexity_probe,
     steiner_step_expectation,
     steiner_symmetrize,
 )

@@ -663,42 +663,44 @@ def polar_of_zonotope(Z: Zonotope) -> VPolytope:
     norms = np.linalg.norm(cand, axis=1)
     keep = norms > POLAR_NORMAL_TOL
     cand = cand[keep] / norms[keep, None]
-    if len(cand) == 0 or np.linalg.matrix_rank(gens) < n:
+    if len(cand) == 0 or not spans_space(gens):
         raise GeometryError("polar requires a full-dimensional zonotope")
     h = np.sum(np.abs(cand @ gens.T), axis=1)
     pts = cand / h[:, None]
     return hull(np.vstack([pts, -pts]))
 
 
-def zonotope_polar_volume(Z: Zonotope) -> float:
-    """|Z°| of a full-dimensional zonotope, exactly, from its normal fan and
-    with no hull; ``volume(polar_of_zonotope(Z))`` is the hull route.
+def spans_space(G: np.ndarray) -> np.ndarray:
+    """Whether the rows of each generator set G[..., k, n] span R^n, by
+    numpy's ``matrix_rank``: the zonotopes whose polar is bounded.  Every
+    polar measure of one zonotope, the polar hull and the harness's hull
+    route decide flatness with it."""
+    return np.linalg.matrix_rank(G) == G.shape[-1]
 
-    The polar's vertices are n / h_Z(n) over the facet normals n of Z.  In
-    the plane they are +-g_i rotated a quarter turn, and the area is the
-    Lebesgue case of ``planar_polar_measures``, a triangle per arc between
-    neighbouring vertices.  In space it is the Lebesgue case of the arc
-    walk of ``spatial_polar_measures``, a signed cone sum over the arcs of
-    the normal fan.
-    """
-    return _merged_polar_measure(merge_parallel_generators(Z).generators)
+
+def zonotope_polar_measure(Z: Zonotope, measure=None) -> float:
+    """nu(Z°) of a planar or spatial zonotope, Lebesgue measure by default:
+    its generators merged, then the row of ``planar_polar_measures`` or
+    ``spatial_polar_measures``, with no hull or grid
+    (``volume(polar_of_zonotope(Z))`` is the hull route).  A Z that does
+    not span its space raises GeometryError; the exact measure of a planar
+    strip is ``planar_polar_measures``' row of the merged generators."""
+    return _merged_polar_measure(merge_parallel_generators(Z).generators, measure)
 
 
 def _merged_polar_measure(gens: np.ndarray, measure=None) -> float:
-    """nu(Z°), Lebesgue measure by default, from generators already merged,
-    as every projection body's are; a Z that does not span its space raises
-    GeometryError."""
-    m, n = gens.shape
+    """``zonotope_polar_measure`` from generators already merged, as every
+    projection body's are."""
+    n = gens.shape[1]
+    if n not in (2, 3):
+        raise GeometryError(f"polar supports dimension 2 or 3, got {n}")
+    if not spans_space(gens):
+        raise GeometryError("polar requires a full-dimensional zonotope")
     if n == 2:
-        # merged generators are exactly parallel only when there is one
         values, flat = planar_polar_measures(gens[None], measure)
         read = ~flat
-    elif n == 3:
-        if m < 3 or np.linalg.matrix_rank(gens) < 3:
-            raise GeometryError("polar requires a full-dimensional zonotope")
-        values, read = spatial_polar_measures(gens[None], measure)
     else:
-        raise GeometryError("polar supports dimension 2 or 3")
+        values, read = spatial_polar_measures(gens[None], measure)
     if not read[0]:
         raise GeometryError("polar requires a full-dimensional zonotope")
     return float(values[0])
@@ -885,14 +887,6 @@ def _stacked_walk(G: np.ndarray, measure, rule: tuple) -> tuple[np.ndarray, np.n
         read &= ~flat
     values[read], ok[:] = total[read], read
     return values, ok
-
-
-def spatial_polar_measure(Z: Zonotope, measure=None) -> float:
-    """``spatial_polar_measures`` of one spatial zonotope, its generators
-    merged first; a Z that does not span space raises GeometryError."""
-    if Z.dim != 3:
-        raise GeometryError(f"spatial polar measure needs dimension 3, got {Z.dim}")
-    return _merged_polar_measure(merge_parallel_generators(Z).generators, measure)
 
 
 def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
@@ -1170,15 +1164,6 @@ def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.n
     else:
         values[empty] = 1.0 if variant == "gaussian" else math.pi * measure.radius ** 2
     return values, flat
-
-
-def planar_polar_measure(Z: Zonotope, measure=None) -> float:
-    """``planar_polar_measures`` of one planar zonotope, its generators merged
-    first so that a flat Z is found exactly."""
-    if Z.dim != 2:
-        raise GeometryError(f"planar polar measure needs dimension 2, got {Z.dim}")
-    gens = merge_parallel_generators(Z).generators
-    return float(planar_polar_measures(gens[None], measure)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,13 @@ relative gap.
 A kernel leaves out of its mask every cloud it cannot classify with margin
 (degenerate, collinear, coplanar or repeated points, generators that do not
 span the plane or space, or an edge pair whose sign tests fall within the
-margin); the hull route also counts degenerate hulls, and a flat planar
-projection body as an unbounded polar, whose Lebesgue measure is infinite.
+margin).  Kernels and the hull route read projection bodies through one
+rule per spec (``_PolarSpec._values``), and only the hull route decides
+flatness: it counts degenerate hulls, and a projection body whose
+generators do not span the plane or space (``bodies.spans_space``) as an
+unbounded polar.  Under Lebesgue measure such a trial raises; under a
+Gaussian or ball measure it takes the exact measure of its strip in the
+plane and the grid in space.
 The other kinds and C-sets have no kernel and take the hull route on every
 trial: thm12 with other C-sets, thm11 with other hull C-sets, empmixed in
 other mixed modes and the spatial emppetty2 and lln.  Chunk length follows from ``CHUNK_ENTRIES``.
@@ -146,8 +151,8 @@ from .bodies import (
     planar_hull_edges,
     planar_polar_measures,
     solid_simplex,
+    spans_space,
     spatial_polar_entries,
-    spatial_polar_measure,
     spatial_polar_measures,
     volume,
 )
@@ -752,9 +757,9 @@ class _PolarSpec(_Spec):
     explicit node count and kinds with no kernel keep the grid: ``nodes``
     is the config's count, else for a larger projection body its
     POLAR_GRID_NODES row, else DEFAULT_NODES[3].
-    The rule and node count are fixed at parse time and the kernel and hull
-    route both read them, so a trial and its replay never take different
-    rules."""
+    The rule and node count are fixed at parse time, and the kernel and hull
+    route both apply them through ``_values`` (the hull route to a stack of
+    one), so a trial and its replay never take different rules."""
 
     direction = "le"
     walk = False
@@ -792,50 +797,41 @@ class _PolarSpec(_Spec):
         return {"rule": "grid", "nodes": self.nodes}
 
     def value(self, samples: list, diag: dict) -> float:
-        """The polar measure of Pi(``bodies``): exact in the plane; in space
-        by the arc walk or from its support on the grid (a flat Pi, whose
-        polar is unbounded, always takes the grid)."""
+        """The polar measure of Pi(``bodies``) by the spec's rule, a stack of
+        one.  A flat Pi (``bodies.spans_space``), whose polar is unbounded,
+        counts in ``diag``; under Lebesgue measure it raises, else it takes
+        the exact measure of its strip in the plane or the grid in space,
+        where every Pi the rule cannot read goes too."""
         Z = mixed_projection_support(self.bodies(samples, diag))
-        if self.dim == 2:
-            return self._planar_values(Z.generators[None], diag)[0]
-        if self.walk:
-            try:
-                return spatial_polar_measure(Z, self.measure)
-            except GeometryError:
-                pass
-        return self._polar_values(Z.support_batch(_grid(self.nodes))[None], diag)[0]
+        G = Z.generators[None]
+        full = spans_space(G)
+        values, held = self._values(G, full)
+        if held[0]:
+            return values[0]
+        if not full[0]:
+            diag["unbounded_polars"] += 1
+            if self.measure.variant == "lebesgue":
+                raise GeometryError("polar set is unbounded, Lebesgue measure infinite")
+            if self.dim == 2:
+                return planar_polar_measures(G, self.measure)[0][0]
+        return polar_measures(Z.support_batch(_grid(self.nodes))[None], self.measure)[0]
 
-    def _planar_values(self, G: np.ndarray, diag: dict) -> np.ndarray:
-        """Exact polar measures of the stacked planar zonotopes with generator
-        rows G[t], counting each flat one (an unbounded polar) in ``diag``;
-        under Lebesgue measure a flat one raises."""
-        values, flat = planar_polar_measures(G, self.measure)
-        diag["unbounded_polars"] += int(np.count_nonzero(flat))
-        if self.measure.variant == "lebesgue" and flat.any():
-            raise GeometryError("polar set is unbounded, Lebesgue measure infinite")
-        return values
-
-    def _polar_values(self, hv: np.ndarray, diag: dict) -> np.ndarray:
-        """Polar measures of stacked spatial support rows, counting each row
-        with a support value <= 0 (an unbounded polar) in ``diag``."""
-        diag["unbounded_polars"] += int(np.count_nonzero(hv.min(axis=1) <= 0.0))
-        return polar_measures(hv, self.measure)
-
-    def _spatial_values(self, G: np.ndarray, full: np.ndarray, diag: dict) -> tuple:
-        """(values, full): the polar measures of the zonotopes sum_k [-g_k,
+    def _values(self, G: np.ndarray, full: np.ndarray) -> tuple:
+        """(values, held): the polar measures of the zonotopes sum_k [-g_k,
         g_k] over the stacked generator sets G[t] of the trials in the mask
-        ``full``.  The walk leaves the sets it cannot read out of the mask;
-        the grid takes one support call per trial.  Neither depends on the
-        chunk, so neither do the bits.  The values outside the mask are
-        unset."""
-        values = np.empty(len(full))
-        if not self.walk:
+        ``full``, which must span their space, by the spec's rule: exact,
+        walk or grid (one support call per trial).  ``held`` leaves out the
+        sets the rule cannot read.  No rule depends on the chunk, so neither
+        do the bits.  The values outside ``held`` are unset."""
+        values, held = np.empty(len(full)), full.copy()
+        if self.dim == 2:
+            values[full], flat = planar_polar_measures(G[full], self.measure)
+            held[full] = ~flat
+        elif self.walk:
+            values[full], held[full] = spatial_polar_measures(G[full], self.measure)
+        else:
             hv = [Zonotope(g).support_batch(_grid(self.nodes)) for g in G[full]]
-            values[full] = self._polar_values(np.reshape(hv, (-1, self.nodes)), diag)
-            return values, full
-        values[full], read = spatial_polar_measures(G[full], self.measure)
-        held = full.copy()
-        held[full] = read
+            values[full] = polar_measures(np.reshape(hv, (-1, self.nodes)), self.measure)
         return values, held
 
 
@@ -876,10 +872,10 @@ class _Thm12Spec(_PolarSpec):
         P = self.cset.rows(samples[0])
         if self.form == "tetrahedron":
             full = full_rank(P - P.mean(axis=1, keepdims=True))
-            return self._spatial_values(tetrahedron_projection_generators(P), full, diag)
+            return self._values(tetrahedron_projection_generators(P), full)
         if self.dim == 3:
             G = zonotope_projection_generators(P)
-            return self._spatial_values(G, full_rank(P), diag)
+            return self._values(G, full_rank(P))
         # Pi K turned a quarter turn, which keeps its polar measure: 2 g over
         # the generators g of a zonotope, which spans the plane where they
         # do, and e / 2 over the hull edges e of a cloud
@@ -888,9 +884,7 @@ class _Thm12Spec(_PolarSpec):
         else:
             E, full = planar_hull_edges(P)
             G = 0.5 * E
-        values = np.empty(len(P))
-        values[full] = self._planar_values(G[full], diag)
-        return values, full
+        return self._values(G, full)
 
 
 class _MixedSpec(_PolarSpec):
@@ -910,10 +904,10 @@ class _MixedSpec(_PolarSpec):
         A, B = (self.rows(i, X) for i, X in enumerate(samples))
         if self.form == "tetrahedron":
             W, full = tetrahedron_pair_normals(A, B)
-            return self._spatial_values(0.25 * W, full, diag)
+            return self._values(0.25 * W, full)
         # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
         full = full_rank(A) & full_rank(B)
-        return self._spatial_values(mixed_projection_generators(A, B), full, diag)
+        return self._values(mixed_projection_generators(A, B), full)
 
 
 class _Thm11Spec(_MixedSpec):

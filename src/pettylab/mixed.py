@@ -24,7 +24,6 @@ from .bodies import (
     Zonotope,
     cross3,
     facet_planes,
-    hull,
     reduced_form,
     sort_rows,
 )
@@ -321,14 +320,3 @@ def mixed_volume(bodies: list) -> float:
 def v1(K, L) -> float:
     """V(K, ..., K, L) = (1/n) sum of h_L over the surface measure of K."""
     return mixed_volume([K] * (K.dim - 1) + [L])
-
-
-def shadow_convexity_probe(systems: list, t: float) -> float:
-    """Mixed volume of n shadow systems evaluated at a common parameter."""
-    bodies = []
-    for s in systems:
-        pts = np.asarray(s.base_points, dtype=float) + float(t) * np.outer(
-            np.asarray(s.speeds, dtype=float), np.asarray(s.direction, dtype=float)
-        )
-        bodies.append(hull(pts))
-    return mixed_volume(bodies)

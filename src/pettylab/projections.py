@@ -182,10 +182,10 @@ def polar_measure(body, measure: RadialMeasure, quad: QuadratureSpec | None = No
     of ``body``: a VPolytope, a Zonotope or a SupportEvaluator.
 
     With certify=True the node count is doubled and both values must agree
-    to a relative 1e-4, otherwise the quadrature is rejected.  For a planar
-    zonotope ``bodies.planar_polar_measure`` is exact and for a spatial one
-    ``bodies.spatial_polar_measure`` walks its normal fan; this grid is
-    their oracle in ``verify``.
+    to a relative 1e-4, otherwise the quadrature is rejected.  For a
+    zonotope that spans its space ``bodies.zonotope_polar_measure`` is
+    exact in the plane and walks its normal fan in space; this grid is its
+    oracle in ``verify``, and reads flat bodies too.
     """
     quad = quad or QuadratureSpec()
     nodes = quad.node_count(body.dim)
@@ -339,10 +339,10 @@ def polar_projection_polytope(K) -> VPolytope:
 def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -> float:
     """Affine invariant |Pi^o K| |K|^(n-1).
 
-    method 'exact' takes |Pi^o K| from the normal fan of the merged
-    projection body (``zonotope_polar_volume`` with no second merge; the
-    polar hull volume is its oracle in ``verify``); 'quadrature' integrates
-    the projection support in polar-radial coordinates; 'auto' prefers exact.
+    method 'exact', and 'auto' with it, takes |Pi^o K| from the normal fan
+    of the merged projection body (``zonotope_polar_measure`` with no second
+    merge; the polar hull volume is its oracle in ``verify``); 'quadrature'
+    integrates the projection support in polar-radial coordinates.
     """
     body_vol = volume(K)
     n = K.dim
@@ -351,13 +351,10 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
     if method not in PETTY_METHODS:
         raise GeometryError(f"unknown petty_product method {method!r}")
     Z = projection_body(K)
-    if method in ("auto", "exact"):
-        try:
-            return _merged_polar_measure(Z.generators) * body_vol ** (n - 1)
-        except GeometryError:
-            if method == "exact":
-                raise
-    polar_vol = polar_measure(Z, RadialMeasure.lebesgue(), quad)
+    if method == "quadrature":
+        polar_vol = polar_measure(Z, RadialMeasure.lebesgue(), quad)
+    else:
+        polar_vol = _merged_polar_measure(Z.generators)
     return polar_vol * body_vol ** (n - 1)
 
 

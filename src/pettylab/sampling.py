@@ -186,16 +186,6 @@ class Density:
             return Density.ball(self.dim, r)
         return self
 
-    def comparison_body(self, facets: int | None = None) -> VPolytope:
-        """Polytope carrier for exact downstream ops (ball kinds use the
-        equal-volume rearrangement polytope)."""
-        if self.kind == "uniform":
-            return self.body
-        if self.kind == "ball":
-            vol = unit_ball_volume(self.dim) * self.radius ** self.dim
-            return rearrange_body_volume(vol, self.dim, facets)
-        raise GeometryError("gaussian density has no body carrier")
-
     def _triangulation(self):
         if self._tri is None:
             tri = Delaunay(self.body.vertices)

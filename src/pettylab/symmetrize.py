@@ -24,7 +24,7 @@ from .bodies import (
     reduced_form,
     volume,
 )
-from .mixed import facets, triangulation_edges
+from .mixed import facets, mixed_volume, triangulation_edges
 from .sampling import Density, RngStream, rearrange_body_volume
 from .stats import summarize
 
@@ -224,6 +224,11 @@ class ShadowSystem:
 def shadow_at(system: ShadowSystem, t: float) -> VPolytope:
     pts = system.base_points + float(t) * np.outer(system.speeds, system.direction)
     return hull(pts)
+
+
+def shadow_convexity_probe(systems: list, t: float) -> float:
+    """Mixed volume of n shadow systems evaluated at a common parameter."""
+    return mixed_volume([shadow_at(s, t) for s in systems])
 
 
 def chord_shadow_system(K: VPolytope, u) -> ShadowSystem:

@@ -14,12 +14,13 @@ face the polynomial fit of |a K1 + b K2| (``mixed_volume_fit_check``).  The
 stacked trial kernels, planar and spatial, are checked against the hull
 route, and the edge-pair kernels of two tetrahedra, and the hull route of
 the pairs they mask out, against both oracles.
-The closed-form polar volume of a zonotope, which the exact Petty product
-uses, is checked against the hull volume of the polar polytope, the exact
-planar polar measures of the experiments against the polar hull and the
-2^16-node grid of ``polar_measure``, and the spatial arc walk against the
-polar hull, a 2^16-node grid and a rule of four times its order, and each
-row of the harness's sized spatial grid against the walk.  The block
+The polar volume of a zonotope by ``bodies.zonotope_polar_measure``, the
+route of the exact Petty product, is checked against the hull volume of
+the polar polytope, the exact planar polar measures of the experiments
+against the polar hull and the 2^16-node grid of ``polar_measure``
+(strips too), the spatial arc walk against the polar hull, a 2^16-node
+grid and a rule of four times its order, and each row of the harness's
+sized spatial grid against the walk.  The block
 sample route is checked against numpy's SeedSequence and each trial's own
 generator.
 The test suite imports these oracles; the command line runs the whole list.
@@ -43,13 +44,13 @@ from .bodies import (
     cube_body,
     hull,
     full_rank,
+    merge_parallel_generators,
     minkowski_sum,
     planar_hull_areas,
     planar_hull_edges,
-    planar_polar_measure,
     planar_polar_measures,
     point_sums,
-    spatial_polar_measure,
+    spans_space,
     spatial_polar_measures,
     polar,
     polar_of_zonotope,
@@ -62,7 +63,7 @@ from .bodies import (
     vertex_set_distance,
     volume,
     volume_of_points,
-    zonotope_polar_volume,
+    zonotope_polar_measure,
     zonotope_to_vpolytope,
     zonotope_volume,
     _stacked_walk,
@@ -523,7 +524,7 @@ def check_planar_kernels(seed: int = 0):
                            planar_polar_measures(Pi.generators[None], nu)[0])]
         if areas_hold[t]:
             pairs.append((areas[t], volume(K)))
-        masks_ok &= (bool(full[t]) == (t % 3 != 1) and bool(spans[t]) == (np.linalg.matrix_rank(X) == 2)
+        masks_ok &= (bool(full[t]) == (t % 3 != 1) and bool(spans[t]) == spans_space(X)
                      and bool(areas_hold[t]) == bool(edges_hold[t]) == (t % 3 == 0))
     worst = max(float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
                 for got, want in pairs)
@@ -566,19 +567,16 @@ def check_spatial_kernels(seed: int = 0):
     def vertex_form(G):
         return zonotope_to_vpolytope(Zonotope(G))
 
-    def spans(G):
-        return np.linalg.matrix_rank(G) == 3
-
     forms = [
         (tetrahedron_projection_generators(P),
          full_rank(P - P.mean(axis=1, keepdims=True)),
          lambda t: hull(P[t]).affine_dim == 3,
          lambda t: projection_body(hull(P[t]), allow_degenerate=True).support_batch(U)),
         (zonotope_projection_generators(A), full_rank(A),
-         lambda t: spans(A[t]),
+         lambda t: spans_space(A[t]),
          lambda t: projection_body(vertex_form(A[t]), allow_degenerate=True).support_batch(U)),
         (mixed_projection_generators(A, B), full_rank(A) & full_rank(B),
-         lambda t: spans(A[t]) and spans(B[t]),
+         lambda t: spans_space(A[t]) and spans_space(B[t]),
          lambda t: mixed_projection_support([vertex_form(A[t]), vertex_form(B[t])]).support_batch(U)),
     ]
     worst = 0.0
@@ -671,7 +669,7 @@ def check_zonotope_polar_volume(seed: int = 0):
     gen = np.random.default_rng(seed)
     worst = 0.0
     for Z, known in zonotope_polar_test_cases(gen):
-        got = zonotope_polar_volume(Z)
+        got = zonotope_polar_measure(Z)
         for want in (volume(polar_of_zonotope(Z)), known):
             if want is not None:
                 worst = max(worst, abs(got - want) / want)
@@ -690,26 +688,27 @@ def planar_polar_test_zonotopes(gen: np.random.Generator) -> list:
 
 
 def check_planar_polar_measures(seed: int = 0):
-    """The exact planar polar measure against two oracles, on random, needle
-    and flat zonotopes: the 2^16-node grid of ``polar_measure`` under
-    Gaussian measure and the ball measures whose disc lies inside the
-    polar or crosses its boundary, and the polar hull volume under
-    Lebesgue measure and a ball that holds the whole polar (not for the flat
-    zonotope, whose polar is a strip)."""
+    """The exact planar polar measures of merged generators against two
+    oracles, on random, needle and flat zonotopes: the 2^16-node grid of
+    ``polar_measure`` under Gaussian measure and the ball measures whose
+    disc lies inside the polar or crosses its boundary, and the polar hull
+    volume under Lebesgue measure and a ball that holds the whole polar (not
+    for the flat zonotope, whose polar is a strip)."""
     gen = np.random.default_rng(seed)
     U = sphere_directions(2, 1 << 16)
     grid = exact = 0.0
     for Z, flat in planar_polar_test_zonotopes(gen):
+        G = merge_parallel_generators(Z).generators[None]
         hv = Z.support_batch(U)
         low, high = float(hv.min()), float(hv.max())
         for nu in (RadialMeasure.gaussian(0.8), RadialMeasure.ball(0.5 / high),
                    RadialMeasure.ball(2.0 / (low + high))):
             want = polar_measure_from_support(hv, nu, 2)
-            grid = max(grid, abs(planar_polar_measure(Z, nu) - want) / want)
+            grid = max(grid, abs(planar_polar_measures(G, nu)[0][0] - want) / want)
         if not flat:
             want = volume(polar_of_zonotope(Z))
             for nu in (None, RadialMeasure.ball(2.0 / low)):
-                exact = max(exact, abs(planar_polar_measure(Z, nu) - want) / want)
+                exact = max(exact, abs(planar_polar_measures(G, nu)[0][0] - want) / want)
     return grid <= 1e-8 and exact <= 1e-11, (f"max relative defect {grid:.2e} against the grid, "
                                              f"{exact:.2e} against the polar hull")
 
@@ -779,11 +778,11 @@ def grid_table_test_generators(gen: np.random.Generator, k: int) -> np.ndarray:
 
 def grid_table_error(G: np.ndarray, nodes: int) -> float:
     """The relative error of the ``nodes``-node grid against the walk of
-    ``spatial_polar_measure`` for the spatial zonotope with generator rows
+    ``zonotope_polar_measure`` for the spatial zonotope with generator rows
     G, under the Gaussian of scale 1 that ``harness.POLAR_GRID_NODES`` was
     measured with."""
     Z, nu = Zonotope(G), RadialMeasure.gaussian(1.0)
-    want = spatial_polar_measure(Z, nu)
+    want = zonotope_polar_measure(Z, nu)
     return abs(polar_measure_from_support(Z.support_batch(sphere_directions(3, nodes)), nu, 3)
                - want) / want
 

@@ -22,20 +22,18 @@ from pettylab import (
     lp_ball_body,
     m_add,
     minkowski_sum,
-    planar_polar_measure,
     polar,
     polar_of_zonotope,
     reduced_form,
     regular_polygon,
     segment,
     solid_simplex,
-    spatial_polar_measure,
     support,
     translate,
     unit_ball_volume,
     vertex_set_distance,
     volume,
-    zonotope_polar_volume,
+    zonotope_polar_measure,
     zonotope_to_vpolytope,
     zonotope_volume,
 )
@@ -508,7 +506,7 @@ class TestZonotopePolarVolume:
          math.sqrt(3.0) / 2.0),
     ], ids=["square", "cube", "box", "hexagon"])
     def test_known_values(self, gens, known):
-        assert zonotope_polar_volume(Zonotope(np.array(gens))) == pytest.approx(known, rel=1e-14)
+        assert zonotope_polar_measure(Zonotope(np.array(gens))) == pytest.approx(known, rel=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_the_polar_hull_on_random_projection_bodies(self, n):
@@ -517,7 +515,7 @@ class TestZonotopePolarVolume:
             gen = np.random.default_rng(seed)
             Z = projection_body(hull(gen.normal(size=(int(gen.integers(n + 1, 16)), n))))
             want = volume(polar_of_zonotope(Z))
-            worst = max(worst, abs(zonotope_polar_volume(Z) - want) / want)
+            worst = max(worst, abs(zonotope_polar_measure(Z) - want) / want)
         assert worst <= 1e-12
 
     def test_coplanar_and_near_parallel_generators_agree_with_the_polar_hull(self):
@@ -532,7 +530,7 @@ class TestZonotopePolarVolume:
         for G in (coplanar, near, apart):
             Z = Zonotope(G)
             want = volume(polar_of_zonotope(Z))
-            assert zonotope_polar_volume(Z) == pytest.approx(want, rel=1e-12)
+            assert zonotope_polar_measure(Z) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("gens", [
         [[1.0, 2.0], [2.0, 4.0]],
@@ -542,13 +540,18 @@ class TestZonotopePolarVolume:
         [[0.0, 0.0, 0.0]],
     ], ids=["parallel-2d", "one-2d", "coplanar-3d", "two-3d", "zero-3d"])
     def test_a_flat_zonotope_raises(self, gens):
-        with pytest.raises(GeometryError):
-            zonotope_polar_volume(Zonotope(np.array(gens)))
+        for nu in (LEBESGUE, GAUSSIAN, BALL):
+            with pytest.raises(GeometryError, match="full-dimensional"):
+                zonotope_polar_measure(Zonotope(np.array(gens)), nu)
+
+    def test_rejects_dimension_four(self):
+        with pytest.raises(GeometryError, match="dimension 2 or 3"):
+            zonotope_polar_measure(Zonotope(np.eye(4)))
 
     def test_many_generators_agree_with_the_polar_hull(self):
         Z = Zonotope(np.random.default_rng(54).normal(size=(90, 3)))
         want = volume(polar_of_zonotope(Z))
-        assert zonotope_polar_volume(Z) == pytest.approx(want, rel=1e-12)
+        assert zonotope_polar_measure(Z) == pytest.approx(want, rel=1e-12)
 
     def test_the_ball_runs_in_memory_of_order_m_squared(self):
         # ball_body(3) has about 320 facet generators: an m x (2m - 2) x m
@@ -559,7 +562,7 @@ class TestZonotopePolarVolume:
         assert m > 300 and m * (2 * m - 2) > 10 * bodies.POLAR_BLOCK_ARCS  # many blocks
         tracemalloc.start()
         try:
-            got = zonotope_polar_volume(Z)
+            got = zonotope_polar_measure(Z)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -581,23 +584,27 @@ class TestPlanarPolarMeasures:
         # the polar of [-1, 1]^2 is the diamond |x| + |y| <= 1, of inradius
         # 1 / sqrt 2, inside the disc of radius 1
         square = Zonotope(np.eye(2))
-        assert planar_polar_measure(square) == pytest.approx(2.0, rel=1e-15)
-        assert planar_polar_measure(square, RadialMeasure.ball(1.0)) == pytest.approx(2.0, rel=1e-15)
+        assert zonotope_polar_measure(square) == pytest.approx(2.0, rel=1e-15)
+        assert zonotope_polar_measure(square, RadialMeasure.ball(1.0)) == pytest.approx(2.0,
+                                                                                      rel=1e-15)
         small = RadialMeasure.ball(0.5)
-        assert planar_polar_measure(square, small) == pytest.approx(math.pi / 4.0, rel=1e-15)
+        assert zonotope_polar_measure(square, small) == pytest.approx(math.pi / 4.0, rel=1e-15)
 
     @pytest.mark.parametrize("gens", [[[0.6, -1.3]], [[0.6, -1.3], [-1.5, 3.25], [0.42, -0.91]]],
                              ids=["one", "parallel"])
     def test_a_flat_zonotope_has_a_strip_for_its_polar(self, gens):
+        # the stacked rule reads the strip; the one-body function refuses it
         Z = Zonotope(np.array(gens))
-        length = float(np.linalg.norm(merge_parallel_generators(Z).generators))
-        strip = math.erf(1.0 / (length * GAUSSIAN.sigma * math.sqrt(2.0)))
-        assert planar_polar_measure(Z, GAUSSIAN) == pytest.approx(strip, rel=1e-12, abs=0.0)
-        want = _strip_in_disc(1.0 / length, BALL.radius)
-        assert planar_polar_measure(Z, BALL) == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert planar_polar_measure(Z) == math.inf
         G = merge_parallel_generators(Z).generators[None]
+        length = float(np.linalg.norm(G))
+        strip = math.erf(1.0 / (length * GAUSSIAN.sigma * math.sqrt(2.0)))
+        assert planar_polar_measures(G, GAUSSIAN)[0][0] == pytest.approx(strip, rel=1e-12, abs=0.0)
+        want = _strip_in_disc(1.0 / length, BALL.radius)
+        assert planar_polar_measures(G, BALL)[0][0] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert planar_polar_measures(G)[0][0] == math.inf
         assert planar_polar_measures(G, GAUSSIAN)[1].tolist() == [True]
+        with pytest.raises(GeometryError, match="full-dimensional"):
+            zonotope_polar_measure(Z, GAUSSIAN)
 
     def test_no_generator_leaves_the_whole_plane(self):
         for nu, whole in ((LEBESGUE, math.inf), (GAUSSIAN, 1.0), (BALL, math.pi * 1.5 ** 2)):
@@ -611,7 +618,7 @@ class TestPlanarPolarMeasures:
         G = gen.normal(size=(5, 2))
         # [-2g, 2g] + [-(-g), -g] = [-3g, 3g]
         padded = np.vstack([G[:2], np.zeros((2, 2)), 2.0 * G[2:3], -G[2:3], G[3:]])
-        want = planar_polar_measure(Zonotope(np.vstack([G[:2], 3.0 * G[2:3], G[3:]])), nu)
+        want = zonotope_polar_measure(Zonotope(np.vstack([G[:2], 3.0 * G[2:3], G[3:]])), nu)
         got = planar_polar_measures(padded[None], nu)[0][0]
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -630,14 +637,10 @@ class TestPlanarPolarMeasures:
         for _ in range(20):
             Z = projection_body(hull(gen.normal(size=(int(gen.integers(3, 12)), 2))))
             area = volume(polar_of_zonotope(Z))
-            assert planar_polar_measure(Z) == pytest.approx(area, rel=1e-12)
+            assert zonotope_polar_measure(Z) == pytest.approx(area, rel=1e-12)
             # a disc that holds the whole polar measures its area
             outer = RadialMeasure.ball(2.0 / Z.support_batch(bodies.sphere_directions(2, 256)).min())
-            assert planar_polar_measure(Z, outer) == pytest.approx(area, rel=1e-12)
-
-    def test_rejects_space(self):
-        with pytest.raises(GeometryError, match="dimension 2"):
-            planar_polar_measure(Zonotope(np.eye(3)))
+            assert zonotope_polar_measure(Z, outer) == pytest.approx(area, rel=1e-12)
 
 
 def _foot_family(lam: float) -> np.ndarray:
@@ -677,11 +680,11 @@ class TestSpatialPolarMeasures:
         # the polar of [-1, 1]^3 is |x| + |y| + |z| <= 1: volume 4/3,
         # inradius 1 / sqrt 3 and circumradius 1
         cube = Zonotope(np.eye(3))
-        assert spatial_polar_measure(cube) == pytest.approx(4.0 / 3.0, rel=1e-14)
-        assert spatial_polar_measure(cube, RadialMeasure.ball(1.0)) == pytest.approx(4.0 / 3.0,
+        assert zonotope_polar_measure(cube) == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert zonotope_polar_measure(cube, RadialMeasure.ball(1.0)) == pytest.approx(4.0 / 3.0,
                                                                                      rel=1e-14)
         inside = 4.0 * math.pi * 0.5 ** 3 / 3.0
-        assert spatial_polar_measure(cube, RadialMeasure.ball(0.5)) == pytest.approx(inside,
+        assert zonotope_polar_measure(cube, RadialMeasure.ball(0.5)) == pytest.approx(inside,
                                                                                      rel=1e-9)
 
     @pytest.mark.parametrize("nu", [GAUSSIAN, RadialMeasure.gaussian(0.3), BALL,
@@ -693,7 +696,7 @@ class TestSpatialPolarMeasures:
         for _ in range(3):
             Z = projection_body(hull(gen.normal(size=(int(gen.integers(4, 9)), 3))))
             want = polar_measure_from_support(Z.support_batch(U), nu, 3)
-            assert spatial_polar_measure(Z, nu) == pytest.approx(want, rel=1e-4)
+            assert zonotope_polar_measure(Z, nu) == pytest.approx(want, rel=1e-4)
             G = Z.generators[None]
             assert spatial_polar_measures(G)[0][0] == pytest.approx(volume(polar_of_zonotope(Z)),
                                                                     rel=1e-12)
@@ -714,11 +717,15 @@ class TestSpatialPolarMeasures:
 
     @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
     def test_one_body_is_a_row_of_the_stack(self, nu):
-        for k in (3, 9, 40):
-            Z = Zonotope(np.random.default_rng(77 + k).normal(size=(k, 3)))
-            merged = merge_parallel_generators(Z).generators
-            want = spatial_polar_measures(merged[None], nu)[0][:1]
-            assert np.array([spatial_polar_measure(Z, nu)]).tobytes() == want.tobytes()
+        # in the plane and in space, parallel generators and all
+        for n, rule in ((2, planar_polar_measures), (3, spatial_polar_measures)):
+            for k in (3, 9, 40):
+                G = np.random.default_rng(77 + k).normal(size=(k, n))
+                Z = Zonotope(np.vstack([G, -2.5 * G[:1]]))
+                merged = merge_parallel_generators(Z).generators
+                assert len(merged) == k
+                want = rule(merged[None], nu)[0][:1]
+                assert np.array([zonotope_polar_measure(Z, nu)]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("nu, k", [(LEBESGUE, 100), (GAUSSIAN, 40), (BALL, 40)],
                              ids=["lebesgue", "gaussian", "ball"])
@@ -756,7 +763,7 @@ class TestSpatialPolarMeasures:
         values, ok = spatial_polar_measures(G, nu)
         assert ok.all() and np.isfinite(values).all()
         for t in range(0, 64, 7):
-            assert values[t] == pytest.approx(spatial_polar_measure(Zonotope(G[t]), nu), rel=1e-12)
+            assert values[t] == pytest.approx(zonotope_polar_measure(Zonotope(G[t]), nu), rel=1e-12)
 
     @pytest.mark.parametrize("nu", [LEBESGUE, GAUSSIAN, BALL], ids=["lebesgue", "gaussian", "ball"])
     def test_signs_and_order_of_the_generators_do_not_matter(self, nu):
@@ -831,9 +838,7 @@ class TestSpatialPolarMeasures:
             values, ok = spatial_polar_measures(np.zeros((0, 5, 3)), nu)
             assert values.shape == ok.shape == (0,)
         with pytest.raises(GeometryError, match="full-dimensional"):
-            spatial_polar_measure(Zonotope(coplanar[0]), GAUSSIAN)
-        with pytest.raises(GeometryError, match="dimension 3"):
-            spatial_polar_measure(Zonotope(np.eye(2)))
+            zonotope_polar_measure(Zonotope(coplanar[0]), GAUSSIAN)
 
     def test_the_stacked_walk_uses_no_matrix_product(self):
         # a matrix product blocks its sums by the size of the stack, so a

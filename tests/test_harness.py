@@ -520,14 +520,14 @@ def _odd_clouds(kinds):
 
 
 def _odd_kinds(name, dim):
-    # the polar projection body of a collinear triangle or tetrahedron has
-    # infinite Lebesgue measure, which both routes reject with a
-    # GeometryError, and spatial emppetty2 rejects every degenerate hull
-    if name == "emppetty2-3d":
+    # a flat projection body has a polar of infinite Lebesgue measure, which
+    # both routes reject with a GeometryError: in the plane that of a
+    # collinear triangle, in space that of every coplanar, collinear or
+    # repeated-point cloud of 3 or 4 points (a tetrahedron's hull, a cube
+    # C-set's generators); spatial emppetty2 rejects every degenerate hull
+    if name in ("emppetty2-3d", "thm12-3d-lebesgue", "thm12-3d-cube"):
         return [0]
-    if name == "thm12-lebesgue":
-        return [0, 2]
-    return [0, 1, 3] if name == "thm12-3d-lebesgue" else list(range(3 if dim == 2 else 4))
+    return [0, 2] if name == "thm12-lebesgue" else list(range(3 if dim == 2 else 4))
 
 
 # the flat kinds of ``_odd_clouds``: collinear in the plane, coplanar and
@@ -966,6 +966,52 @@ class TestTrialErrors:
         out = harness.replay("thm12", config, (0, 7))
         assert out["chunk"]["value"] == out["trial"]["value"] == values[7]
         assert out["trial"]["diagnostics"] == diag
+
+    @staticmethod
+    def _flat_tetrahedron(monkeypatch, kind: int, measure: dict) -> dict:
+        """A 3-D thm12 config whose trial (0, 7) draws the coplanar (kind 1)
+        or repeated-point (kind 3) cloud of ``spatial_test_clouds``: its
+        projection body is a segment, and its polar a slab."""
+        real = Density.sample
+        target = real(Density.gaussian(3), RngStream(5, (0, 7)).generator(), 4)
+        flat = spatial_test_clouds(np.random.default_rng(kind), 4)[kind]
+
+        def sample(self, gen, count):
+            pts = real(self, gen, count)
+            return flat.copy() if np.array_equal(pts, target) else pts
+
+        _patch_sample(monkeypatch, sample)
+        return dict(THM12_SMALL, dim=3, measure=measure, c_set={"kind": "simplex", "m": 4},
+                    blocks=[{"density": {"type": "gaussian"}, "m": 4}])
+
+    @pytest.mark.parametrize("kind", [1, 3], ids=["coplanar", "repeated-point"])
+    def test_a_flat_spatial_trial_under_lebesgue_measure_names_its_key(self, kind, monkeypatch,
+                                                                       cold_memo):
+        config = self._flat_tetrahedron(monkeypatch, kind, {"type": "lebesgue"})
+        message = "GeometryError: polar set is unbounded, Lebesgue measure infinite"
+        with pytest.raises(TrialError, match=re.escape(f"trial (0, 7): {message}")) as info:
+            run_theorem_1_2(config)
+        assert info.value.key == (0, 7)
+        out = harness.replay("thm12", config, (0, 7))
+        assert out["chunk"] == out["trial"] == {"error": message}
+
+    @pytest.mark.parametrize("measure", [{"type": "gaussian", "sigma": 0.8},
+                                         {"type": "ball", "radius": 0.5}], ids=["gaussian", "ball"])
+    @pytest.mark.parametrize("kind", [1, 3], ids=["coplanar", "repeated-point"])
+    def test_a_flat_spatial_trial_counts_as_an_unbounded_polar(self, kind, measure, monkeypatch,
+                                                               cold_memo):
+        config = self._flat_tetrahedron(monkeypatch, kind, measure)
+        spec = SPECS["thm12"](config)
+        chunk_diag, hull_diag = harness._no_diagnostics(), harness._no_diagnostics()
+        values = spec.chunk(0, 0, 10, chunk_diag)
+        want = np.array([spec.trial(0, i, hull_diag) for i in range(10)])
+        # the flat trial takes the hull route in the chunk too
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
+        assert values[7] == want[7] and np.isfinite(values).all()
+        assert chunk_diag == hull_diag == {"degenerate_hulls": 1, "unbounded_polars": 1}
+        serial = report_to_json(run_theorem_1_2(config, threads=1))
+        assert json.loads(serial)["diagnostics"]["unbounded_polars"] == 1
+        assert report_to_json(run_theorem_1_2(config, threads=2)) == serial
 
     def test_the_error_survives_a_worker_process(self):
         err = pickle.loads(pickle.dumps(TrialError((1, 3), "GeometryError: boom")))

@@ -180,13 +180,6 @@ class TestDensity:
         g = Density.gaussian(2)
         assert g.rearranged() is g
 
-    def test_comparison_body_volume_is_exact(self):
-        d = Density.ball(2, 1.3)
-        B = d.comparison_body(64)
-        assert volume(B) == pytest.approx(math.pi * 1.3**2, rel=1e-12)
-        with pytest.raises(GeometryError):
-            Density.gaussian(2).comparison_body()
-
     def test_from_literal(self):
         d = _density(
             {"type": "uniform", "body": {"type": "cube", "dim": 2}}, "density", 2
