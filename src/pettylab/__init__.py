@@ -29,7 +29,6 @@ from .bodies import (
     unit_ball_volume,
     vertex_set_distance,
     volume,
-    zonotope_polar_measure,
     zonotope_to_vpolytope,
     zonotope_volume,
 )
@@ -54,6 +53,7 @@ from .projections import (
     polar_measure,
     polar_projection_polytope,
     projection_body,
+    zonotope_polar_measure,
 )
 from .sampling import Density, RngStream, rearrange_body_volume
 from .stats import EstimateWithCI, classify, summarize

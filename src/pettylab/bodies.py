@@ -678,34 +678,6 @@ def spans_space(G: np.ndarray) -> np.ndarray:
     return np.linalg.matrix_rank(G) == G.shape[-1]
 
 
-def zonotope_polar_measure(Z: Zonotope, measure=None) -> float:
-    """nu(Z°) of a planar or spatial zonotope, Lebesgue measure by default:
-    its generators merged, then the row of ``planar_polar_measures`` or
-    ``spatial_polar_measures``, with no hull or grid
-    (``volume(polar_of_zonotope(Z))`` is the hull route).  A Z that does
-    not span its space raises GeometryError; the exact measure of a planar
-    strip is ``planar_polar_measures``' row of the merged generators."""
-    return _merged_polar_measure(merge_parallel_generators(Z).generators, measure)
-
-
-def _merged_polar_measure(gens: np.ndarray, measure=None) -> float:
-    """``zonotope_polar_measure`` from generators already merged, as every
-    projection body's are."""
-    n = gens.shape[1]
-    if n not in (2, 3):
-        raise GeometryError(f"polar supports dimension 2 or 3, got {n}")
-    if not spans_space(gens):
-        raise GeometryError("polar requires a full-dimensional zonotope")
-    if n == 2:
-        values, flat = planar_polar_measures(gens[None], measure)
-        read = ~flat
-    else:
-        values, read = spatial_polar_measures(gens[None], measure)
-    if not read[0]:
-        raise GeometryError("polar requires a full-dimensional zonotope")
-    return float(values[0])
-
-
 # Gauss-Legendre order of the rule on each piece of an edge in
 # ``spatial_polar_measures``, a constant: against order 64 it moved Gaussian
 # polar measures (sigma 1) of 400 random tetrahedron projection bodies by at
@@ -1081,9 +1053,9 @@ def _ball_h(R: np.ndarray, d2: np.ndarray, r: float) -> np.ndarray:
 def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.ndarray]:
     """nu(Z°) for the planar zonotopes Z = sum [-g, g] over the generator
     rows of G[t], shape (T, k, 2), exactly and with no hull or grid, and the
-    mask of the flat ones (rank below 2, whose polar is a strip or the
-    plane).  ``measure`` is a ``projections.RadialMeasure``, or None for
-    Lebesgue measure.
+    mask of the zonotopes it reads, as the walk's: False for the flat ones
+    (rank below 2, whose polar is a strip or the plane).  ``measure`` is a
+    ``projections.RadialMeasure``, or None for Lebesgue measure.
 
     With I the measure's radial integral, nu(Z°) = int I(1 / h_Z(u)) dtheta
     over the circle.  h_Z is even and linear between the breakpoints w =
@@ -1163,7 +1135,7 @@ def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.n
         values[flat] = math.inf
     else:
         values[empty] = 1.0 if variant == "gaussian" else math.pi * measure.radius ** 2
-    return values, flat
+    return values, ~flat
 
 
 # ---------------------------------------------------------------------------

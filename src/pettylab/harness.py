@@ -79,28 +79,29 @@ cross products:
   of S(A, B) that ``mixed.edge_crossings`` finds on a tetrahedron's edges,
   TETRAHEDRON_PAIR_ATOMS rows per trial with zero rows after the atoms.
 
-Under a Gaussian or ball measure, projection bodies of at most
-POLAR_WALK_MAX_GENERATORS generators for that measure then take the arc
-walk of ``bodies.spatial_polar_measures`` over their normal fan, stacked
-for the chunk, with no grid (a zero row adds arcs of length zero); the
-polar is origin-symmetric, so the walk runs half of each great circle and
-doubles the sum.  The hull route of such a spec takes the same walk.
-Lebesgue measure, larger projection bodies, an explicit
-``quadrature.nodes`` and the kinds with no kernel take one support call per
-trial over the spatial grid and one polar quadrature row.  The grid of a
-larger projection body has the nodes of its POLAR_GRID_NODES row (measure
-and generator count); the others keep DEFAULT_NODES[3], or the config's
-count.  Neither route depends on the chunk, so a trial's value is again the
-same bit for bit in every chunk.  The same rows give empmixed with two such
-C-sets and one ball slot: V(A, B, ball) = (1/6) sum h_ball(w), h_ball(0) =
-0, one support call per chunk.
+A spec's polar rule is one value, its grid's node count or None for the
+exact rule in the plane and the walk in space, and every route reads the
+projection bodies of a chunk through one call,
+``projections.polar_measures``.  In space the POLAR_RULES row of the measure at the kernel's generator
+bound picks it: under a Gaussian or ball measure small projection bodies
+take the arc walk of ``bodies.spatial_polar_measures`` over their normal
+fan, stacked for the chunk, with no grid (a zero row adds arcs of length
+zero); the polar is origin-symmetric, so the walk runs half of each great
+circle and doubles the sum.  Lebesgue measure and larger projection bodies
+take one support call per trial over the row's spatial grid and one polar
+quadrature row; an explicit ``quadrature.nodes`` sets the grid, and the
+kinds with no kernel keep DEFAULT_NODES[3].  The hull route of a spec
+takes its rule too.  Neither route depends on the chunk, so a trial's
+value is again the same bit for bit in every chunk.  The same rows give
+empmixed with two such C-sets and one ball slot: V(A, B, ball) = (1/6) sum
+h_ball(w), h_ball(0) = 0, one support call per chunk.
 
 The report of a polar kind names its rule under ``quadrature``, outside
 ``diagnostics``: ``exact``, ``walk`` with its order or ``grid`` with its
-nodes.  Where a POLAR_GRID_NODES row shrank the grid, it adds a
-certificate: the trials of each side whose index is a multiple of
-CERTIFY_STRIDE rerun on DEFAULT_NODES[3] nodes, and each side's worst
-relative gap.
+nodes.  Every grid adds a certificate: the trials of each side whose index
+is a multiple of CERTIFY_STRIDE rerun on twice the nodes, and each side's
+worst relative gap.  A walk report whose hull route read flat projection
+bodies on the grid names that grid under ``unbounded``.
 
 A kernel leaves out of its mask every cloud it cannot classify with margin
 (degenerate, collinear, coplanar or repeated points, generators that do not
@@ -111,7 +112,7 @@ flatness: it counts degenerate hulls, and a projection body whose
 generators do not span the plane or space (``bodies.spans_space``) as an
 unbounded polar.  Under Lebesgue measure such a trial raises; under a
 Gaussian or ball measure it takes the exact measure of its strip in the
-plane and the grid in space.
+plane and the grid in space (DEFAULT_NODES[3] nodes past the walk).
 The other kinds and C-sets have no kernel and take the hull route on every
 trial: thm12 with other C-sets, thm11 with other hull C-sets, empmixed in
 other mixed modes and the spatial emppetty2 and lln.  Chunk length follows from ``CHUNK_ENTRIES``.
@@ -149,11 +150,9 @@ from .bodies import (
     m_combinations,
     planar_hull_areas,
     planar_hull_edges,
-    planar_polar_measures,
     solid_simplex,
     spans_space,
     spatial_polar_entries,
-    spatial_polar_measures,
     volume,
 )
 from .mixed import (
@@ -169,7 +168,6 @@ from .projections import (
     centroid_body_support,
     empirical_centroid_body,
     mixed_projection_support,
-    node_set,
     polar_measures,
     polar_projection_polytope,
     tetrahedron_pair_normals,
@@ -190,9 +188,10 @@ CHUNK_ENTRIES = 1 << 16
 # 2-vCPU Xeon it took 0.03 ms per trial at 4 points and 0.14 ms at 24,
 # against 0.2-0.3 ms for a hull, and lost to the hull at 32.
 PAIR_AREA_MAX_POINTS = 24
-# Generators up to which a spatial kernel's projection bodies take the arc
-# walk of ``bodies.spatial_polar_measures`` instead of the 8192-node grid,
-# per measure.  The walk runs half of each great circle.  On a 2-vCPU Xeon,
+# The Gaussian and ball rows of POLAR_RULES: a spatial kernel's projection
+# bodies take the arc walk of ``bodies.spatial_polar_measures`` up to 16
+# (Gaussian) and 10 (ball) generators, and the 8192-node grid past them.
+# The walk runs half of each great circle.  On a 2-vCPU Xeon,
 # per trial at chunk size over a few rounds, the Gaussian walk took 0.015
 # ms at 4 generators, 0.08-0.10 ms at 9, 0.13-0.19 ms at 12 and 0.25-0.36
 # ms at 16, against 0.17-0.47 ms for the grid; it tied or lost at 17
@@ -204,27 +203,29 @@ PAIR_AREA_MAX_POINTS = 24
 # grid (at 10 the walk wins narrowly or ties, and the ball grid errs by up
 # to 7.4e-5 there); it tied at 11 (0.21-0.30 ms against 0.17-0.31 ms) and
 # lost at 12 (0.27-0.36 ms against 0.18-0.25 ms).
-POLAR_WALK_MAX_GENERATORS = {"gaussian": 16, "ball": 10}
-# Spatial grid nodes past the walk, per measure: rows (first generator
-# count, nodes), a row covering the counts up to the next row's first.  Each
-# row takes the smallest of 2048, 4096 and 8192 nodes whose relative error
-# against the walk stayed within POLAR_GRID_TOL on every count it covers,
-# over mixed bodies 2 a_i x b_j as cor13 builds them (``verify.
-# grid_table_test_generators``: random, thin and needle) under a Gaussian
-# of scale 1.  From 13 to 30 generators 4096 nodes read up to 6.5e-5 (at
-# 15, over 150 bodies per count) and 5.0e-5 (a needle at 24), against
-# 1.8e-5 for 8192; from 31 to 70 they read at most 3.2e-5 (75 bodies per
-# count to 50, then 36), and up to 100 at most 1.9e-5 over five sweeps of
-# the test's bodies.  2048 nodes read 1.4e-4 at 15 and 5.2e-5 at 79 (30
-# bodies per count), so no row takes them.
+# Past the walk, each grid row takes the smallest of 2048, 4096 and 8192
+# nodes whose relative error against the walk stayed within POLAR_GRID_TOL
+# on every count it covers, over mixed bodies 2 a_i x b_j as cor13 builds
+# them (``verify.grid_table_test_generators``: random, thin and needle)
+# under a Gaussian of scale 1.  From 13 to 30 generators 4096 nodes read up
+# to 6.5e-5 (at 15, over 150 bodies per count) and 5.0e-5 (a needle at 24),
+# against 1.8e-5 for 8192; from 31 to 70 they read at most 3.2e-5 (75
+# bodies per count to 50, then 36), and up to 100 at most 1.9e-5 over five
+# sweeps of the test's bodies.  2048 nodes read 1.4e-4 at 15 and 5.2e-5 at
+# 79 (30 bodies per count), so no row takes them.
 # Under a ball crossing the polar's boundary even 8192 nodes read up to
-# 7.4e-5, so the ball keeps them.  At every node count the error grows as
-# the polar shrinks against the measure's scale, so a report whose grid a
-# row shrank also carries a certificate against DEFAULT_NODES[3] nodes.
-POLAR_GRID_NODES = {"gaussian": ((13, 8192), (31, 4096))}
+# 7.4e-5, so the ball keeps them, and its row is not held to
+# POLAR_GRID_TOL.  At every node count the error grows as the polar shrinks
+# against the measure's scale, so every grid report also carries a
+# certificate at twice its nodes.
+# The spatial polar rule per measure: rows (first generator count, nodes),
+# a row covering the counts up to the next row's first, nodes None for the
+# walk.  3-D Lebesgue measure keeps the grid at every count.
+POLAR_RULES = {"lebesgue": ((0, 8192),), "gaussian": ((0, None), (17, 8192), (31, 4096)),
+               "ball": ((0, None), (11, 8192))}
 POLAR_GRID_TOL = 5e-5
 # Trials of each side, those whose index is a multiple of this, that the
-# certificate of a shrunk grid reruns on DEFAULT_NODES[3] nodes.
+# certificate of a grid reruns on twice its nodes.
 CERTIFY_STRIDE = 64
 # Body literals, with what they derive, that a process keeps between
 # reports (``_literal``): the last this many (literal, dim) pairs used.  A
@@ -247,22 +248,6 @@ class TrialError(ValueError):
 
     def __str__(self):
         return f"trial {self.key}: {self.args[1]}"
-
-
-def _grid(nodes: int) -> np.ndarray:
-    """The spatial quadrature directions of a projection-body support row."""
-    return node_set(3, nodes)
-
-
-def grid_nodes(variant: str, generators: int) -> int:
-    """Spatial grid nodes for projection bodies of ``generators`` generators
-    under a measure of ``variant``: those of the last POLAR_GRID_NODES row
-    whose first count they reach, else DEFAULT_NODES[3]."""
-    nodes = DEFAULT_NODES[3]
-    for first, count in POLAR_GRID_NODES.get(variant, ()):
-        if generators >= first:
-            nodes = count
-    return nodes
 
 
 def _perp(W: np.ndarray) -> np.ndarray:
@@ -591,12 +576,12 @@ class CSet:
     def form(self, dim: int) -> str | None:
         """How the stacked kernels read X C in dimension ``dim``: "zonotope",
         the sum of [-g, g] over the rows of ``rows(X)``; "cloud", the planar
-        hull of those rows; "tetrahedron", the spatial hull of four points;
-        None when no kernel reads it."""
+        hull of at most PAIR_AREA_MAX_POINTS such rows; "tetrahedron", the
+        spatial hull of four points; None when no kernel reads it."""
         if self.kind == "cube" or (self.kind == "bp" and math.isinf(self.p)):
             return "zonotope"
         if dim == 2 and (self.kind == "simplex" or (self.kind == "bp" and self.p == 1.0)):
-            return "cloud"
+            return "cloud" if self.row_count <= PAIR_AREA_MAX_POINTS else None
         if dim == 3 and self.kind == "simplex" and self.m == 4:
             return "tetrahedron"
         return None
@@ -744,25 +729,22 @@ class _Spec:
 
 class _PolarSpec(_Spec):
     """Kinds that average the polar measure of a mixed projection body: its
-    radial measure, the node count of the spatial quadrature grid, and the
-    one hull route of every such kind, over the n - 1 bodies a kind's
-    ``bodies(samples, diag)`` builds from one trial's samples.
+    radial measure, the spec's polar rule and the one hull route of every
+    such kind, over the n - 1 bodies a kind's ``bodies(samples, diag)``
+    builds from one trial's samples.
 
-    Planar polar measures are exact and take no grid.  In space a kind
-    whose kernel reads projection bodies of at most
-    POLAR_WALK_MAX_GENERATORS generators for its Gaussian or ball measure
-    (a tetrahedron pair's TETRAHEDRON_PAIR_ATOMS among them) takes the arc
-    walk of ``bodies.spatial_polar_measures``, unless the config gives
-    ``quadrature.nodes``.  Lebesgue measure, larger projection bodies, an
-    explicit node count and kinds with no kernel keep the grid: ``nodes``
-    is the config's count, else for a larger projection body its
-    POLAR_GRID_NODES row, else DEFAULT_NODES[3].
-    The rule and node count are fixed at parse time, and the kernel and hull
-    route both apply them through ``_values`` (the hull route to a stack of
-    one), so a trial and its replay never take different rules."""
+    The rule is one value, ``nodes``: the node count of the spatial grid,
+    or None for the exact rule in the plane and the arc walk of
+    ``bodies.spatial_polar_measures`` in space; ``projections.polar_measures``
+    reads all three.  In space ``_route`` fixes it at parse time: the
+    config's ``quadrature.nodes`` when it gives one, else the POLAR_RULES
+    row of the measure at the kernel's generator bound (a tetrahedron
+    pair's TETRAHEDRON_PAIR_ATOMS among them), else, for a kind with no
+    kernel, DEFAULT_NODES[3].  The kernel and hull route both apply it
+    through ``_values`` (the hull route to a stack of one), so a trial and
+    its replay never take different rules."""
 
     direction = "le"
-    walk = False
 
     def parse(self, config: dict):
         self.measure = _measure(config.get("measure", {"type": "lebesgue"}))
@@ -771,20 +753,19 @@ class _PolarSpec(_Spec):
                  "quadrature.certify is not supported in experiments (the petty command honours it)")
         _require(self.dim == 3 or q.get("nodes") is None,
                  "quadrature.nodes sizes the spatial grid; planar polar measures are exact")
-        self.nodes = (q.get("nodes") or DEFAULT_NODES[3]) if self.dim == 3 else None
-        self.walkable = (self.dim == 3 and self.measure.variant != "lebesgue"
-                         and q.get("nodes") is None)
+        self.nodes = q.get("nodes")
 
-    def _spatial_kernel(self, generators: int):
-        """Route a spatial kernel whose projection bodies have at most
-        ``generators`` generators to the walk or the grid, size the grid by
-        its POLAR_GRID_NODES row unless the config gave its nodes, and size
-        the chunk by that route's largest temporary."""
-        limit = POLAR_WALK_MAX_GENERATORS.get(self.measure.variant, 0)
-        self.walk = self.walkable and generators <= limit
-        if self.walkable and not self.walk:
-            self.nodes = grid_nodes(self.measure.variant, generators)
-        self.entries = spatial_polar_entries(generators, self.measure) if self.walk else self.nodes
+    def _route(self, generators: int | None):
+        """Fix the spatial rule for a kernel whose projection bodies have at
+        most ``generators`` generators, or None for a kind with no kernel,
+        and size a kernel's chunk by its rule's largest temporary."""
+        if self.nodes is None and generators is None:
+            self.nodes = DEFAULT_NODES[3]
+        elif self.nodes is None:
+            rows = POLAR_RULES[self.measure.variant]
+            self.nodes = [nodes for first, nodes in rows if generators >= first][-1]
+        if generators is not None:
+            self.entries = self.nodes or spatial_polar_entries(generators, self.measure)
 
     def rule(self) -> dict:
         """The polar rule of the spec's trials, for its reports: ``exact``
@@ -792,7 +773,7 @@ class _PolarSpec(_Spec):
         nodes."""
         if self.dim == 2:
             return {"rule": "exact"}
-        if self.walk:
+        if self.nodes is None:
             return {"rule": "walk", "order": POLAR_WALK_ORDER}
         return {"rule": "grid", "nodes": self.nodes}
 
@@ -800,10 +781,10 @@ class _PolarSpec(_Spec):
         """The polar measure of Pi(``bodies``) by the spec's rule, a stack of
         one.  A flat Pi (``bodies.spans_space``), whose polar is unbounded,
         counts in ``diag``; under Lebesgue measure it raises, else it takes
-        the exact measure of its strip in the plane or the grid in space,
-        where every Pi the rule cannot read goes too."""
-        Z = mixed_projection_support(self.bodies(samples, diag))
-        G = Z.generators[None]
+        the exact measure of its strip in the plane or the grid in space
+        (DEFAULT_NODES[3] nodes past the walk), where every Pi the rule
+        cannot read goes too."""
+        G = mixed_projection_support(self.bodies(samples, diag)).generators[None]
         full = spans_space(G)
         values, held = self._values(G, full)
         if held[0]:
@@ -812,26 +793,18 @@ class _PolarSpec(_Spec):
             diag["unbounded_polars"] += 1
             if self.measure.variant == "lebesgue":
                 raise GeometryError("polar set is unbounded, Lebesgue measure infinite")
-            if self.dim == 2:
-                return planar_polar_measures(G, self.measure)[0][0]
-        return polar_measures(Z.support_batch(_grid(self.nodes))[None], self.measure)[0]
+        nodes = (self.nodes or DEFAULT_NODES[3]) if self.dim == 3 else None
+        return polar_measures(G, self.measure, nodes)[0][0]
 
     def _values(self, G: np.ndarray, full: np.ndarray) -> tuple:
         """(values, held): the polar measures of the zonotopes sum_k [-g_k,
         g_k] over the stacked generator sets G[t] of the trials in the mask
-        ``full``, which must span their space, by the spec's rule: exact,
-        walk or grid (one support call per trial).  ``held`` leaves out the
-        sets the rule cannot read.  No rule depends on the chunk, so neither
-        do the bits.  The values outside ``held`` are unset."""
+        ``full``, which must span their space, by the spec's rule.
+        ``held`` leaves out the sets the rule cannot read.  No rule depends
+        on the chunk, so neither do the bits.  The values outside ``held``
+        are unset."""
         values, held = np.empty(len(full)), full.copy()
-        if self.dim == 2:
-            values[full], flat = planar_polar_measures(G[full], self.measure)
-            held[full] = ~flat
-        elif self.walk:
-            values[full], held[full] = spatial_polar_measures(G[full], self.measure)
-        else:
-            hv = [Zonotope(g).support_batch(_grid(self.nodes)) for g in G[full]]
-            values[full] = polar_measures(np.reshape(hv, (-1, self.nodes)), self.measure)
+        values[full], held[full] = polar_measures(G[full], self.measure, self.nodes)
         return values, held
 
 
@@ -850,8 +823,6 @@ class _Thm12Spec(_PolarSpec):
                  "Lebesgue polar measure needs enough columns for a full-dimensional body")
         self.form = self.cset.form(self.dim)
         k = self.cset.row_count
-        if self.form == "cloud" and k > PAIR_AREA_MAX_POINTS:
-            self.form = None
         # the largest temporaries: a cloud's k^3 edge test orientations, the
         # k^2 arc terms of a planar zonotope's exact polar measure, and in
         # space the walk or grid of Pi K: four face normals of a tetrahedron,
@@ -860,8 +831,8 @@ class _Thm12Spec(_PolarSpec):
             self.entries = k ** 3
         elif self.form is not None and self.dim == 2:
             self.entries = k * k
-        elif self.form is not None:
-            self._spatial_kernel(4 if self.form == "tetrahedron" else k * (k - 1) // 2)
+        elif self.dim == 3:
+            self._route({"tetrahedron": 4, "zonotope": k * (k - 1) // 2}.get(self.form))
 
     def bodies(self, samples: list, diag: dict) -> list:
         """n - 1 copies of X C, counting a degenerate hull once."""
@@ -920,10 +891,10 @@ class _Thm11Spec(_MixedSpec):
         _require(len(self.blocks[0]) == self.dim - 1, f"thm11 needs {self.dim - 1} blocks")
         self.csets = self._csets(config["c_sets"])
         forms = {c.form(3) for c in self.csets}
-        if len(forms) == 1 and forms != {None}:
+        if len(forms) == 1:
             self.form, = forms
-            a, b = (c.m for c in self.csets)
-            self._spatial_kernel(TETRAHEDRON_PAIR_ATOMS if self.form == "tetrahedron" else a * b)
+        a, b = (c.m for c in self.csets)
+        self._route({"tetrahedron": TETRAHEDRON_PAIR_ATOMS, "zonotope": a * b}.get(self.form))
 
     def bodies(self, samples: list, diag: dict) -> list:
         return [_counted(cset.body(X), diag) for X, cset in zip(samples, self.csets)]
@@ -949,7 +920,7 @@ class _Cor13Spec(_MixedSpec):
         self.blocks = _both_sides(
             (_uniform(_literal(lit, f"bodies[{i}]", self.dim), f"bodies[{i}]"), m)
             for i, lit in enumerate(bodies))
-        self._spatial_kernel(m * m)
+        self._route(m * m)
 
     def bodies(self, samples: list, diag: dict) -> list:
         return [empirical_centroid_body(X) for X in samples]
@@ -975,8 +946,7 @@ class _EmpMixedSpec(_Spec):
         _require(self.ball_slots or "ball_radius" not in config, "ball_radius needs ball_slots >= 1")
         self.ball = ball_body(self.dim, radius) if self.ball_slots else None
         c = self.csets[0]
-        self.pair_areas = (self.dim == 2 and self.volume_mode and c.form(2) == "cloud"
-                           and c.row_count <= PAIR_AREA_MAX_POINTS)
+        self.pair_areas = self.dim == 2 and self.volume_mode and c.form(2) == "cloud"
         if self.pair_areas:
             self.entries = c.row_count ** 3
         elif (len(self.csets) == 2 and self.ball_slots == 1
@@ -1132,12 +1102,13 @@ def run_trials(spec: _Spec, side: int, threads: int):
 # experiment drivers
 
 
-def _certificate(kind: str, config: dict, sides: tuple) -> dict:
+def _certificate(kind: str, config: dict, sides: tuple, nodes: int) -> dict:
     """Each side's worst relative gap between its trial values ``sides[s]``
-    and the same trials through the chunk route on DEFAULT_NODES[3] nodes,
-    over the trials whose index is a multiple of CERTIFY_STRIDE; it depends
-    on trial indices alone, not on threads."""
-    fine = SPECS[kind](dict(config, quadrature={"nodes": DEFAULT_NODES[3]}))
+    on a grid of ``nodes`` nodes and the same trials through the chunk route
+    on twice as many, the doubling of the petty command's ``certify``, over
+    the trials whose index is a multiple of CERTIFY_STRIDE; it depends on
+    trial indices alone, not on threads."""
+    fine = SPECS[kind](dict(config, quadrature={"nodes": 2 * nodes}))
     checked = range(0, len(sides[0]), CERTIFY_STRIDE)
     gaps = {}
     for side, name in enumerate(("lhs", "rhs")):
@@ -1147,7 +1118,7 @@ def _certificate(kind: str, config: dict, sides: tuple) -> dict:
                               _no_diagnostics())[0]
             gap = max(gap, float(abs(sides[side][index] - want) / max(abs(want), 1e-300)))
         gaps[name] = gap
-    return {"nodes": DEFAULT_NODES[3], "trials_per_side": len(checked),
+    return {"nodes": 2 * nodes, "trials_per_side": len(checked),
             "max_relative_gap": gaps}
 
 
@@ -1173,9 +1144,11 @@ def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
     }
     rule = spec.rule()
     if rule is not None:
-        # a grid that POLAR_GRID_NODES shrank is certified against the default
-        if spec.walkable and spec.nodes < DEFAULT_NODES[3]:
-            rule["certificate"] = _certificate(kind, config, (lhs_vals, rhs_vals))
+        if rule["rule"] == "grid":
+            rule["certificate"] = _certificate(kind, config, (lhs_vals, rhs_vals), spec.nodes)
+        elif rule["rule"] == "walk" and diag["unbounded_polars"]:
+            # the hull route read the flat projection bodies on the grid
+            rule["unbounded"] = {"rule": "grid", "nodes": DEFAULT_NODES[3]}
         report["quadrature"] = rule
     return report
 

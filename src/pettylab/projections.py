@@ -20,13 +20,15 @@ from .bodies import (
     GeometryError,
     VPolytope,
     Zonotope,
-    _merged_polar_measure,
     cross3,
     hull,
     merge_parallel_generators,
+    planar_polar_measures,
     polar_of_zonotope,
     full_rank,
     reduced_form,
+    spans_space,
+    spatial_polar_measures,
     sphere_directions,
     unit_ball_volume,
     volume,
@@ -61,13 +63,11 @@ class SupportEvaluator:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Spherical quadrature request: node count plus doubling certification."""
+    """Spherical quadrature request: node count, None for the dimension's
+    DEFAULT_NODES, plus doubling certification."""
 
     nodes: int | None = None
     certify: bool = False
-
-    def node_count(self, dim: int) -> int:
-        return self.nodes if self.nodes else DEFAULT_NODES[dim]
 
 
 @dataclass(frozen=True)
@@ -146,35 +146,13 @@ def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int)
     return float(SPHERE_SURFACE[dim] / len(hv) * inner.sum())
 
 
-def polar_measures(HV: np.ndarray, measure: RadialMeasure) -> np.ndarray:
-    """``polar_measure_from_support`` of each row of HV, support values on
-    the spatial grid.  Polar measures of planar zonotopes are exact
-    (``bodies.planar_polar_measures``), and experiments take spatial ones
-    from the arc walk of ``bodies.spatial_polar_measures`` where it pays;
-    this grid serves 3-D Lebesgue experiments, explicit node counts and
-    larger projection bodies, whose grid the harness sizes by measure and
-    generator count (``harness.POLAR_GRID_NODES``).
-
-    Rows are integrated one at a time, so a row's value does not depend on
-    the rows stacked with it, and its temporaries stay in cache: on a 2-vCPU
-    Xeon a stack of sixteen 8192-node rows took 0.43 ms per Gaussian row,
-    one row alone 0.19 ms.
-    """
-    return np.array([polar_measure_from_support(h, measure, 3) for h in HV])
-
-
 @lru_cache(maxsize=16)
 def node_set(n: int, nodes: int) -> np.ndarray:
     """``sphere_directions(n, nodes)`` read-only, built once per size: the
-    nodes of ``polar_measure`` and of the harness's spatial grid."""
+    nodes of ``polar_measure`` and of the grid of ``polar_measures``."""
     U = sphere_directions(n, nodes)
     U.setflags(write=False)
     return U
-
-
-def _polar_measure_at(body, measure: RadialMeasure, nodes: int) -> float:
-    h = getattr(body, "support_batch", body)
-    return polar_measure_from_support(h(node_set(body.dim, nodes)), measure, body.dim)
 
 
 def polar_measure(body, measure: RadialMeasure, quad: QuadratureSpec | None = None) -> float:
@@ -183,15 +161,16 @@ def polar_measure(body, measure: RadialMeasure, quad: QuadratureSpec | None = No
 
     With certify=True the node count is doubled and both values must agree
     to a relative 1e-4, otherwise the quadrature is rejected.  For a
-    zonotope that spans its space ``bodies.zonotope_polar_measure`` is
-    exact in the plane and walks its normal fan in space; this grid is its
-    oracle in ``verify``, and reads flat bodies too.
+    zonotope that spans its space ``zonotope_polar_measure`` is exact in
+    the plane and walks its normal fan in space; this grid is its oracle in
+    ``verify``, and reads flat bodies too.
     """
     quad = quad or QuadratureSpec()
-    nodes = quad.node_count(body.dim)
-    value = _polar_measure_at(body, measure, nodes)
+    h, n = getattr(body, "support_batch", body), body.dim
+    nodes = quad.nodes or DEFAULT_NODES[n]
+    value = polar_measure_from_support(h(node_set(n, nodes)), measure, n)
     if quad.certify:
-        refined = _polar_measure_at(body, measure, 2 * nodes)
+        refined = polar_measure_from_support(h(node_set(n, 2 * nodes)), measure, n)
         denom = max(abs(refined), 1e-300)
         if abs(refined - value) / denom > CERTIFY_REL_TOL:
             raise GeometryError(
@@ -200,6 +179,57 @@ def polar_measure(body, measure: RadialMeasure, quad: QuadratureSpec | None = No
             )
         return refined
     return value
+
+
+def polar_measures(G: np.ndarray, measure: RadialMeasure | None = None,
+                   nodes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """nu(Z°) for the zonotopes Z = sum [-g, g] over the stacked generator
+    rows of G[t], shape (T, k, n), and the mask of those the rule reads, by
+    one of three rules.  With no ``nodes`` they are exact in the plane
+    (``bodies.planar_polar_measures``) and walk the normal fan in space
+    (``bodies.spatial_polar_measures``); with ``nodes`` they take the
+    Fibonacci grid of that many nodes, which holds every row, flat ones too
+    (under Lebesgue measure it raises where a node's support is 0).
+    ``measure`` is a RadialMeasure, or None for Lebesgue
+    measure.  Experiments pick the rule by measure and generator count
+    (``harness.POLAR_RULES``).
+
+    Grid rows are integrated one at a time, as ``polar_measure`` reads one
+    zonotope, so a row's value does not depend on the rows stacked with
+    it, and its temporaries stay in cache: on a 2-vCPU Xeon a stack of
+    sixteen 8192-node rows took 0.43 ms per Gaussian row, one row alone
+    0.19 ms.
+    """
+    n = G.shape[-1]
+    if nodes is None:
+        return (planar_polar_measures if n == 2 else spatial_polar_measures)(G, measure)
+    measure = measure or RadialMeasure.lebesgue()
+    U = node_set(n, nodes)
+    values = [polar_measure_from_support(Zonotope(g).support_batch(U), measure, n) for g in G]
+    return np.array(values, dtype=float), np.ones(len(G), dtype=bool)
+
+
+def zonotope_polar_measure(Z: Zonotope, measure: RadialMeasure | None = None) -> float:
+    """nu(Z°) of a planar or spatial zonotope, Lebesgue measure by default:
+    its generators merged, then the exact or walk row of ``polar_measures``,
+    with no hull or grid (``volume(polar_of_zonotope(Z))`` is the hull
+    route).  A Z that does not span its space raises GeometryError; the
+    exact measure of a planar strip is ``polar_measures``' row of the
+    merged generators."""
+    return _merged_polar_measure(merge_parallel_generators(Z).generators, measure)
+
+
+def _merged_polar_measure(gens: np.ndarray, measure: RadialMeasure | None = None) -> float:
+    """``zonotope_polar_measure`` from generators already merged, as every
+    projection body's are."""
+    if gens.shape[1] not in (2, 3):
+        raise GeometryError(f"polar supports dimension 2 or 3, got {gens.shape[1]}")
+    if not spans_space(gens):
+        raise GeometryError("polar requires a full-dimensional zonotope")
+    values, held = polar_measures(gens[None], measure)
+    if not held[0]:
+        raise GeometryError("polar requires a full-dimensional zonotope")
+    return float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +370,11 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
     """Affine invariant |Pi^o K| |K|^(n-1).
 
     method 'exact', and 'auto' with it, takes |Pi^o K| from the normal fan
-    of the merged projection body (``zonotope_polar_measure`` with no second
-    merge; the polar hull volume is its oracle in ``verify``); 'quadrature'
-    integrates the projection support in polar-radial coordinates.
+    of the merged projection body, the exact or walk row of
+    ``polar_measures`` as ``zonotope_polar_measure`` reads it, with no
+    second merge (the polar hull volume is its oracle in ``verify``);
+    'quadrature' integrates the projection support in polar-radial
+    coordinates (``polar_measure``).
     """
     body_vol = volume(K)
     n = K.dim

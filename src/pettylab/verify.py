@@ -14,13 +14,13 @@ face the polynomial fit of |a K1 + b K2| (``mixed_volume_fit_check``).  The
 stacked trial kernels, planar and spatial, are checked against the hull
 route, and the edge-pair kernels of two tetrahedra, and the hull route of
 the pairs they mask out, against both oracles.
-The polar volume of a zonotope by ``bodies.zonotope_polar_measure``, the
-route of the exact Petty product, is checked against the hull volume of
+The polar volume of a zonotope by ``projections.zonotope_polar_measure``,
+the route of the exact Petty product, is checked against the hull volume of
 the polar polytope, the exact planar polar measures of the experiments
 against the polar hull and the 2^16-node grid of ``polar_measure``
 (strips too), the spatial arc walk against the polar hull, a 2^16-node
-grid and a rule of four times its order, and each row of the harness's
-sized spatial grid against the walk.  The block
+grid and a rule of four times its order, and each Gaussian grid row of
+the harness's rule table against the walk.  The block
 sample route is checked against numpy's SeedSequence and each trial's own
 generator.
 The test suite imports these oracles; the command line runs the whole list.
@@ -63,12 +63,11 @@ from .bodies import (
     vertex_set_distance,
     volume,
     volume_of_points,
-    zonotope_polar_measure,
     zonotope_to_vpolytope,
     zonotope_volume,
     _stacked_walk,
 )
-from .harness import POLAR_GRID_NODES, POLAR_GRID_TOL
+from .harness import POLAR_GRID_TOL, POLAR_RULES
 from .mixed import (
     mixed_area_measure,
     mixed_projection_generators,
@@ -82,9 +81,11 @@ from .projections import (
     centroid_body_support,
     mixed_projection_support,
     polar_measure_from_support,
+    polar_measures,
     projection_body,
     tetrahedron_pair_normals,
     tetrahedron_projection_generators,
+    zonotope_polar_measure,
 )
 from .sampling import INDEX_LIMIT, Density, RngStream, draw_block, draw_per_trial
 
@@ -779,21 +780,21 @@ def grid_table_test_generators(gen: np.random.Generator, k: int) -> np.ndarray:
 def grid_table_error(G: np.ndarray, nodes: int) -> float:
     """The relative error of the ``nodes``-node grid against the walk of
     ``zonotope_polar_measure`` for the spatial zonotope with generator rows
-    G, under the Gaussian of scale 1 that ``harness.POLAR_GRID_NODES`` was
-    measured with."""
-    Z, nu = Zonotope(G), RadialMeasure.gaussian(1.0)
-    want = zonotope_polar_measure(Z, nu)
-    return abs(polar_measure_from_support(Z.support_batch(sphere_directions(3, nodes)), nu, 3)
-               - want) / want
+    G, under the Gaussian of scale 1 that the grid rows of
+    ``harness.POLAR_RULES`` were measured with."""
+    nu = RadialMeasure.gaussian(1.0)
+    want = zonotope_polar_measure(Zonotope(G), nu)
+    return abs(polar_measures(G[None], nu, nodes)[0][0] - want) / want
 
 
 def check_grid_table(seed: int = 0):
-    """Each row of ``harness.POLAR_GRID_NODES`` at its first generator count,
-    on the three bodies of ``grid_table_test_generators``: the grid of the
-    row's nodes within POLAR_GRID_TOL of the walk.  The test suite sweeps
-    every count of each row."""
+    """Each Gaussian grid row of ``harness.POLAR_RULES`` at its first
+    generator count, on the three bodies of ``grid_table_test_generators``:
+    the grid of the row's nodes within POLAR_GRID_TOL of the walk.  The
+    test suite sweeps every count of each row.  The ball's row is not held
+    to the bound (see the table)."""
     gen = np.random.default_rng(seed)
-    rows = [(k, n) for table in POLAR_GRID_NODES.values() for k, n in table]
+    rows = [(k, n) for k, n in POLAR_RULES["gaussian"] if n]
     worst = max(grid_table_error(G, nodes) for k, nodes in rows
                 for G in grid_table_test_generators(gen, k))
     return worst <= POLAR_GRID_TOL, (f"max relative error {worst:.2e} over {len(rows)} rows "

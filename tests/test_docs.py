@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pettylab"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 # a backticked reference that starts with a module of the package, as
-# `bodies.full_rank` or ``harness.POLAR_GRID_NODES``
+# `bodies.full_rank` or ``harness.POLAR_RULES``
 REFERENCE = re.compile(r"`(?:pettylab\.)?(" + "|".join(MODULES) + r")\.([A-Za-z_]\w*)")
 
 
@@ -29,8 +29,8 @@ SOURCES = {"README.md": (ROOT / "README.md").read_text(),
 
 def test_the_references_are_found():
     # the pattern reads both backtick styles, and the sources name enough
-    assert REFERENCE.findall("`bodies.hull` and ``harness._grid``") == [("bodies", "hull"),
-                                                                        ("harness", "_grid")]
+    assert REFERENCE.findall("`bodies.hull` and ``harness._route``") == [("bodies", "hull"),
+                                                                         ("harness", "_route")]
     assert sum(len(REFERENCE.findall(text)) for text in SOURCES.values()) >= 40
 
 

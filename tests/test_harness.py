@@ -606,6 +606,16 @@ class TestChunks:
         assert small.entries == small.cset.row_count ** 3 and large.entries == 0
         values = large.chunk(0, 0, 3, harness._no_diagnostics())
         assert values.shape == (3,) and np.isfinite(values).all()
+        # empmixed's areas in volume mode read the same cut
+        def areas(m):
+            return SPECS["empmixed"](dict(EMPMIXED_SMALL, blocks=[dict(_GAUSSIAN_BLOCK, m=m)],
+                                          c_sets=[dict(c_set, m=m)]))
+        large, small = areas(c_set["m"]), areas(c_set["m"] - 1)
+        assert small.pair_areas and small.entries == harness.PAIR_AREA_MAX_POINTS ** 3
+        assert not large.pair_areas and large.entries == 0
+        values = large.chunk(0, 0, 3, harness._no_diagnostics())
+        want = [large.trial(0, i, harness._no_diagnostics()) for i in range(3)]
+        assert values.tolist() == want
 
     @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm12-3d-ball", "thm11-3d-zonotopes",
                                       "cor13", "thm11-3d-simplices", "empmixed-3d-simplices",
@@ -620,10 +630,11 @@ class TestChunks:
         if kind == "empmixed":
             assert rule is None
         elif name == "cor13":
-            # 64 generators take a shrunk grid, certified on trial 0 of each side
+            # 64 generators take the 4096-node row, certified on trial 0 of each side
             certificate = rule.pop("certificate")
-            assert rule == {"rule": "grid", "nodes": harness.grid_nodes("gaussian", 64)}
-            assert certificate["nodes"] == projections.DEFAULT_NODES[3]
+            assert rule == {"rule": "grid", "nodes": _table_nodes("gaussian", 64)} == {
+                "rule": "grid", "nodes": 4096}
+            assert certificate["nodes"] == 2 * rule["nodes"] == projections.DEFAULT_NODES[3]
             assert certificate["trials_per_side"] == 1
             assert max(certificate["max_relative_gap"].values()) <= harness.POLAR_GRID_TOL
         else:
@@ -632,6 +643,25 @@ class TestChunks:
 
 def _refuse(*args, **kwargs):
     raise AssertionError("the spatial grid was called")
+
+
+def _table_nodes(variant: str, generators: int):
+    """The nodes of the last POLAR_RULES row of ``variant`` that
+    ``generators`` reaches (None: the walk)."""
+    return [nodes for first, nodes in harness.POLAR_RULES[variant] if generators >= first][-1]
+
+
+def _spy_rules(monkeypatch) -> list:
+    """The ``nodes`` of every call of the stacked polar entry the harness
+    makes, in order."""
+    calls, entry = [], harness.polar_measures
+
+    def spy(G, measure=None, nodes=None):
+        calls.append(nodes)
+        return entry(G, measure, nodes)
+
+    monkeypatch.setattr(harness, "polar_measures", spy)
+    return calls
 
 
 def _thm11_cubes(m1: int, m2: int) -> dict:
@@ -646,25 +676,28 @@ class TestSpatialRoutes:
                                       "thm11-3d-simplices-ball"])
     def test_gaussian_and_ball_kernels_take_the_walk_and_no_grid(self, name, monkeypatch):
         kind, config = SPATIAL[name]
-        monkeypatch.setattr(harness, "_grid", _refuse)
-        monkeypatch.setattr(harness, "polar_measures", _refuse)
-        monkeypatch.setattr(projections, "polar_measures", _refuse)
+        calls = _spy_rules(monkeypatch)
         monkeypatch.setattr(projections, "polar_measure_from_support", _refuse)
-        assert SPECS[kind](config).walk
+        assert SPECS[kind](config).nodes is None
         report = harness.RUNNERS[kind](dict(config, trials=30), threads=1)
         assert math.isfinite(report["lhs"]["mean"]) and math.isfinite(report["rhs"]["mean"])
+        assert calls and set(calls) == {None}
+        assert report["quadrature"] == {"rule": "walk", "order": bodies.POLAR_WALK_ORDER}
 
     @pytest.mark.parametrize("name", ["thm12-3d-lebesgue", "thm12-3d-cube",
                                       "thm11-3d-simplices-lebesgue"])
     def test_lebesgue_large_bodies_and_tetrahedron_pairs_keep_the_grid(self, name, monkeypatch):
         kind, config = SPATIAL[name]
-        calls = []
-        grid = harness._grid
-        monkeypatch.setattr(harness, "_grid", lambda nodes: calls.append(nodes) or grid(nodes))
         spec = SPECS[kind](config)
-        assert not spec.walk and spec.entries == spec.nodes == 8192
-        harness.RUNNERS[kind](dict(config, trials=2), threads=1)
+        assert spec.entries == spec.nodes == 8192
+        calls = _spy_rules(monkeypatch)
+        spec.chunk(0, 0, 2, harness._no_diagnostics())
         assert calls and set(calls) == {8192}
+        # the report's certificate reruns trial 0 of each side at twice the nodes
+        calls.clear()
+        report = harness.RUNNERS[kind](dict(config, trials=2), threads=1)
+        assert set(calls) == {8192, 16384}
+        assert report["quadrature"]["certificate"]["nodes"] == 16384
 
     @pytest.mark.parametrize("name", ["thm11-3d-simplices", "thm11-3d-simplices-ball",
                                       "empmixed-3d-simplices"])
@@ -680,27 +713,26 @@ class TestSpatialRoutes:
 
     def test_an_explicit_node_count_keeps_the_grid_of_that_size(self, monkeypatch):
         kind, config = CHUNKED["thm12-3d-gaussian"]
-        calls = []
-        grid = harness._grid
-        monkeypatch.setattr(harness, "_grid", lambda nodes: calls.append(nodes) or grid(nodes))
         spec = SPECS[kind](dict(config, quadrature={"nodes": 512}))
-        assert not spec.walk and spec.entries == spec.nodes == 512
-        harness.RUNNERS[kind](dict(config, trials=3, quadrature={"nodes": 512}), threads=1)
+        assert spec.entries == spec.nodes == 512
+        calls = _spy_rules(monkeypatch)
+        spec.chunk(0, 0, 3, harness._no_diagnostics())
         assert set(calls) == {512}
         calls.clear()
+        harness.RUNNERS[kind](dict(config, trials=3, quadrature={"nodes": 512}), threads=1)
+        assert set(calls) == {512, 1024}
+        calls.clear()
         harness.RUNNERS[kind](dict(config, trials=3), threads=1)
-        assert calls == []
+        assert calls and set(calls) == {None}
 
     def test_cor13_past_the_walk_takes_its_table_grid_in_every_route(self, monkeypatch):
-        # cor13 at m = 8 reads 64 generators, past POLAR_WALK_MAX_GENERATORS
+        # cor13 at m = 8 reads 64 generators, past the Gaussian walk
         kind, config = CHUNKED["cor13"]
-        nodes = harness.grid_nodes("gaussian", 64)
+        nodes = _table_nodes("gaussian", 64)
         assert nodes < projections.DEFAULT_NODES[3]
         spec = SPECS[kind](config)
-        assert not spec.walk and spec.entries == spec.nodes == nodes
-        calls = []
-        grid = harness._grid
-        monkeypatch.setattr(harness, "_grid", lambda n: calls.append(n) or grid(n))
+        assert spec.entries == spec.nodes == nodes
+        calls = _spy_rules(monkeypatch)
         spec.chunk(0, 0, 3, harness._no_diagnostics())
         assert set(calls) == {nodes}
         calls.clear()
@@ -711,63 +743,86 @@ class TestSpatialRoutes:
         assert set(calls) == {nodes} and out["relative_difference"] == 0.0
         assert out["quadrature"] == {"rule": "grid", "nodes": nodes}
 
-    def test_an_explicit_node_count_on_cor13_keeps_it_with_no_certificate(self, monkeypatch):
+    def test_an_explicit_node_count_on_cor13_is_certified_at_twice_it(self, monkeypatch):
         kind, config = CHUNKED["cor13"]
         config = dict(config, trials=3, quadrature={"nodes": 2048})
-        calls = []
-        grid = harness._grid
-        monkeypatch.setattr(harness, "_grid", lambda n: calls.append(n) or grid(n))
+        calls = _spy_rules(monkeypatch)
         assert SPECS[kind](config).nodes == 2048
         report = harness.RUNNERS[kind](config, threads=1)
-        assert set(calls) == {2048}
+        assert set(calls) == {2048, 4096}
+        certificate = report["quadrature"].pop("certificate")
         assert report["quadrature"] == {"rule": "grid", "nodes": 2048}
+        assert certificate["nodes"] == 4096 and certificate["trials_per_side"] == 1
+
+    @pytest.mark.parametrize("name, nodes", [("thm12-3d-lebesgue", 8192), ("thm12-3d-512", 512),
+                                             ("cor13", 4096), ("thm11-3d-simplex5-cube", 8192)])
+    def test_every_grid_report_is_certified_at_twice_its_nodes(self, name, nodes):
+        # 3-D Lebesgue, an explicit node count, a shrunk row and a hull-only kind
+        explicit = dict(CHUNKED["thm12-3d-gaussian"][1], quadrature={"nodes": 512})
+        kind, config = {**ROUTED, "thm12-3d-512": ("thm12", explicit)}[name]
+        config = dict(config, trials=20)
+        serial = report_to_json(harness.RUNNERS[kind](config, threads=1))
+        assert report_to_json(harness.RUNNERS[kind](config, threads=2)) == serial
+        rule = json.loads(serial)["quadrature"]
+        certificate = rule.pop("certificate")
+        assert rule == {"rule": "grid", "nodes": nodes}
+        assert certificate["nodes"] == 2 * nodes and certificate["trials_per_side"] == 1
+        gaps = certificate["max_relative_gap"]
+        assert set(gaps) == {"lhs", "rhs"} and all(0.0 <= gap < 1.0 for gap in gaps.values())
 
     def test_the_grid_table_holds_its_bound_on_every_count_it_covers(self):
-        # grid_table_error measures under the Gaussian the table was measured with
-        assert set(harness.POLAR_GRID_NODES) == {"gaussian"}
-        table = harness.POLAR_GRID_NODES["gaussian"]
+        # grid_table_error measures under the Gaussian the grid rows were
+        # measured with; the ball's 8192 nodes are not held to the bound
+        assert set(harness.POLAR_RULES) == {"lebesgue", "gaussian", "ball"}
+        table = [row for row in harness.POLAR_RULES["gaussian"] if row[1]]
         gen = np.random.default_rng(11)
         worst = {}
         for (first, nodes), end in zip(table, [k for k, _ in table[1:]] + [101]):
-            assert harness.grid_nodes("gaussian", first) == nodes
+            assert _table_nodes("gaussian", first) == nodes
+            assert _table_nodes("gaussian", first - 1) != nodes
             for k in range(first, end):
-                # random, thin and needle bodies in turn: 17 at 13 generators,
+                # random, thin and needle bodies in turn: 10 at 17 generators,
                 # where the walk is cheap, 3 at 31 and one from 55 on
                 worst[k] = max(grid_table_error(grid_table_test_generators(gen, k)[(k + i) % 3],
                                                 nodes) for i in range(max(1, 3000 // k ** 2)))
         # one spot check far past the sweep, on a random body
         worst[400] = grid_table_error(grid_table_test_generators(gen, 400)[0],
-                                      harness.grid_nodes("gaussian", 400))
+                                      _table_nodes("gaussian", 400))
         assert max(worst.values()) <= harness.POLAR_GRID_TOL, max(worst.items(), key=lambda kv: kv[1])
 
     def test_the_walk_stops_at_the_crossover(self):
         # a 4 x 4 cube pair reads 16 generators, a 3 x 6 pair 18
-        assert SPECS["thm11"](_thm11_cubes(4, 4)).walk
-        assert not SPECS["thm11"](_thm11_cubes(3, 6)).walk
-        assert SPECS["cor13"](dict(COR13_SMALL, measure=_GAUSS)).walk
-        assert not SPECS["cor13"](dict(COR13_SMALL, m=5, measure=_GAUSS)).walk
+        def nodes(kind, config):
+            return SPECS[kind](config).nodes
+
+        assert nodes("thm11", _thm11_cubes(4, 4)) is None
+        assert nodes("thm11", _thm11_cubes(3, 6)) == 8192
+        assert nodes("cor13", dict(COR13_SMALL, measure=_GAUSS)) is None
+        assert nodes("cor13", dict(COR13_SMALL, m=5, measure=_GAUSS)) == 8192
         # the ball's walk stops sooner: a 3 x 3 cube pair reads 9 generators,
         # a 3 x 4 pair 12, and the zonotope C-set of 5 or 6 points 10 or 15
         ball = {"type": "ball", "radius": 0.5}
-        assert SPECS["thm11"](dict(_thm11_cubes(3, 3), measure=ball)).walk
-        assert not SPECS["thm11"](dict(_thm11_cubes(3, 4), measure=ball)).walk
+        assert nodes("thm11", dict(_thm11_cubes(3, 3), measure=ball)) is None
+        assert nodes("thm11", dict(_thm11_cubes(3, 4), measure=ball)) == 8192
         _, cube = CHUNKED["thm12-3d-cube-ball"]
         five = dict(cube, blocks=[_uniform_block(_CUBE3, 5)], c_set={"kind": "cube", "m": 5})
-        assert SPECS["thm12"](five).walk
+        assert nodes("thm12", five) is None
         six = dict(cube, blocks=[_uniform_block(_CUBE3, 6)], c_set={"kind": "cube", "m": 6})
-        assert not SPECS["thm12"](six).walk
-        assert SPECS["thm12"](dict(six, measure=_GAUSS)).walk
+        assert nodes("thm12", six) == 8192
+        assert nodes("thm12", dict(six, measure=_GAUSS)) is None
+        # past 30 Gaussian generators the grid shrinks: cor13 at m = 6 reads 36
+        assert nodes("cor13", dict(COR13_SMALL, m=6, measure=_GAUSS)) == 4096
 
     def test_a_chunk_holds_a_whole_spatial_thm12_report(self):
         kind, config = CHUNKED["thm12-3d-gaussian"]
         spec = SPECS[kind](dict(config, trials=100))
-        assert spec.walk and spec.chunk_len() >= 100
+        assert spec.nodes is None and spec.chunk_len() >= 100
 
     def test_a_chunk_holds_twice_the_full_circle_walk_trials(self):
         # the walk keeps half of each circle's arcs, so a 3 x 3 Gaussian pair
         # (9 generators) fits twice the 28 trials a full-circle walk did
         spec = SPECS["thm11"](_thm11_cubes(3, 3))
-        assert spec.walk and spec.chunk_len() >= 2 * 28
+        assert spec.nodes is None and spec.chunk_len() >= 2 * 28
 
     @pytest.mark.parametrize("nu", [None, RadialMeasure.gaussian(1.0), RadialMeasure.ball(1.0)],
                              ids=["lebesgue", "gaussian", "ball"])
@@ -1011,6 +1066,10 @@ class TestTrialErrors:
         assert chunk_diag == hull_diag == {"degenerate_hulls": 1, "unbounded_polars": 1}
         serial = report_to_json(run_theorem_1_2(config, threads=1))
         assert json.loads(serial)["diagnostics"]["unbounded_polars"] == 1
+        # a walk report names the grid its flat trial took
+        assert json.loads(serial)["quadrature"] == {
+            "rule": "walk", "order": bodies.POLAR_WALK_ORDER,
+            "unbounded": {"rule": "grid", "nodes": projections.DEFAULT_NODES[3]}}
         assert report_to_json(run_theorem_1_2(config, threads=2)) == serial
 
     def test_the_error_survives_a_worker_process(self):

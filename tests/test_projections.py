@@ -404,8 +404,7 @@ class TestPolarMeasure:
         assert trunc < full
 
     def test_one_read_only_node_set_per_size_serves_both_callers(self, monkeypatch):
-        from pettylab import harness
-
+        # the one-body quadrature and the grid rows of the stacked entry
         built = []
         monkeypatch.setattr(projections, "sphere_directions",
                             lambda n, count: built.append((n, count)) or sphere_directions(n, count))
@@ -414,7 +413,7 @@ class TestPolarMeasure:
             for _ in range(3):
                 polar_measure(cube_body(2), RadialMeasure.lebesgue(), QuadratureSpec(nodes=300))
                 polar_measure(cube_body(3), RadialMeasure.lebesgue(), QuadratureSpec(nodes=500))
-            assert harness._grid(500) is projections.node_set(3, 500)
+                projections.polar_measures(np.eye(3)[None], RadialMeasure.lebesgue(), 500)
             assert built == [(2, 300), (3, 500)]
         finally:
             projections.node_set.cache_clear()
@@ -477,6 +476,44 @@ class TestPolarMeasure:
                 assert measure.radial_integral(3.0, n) == pytest.approx(
                     known, rel=1e-6, abs=1e-9
                 )
+
+
+_MEASURES = [None, RadialMeasure.gaussian(0.8), RadialMeasure.ball(0.6)]
+
+
+class TestPolarMeasures:
+    """The one stacked entry: exact in the plane and the walk in space with
+    no node count, the grid with one."""
+
+    @pytest.mark.parametrize("nu", _MEASURES, ids=["lebesgue", "gaussian", "ball"])
+    @pytest.mark.parametrize("n, nodes", [(2, None), (3, None), (3, 512)],
+                             ids=["exact", "walk", "grid"])
+    def test_stacked_rows_equal_their_one_row_calls(self, n, nodes, nu):
+        G = np.random.default_rng(93 + n).normal(size=(6, 5, n))
+        G[2, 3:] = 0.0
+        values, held = projections.polar_measures(G, nu, nodes)
+        assert held.all()
+        for t in range(len(G)):
+            alone, alone_held = projections.polar_measures(G[t:t + 1], nu, nodes)
+            assert alone.tobytes() == values[t:t + 1].tobytes() and alone_held[0]
+
+    @pytest.mark.parametrize("nu", _MEASURES, ids=["lebesgue", "gaussian", "ball"])
+    def test_a_grid_row_is_the_one_body_quadrature(self, nu):
+        G = np.random.default_rng(94).normal(size=(4, 7, 3))
+        values, _ = projections.polar_measures(G, nu, 1024)
+        want = [polar_measure(Zonotope(g), nu or RadialMeasure.lebesgue(), QuadratureSpec(1024))
+                for g in G]
+        assert values.tobytes() == np.array(want).tobytes()
+
+    def test_only_the_grid_reads_a_flat_row(self):
+        nu = RadialMeasure.gaussian(1.0)
+        coplanar = np.array([[[1.0, 2.0, 0.0], [0.5, -1.0, 0.0], [2.0, 0.3, 0.0]]])
+        assert projections.polar_measures(coplanar, nu)[1].tolist() == [False]
+        assert projections.polar_measures(coplanar[:, :, :2], nu)[1].tolist() == [True]
+        assert projections.polar_measures(coplanar[:, :1, :2], nu)[1].tolist() == [False]
+        values, held = projections.polar_measures(coplanar, nu, 512)
+        assert held.tolist() == [True] and np.isfinite(values).all()
+        assert projections.polar_measures(np.zeros((0, 3, 3)), nu, 512)[0].shape == (0,)
 
 
 class TestCentroidBody:
