@@ -497,14 +497,6 @@ class TestPolarMeasures:
             alone, alone_held = projections.polar_measures(G[t:t + 1], nu, nodes)
             assert alone.tobytes() == values[t:t + 1].tobytes() and alone_held[0]
 
-    @pytest.mark.parametrize("nu", _MEASURES, ids=["lebesgue", "gaussian", "ball"])
-    def test_a_grid_row_is_the_one_body_quadrature(self, nu):
-        G = np.random.default_rng(94).normal(size=(4, 7, 3))
-        values, _ = projections.polar_measures(G, nu, 1024)
-        want = [polar_measure(Zonotope(g), nu or RadialMeasure.lebesgue(), QuadratureSpec(1024))
-                for g in G]
-        assert values.tobytes() == np.array(want).tobytes()
-
     def test_only_the_grid_reads_a_flat_row(self):
         nu = RadialMeasure.gaussian(1.0)
         coplanar = np.array([[[1.0, 2.0, 0.0], [0.5, -1.0, 0.0], [2.0, 0.3, 0.0]]])
