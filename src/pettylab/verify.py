@@ -12,8 +12,9 @@ every kind and on bodies whose faces meet in a segment or a polygon
 (``coincidence_test_pairs``), where its tie rule holds; mixed volumes also
 face the polynomial fit of |a K1 + b K2| (``mixed_volume_fit_check``).  The
 stacked trial kernels, planar and spatial, are checked against the hull
-route, and the edge-pair kernels of two tetrahedra, and the hull route of
-the pairs they mask out, against both oracles.
+route, the batched widths of ``bodies.cloud_widths`` also against their
+elementwise form, and the edge-pair kernels of two tetrahedra, and the hull
+route of the pairs they mask out, against both oracles.
 The polar volume of a zonotope by ``projections.zonotope_polar_measure``,
 the route of the exact Petty product, is checked against the hull volume of
 the polar polytope, the exact planar polar measures of the experiments
@@ -488,10 +489,19 @@ def planar_test_clouds(gen: np.random.Generator, count: int, k: int = 5) -> np.n
     return np.stack(clouds)
 
 
+def cloud_widths_elementwise(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``bodies.cloud_widths`` by three elementwise passes over a (T, k, N)
+    array of pairings, with no matrix product: its oracle."""
+    pairs = P[:, :, 0, None] * W[..., None, :, 0] + P[:, :, 1, None] * W[..., None, :, 1]
+    return pairs.max(axis=1) - pairs.min(axis=1)
+
+
 def check_planar_kernels(seed: int = 0):
     """The hull-free planar trial kernels against the hull route, on random,
-    collinear and repeated-point clouds: widths against projection body
-    supports, width sums against v1, pair-rule areas against hull areas,
+    collinear and repeated-point clouds: widths against their elementwise
+    oracle, within 8 eps max|p| max|w| absolute (a width cancels, so no
+    relative bound fits), and against projection body supports, width sums
+    against v1, pair-rule areas against hull areas,
     and the thm12 kernel generators, e / 2 over the hull edges e of a cloud
     and 2 g over the generators g of a zonotope, against the projection
     bodies the hull route builds, turned a quarter turn: their supports and
@@ -502,8 +512,12 @@ def check_planar_kernels(seed: int = 0):
     U = sphere_directions(2, 64)
     perp = np.column_stack([-U[:, 1], U[:, 0]])
     Z = gen.normal(size=(len(P), 3, 2))
-    widths = cloud_widths(P, perp)
-    pairings = cloud_widths(P, np.stack([-Z[..., 1], Z[..., 0]], axis=-1)).sum(axis=1)
+    Zperp = np.stack([-Z[..., 1], Z[..., 0]], axis=-1)
+    widths, zwidths = cloud_widths(P, perp), cloud_widths(P, Zperp)
+    pairings = zwidths.sum(axis=1)
+    width_gap = max(float(np.max(np.abs(got - cloud_widths_elementwise(P, W))))
+                    / (8.0 * np.finfo(float).eps * np.abs(P).max() * np.abs(W).max())
+                    for got, W in ((widths, perp), (zwidths, Zperp)))
     areas, areas_hold = planar_hull_areas(P)
     edges, edges_hold = planar_hull_edges(P)
     full = full_rank(P - P.mean(axis=1, keepdims=True))
@@ -529,7 +543,9 @@ def check_planar_kernels(seed: int = 0):
                      and bool(areas_hold[t]) == bool(edges_hold[t]) == (t % 3 == 0))
     worst = max(float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
                 for got, want in pairs)
-    return worst <= 1e-12 and masks_ok, f"max relative defect {worst:.2e}, masks ok: {masks_ok}"
+    return worst <= 1e-12 and width_gap <= 1.0 and masks_ok, (
+        f"max relative defect {worst:.2e}, widths at {width_gap:.2f} of their oracle bound, "
+        f"masks ok: {masks_ok}")
 
 
 def spatial_test_clouds(gen: np.random.Generator, count: int, k: int = 4) -> np.ndarray:

@@ -50,6 +50,7 @@ from pettylab.mixed import centroid, facets, mixed_projection_generators
 from pettylab.projections import RadialMeasure, polar_measure_from_support, projection_body
 from pettylab.verify import (
     brute_hull_vertices_3d,
+    cloud_widths_elementwise,
     gift_wrap_2d,
     shoelace_area,
     simplex_volume_det,
@@ -266,6 +267,35 @@ class TestFullRank:
             G[1] = 0.0
             G[2, :, -1] = 0.0
             assert bodies.full_rank(G).tolist() == [True, False, False, True, True]
+
+
+class TestCloudWidths:
+    # N = 1 takes numpy's matrix-vector path; an odd k starts every other
+    # cloud of a stack off a 32-byte boundary
+    @pytest.mark.parametrize("N", [1, 3, 64])
+    @pytest.mark.parametrize("k", [3, 4, 64])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-cloud"])
+    def test_a_row_does_not_depend_on_its_stack(self, k, N, shared):
+        gen = np.random.default_rng(68)
+        T = 23
+        P = gen.normal(size=(T, k, 2))
+        W = gen.normal(size=(N, 2) if shared else (T, N, 2))
+
+        def rows(a, b):
+            return bodies.cloud_widths(P[a:b], W if shared else W[a:b])
+
+        whole = rows(0, T)
+        assert whole.shape == (T, N)
+        for cuts in ([0, 1, 2, 9, 10, 22, 23], list(range(T + 1))):
+            parts = np.concatenate([rows(a, b) for a, b in zip(cuts[:-1], cuts[1:])])
+            assert parts.tobytes() == whole.tobytes()
+        ones = [bodies.cloud_widths(P[t].copy()[None], W if shared else W[t].copy()[None])
+                for t in range(T)]
+        assert np.concatenate(ones).tobytes() == whole.tobytes()
+        # a width cancels, so the elementwise oracle is met in absolute terms
+        want = cloud_widths_elementwise(P, W)
+        bound = 8.0 * np.finfo(float).eps * np.abs(P).max() * np.abs(W).max()
+        assert np.max(np.abs(whole - want)) <= bound
 
 
 def test_cross3_gives_the_bits_of_np_cross():

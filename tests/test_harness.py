@@ -446,6 +446,9 @@ CHUNKED = {
                                   "c_sets": [{"kind": "bp", "m": 3, "p": 1.0}]}),
     "emppetty2": ("emppetty2", {"dim": 2, "seed": 34, "body": SQUARE, "m1": 4, "m2": 4}),
     "lln": ("lln", {"dim": 2, "seed": 35, "body": SQUARE, "m1_list": [16, 6], "m2_list": [8, 5]}),
+    # one direction per trial takes numpy's matrix-vector path in the widths
+    "lln-m2-1": ("lln", {"dim": 2, "seed": 49, "body": SQUARE, "m1_list": [7, 16],
+                         "m2_list": [1, 1]}),
     "thm12-3d-lebesgue": ("thm12", dict(_THM12_SPACE, measure={"type": "lebesgue"})),
     "thm12-3d-gaussian": ("thm12", dict(_THM12_SPACE, measure=_GAUSS)),
     "thm12-3d-ball": ("thm12", dict(_THM12_SPACE, measure={"type": "ball", "radius": 0.4})),
@@ -495,6 +498,7 @@ SPATIAL = {**CHUNKED,
 
 # kinds whose bodies are the hulls of the sampled clouds themselves
 HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "thm12-ball", "empmixed", "emppetty2", "lln",
+                    "lln-m2-1",
                     "thm12-3d-lebesgue", "thm12-3d-gaussian", "thm12-3d-ball", "thm11-3d-simplices",
                     "thm11-3d-simplices-ball",
                     "empmixed-3d-simplices", "thm12-3d-simplex5", "thm11-3d-simplex5-cube",

@@ -233,6 +233,14 @@ class TestDensity:
             assert np.array_equal(d.sample(b, count), want)
             assert a.random() == b.random()
 
+    def test_uniform_draws_keep_only_the_triangulation(self):
+        # a ball literal's polar triangulation holds about 1e5 vertices, so
+        # the corners of its simplices are gathered per draw, not tabled
+        d = Density.uniform(cube_body(3))
+        before = set(vars(d))
+        d.sample(np.random.default_rng(0), 8)
+        assert set(vars(d)) == before
+
     def test_pickle_round_trip(self):
         import pickle
 
