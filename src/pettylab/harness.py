@@ -84,18 +84,18 @@ cross products:
   TETRAHEDRON_PAIR_ATOMS rows per trial with zero rows after the atoms.
 
 A spec's polar rule is one value, its grid's node count or None for the
-exact rule in the plane and the walk in space, and every route reads the
-projection bodies of a chunk through one call,
-``projections.polar_measures``.  In space the POLAR_RULES row of the measure at the kernel's generator
-bound picks it: under a Gaussian or ball measure small projection bodies
-take the arc walk of ``bodies.spatial_polar_measures`` over their normal
-fan, stacked for the chunk, with no grid (a zero row adds arcs of length
-zero); the polar is origin-symmetric, so the walk runs half of each great
-circle and doubles the sum.  Lebesgue measure and larger projection bodies
-take one support call per trial over the row's spatial grid and one polar
-quadrature row; an explicit ``quadrature.nodes`` sets the grid, and the
-kinds with no kernel keep DEFAULT_NODES[3].  The hull route of a spec
-takes its rule too.  Neither route depends on the chunk, so a trial's
+exact rule or the walk, and every route reads the projection bodies of a
+chunk through one call, ``projections.polar_measures``.  In the plane and
+under 3-D Lebesgue measure every route is exact: the closed form, or the
+arc walk of ``bodies.spatial_polar_measures`` over the normal fan, stacked
+for the chunk (a zero row adds arcs of length zero); the polar is
+origin-symmetric, so the walk runs half of each great circle and doubles
+the sum.  Under a Gaussian or ball measure the POLAR_RULES row of the
+measure at the kernel's generator bound picks the walk or a grid: one
+support call per trial over the grid and one polar quadrature row.  An
+explicit ``quadrature.nodes`` sets the grid, and the kinds with no kernel
+keep DEFAULT_NODES[3].  The hull route of a spec takes its rule too.
+Neither route depends on the chunk, so a trial's
 value is again the same bit for bit in every chunk.  The same rows give
 empmixed with two such C-sets and one ball slot: V(A, B, ball) = (1/6) sum
 h_ball(w), h_ball(0) = 0, one support call per chunk.
@@ -104,8 +104,7 @@ The report of a polar kind names its rule under ``quadrature``, outside
 ``diagnostics``: ``exact``, ``walk`` with its order or ``grid`` with its
 nodes.  Every grid adds a certificate: the trials of each side whose index
 is a multiple of CERTIFY_STRIDE rerun on twice the nodes, and each side's
-worst relative gap.  A walk report whose hull route read flat projection
-bodies on the grid names that grid under ``unbounded``.
+worst relative gap.
 
 A kernel leaves out of its mask every cloud it cannot classify with margin
 (degenerate, collinear, coplanar or repeated points, generators that do not
@@ -224,8 +223,9 @@ PAIR_AREA_MAX_POINTS = 24
 # certificate at twice its nodes.
 # The spatial polar rule per measure: rows (first generator count, nodes),
 # a row covering the counts up to the next row's first, nodes None for the
-# walk.  3-D Lebesgue measure keeps the grid at every count.
-POLAR_RULES = {"lebesgue": ((0, 8192),), "gaussian": ((0, None), (17, 8192), (31, 4096)),
+# walk.  3-D Lebesgue measure has no row: its walk is exact (H = 1/6, no
+# rule nodes), and 4.7-18 times faster than the 8192-node grid (README).
+POLAR_RULES = {"gaussian": ((0, None), (17, 8192), (31, 4096)),
                "ball": ((0, None), (11, 8192))}
 POLAR_GRID_TOL = 5e-5
 # Trials of each side, those whose index is a multiple of this, that the
@@ -738,15 +738,15 @@ class _PolarSpec(_Spec):
     builds from one trial's samples.
 
     The rule is one value, ``nodes``: the node count of the spatial grid,
-    or None for the exact rule in the plane and the arc walk of
-    ``bodies.spatial_polar_measures`` in space; ``projections.polar_measures``
-    reads all three.  In space ``_route`` fixes it at parse time: the
-    config's ``quadrature.nodes`` when it gives one, else the POLAR_RULES
-    row of the measure at the kernel's generator bound (a tetrahedron
-    pair's TETRAHEDRON_PAIR_ATOMS among them), else, for a kind with no
-    kernel, DEFAULT_NODES[3].  The kernel and hull route both apply it
-    through ``_values`` (the hull route to a stack of one), so a trial and
-    its replay never take different rules."""
+    or None for the exact rule or the arc walk; ``projections.polar_measures``
+    reads all three.  An ``exact`` spec (the plane, or 3-D Lebesgue measure)
+    has None and rejects ``quadrature.nodes``.  Else ``_route`` fixes it at
+    parse time: the config's ``quadrature.nodes`` when it gives one, else
+    the POLAR_RULES row of the measure at the kernel's generator bound (a
+    tetrahedron pair's TETRAHEDRON_PAIR_ATOMS among them), else, for a kind
+    with no kernel, DEFAULT_NODES[3].  The kernel and hull route both apply
+    it through ``_values`` (the hull route to a stack of one), so a trial
+    and its replay never take different rules."""
 
     direction = "le"
 
@@ -755,27 +755,27 @@ class _PolarSpec(_Spec):
         q = quadrature_block(config)
         _require(not q.get("certify"),
                  "quadrature.certify is not supported in experiments (the petty command honours it)")
-        _require(self.dim == 3 or q.get("nodes") is None,
-                 "quadrature.nodes sizes the spatial grid; planar polar measures are exact")
+        self.exact = self.dim == 2 or self.measure.variant == "lebesgue"
+        _require(not self.exact or q.get("nodes") is None,
+                 "quadrature.nodes sizes the spatial grid; planar and 3-D Lebesgue polars are exact")
         self.nodes = q.get("nodes")
 
     def _route(self, generators: int | None):
         """Fix the spatial rule for a kernel whose projection bodies have at
         most ``generators`` generators, or None for a kind with no kernel,
         and size a kernel's chunk by its rule's largest temporary."""
-        if self.nodes is None and generators is None:
-            self.nodes = DEFAULT_NODES[3]
-        elif self.nodes is None:
+        if self.nodes is None and not self.exact:
             rows = POLAR_RULES[self.measure.variant]
-            self.nodes = [nodes for first, nodes in rows if generators >= first][-1]
+            self.nodes = DEFAULT_NODES[3] if generators is None else [
+                nodes for first, nodes in rows if generators >= first][-1]
         if generators is not None:
             self.entries = self.nodes or spatial_polar_entries(generators, self.measure)
 
     def rule(self) -> dict:
         """The polar rule of the spec's trials, for its reports: ``exact``
-        in the plane, else ``walk`` with its order or ``grid`` with its
+        for an exact spec, else ``walk`` with its order or ``grid`` with its
         nodes."""
-        if self.dim == 2:
+        if self.exact:
             return {"rule": "exact"}
         if self.nodes is None:
             return {"rule": "walk", "order": POLAR_WALK_ORDER}
@@ -784,10 +784,10 @@ class _PolarSpec(_Spec):
     def value(self, samples: list, diag: dict) -> float:
         """The polar measure of Pi(``bodies``) by the spec's rule, a stack of
         one.  A flat Pi (``bodies.spans_space``), whose polar is unbounded,
-        counts in ``diag``; under Lebesgue measure it raises, else it takes
-        the exact measure of its strip in the plane or the grid in space
-        (DEFAULT_NODES[3] nodes past the walk), where every Pi the rule
-        cannot read goes too."""
+        counts in ``diag``.  Under Lebesgue measure every Pi the rule cannot
+        read raises, flat or found flat by the walk; else it takes the exact
+        measure of its strip in the plane or the grid in space
+        (DEFAULT_NODES[3] nodes past the walk)."""
         G = mixed_projection_support(self.bodies(samples, diag)).generators[None]
         full = spans_space(G)
         values, held = self._values(G, full)
@@ -795,8 +795,8 @@ class _PolarSpec(_Spec):
             return values[0]
         if not full[0]:
             diag["unbounded_polars"] += 1
-            if self.measure.variant == "lebesgue":
-                raise GeometryError("polar set is unbounded, Lebesgue measure infinite")
+        if self.measure.variant == "lebesgue":
+            raise GeometryError("polar set is unbounded, Lebesgue measure infinite")
         nodes = (self.nodes or DEFAULT_NODES[3]) if self.dim == 3 else None
         return polar_measures(G, self.measure, nodes)[0][0]
 
@@ -1151,9 +1151,6 @@ def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
     if rule is not None:
         if rule["rule"] == "grid":
             rule["certificate"] = _certificate(kind, config, (lhs_vals, rhs_vals), spec.nodes)
-        elif rule["rule"] == "walk" and diag["unbounded_polars"]:
-            # the hull route read the flat projection bodies on the grid
-            rule["unbounded"] = {"rule": "grid", "nodes": DEFAULT_NODES[3]}
         report["quadrature"] = rule
     return report
 

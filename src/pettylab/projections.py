@@ -191,7 +191,9 @@ def polar_measures(G: np.ndarray, measure: RadialMeasure | None = None,
     Fibonacci grid of that many nodes, which holds every row, flat ones too
     (under Lebesgue measure it raises where a node's support is 0).
     ``measure`` is a RadialMeasure, or None for Lebesgue
-    measure.  Experiments pick the rule by measure and generator count
+    measure.  Experiments pass no ``nodes`` in the plane and under 3-D
+    Lebesgue measure, whose walk is exact (H = 1/6, no rule nodes); under a
+    Gaussian or ball measure in space they pick the rule by generator count
     (``harness.POLAR_RULES``).
 
     Each grid row is ``polar_measure`` of its one zonotope, so a row's value
