@@ -194,18 +194,20 @@ PAIR_AREA_MAX_POINTS = 24
 # The Gaussian and ball rows of POLAR_RULES: a spatial kernel's projection
 # bodies take the arc walk of ``bodies.spatial_polar_measures`` up to 16
 # (Gaussian) and 10 (ball) generators, and the 8192-node grid past them.
-# The walk runs half of each great circle.  On a 2-vCPU Xeon,
-# per trial at chunk size over a few rounds, the Gaussian walk took 0.015
-# ms at 4 generators, 0.08-0.10 ms at 9, 0.13-0.19 ms at 12 and 0.25-0.36
-# ms at 16, against 0.17-0.47 ms for the grid; it tied or lost at 17
-# (0.26-0.41 ms against 0.26-0.46 ms) and lost at 18 (0.30-0.37 ms against
-# 0.25-0.30 ms) and 20 (0.39-0.58 ms against 0.27-0.44 ms).  The ball walk
-# runs the rule on the two pieces of each edge outside the ball and its
-# grid needs no erf: 0.03 ms at 4 generators, 0.14-0.20 ms at 9 and
-# 0.18-0.25 ms at 10, against 0.11-0.18, 0.15-0.30 and 0.16-0.30 ms for the
-# grid (at 10 the walk wins narrowly or ties, and the ball grid errs by up
-# to 7.4e-5 there); it tied at 11 (0.21-0.30 ms against 0.17-0.31 ms) and
-# lost at 12 (0.27-0.36 ms against 0.18-0.25 ms).
+# The walk runs half of each great circle.  On a 2-vCPU Xeon, per trial at
+# chunk size, the interquartile range over 40 rounds on mixed bodies with
+# coordinate-major node sets, the Gaussian walk took 0.011-0.016 ms at 4
+# generators, 0.065-0.090 ms at 9, 0.12-0.17 ms at 12 and 0.22-0.30 ms at
+# 16, against 0.19-0.35 ms for the grid, which won at most 2 of the 40
+# rounds up to 17 generators; it won 12 at 18 (0.27-0.40 ms against
+# 0.28-0.39 ms for the walk) and 39 at 20 (0.28-0.40 ms against
+# 0.34-0.48 ms).  The ball walk runs the rule on the two pieces of each
+# edge outside the ball and its grid needs no erf: 0.020-0.028 ms at 4
+# generators, 0.13-0.17 ms at 9 and 0.16-0.21 ms at 10, against
+# 0.085-0.118, 0.12-0.16 and 0.12-0.18 ms for the grid, which won 29 of the
+# 40 rounds at 9, 39 at 10 and 11 and all 40 from 12 (the ball grid errs by
+# up to 7.4e-5 at 10).  The rows were set on earlier timings, in which the
+# Gaussian walk tied or lost at 17 and the ball walk tied at 11.
 # Past the walk, each grid row takes the smallest of 2048, 4096 and 8192
 # nodes whose relative error against the walk stayed within POLAR_GRID_TOL
 # on every count it covers, over mixed bodies 2 a_i x b_j as cor13 builds
@@ -218,9 +220,10 @@ PAIR_AREA_MAX_POINTS = 24
 # 79 (30 bodies per count), so no row takes them.
 # Under a ball crossing the polar's boundary even 8192 nodes read up to
 # 7.4e-5, so the ball keeps them, and its row is not held to
-# POLAR_GRID_TOL.  At every node count the error grows as the polar shrinks
-# against the measure's scale, so every grid report also carries a
-# certificate at twice its nodes.
+# POLAR_GRID_TOL (16384 nodes read 2.8e-5 there, at about twice the cost).
+# At every node count the error grows as the polar shrinks against the
+# measure's scale, so every grid report also carries a certificate at twice
+# its nodes.
 # The spatial polar rule per measure: rows (first generator count, nodes),
 # a row covering the counts up to the next row's first, nodes None for the
 # walk.  3-D Lebesgue measure has no row: its walk is exact (H = 1/6, no

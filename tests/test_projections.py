@@ -421,6 +421,24 @@ class TestPolarMeasure:
         assert not U.flags.writeable and np.array_equal(U, sphere_directions(3, 500))
         assert sphere_directions(3, 500).flags.writeable
 
+    def test_coordinate_major_nodes_read_as_a_row_major_copy(self):
+        # node sets are held as the transpose of a C-contiguous (n, N) array;
+        # every block of a grid row must read the nodes that a plain product
+        # over a row-major copy reads
+        for n in (2, 3):
+            U = projections.node_set(n, 4096)
+            assert U.shape == (4096, n) and U.T.flags.c_contiguous
+            assert not U.flags.writeable and not U.T.flags.writeable
+        rows = np.ascontiguousarray(projections.node_set(3, 4096))
+        for k in (3, 17, 30, 64, 100):
+            G = np.random.default_rng(k).normal(size=(k, 3)) / k
+            hv = np.abs(rows @ G.T).sum(axis=1)
+            crossing = 2.0 / (hv.min() + hv.max())  # the ball's sphere crosses the polar's boundary
+            for nu in (RadialMeasure.gaussian(1.0), RadialMeasure.ball(crossing)):
+                got = polar_measure(Zonotope(G), nu, QuadratureSpec(nodes=4096))
+                want = polar_measure_from_support(hv, nu, 3)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (k, nu.variant)
+
     def test_unbounded_lebesgue_region_is_rejected(self):
         with pytest.raises(GeometryError):
             RadialMeasure.lebesgue().radial_integral(np.array([np.inf]), 2)
