@@ -671,7 +671,7 @@ def polar_of_zonotope(Z: Zonotope) -> VPolytope:
     gens = Zm.generators
     n = Zm.dim
     if n == 2:
-        cand = np.column_stack([-gens[:, 1], gens[:, 0]])
+        cand = perp(gens)
     elif n == 3:
         i, j = np.triu_indices(len(gens), k=1)
         cand = cross3(gens[i], gens[j])
@@ -728,6 +728,12 @@ _NEXT, _LAST = [1, 2, 0], [2, 0, 1]
 
 def _vcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[_NEXT] * b[_LAST] - a[_LAST] * b[_NEXT]
+
+
+def perp(W: np.ndarray) -> np.ndarray:
+    """Each planar row w on the last axis turned a quarter turn
+    counterclockwise, (-w_y, w_x)."""
+    return np.stack([-W[..., 1], W[..., 0]], axis=-1)
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

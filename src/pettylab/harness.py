@@ -40,9 +40,12 @@ A kind is a hull route, the value of one trial from its own samples, plus,
 optionally, a stacked kernel that takes the chunk's samples to values and
 a mask of the trials it could classify; the trials outside the mask take
 the hull route, which is also the reference a trial run alone (``replay``)
-takes.  thm12, thm11 and cor13 share one hull route, ``_PolarSpec.value``,
-over the zonotope ``mixed_projection_support`` builds from the kind's
-n - 1 bodies (thm12: n - 1 copies of X C).  In the plane that zonotope's
+takes.  thm12 and thm11 share one hull route, ``_PolarSpec.value``, over
+the zonotope ``mixed_projection_support`` builds from the kind's n - 1
+bodies (thm12: n - 1 copies of X C).  cor13 is thm11 on its empirical
+centroid bodies (1/m) sum_i [-x_i, x_i], which are X C for the cube C-set
+of half 1/m: its spec only turns its bodies and m into thm11's blocks and
+C-sets.  In the plane that zonotope's
 polar measure is exact, a closed form on each arc of its normal fan
 (``bodies.planar_polar_measures``), and takes no grid; in space a rule
 along the same fan's arcs replaces the grid where it pays (below).  Planar
@@ -76,7 +79,7 @@ cross products:
   faces ijk of |<(x_j - x_i) x (x_k - x_i), u>|;
 * thm12, cube or bp p = inf C-set: 4 sum_{i<j} |<g_i x g_j, u>| with g the
   generators of X C (half X for the cube);
-* thm11 with two zonotope C-sets, and cor13 with A = X/m and B = Y/m:
+* thm11 with two zonotope C-sets (cor13's: A = X/m and B = Y/m):
   h_{Pi(Z_A, Z_B)}(u) = 2 sum_{i,j} |<a_i x b_j, u>|;
 * thm11 with two simplex C-sets with m = 4: h_{Pi(A, B)}(u) =
   (1/4) sum |<e x f, u>| over the edge pairs whose arcs cross, the atoms
@@ -119,6 +122,9 @@ plane and the grid in space (DEFAULT_NODES[3] nodes past the walk).
 The other kinds and C-sets have no kernel and take the hull route on every
 trial: thm12 with other C-sets, thm11 with other hull C-sets, empmixed in
 other mixed modes and the spatial emppetty2 and lln.  Chunk length follows from ``CHUNK_ENTRIES``.
+A report runs every side (lln: every row) through one ``run_trials`` call,
+which sums their diagnostics: serially, or under threads > 1 as ranges of
+trials in one process pool; a grid's certificate reruns serially.
 An error raised in a trial is re-raised as a ``TrialError`` that names its
 (side, trial) key (lln: (row, trial)); ``replay`` reruns that one trial.
 """
@@ -151,6 +157,7 @@ from .bodies import (
     is_unconditional,
     lp_ball_body,
     m_combinations,
+    perp,
     planar_hull_areas,
     planar_hull_edges,
     solid_simplex,
@@ -169,7 +176,6 @@ from .projections import (
     TETRAHEDRON_PAIR_ATOMS,
     RadialMeasure,
     centroid_body_support,
-    empirical_centroid_body,
     mixed_projection_support,
     polar_measures,
     polar_projection_polytope,
@@ -255,11 +261,6 @@ class TrialError(ValueError):
 
     def __str__(self):
         return f"trial {self.key}: {self.args[1]}"
-
-
-def _perp(W: np.ndarray) -> np.ndarray:
-    """Each planar row w turned by a quarter turn, (-w_1, w_0)."""
-    return np.stack([-W[..., 1], W[..., 0]], axis=-1)
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -713,6 +714,11 @@ class _Spec:
         reference every kernel must agree with."""
         return self.value([S[0] for S in self.stacked(side, index, 1)], diag)
 
+    def bodies(self, samples: list, diag: dict) -> list:
+        """The bodies X C of one trial, one per C-set, counting each
+        degenerate hull in ``diag``."""
+        return [_counted(cset.body(X), diag) for X, cset in zip(samples, self.csets)]
+
     def _blocks(self, blocks) -> tuple:
         """Both sides' draws from the ``blocks`` list."""
         _require(isinstance(blocks, list) and blocks, "blocks must be a non-empty list")
@@ -737,8 +743,9 @@ class _Spec:
 class _PolarSpec(_Spec):
     """Kinds that average the polar measure of a mixed projection body: its
     radial measure, the spec's polar rule and the one hull route of every
-    such kind, over the n - 1 bodies a kind's ``bodies(samples, diag)``
-    builds from one trial's samples.
+    such kind, over the n - 1 bodies ``bodies(samples, diag)`` builds from
+    one trial's samples (thm12: n - 1 copies of X C; thm11 and cor13: one
+    body X C per C-set, ``_Spec.bodies``).
 
     The rule is one value, ``nodes``: the node count of the spatial grid,
     or None for the exact rule or the arc walk; ``projections.polar_measures``
@@ -865,21 +872,33 @@ class _Thm12Spec(_PolarSpec):
         return self._values(G, full)
 
 
-class _MixedSpec(_PolarSpec):
-    """Polar measure of a mixed projection body Pi(K_1, K_2) in space, K_i
-    built from the i-th draw of a side.  Subclasses build the bodies, and
-    set ``form`` when a stacked kernel reads both: "zonotope" when they are
-    the zonotopes with generator rows ``rows``, "tetrahedron" when they are
-    the hulls of those four rows."""
+class _Thm11Spec(_PolarSpec):
+    """Polar measure of the mixed projection body Pi(X C_1, Y C_2) in space,
+    over the two blocks and C-sets that ``draws`` reads from the config.
+    The hull route reads the bodies ``CSet.body``; a stacked kernel reads
+    two zonotope C-sets, or two tetrahedra, from their rows ``CSet.rows``,
+    and other pairs have no kernel."""
 
-    form = None
+    kind = "thm11"
+    keys = (("blocks", "c_sets"), ("measure", "quadrature"))
 
     def parse(self, config: dict):
         _require(self.dim == 3, f"{self.kind} needs dim = 3")
         super().parse(config)
+        self.draws(config)
+        forms = {c.form(3) for c in self.csets}
+        self.form = forms.pop() if len(forms) == 1 else None
+        a, b = (c.m for c in self.csets)
+        self._route({"tetrahedron": TETRAHEDRON_PAIR_ATOMS, "zonotope": a * b}.get(self.form))
+
+    def draws(self, config: dict):
+        """Set ``blocks`` and ``csets``, one C-set per block."""
+        self.blocks = self._blocks(config["blocks"])
+        _require(len(self.blocks[0]) == 2, "thm11 needs 2 blocks")
+        self.csets = self._csets(config["c_sets"])
 
     def kernel(self, samples: list, diag: dict) -> tuple:
-        A, B = (self.rows(i, X) for i, X in enumerate(samples))
+        A, B = (cset.rows(X) for X, cset in zip(samples, self.csets))
         if self.form == "tetrahedron":
             W, full = tetrahedron_pair_normals(A, B)
             return self._values(0.25 * W, full)
@@ -888,52 +907,23 @@ class _MixedSpec(_PolarSpec):
         return self._values(mixed_projection_generators(A, B), full)
 
 
-class _Thm11Spec(_MixedSpec):
-    kind = "thm11"
-    keys = (("blocks", "c_sets"), ("measure", "quadrature"))
-
-    def parse(self, config: dict):
-        super().parse(config)
-        self.blocks = self._blocks(config["blocks"])
-        _require(len(self.blocks[0]) == self.dim - 1, f"thm11 needs {self.dim - 1} blocks")
-        self.csets = self._csets(config["c_sets"])
-        forms = {c.form(3) for c in self.csets}
-        if len(forms) == 1:
-            self.form, = forms
-        a, b = (c.m for c in self.csets)
-        self._route({"tetrahedron": TETRAHEDRON_PAIR_ATOMS, "zonotope": a * b}.get(self.form))
-
-    def bodies(self, samples: list, diag: dict) -> list:
-        return [_counted(cset.body(X), diag) for X, cset in zip(samples, self.csets)]
-
-    def rows(self, i: int, X: np.ndarray) -> np.ndarray:
-        return self.csets[i].rows(X)
-
-
-class _Cor13Spec(_MixedSpec):
-    """thm11 on the empirical centroid bodies Z_m = sum_i [-x_i/m, x_i/m] of
-    m uniform points of each body."""
+class _Cor13Spec(_Thm11Spec):
+    """thm11 on the empirical centroid bodies Z_m = sum_i [-x_i/m, x_i/m]
+    of m uniform points of each body: Z_m = X C for the cube C-set of half
+    1/m, so the config's bodies and m become two uniform blocks and two
+    such C-sets."""
 
     kind = "cor13"
     keys = (("bodies", "m"), ("measure", "quadrature"))
-    form = "zonotope"
 
-    def parse(self, config: dict):
-        super().parse(config)
+    def draws(self, config: dict):
         bodies = config["bodies"]
-        _require(isinstance(bodies, list) and len(bodies) == self.dim - 1,
-                 f"cor13 needs {self.dim - 1} bodies")
+        _require(isinstance(bodies, list) and len(bodies) == 2, "cor13 needs 2 bodies")
         m = _integer(config["m"], "m")
         self.blocks = _both_sides(
             (_uniform(_literal(lit, f"bodies[{i}]", self.dim), f"bodies[{i}]"), m)
             for i, lit in enumerate(bodies))
-        self._route(m * m)
-
-    def bodies(self, samples: list, diag: dict) -> list:
-        return [empirical_centroid_body(X) for X in samples]
-
-    def rows(self, i: int, X: np.ndarray) -> np.ndarray:
-        return X / X.shape[1]
+        self.csets = self._csets([{"kind": "cube", "m": m, "half": 1.0 / m}] * 2)
 
 
 class _EmpMixedSpec(_Spec):
@@ -962,7 +952,7 @@ class _EmpMixedSpec(_Spec):
             self.entries = 36 * 3
 
     def value(self, samples: list, diag: dict) -> float:
-        bodies = [_counted(cset.body(X), diag) for X, cset in zip(samples, self.csets)]
+        bodies = self.bodies(samples, diag)
         if self.volume_mode:
             return volume(bodies[0])
         return mixed_volume(bodies + [self.ball] * self.ball_slots)
@@ -1004,7 +994,7 @@ class _PairingSpec(_Spec):
     def kernel(self, samples: list, diag: dict) -> tuple:
         A, Y = samples
         Z = Y / Y.shape[1] if self.centroid else Y
-        return cloud_widths(A, _perp(Z)).sum(axis=1), full_rank(A - A.mean(axis=1, keepdims=True))
+        return cloud_widths(A, perp(Z)).sum(axis=1), full_rank(A - A.mean(axis=1, keepdims=True))
 
 
 class _EmpPetty2Spec(_PairingSpec):
@@ -1084,25 +1074,27 @@ def _worker(payload: tuple) -> tuple:
     return values, diag
 
 
-def run_trials(spec: _Spec, side: int, threads: int):
-    """Per-trial values of one side (lln: one row) in index order plus
-    summed diagnostics."""
+def run_trials(spec: _Spec, sides, threads: int) -> tuple:
+    """The per-trial values of each side of ``sides`` (lln: each row) in
+    index order, and the diagnostics summed over them all.  Under
+    ``threads`` > 1 every side runs as ``threads`` ranges of trials in one
+    process pool; with fewer than 2 ``threads`` trials a side, serially."""
     trials = spec.trials
-    if threads <= 1 or trials < 2 * threads:
-        return _worker((spec, side, 0, trials))
-    bounds = np.linspace(0, trials, threads + 1, dtype=int)
-    payloads = [
-        (spec, side, int(a), int(b - a))
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_worker, payloads))
-    values = np.concatenate([v for v, _ in results])
+    parts = 1 if threads <= 1 or trials < 2 * threads else threads
+    cuts = [trials * k // parts for k in range(parts + 1)]
+    payloads = [(spec, side, a, b - a) for side in sides for a, b in zip(cuts, cuts[1:])]
+    if parts == 1:
+        results = [_worker(payload) for payload in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_worker, payloads))
     diag = _no_diagnostics()
     for _, d in results:
         for key in diag:
             diag[key] += d[key]
+    values = [v for v, _ in results]
+    if parts > 1:
+        values = [np.concatenate(values[i:i + parts]) for i in range(0, len(values), parts)]
     return values, diag
 
 
@@ -1132,13 +1124,9 @@ def _certificate(kind: str, config: dict, sides: tuple, nodes: int) -> dict:
 
 def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
     spec = SPECS[kind](config)
-    lhs_vals, lhs_diag = run_trials(spec, 0, threads)
-    rhs_vals, rhs_diag = run_trials(spec, 1, threads)
+    (lhs_vals, rhs_vals), diag = run_trials(spec, (0, 1), threads)
     lhs, rhs = summarize(lhs_vals), summarize(rhs_vals)
     direction = spec.direction
-    diag = {
-        key: lhs_diag[key] + rhs_diag[key] for key in sorted(lhs_diag)
-    }
     report = {
         "experiment": kind,
         "config": dict(config),
@@ -1191,13 +1179,9 @@ def run_lln(config: dict, threads: int | None = None) -> dict:
     spec = _LlnSpec(config)
     sweep = [(m1, m2) for (_, m1), (_, m2) in spec.blocks]
     rows = []
-    diag = _no_diagnostics()
-    last_within = False
-    for row, (m1, m2) in enumerate(sweep):
-        values, d = run_trials(spec, row, threads)
+    sides, diag = run_trials(spec, range(len(sweep)), threads)
+    for (m1, m2), values in zip(sweep, sides):
         est = summarize(values)
-        for key in diag:
-            diag[key] += d[key]
         last_within = abs(est.mean - spec.target) <= 3.0 * est.stderr
         rows.append(
             {
@@ -1250,7 +1234,7 @@ def estimate(functional_id: str, config: dict, side: int = 0,
     _require(functional_id in FUNCTIONALS, f"unknown functional {functional_id!r}")
     spec = SPECS[FUNCTIONALS[functional_id]](config)
     _require(side in (0, 1) and type(side) is int, f"side must be 0 or 1, got {side!r}")
-    values, _ = run_trials(spec, side, resolve_threads(threads))
+    (values,), _ = run_trials(spec, (side,), resolve_threads(threads))
     return summarize(values)
 
 

@@ -24,6 +24,7 @@ from .bodies import (
     Zonotope,
     cross3,
     facet_planes,
+    perp,
     reduced_form,
     sort_rows,
 )
@@ -161,7 +162,7 @@ def _surface_measure(K: VPolytope) -> tuple[np.ndarray, np.ndarray]:
     if n == 2 and k >= 1:
         edges = np.concatenate((R.vertices[1:], R.vertices[:1])) - R.vertices
         masses = np.linalg.norm(edges, axis=1)
-        return np.column_stack([edges[:, 1], -edges[:, 0]]) / masses[:, None], masses
+        return -perp(edges) / masses[:, None], masses
     if n == 3 and k == 3:
         f = facets(R)
         return f.normals, f.measures
@@ -279,7 +280,7 @@ def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:
     if all(isinstance(B, Zonotope) for B in bodies):
         G, H = bodies[0].generators[None], bodies[-1].generators[None]
         if n == 2:
-            w = 2.0 * np.column_stack([-G[0, :, 1], G[0, :, 0]])
+            w = 2.0 * perp(G[0])
         elif bodies[-1] is bodies[0]:
             w = zonotope_projection_generators(G)[0]
         else:

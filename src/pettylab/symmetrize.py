@@ -21,6 +21,7 @@ from .bodies import (
     VPolytope,
     cross3,
     hull,
+    perp,
     reduced_form,
     volume,
 )
@@ -54,7 +55,7 @@ def _frame(u: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning u^perp followed by u itself."""
     n = len(u)
     if n == 2:
-        return np.array([[-u[1], u[0]], u])
+        return np.stack([perp(u), u])
     base = np.eye(3)[np.argmin(np.abs(u))]
     w1 = base - (base @ u) * u
     w1 /= np.linalg.norm(w1)

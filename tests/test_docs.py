@@ -1,6 +1,7 @@
 """Every ``module.name`` that the README or a docstring of the package
 names in backticks must exist: a rename that misses its prose fails here."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -39,3 +40,28 @@ def test_every_module_reference_resolves(source):
     missing = sorted({f"{module}.{name}" for module, name in REFERENCE.findall(SOURCES[source])
                       if not hasattr(importlib.import_module(f"pettylab.{module}"), name)})
     assert missing == []
+
+
+def _key_table() -> dict:
+    """The README's table of each experiment kind's (required, optional)
+    keys, read as the backticked names of each cell."""
+    rows = re.findall(r"^\| `(\w+)` \|(.*)\|(.*)\|$", SOURCES["README.md"], re.MULTILINE)
+    return {kind: tuple(tuple(re.findall(r"`(\w+)`", cell)) for cell in cells)
+            for kind, *cells in rows}
+
+
+def test_the_readme_key_table_is_each_specs_keys():
+    harness = importlib.import_module("pettylab.harness")
+    assert _key_table() == {kind: spec.keys for kind, spec in harness.SPECS.items()}
+
+
+def test_the_cli_runs_every_experiment_kind():
+    harness = importlib.import_module("pettylab.harness")
+    cli = importlib.import_module("pettylab.cli")
+    commands, = [action.choices for action in cli._build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    # the experiment subcommands are those that take --trials
+    experiments = {name for name, parser in commands.items()
+                   if any("--trials" in action.option_strings for action in parser._actions)}
+    replayed, = [action.choices for action in commands["replay"]._actions if action.dest == "kind"]
+    assert experiments == set(harness.RUNNERS) == set(harness.SPECS) == set(replayed)

@@ -410,6 +410,26 @@ class TestEstimates:
         parallel = report_to_json(run_theorem_1_2(THM12_SMALL, threads=2))
         assert serial == parallel
 
+    @pytest.mark.parametrize("run, config, pools", [
+        (run_theorem_1_2, THM12_SMALL, 1),
+        (run_lln, dict(LLN_SMALL, trials=8, m1_list=[4, 5, 6], m2_list=[4, 3, 2]), 1),
+        (lambda config, threads: estimate("volume", config, side=1, threads=threads).to_dict(),
+         dict(EMPMIXED_SMALL, trials=8), 1),
+        (run_theorem_1_2, dict(THM12_SMALL, trials=3), 0),
+    ], ids=["two-sided", "lln-three-rows", "estimate", "fewer-than-two-per-thread"])
+    def test_a_report_runs_every_side_in_one_pool(self, run, config, pools, monkeypatch):
+        started = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        serial = report_to_json(run(config, threads=1))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        assert report_to_json(run(config, threads=2)) == serial
+        assert started == [{"max_workers": 2}] * pools
+
     def test_report_shape_and_verdict_vocabulary(self):
         report = run_theorem_1_2(THM12_SMALL)
         assert report["experiment"] == "thm12"
@@ -888,6 +908,20 @@ class TestSpecs:
         assert callable(getattr(spec, "value", None))
         # every polar kind shares one hull route over its mixed projection body
         assert (spec.value is harness._PolarSpec.value) == (kind in ("thm12", "thm11", "cor13"))
+
+    @pytest.mark.parametrize("measure", [_GAUSS, {"type": "lebesgue"}], ids=["gaussian", "lebesgue"])
+    @pytest.mark.parametrize("m", [3, 4, 5, 8])
+    def test_cor13_is_thm11_on_cube_c_sets_of_half_one_over_m(self, m, measure):
+        # Gaussian: the walk at m = 3 and 4, the certified 8192- and
+        # 4096-node grids at m = 5 and 8; Lebesgue: the exact rule
+        pair = [_CUBE3, {"type": "simplex", "dim": 3}]
+        cor13 = {"dim": 3, "seed": 50, "trials": 8, "measure": measure, "m": m, "bodies": pair}
+        thm11 = {"dim": 3, "seed": 50, "trials": 8, "measure": measure,
+                 "blocks": [_uniform_block(body, m) for body in pair],
+                 "c_sets": [{"kind": "cube", "m": m, "half": 1.0 / m}] * 2}
+        got, want = run_corollary_1_3(cor13), harness.run_theorem_1_1(thm11)
+        for key in ("lhs", "rhs", "diagnostics", "verdict", "quadrature"):
+            assert got[key] == want[key], key
 
     @pytest.mark.parametrize("module", [bodies, projections, sampling],
                              ids=["bodies", "projections", "sampling"])
