@@ -12,8 +12,6 @@ chunk route and the per-trial route, and prints both results.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -34,6 +32,7 @@ from .harness import (
     report_to_csv,
     report_to_json,
     resolve_threads,
+    rows_to_csv,
 )
 from .projections import PETTY_METHODS, QuadratureSpec, petty_product
 from .symmetrize import rearrange_body, steiner_symmetrize
@@ -76,7 +75,7 @@ def _build_parser() -> _Parser:
     sub.add_parser("verify-kernel", help="run the kernel oracle suite")
     add("petty", "deterministic projection-volume product of one body",
         trials=False, seed=False)
-    for name in ("thm12", "thm11", "cor13", "empmixed", "emppetty2", "lln"):
+    for name in RUNNERS:
         add(name, f"run the {name} experiment")
     add("symmetrize", "iterated Steiner symmetrization trace", trials=False)
     p = sub.add_parser("replay", help="rerun one trial by its stream key")
@@ -123,6 +122,8 @@ def run_petty(config: dict) -> dict:
     method = config.get("method", "auto")
     _require(method in PETTY_METHODS, f"method must be one of {PETTY_METHODS}, got {method!r}")
     q = quadrature_block(config)
+    _require(method == "quadrature" or "quadrature" not in config,
+             f"quadrature is read only under method 'quadrature', got method {method!r}")
     quad = QuadratureSpec(nodes=q.get("nodes"), certify=q.get("certify", False))
     product = petty_product(K, method=method, quad=quad)
     dim = K.dim
@@ -137,15 +138,6 @@ def run_petty(config: dict) -> dict:
         "method": method,
         "verdict": verdict,
     }
-
-
-def _petty_csv(report: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["dim", "volume", "product", "ball_bound", "verdict"])
-    w.writerow([report["dim"], report["volume"], report["product"],
-                report["ball_bound"], report["verdict"]])
-    return buf.getvalue()
 
 
 def run_symmetrize(config: dict) -> dict:
@@ -189,14 +181,14 @@ def run_symmetrize(config: dict) -> dict:
     }
 
 
-def _symmetrize_csv(report: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["iteration", "volume", "volume_drift", "max_vertex_norm"])
-    for s in report["steps"]:
-        w.writerow([s["iteration"], s["volume"], s["volume_drift"],
-                    s["max_vertex_norm"]])
-    return buf.getvalue()
+# The commands beside the experiments of RUNNERS: name -> (runner, the CSV of
+# its report).
+COMMANDS = {
+    "petty": (run_petty, lambda report: rows_to_csv(
+        ("dim", "volume", "product", "ball_bound", "verdict"), [report])),
+    "symmetrize": (run_symmetrize, lambda report: rows_to_csv(
+        ("iteration", "volume", "volume_drift", "max_vertex_norm"), report["steps"])),
+}
 
 
 def main(argv=None) -> int:
@@ -222,20 +214,13 @@ def main(argv=None) -> int:
             report = replay(args.kind, config, args.key)
             _emit(report_to_json(report), args.out)
             return 2 if "error" in report["chunk"] or "error" in report["trial"] else 0
-        if args.command == "petty":
-            report = run_petty(config)
-            text = (report_to_json(report) if args.format == "json"
-                    else _petty_csv(report))
-        elif args.command == "symmetrize":
-            report = run_symmetrize(config)
-            text = (report_to_json(report) if args.format == "json"
-                    else _symmetrize_csv(report))
+        if args.command in COMMANDS:
+            run, to_csv = COMMANDS[args.command]
+            report = run(config)
         else:
-            threads = resolve_threads(getattr(args, "threads", None))
-            report = RUNNERS[args.command](config, threads=threads)
-            text = (report_to_json(report) if args.format == "json"
-                    else report_to_csv(report))
-        _emit(text, args.out)
+            report = RUNNERS[args.command](config, threads=resolve_threads(args.threads))
+            to_csv = report_to_csv
+        _emit(report_to_json(report) if args.format == "json" else to_csv(report), args.out)
         return 2 if report.get("verdict") == "violated" else 0
     except (ConfigError, GeometryError, OSError, json.JSONDecodeError, KeyError,
             ValueError) as exc:

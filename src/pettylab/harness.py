@@ -574,10 +574,11 @@ class CSet:
             p = _positive(M["p"], f"{key}.M.p")
             _require(p >= 1.0, f"{key}.M.p must be >= 1, got {p!r}")
             # vertex candidates suffice for linear images, no high-dim hull needed
-            coeffs = MSpec.lp(p, vertex_budget=64).conjugate_ball_vertices(len(parts))
+            coeffs = _parse(f"{key}.M", MSpec.lp(p, vertex_budget=64).conjugate_ball_vertices,
+                            len(parts))
         else:
             M = _literal(M, f"{key}.M", len(parts))["body"]
-            _require(is_unconditional(M), f"{key}.M must be 1-unconditional")
+            _require(_parse(f"{key}.M", is_unconditional, M), f"{key}.M must be 1-unconditional")
             coeffs = M.vertices
         return cls("msum", total, vertices=m_combinations(coeffs, balls))
 
@@ -1275,49 +1276,36 @@ def replay(kind: str, config: dict, key) -> dict:
 # serialization
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 def report_to_json(report: dict) -> str:
-    """Canonical JSON: sorted keys, stable float repr, no volatile fields."""
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, stable float repr, no volatile fields.
+
+    The report goes to ``json.dumps`` as it is, so every leaf must be a str,
+    bool, int, float (numpy float64 included) or None: a numpy integer or
+    bool does not serialize, and an index taken from numpy (a trial key, a
+    tail fact) goes in through ``int()``."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def rows_to_csv(header: tuple, rows) -> str:
+    """CSV of ``header`` and one line per row, a dict read at the header's
+    keys (other keys ignored)."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, header, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def report_to_csv(report: dict) -> str:
-    """Flat CSV; sweep reports emit one row per sweep point."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """Flat CSV of an experiment: a sweep's row per sweep point, else a row
+    per side."""
     if "rows" in report:
-        writer.writerow(
-            ["experiment", "m1", "m2", "mean", "stderr", "ci_low", "ci_high",
-             "target", "within_3_stderr"]
-        )
-        for row in report["rows"]:
-            est = row["estimate"]
-            writer.writerow(
-                [report["experiment"], row["m1"], row["m2"], est["mean"],
-                 est["stderr"], est["ci_low"], est["ci_high"], row["target"],
-                 row["within_3_stderr"]]
-            )
-    else:
-        writer.writerow(
-            ["experiment", "side", "mean", "stderr", "ci_low", "ci_high",
-             "trials", "direction", "verdict"]
-        )
-        for side in ("lhs", "rhs"):
-            est = report[side]
-            writer.writerow(
-                [report["experiment"], side, est["mean"], est["stderr"],
-                 est["ci_low"], est["ci_high"], est["trials"],
-                 report["direction"], report["verdict"]]
-            )
-    return buf.getvalue()
+        return rows_to_csv(
+            ("experiment", "m1", "m2", "mean", "stderr", "ci_low", "ci_high", "target",
+             "within_3_stderr"),
+            ({**row, **row["estimate"], "experiment": report["experiment"]}
+             for row in report["rows"]))
+    return rows_to_csv(
+        ("experiment", "side", "mean", "stderr", "ci_low", "ci_high", "trials", "direction",
+         "verdict"),
+        ({**report, **report[side], "side": side} for side in ("lhs", "rhs")))

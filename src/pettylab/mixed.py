@@ -268,23 +268,18 @@ def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:
     multilinearity over their segments [-g, g], put mass |w| on +-w/|w| for
     each generator w of their projection body: w = 2 g^perp in the plane,
     and in space those of ``zonotope_projection_generators`` for copies of
-    one and of ``mixed_projection_generators`` for two.  Otherwise n - 1
-    copies of one body give its surface-area measure, and two bodies in
-    space S(A, B; v) = V(F_A(v), F_B(v)): the crossings of their edge arcs,
-    and at each facet normal v they share within MERGE_GAP the planar mixed
-    area of the two facets.
+    one.  Otherwise n - 1 copies of one body give its surface-area measure,
+    and two bodies in space S(A, B; v) = V(F_A(v), F_B(v)): the crossings of
+    their edge arcs (a zonotope's are its whole-circle edges 2g, which give
+    the atoms of ``mixed_projection_generators``), and at each facet normal
+    v they share within MERGE_GAP the planar mixed area of the two facets.
     """
     n = _shared_dim(bodies, 1)
     if n not in (2, 3):
         raise GeometryError(f"mixed area measure supports dimension 2 or 3, got {n}")
-    if all(isinstance(B, Zonotope) for B in bodies):
-        G, H = bodies[0].generators[None], bodies[-1].generators[None]
-        if n == 2:
-            w = 2.0 * perp(G[0])
-        elif bodies[-1] is bodies[0]:
-            w = zonotope_projection_generators(G)[0]
-        else:
-            w = mixed_projection_generators(G, H)[0]
+    if isinstance(bodies[0], Zonotope) and bodies[-1] is bodies[0]:
+        G = bodies[0].generators
+        w = 2.0 * perp(G) if n == 2 else zonotope_projection_generators(G[None])[0]
         norms = np.linalg.norm(w, axis=1)
         w, norms = w[norms > 0.0], norms[norms > 0.0]
         normals = w / norms[:, None]

@@ -1,5 +1,7 @@
 import ast
 import collections
+import csv
+import io
 import json
 import math
 import pickle
@@ -65,6 +67,7 @@ THM12_SMALL = {
 
 _GAUSSIAN_BLOCK = {"density": {"type": "gaussian"}, "m": 3}
 _BALLS = [{"kind": "bp", "m": 2, "p": 2.0}, {"kind": "bp", "m": 2, "p": 2.0}]
+_SEGMENTS = [{"kind": "bp", "m": 1, "p": 1.0}] * 4
 _CUBE_3D = {"type": "cube", "dim": 3}
 EMPMIXED_SMALL = {"dim": 2, "seed": 4, "trials": 4, "blocks": [_GAUSSIAN_BLOCK],
                   "c_sets": [{"kind": "simplex", "m": 3}]}
@@ -129,6 +132,11 @@ REJECTIONS = {
                                                                      "half": 1.0}), "c_set.half"),
     "unknown-msum-key": (run_theorem_1_2, _msum(_BALLS[0], dict(_BALLS[1], q=2.0)),
                          "c_set.components[1].q"),
+    # M's own rules read the component count: an L_p pattern with 1 < p < inf
+    # and a body literal live in dimension 2 or 3
+    "msum-four-components-l2": (run_theorem_1_2, _msum(*_SEGMENTS), "c_set.M"),
+    "msum-four-components-cube": (run_theorem_1_2,
+                                  _msum(*_SEGMENTS, M={"type": "cube", "dim": 4}), "c_set.M"),
     "unknown-quadrature-key": (run_theorem_1_2, dict(THM12_SMALL, quadrature={"order": 3}),
                                "quadrature.order"),
     "quadrature-nodes-2d": (run_theorem_1_2, dict(THM12_SMALL, quadrature={"nodes": 64}),
@@ -235,6 +243,11 @@ class TestValidation:
         )
         with pytest.raises(ConfigError):
             run_theorem_1_2(bad)
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_msum_of_four_components_runs_under_an_l1_or_linf_pattern(self, p):
+        report = run_theorem_1_2(_msum(*_SEGMENTS, M={"p": p}))
+        assert report["lhs"]["trials"] == report["rhs"]["trials"] == THM12_SMALL["trials"]
 
     def test_bp_rejects_bad_exponents(self):
         with pytest.raises(ConfigError):
@@ -1213,6 +1226,31 @@ class TestSerialization:
         assert a == b
         json.loads(a)
 
+    def test_every_report_holds_only_json_scalars(self):
+        # report_to_json hands reports to json.dumps as they are: a numpy
+        # integer or bool anywhere in a report would not serialize
+        reports = [harness.RUNNERS[kind](dict(config, trials=4)) for kind, config in ROUTED.values()]
+        reports += [harness.replay(*CHUNKED[name], (1, 2)) for name in ("thm12-3d-gaussian", "lln")]
+        reports += [cli.run_petty(SQUARE), cli.run_petty(dict(_CUBE3, method="quadrature")),
+                    cli.run_symmetrize(dict(SQUARE, iterations=2)),
+                    cli.run_symmetrize(dict(_CUBE3, iterations=2))]
+
+        def leaves(value, path):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    assert type(key) is str, f"{path}: key {key!r}"
+                    yield from leaves(item, f"{path}.{key}")
+            elif isinstance(value, (list, tuple)):
+                for i, item in enumerate(value):
+                    yield from leaves(item, f"{path}[{i}]")
+            else:
+                yield path, value
+
+        for report in reports:
+            for path, leaf in leaves(report, report.get("experiment", report.get("functional"))):
+                assert leaf is None or type(leaf) in (str, bool, int, float, np.float64), \
+                    f"{path}: {type(leaf).__name__}"
+
 
 class TestCli:
     def _write(self, tmp_path, payload, name="config.json"):
@@ -1258,6 +1296,33 @@ class TestCli:
         out = capsys.readouterr().out.strip().split("\n")
         assert out[0].startswith("dim,volume,product")
 
+    @pytest.mark.parametrize("kind, config", [
+        ("thm12", dict(THM12_SMALL, trials=10)),
+        ("lln", dict(LLN_SMALL, m1_list=[4, 6], m2_list=[4, 5])),
+    ], ids=["thm12", "lln-two-rows"])
+    def test_an_experiment_prints_its_report_in_either_format(self, tmp_path, capsys, kind,
+                                                              config):
+        report = harness.RUNNERS[kind](config)
+        cfg = self._write(tmp_path, config)
+        for form, text in (("json", report_to_json(report)), ("csv", report_to_csv(report))):
+            assert cli.main([kind, "--config", cfg, "--format", form]) == 0
+            assert capsys.readouterr().out == text
+        assert len(text.splitlines()) == 1 + len(report.get("rows", ("lhs", "rhs")))
+
+    def test_petty_and_symmetrize_csv_are_a_header_and_their_rows(self, tmp_path, capsys):
+        config = dict(SQUARE, iterations=3, seed=5)
+        assert cli.main(["symmetrize", "--config", self._write(tmp_path, config),
+                         "--format", "csv"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["iteration", "volume", "volume_drift", "max_vertex_norm"]
+        steps = cli.run_symmetrize(config)["steps"]
+        assert rows == [[str(step[name]) for name in header] for step in steps]
+        assert cli.main(["petty", "--config", self._write(tmp_path, SQUARE), "--format", "csv"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["dim", "volume", "product", "ball_bound", "verdict"]
+        report = cli.run_petty(SQUARE)
+        assert rows == [[str(report[name]) for name in header]]
+
     def test_output_file(self, tmp_path):
         cfg = self._write(tmp_path, SQUARE)
         dest = tmp_path / "report.json"
@@ -1296,8 +1361,13 @@ class TestCli:
         ({"method": "exact"}, "body"),
         (dict(SQUARE, dim=2.5), "dim"),
         (dict(SQUARE, quadrature={"certify": "no"}), "quadrature.certify"),
+        # quadrature is read under method quadrature only
+        (dict(SQUARE, method="exact", quadrature={"nodes": 64, "certify": True}), "quadrature"),
+        ({"body": SQUARE, "method": "auto", "quadrature": {"nodes": 64}}, "quadrature"),
+        (dict(SQUARE, quadrature={}), "quadrature"),
     ], ids=["method", "typo", "typo-beside-body", "body-key", "no-body", "dim-float",
-            "certify-string"])
+            "certify-string", "quadrature-under-exact", "quadrature-under-auto",
+            "quadrature-under-default"])
     def test_petty_rejects_a_bad_field_by_its_key(self, tmp_path, capsys, config, key):
         with pytest.raises(ConfigError, match=re.escape(key)):
             cli.run_petty(config)

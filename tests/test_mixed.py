@@ -337,6 +337,23 @@ class TestV1:
                 assert mixed_volume([Zonotope(s * Z), Zonotope(s * W), K]) == pytest.approx(
                     s * s * mixed_volume([Zonotope(Z), Zonotope(W), K]), rel=1e-12)
 
+    def test_two_zonotopes_in_space_read_the_kernels_closed_form(self):
+        # the edge crossings of two zonotopes' whole-circle edges 2g give the
+        # stacked kernel's Pi(Z_A, Z_B), h(u) = 2 sum |<a_i x b_j, u>|, bit for bit,
+        # with zero, repeated and parallel generators among them
+        gen = np.random.default_rng(78)
+        for k, l in itertools.product((1, 2, 5, 9), (1, 3, 8)):
+            A, B = gen.normal(size=(k, 3)), gen.normal(size=(l, 3))
+            A[0] = 0.0 if k == 5 else A[0]
+            B[-1] = -2.5 * A[-1] if l == 3 else B[-1]
+            A[:2] = A[0] if k == 9 else A[:2]
+            w = mixed.mixed_projection_generators(A[None], B[None])[0]
+            norms = np.linalg.norm(w, axis=1)
+            w, norms = w[norms > 0.0], norms[norms > 0.0]
+            normals, masses = mixed.mixed_area_measure([Zonotope(A), Zonotope(B)])
+            np.testing.assert_array_equal(normals, np.concatenate([w, -w]) / np.tile(norms, 2)[:, None])
+            np.testing.assert_array_equal(masses, np.tile(norms, 2))
+
     def test_zonotopes_past_space_are_refused(self):
         # the measure exists in dimension 2 or 3 only, whatever the bodies
         gen = np.random.default_rng(77)
