@@ -86,39 +86,32 @@ cross products:
   of S(A, B) that ``mixed.edge_crossings`` finds on a tetrahedron's edges,
   TETRAHEDRON_PAIR_ATOMS rows per trial with zero rows after the atoms.
 
-A spec's polar rule is one value, its grid's node count or None for the
-exact rule or the walk, and every route reads the projection bodies of a
-chunk through one call, ``projections.polar_measures``.  In the plane and
-under 3-D Lebesgue measure every route is exact: the closed form, or the
-arc walk of ``bodies.spatial_polar_measures`` over the normal fan, stacked
-for the chunk (a zero row adds arcs of length zero); the polar is
-origin-symmetric, so the walk runs half of each great circle and doubles
-the sum.  Under a Gaussian or ball measure the POLAR_RULES row of the
-measure at the kernel's generator bound picks the walk or a grid: one
-support call per trial over the grid and one polar quadrature row.  An
-explicit ``quadrature.nodes`` sets the grid, and the kinds with no kernel
-keep DEFAULT_NODES[3].  The hull route of a spec takes its rule too.
-Neither route depends on the chunk, so a trial's
-value is again the same bit for bit in every chunk.  The same rows give
-empmixed with two such C-sets and one ball slot: V(A, B, ball) = (1/6) sum
-h_ball(w), h_ball(0) = 0, one support call per chunk.
+Every route reads the projection bodies of a chunk through
+``projections.polar_measures``, by the rule ``_PolarSpec._nodes`` reads off
+the measure and each Pi's generator count: exact in the plane and under
+3-D Lebesgue measure (the closed form, or the arc walk of
+``bodies.spatial_polar_measures`` over the normal fan), else the walk up
+to a crossover and a grid past it.  Neither route depends on the chunk,
+so a trial's value is again the same bit for bit in every chunk.  The
+same rows give empmixed with two such C-sets and one ball slot: V(A, B,
+ball) = (1/6) sum h_ball(w), h_ball(0) = 0, one support call per chunk.
 
-The report of a polar kind names its rule under ``quadrature``, outside
-``diagnostics``: ``exact``, ``walk`` with its order or ``grid`` with its
-nodes.  Every grid adds a certificate: the trials of each side whose index
-is a multiple of CERTIFY_STRIDE rerun on twice the nodes, and each side's
-worst relative gap.
+The report of a polar kind lists under ``quadrature``, outside
+``diagnostics``, each rule its trials took and their count: ``exact``,
+``walk`` with its order or ``grid`` with its nodes and a certificate, for
+which its trials whose index is a multiple of CERTIFY_STRIDE rerun on
+twice its nodes, with each side's worst relative gap.
 
 A kernel leaves out of its mask every cloud it cannot classify with margin
 (degenerate, collinear, coplanar or repeated points, generators that do not
 span the plane or space, or an edge pair whose sign tests fall within the
-margin).  Kernels and the hull route read projection bodies through one
-rule per spec (``_PolarSpec._values``), and only the hull route decides
-flatness: it counts degenerate hulls, and a projection body whose
-generators do not span the plane or space (``bodies.spans_space``) as an
-unbounded polar.  Under Lebesgue measure such a trial raises; under a
-Gaussian or ball measure it takes the exact measure of its strip in the
-plane and the grid in space (DEFAULT_NODES[3] nodes past the walk).
+margin).  Kernels and the hull route read projection bodies through
+``_PolarSpec._values``, and only the hull route decides flatness: it
+counts degenerate hulls, and a projection body whose generators do not
+span the plane or space (``bodies.spans_space``) as an unbounded polar.
+Under Lebesgue measure such a trial raises; under a Gaussian or ball
+measure it takes the exact measure of its strip in the plane and its
+measure's grid row in space.
 The other kinds and C-sets have no kernel and take the hull route on every
 trial: thm12 with other C-sets, thm11 with other hull C-sets, empmixed in
 other mixed modes and the spatial emppetty2 and lln.  Chunk length follows from ``CHUNK_ENTRIES``.
@@ -131,6 +124,7 @@ An error raised in a trial is re-raised as a ``TrialError`` that names its
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import json
@@ -172,12 +166,12 @@ from .mixed import (
     zonotope_projection_generators,
 )
 from .projections import (
-    DEFAULT_NODES,
     TETRAHEDRON_PAIR_ATOMS,
     RadialMeasure,
     centroid_body_support,
     mixed_projection_support,
     polar_measures,
+    polar_nodes,
     polar_projection_polytope,
     tetrahedron_pair_normals,
     tetrahedron_projection_generators,
@@ -197,46 +191,6 @@ CHUNK_ENTRIES = 1 << 16
 # 2-vCPU Xeon it took 0.03 ms per trial at 4 points and 0.14 ms at 24,
 # against 0.2-0.3 ms for a hull, and lost to the hull at 32.
 PAIR_AREA_MAX_POINTS = 24
-# The Gaussian and ball rows of POLAR_RULES: a spatial kernel's projection
-# bodies take the arc walk of ``bodies.spatial_polar_measures`` up to 16
-# (Gaussian) and 10 (ball) generators, and the 8192-node grid past them.
-# The walk runs half of each great circle.  On a 2-vCPU Xeon, per trial at
-# chunk size, the interquartile range over 40 rounds on mixed bodies with
-# coordinate-major node sets, the Gaussian walk took 0.011-0.016 ms at 4
-# generators, 0.065-0.090 ms at 9, 0.12-0.17 ms at 12 and 0.22-0.30 ms at
-# 16, against 0.19-0.35 ms for the grid, which won at most 2 of the 40
-# rounds up to 17 generators; it won 12 at 18 (0.27-0.40 ms against
-# 0.28-0.39 ms for the walk) and 39 at 20 (0.28-0.40 ms against
-# 0.34-0.48 ms).  The ball walk runs the rule on the two pieces of each
-# edge outside the ball and its grid needs no erf: 0.020-0.028 ms at 4
-# generators, 0.13-0.17 ms at 9 and 0.16-0.21 ms at 10, against
-# 0.085-0.118, 0.12-0.16 and 0.12-0.18 ms for the grid, which won 29 of the
-# 40 rounds at 9, 39 at 10 and 11 and all 40 from 12 (the ball grid errs by
-# up to 7.4e-5 at 10).  The rows were set on earlier timings, in which the
-# Gaussian walk tied or lost at 17 and the ball walk tied at 11.
-# Past the walk, each grid row takes the smallest of 2048, 4096 and 8192
-# nodes whose relative error against the walk stayed within POLAR_GRID_TOL
-# on every count it covers, over mixed bodies 2 a_i x b_j as cor13 builds
-# them (``verify.grid_table_test_generators``: random, thin and needle)
-# under a Gaussian of scale 1.  From 13 to 30 generators 4096 nodes read up
-# to 6.5e-5 (at 15, over 150 bodies per count) and 5.0e-5 (a needle at 24),
-# against 1.8e-5 for 8192; from 31 to 70 they read at most 3.2e-5 (75
-# bodies per count to 50, then 36), and up to 100 at most 1.9e-5 over five
-# sweeps of the test's bodies.  2048 nodes read 1.4e-4 at 15 and 5.2e-5 at
-# 79 (30 bodies per count), so no row takes them.
-# Under a ball crossing the polar's boundary even 8192 nodes read up to
-# 7.4e-5, so the ball keeps them, and its row is not held to
-# POLAR_GRID_TOL (16384 nodes read 2.8e-5 there, at about twice the cost).
-# At every node count the error grows as the polar shrinks against the
-# measure's scale, so every grid report also carries a certificate at twice
-# its nodes.
-# The spatial polar rule per measure: rows (first generator count, nodes),
-# a row covering the counts up to the next row's first, nodes None for the
-# walk.  3-D Lebesgue measure has no row: its walk is exact (H = 1/6, no
-# rule nodes), and 4.7-18 times faster than the 8192-node grid (README).
-POLAR_RULES = {"gaussian": ((0, None), (17, 8192), (31, 4096)),
-               "ball": ((0, None), (11, 8192))}
-POLAR_GRID_TOL = 5e-5
 # Trials of each side, those whose index is a multiple of this, that the
 # certificate of a grid reruns on twice its nodes.
 CERTIFY_STRIDE = 64
@@ -626,8 +580,12 @@ class CSet:
 # experiment specs
 
 
+DIAGNOSTICS = ("degenerate_hulls", "unbounded_polars")
+
+
 def _no_diagnostics() -> dict:
-    return {"degenerate_hulls": 0, "unbounded_polars": 0}
+    """A tally of DIAGNOSTICS, and of polar trials by rule (``_PolarSpec``)."""
+    return collections.defaultdict(int, dict.fromkeys(DIAGNOSTICS, 0))
 
 
 def _counted(body, diag: dict):
@@ -677,10 +635,6 @@ class _Spec:
 
     def chunk_len(self) -> int:
         return max(1, CHUNK_ENTRIES // self.entries) if self.entries else 1
-
-    def rule(self) -> dict | None:
-        """The polar rule of the spec's trials (polar kinds), else None."""
-        return None
 
     def block_len(self, side: int) -> int:
         """Trials per sample block of ``side``: as many as fit CHUNK_ENTRIES
@@ -743,23 +697,22 @@ class _Spec:
 
 class _PolarSpec(_Spec):
     """Kinds that average the polar measure of a mixed projection body: its
-    radial measure, the spec's polar rule and the one hull route of every
-    such kind, over the n - 1 bodies ``bodies(samples, diag)`` builds from
-    one trial's samples (thm12: n - 1 copies of X C; thm11 and cor13: one
-    body X C per C-set, ``_Spec.bodies``).
+    radial measure, the polar rule of each trial and the one hull route of
+    every such kind, over the n - 1 bodies ``bodies(samples, diag)`` builds
+    from one trial's samples (thm12: n - 1 copies of X C; thm11 and cor13:
+    one body X C per C-set, ``_Spec.bodies``).
 
-    The rule is one value, ``nodes``: the node count of the spatial grid,
-    or None for the exact rule or the arc walk; ``projections.polar_measures``
-    reads all three.  An ``exact`` spec (the plane, or 3-D Lebesgue measure)
-    has None and rejects ``quadrature.nodes``.  Else ``_route`` fixes it at
-    parse time: the config's ``quadrature.nodes`` when it gives one, else
-    the POLAR_RULES row of the measure at the kernel's generator bound (a
-    tetrahedron pair's TETRAHEDRON_PAIR_ATOMS among them), else, for a kind
-    with no kernel, DEFAULT_NODES[3].  The kernel and hull route both apply
-    it through ``_values`` (the hull route to a stack of one), so a trial
-    and its replay never take different rules."""
+    A trial's rule, a grid's node count or None for the exact rule or the
+    walk, is ``quadrature.nodes`` (``nodes``), which an exact spec (planar
+    or 3-D Lebesgue) rejects, else ``projections.polar_nodes`` of the
+    measure at the generator count of its Pi (``_nodes``).  A kernel reads
+    stacks of ``width`` rows (``_stack``; a tetrahedron pair's
+    TETRAHEDRON_PAIR_ATOMS), and the hull route Pi's merged generators, at
+    most ``width``, at that width, so a trial and its replay take one rule
+    (no kernel: ``width`` 0).  Each trial adds one to ``diag`` per rule."""
 
     direction = "le"
+    width = 0
 
     def parse(self, config: dict):
         self.measure = _measure(config.get("measure", {"type": "lebesgue"}))
@@ -771,55 +724,54 @@ class _PolarSpec(_Spec):
                  "quadrature.nodes sizes the spatial grid; planar and 3-D Lebesgue polars are exact")
         self.nodes = q.get("nodes")
 
-    def _route(self, generators: int | None):
-        """Fix the spatial rule for a kernel whose projection bodies have at
-        most ``generators`` generators, or None for a kind with no kernel,
-        and size a kernel's chunk by its rule's largest temporary."""
-        if self.nodes is None and not self.exact:
-            rows = POLAR_RULES[self.measure.variant]
-            self.nodes = DEFAULT_NODES[3] if generators is None else [
-                nodes for first, nodes in rows if generators >= first][-1]
-        if generators is not None:
-            self.entries = self.nodes or spatial_polar_entries(generators, self.measure)
+    def _stack(self, width: int):
+        """Set the kernel's stack width, and size its chunk by its rule."""
+        self.width = width
+        self.entries = self._nodes(width) or spatial_polar_entries(width, self.measure)
 
-    def rule(self) -> dict:
-        """The polar rule of the spec's trials, for its reports: ``exact``
-        for an exact spec, else ``walk`` with its order or ``grid`` with its
-        nodes."""
-        if self.exact:
-            return {"rule": "exact"}
-        if self.nodes is None:
-            return {"rule": "walk", "order": POLAR_WALK_ORDER}
-        return {"rule": "grid", "nodes": self.nodes}
+    def _nodes(self, k: int, walk: bool = True) -> int | None:
+        """The rule of a Pi of k generators (``walk`` False: one the walk does not read)."""
+        if self.nodes or self.dim == 2:
+            return self.nodes
+        return polar_nodes(self.measure, max(k, self.width), walk)
+
+    def rule(self, nodes: int | None) -> dict:
+        """The rule tallied under ``nodes``, as reports name it."""
+        return ({"rule": "grid", "nodes": nodes} if nodes else {"rule": "exact"} if self.exact
+                else {"rule": "walk", "order": POLAR_WALK_ORDER})
 
     def value(self, samples: list, diag: dict) -> float:
-        """The polar measure of Pi(``bodies``) by the spec's rule, a stack of
-        one.  A flat Pi (``bodies.spans_space``), whose polar is unbounded,
-        counts in ``diag``.  Under Lebesgue measure every Pi the rule cannot
-        read raises, flat or found flat by the walk; else it takes the exact
-        measure of its strip in the plane or the grid in space
-        (DEFAULT_NODES[3] nodes past the walk)."""
+        """The polar measure of Pi(``bodies``) by its rule, a stack of one.
+        A flat Pi (``bodies.spans_space``), whose polar is unbounded, counts
+        in ``diag``.  Under Lebesgue measure every Pi the rule cannot read
+        raises, flat or found flat by the walk; else it takes the exact
+        measure of its strip in the plane or its measure's grid row in
+        space."""
         G = mixed_projection_support(self.bodies(samples, diag)).generators[None]
         full = spans_space(G)
-        values, held = self._values(G, full)
+        values, held = self._values(G, full, diag)
         if held[0]:
             return values[0]
         if not full[0]:
             diag["unbounded_polars"] += 1
         if self.measure.variant == "lebesgue":
             raise GeometryError("polar set is unbounded, Lebesgue measure infinite")
-        nodes = (self.nodes or DEFAULT_NODES[3]) if self.dim == 3 else None
+        nodes = self._nodes(G.shape[1], walk=False)
+        diag[nodes] += 1
         return polar_measures(G, self.measure, nodes)[0][0]
 
-    def _values(self, G: np.ndarray, full: np.ndarray) -> tuple:
+    def _values(self, G: np.ndarray, full: np.ndarray, diag: dict) -> tuple:
         """(values, held): the polar measures of the zonotopes sum_k [-g_k,
         g_k] over the stacked generator sets G[t] of the trials in the mask
-        ``full``, which must span their space, by the spec's rule.
-        ``held`` leaves out the sets the rule cannot read.  No rule depends
-        on the chunk, so neither do the bits.  The values outside ``held``
-        are unset."""
+        ``full``, which must span their space, by their rule, tallied in
+        ``diag``.  ``held`` leaves out the sets the rule cannot read.  No
+        rule depends on the chunk, so neither do the bits.  The values
+        outside ``held`` are unset."""
         values, held = np.empty(len(full)), full.copy()
-        values[full], held[full] = polar_measures(G[full], self.measure, self.nodes)
+        nodes = self._nodes(G.shape[1])
+        values[full], held[full] = polar_measures(G[full], self.measure, nodes)
+        if held.any():
+            diag[nodes] += int(held.sum())
         return values, held
 
 
@@ -846,8 +798,8 @@ class _Thm12Spec(_PolarSpec):
             self.entries = k ** 3
         elif self.form is not None and self.dim == 2:
             self.entries = k * k
-        elif self.dim == 3:
-            self._route({"tetrahedron": 4, "zonotope": k * (k - 1) // 2}.get(self.form))
+        elif self.form is not None:
+            self._stack({"tetrahedron": 4, "zonotope": k * (k - 1) // 2}[self.form])
 
     def bodies(self, samples: list, diag: dict) -> list:
         """n - 1 copies of X C, counting a degenerate hull once."""
@@ -858,10 +810,10 @@ class _Thm12Spec(_PolarSpec):
         P = self.cset.rows(samples[0])
         if self.form == "tetrahedron":
             full = full_rank(P - P.mean(axis=1, keepdims=True))
-            return self._values(tetrahedron_projection_generators(P), full)
+            return self._values(tetrahedron_projection_generators(P), full, diag)
         if self.dim == 3:
             G = zonotope_projection_generators(P)
-            return self._values(G, full_rank(P))
+            return self._values(G, full_rank(P), diag)
         # Pi K turned a quarter turn, which keeps its polar measure: 2 g over
         # the generators g of a zonotope, which spans the plane where they
         # do, and e / 2 over the hull edges e of a cloud
@@ -870,7 +822,7 @@ class _Thm12Spec(_PolarSpec):
         else:
             E, full = planar_hull_edges(P)
             G = 0.5 * E
-        return self._values(G, full)
+        return self._values(G, full, diag)
 
 
 class _Thm11Spec(_PolarSpec):
@@ -890,7 +842,8 @@ class _Thm11Spec(_PolarSpec):
         forms = {c.form(3) for c in self.csets}
         self.form = forms.pop() if len(forms) == 1 else None
         a, b = (c.m for c in self.csets)
-        self._route({"tetrahedron": TETRAHEDRON_PAIR_ATOMS, "zonotope": a * b}.get(self.form))
+        if self.form is not None:
+            self._stack({"tetrahedron": TETRAHEDRON_PAIR_ATOMS, "zonotope": a * b}[self.form])
 
     def draws(self, config: dict):
         """Set ``blocks`` and ``csets``, one C-set per block."""
@@ -902,10 +855,10 @@ class _Thm11Spec(_PolarSpec):
         A, B = (cset.rows(X) for X, cset in zip(samples, self.csets))
         if self.form == "tetrahedron":
             W, full = tetrahedron_pair_normals(A, B)
-            return self._values(0.25 * W, full)
+            return self._values(0.25 * W, full, diag)
         # Pi(Z_A, Z_B) is full-dimensional when A and B both span space
         full = full_rank(A) & full_rank(B)
-        return self._values(mixed_projection_generators(A, B), full)
+        return self._values(mixed_projection_generators(A, B), full, diag)
 
 
 class _Cor13Spec(_Thm11Spec):
@@ -1091,8 +1044,8 @@ def run_trials(spec: _Spec, sides, threads: int) -> tuple:
             results = list(pool.map(_worker, payloads))
     diag = _no_diagnostics()
     for _, d in results:
-        for key in diag:
-            diag[key] += d[key]
+        for key, count in d.items():
+            diag[key] += count
     values = [v for v, _ in results]
     if parts > 1:
         values = [np.concatenate(values[i:i + parts]) for i in range(0, len(values), parts)]
@@ -1103,30 +1056,37 @@ def run_trials(spec: _Spec, sides, threads: int) -> tuple:
 # experiment drivers
 
 
-def _certificate(kind: str, config: dict, sides: tuple, nodes: int) -> dict:
-    """Each side's worst relative gap between its trial values ``sides[s]``
-    on a grid of ``nodes`` nodes and the same trials through the chunk route
-    on twice as many, the doubling of the petty command's ``certify``, over
-    the trials whose index is a multiple of CERTIFY_STRIDE; it depends on
-    trial indices alone, not on threads."""
-    fine = SPECS[kind](dict(config, quadrature={"nodes": 2 * nodes}))
-    checked = range(0, len(sides[0]), CERTIFY_STRIDE)
-    gaps = {}
+def _rule_of(spec: _PolarSpec, side: int, index: int) -> int | None:
+    """The nodes of the rule trial ``index`` of ``side`` takes in the chunk
+    route, from its rerun as a chunk of one."""
+    diag = _no_diagnostics()
+    spec.chunk(side, index, 1, diag)
+    return next(key for key in diag if key not in DIAGNOSTICS)
+
+
+def _certificate(spec: _PolarSpec, config: dict, sides: list, nodes: int, every: bool) -> dict:
+    """Each side's count of trials, and their worst relative gap between its
+    values ``sides[s]`` on the grid of ``nodes`` nodes and the chunk route
+    on twice as many (the petty command's ``certify``), over the trials
+    whose index is a multiple of CERTIFY_STRIDE that took the grid (all
+    when ``every``, else by ``_rule_of``); None with none."""
+    fine = SPECS[spec.kind](dict(config, quadrature={"nodes": 2 * nodes}))
+    checked, gaps = {}, {}
     for side, name in enumerate(("lhs", "rhs")):
-        gap = 0.0
-        for index in checked:
-            want = _run_chunk(fine, side, index, fine.stacked(side, index, 1),
-                              _no_diagnostics())[0]
-            gap = max(gap, float(abs(sides[side][index] - want) / max(abs(want), 1e-300)))
-        gaps[name] = gap
-    return {"nodes": 2 * nodes, "trials_per_side": len(checked),
-            "max_relative_gap": gaps}
+        took = [index for index in range(0, len(sides[side]), CERTIFY_STRIDE)
+                if every or _rule_of(spec, side, index) == nodes]
+        want = [_run_chunk(fine, side, index, fine.stacked(side, index, 1),
+                           _no_diagnostics())[0] for index in took]
+        checked[name] = len(took)
+        gaps[name] = max((float(abs(sides[side][index] - w) / max(abs(w), 1e-300))
+                          for index, w in zip(took, want)), default=None)
+    return {"nodes": 2 * nodes, "trials_per_side": checked, "max_relative_gap": gaps}
 
 
 def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
     spec = SPECS[kind](config)
-    (lhs_vals, rhs_vals), diag = run_trials(spec, (0, 1), threads)
-    lhs, rhs = summarize(lhs_vals), summarize(rhs_vals)
+    sides, tally = run_trials(spec, (0, 1), threads)
+    lhs, rhs = (summarize(values) for values in sides)
     direction = spec.direction
     report = {
         "experiment": kind,
@@ -1137,13 +1097,14 @@ def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
         "lhs": lhs.to_dict(),
         "rhs": rhs.to_dict(),
         "verdict": classify(lhs, rhs, direction),
-        "diagnostics": diag,
+        "diagnostics": {key: tally.pop(key) for key in DIAGNOSTICS},
     }
-    rule = spec.rule()
-    if rule is not None:
-        if rule["rule"] == "grid":
-            rule["certificate"] = _certificate(kind, config, (lhs_vals, rhs_vals), spec.nodes)
-        report["quadrature"] = rule
+    # a polar kind's tally of trials per rule: each rule, a grid certified
+    for nodes in sorted(tally, key=lambda nodes: nodes or 0):
+        rule = dict(spec.rule(nodes), trials=tally[nodes])
+        if nodes:
+            rule["certificate"] = _certificate(spec, config, sides, nodes, len(tally) == 1)
+        report.setdefault("quadrature", []).append(rule)
     return report
 
 
@@ -1207,7 +1168,7 @@ def run_lln(config: dict, threads: int | None = None) -> dict:
         "target": spec.target,
         "constancy": constancy,
         "verdict": "consistent" if last_within else "inconclusive",
-        "diagnostics": diag,
+        "diagnostics": dict(diag),
     }
 
 
@@ -1242,8 +1203,9 @@ def estimate(functional_id: str, config: dict, side: int = 0,
 def replay(kind: str, config: dict, key) -> dict:
     """Rerun the trial with stream key (side, trial) of a ``kind`` experiment
     (lln: (row, trial)) through the chunk route, as a chunk of one, and
-    through the per-trial route.  Each route gives its value and diagnostics,
-    or the error it raised; ``relative_difference`` compares the values."""
+    through the per-trial route.  Each route gives its value, diagnostics
+    and, for a polar kind, the ``quadrature`` rule it took, or the error it
+    raised; ``relative_difference`` compares the values."""
     _require(kind in SPECS, f"unknown experiment {kind!r}")
     spec = SPECS[kind](config)
     sides = len(spec.blocks)
@@ -1256,15 +1218,16 @@ def replay(kind: str, config: dict, key) -> dict:
         "trial": lambda diag: spec.trial(side, index, diag),
     }
     out = {"experiment": kind, "seed": spec.seed, "key": [side, index]}
-    rule = spec.rule()
-    if rule is not None:
-        out["quadrature"] = rule
     for name, run in routes.items():
         diag = _no_diagnostics()
         try:
-            out[name] = {"value": float(run(diag)), "diagnostics": diag}
+            value = float(run(diag))
         except Exception as exc:  # the report names what the trial raised
             out[name] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        out[name] = {"value": value, "diagnostics": {key: diag.pop(key) for key in DIAGNOSTICS}}
+        for nodes in diag:  # the one rule of a polar trial
+            out[name]["quadrature"] = spec.rule(nodes)
     a, b = out["chunk"].get("value"), out["trial"].get("value")
     out["relative_difference"] = (
         None if a is None or b is None else abs(a - b) / max(abs(b), 1e-300)
@@ -1282,8 +1245,11 @@ def report_to_json(report: dict) -> str:
     The report goes to ``json.dumps`` as it is, so every leaf must be a str,
     bool, int, float (numpy float64 included) or None: a numpy integer or
     bool does not serialize, and an index taken from numpy (a trial key, a
-    tail fact) goes in through ``int()``."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    tail fact) goes in through ``int()``.  A non-finite float (a ``bp`` or
+    ``msum`` p = inf in the config) has no JSON number: it is written as
+    the string of the token json gives it, such as "Infinity"."""
+    strict = json.loads(json.dumps(report), parse_constant=str)
+    return json.dumps(strict, sort_keys=True, indent=2) + "\n"
 
 
 def rows_to_csv(header: tuple, rows) -> str:

@@ -184,26 +184,58 @@ def polar_measure(body, measure: RadialMeasure, quad: QuadratureSpec | None = No
     return value
 
 
+# The spatial polar rule per measure, a function of the zonotope's
+# generator count alone: rows (first generator count, nodes), a row
+# covering the counts up to the next row's first, nodes None for the arc
+# walk of ``bodies.spatial_polar_measures``.  3-D Lebesgue measure has no
+# row: its walk is exact (H = 1/6, no rule nodes).  The README holds the
+# measurements behind the rows.  Per trial on a 2-vCPU Xeon the Gaussian
+# walk beat the 8192-node grid in at least 38 of 40 rounds up to 17
+# generators and tied at 18; the ball walk runs the rule on the two pieces
+# of each edge outside the ball, and the ball grid, with no erf, was about
+# even at 9 and faster from 10.  Each Gaussian grid row takes the smallest
+# of 2048, 4096 and 8192 nodes whose relative error against the walk
+# stayed within POLAR_GRID_TOL on every count it covers, over the bodies of
+# ``verify.grid_table_test_generators``.  The ball row keeps 8192 nodes,
+# which read up to 7.4e-5 under a ball crossing the polar's boundary, and
+# is not held to the bound.  The error grows as the polar shrinks against
+# the measure's scale, so every grid report carries a certificate at twice
+# its nodes.
+POLAR_RULES = {"gaussian": ((0, None), (17, 8192), (31, 4096)),
+               "ball": ((0, None), (11, 8192))}
+POLAR_GRID_TOL = 5e-5
+
+
+def polar_nodes(measure: RadialMeasure | None, k: int, walk: bool = True) -> int | None:
+    """The nodes of the spatial grid that POLAR_RULES gives zonotopes of k
+    generators under ``measure`` (None: Lebesgue), or None for the walk;
+    with ``walk`` False, for one the walk does not read, the grid rows'."""
+    rows = POLAR_RULES.get(getattr(measure, "variant", "lebesgue"), ((0, None),))
+    if not walk:
+        rows = [row for row in rows if row[1]]
+        k = max(k, rows[0][0])
+    return [nodes for first, nodes in rows if k >= first][-1]
+
+
 def polar_measures(G: np.ndarray, measure: RadialMeasure | None = None,
                    nodes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """nu(Z°) for the zonotopes Z = sum [-g, g] over the stacked generator
-    rows of G[t], shape (T, k, n), and the mask of those the rule reads, by
-    one of three rules.  With no ``nodes`` they are exact in the plane
-    (``bodies.planar_polar_measures``) and walk the normal fan in space
-    (``bodies.spatial_polar_measures``); with ``nodes`` they take the
-    Fibonacci grid of that many nodes, which holds every row, flat ones too
-    (under Lebesgue measure it raises where a node's support is 0).
-    ``measure`` is a RadialMeasure, or None for Lebesgue
-    measure.  Experiments pass no ``nodes`` in the plane and under 3-D
-    Lebesgue measure, whose walk is exact (H = 1/6, no rule nodes); under a
-    Gaussian or ball measure in space they pick the rule by generator count
-    (``harness.POLAR_RULES``).
+    rows of G[t], shape (T, k, n), and the mask of those the rule reads.
+    With ``nodes`` they take the Fibonacci grid of that many nodes, which
+    holds every row, flat ones too (under Lebesgue measure it raises where
+    a node's support is 0); with none they are exact in the plane
+    (``bodies.planar_polar_measures``) and in space take the rule that
+    ``polar_nodes`` gives the measure at the stack's width k, the walk of
+    the normal fan (``bodies.spatial_polar_measures``, exact under Lebesgue
+    measure) or a grid.  ``measure`` is a RadialMeasure, or None for
+    Lebesgue measure.
 
     Each grid row is ``polar_measure`` of its one zonotope, so a row's value
     does not depend on the rows stacked with it.  In cor13 reports on a
     2-vCPU Xeon a Gaussian row of 64 generators took 0.32 ms on 4096 nodes
     and 0.67 ms on 8192 (0.43 and 0.89 ms on row-major node sets).
     """
+    nodes = nodes or (polar_nodes(measure, G.shape[1]) if G.shape[-1] == 3 else None)
     if nodes is None:
         return (planar_polar_measures if G.shape[-1] == 2 else spatial_polar_measures)(G, measure)
     measure, quad = measure or RadialMeasure.lebesgue(), QuadratureSpec(nodes)
@@ -213,10 +245,10 @@ def polar_measures(G: np.ndarray, measure: RadialMeasure | None = None,
 
 def zonotope_polar_measure(Z: Zonotope, measure: RadialMeasure | None = None) -> float:
     """nu(Z°) of a planar or spatial zonotope, Lebesgue measure by default:
-    its generators merged, then the exact or walk row of ``polar_measures``,
-    with no hull or grid (``volume(polar_of_zonotope(Z))`` is the hull
-    route).  A Z that does not span its space raises GeometryError; the
-    exact measure of a planar strip is ``polar_measures``' row of the
+    its generators merged, then the exact rule or the walk whatever their
+    count, with no hull or grid (``volume(polar_of_zonotope(Z))`` is the
+    hull route).  A Z that does not span its space raises GeometryError;
+    the exact measure of a planar strip is ``polar_measures``' row of the
     merged generators."""
     return _merged_polar_measure(merge_parallel_generators(Z).generators, measure)
 
@@ -228,7 +260,8 @@ def _merged_polar_measure(gens: np.ndarray, measure: RadialMeasure | None = None
         raise GeometryError(f"polar supports dimension 2 or 3, got {gens.shape[1]}")
     if not spans_space(gens):
         raise GeometryError("polar requires a full-dimensional zonotope")
-    values, held = polar_measures(gens[None], measure)
+    fan = planar_polar_measures if gens.shape[1] == 2 else spatial_polar_measures
+    values, held = fan(gens[None], measure)
     if not held[0]:
         raise GeometryError("polar requires a full-dimensional zonotope")
     return float(values[0])

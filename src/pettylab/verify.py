@@ -21,7 +21,7 @@ the polar polytope, the exact planar polar measures of the experiments
 against the polar hull and the 2^16-node grid of ``polar_measure``
 (strips too), the spatial arc walk against the polar hull, a 2^16-node
 grid and a rule of four times its order, and each Gaussian grid row of
-the harness's rule table against the walk.  The block
+the rule table of ``projections.polar_measures`` against the walk.  The block
 sample route is checked against numpy's SeedSequence and each trial's own
 generator.
 The test suite imports these oracles; the command line runs the whole list.
@@ -68,7 +68,6 @@ from .bodies import (
     zonotope_volume,
     _stacked_walk,
 )
-from .harness import POLAR_GRID_TOL, POLAR_RULES
 from .mixed import (
     mixed_area_measure,
     mixed_projection_generators,
@@ -77,6 +76,8 @@ from .mixed import (
     zonotope_projection_generators,
 )
 from .projections import (
+    POLAR_GRID_TOL,
+    POLAR_RULES,
     TETRAHEDRON_PAIR_ATOMS,
     RadialMeasure,
     centroid_body_support,
@@ -797,14 +798,14 @@ def grid_table_error(G: np.ndarray, nodes: int) -> float:
     """The relative error of the ``nodes``-node grid against the walk of
     ``zonotope_polar_measure`` for the spatial zonotope with generator rows
     G, under the Gaussian of scale 1 that the grid rows of
-    ``harness.POLAR_RULES`` were measured with."""
+    ``projections.POLAR_RULES`` were measured with."""
     nu = RadialMeasure.gaussian(1.0)
     want = zonotope_polar_measure(Zonotope(G), nu)
     return abs(polar_measures(G[None], nu, nodes)[0][0] - want) / want
 
 
 def check_grid_table(seed: int = 0):
-    """Each Gaussian grid row of ``harness.POLAR_RULES`` at its first
+    """Each Gaussian grid row of ``projections.POLAR_RULES`` at its first
     generator count, on the three bodies of ``grid_table_test_generators``:
     the grid of the row's nodes within POLAR_GRID_TOL of the walk.  The
     test suite sweeps every count of each row.  The ball's row is not held

@@ -242,9 +242,9 @@ def test_07_pairing_limit_sweep():
     assert within, (
         f"estimate {est['mean']:.4f} +/- {est['stderr']:.4f} sits {gap:.0f} stderr "
         f"below the deterministic target {target:.4f}: at m1=64 the random hull "
-        f"still misses a volume fraction on the order of m^(-1/2), a finite-size "
-        f"bias far larger than any Monte Carlo band, so this window cannot close "
-        f"at these sizes"
+        f"still misses width (the pairing is a v1 functional) on the order of "
+        f"m^(-1/2), a finite-size bias far larger than any Monte Carlo band, so "
+        f"this window cannot close at these sizes"
     )
 
 

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pettylab"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 # a backticked reference that starts with a module of the package, as
-# `bodies.full_rank` or ``harness.POLAR_RULES``
+# `bodies.full_rank` or ``projections.POLAR_RULES``
 REFERENCE = re.compile(r"`(?:pettylab\.)?(" + "|".join(MODULES) + r")\.([A-Za-z_]\w*)")
 
 
@@ -30,8 +30,8 @@ SOURCES = {"README.md": (ROOT / "README.md").read_text(),
 
 def test_the_references_are_found():
     # the pattern reads both backtick styles, and the sources name enough
-    assert REFERENCE.findall("`bodies.hull` and ``harness._route``") == [("bodies", "hull"),
-                                                                         ("harness", "_route")]
+    assert REFERENCE.findall("`bodies.hull` and ``harness._nodes``") == [("bodies", "hull"),
+                                                                         ("harness", "_nodes")]
     assert sum(len(REFERENCE.findall(text)) for text in SOURCES.values()) >= 40
 
 
@@ -53,6 +53,21 @@ def _key_table() -> dict:
 def test_the_readme_key_table_is_each_specs_keys():
     harness = importlib.import_module("pettylab.harness")
     assert _key_table() == {kind: spec.keys for kind, spec in harness.SPECS.items()}
+
+
+def _rule_table() -> dict:
+    """The README's table of each measure's polar rule rows, read as
+    (first generator count, nodes) pairs, None for the walk."""
+    rows = re.findall(r"^\| (Gaussian|ball) \| ((?:\(\d+, \w+\)(?:, )?)+) \|",
+                      SOURCES["README.md"], re.MULTILINE)
+    return {measure.lower(): tuple((int(first), None if nodes == "walk" else int(nodes))
+                                   for first, nodes in re.findall(r"\((\d+), (\w+)\)", cells))
+            for measure, cells in rows}
+
+
+def test_the_readme_rule_table_is_the_polar_rules():
+    projections = importlib.import_module("pettylab.projections")
+    assert _rule_table() == projections.POLAR_RULES
 
 
 def test_the_cli_runs_every_experiment_kind():

@@ -451,7 +451,7 @@ class TestEstimates:
         assert report["verdict"] in ("consistent", "violated", "inconclusive")
         assert "threads" not in report["config"]
         assert "wall_time" not in report
-        assert report["quadrature"] == {"rule": "exact"}
+        assert report["quadrature"] == [{"rule": "exact", "trials": 2 * THM12_SMALL["trials"]}]
 
 
 def _uniform_block(body: dict, m: int) -> dict:
@@ -533,6 +533,11 @@ _SIMPLICES = CHUNKED["thm11-3d-simplices"][1]
 SPATIAL = {**CHUNKED,
            "thm11-3d-simplices-ball": ("thm11", dict(_SIMPLICES, measure={"type": "ball", "radius": 0.5})),
            "thm11-3d-simplices-lebesgue": ("thm11", dict(_SIMPLICES, measure={"type": "lebesgue"}))}
+# a hull-only kind under a ball: its Pi of 9 to 15 generators take the walk
+# up to 10 and the ball's grid from 11
+MIXED_RULES = {"thm11-3d-simplex5-cube-ball": (
+    "thm11", dict(PER_TRIAL["thm11-3d-simplex5-cube"][1], measure={"type": "ball", "radius": 0.5}))}
+_GAUSSIAN = RadialMeasure.gaussian(1.0)
 
 # kinds whose bodies are the hulls of the sampled clouds themselves
 HULLS_OF_SAMPLES = {"thm12-lebesgue", "thm12-gaussian", "thm12-ball", "empmixed", "emppetty2", "lln",
@@ -612,7 +617,7 @@ class TestChunks:
         want = np.array([spec.trial(1, i, hull_diag) for i in range(n)])
         got = spec.chunk(1, 0, n, chunk_diag)
         rtol = np.full(n, 1e-12)
-        if spec.dim == 3 and spec.rule() == {"rule": "exact"}:
+        if spec.dim == 3 and getattr(spec, "exact", False):
             # The two routes hand the Lebesgue walk one zonotope as two
             # generator lists (the kernel's rows, the hull route's merged
             # ones), and its rounding grows with the thinness of Pi: over
@@ -675,36 +680,40 @@ class TestChunks:
 
     @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm12-3d-ball", "thm11-3d-zonotopes",
                                       "cor13", "thm11-3d-simplices", "empmixed-3d-simplices",
-                                      "thm12-3d-cube-ball"])
+                                      "thm12-3d-cube-ball", "thm12-3d-simplex5",
+                                      "thm11-3d-simplex5-cube", "thm11-3d-simplex5-cube-ball"])
     def test_spatial_reports_do_not_depend_on_threads(self, name):
-        kind, config = CHUNKED[name]
+        kind, config = {**ROUTED, **MIXED_RULES}[name]
         config = dict(config, trials=20)
         serial = report_to_json(harness.RUNNERS[kind](config, threads=1))
         parallel = report_to_json(harness.RUNNERS[kind](config, threads=2))
         assert serial == parallel
-        rule = json.loads(serial).get("quadrature")
+        rules = json.loads(serial).get("quadrature")
         if kind == "empmixed":
-            assert rule is None
+            assert rules is None
         elif name == "cor13":
             # 64 generators take the 4096-node row, certified on trial 0 of each side
+            rule, = rules
             certificate = rule.pop("certificate")
-            assert rule == {"rule": "grid", "nodes": _table_nodes("gaussian", 64)} == {
-                "rule": "grid", "nodes": 4096}
+            assert rule == {"rule": "grid", "nodes": projections.polar_nodes(_GAUSSIAN, 64),
+                            "trials": 40} == {"rule": "grid", "nodes": 4096, "trials": 40}
             assert certificate["nodes"] == 2 * rule["nodes"] == projections.DEFAULT_NODES[3]
-            assert certificate["trials_per_side"] == 1
-            assert max(certificate["max_relative_gap"].values()) <= harness.POLAR_GRID_TOL
+            assert certificate["trials_per_side"] == {"lhs": 1, "rhs": 1}
+            assert max(certificate["max_relative_gap"].values()) <= projections.POLAR_GRID_TOL
+        elif name in MIXED_RULES:
+            # both rules, each counted, and trial 0 of each side took the grid
+            walk, grid = rules
+            certificate = grid.pop("certificate")
+            assert walk == {"rule": "walk", "order": bodies.POLAR_WALK_ORDER, "trials": 2}
+            assert grid == {"rule": "grid", "nodes": 8192, "trials": 38}
+            assert certificate["nodes"] == 16384
+            assert certificate["trials_per_side"] == {"lhs": 1, "rhs": 1}
         else:
-            assert rule == {"rule": "walk", "order": bodies.POLAR_WALK_ORDER}
+            assert rules == [{"rule": "walk", "order": bodies.POLAR_WALK_ORDER, "trials": 40}]
 
 
 def _refuse(*args, **kwargs):
     raise AssertionError("the spatial grid was called")
-
-
-def _table_nodes(variant: str, generators: int):
-    """The nodes of the last POLAR_RULES row of ``variant`` that
-    ``generators`` reaches (None: the walk)."""
-    return [nodes for first, nodes in harness.POLAR_RULES[variant] if generators >= first][-1]
 
 
 def _spy_rules(monkeypatch) -> list:
@@ -738,7 +747,30 @@ class TestSpatialRoutes:
         report = harness.RUNNERS[kind](dict(config, trials=30), threads=1)
         assert math.isfinite(report["lhs"]["mean"]) and math.isfinite(report["rhs"]["mean"])
         assert calls and set(calls) == {None}
-        assert report["quadrature"] == {"rule": "walk", "order": bodies.POLAR_WALK_ORDER}
+        assert report["quadrature"] == [{"rule": "walk", "order": bodies.POLAR_WALK_ORDER,
+                                         "trials": 60}]
+
+    @pytest.mark.parametrize("name", ["thm12-3d-simplex5", "thm11-3d-simplex5-cube"])
+    def test_hull_only_gaussian_kinds_take_the_walk_in_every_route(self, name, monkeypatch):
+        # no kernel reads them, and their Pi hold 4 to 6 and 9 to 15
+        # generators, within the Gaussian walk
+        kind, config = PER_TRIAL[name]
+        spec = SPECS[kind](config)
+        calls = _spy_rules(monkeypatch)
+        monkeypatch.setattr(projections, "polar_measure_from_support", _refuse)
+        n = 40
+        chunk = spec.chunk(0, 0, n, harness._no_diagnostics())
+        for i in range(n):
+            samples = [S[0] for S in spec.stacked(0, i, 1)]
+            pi = projections.mixed_projection_support(spec.bodies(samples, harness._no_diagnostics()))
+            want = bodies.spatial_polar_measures(pi.generators[None], spec.measure)[0][0]
+            assert chunk[i] == spec.trial(0, i, harness._no_diagnostics()) == want
+        out = harness.replay(kind, config, (1, 2))
+        report = harness.RUNNERS[kind](dict(config, trials=30), threads=1)
+        assert calls and set(calls) == {None}
+        walk = {"rule": "walk", "order": bodies.POLAR_WALK_ORDER}
+        assert out["chunk"]["quadrature"] == out["trial"]["quadrature"] == walk
+        assert report["quadrature"] == [dict(walk, trials=60)]
 
     @pytest.mark.parametrize("name", ["thm12-3d-lebesgue", "thm12-3d-cube",
                                       "thm11-3d-simplices-lebesgue", "thm12-3d-simplex5-lebesgue"])
@@ -756,7 +788,8 @@ class TestSpatialRoutes:
         out = harness.replay(kind, config, (1, 2))
         report = harness.RUNNERS[kind](dict(config, trials=3), threads=1)
         assert calls and set(calls) == {None}
-        assert out["quadrature"] == report["quadrature"] == {"rule": "exact"}
+        assert out["chunk"]["quadrature"] == out["trial"]["quadrature"] == {"rule": "exact"}
+        assert report["quadrature"] == [{"rule": "exact", "trials": 6}]
 
     def test_the_heaviest_cube_trial_reads_its_polar_hull(self):
         # over 400 trials, trial (1, 111) holds 92% of the rhs sum; the
@@ -800,10 +833,10 @@ class TestSpatialRoutes:
     def test_cor13_past_the_walk_takes_its_table_grid_in_every_route(self, monkeypatch):
         # cor13 at m = 8 reads 64 generators, past the Gaussian walk
         kind, config = CHUNKED["cor13"]
-        nodes = _table_nodes("gaussian", 64)
+        nodes = projections.polar_nodes(_GAUSSIAN, 64)
         assert nodes < projections.DEFAULT_NODES[3]
         spec = SPECS[kind](config)
-        assert spec.entries == spec.nodes == nodes
+        assert spec.entries == nodes and spec.width == 64
         calls = _spy_rules(monkeypatch)
         spec.chunk(0, 0, 3, harness._no_diagnostics())
         assert set(calls) == {nodes}
@@ -813,7 +846,8 @@ class TestSpatialRoutes:
         calls.clear()
         out = harness.replay(kind, config, (1, 2))
         assert set(calls) == {nodes} and out["relative_difference"] == 0.0
-        assert out["quadrature"] == {"rule": "grid", "nodes": nodes}
+        assert out["chunk"]["quadrature"] == out["trial"]["quadrature"] == {"rule": "grid",
+                                                                            "nodes": nodes}
 
     def test_an_explicit_node_count_on_cor13_is_certified_at_twice_it(self, monkeypatch):
         kind, config = CHUNKED["cor13"]
@@ -822,36 +856,46 @@ class TestSpatialRoutes:
         assert SPECS[kind](config).nodes == 2048
         report = harness.RUNNERS[kind](config, threads=1)
         assert set(calls) == {2048, 4096}
-        certificate = report["quadrature"].pop("certificate")
-        assert report["quadrature"] == {"rule": "grid", "nodes": 2048}
-        assert certificate["nodes"] == 4096 and certificate["trials_per_side"] == 1
+        rule, = report["quadrature"]
+        certificate = rule.pop("certificate")
+        assert rule == {"rule": "grid", "nodes": 2048, "trials": 6}
+        assert certificate["nodes"] == 4096
+        assert certificate["trials_per_side"] == {"lhs": 1, "rhs": 1}
 
     @pytest.mark.parametrize("name, nodes", [("thm12-3d-512", 512), ("cor13", 4096),
-                                             ("thm11-3d-simplex5-cube", 8192)])
+                                             ("thm11-3d-simplex5-cube-ball", 8192)])
     def test_every_grid_report_is_certified_at_twice_its_nodes(self, name, nodes):
-        # an explicit node count, a shrunk row and a hull-only kind
+        # an explicit node count, a shrunk row and a hull-only kind whose
+        # trials take the walk too: the certificate reruns the trials 0, 64
+        # and 128 of each side that took the grid, as their replays show
         explicit = dict(CHUNKED["thm12-3d-gaussian"][1], quadrature={"nodes": 512})
-        kind, config = {**ROUTED, "thm12-3d-512": ("thm12", explicit)}[name]
-        config = dict(config, trials=20)
+        kind, config = {**ROUTED, **MIXED_RULES, "thm12-3d-512": ("thm12", explicit)}[name]
+        config = dict(config, trials=130)
         serial = report_to_json(harness.RUNNERS[kind](config, threads=1))
         assert report_to_json(harness.RUNNERS[kind](config, threads=2)) == serial
-        rule = json.loads(serial)["quadrature"]
+        *walk, rule = json.loads(serial)["quadrature"]
         certificate = rule.pop("certificate")
-        assert rule == {"rule": "grid", "nodes": nodes}
-        assert certificate["nodes"] == 2 * nodes and certificate["trials_per_side"] == 1
+        assert [w["rule"] for w in walk] == (["walk"] if name in MIXED_RULES else [])
+        assert rule == {"rule": "grid", "nodes": nodes,
+                        "trials": 260 - sum(w["trials"] for w in walk)}
+        grid = {"rule": "grid", "nodes": nodes}
+        took = {side: sum(harness.replay(kind, config, (s, i))["chunk"]["quadrature"] == grid
+                          for i in (0, 64, 128)) for s, side in enumerate(("lhs", "rhs"))}
+        assert took == ({"lhs": 2, "rhs": 3} if name in MIXED_RULES else {"lhs": 3, "rhs": 3})
+        assert certificate["nodes"] == 2 * nodes and certificate["trials_per_side"] == took
         gaps = certificate["max_relative_gap"]
         assert set(gaps) == {"lhs", "rhs"} and all(0.0 <= gap < 1.0 for gap in gaps.values())
 
     def test_the_grid_table_holds_its_bound_on_every_count_it_covers(self):
         # grid_table_error measures under the Gaussian the grid rows were
         # measured with; the ball's 8192 nodes are not held to the bound
-        assert set(harness.POLAR_RULES) == {"gaussian", "ball"}
-        table = [row for row in harness.POLAR_RULES["gaussian"] if row[1]]
+        assert set(projections.POLAR_RULES) == {"gaussian", "ball"}
+        table = [row for row in projections.POLAR_RULES["gaussian"] if row[1]]
         gen = np.random.default_rng(11)
         worst = {}
         for (first, nodes), end in zip(table, [k for k, _ in table[1:]] + [101]):
-            assert _table_nodes("gaussian", first) == nodes
-            assert _table_nodes("gaussian", first - 1) != nodes
+            assert projections.polar_nodes(_GAUSSIAN, first) == nodes
+            assert projections.polar_nodes(_GAUSSIAN, first - 1) != nodes
             for k in range(first, end):
                 # random, thin and needle bodies in turn: 10 at 17 generators,
                 # where the walk is cheap, 3 at 31 and one from 55 on
@@ -859,13 +903,14 @@ class TestSpatialRoutes:
                                                 nodes) for i in range(max(1, 3000 // k ** 2)))
         # one spot check far past the sweep, on a random body
         worst[400] = grid_table_error(grid_table_test_generators(gen, 400)[0],
-                                      _table_nodes("gaussian", 400))
-        assert max(worst.values()) <= harness.POLAR_GRID_TOL, max(worst.items(), key=lambda kv: kv[1])
+                                      projections.polar_nodes(_GAUSSIAN, 400))
+        assert max(worst.values()) <= projections.POLAR_GRID_TOL, max(worst.items(), key=lambda kv: kv[1])
 
     def test_the_walk_stops_at_the_crossover(self):
         # a 4 x 4 cube pair reads 16 generators, a 3 x 6 pair 18
         def nodes(kind, config):
-            return SPECS[kind](config).nodes
+            # the rule trial (0, 0) takes in the chunk route
+            return harness._rule_of(SPECS[kind](config), 0, 0)
 
         assert nodes("thm11", _thm11_cubes(4, 4)) is None
         assert nodes("thm11", _thm11_cubes(3, 6)) == 8192
@@ -1103,10 +1148,12 @@ class TestTrialErrors:
         values = spec.chunk(0, 0, 10, diag)
         strip = math.erf(1.0 / (np.linalg.norm(line[2] - line[1]) * 0.8 * math.sqrt(2.0)))
         assert values[7] == pytest.approx(strip, rel=1e-12, abs=0.0)
-        assert diag == {"degenerate_hulls": 1, "unbounded_polars": 1}
+        # and all ten trials take the exact rule, tallied under no nodes
+        assert diag == {"degenerate_hulls": 1, "unbounded_polars": 1, None: 10}
         out = harness.replay("thm12", config, (0, 7))
         assert out["chunk"]["value"] == out["trial"]["value"] == values[7]
-        assert out["trial"]["diagnostics"] == diag
+        assert out["trial"]["diagnostics"] == {"degenerate_hulls": 1, "unbounded_polars": 1}
+        assert out["trial"]["quadrature"] == {"rule": "exact"}
 
     @staticmethod
     def _flat_tetrahedron(monkeypatch, kind: int, measure: dict) -> dict:
@@ -1149,11 +1196,17 @@ class TestTrialErrors:
         # the flat trial takes the hull route in the chunk too
         np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
         assert values[7] == want[7] and np.isfinite(values).all()
-        assert chunk_diag == hull_diag == {"degenerate_hulls": 1, "unbounded_polars": 1}
+        # the flat trial takes its measure's grid row, the others the walk
+        assert chunk_diag == hull_diag == {"degenerate_hulls": 1, "unbounded_polars": 1,
+                                           None: 9, 8192: 1}
         serial = report_to_json(run_theorem_1_2(config, threads=1))
         assert json.loads(serial)["diagnostics"]["unbounded_polars"] == 1
-        assert json.loads(serial)["quadrature"] == {"rule": "walk",
-                                                    "order": bodies.POLAR_WALK_ORDER}
+        # no trial whose index is a multiple of 64 took the grid
+        assert json.loads(serial)["quadrature"] == [
+            {"rule": "walk", "order": bodies.POLAR_WALK_ORDER, "trials": 79},
+            {"rule": "grid", "nodes": 8192, "trials": 1,
+             "certificate": {"nodes": 16384, "trials_per_side": {"lhs": 0, "rhs": 0},
+                             "max_relative_gap": {"lhs": None, "rhs": None}}}]
         assert report_to_json(run_theorem_1_2(config, threads=2)) == serial
 
     def test_the_error_survives_a_worker_process(self):
@@ -1225,6 +1278,22 @@ class TestSerialization:
         ))
         assert a == b
         json.loads(a)
+
+    def test_an_infinite_p_is_written_as_strict_json(self):
+        # JSON has no Infinity token: a bp or msum p = inf from a Python
+        # config is echoed as the string "Infinity"
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        kind, config = CHUNKED["thm12-bpinf"]
+        reports = {"bp": harness.RUNNERS[kind](dict(config, trials=3)),
+                   "msum": run_theorem_1_2(dict(_msum(*_SEGMENTS, M={"p": math.inf}), trials=3))}
+        with pytest.raises(ValueError, match="Infinity is not JSON"):
+            json.loads(json.dumps(reports["bp"]), parse_constant=refuse)
+        for name, report in reports.items():
+            got = json.loads(report_to_json(report), parse_constant=refuse)["config"]["c_set"]
+            assert (got["p"] if name == "bp" else got["M"]["p"]) == "Infinity"
+            assert got == json.loads(json.dumps(report["config"]["c_set"]), parse_constant=str)
 
     def test_every_report_holds_only_json_scalars(self):
         # report_to_json hands reports to json.dumps as they are: a numpy

@@ -500,8 +500,9 @@ _MEASURES = [None, RadialMeasure.gaussian(0.8), RadialMeasure.ball(0.6)]
 
 
 class TestPolarMeasures:
-    """The one stacked entry: exact in the plane and the walk in space with
-    no node count, the grid with one."""
+    """The one stacked entry: exact in the plane and, in space, the rule at
+    the stack's width with no node count (the walk for these five
+    generators), the grid with one."""
 
     @pytest.mark.parametrize("nu", _MEASURES, ids=["lebesgue", "gaussian", "ball"])
     @pytest.mark.parametrize("n, nodes", [(2, None), (3, None), (3, 512)],
@@ -514,6 +515,20 @@ class TestPolarMeasures:
         for t in range(len(G)):
             alone, alone_held = projections.polar_measures(G[t:t + 1], nu, nodes)
             assert alone.tobytes() == values[t:t + 1].tobytes() and alone_held[0]
+
+    @pytest.mark.parametrize("nu, walk_to", [(RadialMeasure.gaussian(1.0), 16),
+                                             (RadialMeasure.ball(0.6), 10), (None, 40)],
+                             ids=["gaussian", "ball", "lebesgue"])
+    def test_no_node_count_takes_the_rule_at_the_stack_width(self, nu, walk_to):
+        # the walk up to the measure's crossover, its grid row past it, and
+        # the exact walk under Lebesgue measure at any width
+        G = np.random.default_rng(95).normal(size=(2, walk_to + 1, 3))
+        for k in (walk_to, walk_to + 1):
+            nodes = projections.polar_nodes(nu, k)
+            assert (nodes is None) == (k == walk_to or nu is None)
+            want = (bodies.spatial_polar_measures(G[:, :k], nu) if nodes is None
+                    else projections.polar_measures(G[:, :k], nu, nodes))
+            assert projections.polar_measures(G[:, :k], nu)[0].tobytes() == want[0].tobytes()
 
     def test_only_the_grid_reads_a_flat_row(self):
         nu = RadialMeasure.gaussian(1.0)
