@@ -41,7 +41,6 @@ from .mixed import (
     v1,
 )
 from .projections import (
-    QuadratureSpec,
     RadialMeasure,
     SupportEvaluator,
     cauchy_surface_bound_defect,

@@ -31,10 +31,9 @@ from .harness import (
     replay,
     report_to_csv,
     report_to_json,
-    resolve_threads,
     rows_to_csv,
 )
-from .projections import PETTY_METHODS, QuadratureSpec, petty_product
+from .projections import PETTY_METHODS, petty_product
 from .symmetrize import rearrange_body, steiner_symmetrize
 from . import verify as verify_mod
 
@@ -121,11 +120,10 @@ def run_petty(config: dict) -> dict:
     K = _body_of(config, ("method", "quadrature"))
     method = config.get("method", "auto")
     _require(method in PETTY_METHODS, f"method must be one of {PETTY_METHODS}, got {method!r}")
-    q = quadrature_block(config)
+    q = quadrature_block(config, ("nodes", "certify"))
     _require(method == "quadrature" or "quadrature" not in config,
              f"quadrature is read only under method 'quadrature', got method {method!r}")
-    quad = QuadratureSpec(nodes=q.get("nodes"), certify=q.get("certify", False))
-    product = petty_product(K, method=method, quad=quad)
+    product = petty_product(K, method, nodes=q.get("nodes"), certify=q.get("certify", False))
     dim = K.dim
     ball_bound = math.pi**2 / 4.0 if dim == 2 else 64.0 / 27.0
     verdict = "consistent" if product <= ball_bound * (1.0 + 1e-9) else "violated"
@@ -218,7 +216,7 @@ def main(argv=None) -> int:
             run, to_csv = COMMANDS[args.command]
             report = run(config)
         else:
-            report = RUNNERS[args.command](config, threads=resolve_threads(args.threads))
+            report = RUNNERS[args.command](config, threads=args.threads)
             to_csv = report_to_csv
         _emit(report_to_json(report) if args.format == "json" else to_csv(report), args.out)
         return 2 if report.get("verdict") == "violated" else 0

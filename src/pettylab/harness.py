@@ -129,7 +129,6 @@ import csv
 import io
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,7 +179,6 @@ from .sampling import INDEX_LIMIT, Density, RngStream, draw_block
 from .stats import EstimateWithCI, classify, summarize
 
 DEFAULT_TRIALS = 20000
-THREADS_ENV = "PETTY_LAB_THREADS"
 # Entries of a chunk's largest stacked temporary (512 KiB of float64): a
 # chunk holds as many trials as fit, and at least one.  A sample block holds
 # as many trials as fit this many sample entries.
@@ -218,18 +216,8 @@ class TrialError(ValueError):
 
 
 def resolve_threads(threads: int | None) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError(f"{THREADS_ENV} must be positive")
-        return value
-    if threads is None:
-        return 1
-    return _integer(threads, "threads")
+    """A runner's ``threads``: 1 for None, else a positive integer."""
+    return 1 if threads is None else _integer(threads, "threads")
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +300,10 @@ def _parse(key: str, build, *args):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def quadrature_block(config: dict) -> dict:
-    """The config's ``quadrature`` object: ``nodes``, absent or a positive
-    integer, and ``certify``, absent or a boolean."""
-    q = _fields(config.get("quadrature", {}), "quadrature", (), ("nodes", "certify"))
+def quadrature_block(config: dict, optional: tuple = ("nodes",)) -> dict:
+    """The config's ``quadrature`` object of the keys ``optional``: ``nodes``,
+    absent or a positive integer, and petty's ``certify``, absent or a boolean."""
+    q = _fields(config.get("quadrature", {}), "quadrature", (), optional)
     if q.get("nodes") is not None:
         _integer(q["nodes"], "quadrature.nodes")
     if "certify" in q:
@@ -717,8 +705,6 @@ class _PolarSpec(_Spec):
     def parse(self, config: dict):
         self.measure = _measure(config.get("measure", {"type": "lebesgue"}))
         q = quadrature_block(config)
-        _require(not q.get("certify"),
-                 "quadrature.certify is not supported in experiments (the petty command honours it)")
         self.exact = self.dim == 2 or self.measure.variant == "lebesgue"
         _require(not self.exact or q.get("nodes") is None,
                  "quadrature.nodes sizes the spatial grid; planar and 3-D Lebesgue polars are exact")
@@ -1028,12 +1014,13 @@ def _worker(payload: tuple) -> tuple:
     return values, diag
 
 
-def run_trials(spec: _Spec, sides, threads: int) -> tuple:
+def run_trials(spec: _Spec, sides, threads: int | None) -> tuple:
     """The per-trial values of each side of ``sides`` (lln: each row) in
     index order, and the diagnostics summed over them all.  Under
-    ``threads`` > 1 every side runs as ``threads`` ranges of trials in one
-    process pool; with fewer than 2 ``threads`` trials a side, serially."""
-    trials = spec.trials
+    ``threads`` (``resolve_threads``) > 1 every side runs as ``threads``
+    ranges of trials in one process pool; with fewer than 2 ``threads``
+    trials a side, serially."""
+    trials, threads = spec.trials, resolve_threads(threads)
     parts = 1 if threads <= 1 or trials < 2 * threads else threads
     cuts = [trials * k // parts for k in range(parts + 1)]
     payloads = [(spec, side, a, b - a) for side in sides for a, b in zip(cuts, cuts[1:])]
@@ -1083,7 +1070,7 @@ def _certificate(spec: _PolarSpec, config: dict, sides: list, nodes: int, every:
     return {"nodes": 2 * nodes, "trials_per_side": checked, "max_relative_gap": gaps}
 
 
-def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
+def _two_sided_report(kind: str, config: dict, threads: int | None) -> dict:
     spec = SPECS[kind](config)
     sides, tally = run_trials(spec, (0, 1), threads)
     lhs, rhs = (summarize(values) for values in sides)
@@ -1111,33 +1098,32 @@ def _two_sided_report(kind: str, config: dict, threads: int) -> dict:
 def run_theorem_1_2(config: dict, threads: int | None = None) -> dict:
     """One-block shadow functional: E nu(polar projection of X C) under the
     original density versus its symmetric decreasing rearrangement."""
-    return _two_sided_report("thm12", config, resolve_threads(threads))
+    return _two_sided_report("thm12", config, threads)
 
 
 def run_theorem_1_1(config: dict, threads: int | None = None) -> dict:
     """Mixed projection version with dim-1 independent blocks."""
-    return _two_sided_report("thm11", config, resolve_threads(threads))
+    return _two_sided_report("thm11", config, threads)
 
 
 def run_corollary_1_3(config: dict, threads: int | None = None) -> dict:
     """Empirical centroid bodies feeding the mixed projection functional."""
-    return _two_sided_report("cor13", config, resolve_threads(threads))
+    return _two_sided_report("cor13", config, threads)
 
 
 def run_emp_mixed(config: dict, threads: int | None = None) -> dict:
     """Expected (mixed) volume of random images versus rearranged samples."""
-    return _two_sided_report("empmixed", config, resolve_threads(threads))
+    return _two_sided_report("empmixed", config, threads)
 
 
 def run_emp_petty_2(config: dict, threads: int | None = None) -> dict:
     """Empirical Petty pairing: E v1(random hull, random segment sum)."""
-    return _two_sided_report("emppetty2", config, resolve_threads(threads))
+    return _two_sided_report("emppetty2", config, threads)
 
 
 def run_lln(config: dict, threads: int | None = None) -> dict:
     """Sweep of (1/m2) E V1([K]_m1, [polar projection]_m2^inf) against the
     deterministic pairing limit, plus a constancy table over a body family."""
-    threads = resolve_threads(threads)
     spec = _LlnSpec(config)
     sweep = [(m1, m2) for (_, m1), (_, m2) in spec.blocks]
     rows = []
@@ -1181,22 +1167,16 @@ RUNNERS = {
     "lln": run_lln,
 }
 
-FUNCTIONALS = {
-    "nu_polar_xc": "thm12",
-    "nu_polar_mixed": "thm11",
-    "mixed_volume": "empmixed",
-    "volume": "empmixed",
-    "v1_pair": "emppetty2",
-}
 
-
-def estimate(functional_id: str, config: dict, side: int = 0,
+def estimate(kind: str, config: dict, side: int = 0,
              threads: int | None = None) -> EstimateWithCI:
-    """One-sided Monte Carlo estimate of a registered functional."""
-    _require(functional_id in FUNCTIONALS, f"unknown functional {functional_id!r}")
-    spec = SPECS[FUNCTIONALS[functional_id]](config)
-    _require(side in (0, 1) and type(side) is int, f"side must be 0 or 1, got {side!r}")
-    (values,), _ = run_trials(spec, (side,), resolve_threads(threads))
+    """The Monte Carlo estimate of one side of a ``kind`` experiment of
+    SPECS (lln: one row of its sweep), as the kind's report gives it."""
+    _require(kind in SPECS, f"unknown experiment {kind!r}")
+    spec = SPECS[kind](config)
+    _require(type(side) is int and 0 <= side < len(spec.blocks),
+             f"side must be an integer below {len(spec.blocks)}, got {side!r}")
+    (values,), _ = run_trials(spec, (side,), threads)
     return summarize(values)
 
 

@@ -62,15 +62,6 @@ class SupportEvaluator:
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Spherical quadrature request: node count, None for the dimension's
-    DEFAULT_NODES, plus doubling certification."""
-
-    nodes: int | None = None
-    certify: bool = False
-
-
-@dataclass(frozen=True)
 class RadialMeasure:
     """Rotation-invariant measure with a nonincreasing radial density.
 
@@ -158,21 +149,22 @@ def node_set(n: int, nodes: int) -> np.ndarray:
     return U.T
 
 
-def polar_measure(body, measure: RadialMeasure, quad: QuadratureSpec | None = None) -> float:
+def polar_measure(body, measure: RadialMeasure, nodes: int | None = None,
+                  certify: bool = False) -> float:
     """measure({x : h(x) <= 1}) in polar-radial coordinates, h the support
-    of ``body``: a VPolytope, a Zonotope or a SupportEvaluator.
+    of ``body``: a VPolytope, a Zonotope or a SupportEvaluator, on the grid
+    of ``nodes`` nodes (None: the dimension's DEFAULT_NODES).
 
-    With certify=True the node count is doubled and both values must agree
+    With ``certify`` the node count is doubled and both values must agree
     to a relative 1e-4, otherwise the quadrature is rejected.  For a
     zonotope that spans its space ``zonotope_polar_measure`` is exact in
     the plane and walks its normal fan in space; this grid is its oracle in
     ``verify``, and reads flat bodies too.
     """
-    quad = quad or QuadratureSpec()
     h, n = getattr(body, "support_batch", body), body.dim
-    nodes = quad.nodes or DEFAULT_NODES[n]
+    nodes = nodes or DEFAULT_NODES[n]
     value = polar_measure_from_support(h(node_set(n, nodes)), measure, n)
-    if quad.certify:
+    if certify:
         refined = polar_measure_from_support(h(node_set(n, 2 * nodes)), measure, n)
         denom = max(abs(refined), 1e-300)
         if abs(refined - value) / denom > CERTIFY_REL_TOL:
@@ -238,8 +230,8 @@ def polar_measures(G: np.ndarray, measure: RadialMeasure | None = None,
     nodes = nodes or (polar_nodes(measure, G.shape[1]) if G.shape[-1] == 3 else None)
     if nodes is None:
         return (planar_polar_measures if G.shape[-1] == 2 else spatial_polar_measures)(G, measure)
-    measure, quad = measure or RadialMeasure.lebesgue(), QuadratureSpec(nodes)
-    values = [polar_measure(Zonotope(g), measure, quad) for g in G]
+    measure = measure or RadialMeasure.lebesgue()
+    values = [polar_measure(Zonotope(g), measure, nodes) for g in G]
     return np.array(values, dtype=float), np.ones(len(G), dtype=bool)
 
 
@@ -401,7 +393,8 @@ def polar_projection_polytope(K) -> VPolytope:
     return polar_of_zonotope(Z)
 
 
-def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -> float:
+def petty_product(K, method: str = "auto", nodes: int | None = None,
+                  certify: bool = False) -> float:
     """Affine invariant |Pi^o K| |K|^(n-1).
 
     method 'exact', and 'auto' with it, takes |Pi^o K| from the normal fan
@@ -409,7 +402,9 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
     ``polar_measures`` as ``zonotope_polar_measure`` reads it, with no
     second merge (the polar hull volume is its oracle in ``verify``);
     'quadrature' integrates the projection support in polar-radial
-    coordinates (``polar_measure``).
+    coordinates (``polar_measure`` on ``nodes`` nodes, doubled to certify
+    with ``certify``).  Under 'exact' and 'auto' either grid argument
+    raises a GeometryError.
     """
     body_vol = volume(K)
     n = K.dim
@@ -417,9 +412,12 @@ def petty_product(K, method: str = "auto", quad: QuadratureSpec | None = None) -
         raise GeometryError("Petty product needs a full-dimensional body")
     if method not in PETTY_METHODS:
         raise GeometryError(f"unknown petty_product method {method!r}")
+    if method != "quadrature" and (nodes is not None or certify):
+        raise GeometryError(f"nodes and certify are read only under method 'quadrature', "
+                            f"got method {method!r}")
     Z = projection_body(K)
     if method == "quadrature":
-        polar_vol = polar_measure(Z, RadialMeasure.lebesgue(), quad)
+        polar_vol = polar_measure(Z, RadialMeasure.lebesgue(), nodes, certify)
     else:
         polar_vol = _merged_polar_measure(Z.generators)
     return polar_vol * body_vol ** (n - 1)

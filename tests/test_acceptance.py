@@ -174,7 +174,7 @@ def test_05_expected_hull_volume_run():
     )
     separated = report["lhs"]["ci_low"] > report["rhs"]["ci_high"]
     est = estimate(
-        "volume",
+        "empmixed",
         {
             "dim": 2,
             "seed": 5151,

@@ -1,5 +1,6 @@
 """Every ``module.name`` that the README or a docstring of the package
-names in backticks must exist: a rename that misses its prose fails here."""
+names in backticks must exist, and so must every bare UPPER_CASE name as a
+constant of the package: a rename that misses its prose fails here."""
 
 import argparse
 import ast
@@ -15,6 +16,9 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 # a backticked reference that starts with a module of the package, as
 # `bodies.full_rank` or ``projections.POLAR_RULES``
 REFERENCE = re.compile(r"`(?:pettylab\.)?(" + "|".join(MODULES) + r")\.([A-Za-z_]\w*)")
+# a backticked UPPER_CASE name with no module, as `CERTIFY_STRIDE`; names of
+# one or two letters are symbols and qhull options (`M`, `QJ`), not constants
+CONSTANT = re.compile(r"`([A-Z][A-Z0-9_]{2,})`")
 
 
 def _docstrings(path: Path) -> str:
@@ -32,6 +36,7 @@ def test_the_references_are_found():
     # the pattern reads both backtick styles, and the sources name enough
     assert REFERENCE.findall("`bodies.hull` and ``harness._nodes``") == [("bodies", "hull"),
                                                                          ("harness", "_nodes")]
+    assert CONSTANT.findall("``SPECS``, `M` and `bodies.POLAR_WALK_ORDER`") == ["SPECS"]
     assert sum(len(REFERENCE.findall(text)) for text in SOURCES.values()) >= 40
 
 
@@ -39,6 +44,14 @@ def test_the_references_are_found():
 def test_every_module_reference_resolves(source):
     missing = sorted({f"{module}.{name}" for module, name in REFERENCE.findall(SOURCES[source])
                       if not hasattr(importlib.import_module(f"pettylab.{module}"), name)})
+    assert missing == []
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_every_bare_constant_is_one_of_the_package(source):
+    modules = [importlib.import_module(f"pettylab.{module}") for module in MODULES]
+    missing = sorted({name for name in CONSTANT.findall(SOURCES[source])
+                      if not any(hasattr(module, name) for module in modules)})
     assert missing == []
 
 

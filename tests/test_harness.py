@@ -26,7 +26,6 @@ from pettylab import (
     volume,
 )
 from pettylab.harness import (
-    THREADS_ENV,
     ConfigError,
     SPECS,
     CSet,
@@ -192,6 +191,10 @@ REJECTIONS = {
     "polygon-vertices-ragged": (run_theorem_1_2,
                                 _body_block(type="polygon", vertices=[[0, 0], [1, 0, 0], [0, 1]]),
                                 "blocks[0].density.body.vertices"),
+    # JSON has no NaN, so this literal takes the fresh parse of _literal
+    "polygon-vertices-nan": (run_theorem_1_2,
+                             _body_block(type="polygon", vertices=[[0, 0], [1, math.nan], [0, 1]]),
+                             "blocks[0].density.body.vertices"),
     "zonotope-generators-bool": (run_theorem_1_2,
                                  _body_block(type="zonotope", generators=[[True, 0], [0, 1]]),
                                  "blocks[0].density.body.generators"),
@@ -279,6 +282,7 @@ class TestValidation:
         "quadrature, key",
         [
             ({"certify": True}, "quadrature.certify"),
+            ({"certify": False}, "quadrature.certify"),
             ({"nodes": 0}, "quadrature.nodes"),
             ({"nodes": -64}, "quadrature.nodes"),
             ({"nodes": 64.5}, "quadrature.nodes"),
@@ -295,7 +299,7 @@ class TestValidation:
         # planar and 3-D Lebesgue polar measures are exact
         config = dict(THM12_SMALL, dim=3, trials=3, c_set={"kind": "simplex", "m": 4},
                       blocks=[{"density": {"type": "gaussian"}, "m": 4}], measure=_GAUSS,
-                      quadrature={"nodes": 64, "certify": False})
+                      quadrature={"nodes": 64})
         assert run_theorem_1_2(config)["trials"] == 3
 
     @pytest.mark.parametrize("name", sorted(REJECTIONS))
@@ -306,10 +310,11 @@ class TestValidation:
 
     def test_estimate_rejects_a_side_it_does_not_have(self):
         with pytest.raises(ConfigError, match="side"):
-            estimate("volume", EMPMIXED_SMALL, side=5)
+            estimate("empmixed", EMPMIXED_SMALL, side=2)
+        with pytest.raises(ConfigError, match="side"):
+            estimate("lln", dict(LLN_SMALL, m1_list=[4, 5], m2_list=[4, 3]), side=2)
 
-    def test_threads_resolution(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
+    def test_threads_resolution(self):
         assert resolve_threads(None) == 1
         assert resolve_threads(4) == 4
         with pytest.raises(ConfigError):
@@ -317,18 +322,20 @@ class TestValidation:
         for bad in (2.5, True, "2"):
             with pytest.raises(ConfigError, match="threads must be an integer"):
                 resolve_threads(bad)
-        monkeypatch.setenv(THREADS_ENV, "3")
-        assert resolve_threads(1) == 3
-        monkeypatch.setenv(THREADS_ENV, "zero")
-        with pytest.raises(ConfigError):
-            resolve_threads(None)
-        monkeypatch.setenv(THREADS_ENV, "0")
-        with pytest.raises(ConfigError):
-            resolve_threads(None)
+
+    def test_the_environment_sets_no_thread_count(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started")
+
+        monkeypatch.setenv("PETTY_LAB_THREADS", "3")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        assert run_theorem_1_2(THM12_SMALL, threads=1)["trials"] == THM12_SMALL["trials"]
 
     def test_unknown_functional(self):
-        with pytest.raises(ConfigError):
-            estimate("petty_product", THM12_SMALL)
+        # estimate takes the kinds of SPECS, and no other name for them
+        for name in ("petty_product", "volume", "mixed_volume"):
+            with pytest.raises(ConfigError, match="unknown experiment"):
+                estimate(name, EMPMIXED_BALL)
 
 
 class TestCSets:
@@ -413,10 +420,21 @@ class TestEstimates:
         areas = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         oracle_mean = float(areas.mean())
         oracle_err = float(areas.std(ddof=1) / math.sqrt(len(areas)))
-        est = estimate("volume", config)
+        est = estimate("empmixed", config)
         joint = 3.0 * (est.stderr + oracle_err)
         assert abs(est.mean - oracle_mean) <= joint
         assert abs(est.mean - 0.5 / 12.0) <= joint
+
+    @pytest.mark.parametrize("run, config, side", [
+        (run_theorem_1_2, THM12_SMALL, 1),
+        (run_emp_mixed, EMPMIXED_BALL, 0),
+        (run_lln, dict(LLN_SMALL, m1_list=[4, 5], m2_list=[4, 3]), 1),
+    ], ids=["thm12", "empmixed", "lln-row"])
+    def test_an_estimate_is_one_side_of_the_report(self, run, config, side):
+        report = run(config)
+        want = (report["rows"][side]["estimate"] if "rows" in report
+                else report[("lhs", "rhs")[side]])
+        assert estimate(report["experiment"], config, side).to_dict() == want
 
     def test_reports_are_identical_across_thread_counts(self):
         serial = report_to_json(run_theorem_1_2(THM12_SMALL, threads=1))
@@ -426,7 +444,7 @@ class TestEstimates:
     @pytest.mark.parametrize("run, config, pools", [
         (run_theorem_1_2, THM12_SMALL, 1),
         (run_lln, dict(LLN_SMALL, trials=8, m1_list=[4, 5, 6], m2_list=[4, 3, 2]), 1),
-        (lambda config, threads: estimate("volume", config, side=1, threads=threads).to_dict(),
+        (lambda config, threads: estimate("empmixed", config, side=1, threads=threads).to_dict(),
          dict(EMPMIXED_SMALL, trials=8), 1),
         (run_theorem_1_2, dict(THM12_SMALL, trials=3), 0),
     ], ids=["two-sided", "lln-three-rows", "estimate", "fewer-than-two-per-thread"])
@@ -1125,6 +1143,43 @@ class TestTrialErrors:
         with pytest.raises(TrialError, match=r"trial \(0, 7\): GeometryError") as info:
             run_theorem_1_2(config)
         assert info.value.key == (0, 7)
+
+    def test_a_flat_hull_fails_emppetty2_and_counts_in_lln(self, monkeypatch, cold_memo):
+        # the m1 points of 3-D trial (0, 3) flattened onto the plane z = 0:
+        # emppetty2 rejects a degenerate spatial hull, lln counts it
+        base = {"dim": 3, "seed": 5, "trials": 4, "body": _CUBE_3D}
+        petty, lln = dict(base, m1=4, m2=4), dict(base, m1_list=[4], m2_list=[4])
+        real = Density.sample
+        density = SPECS["emppetty2"](petty).blocks[0][0][0]
+        target = real(density, RngStream(5, (0, 3)).generator(), 4)
+
+        def sample(self, gen, count):
+            pts = real(self, gen, count)
+            if np.array_equal(pts, target):
+                pts[:, 2] = 0.0
+            return pts
+
+        _patch_sample(monkeypatch, sample)
+        with pytest.raises(TrialError, match=r"trial \(0, 3\): GeometryError: degenerate spatial hull"
+                           ) as info:
+            run_emp_petty_2(petty)
+        assert info.value.key == (0, 3)
+        assert run_lln(lln)["diagnostics"]["degenerate_hulls"] == 1
+
+    def test_a_chunk_that_fails_only_as_a_stack_reraises_its_error(self, monkeypatch):
+        # every trial passes when replayed alone, so no trial can be named
+        real = harness._Thm12Spec.kernel
+        boom = RuntimeError("the stacked kernel failed")
+
+        def kernel(self, samples, diag):
+            if len(samples[0]) > 1:
+                raise boom
+            return real(self, samples, diag)
+
+        monkeypatch.setattr(harness._Thm12Spec, "kernel", kernel)
+        with pytest.raises(RuntimeError) as info:
+            run_theorem_1_2(THM12_SMALL)
+        assert info.value is boom
 
     def test_a_collinear_trial_has_a_strip_for_its_polar(self, monkeypatch, cold_memo):
         real = Density.sample

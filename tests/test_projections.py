@@ -6,8 +6,8 @@ from scipy.special import erf
 
 from pettylab import (
     GeometryError,
-    QuadratureSpec,
     RadialMeasure,
+    SupportEvaluator,
     Zonotope,
     ball_body,
     cauchy_surface_bound_defect,
@@ -378,6 +378,16 @@ class TestMixedAreaMeasure:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _dented_square(value: float) -> SupportEvaluator:
+    """The unit square's support, its value at the first node set to ``value``."""
+    def h(U):
+        out = np.abs(U).sum(axis=1)
+        out[0] = value
+        return out
+
+    return SupportEvaluator(2, h, "dented square")
+
+
 class TestPolarMeasure:
     def test_lebesgue_measure_of_the_polar_region(self):
         # {x : h_cube(x) <= 1} is the cross polytope of area 2
@@ -385,8 +395,7 @@ class TestPolarMeasure:
         assert got == pytest.approx(2.0, rel=1e-4)
 
     def test_certification_doubles_and_agrees(self):
-        spec = QuadratureSpec(nodes=2048, certify=True)
-        got = polar_measure(cube_body(2), RadialMeasure.lebesgue(), spec)
+        got = polar_measure(cube_body(2), RadialMeasure.lebesgue(), nodes=2048, certify=True)
         assert got == pytest.approx(2.0, rel=1e-3)
 
     def test_gaussian_mass_of_the_polar_region(self):
@@ -411,8 +420,8 @@ class TestPolarMeasure:
         projections.node_set.cache_clear()
         try:
             for _ in range(3):
-                polar_measure(cube_body(2), RadialMeasure.lebesgue(), QuadratureSpec(nodes=300))
-                polar_measure(cube_body(3), RadialMeasure.lebesgue(), QuadratureSpec(nodes=500))
+                polar_measure(cube_body(2), RadialMeasure.lebesgue(), nodes=300)
+                polar_measure(cube_body(3), RadialMeasure.lebesgue(), nodes=500)
                 projections.polar_measures(np.eye(3)[None], RadialMeasure.lebesgue(), 500)
             assert built == [(2, 300), (3, 500)]
         finally:
@@ -435,7 +444,7 @@ class TestPolarMeasure:
             hv = np.abs(rows @ G.T).sum(axis=1)
             crossing = 2.0 / (hv.min() + hv.max())  # the ball's sphere crosses the polar's boundary
             for nu in (RadialMeasure.gaussian(1.0), RadialMeasure.ball(crossing)):
-                got = polar_measure(Zonotope(G), nu, QuadratureSpec(nodes=4096))
+                got = polar_measure(Zonotope(G), nu, nodes=4096)
                 want = polar_measure_from_support(hv, nu, 3)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), (k, nu.variant)
 
@@ -447,15 +456,22 @@ class TestPolarMeasure:
         seg = hull(np.array([[0.0, 0.0], [1.0, 0.0]]))
         Z = projection_body(seg, allow_degenerate=True)
         with pytest.raises(GeometryError):
-            polar_measure(
-                Z, RadialMeasure.lebesgue(), QuadratureSpec(nodes=512, certify=True)
-            )
+            polar_measure(Z, RadialMeasure.lebesgue(), nodes=512, certify=True)
+        # a support above -1e-10 reads as 0, a node whose ray is unbounded;
+        # one below it is an error of the evaluator
+        with pytest.raises(GeometryError, match="polar set is unbounded"):
+            polar_measure(_dented_square(-1e-12), RadialMeasure.lebesgue())
+        with pytest.raises(GeometryError, match="support evaluator returned negative values"):
+            polar_measure(_dented_square(-1e-9), RadialMeasure.lebesgue())
 
     def test_unbounded_gaussian_region_stays_finite(self):
         seg = hull(np.array([[0.0, 0.0], [1.0, 0.0]]))
         Z = projection_body(seg, allow_degenerate=True)
         got = polar_measure(Z, RadialMeasure.gaussian(1.0))
         assert 0.0 < got < 1.0
+        dented = polar_measure(_dented_square(-1e-12), RadialMeasure.gaussian(1.0))
+        assert math.isfinite(dented)
+        assert dented == polar_measure(_dented_square(0.0), RadialMeasure.gaussian(1.0))
 
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
     def test_clamped_gaussian_row_equals_the_masked_formula(self, sigma):
@@ -635,6 +651,12 @@ class TestPetty:
         for method in ("exact", "quadrature"):
             with pytest.raises(GeometryError, match="dimension 2 or 3"):
                 petty_product(Zonotope(np.eye(4)), method)
+
+    @pytest.mark.parametrize("grid", [{"nodes": 64}, {"certify": True}])
+    @pytest.mark.parametrize("method", ["exact", "auto"])
+    def test_grid_arguments_need_the_quadrature_method(self, method, grid):
+        with pytest.raises(GeometryError, match="read only under method 'quadrature'"):
+            petty_product(cube_body(2), method, **grid)
 
     def test_an_exact_product_merges_the_projection_body_once(self, monkeypatch):
         calls = []
