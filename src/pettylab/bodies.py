@@ -104,14 +104,18 @@ class VPolytope:
         object.__setattr__(self, "reduced", reduced)
         object.__setattr__(self, "_cache", {})
 
+    def derived(self, name: str, build, *args):
+        """``build(*args)``, kept in this body's cache under ``name`` the first
+        time it is asked for; a pickled copy starts with an empty cache."""
+        cache = self._cache
+        if name not in cache:
+            cache[name] = build(*args)
+        return cache[name]
+
     @property
     def affine_dim(self) -> int:
         """Dimension of the affine hull; flags degenerate bodies."""
-        got = self._cache.get("affine_dim")
-        if got is None:
-            got = _affine_rank(self.vertices)
-            self._cache["affine_dim"] = got
-        return got
+        return self.derived("affine_dim", _affine_rank, self.vertices)
 
     def is_degenerate(self) -> bool:
         return self.affine_dim < self.dim
@@ -373,12 +377,12 @@ def _joggled_hull(points: np.ndarray) -> ConvexHull:
 def _hull_facets(R: VPolytope) -> HullFacets:
     """The facets of a reduced full-dimensional body: those ``hull`` kept
     from its own qhull run, or one run on the vertices, kept for later."""
-    got = R._cache.get("qhull")
-    if got is None:
-        h = ConvexHull(R.vertices)
-        got = HullFacets(float(h.volume), h.equations, h.simplices)
-        R._cache["qhull"] = got
-    return got
+    return R.derived("qhull", _qhull_facets, R.vertices)
+
+
+def _qhull_facets(vertices: np.ndarray) -> HullFacets:
+    h = ConvexHull(vertices)
+    return HullFacets(float(h.volume), h.equations, h.simplices)
 
 
 def hull(points) -> VPolytope:
@@ -416,13 +420,7 @@ def hull(points) -> VPolytope:
 
 def reduced_form(P: VPolytope) -> VPolytope:
     """Hull the vertex list unless it is already irredundant and ordered."""
-    if P.reduced:
-        return P
-    got = P._cache.get("reduced")
-    if got is None:
-        got = hull(P.vertices)
-        P._cache["reduced"] = got
-    return got
+    return P if P.reduced else P.derived("reduced", hull, P.vertices)
 
 
 def _polygon_area(verts: np.ndarray) -> float:
@@ -435,19 +433,15 @@ def volume(P) -> float:
     if isinstance(P, Zonotope):
         return zonotope_volume(P)
     R = reduced_form(P)
-    got = R._cache.get("volume")
-    if got is not None:
-        return got
+    return R.derived("volume", _volume, R)
+
+
+def _volume(R: VPolytope) -> float:
     if R.affine_dim < R.dim:
-        val = 0.0
-    elif R.dim == 2:
-        val = abs(_polygon_area(R.vertices))
-    else:
-        val = _hull_facets(R).volume
-    R._cache["volume"] = val
-    if R is not P:
-        P._cache["volume"] = val
-    return val
+        return 0.0
+    if R.dim == 2:
+        return abs(_polygon_area(R.vertices))
+    return _hull_facets(R).volume
 
 
 def volume_of_points(points: np.ndarray) -> float:

@@ -118,7 +118,7 @@ def _body_of(config: dict, optional: tuple):
 
 def run_petty(config: dict) -> dict:
     K = _body_of(config, ("method", "quadrature"))
-    method = config.get("method", "auto")
+    method = config.get("method", "exact")
     _require(method in PETTY_METHODS, f"method must be one of {PETTY_METHODS}, got {method!r}")
     q = quadrature_block(config, ("nodes", "certify"))
     _require(method == "quadrature" or "quadrature" not in config,

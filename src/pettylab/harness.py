@@ -15,10 +15,11 @@ size out of range or a dim that disagrees with a body raises a
 ``ConfigError`` naming the key.  This module reads every config literal,
 bodies, densities, measures and C-sets alike, with the same field readers.
 Workers get the spec and parse nothing.  A process parses each body
-literal once: ``_literal`` keeps, for the last LITERAL_MEMO_SIZE literals,
-the body and what reports derive from it (its uniform density, its polar
-projection polytope and the density on that, lln's target), so a second
-report on the same literal builds none of them.
+literal once: ``_literal`` keeps the bodies of the last LITERAL_MEMO_SIZE
+literals, and what reports derive from a body (its uniform density, its
+polar projection polytope and the density on that, lln's target) lives on
+the body (``VPolytope.derived``), so a second report on the same literal
+builds none of them.
 
 Samples are drawn per block and the geometry runs per chunk:
 
@@ -192,7 +193,7 @@ PAIR_AREA_MAX_POINTS = 24
 # Trials of each side, those whose index is a multiple of this, that the
 # certificate of a grid reruns on twice its nodes.
 CERTIFY_STRIDE = 64
-# Body literals, with what they derive, that a process keeps between
+# Bodies of literals, with what they derive, that a process keeps between
 # reports (``_literal``): the last this many (literal, dim) pairs used.  A
 # 3-D body's polar projection polytope can hold 1e5 vertices, so the bound
 # stays small; a benchmark unit reads two or three literals.
@@ -304,7 +305,7 @@ def quadrature_block(config: dict, optional: tuple = ("nodes",)) -> dict:
     """The config's ``quadrature`` object of the keys ``optional``: ``nodes``,
     absent or a positive integer, and petty's ``certify``, absent or a boolean."""
     q = _fields(config.get("quadrature", {}), "quadrature", (), optional)
-    if q.get("nodes") is not None:
+    if "nodes" in q:
         _integer(q["nodes"], "quadrature.nodes")
     if "certify" in q:
         _boolean(q["certify"], "quadrature.certify")
@@ -348,9 +349,8 @@ def body_from_literal(spec: dict, where: str = "body"):
         return cube_body(dim, _positive(spec.get("half", 1.0), f"{prefix}half"))
     if kind == "simplex":
         return solid_simplex(dim)
-    facets = spec.get("facets")
     return ball_body(dim, _positive(spec.get("radius", 1.0), f"{prefix}radius"),
-                     None if facets is None else _integer(facets, f"{prefix}facets", 3))
+                     _integer(spec["facets"], f"{prefix}facets", 3) if "facets" in spec else None)
 
 
 def _parse_body(literal, key: str, dim: int) -> VPolytope:
@@ -361,22 +361,20 @@ def _parse_body(literal, key: str, dim: int) -> VPolytope:
 
 
 @lru_cache(maxsize=LITERAL_MEMO_SIZE)
-def _literal_record(text: str, dim: int) -> dict:
-    """The record ``_literal`` keeps for the canonical JSON ``text`` of a
-    body literal in dimension ``dim``.  A literal that fails raises here,
-    and lru_cache keeps nothing for it."""
-    return {"body": _parse_body(json.loads(text), "body", dim)}
+def _literal_record(text: str, dim: int) -> VPolytope:
+    """The body ``_literal`` keeps for the canonical JSON ``text`` of a body
+    literal in dimension ``dim``.  A literal that fails raises here, and
+    lru_cache keeps nothing for it."""
+    return _parse_body(json.loads(text), "body", dim)
 
 
-def _literal(literal, key: str, dim: int) -> dict:
-    """The record of the body literal ``literal`` in dimension ``dim``: its
-    body under "body", plus what ``_derived`` adds (densities, the polar
-    projection polytope, the lln target).
+def _literal(literal, key: str, dim: int) -> VPolytope:
+    """The body of the literal ``literal`` in dimension ``dim``.
 
-    A plain JSON literal's record is kept for the process, keyed by its
-    canonical JSON (sorted keys) and ``dim``, so later reports reuse its
-    hull, triangulations and cubatures.  A literal that JSON would change
-    (tuples, non-finite or non-JSON numbers) gets a fresh record each call,
+    A plain JSON literal's body, with what reports derive and keep on it
+    (``VPolytope.derived``), is kept for the process, keyed by its canonical
+    JSON (sorted keys) and ``dim``.  A literal that JSON would change
+    (tuples, non-finite or non-JSON numbers) gets a fresh body each call,
     and one that fails is parsed again here, so that its error names
     ``key`` and is the same on every call."""
     try:
@@ -388,22 +386,12 @@ def _literal(literal, key: str, dim: int) -> dict:
             return _literal_record(text, dim)
         except ConfigError:
             pass
-    return {"body": _parse_body(literal, key, dim)}
+    return _parse_body(literal, key, dim)
 
 
-def _derived(record: dict, name: str, build):
-    """``record[name]``, set to ``build()`` the first time it is asked for."""
-    got = record.get(name)
-    if got is None:
-        got = record[name] = build()
-    return got
-
-
-def _uniform(record: dict, key: str, member: str = "body") -> Density:
-    """The uniform density on the body ``record[member]``, kept in the
-    record with its triangulation once drawn from."""
-    return _derived(record, f"uniform {member}",
-                    lambda: _parse(key, Density.uniform, record[member]))
+def _uniform(K: VPolytope, key: str) -> Density:
+    """The uniform density on K, kept on K."""
+    return K.derived("uniform", _parse, key, Density.uniform, K)
 
 
 def _density(literal, key: str, dim: int) -> Density:
@@ -426,21 +414,17 @@ def _measure(literal) -> RadialMeasure:
     return RadialMeasure.ball(_positive(literal["radius"], "measure.radius"))
 
 
-def _polar_pair(literal, key: str, dim: int) -> dict:
-    """The record of ``literal``, whose body K must be full-dimensional,
-    with K's polar projection polytope under "polar"."""
-    record = _literal(literal, key, dim)
-    K = record["body"]
+def _polar_pair(literal, key: str, dim: int) -> tuple:
+    """The body K of ``literal``, which must be full-dimensional, and its
+    polar projection polytope, kept on K."""
+    K = _literal(literal, key, dim)
     _require(not K.is_degenerate(), f"{key} must be full-dimensional")
-    _derived(record, "polar", lambda: polar_projection_polytope(K))
-    return record
+    return K, K.derived("polar", polar_projection_polytope, K)
 
 
-def _pairing_target(record: dict) -> float:
-    """V1(K, centroid body of L) for the body K and polar projection
-    polytope L of a ``_polar_pair`` record, kept in the record."""
-    return _derived(record, "target",
-                    lambda: v1(record["body"], centroid_body_support(record["polar"])))
+def _pairing_target(K: VPolytope, L: VPolytope) -> float:
+    """V1(K, centroid body of L) for the polar projection polytope L of K."""
+    return v1(K, centroid_body_support(L))
 
 
 def _both_sides(draws) -> tuple:
@@ -519,7 +503,7 @@ class CSet:
             coeffs = _parse(f"{key}.M", MSpec.lp(p, vertex_budget=64).conjugate_ball_vertices,
                             len(parts))
         else:
-            M = _literal(M, f"{key}.M", len(parts))["body"]
+            M = _literal(M, f"{key}.M", len(parts))
             _require(_parse(f"{key}.M", is_unconditional, M), f"{key}.M must be 1-unconditional")
             coeffs = M.vertices
         return cls("msum", total, vertices=m_combinations(coeffs, balls))
@@ -946,9 +930,8 @@ class _EmpPetty2Spec(_PairingSpec):
     def parse(self, config: dict):
         m1 = _integer(config["m1"], "m1", self.dim + 1)
         m2 = _integer(config["m2"], "m2")
-        pair = _polar_pair(config["body"], "body", self.dim)
-        self.blocks = _both_sides([(_uniform(pair, "body"), m1),
-                                   (_uniform(pair, "body", "polar"), m2)])
+        K, L = _polar_pair(config["body"], "body", self.dim)
+        self.blocks = _both_sides([(_uniform(K, "body"), m1), (_uniform(L, "body"), m2)])
         super().parse(config)
 
 
@@ -971,8 +954,8 @@ class _LlnSpec(_PairingSpec):
         pairs = [_polar_pair(config["body"], "body", self.dim)] + [
             _polar_pair(lit, f"family[{i}]", self.dim) for i, lit in enumerate(family)
         ]
-        self.target, *self.family = [_pairing_target(pair) for pair in pairs]
-        dK, dL = (_uniform(pairs[0], "body", member) for member in ("body", "polar"))
+        self.target, *self.family = [K.derived("target", _pairing_target, K, L) for K, L in pairs]
+        dK, dL = (_uniform(body, "body") for body in pairs[0])
         self.blocks = tuple(
             ((dK, _integer(m1, f"m1_list[{i}]", self.dim + 1)), (dL, _integer(m2, f"m2_list[{i}]")))
             for i, (m1, m2) in enumerate(zip(m1s, m2s))

@@ -36,11 +36,14 @@ EDGE_PAIR_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class FacetData:
-    """Per-facet outward unit normals, surface measures, and support offsets."""
+    """Per-facet outward unit normals, surface measures, and support offsets,
+    and for each simplex of the hull triangulation (``facet_planes``) the
+    merged facet it lies in."""
 
     normals: np.ndarray
     measures: np.ndarray
     offsets: np.ndarray
+    labels: np.ndarray
 
     def __len__(self):
         return len(self.measures)
@@ -52,9 +55,10 @@ def facets(P: VPolytope) -> FacetData:
     Facets come in the order qhull first reports them.
     """
     R = reduced_form(P)
-    got = R._cache.get("facets")
-    if got is not None:
-        return got
+    return R.derived("facets", _facets, R)
+
+
+def _facets(R: VPolytope) -> FacetData:
     normals, offsets, h = facet_planes(R)
     scale = max(1.0, float(np.max(np.abs(R.vertices))))
     keys = np.round(
@@ -69,12 +73,10 @@ def facets(P: VPolytope) -> FacetData:
         pieces = np.linalg.norm(e[:, 0], axis=1)
     else:
         pieces = 0.5 * np.linalg.norm(cross3(e[:, 0], e[:, 1]), axis=1)
-    label = R._cache["facet_of"] = rank[group]  # each simplex's merged facet
+    label = rank[group]
     areas = np.bincount(label, weights=pieces)
     first.sort()
-    data = FacetData(normals[first], areas, offsets[first])
-    R._cache["facets"] = data
-    return data
+    return FacetData(normals[first], areas, offsets[first], label)
 
 
 def triangulation_edges(R: VPolytope) -> tuple:
@@ -84,16 +86,15 @@ def triangulation_edges(R: VPolytope) -> tuple:
     triangles (the ``facets`` order).  p, q and x run in the first
     triangle's vertex order, and an edge with a == b is a diagonal inside a
     merged facet."""
-    got = R._cache.get("triangulation_edges")
-    if got is None:
-        facets(R)  # labels each simplex with its merged facet
-        S, label = facet_planes(R)[2].simplices, R._cache["facet_of"]
-        rows = np.concatenate([S, S[:, [1, 2, 0]], S[:, [2, 0, 1]]])  # (p, q, off)
-        order, _ = sort_rows(np.sort(rows[:, :2], axis=1))  # each edge twice, side by side
-        one, two = order[0::2], order[1::2]
-        got = (*rows[one].T, rows[two, 2], label[one % len(S)], label[two % len(S)])
-        R._cache["triangulation_edges"] = got
-    return got
+    return R.derived("triangulation_edges", _triangulation_edges, R)
+
+
+def _triangulation_edges(R: VPolytope) -> tuple:
+    S, label = facet_planes(R)[2].simplices, facets(R).labels
+    rows = np.concatenate([S, S[:, [1, 2, 0]], S[:, [2, 0, 1]]])  # (p, q, off)
+    order, _ = sort_rows(np.sort(rows[:, :2], axis=1))  # each edge twice, side by side
+    one, two = order[0::2], order[1::2]
+    return (*rows[one].T, rows[two, 2], label[one % len(S)], label[two % len(S)])
 
 
 def surface_area(P: VPolytope) -> float:
@@ -214,24 +215,24 @@ def edge_table(K) -> tuple:
     if isinstance(K, Zonotope):
         return 2.0 * K.generators, np.zeros((len(K.generators), 0, 3)), np.zeros((0, 3)), None
     R = reduced_form(K)
-    V, got = R.vertices, R._cache.get("edges")
-    if got is not None:
-        return got
+    return R.derived("edges", _edge_table, R)
+
+
+def _edge_table(R: VPolytope) -> tuple:
+    V = R.vertices
     if R.affine_dim == 3:
         p, q, x, y, a, b = triangulation_edges(R)
-        true, S, label = a != b, facet_planes(R)[2].simplices, R._cache["facet_of"]
+        true, S, f = a != b, facet_planes(R)[2].simplices, facets(R)
         p, q = p[true], q[true]
-        got = (V[q] - V[p], V[np.column_stack([x, y])[true]] - V[p, None], facets(R).normals,
-               lambda i: V[np.unique(S[label == i])])
+        got = (V[q] - V[p], V[np.column_stack([x, y])[true]] - V[p, None], f.normals,
+               lambda i: V[np.unique(S[f.labels == i])])
     elif R.affine_dim == 2:
         e = np.roll(V, -1, axis=0) - V
         got = e, (V.mean(axis=0) - V)[:, None], _surface_measure(R)[0], lambda i: V
     else:
         got = V[1:] - V[:1], np.zeros((len(V) - 1, 0, 3)), np.zeros((0, 3)), None
     e, x = got[:2]
-    got = (e, x - (_dot3(x, e[:, None]) / _dot3(e, e)[:, None])[..., None] * e[:, None]) + got[2:]
-    R._cache["edges"] = got
-    return got
+    return (e, x - (_dot3(x, e[:, None]) / _dot3(e, e)[:, None])[..., None] * e[:, None]) + got[2:]
 
 
 def edge_crossings(a: tuple, b: tuple) -> tuple:

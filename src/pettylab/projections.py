@@ -36,7 +36,7 @@ from .bodies import (
 from .mixed import centroid, clip_halfspace, edge_crossings, mixed_area_measure, surface_area
 
 DEFAULT_NODES = {2: 4096, 3: 8192}
-PETTY_METHODS = ("auto", "exact", "quadrature")
+PETTY_METHODS = ("exact", "quadrature")
 CERTIFY_REL_TOL = 1e-4
 SPHERE_SURFACE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 # Radius, in units of sigma, past which the spatial Gaussian radial integral
@@ -393,18 +393,17 @@ def polar_projection_polytope(K) -> VPolytope:
     return polar_of_zonotope(Z)
 
 
-def petty_product(K, method: str = "auto", nodes: int | None = None,
+def petty_product(K, method: str = "exact", nodes: int | None = None,
                   certify: bool = False) -> float:
     """Affine invariant |Pi^o K| |K|^(n-1).
 
-    method 'exact', and 'auto' with it, takes |Pi^o K| from the normal fan
-    of the merged projection body, the exact or walk row of
-    ``polar_measures`` as ``zonotope_polar_measure`` reads it, with no
-    second merge (the polar hull volume is its oracle in ``verify``);
-    'quadrature' integrates the projection support in polar-radial
-    coordinates (``polar_measure`` on ``nodes`` nodes, doubled to certify
-    with ``certify``).  Under 'exact' and 'auto' either grid argument
-    raises a GeometryError.
+    method 'exact' takes |Pi^o K| from the normal fan of the merged
+    projection body, the exact or walk row of ``polar_measures`` as
+    ``zonotope_polar_measure`` reads it, with no second merge (the polar
+    hull volume is its oracle in ``verify``); 'quadrature' integrates the
+    projection support in polar-radial coordinates (``polar_measure`` on
+    ``nodes`` nodes, doubled to certify with ``certify``).  Under 'exact'
+    either grid argument raises a GeometryError.
     """
     body_vol = volume(K)
     n = K.dim

@@ -137,31 +137,21 @@ def _child_hash(seed: int, key: tuple) -> tuple:
                  for d in range(_POOL_SIZE))
 
 
+@dataclass(frozen=True, eq=False)
 class Density:
     """Sampling density for matrix columns.
 
     kind 'uniform' draws from a polytope via volume-weighted simplex picks,
     'ball' draws from the centered Euclidean ball (the exact rearrangement
-    of a uniform density), 'gaussian' from an isotropic normal.
+    of a uniform density), 'gaussian' from an isotropic normal.  A uniform
+    density's triangulation lives on its body (``VPolytope.derived``).
     """
 
-    def __init__(self, kind: str, dim: int, body: VPolytope | None = None,
-                 radius: float = 1.0, sigma: float = 1.0):
-        self.kind = kind
-        self.dim = dim
-        self.body = body
-        self.radius = radius
-        self.sigma = sigma
-        self._tri = None
-        self._tri_cdf = None
-
-    def __getstate__(self):
-        return (self.kind, self.dim, self.body, self.radius, self.sigma)
-
-    def __setstate__(self, state):
-        self.kind, self.dim, self.body, self.radius, self.sigma = state
-        self._tri = None
-        self._tri_cdf = None
+    kind: str
+    dim: int
+    body: VPolytope | None = None
+    radius: float = 1.0
+    sigma: float = 1.0
 
     @staticmethod
     def uniform(body: VPolytope) -> "Density":
@@ -186,15 +176,9 @@ class Density:
             return Density.ball(self.dim, r)
         return self
 
-    def _triangulation(self):
-        if self._tri is None:
-            tri = Delaunay(self.body.vertices)
-            pts = tri.points[tri.simplices]
-            vols = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(self.dim)
-            self._tri = tri
-            self._tri_cdf = cumulative_weights(vols / vols.sum())
-            self._tri_cdf.setflags(write=False)
-        return self._tri, self._tri_cdf
+    def _triangulation(self) -> tuple:
+        """(Delaunay triangulation of the body, its simplices' volume CDF)."""
+        return self.body.derived("triangulation", _triangulate, self.body.vertices)
 
     def _corners(self, idx: np.ndarray) -> np.ndarray:
         """The corners of the simplices ``idx`` of the triangulation, shape
@@ -250,6 +234,15 @@ class Density:
             acc += E[:, j]
         bary = E * (1.0 / acc)[:, None]
         return np.einsum("kj,kjd->kd", bary, self._corners(idx))
+
+
+def _triangulate(vertices: np.ndarray) -> tuple:
+    tri = Delaunay(vertices)
+    pts = tri.points[tri.simplices]
+    vols = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(vertices.shape[1])
+    cdf = cumulative_weights(vols / vols.sum())
+    cdf.setflags(write=False)
+    return tri, cdf
 
 
 class _ZeroKey(ISeedSequence):

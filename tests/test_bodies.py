@@ -927,6 +927,28 @@ class TestHullCache:
             assert a.normals[order_a] == pytest.approx(b.normals[order_b], abs=1e-13)
             assert a.measures[order_a] == pytest.approx(b.measures[order_b], rel=1e-12)
 
+    def test_a_falsy_derived_value_is_kept(self, monkeypatch):
+        # a segment's volume 0.0 and a point's affine dimension 0 are each
+        # built once
+        calls = []
+
+        def counting(name):
+            real = getattr(bodies, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        for name in ("_affine_rank", "_volume"):
+            monkeypatch.setattr(bodies, name, counting(name))
+        for verts in ([[0.0, 0.0], [1.0, 1.0]], [[1.0, 2.0]]):
+            calls.clear()
+            P = bodies.VPolytope(verts, reduced=True)
+            assert [volume(P) for _ in range(3)] == [0.0] * 3
+            assert [P.affine_dim for _ in range(3)] == [len(verts) - 1] * 3
+            assert sorted(calls) == ["_affine_rank", "_volume"]
+
     def test_a_joggled_hull_caches_no_facets(self, monkeypatch):
         real = bodies.ConvexHull
 

@@ -144,6 +144,10 @@ REJECTIONS = {
                                      dict(THM12_SMALL, dim=3, c_set={"kind": "simplex", "m": 4},
                                           blocks=[dict(_GAUSSIAN_BLOCK, m=4)],
                                           quadrature={"nodes": 64}), "quadrature.nodes"),
+    "quadrature-nodes-null-3d-lebesgue": (run_theorem_1_2,
+                                          dict(THM12_SMALL, dim=3, c_set={"kind": "simplex", "m": 4},
+                                               blocks=[dict(_GAUSSIAN_BLOCK, m=4)],
+                                               quadrature={"nodes": None}), "quadrature.nodes"),
     "empmixed-quadrature": (run_emp_mixed, dict(EMPMIXED_SMALL, quadrature={"certify": True}),
                             "quadrature"),
     "emppetty2-quadrature": (run_emp_petty_2, dict(EMPPETTY2_SMALL, quadrature={"certify": True}),
@@ -184,6 +188,9 @@ REJECTIONS = {
                            "blocks[0].density.body.radius"),
     "ball-facets-float": (run_theorem_1_2, _body_block(type="ball", dim=2, facets=12.7),
                           "blocks[0].density.body.facets"),
+    # null is a value to reject, not an absent key
+    "ball-facets-null": (run_theorem_1_2, _body_block(type="ball", dim=2, facets=None),
+                         "blocks[0].density.body.facets"),
     "polygon-vertices-strings": (run_theorem_1_2,
                                  _body_block(type="polygon",
                                              vertices=[["0", "0"], ["1", "0"], ["0", "1"]]),
@@ -1008,6 +1015,15 @@ class TestSpecs:
         for obj in vars(module).values():
             assert not (isinstance(obj, type) and hasattr(obj, "from_literal")), obj
 
+    def test_only_bodies_names_the_body_cache(self):
+        # everything else keeps what it derives through VPolytope.derived
+        named = set()
+        for path in sorted(Path(projections.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if "_cache" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                    named.add(path.name)
+        assert named == {"bodies.py"}
+
     def test_only_the_centroid_body_builds_a_support_evaluator(self):
         # every other support is a body with a generator or vertex form
         builders = []
@@ -1487,11 +1503,12 @@ class TestCli:
         (dict(SQUARE, quadrature={"certify": "no"}), "quadrature.certify"),
         # quadrature is read under method quadrature only
         (dict(SQUARE, method="exact", quadrature={"nodes": 64, "certify": True}), "quadrature"),
-        ({"body": SQUARE, "method": "auto", "quadrature": {"nodes": 64}}, "quadrature"),
         (dict(SQUARE, quadrature={}), "quadrature"),
+        ({"body": SQUARE, "method": "auto"}, "method"),
+        (dict(SQUARE, method="quadrature", quadrature={"nodes": None}), "quadrature.nodes"),
     ], ids=["method", "typo", "typo-beside-body", "body-key", "no-body", "dim-float",
-            "certify-string", "quadrature-under-exact", "quadrature-under-auto",
-            "quadrature-under-default"])
+            "certify-string", "quadrature-under-exact", "quadrature-under-default",
+            "method-auto", "nodes-null"])
     def test_petty_rejects_a_bad_field_by_its_key(self, tmp_path, capsys, config, key):
         with pytest.raises(ConfigError, match=re.escape(key)):
             cli.run_petty(config)

@@ -241,6 +241,28 @@ class TestDensity:
         d.sample(np.random.default_rng(0), 8)
         assert set(vars(d)) == before
 
+    def test_densities_on_one_body_share_its_triangulation(self, monkeypatch):
+        import pickle
+
+        from pettylab import sampling
+
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return real(points)
+
+        real = sampling.Delaunay
+        monkeypatch.setattr(sampling, "Delaunay", counted)
+        K = cube_body(3)
+        for d in (Density.uniform(K), Density.uniform(K)):
+            d.sample(np.random.default_rng(0), 4)
+        assert calls == [8]
+        # a pickled body keeps nothing it derived, so its copy triangulates again
+        copy = pickle.loads(pickle.dumps(Density.uniform(K)))
+        copy.sample(np.random.default_rng(0), 4)
+        assert calls == [8, 8]
+
     def test_pickle_round_trip(self):
         import pickle
 

@@ -81,8 +81,7 @@ def triangulation_edges_loop(R):
     """Reference for ``triangulation_edges``: each triangle's edges one at a
     time, as (p, q, x, facet) in the triangle's vertex order with the vertex
     x off the edge, gathered under the edge's sorted ends."""
-    facets(R)
-    S, label = facet_planes(R)[2].simplices, R._cache["facet_of"]
+    S, label = facet_planes(R)[2].simplices, facets(R).labels
     halves = {}
     for t, tri in enumerate(S.tolist()):
         for i in range(3):
