@@ -111,7 +111,7 @@ def _body_of(config: dict, optional: tuple):
     if "type" in config:
         literal = {k: v for k, v in config.items() if k not in optional}
         return _parse("config", body_from_literal, literal, "")
-    _require("body" in config, "config needs a body literal (or a 'body' field)")
+    _require("body" in config, "body is missing: a config is a body literal or holds one under body")
     _fields(config, "", ("body",), optional)
     return _parse("body", body_from_literal, config["body"], "body")
 

@@ -21,11 +21,15 @@ polar projection polytope and the density on that, lln's target) lives on
 the body (``VPolytope.derived``), so a second report on the same literal
 builds none of them.
 
-Samples are drawn per block and the geometry runs per chunk:
+A report's trials are one sequence of (side, trial) keys, side after side
+(lln: row after row).  Samples are drawn per block of a side and the
+geometry runs per chunk of the sequence:
 
-* a worker draws its range of trial indices in sample blocks of at most
-  ``CHUNK_ENTRIES`` sample entries, and hands each block to the spec a
-  chunk at a time;
+* a worker draws its range of the sequence in sample blocks of one side,
+  of at most ``CHUNK_ENTRIES`` sample entries, and cuts the blocks into
+  chunks of at most ``chunk_len()`` trials; a chunk may take the tail of
+  one block and the head of the next, of its side or the next side, but
+  never spans a change of draw shapes (lln rows can differ in m);
 * trial i of side s keeps its own Philox stream RngStream(seed, (s, i)),
   whose key is numpy's SeedSequence hash of (seed, s, i): the seed and side
   words are hashed once per block and only the index word per trial
@@ -34,8 +38,8 @@ Samples are drawn per block and the geometry runs per chunk:
 * the per-trial route, each trial's own generator followed by
   ``Density.sample`` (``sampling.draw_per_trial``), is the oracle the
   blocks equal bit for bit; ``verify.CHECKS`` and the tests compare them.
-  ``trial``, the replay of a failing chunk and ``replay`` draw blocks of
-  one trial.
+  ``trial``, the replay of a failing chunk, a grid's certificate and
+  ``replay`` draw blocks of one trial.
 
 A kind is a hull route, the value of one trial from its own samples, plus,
 optionally, a stacked kernel that takes the chunk's samples to values and
@@ -116,11 +120,15 @@ measure's grid row in space.
 The other kinds and C-sets have no kernel and take the hull route on every
 trial: thm12 with other C-sets, thm11 with other hull C-sets, empmixed in
 other mixed modes and the spatial emppetty2 and lln.  Chunk length follows from ``CHUNK_ENTRIES``.
-A report runs every side (lln: every row) through one ``run_trials`` call,
-which sums their diagnostics: serially, or under threads > 1 as ranges of
-trials in one process pool; a grid's certificate reruns serially.
-An error raised in a trial is re-raised as a ``TrialError`` that names its
-(side, trial) key (lln: (row, trial)); ``replay`` reruns that one trial.
+A report runs its key sequence through one ``run_trials`` call, which sums
+the diagnostics of every side: serially, or under threads > 1 as that many
+contiguous ranges of the sequence in one process pool.  A grid's
+certificate reruns its keys of both sides serially, as one sequence of
+blocks of one.  Every kernel and route gives a trial the same bits in any
+chunk, so the cut changes no report.  An error raised in a trial is
+re-raised as a ``TrialError`` that names its (side, trial) key (lln:
+(row, trial)), even in a chunk that holds trials of two sides; ``replay``
+reruns that one trial.
 """
 
 from __future__ import annotations
@@ -967,46 +975,91 @@ SPECS = {spec.kind: spec for spec in (_Thm12Spec, _Thm11Spec, _Cor13Spec, _EmpMi
                                       _EmpPetty2Spec, _LlnSpec)}
 
 
-def _run_chunk(spec: _Spec, side: int, first: int, samples: list, diag: dict) -> np.ndarray:
-    """The values of the chunk of trials from ``first`` whose samples are
-    ``samples``."""
+def _sequence_blocks(spec: _Spec, sides: tuple, start: int, stop: int):
+    """The sample blocks of positions start, ..., stop - 1 of the key
+    sequence of ``sides``, (side, first, samples) in sequence order: each
+    side's trials from ``first`` on in blocks of at most ``block_len(side)``,
+    drawn from the side's stream."""
+    n = spec.trials
+    for k, side in enumerate(sides):
+        a, b = max(start - k * n, 0), min(stop - k * n, n)
+        step = spec.block_len(side)
+        for first in range(a, b, step):
+            yield side, first, spec.stacked(side, first, min(step, b - first))
+
+
+def _chunks(blocks, step: int):
+    """The chunks of the sample blocks ``blocks``, (side, first, samples) in
+    sequence order: runs of at most ``step`` trials, cut where the draw
+    shapes change, each a list of the (side, first, samples) parts of the
+    blocks it holds.  A chunk may take the tail of one block and the head
+    of the next, of the same side or the next."""
+    held, size = [], 0
+    for side, first, samples in blocks:
+        if held and [S.shape[1:] for S in samples] != [S.shape[1:] for S in held[-1][2]]:
+            yield held
+            held, size = [], 0
+        count, a = len(samples[0]), 0
+        while a < count:
+            take = min(step - size, count - a)
+            held.append((side, first + a, [S[a:a + take] for S in samples]))
+            size, a = size + take, a + take
+            if size == step:
+                yield held
+                held, size = [], 0
+    if held:
+        yield held
+
+
+def _run_chunk(spec: _Spec, parts: list, diag: dict) -> np.ndarray:
+    """The values of the chunk whose (side, first, samples) parts are
+    ``parts``, stacked as one."""
+    samples = parts[0][2] if len(parts) == 1 else [
+        np.concatenate(draw) for draw in zip(*(part for _, _, part in parts))]
     try:
         return spec.chunk_values(samples, diag)
     except Exception:
         # Replay the chunk one trial at a time, each drawn as a block of one,
-        # so the error names the trial that raised it; the whole chunk fails
-        # either way.
-        for index in range(first, first + len(samples[0])):
-            try:
-                spec.chunk(side, index, 1, _no_diagnostics())
-            except Exception as exc:
-                raise TrialError((side, index), f"{type(exc).__name__}: {exc}") from exc
+        # so the error names the key of the trial that raised it; the whole
+        # chunk fails either way.
+        for side, first, part in parts:
+            for index in range(first, first + len(part[0])):
+                try:
+                    spec.chunk(side, index, 1, _no_diagnostics())
+                except Exception as exc:
+                    raise TrialError((side, index), f"{type(exc).__name__}: {exc}") from exc
         raise
 
 
-def _worker(payload: tuple) -> tuple:
-    spec, side, start, count = payload
+def _values(spec: _Spec, blocks) -> tuple:
+    """The values of the trials of the sample blocks ``blocks`` (as
+    ``_chunks`` reads them) in order, and their diagnostics."""
     diag = _no_diagnostics()
-    values = np.empty(count)
-    step, block = spec.chunk_len(), spec.block_len(side)
-    for b in range(0, count, block):
-        samples = spec.stacked(side, start + b, min(block, count - b))
-        for a in range(b, b + len(samples[0]), step):
-            chunk = [S[a - b:a - b + step] for S in samples]
-            values[a:a + len(chunk[0])] = _run_chunk(spec, side, start + a, chunk, diag)
-    return values, diag
+    values = [_run_chunk(spec, parts, diag) for parts in _chunks(blocks, spec.chunk_len())]
+    return np.concatenate(values or [np.empty(0)]), diag
+
+
+def _worker(payload: tuple) -> tuple:
+    """The values and diagnostics of positions start, ..., stop - 1 of the
+    key sequence of ``sides``."""
+    spec, sides, start, stop = payload
+    return _values(spec, _sequence_blocks(spec, sides, start, stop))
 
 
 def run_trials(spec: _Spec, sides, threads: int | None) -> tuple:
-    """The per-trial values of each side of ``sides`` (lln: each row) in
-    index order, and the diagnostics summed over them all.  Under
-    ``threads`` (``resolve_threads``) > 1 every side runs as ``threads``
-    ranges of trials in one process pool; with fewer than 2 ``threads``
-    trials a side, serially."""
-    trials, threads = spec.trials, resolve_threads(threads)
-    parts = 1 if threads <= 1 or trials < 2 * threads else threads
-    cuts = [trials * k // parts for k in range(parts + 1)]
-    payloads = [(spec, side, a, b - a) for side in sides for a, b in zip(cuts, cuts[1:])]
+    """The per-trial values of ``sides`` (lln: rows), one row per side in
+    index order, and the diagnostics summed over them all.
+
+    The trials run as one sequence of (side, trial) keys, side after side,
+    cut into chunks across sides (``_chunks``).  Under ``threads``
+    (``resolve_threads``) > 1 the sequence runs as ``threads`` contiguous
+    ranges in one process pool; with fewer than 2 ``threads`` keys,
+    serially."""
+    sides, threads = tuple(sides), resolve_threads(threads)
+    total = len(sides) * spec.trials
+    parts = 1 if threads <= 1 or total < 2 * threads else threads
+    cuts = [total * k // parts for k in range(parts + 1)]
+    payloads = [(spec, sides, a, b) for a, b in zip(cuts, cuts[1:])]
     if parts == 1:
         results = [_worker(payload) for payload in payloads]
     else:
@@ -1016,10 +1069,7 @@ def run_trials(spec: _Spec, sides, threads: int | None) -> tuple:
     for _, d in results:
         for key, count in d.items():
             diag[key] += count
-    values = [v for v, _ in results]
-    if parts > 1:
-        values = [np.concatenate(values[i:i + parts]) for i in range(0, len(values), parts)]
-    return values, diag
+    return np.concatenate([v for v, _ in results]).reshape(len(sides), spec.trials), diag
 
 
 # ---------------------------------------------------------------------------
@@ -1034,22 +1084,25 @@ def _rule_of(spec: _PolarSpec, side: int, index: int) -> int | None:
     return next(key for key in diag if key not in DIAGNOSTICS)
 
 
-def _certificate(spec: _PolarSpec, config: dict, sides: list, nodes: int, every: bool) -> dict:
+def _certificate(spec: _PolarSpec, config: dict, sides: np.ndarray, nodes: int,
+                 every: bool) -> dict:
     """Each side's count of trials, and their worst relative gap between its
     values ``sides[s]`` on the grid of ``nodes`` nodes and the chunk route
     on twice as many (the petty command's ``certify``), over the trials
     whose index is a multiple of CERTIFY_STRIDE that took the grid (all
     when ``every``, else by ``_rule_of``); None with none."""
     fine = SPECS[spec.kind](dict(config, quadrature={"nodes": 2 * nodes}))
+    took = [[index for index in range(0, len(values), CERTIFY_STRIDE)
+             if every or _rule_of(spec, side, index) == nodes] for side, values in enumerate(sides)]
+    # both sides' keys as one sequence, each drawn as a block of one
+    want, _ = _values(fine, ((side, index, fine.stacked(side, index, 1))
+                             for side, keys in enumerate(took) for index in keys))
     checked, gaps = {}, {}
-    for side, name in enumerate(("lhs", "rhs")):
-        took = [index for index in range(0, len(sides[side]), CERTIFY_STRIDE)
-                if every or _rule_of(spec, side, index) == nodes]
-        want = [_run_chunk(fine, side, index, fine.stacked(side, index, 1),
-                           _no_diagnostics())[0] for index in took]
-        checked[name] = len(took)
-        gaps[name] = max((float(abs(sides[side][index] - w) / max(abs(w), 1e-300))
-                          for index, w in zip(took, want)), default=None)
+    for name, keys, got, fine_values in zip(("lhs", "rhs"), took, sides,
+                                            np.split(want, [len(took[0])])):
+        checked[name] = len(keys)
+        gaps[name] = max((float(abs(got[index] - w) / max(abs(w), 1e-300))
+                          for index, w in zip(keys, fine_values)), default=None)
     return {"nodes": 2 * nodes, "trials_per_side": checked, "max_relative_gap": gaps}
 
 

@@ -91,6 +91,12 @@ def _msum(*components, **fields):
                 c_set={"kind": "msum", "components": list(components), **fields})
 
 
+def _leading(key: str) -> str:
+    """The pattern of a message that leads with ``key``: every config error
+    names its key first, as "<key> ..." or "unknown key <key>"."""
+    return rf"^(unknown key )?{re.escape(key)}"
+
+
 # config -> the key its ConfigError names
 REJECTIONS = {
     "trials-float": (run_theorem_1_2, dict(THM12_SMALL, trials=2.9), "trials"),
@@ -312,7 +318,7 @@ class TestValidation:
     @pytest.mark.parametrize("name", sorted(REJECTIONS))
     def test_a_bad_field_is_rejected_by_its_key(self, name):
         runner, config, key = REJECTIONS[name]
-        with pytest.raises(ConfigError, match=re.escape(key)):
+        with pytest.raises(ConfigError, match=_leading(key)):
             runner(config)
 
     def test_estimate_rejects_a_side_it_does_not_have(self):
@@ -453,7 +459,8 @@ class TestEstimates:
         (run_lln, dict(LLN_SMALL, trials=8, m1_list=[4, 5, 6], m2_list=[4, 3, 2]), 1),
         (lambda config, threads: estimate("empmixed", config, side=1, threads=threads).to_dict(),
          dict(EMPMIXED_SMALL, trials=8), 1),
-        (run_theorem_1_2, dict(THM12_SMALL, trials=3), 0),
+        # 2 keys, one a side: fewer than two keys per thread
+        (run_theorem_1_2, dict(THM12_SMALL, trials=1), 0),
     ], ids=["two-sided", "lln-three-rows", "estimate", "fewer-than-two-per-thread"])
     def test_a_report_runs_every_side_in_one_pool(self, run, config, pools, monkeypatch):
         started = []
@@ -611,23 +618,46 @@ class TestChunks:
     @pytest.mark.parametrize("name", sorted(ROUTED))
     def test_values_do_not_depend_on_the_split(self, name, monkeypatch):
         kind, config = ROUTED[name]
-        spec = SPECS[kind](config)
         n = 23
-        whole, diag = harness._worker((spec, 0, 0, n))
-        for cuts in ([0, 1, 2, 9, 10, 22, 23], list(range(n + 1))):
-            parts = [harness._worker((spec, 0, a, b - a))
-                     for a, b in zip(cuts[:-1], cuts[1:])]
+        spec = SPECS[kind](dict(config, trials=n))
+        sides = tuple(range(len(spec.blocks)))
+        total = n * len(sides)
+        whole, diag = harness._worker((spec, sides, 0, total))
+        # the key sequence is each side's trials in turn, side after side
+        want = np.concatenate([spec.chunk(side, 0, n, harness._no_diagnostics())
+                               for side in sides])
+        assert np.array_equal(whole, want)
+        # ranges that straddle the side boundary at n, and ranges of one key
+        for cuts in ([0, 1, 2, 9, 10, 22, 24, 25, 40], [0, 20, 30], list(range(total))):
+            cuts = sorted({c for c in cuts if c < total} | {total})
+            parts = [harness._worker((spec, sides, a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
             assert np.array_equal(np.concatenate([v for v, _ in parts]), whole)
             assert {key: sum(d[key] for _, d in parts) for key in diag} == diag
-        # sample blocks of 5 trials, so that the range spans five of them
+        # sample blocks of 5 trials, so that each side spans five of them and
+        # chunks take the tail of one block and the head of the next
         entries = spec.dim * sum(m for _, m in spec.blocks[0])
         monkeypatch.setattr(harness, "CHUNK_ENTRIES", 5 * entries)
         assert spec.block_len(0) == 5
-        values, d = harness._worker((spec, 0, 0, n))
+        values, d = harness._worker((spec, sides, 0, total))
         assert np.array_equal(values, whole) and d == diag
         monkeypatch.setattr(harness, "CHUNK_ENTRIES", 1)
-        values, d = harness._worker((spec, 0, 0, n))
+        values, d = harness._worker((spec, sides, 0, total))
         assert np.array_equal(values, whole) and d == diag
+
+    def test_a_chunk_is_cut_across_sides_not_across_draw_shapes(self):
+        # lln rows of m1 = 4, 4 and 6 share one chunk length, of more than
+        # the 8 keys; the first two rows have one draw shape and fill one
+        # chunk, and the third row draws (6, 2) clouds and starts its own
+        spec = SPECS["lln"](dict(LLN_SMALL, trials=3, m1_list=[4, 4, 6], m2_list=[4, 4, 4]))
+
+        def chunks(sides, start, stop, step):
+            blocks = harness._sequence_blocks(spec, sides, start, stop)
+            return [[(side, first, len(part[0])) for side, first, part in parts]
+                    for parts in harness._chunks(blocks, step)]
+
+        assert chunks((0, 1, 2), 1, 9, spec.chunk_len()) == [[(0, 1, 2), (1, 0, 3)], [(2, 0, 3)]]
+        # chunks of two keys cut inside a side and across the boundary
+        assert chunks((0, 1), 0, 6, 2) == [[(0, 0, 2)], [(0, 2, 1), (1, 0, 1)], [(1, 1, 2)]]
 
     @pytest.mark.parametrize("odd", [False, True], ids=["sampled", "odd-clouds"])
     @pytest.mark.parametrize("name", sorted(ROUTED))
@@ -702,6 +732,36 @@ class TestChunks:
         values = large.chunk(0, 0, 3, harness._no_diagnostics())
         want = [large.trial(0, i, harness._no_diagnostics()) for i in range(3)]
         assert values.tolist() == want
+
+    @pytest.mark.parametrize("kind, config, calls", [
+        # the 4 trials of a tetrahedron pair report: one chunk, was one a side
+        ("thm11", dict(CHUNKED["thm11-3d-simplices"][1], trials=2), [4]),
+        # a 100-a-side Gaussian 3-D thm12 report: one chunk, was one a side
+        ("thm12", dict(CHUNKED["thm12-3d-gaussian"][1], trials=100), [200]),
+        # two lln rows of different m draw different shapes: a chunk each
+        ("lln", dict(LLN_SMALL, trials=5, m1_list=[4, 6], m2_list=[4, 4]), [5, 5]),
+    ], ids=["thm11-tetrahedra", "thm12-3d-gaussian", "lln-two-rows"])
+    def test_a_report_calls_its_kernel_once_per_chunk(self, kind, config, calls, monkeypatch):
+        spec = SPECS[kind]
+        real, sizes = spec.kernel, []
+
+        def kernel(self, samples, diag):
+            sizes.append(len(samples[0]))
+            return real(self, samples, diag)
+
+        monkeypatch.setattr(spec, "kernel", kernel)
+        harness.RUNNERS[kind](config, threads=1)
+        assert sizes == calls
+
+    @pytest.mark.parametrize("kind, config", [
+        ("thm11", dict(CHUNKED["thm11-3d-simplices"][1], trials=5)),
+        ("lln", dict(LLN_SMALL, trials=5, m1_list=[4, 6], m2_list=[4, 4])),
+    ], ids=["thm11-tetrahedra", "lln-two-rows"])
+    def test_reports_are_identical_at_one_two_and_three_threads(self, kind, config):
+        # 10 keys; at 3 threads the range of keys 3-5 straddles the side (row) boundary
+        reports = {report_to_json(harness.RUNNERS[kind](config, threads=threads))
+                   for threads in (1, 2, 3)}
+        assert len(reports) == 1
 
     @pytest.mark.parametrize("name", ["thm12-3d-gaussian", "thm12-3d-ball", "thm11-3d-zonotopes",
                                       "cor13", "thm11-3d-simplices", "empmixed-3d-simplices",
@@ -958,7 +1018,7 @@ class TestSpatialRoutes:
     def test_a_chunk_holds_a_whole_spatial_thm12_report(self):
         kind, config = CHUNKED["thm12-3d-gaussian"]
         spec = SPECS[kind](dict(config, trials=100))
-        assert spec.nodes is None and spec.chunk_len() >= 100
+        assert spec.nodes is None and spec.chunk_len() >= 2 * 100
 
     def test_a_chunk_holds_twice_the_full_circle_walk_trials(self):
         # the walk keeps half of each circle's arcs, so a 3 x 3 Gaussian pair
@@ -1159,6 +1219,27 @@ class TestTrialErrors:
         with pytest.raises(TrialError, match=r"trial \(0, 7\): GeometryError") as info:
             run_theorem_1_2(config)
         assert info.value.key == (0, 7)
+
+    def test_a_failing_trial_in_a_chunk_across_sides_names_its_side(self, monkeypatch, cold_memo):
+        # trial (1, 7) collapses to a point; the report's 80 keys are one
+        # chunk, and the range from key 30 holds side 0's trials 30-39 and
+        # side 1's trials 0-9 in one chunk
+        real = Density.sample
+        target = real(Density.gaussian(2), RngStream(5, (1, 7)).generator(), 3)
+
+        def sample(self, gen, count):
+            pts = real(self, gen, count)
+            return np.zeros_like(pts) if np.array_equal(pts, target) else pts
+
+        _patch_sample(monkeypatch, sample)
+        spec = SPECS["thm12"](THM12_SMALL)
+        assert spec.chunk_len() >= 2 * spec.trials
+        with pytest.raises(TrialError, match=r"trial \(1, 7\): GeometryError") as info:
+            run_theorem_1_2(THM12_SMALL)
+        assert info.value.key == (1, 7)
+        with pytest.raises(TrialError) as info:
+            harness._worker((spec, (0, 1), 30, 50))
+        assert info.value.key == (1, 7)
 
     def test_a_flat_hull_fails_emppetty2_and_counts_in_lln(self, monkeypatch, cold_memo):
         # the m1 points of 3-D trial (0, 3) flattened onto the plane z = 0:
@@ -1510,7 +1591,7 @@ class TestCli:
             "certify-string", "quadrature-under-exact", "quadrature-under-default",
             "method-auto", "nodes-null"])
     def test_petty_rejects_a_bad_field_by_its_key(self, tmp_path, capsys, config, key):
-        with pytest.raises(ConfigError, match=re.escape(key)):
+        with pytest.raises(ConfigError, match=_leading(key)):
             cli.run_petty(config)
         assert cli.main(["petty", "--config", self._write(tmp_path, config)]) == 1
         assert key in capsys.readouterr().err
