@@ -135,7 +135,7 @@ class Zonotope:
     generators: np.ndarray
 
     def __post_init__(self):
-        gens = as_points(self.generators)
+        gens = _finite_points(self.generators)
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
 
@@ -190,6 +190,14 @@ def _abs_pairing(U, V: np.ndarray) -> np.ndarray:
 # ``cloud_widths``; a 2-D product over the stacked rows is not, since
 # OpenBLAS gives row blocks of ``X @ A`` other last bits than the whole
 # product, so a row would depend on the size of its stack.
+#
+# Each kernel splits a stack's coordinates once onto an axis ahead of the
+# stack's (the walk's 3-vectors as (3, T, ...), the rank and edge tests'
+# clouds point-major as (k, n, T)) and writes every difference,
+# orientation, dot and cross product as explicit per-coordinate arithmetic
+# in the order the one-row form rounds it.  No reduction or index gather
+# runs over an axis of length 2 or 3, every elementwise step runs over long
+# contiguous rows, and sums over points keep the point axis outermost.
 
 
 def cloud_widths(P: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -214,66 +222,102 @@ RANK_RATIO = 1e-6
 def full_rank(V: np.ndarray) -> np.ndarray:
     """Mask of the stacked row sets V[t], shape (T, k, n) with n = 2 or 3,
     whose rows span R^n with margin, s_min/s_max > RANK_RATIO; False means
-    "flat or too close to call", which callers settle with ``hull``.
-    Centered clouds give the mask of hulls that ``hull`` would find
-    full-dimensional; the generator rows of zonotopes, of those that are.
+    "flat or too close to call", which callers settle with ``hull``.  The
+    generator rows of zonotopes give the mask of those that are
+    full-dimensional; ``full_dimensional`` centers clouds first.
 
     Each set is scaled to entries of at most 1, as in ``_affine_rank``, and
     with M = V^T V, s_min/s_max >= sqrt(det M) / trace(M)^(n/2), since the
-    other singular values are at most s_max and s_max^2 <= trace M.  M sums
-    the rows' outer products in row order, so a set's answer does not depend
-    on the sets stacked with it.  Costs k n^2 entries per set.
+    other singular values are at most s_max and s_max^2 <= trace M.  The
+    sets are copied point-major, (k, n, T), and M is the sum of the rows'
+    outer products, (k, n, n, T), over that leading point axis: row after
+    row in row order, for every T, since the n n T axes inside the sum are
+    never reduced.  So a set's answer does not depend on the sets stacked
+    with it, and M holds the bits of the (T, k, n, n) outer products summed
+    over their point axis, in a third of the time on the stacks the kernels
+    pass (16 sets of 64 planar points, 500 of 4, 200 of 4 spatial ones).
+    Costs k n^2 entries per set.
     """
-    T, _, n = V.shape
-    scale = np.abs(V).reshape(T, -1).max(axis=1)
-    V = V / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-    M = (V[:, :, :, None] * V[:, :, None, :]).sum(axis=1)
-    if n == 2:
-        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-        trace = M[:, 0, 0] + M[:, 1, 1]
-    else:
-        det = (M[:, 0, 0] * (M[:, 1, 1] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 1])
-               - M[:, 0, 1] * (M[:, 1, 0] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 0])
-               + M[:, 0, 2] * (M[:, 1, 0] * M[:, 2, 1] - M[:, 1, 1] * M[:, 2, 0]))
-        trace = M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2]
-    return det > RANK_RATIO ** 2 * trace ** n
+    return _spans(V.transpose(1, 2, 0).copy())
+
+
+def full_dimensional(P: np.ndarray) -> np.ndarray:
+    """``full_rank`` of the clouds P[t], shape (T, k, n), centered at their
+    means: the mask of the hulls ``hull`` would find full-dimensional.  The
+    means take the bits of ``P.mean(axis=1)``, a sum over the points in
+    order and one divide."""
+    X = P.transpose(1, 2, 0).copy()
+    X -= np.add.reduce(X, axis=0) / P.shape[1]
+    return _spans(X)
+
+
+def _spans(X: np.ndarray) -> np.ndarray:
+    """``full_rank`` of the point-major sets X, shape (k, n, T)."""
+    det, trace = _gram_det_trace(X)
+    return det > RANK_RATIO ** 2 * trace ** X.shape[1]
+
+
+def _gram_det_trace(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(det M, trace M), shape (T,), of the Gram matrices M of the
+    point-major sets X, shape (k, n, T), each scaled in place to entries of
+    at most 1 (see ``full_rank``)."""
+    scale = np.abs(X).max(axis=(0, 1), initial=0.0)
+    X /= np.where(scale > 0.0, scale, 1.0)
+    M = (X[:, :, None] * X[:, None, :]).sum(axis=0)
+    if X.shape[1] == 2:
+        (a, b), (_, d) = M
+        return a * d - b * b, a + d
+    (a, b, c), (_, d, e), (_, _, f) = M
+    return a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c), a + d + f
 
 
 def _planar_edge_test(P: np.ndarray) -> tuple:
-    """(d, edges, ok) for stacked planar clouds P of shape (T, k, 2):
-    d[t, i, j] = p_j - p_i; edges[t, i, j] True when (i, j) is a
-    counterclockwise hull edge, every other point strictly to its left; ok
-    the mask of the clouds where that test holds with margin.  A cloud with
-    an orientation within COPLANAR_TOL of zero relative to its squared
-    diameter (repeated or collinear points), or whose centered points
-    ``full_rank`` cannot call, is masked out.  Costs k^3 entries per cloud."""
-    T, k, _ = P.shape
-    d = P[:, None, :, :] - P[:, :, None, :]  # d[t, i, j] = p_j - p_i
-    orient = (d[:, :, :, None, 0] * d[:, :, None, :, 1]
-              - d[:, :, :, None, 1] * d[:, :, None, :, 0])  # (t, i, j, l)
-    eye = np.eye(k, dtype=bool)
-    other = ~(eye[:, :, None] | eye[:, None, :] | eye[None, :, :])
-    diam_sq = np.square(d).sum(axis=-1).reshape(T, -1).max(axis=1)
-    tol = COPLANAR_TOL * diam_sq[:, None, None, None]
-    near = (np.abs(orient) <= tol) & other
-    edges = ((orient > 0.0) | ~other).all(axis=-1) & ~eye
-    ok = full_rank(P - P.mean(axis=1, keepdims=True)) & ~near.reshape(T, -1).any(axis=1)
-    return d, edges, ok
+    """(dx, dy, edges, ok) for stacked planar clouds P of shape (T, k, 2),
+    the first three with the stack on the last axis: dx[i, j, t] and
+    dy[i, j, t], p_j - p_i on the x and y planes; edges[i, j, t] True when
+    (i, j) is a counterclockwise hull edge, every other point strictly to
+    its left; and ok, shape (T,), the mask of the clouds where that test
+    holds with margin.  A cloud with an orientation within COPLANAR_TOL of
+    zero relative to its squared diameter (repeated or collinear points),
+    or that ``full_dimensional`` cannot call, is masked out.  The points are
+    copied point-major, (k, 2, T), once, so that each difference and
+    orientation runs over the whole stack as one contiguous row: at 200 and
+    500 clouds of 4 points the test takes a third of the time it took on
+    (T, k, k, k) orientations of last-axis points, with the same bits.
+    Costs k^3 entries per cloud."""
+    k = P.shape[1]
+    X = P.transpose(1, 2, 0).copy()
+    x, y = X[:, 0], X[:, 1]
+    dx, dy = x[None] - x[:, None], y[None] - y[:, None]
+    orient = dx[:, :, None] * dy[:, None] - dy[:, :, None] * dx[:, None]
+    # the (i, j, l) with a repeated point and the (i, j) with one, on the
+    # stack's axis
+    eye = np.eye(k, dtype=bool)[..., None]
+    same = eye[:, :, None] | eye[None] | eye[:, None]
+    diam_sq = (dx * dx + dy * dy).max(axis=(0, 1), initial=0.0)
+    near = (np.abs(orient) <= COPLANAR_TOL * diam_sq) & ~same
+    edges = ((orient > 0.0) | same).all(axis=2) & ~eye
+    X -= np.add.reduce(X, axis=0) / k
+    return dx, dy, edges, _spans(X) & ~near.any(axis=(0, 1, 2))
 
 
-def _pair_crosses(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """cross(a_i, b_j) for every pair of rows, shape (T, k, k)."""
-    return A[:, :, None, 0] * B[:, None, :, 1] - A[:, :, None, 1] * B[:, None, :, 0]
+def _pair_crosses(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """cross(p_i, p_j) for every pair of points on the x and y planes, shape
+    (k, T) each, as (k, k, T)."""
+    return x[:, None] * y[None] - y[:, None] * x[None]
 
 
 def planar_hull_areas(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Areas of the hulls conv P[t] without a hull, and the mask of clouds
     where they hold: half the sum of cross(p_i, p_j) over the hull edges
-    (i, j) of ``_planar_edge_test``; callers hull the clouds outside the
-    mask.  Costs k^3 entries per cloud."""
-    _, edges, ok = _planar_edge_test(P)
-    crosses = np.where(edges, _pair_crosses(P, P), 0.0)
-    return 0.5 * crosses.reshape(len(P), -1).sum(axis=1), ok
+    (i, j) of ``_planar_edge_test``, each cloud's k^2 terms in (i, j) order
+    as one contiguous row, summed pairwise; callers hull the clouds outside
+    the mask.  Costs k^3 entries per cloud."""
+    T, k, _ = P.shape
+    *_, edges, ok = _planar_edge_test(P)
+    x, y = P[..., 0].T, P[..., 1].T
+    crosses = np.where(edges, _pair_crosses(x, y), 0.0).reshape(k * k, T)
+    return 0.5 * np.ascontiguousarray(crosses.T).sum(axis=1), ok
 
 
 def planar_hull_edges(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +325,11 @@ def planar_hull_edges(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (E, ok): E[t, i] = p_j - p_i for the edge (i, j) leaving p_i, zero when
     p_i is not a hull vertex, and ok the mask of ``_planar_edge_test``.
     Each row of E sums at most one nonzero term, so it is exact."""
-    d, edges, ok = _planar_edge_test(P)
-    return np.where(edges[..., None], d, 0.0).sum(axis=2), ok
+    dx, dy, edges, ok = _planar_edge_test(P)
+    E = np.empty(P.shape)
+    E[..., 0] = np.where(edges, dx, 0.0).sum(axis=1).T
+    E[..., 1] = np.where(edges, dy, 0.0).sum(axis=1).T
+    return E, ok
 
 
 def _affine_rank(pts: np.ndarray) -> int:
@@ -709,19 +756,31 @@ WALK_EDGE_TOL = 1e-12
 FOOT_GAP = 1e-5
 
 
-# The walk keeps 3-vectors with their coordinates on the leading axis, so
-# that every elementwise step runs over long contiguous rows.
+# The walk keeps 3-vectors with their coordinates on the leading axis, as
+# every stacked kernel does (see "stacked clouds" above).
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a * b).sum(axis=0)
-
-
-_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+    """<a, b> over the leading axis: the products, then x + y + z in that
+    order."""
+    p = a * b
+    out = p[0] + p[1]
+    out += p[2]
+    return out
 
 
 def _vcross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[_NEXT] * b[_LAST] - a[_LAST] * b[_NEXT]
+    """a x b over the leading axis, each coordinate as ``np.cross`` rounds it."""
+    ax, ay, az, bx, by, bz = a[0], a[1], a[2], b[0], b[1], b[2]
+    x = ay * bz
+    out = np.empty((3,) + x.shape)
+    np.subtract(x, az * by, out=out[0])
+    y, z = out[1], out[2]
+    np.multiply(az, bx, out=y)
+    y -= ax * bz
+    np.multiply(ax, by, out=z)
+    z -= ay * bx
+    return out
 
 
 def perp(W: np.ndarray) -> np.ndarray:
@@ -731,8 +790,18 @@ def perp(W: np.ndarray) -> np.ndarray:
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of 3-vectors on the last axis: its operations and bits."""
-    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
+    """np.cross of 3-vectors on the last axis: its operations and bits, each
+    coordinate written into its plane of the output as ``_vcross`` does."""
+    ax, ay, az, bx, by, bz = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    x = ay * bz
+    out = np.empty(x.shape + (3,))
+    np.subtract(x, az * by, out=out[..., 0])
+    y, z = out[..., 1], out[..., 2]
+    np.multiply(az, bx, out=y)
+    y -= ax * bz
+    np.multiply(ax, by, out=z)
+    z -= ay * bx
+    return out
 
 
 def _circle_index(k: int, rows: range) -> tuple:
@@ -829,12 +898,13 @@ def spatial_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.
     sort last onto the half's end -a[0], so its arcs have length zero, and
     an edge shorter than WALK_EDGE_TOL, or whose line passes that close to
     the origin (a zero-length arc of coplanar generators), adds nothing.
-    The mask is False where two nonzero generators are exactly parallel
-    (merge them first), h_Z <= 0 at a crossing (Z is flat) or no generators
-    cross, and the values there are NaN; callers also keep out zonotopes
-    that do not span space.  The circles run in blocks of about
-    POLAR_BLOCK_ARCS arcs or rule nodes, a count fixed by k and the measure,
-    so a zonotope of many generators takes O(k^2) memory.  Only elementwise
+    The mask is False where a generator is not finite, two nonzero
+    generators are exactly parallel (merge them first), h_Z <= 0 at a
+    crossing (Z is flat) or no generators cross, and the values there are
+    NaN; callers also keep out zonotopes that do not span space.  The
+    circles run in blocks of about POLAR_BLOCK_ARCS arcs or rule nodes, a
+    count fixed by k and the measure, so a zonotope of many generators
+    takes O(k^2) memory.  Only elementwise
     steps, sorts, running sums and sums along axes whose length does not
     depend on the stack are used, so a row's value does not depend on the
     rows stacked with it.  Costs ``spatial_polar_entries(k, measure)``
@@ -854,14 +924,16 @@ def _stacked_walk(G: np.ndarray, measure, rule: tuple) -> tuple[np.ndarray, np.n
     G = G.transpose(2, 0, 1).copy()  # (3, T, k)
     step = max(1, POLAR_BLOCK_ARCS // ((k - 1) * max(1, _rule_nodes(measure))))
     i, j, *blocks = _walk_index(k, step)
-    X = _vcross(G[:, :, i], G[:, :, j])
-    # some generators must cross, and no nonzero ones may be parallel
+    X = _vcross(G.take(i, axis=2), G.take(j, axis=2))
+    # the generators must be finite, some must cross, and no nonzero ones
+    # may be parallel
     live, nonzero = X.any(axis=0), G.any(axis=0)
-    read = live.any(axis=1) & ~(~live & nonzero[:, i] & nonzero[:, j]).any(axis=1)
+    read = (live.any(axis=1) & ~(~live & nonzero[:, i] & nonzero[:, j]).any(axis=1)
+            & np.isfinite(G).all(axis=(0, 2)))
     if not read.all():
         # walk the unit cube in the place of the sets the walk cannot read
         G[:, ~read] = np.eye(3, k)[:, None, :]
-        X = _vcross(G[:, :, i], G[:, :, j])
+        X = _vcross(G.take(i, axis=2), G.take(j, axis=2))
     # the circles in blocks, their parts summed; Z° is origin-symmetric, so
     # the arc from -a to -b carries what a to b does
     total = np.zeros(len(read))
@@ -876,6 +948,10 @@ def _stacked_walk(G: np.ndarray, measure, rule: tuple) -> tuple[np.ndarray, np.n
         read &= ~flat
     values[read], ok[:] = total[read], read
     return values, ok
+
+
+# The coordinate index of the walk's (3, T, circles, k - 1) gathers.
+_XYZ = np.arange(3)[:, None, None, None]
 
 
 def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
@@ -893,9 +969,11 @@ def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
     _, T, k = G.shape
     m = k - 1
     circles, who, pairs, signs, rr = index
+    # every gather is a take or indexes every axis, so that its output is
+    # C-contiguous: the coordinates stay on the leading axis in memory too
     tt = np.arange(T)[:, None, None]
-    ring = X[:, :, pairs] * signs
-    g = G[:, :, circles, None]
+    ring = X.take(pairs, axis=2) * signs
+    g = G.take(circles, axis=2)[..., None]
     # angles around g from the circle's first nonzero point e: atan2 of
     # <p, g x e> / |g| and <p, e>, whatever the lengths of p, e and g; of
     # +-p the one at an angle in [0, pi) stays, s p with s = +-1
@@ -910,11 +988,12 @@ def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
         key[~live] = np.inf
     order = np.argsort(key, axis=-1, kind="stable")
     s_sorted = s[tt, rr, order]
-    p = ring[:, tt, rr, order] * s_sorted
+    p = ring[_XYZ, tt, rr, order] * s_sorted
     # <g_j, .> turns negative at g x g_j going counterclockwise, so g_j has
     # the sign s_j on the arc ending at a[0] and flips at its point: c
     # starts at sum s_j g_j, and one cumulative sum runs over both
-    terms = np.concatenate([s * G[:, :, who], -2.0 * s_sorted * G[:, tt, who[rr, order]]], axis=-1)
+    passed = G.reshape(3, T * k).take(tt * k + who[rr, order], axis=1)
+    terms = np.concatenate([s * G.take(who, axis=2), -2.0 * s_sorted * passed], axis=-1)
     c = np.cumsum(terms, axis=-1)[..., m:]
     # h_Z(p) = <c, p> on the arc from p, 0 at a zero generator's points
     h = _vdot(c, p)
@@ -1075,7 +1154,8 @@ def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.n
     """nu(Z°) for the planar zonotopes Z = sum [-g, g] over the generator
     rows of G[t], shape (T, k, 2), exactly and with no hull or grid, and the
     mask of the zonotopes it reads, as the walk's: False for the flat ones
-    (rank below 2, whose polar is a strip or the plane).  ``measure`` is a
+    (rank below 2, whose polar is a strip or the plane) and, value NaN, for
+    those with a generator that is not finite.  ``measure`` is a
     ``projections.RadialMeasure``, or None for Lebesgue measure.
 
     With I the measure's radial integral, nu(Z°) = int I(1 / h_Z(u)) dtheta
@@ -1108,6 +1188,12 @@ def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.n
     depend on the rows stacked with it.  Costs k^2 entries per zonotope.
     """
     variant = "lebesgue" if measure is None else measure.variant
+    bad = None
+    if not np.isfinite(G).all():
+        # the rows with a generator that is not finite are read as no
+        # generators and left out
+        bad = ~np.isfinite(G).all(axis=(1, 2))
+        G = np.where(bad[:, None, None], 0.0, G)
     # turn each g so that g_x >= 0, with no sign bit: w = (-g_y, g_x) then
     # lies in [0, pi]
     G = G * np.copysign(1.0, G[..., :1])
@@ -1156,7 +1242,10 @@ def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.n
         values[flat] = math.inf
     else:
         values[empty] = 1.0 if variant == "gaussian" else math.pi * measure.radius ** 2
-    return values, ~flat
+    held = ~flat
+    if bad is not None:
+        values[bad], held[bad] = math.nan, False
+    return values, held
 
 
 # ---------------------------------------------------------------------------

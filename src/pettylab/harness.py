@@ -154,6 +154,7 @@ from .bodies import (
     ball_body,
     cloud_widths,
     cube_body,
+    full_dimensional,
     full_rank,
     hull,
     is_unconditional,
@@ -787,7 +788,7 @@ class _Thm12Spec(_PolarSpec):
     def kernel(self, samples: list, diag: dict) -> tuple:
         P = self.cset.rows(samples[0])
         if self.form == "tetrahedron":
-            full = full_rank(P - P.mean(axis=1, keepdims=True))
+            full = full_dimensional(P)
             return self._values(tetrahedron_projection_generators(P), full, diag)
         if self.dim == 3:
             G = zonotope_projection_generators(P)
@@ -902,10 +903,9 @@ class _PairingSpec(_Spec):
     density on its polar projection polytope (``centroid``: over y / m2,
     the empirical centroid body).  ``strict`` kinds reject a degenerate
     spatial hull.  In the plane a kernel takes v1(conv A, Z) = sum_j width
-    of A along z_j^perp, on the clouds whose centered points
-    ``bodies.full_rank`` finds spanning the plane: its Gram test costs 4 m1
-    entries per trial, the widths one (m1, 2) @ (2, m2) product of m1 m2
-    entries."""
+    of A along z_j^perp, on the clouds that ``bodies.full_dimensional``
+    finds spanning the plane: its Gram test costs 4 m1 entries per trial,
+    the widths one (m1, 2) @ (2, m2) product of m1 m2 entries."""
 
     centroid = False
     strict = False
@@ -926,7 +926,7 @@ class _PairingSpec(_Spec):
     def kernel(self, samples: list, diag: dict) -> tuple:
         A, Y = samples
         Z = Y / Y.shape[1] if self.centroid else Y
-        return cloud_widths(A, perp(Z)).sum(axis=1), full_rank(A - A.mean(axis=1, keepdims=True))
+        return cloud_widths(A, perp(Z)).sum(axis=1), full_dimensional(A)
 
 
 class _EmpPetty2Spec(_PairingSpec):

@@ -196,7 +196,7 @@ def zonotope_projection_generators(G: np.ndarray) -> np.ndarray:
 def mixed_projection_generators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pi(Z_A, Z_B) of the zonotopes with generator rows A[t] and B[t]:
     h(u) = 2 sum_{i,j} |<a_i x b_j, u>|."""
-    return 2.0 * cross3(A[:, :, None], B[:, None, :]).reshape(len(A), -1, 3)
+    return 2.0 * cross3(A[:, :, None], B[:, None, :]).reshape(len(A), A.shape[1] * B.shape[1], 3)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

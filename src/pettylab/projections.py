@@ -25,7 +25,7 @@ from .bodies import (
     merge_parallel_generators,
     planar_polar_measures,
     polar_of_zonotope,
-    full_rank,
+    full_dimensional,
     reduced_form,
     spans_space,
     spatial_polar_measures,
@@ -110,8 +110,7 @@ class RadialMeasure:
         # exp(-R^2 / (2 s^2)), in place.
         out = np.minimum(R, GAUSSIAN_R_CLAMP * s, out=np.empty(np.shape(R)))
         tail = np.square(out, out=np.empty_like(out))
-        np.negative(tail, out=tail)
-        tail /= 2 * s * s
+        tail /= -2 * s * s
         np.exp(tail, out=tail)
         tail *= s * s * out
         out /= s * math.sqrt(2.0)
@@ -126,7 +125,7 @@ def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int)
     """Polar-radial quadrature of one body's support values hv on the
     canonical node set of that size (uniform weights)."""
     hv = np.asarray(hv, dtype=float)
-    if np.any(hv < 0):
+    if hv.min() < 0:
         if np.any(hv <= -1e-10):
             raise GeometryError("support evaluator returned negative values")
         hv = np.maximum(hv, 0.0)
@@ -214,13 +213,13 @@ def polar_measures(G: np.ndarray, measure: RadialMeasure | None = None,
     """nu(Z°) for the zonotopes Z = sum [-g, g] over the stacked generator
     rows of G[t], shape (T, k, n), and the mask of those the rule reads.
     With ``nodes`` they take the Fibonacci grid of that many nodes, which
-    holds every row, flat ones too (under Lebesgue measure it raises where
-    a node's support is 0); with none they are exact in the plane
-    (``bodies.planar_polar_measures``) and in space take the rule that
-    ``polar_nodes`` gives the measure at the stack's width k, the walk of
-    the normal fan (``bodies.spatial_polar_measures``, exact under Lebesgue
-    measure) or a grid.  ``measure`` is a RadialMeasure, or None for
-    Lebesgue measure.
+    holds every row whose generators are finite, flat ones too (under
+    Lebesgue measure it raises where a node's support is 0); with none they
+    are exact in the plane (``bodies.planar_polar_measures``) and in space
+    take the rule that ``polar_nodes`` gives the measure at the stack's
+    width k, the walk of the normal fan (``bodies.spatial_polar_measures``,
+    exact under Lebesgue measure) or a grid.  ``measure`` is a
+    RadialMeasure, or None for Lebesgue measure.
 
     Each grid row is ``polar_measure`` of its one zonotope, so a row's value
     does not depend on the rows stacked with it.  In cor13 reports on a
@@ -231,8 +230,10 @@ def polar_measures(G: np.ndarray, measure: RadialMeasure | None = None,
     if nodes is None:
         return (planar_polar_measures if G.shape[-1] == 2 else spatial_polar_measures)(G, measure)
     measure = measure or RadialMeasure.lebesgue()
-    values = [polar_measure(Zonotope(g), measure, nodes) for g in G]
-    return np.array(values, dtype=float), np.ones(len(G), dtype=bool)
+    held = np.isfinite(G).all(axis=(1, 2))
+    values = np.full(len(G), math.nan)
+    values[held] = [polar_measure(Zonotope(g), measure, nodes) for g in G[held]]
+    return values, held
 
 
 def zonotope_polar_measure(Z: Zonotope, measure: RadialMeasure | None = None) -> float:
@@ -309,22 +310,21 @@ def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, 
     _TETRAHEDRON_EDGES.  Row t of the stack holds the rows w of the crossing
     pairs in edge-table order, signed to their atoms' normals, then zero
     rows up to TETRAHEDRON_PAIR_ATOMS, so h_{Pi(A, B)}(u) = sum |<w, u>| / 4
-    and V(A, B, C) = sum h_C(w) / 6.  The mask is False where ``full_rank``
-    cannot call a centered cloud, a pair ties (a face parallel to an edge,
-    parallel edges, repeated points) or a row lists more pairs than fit,
-    which only tied rows do; callers take the hull route there."""
+    and V(A, B, C) = sum h_C(w) / 6.  The mask is False where
+    ``full_dimensional`` cannot call a cloud, a pair ties (a face parallel
+    to an edge, parallel edges, repeated points) or a row lists more pairs
+    than fit, which only tied rows do; callers take the hull route there."""
     i, j, off = _TETRAHEDRON_EDGES[:, 0], _TETRAHEDRON_EDGES[:, 1], _TETRAHEDRON_EDGES[:, 2:]
     w, plus, minus, tied = edge_crossings(*((C[:, j] - C[:, i], C[:, off] - C[:, i, None])
                                             for C in (P, Q)))
-    T, hit = len(P), (plus > 0.0) | (minus > 0.0)
-    holds = (full_rank(P - P.mean(axis=1, keepdims=True))
-             & full_rank(Q - Q.mean(axis=1, keepdims=True)) & ~tied.reshape(T, -1).any(axis=1)
-             & (hit.reshape(T, -1).sum(axis=1) <= TETRAHEDRON_PAIR_ATOMS))
+    T, pairs, hit = len(P), len(i) ** 2, (plus > 0.0) | (minus > 0.0)
+    holds = (full_dimensional(P) & full_dimensional(Q) & ~tied.reshape(T, pairs).any(axis=1)
+             & (hit.reshape(T, pairs).sum(axis=1) <= TETRAHEDRON_PAIR_ATOMS))
     w[minus > 0.0] *= -1.0
     w[~hit] = 0.0
     # the crossing rows first, in edge-table order
-    front = np.argsort(~hit.reshape(T, -1), axis=1, kind="stable")[:, :TETRAHEDRON_PAIR_ATOMS, None]
-    return np.take_along_axis(w.reshape(T, -1, 3), front, axis=1), holds
+    front = np.argsort(~hit.reshape(T, pairs), axis=1, kind="stable")[:, :TETRAHEDRON_PAIR_ATOMS, None]
+    return np.take_along_axis(w.reshape(T, pairs, 3), front, axis=1), holds
 
 
 def mixed_projection_support(bodies: list) -> Zonotope:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +32,23 @@ class EstimateWithCI:
 
 def summarize(values: np.ndarray) -> EstimateWithCI:
     """Summary of per-trial values; the values must arrive in trial order so
-    that pairwise summation makes the result schedule-independent."""
+    that pairwise summation makes the result schedule-independent.  The mean
+    and the sample standard deviation are the sums ``np.mean`` and
+    ``np.std(ddof=1)`` take, in their order: the pairwise sum over n, then
+    the pairwise sum of the squared deviations from that mean over n - 1,
+    with none of their dispatch."""
     values = np.asarray(values, dtype=float)
     n = len(values)
     if n == 0:
         raise ValueError("cannot summarize zero trials")
-    mean = float(np.mean(values))
+    mean = float(np.add.reduce(values) / n)
     if n > 1:
-        sd = float(np.std(values, ddof=1))
-        stderr = sd / np.sqrt(n)
+        dev = values - mean
+        np.square(dev, out=dev)
+        stderr = math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
     else:
         stderr = 0.0
-    return EstimateWithCI(mean, float(stderr), mean - Z_95 * stderr, mean + Z_95 * stderr, n)
+    return EstimateWithCI(mean, stderr, mean - Z_95 * stderr, mean + Z_95 * stderr, n)
 
 
 def classify(lhs: EstimateWithCI, rhs: EstimateWithCI, direction: str) -> str:

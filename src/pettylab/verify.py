@@ -44,6 +44,7 @@ from .bodies import (
     cloud_widths,
     cube_body,
     hull,
+    full_dimensional,
     full_rank,
     merge_parallel_generators,
     minkowski_sum,
@@ -521,7 +522,7 @@ def check_planar_kernels(seed: int = 0):
                     for got, W in ((widths, perp), (zwidths, Zperp)))
     areas, areas_hold = planar_hull_areas(P)
     edges, edges_hold = planar_hull_edges(P)
-    full = full_rank(P - P.mean(axis=1, keepdims=True))
+    full = full_dimensional(P)
     spans = full_rank(P)
     nu = RadialMeasure.gaussian(0.8)
     pairs = []
@@ -587,7 +588,7 @@ def check_spatial_kernels(seed: int = 0):
 
     forms = [
         (tetrahedron_projection_generators(P),
-         full_rank(P - P.mean(axis=1, keepdims=True)),
+         full_dimensional(P),
          lambda t: hull(P[t]).affine_dim == 3,
          lambda t: projection_body(hull(P[t]), allow_degenerate=True).support_batch(U)),
         (zonotope_projection_generators(A), full_rank(A),

@@ -46,8 +46,20 @@ from pettylab.bodies import (
     sphere_directions,
     spatial_polar_measures,
 )
-from pettylab.mixed import centroid, facets, mixed_projection_generators
-from pettylab.projections import RadialMeasure, polar_measure_from_support, projection_body
+from pettylab.mixed import (
+    centroid,
+    facets,
+    mixed_projection_generators,
+    zonotope_projection_generators,
+)
+from pettylab.projections import (
+    RadialMeasure,
+    polar_measure_from_support,
+    polar_measures,
+    projection_body,
+    tetrahedron_pair_normals,
+    tetrahedron_projection_generators,
+)
 from pettylab.verify import (
     brute_hull_vertices_3d,
     cloud_widths_elementwise,
@@ -267,6 +279,181 @@ class TestFullRank:
             G[1] = 0.0
             G[2, :, -1] = 0.0
             assert bodies.full_rank(G).tolist() == [True, False, False, True, True]
+
+
+# The forms the coordinate-first kernels replaced, kept as their references:
+# each kernel must give their bits.
+
+
+def _gram_reference(V: np.ndarray) -> tuple:
+    """(det M, trace M) of ``full_rank`` by the (T, k, n, n) outer-product
+    reduce over the point axis."""
+    T, _, n = V.shape
+    scale = np.abs(V).reshape(T, -1).max(axis=1)
+    V = V / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    M = (V[:, :, :, None] * V[:, :, None, :]).sum(axis=1)
+    if n == 2:
+        return M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0], M[:, 0, 0] + M[:, 1, 1]
+    det = (M[:, 0, 0] * (M[:, 1, 1] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 1])
+           - M[:, 0, 1] * (M[:, 1, 0] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 0])
+           + M[:, 0, 2] * (M[:, 1, 0] * M[:, 2, 1] - M[:, 1, 1] * M[:, 2, 0]))
+    return det, M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2]
+
+
+def _full_rank_reference(V: np.ndarray) -> np.ndarray:
+    det, trace = _gram_reference(V)
+    return det > bodies.RANK_RATIO ** 2 * trace ** V.shape[-1]
+
+
+def _edge_test_reference(P: np.ndarray) -> tuple:
+    """``_planar_edge_test`` on the last-axis differences d = p_j - p_i."""
+    T, k, _ = P.shape
+    d = P[:, None, :, :] - P[:, :, None, :]
+    orient = (d[:, :, :, None, 0] * d[:, :, None, :, 1]
+              - d[:, :, :, None, 1] * d[:, :, None, :, 0])
+    eye = np.eye(k, dtype=bool)
+    other = ~(eye[:, :, None] | eye[:, None, :] | eye[None, :, :])
+    diam_sq = np.square(d).sum(axis=-1).reshape(T, -1).max(axis=1)
+    near = (np.abs(orient) <= bodies.COPLANAR_TOL * diam_sq[:, None, None, None]) & other
+    edges = ((orient > 0.0) | ~other).all(axis=-1) & ~eye
+    ok = _full_rank_reference(P - P.mean(axis=1, keepdims=True)) & ~near.reshape(T, -1).any(axis=1)
+    crosses = P[:, :, None, 0] * P[:, None, :, 1] - P[:, :, None, 1] * P[:, None, :, 0]
+    areas = 0.5 * np.where(edges, crosses, 0.0).reshape(T, -1).sum(axis=1)
+    return d, edges, ok, areas, np.where(edges[..., None], d, 0.0).sum(axis=2)
+
+
+def _margin_stack(n: int, gen) -> np.ndarray:
+    """Row sets whose s_min / s_max sits at 0.5 to 20 times RANK_RATIO."""
+    sets = []
+    for factor in np.geomspace(0.5, 20.0, 40):
+        U, _ = np.linalg.qr(gen.normal(size=(9, n)))
+        Q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+        s = np.ones(n)
+        s[-1] = factor * bodies.RANK_RATIO
+        sets.append((U * s) @ Q)
+    return np.stack(sets)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestStackedKernelBits:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_rank_equals_the_outer_product_reduce(self, n):
+        gen = np.random.default_rng(90 + n)
+        stacks = [gen.normal(size=(T, k, n)) for T in (1, 3, 16) for k in (n, 4, 9, 64)]
+        stacks.append(_margin_stack(n, gen))
+        flat = gen.normal(size=(12, 6, n))
+        flat[:, :, -1] = flat[:, :, :-1].sum(axis=-1)
+        flat[0] = 0.0
+        stacks.append(flat)
+        for V in stacks:
+            for W in (V, V * 2.0 ** 300, V * 2.0 ** -300):
+                want = _gram_reference(W)
+                got = bodies._gram_det_trace(W.transpose(1, 2, 0).copy())
+                assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+                assert np.array_equal(bodies.full_rank(W), _full_rank_reference(W))
+                centered = _full_rank_reference(W - W.mean(axis=1, keepdims=True))
+                assert np.array_equal(bodies.full_dimensional(W), centered)
+                # a set alone takes the bits it takes in the stack
+                for t in (0, len(W) - 1):
+                    alone = bodies._gram_det_trace(W[t, :, :, None].copy())
+                    assert _bits(alone[0]) == _bits(got[0][t:t + 1])
+        margin = bodies.full_rank(stacks[-2])
+        assert margin.any() and not margin.all()
+        assert not bodies.full_rank(flat).any()
+
+    def test_the_edge_test_equals_the_last_axis_form(self):
+        gen = np.random.default_rng(93)
+        stacks = []
+        for k in (3, 4, 5, 7):
+            stacks.append(gen.normal(size=(23, k, 2)))
+            line = gen.normal(size=(11, 1, 2)) * gen.normal(size=(11, k, 1)) + gen.normal(size=(11, 1, 2))
+            stacks.append(line)  # collinear
+            P = gen.normal(size=(11, k, 2))
+            P[:, -1] = P[:, 0]  # a repeated point
+            stacks.append(P)
+            stacks.append(gen.integers(-1, 2, size=(17, k, 2)).astype(float))
+        for P in stacks:
+            d, edges, ok, areas, E = _edge_test_reference(P)
+            dx, dy, got_edges, got_ok = bodies._planar_edge_test(P)
+            # the stack on the last axis
+            d = d.transpose(1, 2, 0, 3)
+            assert _bits(dx) == _bits(d[..., 0]) and _bits(dy) == _bits(d[..., 1])
+            assert np.array_equal(got_edges, edges.transpose(1, 2, 0))
+            assert np.array_equal(got_ok, ok)
+            got_areas, areas_ok = bodies.planar_hull_areas(P)
+            got_E, edges_ok = bodies.planar_hull_edges(P)
+            assert _bits(got_areas) == _bits(areas) and _bits(got_E) == _bits(E)
+            assert np.array_equal(areas_ok, ok) and np.array_equal(edges_ok, ok)
+        # the collinear and repeated-point clouds are masked out, and a
+        # cloud alone takes the bits it takes in its stack
+        assert not bodies._planar_edge_test(stacks[1])[3].any()
+        assert not bodies._planar_edge_test(stacks[2])[3].any()
+        P = stacks[0]
+        for t in (0, 7, len(P) - 1):
+            alone = bodies._planar_edge_test(P[t:t + 1].copy())
+            for got, whole in zip(alone, bodies._planar_edge_test(P)):
+                assert _bits(got) == _bits(whole[..., t:t + 1])
+            assert _bits(bodies.planar_hull_areas(P[t:t + 1])[0]) == _bits(
+                bodies.planar_hull_areas(P)[0][t:t + 1])
+
+    def test_the_walks_dot_and_cross_products_equal_the_reduce_and_np_cross(self):
+        gen = np.random.default_rng(94)
+        # the walk's shapes: (3, T, pairs), (3, T, circles, 1), (3, T,
+        # circles, k - 1) and facets on a second leading axis against one
+        # set of arcs
+        shapes = [((3, 5, 36), (3, 5, 36)), ((3, 4, 9, 1), (3, 4, 9, 1)),
+                  ((3, 56, 9, 8), (3, 56, 9, 8)), ((3, 1, 3, 2), (3, 1, 3, 2)),
+                  ((3, 1, 4, 10, 9), (3, 2, 4, 10, 9))]
+        for sa, sb in shapes:
+            a, b = gen.normal(size=sa), gen.normal(size=sb)
+            assert _bits(bodies._vdot(a, b)) == _bits((a * b).sum(axis=0))
+            if sa == sb:
+                assert _bits(bodies._vcross(a, b)) == _bits(np.cross(a, b, axis=0))
+
+
+def test_a_generator_that_is_not_finite_is_refused_or_left_out():
+    with pytest.raises(GeometryError, match="point coordinates are not finite"):
+        Zonotope([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.nan]])
+    gen = np.random.default_rng(95)
+    for n, fan in ((2, planar_polar_measures), (3, spatial_polar_measures)):
+        G = gen.normal(size=(4, n + 2, n))
+        bad = G.copy()
+        bad[1, -1, -1], bad[2, 0, 0] = np.nan, -np.inf
+        for nu in (None, RadialMeasure.gaussian(), RadialMeasure.ball(0.5)):
+            for read in (fan, lambda G, nu: polar_measures(G, nu or RadialMeasure.gaussian(), 64)):
+                want, _ = read(G, nu)
+                got, held = read(bad, nu)
+                assert held.tolist() == [True, False, False, True]
+                assert np.isnan(got[1:3]).all()
+                assert _bits(got[[0, 3]]) == _bits(want[[0, 3]])
+
+
+KERNELS = {
+    "full_rank": lambda: bodies.full_rank(np.zeros((0, 4, 3))),
+    "planar_hull_areas": lambda: bodies.planar_hull_areas(np.zeros((0, 4, 2))),
+    "planar_hull_edges": lambda: bodies.planar_hull_edges(np.zeros((0, 4, 2))),
+    "mixed_projection_generators":
+        lambda: mixed_projection_generators(np.zeros((0, 3, 3)), np.zeros((0, 2, 3))),
+    "tetrahedron_pair_normals":
+        lambda: tetrahedron_pair_normals(np.zeros((0, 4, 3)), np.zeros((0, 4, 3))),
+    "spatial_polar_measures": lambda: spatial_polar_measures(np.zeros((0, 5, 3))),
+    "planar_polar_measures": lambda: planar_polar_measures(np.zeros((0, 5, 2))),
+    "polar_measures": lambda: polar_measures(np.zeros((0, 5, 3)), RadialMeasure.gaussian(), 64),
+    "cloud_widths": lambda: bodies.cloud_widths(np.zeros((0, 5, 2)), np.zeros((3, 2))),
+    "zonotope_projection_generators": lambda: zonotope_projection_generators(np.zeros((0, 4, 3))),
+    "tetrahedron_projection_generators":
+        lambda: tetrahedron_projection_generators(np.zeros((0, 4, 3))),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_every_stacked_kernel_takes_an_empty_stack(kernel):
+    out = KERNELS[kernel]()
+    for part in out if isinstance(out, tuple) else (out,):
+        assert len(part) == 0
 
 
 class TestCloudWidths:
@@ -874,10 +1061,12 @@ class TestSpatialPolarMeasures:
 
     def test_the_stacked_walk_uses_no_matrix_product(self):
         # a matrix product blocks its sums by the size of the stack, so a
-        # row's bits would depend on the rows beside it
+        # row's bits would depend on the rows beside it; the planar hull
+        # kernels and the rank test are held to the same rule
         names = {"spatial_polar_measures", "_stacked_walk", "_circle_index", "_circle_arcs",
                  "_edge_lines", "_edge_integrals", "_gaussian_ratio", "_ball_h", "_vdot",
-                 "_vcross"}
+                 "_vcross", "full_rank", "full_dimensional", "_spans", "_gram_det_trace",
+                 "_planar_edge_test", "_pair_crosses", "planar_hull_areas", "planar_hull_edges"}
         tree = ast.parse(Path(bodies.__file__).read_text())
         found = {node.name: node for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names}

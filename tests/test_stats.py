@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pettylab.stats import Z_95, EstimateWithCI, classify, summarize
@@ -30,3 +31,16 @@ def test_summarize_one_trial_has_no_spread_and_zero_trials_are_refused():
     assert one == EstimateWithCI(2.5, 0.0, 2.5, 2.5, 1)
     with pytest.raises(ValueError, match="zero trials"):
         summarize([])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 129, 20000])
+def test_summarize_takes_the_bits_of_np_mean_and_np_std(n):
+    # heavy tails and mixed scales, so that another order of the sums would
+    # show in the last bits; every other value of a longer array, strided
+    gen = np.random.default_rng(n)
+    for values in (gen.standard_cauchy(n) * 1e3, gen.normal(size=2 * n)[::2] + 1e6):
+        got = summarize(values)
+        mean = float(np.mean(values))
+        stderr = float(np.std(values, ddof=1)) / np.sqrt(n) if n > 1 else 0.0
+        assert got == EstimateWithCI(mean, stderr, mean - Z_95 * stderr, mean + Z_95 * stderr, n)
+        assert np.array([got.mean, got.stderr]).tobytes() == np.array([mean, stderr]).tobytes()
