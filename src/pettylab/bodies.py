@@ -6,7 +6,8 @@ harness) reduces to a small kernel of operations on two representations:
 (Minkowski sum of centered segments).  Exact hull-based algorithms are
 restricted to ambient dimension 2 and 3; zonotope determinant volumes and
 plain vertex arithmetic work in any dimension.  One Minkowski point-sum
-loop, ``point_sums``, serves M-addition, C-set vertices and zonotope hulls.
+loop, ``point_sums``, serves ``minkowski_sum``, M-addition, C-set vertices
+and zonotope hulls.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ def as_points(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
         raise GeometryError("points must form a 2-d array")
-    return pts
-
-
-def _finite_points(points) -> np.ndarray:
-    pts = as_points(points)
     if not np.isfinite(pts).all():
         raise GeometryError("point coordinates are not finite")
     return pts
@@ -135,7 +131,7 @@ class Zonotope:
     generators: np.ndarray
 
     def __post_init__(self):
-        gens = _finite_points(self.generators)
+        gens = as_points(self.generators)
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
 
@@ -263,8 +259,13 @@ def _gram_det_trace(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at most 1 (see ``full_rank``)."""
     scale = np.abs(X).max(axis=(0, 1), initial=0.0)
     X /= np.where(scale > 0.0, scale, 1.0)
-    M = (X[:, :, None] * X[:, None, :]).sum(axis=0)
-    if X.shape[1] == 2:
+    return _det_trace((X[:, :, None] * X[:, None, :]).sum(axis=0))
+
+
+def _det_trace(M) -> tuple:
+    """(det M, trace M) of a symmetric 2 x 2 or 3 x 3 matrix M, read from its
+    upper triangle: nested lists of floats, or an (n, n, T) stack."""
+    if len(M) == 2:
         (a, b), (_, d) = M
         return a * d - b * b, a + d
     (a, b, c), (_, d, e), (_, _, f) = M
@@ -344,14 +345,7 @@ def _affine_rank(pts: np.ndarray) -> int:
         scale = np.abs(C).max()
         if scale > 0.0:
             C /= scale
-            M = (C.T @ C).tolist()
-            if n == 2:
-                (a, b), (_, d) = M
-                det, trace = a * d - b * b, a + d
-            else:
-                (a, b, c), (_, d, e), (_, _, f) = M
-                det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
-                trace = a + d + f
+            det, trace = _det_trace((C.T @ C).tolist())
             if det > RANK_RATIO ** 2 * trace ** n:
                 return n
     return affine_dimension(pts)
@@ -439,7 +433,7 @@ def hull(points) -> VPolytope:
     reports a smaller ``affine_dim``.  Planar hulls come back in
     counterclockwise order.  Non-finite coordinates raise GeometryError.
     """
-    pts = _finite_points(points)
+    pts = as_points(points)
     n = pts.shape[1]
     if n not in (2, 3):
         raise GeometryError(f"hull supports dimension 2 or 3, got {n}")
@@ -495,7 +489,7 @@ def volume_of_points(points: np.ndarray) -> float:
     """Volume of the hull of a point cloud, with a fast simplex path.  A
     cloud too large for either path (coordinates of about 1e150 and up)
     raises GeometryError."""
-    pts = _finite_points(points)
+    pts = as_points(points)
     n = pts.shape[1]
     if len(pts) <= n:
         return 0.0
@@ -520,8 +514,7 @@ def support(body, u) -> float:
 def minkowski_sum(A: VPolytope, B: VPolytope) -> VPolytope:
     if A.dim != B.dim:
         raise GeometryError("dimension mismatch in minkowski_sum")
-    pts = (A.vertices[:, None, :] + B.vertices[None, :, :]).reshape(-1, A.dim)
-    return hull(pts)
+    return hull(point_sums([A.vertices, B.vertices]))
 
 
 def point_sums(arrays) -> np.ndarray:

@@ -31,10 +31,10 @@ geometry runs per chunk of the sequence:
   one block and the head of the next, of its side or the next side, but
   never spans a change of draw shapes (lln rows can differ in m);
 * trial i of side s keeps its own Philox stream RngStream(seed, (s, i)),
-  whose key is numpy's SeedSequence hash of (seed, s, i): the seed and side
-  words are hashed once per block and only the index word per trial
-  (``RngStream.child_keys``), and one Philox draws each trial's raw draws
-  from its own key, counter 0 and an empty buffer (``draw_block``);
+  whose key is numpy's SeedSequence hash of (seed, s, i): numpy's pool of
+  (seed, s) is read once per block and only the index word hashed per
+  trial (``RngStream.child_keys``), and one Philox draws each trial's raw
+  draws from its own key, counter 0 and an empty buffer (``draw_block``);
 * the per-trial route, each trial's own generator followed by
   ``Density.sample`` (``sampling.draw_per_trial``), is the oracle the
   blocks equal bit for bit; ``verify.CHECKS`` and the tests compare them.

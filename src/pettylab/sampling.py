@@ -6,14 +6,15 @@ parallel schedules cannot change the numbers.
 
 A stream's Philox key is numpy's SeedSequence hash of (seed, key): plain
 uint32 arithmetic over a pool of four words, whose hash constants step by
-fixed multipliers whatever the words are.  So the children of one stream
-share every step but the last word's, and ``RngStream.child_keys`` hashes
-the seed and key words once, as Python ints, and then the index words of a
-whole block as one uint32 array.  ``draw_block`` draws the samples of a
-block of children through one Philox, setting each child's key in turn, and
-finishes them for the whole block at once; ``draw_per_trial``, each child's
-own generator followed by ``Density.sample``, is the reference it equals bit
-for bit.
+fixed multipliers whatever the words are.  A child's entropy is its
+parent's followed by one index word, so the children of one stream share
+the parent's pool, which numpy exposes as ``SeedSequence.pool``, and every
+hash constant up to it.  ``RngStream.child_keys`` reads that pool once and
+then hashes the index words of a whole block as one uint32 array.
+``draw_block`` draws the samples of a block of children through one Philox,
+setting each child's key in turn, and finishes them for the whole block at
+once; ``draw_per_trial``, each child's own generator followed by
+``Density.sample``, is the reference it equals bit for bit.
 """
 
 from __future__ import annotations
@@ -75,64 +76,32 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # A child index is one uint32 word of the spawn key only below this.
 INDEX_LIMIT = 1 << 32
+# The constants ``generate_state`` hashes the pool's words with, in turn.
+_OUT_CONSTS = tuple(_INIT_B * _MULT_B ** d & _MASK32 for d in range(_POOL_SIZE + 1))
 
 
-def _steps(const: int, mult: int, count: int) -> list:
-    """``const`` and the ``count`` hash constants after it."""
-    out = [const]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
-def _hashmix(value: int, const: int) -> tuple:
-    """(value hashed with the constant ``const``, the next constant)."""
-    nxt = const * _MULT_A & _MASK32
-    value = (value ^ const) * nxt & _MASK32
-    return value ^ value >> 16, nxt
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _words(n) -> list:
-    """The uint32 words SeedSequence reads from a non-negative integer, low
-    word first."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"stream seeds and keys must be non-negative, got {n}")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+def _word_count(n) -> int:
+    """How many uint32 words SeedSequence reads from the integer n."""
+    return max(1, -(-int(n).bit_length() // 32))
 
 
 @lru_cache(maxsize=64)
 def _child_hash(seed: int, key: tuple) -> tuple:
     """What the children of RngStream(seed, key) share, one row per pool
     word: the hash constant the index word meets there and the one after it,
-    the pool word's mix term from the seed and key words, and the two
-    constants ``generate_state`` hashes that pool word's output with."""
-    entropy = _words(seed)
-    # SeedSequence pads the seed to the pool size when a spawn key follows
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    entropy += [w for k in key for w in _words(k)]
-    const, pool = _INIT_A, []
-    for word in entropy[:_POOL_SIZE]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
-    a, b = _steps(const, _MULT_A, _POOL_SIZE), _steps(_INIT_B, _MULT_B, _POOL_SIZE)
+    the pool word's mix term, and the two constants ``generate_state`` hashes
+    that pool word's output with.
+
+    The pool is SeedSequence(seed, spawn_key=key)'s; a child mixes its
+    index word into it.  Filling and cross-mixing the pool steps the hash
+    constant 16 times, for the first four entropy words (the seed padded
+    with zeros to four), and each later word steps it four times, so after
+    w words it stands at _INIT_A _MULT_A^(4 w), w = max(seed words, 4) +
+    key words."""
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool.tolist()
+    words = max(_word_count(seed), _POOL_SIZE) + sum(map(_word_count, key))
+    const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32)
+    a, b = [const * _MULT_A ** d & _MASK32 for d in range(_POOL_SIZE + 1)], _OUT_CONSTS
     return tuple((a[d], a[d + 1], _MIX_MULT_L * pool[d] & _MASK32, b[d], b[d + 1])
                  for d in range(_POOL_SIZE))
 

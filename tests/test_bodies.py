@@ -12,6 +12,7 @@ from pettylab import (
     ConfigError,
     GeometryError,
     MSpec,
+    VPolytope,
     Zonotope,
     ball_body,
     body_from_literal,
@@ -140,6 +141,12 @@ class TestHull:
                 hull(pts)
             with pytest.raises(GeometryError, match="not finite"):
                 bodies.volume_of_points(pts)
+
+    def test_every_point_taker_refuses_non_finite_points_by_one_check(self):
+        pts = [[0, 0], [1, 0], [0, math.nan]]
+        for take in (VPolytope, Zonotope, hull, bodies.volume_of_points):
+            with pytest.raises(GeometryError, match="point coordinates are not finite"):
+                take(pts)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_huge_coordinates_raise_a_geometry_error(self, n):
@@ -1066,7 +1073,8 @@ class TestSpatialPolarMeasures:
         names = {"spatial_polar_measures", "_stacked_walk", "_circle_index", "_circle_arcs",
                  "_edge_lines", "_edge_integrals", "_gaussian_ratio", "_ball_h", "_vdot",
                  "_vcross", "full_rank", "full_dimensional", "_spans", "_gram_det_trace",
-                 "_planar_edge_test", "_pair_crosses", "planar_hull_areas", "planar_hull_edges"}
+                 "_det_trace", "_planar_edge_test", "_pair_crosses", "planar_hull_areas",
+                 "planar_hull_edges"}
         tree = ast.parse(Path(bodies.__file__).read_text())
         found = {node.name: node for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names}

@@ -1,6 +1,7 @@
 import ast
 import collections
 import csv
+import hashlib
 import io
 import json
 import math
@@ -1471,6 +1472,37 @@ class TestSerialization:
             for path, leaf in leaves(report, report.get("experiment", report.get("functional"))):
                 assert leaf is None or type(leaf) in (str, bool, int, float, np.float64), \
                     f"{path}: {type(leaf).__name__}"
+
+    # name in ROUTED -> (trials a side, sha256 of its report_to_json at
+    # threads=1): one config per kind and route.  The bits rest on numpy's
+    # SeedSequence and Philox and on the float arithmetic of numpy, scipy
+    # and qhull, so a new build of those may move them; a change to
+    # pettylab that moves them changes what every report prints.
+    GOLDEN = {
+        "thm12-gaussian": (40, "d48b29e4a6c82e0ed456d8cb0b64efca44ec080763b1d8d1f8ae1f7e56525106"),
+        "thm12-cube": (40, "db945dee5a6a059d46da0668addc27bd07b18d112ef50870305b8ce6ee8d7067"),
+        "thm12-3d-gaussian": (20, "e568a646be5b54b701505fa933c1c040f67392c9f56d222fa82f8a2d5a96b443"),
+        "thm11-3d-simplices": (10, "33566ac7ad5191f79ba6bdeab4acd7d2b9bde10c531f506f147113a2c2c99681"),
+        "thm11-3d-zonotopes": (10, "ff945c858cbc072176ce6482090f1a6329ef56d018015508ec1410fadfe46dac"),
+        "cor13": (3, "17feb4d5b70b4f88ef5e028519a48e0eaa149bcf1f2e7d96276e522c3adafabe"),
+        "empmixed": (40, "2c67708f1be64efcf26768b9c87bbd9532ce557c48abd202b4bd70059a650a36"),
+        "empmixed-3d-simplices": (10, "e951ff64554f60af9704cb6d41b4b43e0221e5cf71e02b7d9a1c17a8c53eb8b1"),
+        "emppetty2": (40, "7cb0cb1e4ed3ac2f6da6ba0cd4373011b97c34640824486f4c9de703dbf51a54"),
+        "lln": (10, "c22248b2e4323744d3447d7f0700eff3055a58bceb0222a699eb9a7c5ad63272"),
+        "thm12-3d-simplex5": (10, "268469307db73a1e098279f452358db2677bc51cf25ab6e47f4e6117e59780b4"),
+    }
+
+    def test_reports_keep_their_bytes(self):
+        # thm12 on a planar cloud and a zonotope, the tetrahedron kernel,
+        # the tetrahedron pair and the zonotope thm11, cor13 on its grid
+        # row, empmixed in the plane and in space, emppetty2, lln and a
+        # hull-only thm12 on a five-point simplex C-set
+        got = {}
+        for name, (trials, _) in self.GOLDEN.items():
+            kind, config = ROUTED[name]
+            report = harness.RUNNERS[kind](dict(config, trials=trials), threads=1)
+            got[name] = (trials, hashlib.sha256(report_to_json(report).encode()).hexdigest())
+        assert got == self.GOLDEN
 
 
 class TestCli:

@@ -66,6 +66,18 @@ class TestChildKeys:
             assert got.dtype == np.uint64 and got.shape == (count, 2)
             assert np.array_equal(got, seed_sequence_keys(seed, (side,), range(first, first + count)))
 
+    # the hash constant after the pool counts every word the seed and key
+    # spell: seeds of five and seven words, past the pool of four; a
+    # two-part key; a key word past 2^32, which spells two words; and the
+    # empty key, whose seed SeedSequence pads only in the children
+    @pytest.mark.parametrize("seed, key", [(2**128 + 5, (0,)), (2**200 + 1, (1,)), (9, (0, 4)),
+                                           (2**200 + 1, (0, 4)), (11, (2**32 + 7,)),
+                                           (3, (1, 2**64)), (0, ()), (2**32, ()),
+                                           (2**128 + 5, ())])
+    def test_seeds_and_keys_of_any_length(self, seed, key):
+        got = RngStream(seed, key).child_keys(3, 6)
+        assert np.array_equal(got, seed_sequence_keys(seed, key, range(3, 9)))
+
     @pytest.mark.parametrize("count", [1, 2, 9])
     def test_the_last_index_word(self, count):
         first = INDEX_LIMIT - count
