@@ -54,7 +54,7 @@ from .projections import (
     projection_body,
     zonotope_polar_measure,
 )
-from .sampling import Density, RngStream, rearrange_body_volume
+from .sampling import Density, RngStream
 from .stats import EstimateWithCI, classify, summarize
 from .symmetrize import (
     ShadowSystem,

@@ -1248,7 +1248,8 @@ def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.n
 @dataclass(frozen=True)
 class MSpec:
     """Combination rule for m_add: plain Minkowski, an explicit 1-unconditional
-    polytope M, or the L_p rule realized as M = B_q with 1/p + 1/q = 1."""
+    polytope M, or the L_p rule realized as M = B_q with 1/p + 1/q = 1.
+    ``coefficients`` reads M for m_add and for the harness's msum C-sets."""
 
     variant: str
     M: VPolytope | None = None
@@ -1271,16 +1272,23 @@ class MSpec:
             vertex_budget = 256
         return MSpec("lp", p=float(p), vertex_budget=vertex_budget)
 
-    def conjugate_ball_vertices(self, count: int) -> np.ndarray:
-        """The L_p rule's M in R^count: vertices of B_q, 1/p + 1/q = 1,
-        sampled with ``vertex_budget`` directions where not exact."""
-        if self.p == 1.0:
-            q = math.inf
-        elif math.isinf(self.p):
-            q = 1.0
-        else:
-            q = self.p / (self.p - 1.0)
-        return lp_ball_vertices(count, q, self.vertex_budget)
+    def coefficients(self, count: int) -> np.ndarray:
+        """M's vertices in R^count: for the L_p rule B_q's, 1/p + 1/q = 1,
+        sampled with ``vertex_budget`` directions where not exact; else the
+        explicit M's, once M lives in R^count and is 1-unconditional."""
+        if self.variant == "lp":
+            if self.p == 1.0:
+                q = math.inf
+            elif math.isinf(self.p):
+                q = 1.0
+            else:
+                q = self.p / (self.p - 1.0)
+            return lp_ball_vertices(count, q, self.vertex_budget)
+        if self.M is None or self.M.dim != count:
+            raise GeometryError("polytope M must live in R^(number of bodies)")
+        if not is_unconditional(self.M):
+            raise GeometryError("polytope M must be 1-unconditional")
+        return reduced_form(self.M).vertices
 
 
 def is_origin_symmetric(P: VPolytope) -> bool:
@@ -1321,15 +1329,7 @@ def m_add(spec: MSpec, bodies: list) -> VPolytope:
     bodies = [reduced_form(B) for B in bodies]
     if spec.variant == "minkowski":
         return hull(point_sums([B.vertices for B in bodies]))
-    if spec.variant == "lp":
-        Mverts = spec.conjugate_ball_vertices(len(bodies))
-    else:
-        M = spec.M
-        if M is None or M.dim != len(bodies):
-            raise GeometryError("polytope M must live in R^(number of bodies)")
-        if not is_unconditional(M):
-            raise GeometryError("polytope M must be 1-unconditional")
-        Mverts = reduced_form(M).vertices
+    Mverts = spec.coefficients(len(bodies))
     for B in bodies:
         if not is_origin_symmetric(B):
             raise GeometryError("m_add with a nontrivial M needs origin-symmetric bodies")

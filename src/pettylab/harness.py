@@ -99,7 +99,7 @@ the measure and each Pi's generator count: exact in the plane and under
 to a crossover and a grid past it.  Neither route depends on the chunk,
 so a trial's value is again the same bit for bit in every chunk.  The
 same rows give empmixed with two such C-sets and one ball slot: V(A, B,
-ball) = (1/6) sum h_ball(w), h_ball(0) = 0, one support call per chunk.
+ball) = (1/6) sum h_ball(w), h_ball(0) = 0, one fixed-shape product per trial.
 
 The report of a polar kind lists under ``quadrature``, outside
 ``diagnostics``, each rule its trials took and their count: ``exact``,
@@ -150,6 +150,7 @@ from .bodies import (
     MSpec,
     VPolytope,
     Zonotope,
+    as_points,
     as_polytope,
     ball_body,
     cloud_widths,
@@ -157,7 +158,6 @@ from .bodies import (
     full_dimensional,
     full_rank,
     hull,
-    is_unconditional,
     lp_ball_body,
     m_combinations,
     perp,
@@ -275,9 +275,17 @@ def _integer(value, key: str, low: int = 1) -> int:
 
 
 def _positive(value, key: str) -> float:
-    """``value`` as a float when it is a positive number (not a bool)."""
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
-             f"{key} must be a positive number, got {value!r}")
+    """``value`` as a float when it is a positive finite number (not a bool)."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and 0 < value < math.inf, f"{key} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def _exponent(value, key: str) -> float:
+    """``value`` as a float when it is a number (not a bool) of at least 1,
+    Infinity included: the p of an L_p ball or of msum's M."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 1,
+             f"{key} must be a number >= 1, got {value!r}")
     return float(value)
 
 
@@ -289,16 +297,16 @@ def _boolean(value, key: str) -> bool:
 
 def _points(value, key: str, width: int | None) -> np.ndarray:
     """``value`` as an array of rows when it is a non-empty list of lists of
-    finite numbers (not bools), all of one length: ``width`` unless None."""
+    numbers (not bools), all of one length: ``width`` unless None.  Their
+    finiteness is ``bodies.as_points``'s rule, whose error names ``key``."""
     _require(isinstance(value, list) and value and all(
         isinstance(row, list) and row and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-            for x in row) for row in value),
-        f"{key} must be a non-empty list of lists of finite numbers, got {value!r}")
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in row) for row in value),
+        f"{key} must be a non-empty list of lists of numbers, got {value!r}")
     lengths = {len(row) for row in value}
     _require(len(lengths) == 1 and width in (None, *lengths),
              f"{key} rows must all have {width or 'the same number of'} entries, got {value!r}")
-    return np.array(value, dtype=float)
+    return _parse(key, as_points, value)
 
 
 def _parse(key: str, build, *args):
@@ -481,8 +489,7 @@ class CSet:
             return cls(kind, m)
         if kind == "cube":
             return cls(kind, m, half=_positive(spec.get("half", 1.0), f"{key}.half"))
-        p = _positive(spec.get("p", 2.0), f"{key}.p")
-        _require(p >= 1.0, f"{key}.p must be >= 1, got {p!r}")
+        p = _exponent(spec.get("p", 2.0), f"{key}.p")
         if p == 1.0 or math.isinf(p):
             return cls(kind, m, p=p)
         _require(m in (2, 3), f"{key}.m must be 2 or 3 for a bp c_set with 1 < p < inf")
@@ -497,8 +504,8 @@ class CSet:
         _require(all(c.kind == "bp" for c in parts), f"{key}.components must be bp balls")
         total = sum(c.m for c in parts)
         balls, offset = [], 0
-        for c in parts:
-            ball = lp_ball_body(c.m, c.p).vertices
+        for i, c in enumerate(parts):
+            ball = _parse(f"{key}.components[{i}]", lp_ball_body, c.m, c.p).vertices
             emb = np.zeros((len(ball), total))
             emb[:, offset:offset + c.m] = ball
             balls.append(emb)
@@ -506,15 +513,11 @@ class CSet:
         M = spec.get("M", {"p": 2.0})
         if isinstance(M, dict) and "p" in M:
             _fields(M, f"{key}.M", ("p",))
-            p = _positive(M["p"], f"{key}.M.p")
-            _require(p >= 1.0, f"{key}.M.p must be >= 1, got {p!r}")
             # vertex candidates suffice for linear images, no high-dim hull needed
-            coeffs = _parse(f"{key}.M", MSpec.lp(p, vertex_budget=64).conjugate_ball_vertices,
-                            len(parts))
+            rule = MSpec.lp(_exponent(M["p"], f"{key}.M.p"), vertex_budget=64)
         else:
-            M = _literal(M, f"{key}.M", len(parts))
-            _require(_parse(f"{key}.M", is_unconditional, M), f"{key}.M must be 1-unconditional")
-            coeffs = M.vertices
+            rule = MSpec.polytope(_literal(M, f"{key}.M", len(parts)))
+        coeffs = _parse(f"{key}.M", rule.coefficients, len(parts))
         return cls("msum", total, vertices=m_combinations(coeffs, balls))
 
     def form(self, dim: int) -> str | None:
@@ -666,14 +669,17 @@ class _Spec:
                           _integer(blk["m"], f"{key}.m")))
         return _both_sides(draws)
 
+    def _cset(self, literal, key: str, block: int) -> CSet:
+        """The C-set of ``literal`` at ``key``, of the size of blocks[block]."""
+        c, m = CSet.from_literal(literal, key), self.blocks[0][block][1]
+        _require(c.m == m, f"{key} has m = {c.m}, but blocks[{block}].m is {m}")
+        return c
+
     def _csets(self, literals) -> tuple:
         """The ``c_sets`` list: one C-set per block, of its block's size."""
         _require(isinstance(literals, list) and len(literals) == len(self.blocks[0]),
                  "c_sets must hold one c_set per block")
-        out = tuple(CSet.from_literal(lit, f"c_sets[{i}]") for i, lit in enumerate(literals))
-        for i, (c, (_, m)) in enumerate(zip(out, self.blocks[0])):
-            _require(c.m == m, f"c_sets[{i}] has m = {c.m}, but blocks[{i}].m is {m}")
-        return out
+        return tuple(self._cset(lit, f"c_sets[{i}]", i) for i, lit in enumerate(literals))
 
 
 class _PolarSpec(_Spec):
@@ -762,10 +768,8 @@ class _Thm12Spec(_PolarSpec):
         super().parse(config)
         self.blocks = self._blocks(config["blocks"])
         _require(len(self.blocks[0]) == 1, "thm12 takes one block")
-        m = self.blocks[0][0][1]
-        self.cset = CSet.from_literal(config["c_set"])
-        _require(self.cset.m == m, f"c_set has m = {self.cset.m}, but blocks[0].m is {m}")
-        _require(self.measure.variant != "lebesgue" or m >= self.cset.min_columns(self.dim),
+        c = self.cset = self._cset(config["c_set"], "c_set", 0)
+        _require(self.measure.variant != "lebesgue" or c.m >= c.min_columns(self.dim),
                  "Lebesgue polar measure needs enough columns for a full-dimensional body")
         self.form = self.cset.form(self.dim)
         k = self.cset.row_count
@@ -893,8 +897,9 @@ class _EmpMixedSpec(_Spec):
     def kernel(self, samples: list, diag: dict) -> tuple:
         if self.pair_areas:
             return planar_hull_areas(self.csets[0].rows(samples[0]))
+        # h_ball by one fixed-shape product per trial ("stacked clouds" in bodies)
         W, full = tetrahedron_pair_normals(*samples)
-        return self.ball.support_batch(W.reshape(-1, 3)).reshape(len(W), -1).sum(axis=1) / 6.0, full
+        return np.matmul(W, self.ball.vertices.T).max(axis=2).sum(axis=1) / 6.0, full
 
 
 class _PairingSpec(_Spec):

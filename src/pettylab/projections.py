@@ -204,6 +204,8 @@ def polar_nodes(measure: RadialMeasure | None, k: int, walk: bool = True) -> int
     rows = POLAR_RULES.get(getattr(measure, "variant", "lebesgue"), ((0, None),))
     if not walk:
         rows = [row for row in rows if row[1]]
+        if not rows:
+            raise GeometryError("3-D Lebesgue measure has no grid row")
         k = max(k, rows[0][0])
     return [nodes for first, nodes in rows if k >= first][-1]
 

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.spatial import Delaunay
 
-from .bodies import GeometryError, VPolytope, ball_body, reduced_form, unit_ball_volume, volume
+from .bodies import GeometryError, VPolytope, reduced_form, unit_ball_volume, volume
 
 
 @dataclass(frozen=True)
@@ -267,9 +267,3 @@ def cumulative_weights(weights: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     return cdf
-
-
-def rearrange_body_volume(vol: float, dim: int, facets: int | None = None) -> VPolytope:
-    approx = ball_body(dim, 1.0, facets)
-    scale = (vol / volume(approx)) ** (1.0 / dim)
-    return VPolytope(approx.vertices * scale, reduced=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,13 +21,7 @@ class EstimateWithCI:
     trials: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def summarize(values: np.ndarray) -> EstimateWithCI:

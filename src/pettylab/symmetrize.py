@@ -19,6 +19,7 @@ import numpy as np
 from .bodies import (
     GeometryError,
     VPolytope,
+    ball_body,
     cross3,
     hull,
     perp,
@@ -26,7 +27,7 @@ from .bodies import (
     volume,
 )
 from .mixed import facets, mixed_volume, triangulation_edges
-from .sampling import Density, RngStream, rearrange_body_volume
+from .sampling import Density, RngStream
 from .stats import summarize
 
 PARALLEL_TOL = 1e-10
@@ -190,13 +191,15 @@ def steiner_symmetrize(K: VPolytope, u) -> VPolytope:
 def rearrange_body(K: VPolytope, facets_count: int | None = None) -> VPolytope:
     """Equal-volume centered ball polytope (symmetric decreasing rearrangement).
 
-    The regular approximation is scaled radially so its volume matches K
-    exactly; defaults are a 64-gon and a 320-facet sphere.
+    The unit ball's polytope ``bodies.ball_body`` (by default a 64-gon or a
+    320-facet sphere) is scaled radially so its volume matches K exactly.
     """
     vol = volume(K)
     if vol <= 0:
         raise GeometryError("rearrangement needs a full-dimensional body")
-    return rearrange_body_volume(vol, K.dim, facets_count)
+    approx = ball_body(K.dim, 1.0, facets_count)
+    scale = (vol / volume(approx)) ** (1.0 / K.dim)
+    return VPolytope(approx.vertices * scale, reduced=True)
 
 
 # ---------------------------------------------------------------------------

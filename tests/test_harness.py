@@ -117,6 +117,27 @@ REJECTIONS = {
     "ball_radius-unread": (run_emp_mixed, dict(EMPMIXED_SMALL, ball_radius=2.0), "ball_radius"),
     "half-negative": (run_theorem_1_2, dict(THM12_SMALL, c_set={"kind": "cube", "m": 3, "half": -1}),
                       "c_set.half"),
+    # a size or scale is finite: Infinity would carry into the points or the means
+    "half-infinite": (run_theorem_1_2,
+                      dict(THM12_SMALL, c_set={"kind": "cube", "m": 3, "half": math.inf}),
+                      "c_set.half"),
+    "ball_radius-infinite": (run_emp_mixed, dict(EMPMIXED_BALL, ball_radius=math.inf),
+                             "ball_radius"),
+    "measure-radius-infinite": (run_theorem_1_2,
+                                dict(THM12_SMALL, measure={"type": "ball", "radius": math.inf}),
+                                "measure.radius"),
+    "measure-sigma-infinite": (run_theorem_1_2,
+                               dict(THM12_SMALL, measure={"type": "gaussian", "sigma": math.inf}),
+                               "measure.sigma"),
+    "density-sigma-infinite": (run_theorem_1_2,
+                               _block(density={"type": "gaussian", "sigma": math.inf}, m=3),
+                               "blocks[0].density.sigma"),
+    "cube-half-infinite": (run_theorem_1_2, _body_block(type="cube", dim=2, half=math.inf),
+                           "blocks[0].density.body.half"),
+    # a component's own body: cube vertices stop at dimension 16
+    "msum-component-dim-17": (run_theorem_1_2,
+                              _msum({"kind": "bp", "m": 17, "p": math.inf}, _BALLS[0]),
+                              "c_set.components[0]"),
     "c_set-missing": (run_theorem_1_2, {k: v for k, v in THM12_SMALL.items() if k != "c_set"},
                       "c_set"),
     "density-missing": (run_theorem_1_2, _block(m=3), "blocks[0].density"),
@@ -285,8 +306,20 @@ class TestValidation:
         M = MSpec.polytope(hull(np.array(triangle["vertices"], dtype=float)))
         with pytest.raises(GeometryError, match="polytope M must be 1-unconditional"):
             m_add(M, [lp_ball_body(2, 2.0), lp_ball_body(2, 3.0)])
-        with pytest.raises(ConfigError, match=re.escape("c_set.M must be 1-unconditional")):
+        with pytest.raises(ConfigError,
+                           match=re.escape("c_set.M: polytope M must be 1-unconditional")):
             run_theorem_1_2(_msum(_BALLS[0], dict(_BALLS[1], p=3.0), M=triangle))
+
+    def test_an_exponent_is_a_number_of_at_least_one_infinity_included(self):
+        # bp's p and msum's M.p share one rule, which JSON's Infinity passes
+        bp = json.loads('{"kind": "bp", "m": 3, "p": Infinity}')
+        report = run_theorem_1_2(dict(THM12_SMALL, trials=3, c_set=bp))
+        assert report["lhs"]["trials"] == 3 and math.isfinite(report["lhs"]["mean"])
+        for bad in (0.5, True, "2", math.nan, -math.inf):
+            for key, config in (("c_set.p", dict(THM12_SMALL, c_set=dict(bp, p=bad))),
+                                ("c_set.M.p", _msum(*_BALLS, M={"p": bad}))):
+                with pytest.raises(ConfigError, match=_leading(key) + " must be a number >= 1"):
+                    run_theorem_1_2(config)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -901,6 +934,21 @@ class TestSpatialRoutes:
         whole = spec.chunk(0, 0, n, diag)
         ones = np.concatenate([spec.chunk(0, i, 1, one_diag) for i in range(n)])
         assert ones.tobytes() == whole.tobytes() and one_diag == diag
+
+    def test_the_ball_slot_takes_one_product_per_trial(self, monkeypatch):
+        # a 2-D product over the stacked rows of a chunk would let BLAS row
+        # blocking set a trial's bits by its chunk ("stacked clouds" in bodies)
+        kind, config = SPATIAL["empmixed-3d-simplices"]
+        spec = SPECS[kind](config)
+        samples = spec.stacked(0, 0, 12)
+        W, _ = projections.tetrahedron_pair_normals(*samples)
+        want = np.array([spec.ball.support_batch(w).sum() / 6.0 for w in W])
+        rows, real = [], bodies.VPolytope.support_batch
+        monkeypatch.setattr(bodies.VPolytope, "support_batch",
+                            lambda self, U: rows.append(len(U)) or real(self, U))
+        values, full = spec.kernel(samples, harness._no_diagnostics())
+        assert full.any() and all(n <= W.shape[1] for n in rows)
+        assert values[full].tobytes() == want[full].tobytes()
 
     def test_an_explicit_node_count_keeps_the_grid_of_that_size(self, monkeypatch):
         kind, config = CHUNKED["thm12-3d-gaussian"]

@@ -546,6 +546,13 @@ class TestPolarMeasures:
                     else projections.polar_measures(G[:, :k], nu, nodes))
             assert projections.polar_measures(G[:, :k], nu)[0].tobytes() == want[0].tobytes()
 
+    def test_lebesgue_measure_has_no_grid_row(self):
+        # its walk is exact at every width, so there is no grid to size
+        for nu in (RadialMeasure.lebesgue(), None):
+            assert projections.polar_nodes(nu, 5) is None
+            with pytest.raises(GeometryError, match="Lebesgue measure has no grid row"):
+                projections.polar_nodes(nu, 5, walk=False)
+
     def test_only_the_grid_reads_a_flat_row(self):
         nu = RadialMeasure.gaussian(1.0)
         coplanar = np.array([[[1.0, 2.0, 0.0], [0.5, -1.0, 0.0], [2.0, 0.3, 0.0]]])
