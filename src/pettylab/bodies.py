@@ -59,7 +59,10 @@ class GeometryError(ValueError):
 
 
 def as_points(points) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    try:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    except OverflowError as exc:  # an integer past the largest float
+        raise GeometryError("point coordinates are not finite") from exc
     if pts.ndim != 2:
         raise GeometryError("points must form a 2-d array")
     if not np.isfinite(pts).all():

@@ -33,7 +33,7 @@ from .harness import (
     report_to_json,
     rows_to_csv,
 )
-from .projections import PETTY_METHODS, petty_product
+from .projections import DEFAULT_NODES, PETTY_METHODS, petty_product
 from .symmetrize import rearrange_body, steiner_symmetrize
 from . import verify as verify_mod
 
@@ -117,14 +117,22 @@ def _body_of(config: dict, optional: tuple):
 
 
 def run_petty(config: dict) -> dict:
+    """The petty report of a body, whose ``quadrature`` names its rule: a
+    grid's certificate is the relative gap to the product on twice the nodes."""
     K = _body_of(config, ("method", "quadrature"))
     method = config.get("method", "exact")
     _require(method in PETTY_METHODS, f"method must be one of {PETTY_METHODS}, got {method!r}")
-    q = quadrature_block(config, ("nodes", "certify"))
+    nodes = quadrature_block(config)
     _require(method == "quadrature" or "quadrature" not in config,
              f"quadrature is read only under method 'quadrature', got method {method!r}")
-    product = petty_product(K, method, nodes=q.get("nodes"), certify=q.get("certify", False))
+    product = petty_product(K, method, nodes)
     dim = K.dim
+    rule = {"rule": "exact"}
+    if method == "quadrature":
+        nodes = nodes or DEFAULT_NODES[dim]
+        fine = petty_product(K, method, 2 * nodes)
+        rule = {"rule": "grid", "nodes": nodes, "certificate": {
+            "nodes": 2 * nodes, "relative_gap": abs(product - fine) / fine}}
     ball_bound = math.pi**2 / 4.0 if dim == 2 else 64.0 / 27.0
     verdict = "consistent" if product <= ball_bound * (1.0 + 1e-9) else "violated"
     return {
@@ -134,6 +142,7 @@ def run_petty(config: dict) -> dict:
         "product": product,
         "ball_bound": ball_bound,
         "method": method,
+        "quadrature": rule,
         "verdict": verdict,
     }
 

@@ -138,6 +138,7 @@ import csv
 import io
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -275,24 +276,21 @@ def _integer(value, key: str, low: int = 1) -> int:
 
 
 def _positive(value, key: str) -> float:
-    """``value`` as a float when it is a positive finite number (not a bool)."""
+    """``value`` as a float when it is a positive number (not a bool) a float holds."""
     _require(isinstance(value, (int, float)) and not isinstance(value, bool)
              and 0 < value < math.inf, f"{key} must be a positive finite number, got {value!r}")
+    _require(value <= sys.float_info.max, f"{key} must be at most {sys.float_info.max}")
     return float(value)
 
 
 def _exponent(value, key: str) -> float:
     """``value`` as a float when it is a number (not a bool) of at least 1,
-    Infinity included: the p of an L_p ball or of msum's M."""
+    Infinity or held by a float: the p of an L_p ball or of msum's M."""
     _require(isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 1,
              f"{key} must be a number >= 1, got {value!r}")
+    _require(value <= sys.float_info.max or value == math.inf,
+             f"{key} must be Infinity or at most {sys.float_info.max}")
     return float(value)
-
-
-def _boolean(value, key: str) -> bool:
-    """``value`` when it is a JSON boolean."""
-    _require(isinstance(value, bool), f"{key} must be true or false, got {value!r}")
-    return value
 
 
 def _points(value, key: str, width: int | None) -> np.ndarray:
@@ -318,15 +316,12 @@ def _parse(key: str, build, *args):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def quadrature_block(config: dict, optional: tuple = ("nodes",)) -> dict:
-    """The config's ``quadrature`` object of the keys ``optional``: ``nodes``,
-    absent or a positive integer, and petty's ``certify``, absent or a boolean."""
-    q = _fields(config.get("quadrature", {}), "quadrature", (), optional)
-    if "nodes" in q:
-        _integer(q["nodes"], "quadrature.nodes")
-    if "certify" in q:
-        _boolean(q["certify"], "quadrature.certify")
-    return q
+def quadrature_block(config: dict) -> int | None:
+    """The node count of the config's ``quadrature`` object, whose one key
+    ``nodes`` is absent (None) or a positive integer: the grid of a spatial
+    polar kind, or of petty's method ``quadrature``."""
+    q = _fields(config.get("quadrature", {}), "quadrature", (), ("nodes",))
+    return _integer(q["nodes"], "quadrature.nodes") if "nodes" in q else None
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +412,9 @@ def _density(literal, key: str, dim: int) -> Density:
     if _typed(literal, key, _DENSITY_KEYS, "type") == "gaussian":
         return Density.gaussian(dim, _positive(literal.get("sigma", 1.0), f"{key}.sigma"))
     d = _uniform(_literal(literal["body"], f"{key}.body", dim), key)
-    return d.rearranged() if _boolean(literal.get("rearranged", False), f"{key}.rearranged") else d
+    rearranged = literal.get("rearranged", False)
+    _require(isinstance(rearranged, bool), f"{key}.rearranged must be true or false, got {rearranged!r}")
+    return d.rearranged() if rearranged else d
 
 
 def _measure(literal) -> RadialMeasure:
@@ -703,11 +700,10 @@ class _PolarSpec(_Spec):
 
     def parse(self, config: dict):
         self.measure = _measure(config.get("measure", {"type": "lebesgue"}))
-        q = quadrature_block(config)
+        self.nodes = quadrature_block(config)
         self.exact = self.dim == 2 or self.measure.variant == "lebesgue"
-        _require(not self.exact or q.get("nodes") is None,
+        _require(not self.exact or self.nodes is None,
                  "quadrature.nodes sizes the spatial grid; planar and 3-D Lebesgue polars are exact")
-        self.nodes = q.get("nodes")
 
     def _stack(self, width: int):
         """Set the kernel's stack width, and size its chunk by its rule."""
@@ -1093,7 +1089,7 @@ def _certificate(spec: _PolarSpec, config: dict, sides: np.ndarray, nodes: int,
                  every: bool) -> dict:
     """Each side's count of trials, and their worst relative gap between its
     values ``sides[s]`` on the grid of ``nodes`` nodes and the chunk route
-    on twice as many (the petty command's ``certify``), over the trials
+    on twice as many (as the petty command's certificate), over the trials
     whose index is a multiple of CERTIFY_STRIDE that took the grid (all
     when ``every``, else by ``_rule_of``); None with none."""
     fine = SPECS[spec.kind](dict(config, quadrature={"nodes": 2 * nodes}))

@@ -37,7 +37,6 @@ from .mixed import centroid, clip_halfspace, edge_crossings, mixed_area_measure,
 
 DEFAULT_NODES = {2: 4096, 3: 8192}
 PETTY_METHODS = ("exact", "quadrature")
-CERTIFY_REL_TOL = 1e-4
 SPHERE_SURFACE = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
 # Radius, in units of sigma, past which the spatial Gaussian radial integral
 # equals its limit in float64 (see ``RadialMeasure.radial_integral``).
@@ -148,31 +147,18 @@ def node_set(n: int, nodes: int) -> np.ndarray:
     return U.T
 
 
-def polar_measure(body, measure: RadialMeasure, nodes: int | None = None,
-                  certify: bool = False) -> float:
+def polar_measure(body, measure: RadialMeasure, nodes: int | None = None) -> float:
     """measure({x : h(x) <= 1}) in polar-radial coordinates, h the support
     of ``body``: a VPolytope, a Zonotope or a SupportEvaluator, on the grid
     of ``nodes`` nodes (None: the dimension's DEFAULT_NODES).
 
-    With ``certify`` the node count is doubled and both values must agree
-    to a relative 1e-4, otherwise the quadrature is rejected.  For a
-    zonotope that spans its space ``zonotope_polar_measure`` is exact in
-    the plane and walks its normal fan in space; this grid is its oracle in
-    ``verify``, and reads flat bodies too.
+    For a zonotope that spans its space ``zonotope_polar_measure`` is exact
+    in the plane and walks its normal fan in space; this grid is its oracle
+    in ``verify``, and reads flat bodies too.  A grid's certificate is a
+    second call on twice its nodes.
     """
     h, n = getattr(body, "support_batch", body), body.dim
-    nodes = nodes or DEFAULT_NODES[n]
-    value = polar_measure_from_support(h(node_set(n, nodes)), measure, n)
-    if certify:
-        refined = polar_measure_from_support(h(node_set(n, 2 * nodes)), measure, n)
-        denom = max(abs(refined), 1e-300)
-        if abs(refined - value) / denom > CERTIFY_REL_TOL:
-            raise GeometryError(
-                f"quadrature failed doubling certification at {nodes} nodes: "
-                f"{value} vs {refined}"
-            )
-        return refined
-    return value
+    return polar_measure_from_support(h(node_set(n, nodes or DEFAULT_NODES[n])), measure, n)
 
 
 # The spatial polar rule per measure, a function of the zonotope's
@@ -218,17 +204,16 @@ def polar_measures(G: np.ndarray, measure: RadialMeasure | None = None,
     holds every row whose generators are finite, flat ones too (under
     Lebesgue measure it raises where a node's support is 0); with none they
     are exact in the plane (``bodies.planar_polar_measures``) and in space
-    take the rule that ``polar_nodes`` gives the measure at the stack's
-    width k, the walk of the normal fan (``bodies.spatial_polar_measures``,
-    exact under Lebesgue measure) or a grid.  ``measure`` is a
-    RadialMeasure, or None for Lebesgue measure.
+    take the walk of the normal fan (``bodies.spatial_polar_measures``,
+    exact under Lebesgue measure); the caller picks the rule, as
+    ``polar_nodes`` gives it.  ``measure`` is a RadialMeasure, or None for
+    Lebesgue measure.
 
     Each grid row is ``polar_measure`` of its one zonotope, so a row's value
     does not depend on the rows stacked with it.  In cor13 reports on a
     2-vCPU Xeon a Gaussian row of 64 generators took 0.32 ms on 4096 nodes
     and 0.67 ms on 8192 (0.43 and 0.89 ms on row-major node sets).
     """
-    nodes = nodes or (polar_nodes(measure, G.shape[1]) if G.shape[-1] == 3 else None)
     if nodes is None:
         return (planar_polar_measures if G.shape[-1] == 2 else spatial_polar_measures)(G, measure)
     measure = measure or RadialMeasure.lebesgue()
@@ -255,8 +240,7 @@ def _merged_polar_measure(gens: np.ndarray, measure: RadialMeasure | None = None
         raise GeometryError(f"polar supports dimension 2 or 3, got {gens.shape[1]}")
     if not spans_space(gens):
         raise GeometryError("polar requires a full-dimensional zonotope")
-    fan = planar_polar_measures if gens.shape[1] == 2 else spatial_polar_measures
-    values, held = fan(gens[None], measure)
+    values, held = polar_measures(gens[None], measure)
     if not held[0]:
         raise GeometryError("polar requires a full-dimensional zonotope")
     return float(values[0])
@@ -395,8 +379,7 @@ def polar_projection_polytope(K) -> VPolytope:
     return polar_of_zonotope(Z)
 
 
-def petty_product(K, method: str = "exact", nodes: int | None = None,
-                  certify: bool = False) -> float:
+def petty_product(K, method: str = "exact", nodes: int | None = None) -> float:
     """Affine invariant |Pi^o K| |K|^(n-1).
 
     method 'exact' takes |Pi^o K| from the normal fan of the merged
@@ -404,8 +387,8 @@ def petty_product(K, method: str = "exact", nodes: int | None = None,
     ``zonotope_polar_measure`` reads it, with no second merge (the polar
     hull volume is its oracle in ``verify``); 'quadrature' integrates the
     projection support in polar-radial coordinates (``polar_measure`` on
-    ``nodes`` nodes, doubled to certify with ``certify``).  Under 'exact'
-    either grid argument raises a GeometryError.
+    ``nodes`` nodes, certified by a second call on twice as many).  Under
+    'exact' ``nodes`` raises a GeometryError.
     """
     body_vol = volume(K)
     n = K.dim
@@ -413,12 +396,11 @@ def petty_product(K, method: str = "exact", nodes: int | None = None,
         raise GeometryError("Petty product needs a full-dimensional body")
     if method not in PETTY_METHODS:
         raise GeometryError(f"unknown petty_product method {method!r}")
-    if method != "quadrature" and (nodes is not None or certify):
-        raise GeometryError(f"nodes and certify are read only under method 'quadrature', "
-                            f"got method {method!r}")
+    if method != "quadrature" and nodes is not None:
+        raise GeometryError(f"nodes are read only under method 'quadrature', got method {method!r}")
     Z = projection_body(K)
     if method == "quadrature":
-        polar_vol = polar_measure(Z, RadialMeasure.lebesgue(), nodes, certify)
+        polar_vol = polar_measure(Z, RadialMeasure.lebesgue(), nodes)
     else:
         polar_vol = _merged_polar_measure(Z.generators)
     return polar_vol * body_vol ** (n - 1)

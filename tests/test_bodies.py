@@ -1,6 +1,7 @@
 import ast
 import math
 import pickle
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -133,7 +134,9 @@ class TestHull:
         assert flat.affine_dim == 2
         assert volume(flat) == 0.0
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # an integer past the largest float has no float to hold it
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10 ** 400, id="int-past-float")])
     def test_non_finite_coordinates_raise(self, value):
         for pts in ([[0.0, 0.0], [1.0, 0.0], [0.0, value], [1.0, 1.0]],
                     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, value]]):
@@ -1277,3 +1280,57 @@ def test_solid_simplex_contains_origin_on_boundary():
 
 def test_regular_polygon_vertex_count():
     assert len(regular_polygon(1.0, 7).vertices) == 7
+
+
+_FLAT_SQUARE = hull(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+
+# call -> the message of the GeometryError it raises, one per refusal site
+REFUSALS = {
+    "as_points-3-d-array": (lambda: bodies.as_points(np.zeros((2, 2, 2))),
+                            "points must form a 2-d array"),
+    "minkowski_sum-dimensions": (lambda: minkowski_sum(cube_body(2), cube_body(3)),
+                                 "dimension mismatch in minkowski_sum"),
+    "facet_planes-flat": (lambda: bodies.facet_planes(_FLAT_SQUARE),
+                          "facet planes need a full-dimensional body"),
+    "polar-flat": (lambda: polar(_FLAT_SQUARE), "polar needs a full-dimensional body"),
+    # C(200, 3) = 1313400 determinants, past ZONOTOPE_DET_BUDGET
+    "zonotope_volume-budget": (lambda: zonotope_volume(Zonotope(np.ones((200, 3)))),
+                               "determinant expansion needs 1313400 terms"),
+    "zonotope_to_vpolytope-4-d": (lambda: zonotope_to_vpolytope(Zonotope(np.eye(4))),
+                                  "vertex conversion supports dimension 2 or 3"),
+    "polar_of_zonotope-4-d": (lambda: polar_of_zonotope(Zonotope(np.eye(4))),
+                              "polar supports dimension 2 or 3"),
+    "MSpec.lp-below-one": (lambda: MSpec.lp(0.5), "lp addition needs p >= 1"),
+    "coefficients-dimension": (lambda: MSpec.polytope(cube_body(3)).coefficients(2),
+                               "polytope M must live in R^(number of bodies)"),
+    "m_add-no-body": (lambda: m_add(MSpec.minkowski(), []), "m_add needs at least one body"),
+    "m_add-dimensions": (lambda: m_add(MSpec.minkowski(), [cube_body(2), cube_body(3)]),
+                         "m_add bodies must share a dimension"),
+    "m_add-asymmetric": (lambda: m_add(MSpec.lp(2.0), [cube_body(2), solid_simplex(2)]),
+                         "m_add with a nontrivial M needs origin-symmetric bodies"),
+    "ball_body-4-d": (lambda: ball_body(4), "ball approximation needs dimension 2 or 3"),
+    "lp_ball_body-below-one": (lambda: lp_ball_body(2, 0.5), "lp ball needs p >= 1"),
+    "lp_ball_body-sampled-m-4": (lambda: lp_ball_body(4, 2.0),
+                                 "lp ball sampling supports m = 2 or 3 only"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_each_refusal_raises_its_own_message(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        call()
+
+
+def test_a_zonotope_maps_through_its_generators():
+    # X Z is the zonotope of the mapped generators, whose vertices are the
+    # mapped vertices of Z
+    X = np.array([[2.0, 1.0], [0.5, -1.5]])
+    Z = Zonotope(np.array([[1.0, 0.0], [0.3, 0.8], [-0.4, 0.5]]))
+    got = linear_image(X, Z)
+    assert vertex_set_distance(got, hull(zonotope_to_vpolytope(Z).vertices @ X.T)) <= 1e-12
+
+
+def test_a_zonotope_of_zero_generators_is_the_origin():
+    for gens in (np.zeros((0, 3)), np.zeros((2, 3))):
+        assert zonotope_to_vpolytope(Zonotope(gens)).vertices.tolist() == [[0.0, 0.0, 0.0]]

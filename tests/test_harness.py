@@ -98,6 +98,9 @@ def _leading(key: str) -> str:
     return rf"^(unknown key )?{re.escape(key)}"
 
 
+# an integer JSON reads exactly, past the largest float
+_HUGE = 10 ** 400
+
 # config -> the key its ConfigError names
 REJECTIONS = {
     "trials-float": (run_theorem_1_2, dict(THM12_SMALL, trials=2.9), "trials"),
@@ -134,6 +137,21 @@ REJECTIONS = {
                                "blocks[0].density.sigma"),
     "cube-half-infinite": (run_theorem_1_2, _body_block(type="cube", dim=2, half=math.inf),
                            "blocks[0].density.body.half"),
+    # a JSON integer past the largest float is refused at parse, not by float()
+    "half-huge": (run_theorem_1_2, dict(THM12_SMALL, c_set={"kind": "cube", "m": 3, "half": _HUGE}),
+                  "c_set.half"),
+    "bp-p-huge": (run_theorem_1_2, dict(THM12_SMALL, c_set={"kind": "bp", "m": 3, "p": _HUGE}),
+                  "c_set.p"),
+    "msum-M-p-huge": (run_theorem_1_2, _msum(*_BALLS, M={"p": _HUGE}), "c_set.M.p"),
+    "density-sigma-huge": (run_theorem_1_2, _block(density={"type": "gaussian", "sigma": _HUGE}, m=3),
+                           "blocks[0].density.sigma"),
+    "measure-radius-huge": (run_theorem_1_2,
+                            dict(THM12_SMALL, measure={"type": "ball", "radius": _HUGE}),
+                            "measure.radius"),
+    "ball_radius-huge": (run_emp_mixed, dict(EMPMIXED_BALL, ball_radius=_HUGE), "ball_radius"),
+    "polygon-vertices-huge": (run_theorem_1_2,
+                              _body_block(type="polygon", vertices=[[_HUGE, 0], [0, 1], [1, 1]]),
+                              "blocks[0].density.body.vertices"),
     # a component's own body: cube vertices stop at dimension 16
     "msum-component-dim-17": (run_theorem_1_2,
                               _msum({"kind": "bp", "m": 17, "p": math.inf}, _BALLS[0]),
@@ -1552,6 +1570,27 @@ class TestSerialization:
             got[name] = (trials, hashlib.sha256(report_to_json(report).encode()).hexdigest())
         assert got == self.GOLDEN
 
+    # (body literal, method) -> sha256 of the report_to_json of its petty
+    # report, which names the rule and a grid's certificate
+    PETTY_GOLDEN = {
+        ("polygon", "exact"): "fd9a01f3039dcc17702a56f54c0ad455827d5bb37e1d2553e51c712bbebf2e8b",
+        ("polygon", "quadrature"): "268c87a9d723ab514d72ba629bd35ac3e88b24b3d97e758ad31f6b894c6fee7d",
+        ("polytope3", "exact"): "24e086b1de1d99ffc4c10206b2ebd3b8bb04b3d01d091bdbb259f676f17e69e0",
+        ("polytope3", "quadrature"):
+            "54ae1ab3bd30a62a9c55cbbd2c44ae512ce634fc264a47b13e55651da84a726a",
+    }
+
+    def test_petty_reports_keep_their_bytes(self):
+        bodies_of = {
+            "polygon": {"type": "polygon", "vertices": [[0, 0], [3, 0.5], [2.5, 2], [0.2, 1.5]]},
+            "polytope3": {"type": "polytope3", "vertices": [[0, 0, 0], [2, 0, 0.3], [0.4, 1.5, 0],
+                                                            [0.1, 0.2, 1.8], [1.2, 1.1, 1.0]]},
+        }
+        got = {(name, method): hashlib.sha256(report_to_json(
+                   cli.run_petty(dict(bodies_of[name], method=method))).encode()).hexdigest()
+               for name, method in self.PETTY_GOLDEN}
+        assert got == self.PETTY_GOLDEN
+
 
 class TestCli:
     def _write(self, tmp_path, payload, name="config.json"):
@@ -1662,13 +1701,15 @@ class TestCli:
         ({"method": "exact"}, "body"),
         (dict(SQUARE, dim=2.5), "dim"),
         (dict(SQUARE, quadrature={"certify": "no"}), "quadrature.certify"),
+        # a grid report carries its certificate, so there is no flag to ask for one
+        (dict(SQUARE, method="quadrature", quadrature={"certify": True}), "quadrature.certify"),
         # quadrature is read under method quadrature only
-        (dict(SQUARE, method="exact", quadrature={"nodes": 64, "certify": True}), "quadrature"),
+        (dict(SQUARE, method="exact", quadrature={"nodes": 64}), "quadrature"),
         (dict(SQUARE, quadrature={}), "quadrature"),
         ({"body": SQUARE, "method": "auto"}, "method"),
         (dict(SQUARE, method="quadrature", quadrature={"nodes": None}), "quadrature.nodes"),
     ], ids=["method", "typo", "typo-beside-body", "body-key", "no-body", "dim-float",
-            "certify-string", "quadrature-under-exact", "quadrature-under-default",
+            "certify-string", "certify-unknown", "quadrature-under-exact", "quadrature-under-default",
             "method-auto", "nodes-null"])
     def test_petty_rejects_a_bad_field_by_its_key(self, tmp_path, capsys, config, key):
         with pytest.raises(ConfigError, match=_leading(key)):
@@ -1696,12 +1737,32 @@ class TestCli:
         assert report["iterations"] == 3 and report["seed"] == 5 and len(report["steps"]) == 3
         assert cli.run_symmetrize(dict(SQUARE, iterations=3, seed=5)) == report
 
-    def test_petty_honours_certify(self):
-        config = dict(SQUARE, method="quadrature", quadrature={"nodes": 64, "certify": True})
-        with pytest.raises(GeometryError, match="certification"):
-            cli.run_petty(config)
-        config["quadrature"]["nodes"] = 4096
-        assert cli.run_petty(config)["product"] == pytest.approx(2.0, rel=1e-4)
+    def test_petty_reports_its_grid_certificate(self):
+        # the rule a product took; a grid's certificate is its relative gap
+        # to the product on twice its nodes, large on a coarse grid
+        K = bodies.cube_body(2)
+        for nodes, low, high in ((64, 1e-4, 1e-2), (4096, 0.0, 1e-6)):
+            report = cli.run_petty(dict(SQUARE, method="quadrature", quadrature={"nodes": nodes}))
+            rule = report["quadrature"]
+            fine = projections.petty_product(K, "quadrature", 2 * nodes)
+            assert rule == {"rule": "grid", "nodes": nodes, "certificate": {
+                "nodes": 2 * nodes, "relative_gap": abs(report["product"] - fine) / fine}}
+            assert low < rule["certificate"]["relative_gap"] < high
+        default = cli.run_petty({"body": _CUBE3, "method": "quadrature"})["quadrature"]
+        assert default["nodes"] == projections.DEFAULT_NODES[3]
+        assert cli.run_petty(SQUARE)["quadrature"] == {"rule": "exact"}
+
+    def test_a_number_past_the_largest_float_exits_one_naming_its_key(self, tmp_path, capsys):
+        # JSON reads the integer exactly; float() would raise OverflowError
+        for command, config, key in (
+                ("thm12", dict(THM12_SMALL, c_set={"kind": "cube", "m": 3, "half": _HUGE}),
+                 "c_set.half"),
+                ("thm12", dict(THM12_SMALL, c_set={"kind": "bp", "m": 3, "p": _HUGE}), "c_set.p"),
+                ("petty", {"body": {"type": "polygon", "vertices": [[_HUGE, 0], [0, 1], [1, 1]]}},
+                 "body.vertices"),
+                ("petty", {"type": "cube", "dim": 2, "half": _HUGE}, "half")):
+            assert cli.main([command, "--config", self._write(tmp_path, config)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {key}")
 
     def test_replay_reruns_one_trial_through_both_routes(self, tmp_path, capsys):
         kind, config = CHUNKED["thm12-3d-lebesgue"]
@@ -1739,6 +1800,13 @@ class TestCli:
 
     def test_usage_errors_exit_one(self, tmp_path, capsys):
         assert cli.main(["no-such-command"]) == 1
+        capsys.readouterr()
+        assert cli.main([]) == 1
+        assert capsys.readouterr().err.startswith("usage: pettylab")
+        root = tmp_path / "list.json"
+        root.write_text("[1, 2]")
+        assert cli.main(["petty", "--config", str(root)]) == 1
+        assert "config root must be a JSON object" in capsys.readouterr().err
         assert cli.main(["petty"]) == 1
         assert cli.main(["petty", "--config", str(tmp_path / "missing.json")]) == 1
         broken = tmp_path / "broken.json"

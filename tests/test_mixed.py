@@ -403,3 +403,19 @@ class TestV1:
         A = box((2.0, 1.0))
         B = box((1.0, 3.0))
         assert v1(A, B) == pytest.approx(box_mixed_volume([(2, 1), (1, 3)]))
+
+
+def test_a_flat_body_has_no_centroid():
+    flat = hull(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(GeometryError, match="centroid needs a full-dimensional body"):
+        mixed.centroid(flat)
+
+
+def test_a_mixed_functional_needs_its_count_of_bodies_in_one_dimension():
+    square, cube = cube_body(2), cube_body(3)
+    for call, got in ((lambda: mixed.mixed_area_measure([]), 0),
+                      (lambda: mixed.mixed_area_measure([square, square]), 2),
+                      (lambda: mixed.mixed_area_measure([cube, square]), 2),
+                      (lambda: mixed_volume([square]), 1)):
+        with pytest.raises(GeometryError, match=f"bodies of one dimension n, got {got}$"):
+            call()

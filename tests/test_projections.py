@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -394,10 +395,6 @@ class TestPolarMeasure:
         got = polar_measure(cube_body(2), RadialMeasure.lebesgue())
         assert got == pytest.approx(2.0, rel=1e-4)
 
-    def test_certification_doubles_and_agrees(self):
-        got = polar_measure(cube_body(2), RadialMeasure.lebesgue(), nodes=2048, certify=True)
-        assert got == pytest.approx(2.0, rel=1e-3)
-
     def test_gaussian_mass_of_the_polar_region(self):
         # P(|X1| + |X2| <= 1) for a standard normal pair, frozen by MC
         gen = np.random.default_rng(87)
@@ -451,12 +448,6 @@ class TestPolarMeasure:
     def test_unbounded_lebesgue_region_is_rejected(self):
         with pytest.raises(GeometryError):
             RadialMeasure.lebesgue().radial_integral(np.array([np.inf]), 2)
-        # degenerate support: the quadrature diverges with the node count,
-        # which the doubling certification turns into a hard failure
-        seg = hull(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        Z = projection_body(seg, allow_degenerate=True)
-        with pytest.raises(GeometryError):
-            polar_measure(Z, RadialMeasure.lebesgue(), nodes=512, certify=True)
         # a support above -1e-10 reads as 0, a node whose ray is unbounded;
         # one below it is an error of the evaluator
         with pytest.raises(GeometryError, match="polar set is unbounded"):
@@ -535,15 +526,15 @@ class TestPolarMeasures:
     @pytest.mark.parametrize("nu, walk_to", [(RadialMeasure.gaussian(1.0), 16),
                                              (RadialMeasure.ball(0.6), 10), (None, 40)],
                              ids=["gaussian", "ball", "lebesgue"])
-    def test_no_node_count_takes_the_rule_at_the_stack_width(self, nu, walk_to):
-        # the walk up to the measure's crossover, its grid row past it, and
-        # the exact walk under Lebesgue measure at any width
+    def test_no_node_count_walks(self, nu, walk_to, monkeypatch):
+        # the rule is the caller's: with no node count a spatial stack walks
+        # on both sides of the measure's crossover, past which the rule
+        # table gives a grid, and never reads the table
+        assert projections.polar_nodes(nu, walk_to + 1) == (None if nu is None else 8192)
+        monkeypatch.setattr(projections, "polar_nodes", None)
         G = np.random.default_rng(95).normal(size=(2, walk_to + 1, 3))
         for k in (walk_to, walk_to + 1):
-            nodes = projections.polar_nodes(nu, k)
-            assert (nodes is None) == (k == walk_to or nu is None)
-            want = (bodies.spatial_polar_measures(G[:, :k], nu) if nodes is None
-                    else projections.polar_measures(G[:, :k], nu, nodes))
+            want = bodies.spatial_polar_measures(G[:, :k], nu)
             assert projections.polar_measures(G[:, :k], nu)[0].tobytes() == want[0].tobytes()
 
     def test_lebesgue_measure_has_no_grid_row(self):
@@ -659,12 +650,11 @@ class TestPetty:
             with pytest.raises(GeometryError, match="dimension 2 or 3"):
                 petty_product(Zonotope(np.eye(4)), method)
 
-    @pytest.mark.parametrize("grid", [{"nodes": 64}, {"certify": True}])
     @pytest.mark.parametrize("method", ["exact", None], ids=["exact", "default"])
-    def test_grid_arguments_need_the_quadrature_method(self, method, grid):
+    def test_grid_arguments_need_the_quadrature_method(self, method):
         args = () if method is None else (method,)
         with pytest.raises(GeometryError, match="read only under method 'quadrature'"):
-            petty_product(cube_body(2), *args, **grid)
+            petty_product(cube_body(2), *args, nodes=64)
 
     def test_an_exact_product_merges_the_projection_body_once(self, monkeypatch):
         calls = []
@@ -680,6 +670,18 @@ class TestPetty:
         petty_product(K, "exact")
         assert len(calls) == 1
 
+    def test_an_exact_polar_measure_is_the_stacked_entry_of_one_row(self, monkeypatch):
+        # one dispatch for every exact polar measure: a zonotope's, and so a
+        # petty product's, is the no-node row of ``polar_measures``
+        calls, entry = [], projections.polar_measures
+        monkeypatch.setattr(projections, "polar_measures",
+                            lambda G, *args: calls.append((G.shape, args)) or entry(G, *args))
+        for n in (2, 3):
+            petty_product(cube_body(n))
+        gauss = RadialMeasure.gaussian(1.0)
+        projections.zonotope_polar_measure(Zonotope(np.eye(3)), gauss)
+        assert calls == [((1, 2, 2), (None,)), ((1, 3, 3), (None,)), ((1, 3, 3), (gauss,))]
+
 
 def test_cauchy_bound_never_exceeds_surface_area():
     gen = np.random.default_rng(92)
@@ -687,3 +689,34 @@ def test_cauchy_bound_never_exceeds_surface_area():
         for _ in range(15):
             K = hull(gen.normal(size=(n + 5, n)))
             assert cauchy_surface_bound_defect(K) >= -1e-9
+
+
+_FLAT_TRIANGLE = hull(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
+# call -> the message of the GeometryError it raises, one per refusal site
+REFUSALS = {
+    "support-width": (lambda: centroid_body_support(cube_body(2))(np.ones((1, 3))),
+                      "direction dimension mismatch"),
+    "gaussian-sigma-zero": (lambda: RadialMeasure.gaussian(0.0), "gaussian sigma must be positive"),
+    "ball-radius-zero": (lambda: RadialMeasure.ball(0.0), "ball radius must be positive"),
+    "centroid-body-flat": (lambda: centroid_body_support(_FLAT_TRIANGLE),
+                           "centroid body needs a full-dimensional body"),
+    "petty-flat": (lambda: petty_product(_FLAT_TRIANGLE),
+                   "Petty product needs a full-dimensional body"),
+    "petty-method": (lambda: petty_product(cube_body(2), "auto"),
+                     "unknown petty_product method 'auto'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_each_refusal_raises_its_own_message(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        call()
+
+
+def test_a_half_space_that_misses_the_body_adds_nothing_to_its_centroid_support():
+    # [2, 4] x [-1, 1] lies in x > 0, so the half-space <x, (-1, 0)> >= 0
+    # misses it; the mean of |x| over it is 3 either way along the axis
+    h = centroid_body_support(hull(np.array([[2.0, -1.0], [4.0, -1.0], [4.0, 1.0], [2.0, 1.0]])))
+    assert h(np.array([[-1.0, 0.0], [1.0, 0.0]])) == pytest.approx([3.0, 3.0], rel=1e-12)

@@ -349,3 +349,18 @@ class TestExpectationPairs:
             steiner_step_expectation(
                 lambda d, r: 0.0, [Density.gaussian(2)], E1, trials=2, seed=0
             )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: steiner_symmetrize(cube_body(2), [0.0, 0.0]), "direction must be nonzero"),
+    (lambda: steiner_symmetrize(hull(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])),
+                                [0.0, 0.0, 1.0]),
+     "Steiner symmetrization needs a full-dimensional body"),
+    (lambda: steiner_symmetrize(VPolytope(cube_body(4).vertices), np.eye(4)[0]),
+     "Steiner symmetrization supports dimension 2 or 3"),
+    (lambda: rearrange_body(hull(np.array([[0.0, 0.0], [1.0, 0.0]]))),
+     "rearrangement needs a full-dimensional body"),
+], ids=["zero-direction", "flat-3-d", "dimension-4", "rearrange-flat"])
+def test_each_refusal_raises_its_own_message(call, message):
+    with pytest.raises(GeometryError, match=message):
+        call()
