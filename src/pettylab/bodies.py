@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -91,24 +91,20 @@ class VPolytope:
     def __repr__(self):
         return f"VPolytope(dim={self.dim}, vertices={len(self.vertices)}, reduced={self.reduced})"
 
-    def __getstate__(self):
-        return (np.asarray(self.vertices), self.dim, self.reduced)
-
-    def __setstate__(self, state):
-        pts, dim, reduced = state
-        pts = np.asarray(pts)
-        pts.setflags(write=False)
-        object.__setattr__(self, "vertices", pts)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "_cache", {})
+    def __reduce__(self):  # a copy is built by the constructor, with an empty cache
+        return VPolytope, (self.vertices, self.reduced)
 
     def derived(self, name: str, build, *args):
         """``build(*args)``, kept in this body's cache under ``name`` the first
-        time it is asked for; a pickled copy starts with an empty cache."""
+        time it is asked for, with every array in it (the value, a tuple's
+        items or a record's fields) made read-only: that rule's one owner."""
         cache = self._cache
         if name not in cache:
-            cache[name] = build(*args)
+            value = cache[name] = build(*args)
+            for part in (value if isinstance(value, tuple) else
+                         getattr(value, "__dict__", {}).values() or (value,)):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
         return cache[name]
 
     @property
@@ -137,6 +133,9 @@ class Zonotope:
         gens = as_points(self.generators)
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
+
+    def __reduce__(self):
+        return Zonotope, (self.generators,)
 
     @property
     def dim(self) -> int:
@@ -382,21 +381,18 @@ def affine_dimension(points: np.ndarray) -> int:
 class HullFacets:
     """What one qhull run says about a full-dimensional body: its volume,
     the facet equations (qhull's convention, normal . x + offset <= 0) and
-    the facet simplices as rows of the body's vertex list."""
+    the facet simplices as rows of the body's vertex list; the body's memo
+    (``VPolytope.derived``) keeps it and makes its arrays read-only."""
 
     volume: float
     equations: np.ndarray
     simplices: np.ndarray
 
-    def __post_init__(self):
-        self.equations.setflags(write=False)
-        self.simplices.setflags(write=False)
 
-
-def _hull_full_dim(points: np.ndarray) -> tuple[np.ndarray, HullFacets | None]:
+def _hull_full_dim(points: np.ndarray) -> tuple[np.ndarray, tuple | None]:
     """The hull vertices of a full-dimensional cloud and, unless qhull had to
-    joggle the input (whose facets then belong to moved points), its facets
-    with simplices remapped to rows of those vertices."""
+    joggle the input (whose facets then belong to moved points), its
+    ``HullFacets`` fields, with simplices remapped to rows of those vertices."""
     try:
         h = ConvexHull(points)
     except QhullError:
@@ -404,7 +400,7 @@ def _hull_full_dim(points: np.ndarray) -> tuple[np.ndarray, HullFacets | None]:
         return points[h.vertices], None
     rows = np.empty(len(points), dtype=np.intp)
     rows[h.vertices] = np.arange(len(h.vertices))
-    return points[h.vertices], HullFacets(float(h.volume), h.equations, rows[h.simplices])
+    return points[h.vertices], (float(h.volume), h.equations, rows[h.simplices])
 
 
 def _joggled_hull(points: np.ndarray) -> ConvexHull:
@@ -435,6 +431,7 @@ def hull(points) -> VPolytope:
     Degenerate clouds are legal: the result keeps the ambient dimension and
     reports a smaller ``affine_dim``.  Planar hulls come back in
     counterclockwise order.  Non-finite coordinates raise GeometryError.
+    Its memo keeps its affine dimension and any unjoggled qhull record.
     """
     pts = as_points(points)
     n = pts.shape[1]
@@ -456,9 +453,9 @@ def hull(points) -> VPolytope:
         else:
             verts = _hull_full_dim(coords)[0] @ basis + center
     out = VPolytope(verts, reduced=True)
-    out._cache["affine_dim"] = rank
+    out.derived("affine_dim", int, rank)
     if record is not None:
-        out._cache["qhull"] = record
+        out.derived("qhull", HullFacets, *record)
     return out
 
 

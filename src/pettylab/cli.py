@@ -150,7 +150,7 @@ def run_petty(config: dict) -> dict:
 def run_symmetrize(config: dict) -> dict:
     K = as_polytope(_body_of(config, ("iterations", "seed")))
     iterations = _integer(config.get("iterations", 10), "iterations", 0)
-    seed = _integer(config.get("seed", 0), "seed", 0)
+    seed = _integer(config.get("seed", 0), "seed", 0, math.inf)
     gen = np.random.default_rng(seed)
     vol0 = volume(K)
     ball = rearrange_body(K)

@@ -268,10 +268,12 @@ def _typed(value, where: str, keys: dict, tag: str) -> str:
     return kind
 
 
-def _integer(value, key: str, low: int = 1) -> int:
-    """``value`` when it is an integer (not a bool) of at least ``low``."""
+def _integer(value, key: str, low: int = 1, high=sys.maxsize) -> int:
+    """``value`` when it is an integer (not a bool) from ``low`` to ``high``,
+    by default ``sys.maxsize``, past which numpy takes no size or count."""
     _require(type(value) is int and value >= low,
              f"{key} must be an integer >= {low}, got {value!r}")
+    _require(value <= high, f"{key} must be at most {high}")
     return value
 
 
@@ -604,8 +606,8 @@ class _Spec:
         dim = config.get("dim", 2)
         _require(type(dim) is int and dim in (2, 3), f"dim must be 2 or 3, got {dim!r}")
         self.dim = dim
-        self.trials = _integer(config.get("trials", DEFAULT_TRIALS), "trials")
-        self.seed = _integer(config.get("seed", 0), "seed", 0)
+        self.trials = _integer(config.get("trials", DEFAULT_TRIALS), "trials", 1, INDEX_LIMIT)
+        self.seed = _integer(config.get("seed", 0), "seed", 0, math.inf)
         self.parse(config)
         self._frozen = True
 
@@ -1228,7 +1230,7 @@ def replay(kind: str, config: dict, key) -> dict:
     sides = len(spec.blocks)
     shape = f"key must be (side, trial) with side below {sides} and 0 <= trial < 2**32"
     _require(isinstance(key, (tuple, list)) and len(key) == 2, f"{shape}, got {key!r}")
-    side, index = (_integer(k, "key", 0) for k in key)
+    side, index = (_integer(k, "key", 0, math.inf) for k in key)
     _require(side < sides and index < INDEX_LIMIT, shape)
     routes = {
         "chunk": lambda diag: spec.chunk(side, index, 1, diag)[0],

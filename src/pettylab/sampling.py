@@ -146,17 +146,17 @@ class Density:
         return self
 
     def _triangulation(self) -> tuple:
-        """(Delaunay triangulation of the body, its simplices' volume CDF)."""
+        """(the body's Delaunay simplices, as rows of its vertex list, and their volume CDF)."""
         return self.body.derived("triangulation", _triangulate, self.body.vertices)
 
     def _corners(self, idx: np.ndarray) -> np.ndarray:
         """The corners of the simplices ``idx`` of the triangulation, shape
-        (len(idx), dim + 1, dim): ``tri.points[tri.simplices[idx]]``, read by
-        two ``np.take`` calls, which gather rows about six times as fast as
-        fancy indexing.  No corner table is kept: a triangulation can hold
-        about 1e5 vertices."""
-        tri = self._triangulation()[0]
-        return np.take(tri.points, np.take(tri.simplices, idx, axis=0), axis=0)
+        (len(idx), dim + 1, dim): ``vertices[simplices[idx]]`` from the body's
+        vertices, by two ``np.take`` calls, which gather rows about six times
+        as fast as fancy indexing.  No corner table is kept: a triangulation
+        can hold about 1e5 vertices."""
+        simplices = self._triangulation()[0]
+        return np.take(self.body.vertices, np.take(simplices, idx, axis=0), axis=0)
 
     def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """Draw count points, shape (count, dim)."""
@@ -206,12 +206,10 @@ class Density:
 
 
 def _triangulate(vertices: np.ndarray) -> tuple:
-    tri = Delaunay(vertices)
-    pts = tri.points[tri.simplices]
+    simplices = Delaunay(vertices).simplices
+    pts = vertices[simplices]
     vols = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(vertices.shape[1])
-    cdf = cumulative_weights(vols / vols.sum())
-    cdf.setflags(write=False)
-    return tri, cdf
+    return simplices, cumulative_weights(vols / vols.sum())
 
 
 class _ZeroKey(ISeedSequence):

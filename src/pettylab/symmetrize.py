@@ -188,16 +188,17 @@ def steiner_symmetrize(K: VPolytope, u) -> VPolytope:
     raise GeometryError("Steiner symmetrization supports dimension 2 or 3")
 
 
-def rearrange_body(K: VPolytope, facets_count: int | None = None) -> VPolytope:
+def rearrange_body(K: VPolytope) -> VPolytope:
     """Equal-volume centered ball polytope (symmetric decreasing rearrangement).
 
-    The unit ball's polytope ``bodies.ball_body`` (by default a 64-gon or a
-    320-facet sphere) is scaled radially so its volume matches K exactly.
+    The unit ball's polytope ``ball_body(dim, 1.0, None)`` (a 64-gon or a
+    320-facet sphere, shared with ball literals) is scaled radially so its
+    volume matches K exactly.
     """
     vol = volume(K)
     if vol <= 0:
         raise GeometryError("rearrangement needs a full-dimensional body")
-    approx = ball_body(K.dim, 1.0, facets_count)
+    approx = ball_body(K.dim, 1.0, None)
     scale = (vol / volume(approx)) ** (1.0 / K.dim)
     return VPolytope(approx.vertices * scale, reduced=True)
 

@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,10 @@ from pettylab.bodies import (
 )
 from pettylab.mixed import (
     centroid,
+    edge_table,
     facets,
     mixed_projection_generators,
+    triangulation_edges,
     zonotope_projection_generators,
 )
 from pettylab.projections import (
@@ -62,6 +65,7 @@ from pettylab.projections import (
     tetrahedron_pair_normals,
     tetrahedron_projection_generators,
 )
+from pettylab.sampling import Density
 from pettylab.verify import (
     brute_hull_vertices_3d,
     cloud_widths_elementwise,
@@ -1090,8 +1094,58 @@ class TestSpatialPolarMeasures:
                     called = getattr(sub.func, "id", getattr(sub.func, "attr", None))
                     assert called not in products, name
 
+    def test_setflags_has_five_owners_and_copies_are_built_by_constructors(self):
+        # what a body keeps is made read-only by its memo, and a pickled body
+        # is rebuilt by its constructor, so no class sets its own state
+        owners = {("bodies", "VPolytope.__init__"), ("bodies", "Zonotope.__post_init__"),
+                  ("bodies", "VPolytope.derived"), ("bodies", "_walk_index"),
+                  ("projections", "node_set")}
+        seen = set()
+        for path in Path(bodies.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            calls = {sub for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+                     and getattr(sub.func, "attr", None) == "setflags"}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    names = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                    assert not names & {"__getstate__", "__setstate__"}, node.name
+            tops = [(f"{top.name}.{f.name}", f) for top in tree.body
+                    if isinstance(top, ast.ClassDef) for f in top.body
+                    if isinstance(f, ast.FunctionDef)]
+            for name, node in tops + [(top.name, top) for top in tree.body
+                                      if isinstance(top, ast.FunctionDef)]:
+                if (path.stem, name) in owners:
+                    held = calls & set(ast.walk(node))
+                    assert held, name
+                    calls -= held
+                    seen.add((path.stem, name))
+            assert not calls, path.stem
+        assert seen == owners
+
 
 class TestHullCache:
+    def test_every_array_the_memo_keeps_is_read_only(self):
+        K = hull(np.random.default_rng(58).normal(size=(30, 3)))
+        facets(K)
+        triangulation_edges(K)
+        edge_table(K)
+        Density.uniform(K).sample(np.random.default_rng(0), 4)
+        kept = []
+        for value in K._cache.values():
+            parts = (value if isinstance(value, tuple) else
+                     vars(value).values() if is_dataclass(value) else (value,))
+            kept += [part for part in parts if isinstance(part, np.ndarray)]
+        assert {"qhull", "facets", "triangulation_edges", "edges", "triangulation"} <= set(K._cache)
+        assert len(kept) >= 15
+        for a in kept:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+
+    def test_a_pickled_zonotope_is_rebuilt_by_its_constructor(self):
+        Z = pickle.loads(pickle.dumps(Zonotope(np.eye(3))))
+        assert not Z.generators.flags.writeable
+
     def test_one_qhull_serves_volume_facets_and_centroid(self, monkeypatch):
         runs = []
         real = bodies.ConvexHull
@@ -1119,7 +1173,7 @@ class TestHullCache:
         for n in (2, 3):
             K = hull(np.random.default_rng(56 + n).normal(size=(30, n)))
             copy = pickle.loads(pickle.dumps(K))
-            assert copy._cache == {}
+            assert copy._cache == {} and not copy.vertices.flags.writeable
             assert volume(copy) == pytest.approx(volume(K), rel=1e-13)
             assert centroid(copy) == pytest.approx(centroid(K), rel=1e-12)
             a, b = facets(K), facets(copy)

@@ -152,6 +152,23 @@ REJECTIONS = {
     "polygon-vertices-huge": (run_theorem_1_2,
                               _body_block(type="polygon", vertices=[[_HUGE, 0], [0, 1], [1, 1]]),
                               "blocks[0].density.body.vertices"),
+    # an integer past sys.maxsize, the largest size numpy takes, is refused
+    # at parse, not by numpy or inside a trial
+    "ball-facets-huge": (run_theorem_1_2, _body_block(type="ball", dim=2, facets=_HUGE),
+                         "blocks[0].density.body.facets"),
+    "quadrature-nodes-huge": (run_theorem_1_2,
+                              dict(THM12_SMALL, dim=3, c_set={"kind": "simplex", "m": 4},
+                                   blocks=[dict(_GAUSSIAN_BLOCK, m=4)],
+                                   measure={"type": "gaussian"}, quadrature={"nodes": _HUGE}),
+                              "quadrature.nodes"),
+    "block-m-huge": (run_theorem_1_2, _block(density={"type": "gaussian"}, m=_HUGE), "blocks[0].m"),
+    "c_set-m-huge": (run_theorem_1_2, dict(THM12_SMALL, c_set={"kind": "simplex", "m": _HUGE}),
+                     "c_set.m"),
+    "m1-huge": (run_emp_petty_2, dict(EMPPETTY2_SMALL, m1=_HUGE), "m1"),
+    "m2_list-huge": (run_lln, dict(LLN_SMALL, m2_list=[_HUGE]), "m2_list[0]"),
+    "cor13-m-huge": (run_corollary_1_3, dict(COR13_SMALL, m=_HUGE), "m"),
+    # a trial index is one uint32 word of its stream key
+    "trials-past-index-limit": (run_theorem_1_2, dict(THM12_SMALL, trials=2 ** 32 + 5), "trials"),
     # a component's own body: cube vertices stop at dimension 16
     "msum-component-dim-17": (run_theorem_1_2,
                               _msum({"kind": "bp", "m": 17, "p": math.inf}, _BALLS[0]),
@@ -372,6 +389,11 @@ class TestValidation:
         runner, config, key = REJECTIONS[name]
         with pytest.raises(ConfigError, match=_leading(key)):
             runner(config)
+
+    def test_a_seed_takes_any_size(self):
+        # SeedSequence reads a seed of any size; sizes and counts stop at
+        # sys.maxsize
+        assert run_theorem_1_2(dict(THM12_SMALL, seed=_HUGE, trials=2))["seed"] == _HUGE
 
     def test_estimate_rejects_a_side_it_does_not_have(self):
         with pytest.raises(ConfigError, match="side"):
@@ -1708,9 +1730,10 @@ class TestCli:
         (dict(SQUARE, quadrature={}), "quadrature"),
         ({"body": SQUARE, "method": "auto"}, "method"),
         (dict(SQUARE, method="quadrature", quadrature={"nodes": None}), "quadrature.nodes"),
+        (dict(SQUARE, method="quadrature", quadrature={"nodes": _HUGE}), "quadrature.nodes"),
     ], ids=["method", "typo", "typo-beside-body", "body-key", "no-body", "dim-float",
             "certify-string", "certify-unknown", "quadrature-under-exact", "quadrature-under-default",
-            "method-auto", "nodes-null"])
+            "method-auto", "nodes-null", "nodes-huge"])
     def test_petty_rejects_a_bad_field_by_its_key(self, tmp_path, capsys, config, key):
         with pytest.raises(ConfigError, match=_leading(key)):
             cli.run_petty(config)
@@ -1760,7 +1783,8 @@ class TestCli:
                 ("thm12", dict(THM12_SMALL, c_set={"kind": "bp", "m": 3, "p": _HUGE}), "c_set.p"),
                 ("petty", {"body": {"type": "polygon", "vertices": [[_HUGE, 0], [0, 1], [1, 1]]}},
                  "body.vertices"),
-                ("petty", {"type": "cube", "dim": 2, "half": _HUGE}, "half")):
+                ("petty", {"type": "cube", "dim": 2, "half": _HUGE}, "half"),
+                ("cor13", dict(COR13_SMALL, m=_HUGE), "m")):
             assert cli.main([command, "--config", self._write(tmp_path, config)]) == 1
             assert capsys.readouterr().err.startswith(f"error: {key}")
 

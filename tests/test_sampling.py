@@ -232,8 +232,8 @@ class TestDensity:
     def test_uniform_sample_matches_the_choice_draw(self, points):
         gen = np.random.default_rng(71 + points)
         d = Density.uniform(hull(gen.normal(size=(points, 3))))
-        tri, _ = d._triangulation()
-        corners = tri.points[tri.simplices]
+        simplices, _ = d._triangulation()
+        corners = d.body.vertices[simplices]
         vols = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])) / 6.0
         w = vols / vols.sum()
         for seed in range(20):

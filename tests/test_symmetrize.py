@@ -292,10 +292,6 @@ class TestRearrange:
             vals = B.support_batch(U)
             assert vals.max() / vals.min() - 1.0 < 0.05
 
-    def test_facet_count_is_honored(self):
-        B = rearrange_body(cube_body(2), 16)
-        assert len(B.vertices) == 16
-
 
 class TestShadowSystems:
     def test_chord_system_interpolates_the_three_bodies(self):
