@@ -82,6 +82,8 @@ class VPolytope:
 
     def __init__(self, vertices, reduced: bool = False):
         pts = as_points(vertices)
+        if pts is vertices:  # the caller's own array stays writeable
+            pts = pts.copy()
         pts.setflags(write=False)
         self.vertices = pts
         self.dim = pts.shape[1]
@@ -131,6 +133,8 @@ class Zonotope:
 
     def __post_init__(self):
         gens = as_points(self.generators)
+        if gens is self.generators:  # the caller's own array stays writeable
+            gens = gens.copy()
         gens.setflags(write=False)
         object.__setattr__(self, "generators", gens)
 

@@ -107,16 +107,13 @@ def centroid(P: VPolytope) -> np.ndarray:
     if R.affine_dim < R.dim:
         raise GeometryError("centroid needs a full-dimensional body")
     _, _, h = facet_planes(R)
-    ref = R.vertices.mean(axis=0)
-    total = 0.0
-    acc = np.zeros(R.dim)
-    n = R.dim
-    for simplex in h.simplices:
-        pts = R.vertices[simplex]
-        vol = abs(np.linalg.det(pts - ref)) / math.factorial(n)
-        acc += vol * (pts.sum(axis=0) + ref) / (n + 1)
-        total += vol
-    return acc / total
+    ref, n = R.vertices.mean(axis=0), R.dim
+    # the fan of facet simplices from the vertex mean; each total adds its
+    # terms in simplex order
+    pts = R.vertices[h.simplices]
+    vols = np.abs(np.linalg.det(pts - ref)) / math.factorial(n)
+    moments = vols[:, None] * (pts.sum(axis=1) + ref) / (n + 1)
+    return np.cumsum(moments, axis=0)[-1] / np.cumsum(vols)[-1]
 
 
 def clip_halfspace(P: VPolytope, normal, offset: float = 0.0) -> np.ndarray:

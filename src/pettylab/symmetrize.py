@@ -1,13 +1,18 @@
 """Steiner symmetrization, rearrangement to a ball, and shadow systems.
 
-Symmetrization along a direction replaces every chord parallel to it by a
-centered chord of equal length.  For vertex polytopes the construction is
-exact: chord endpoints are piecewise linear in the orthogonal coordinates,
-and all breakpoints come from vertices.  In space they come also from the
-crossings of projected upper and lower edges: the ``triangulation_edges``
-between two merged facets, next to a facet that faces along u (upper) or
-against it (lower).  A diagonal inside a merged facet creases neither
-chord end, so it takes no part.
+Symmetrization along a direction u replaces every chord parallel to u by a
+centered chord of equal length.  For vertex polytopes one exact path serves
+the plane and space.  Over a foot x in u^perp, the upper chord end f(x) is
+the lowest height at which a facet plane facing along u (upper) meets the
+line x + t u, and the lower end g(x) the highest for a plane facing against
+u (lower).  Both crease only over the projected vertices and, in space,
+over the crossings of projected upper and lower edges: the
+``triangulation_edges`` between two merged facets, next to an upper or a
+lower facet.  A diagonal inside a merged facet creases neither chord end,
+so it takes no part.  Over a vertex's own foot, f >= t >= g is clamped in
+for the vertex's height t: along a direction almost parallel to an edge,
+that edge's plane meets the line at a quotient by almost zero and loses
+bits.  The symmetral is the hull of (x, +-(f - g)/2) over the feet.
 """
 
 from __future__ import annotations
@@ -32,15 +37,12 @@ from .stats import summarize
 
 PARALLEL_TOL = 1e-10
 SNAP_TOL = 1e-12
-# Breakpoint x vertex entries per block in ``chord_profiles``: a polygon's
-# vertex count roughly doubles with each symmetrization, and ten rounds
-# from a triangle would otherwise take arrays of tens of MB.
-CHORD_BLOCK_ENTRIES = 1 << 15
 # Pairs per block in ``_segment_crossings`` (upper x lower edges) and in
-# ``_plane_heights`` (candidate points x facet planes): in the fourth round
-# of a 3-D chain from 12 points, some 1200 upper edges meet 1300 lower ones,
-# and with both steps in one block the round peaked at 124 MiB of
-# temporaries (tracemalloc); in these blocks it peaks at about 3 MiB.
+# ``_plane_heights`` (feet x facet planes): in the fourth round of a 3-D
+# chain from 12 points, some 1200 upper edges meet 1300 lower ones, and
+# with both steps in one block the round peaked at 124 MiB of temporaries
+# (tracemalloc); in these blocks it peaks at about 3 MiB.  In the plane, a
+# polygon's vertex count roughly doubles with each round.
 CROSSING_BLOCK_ENTRIES = 1 << 15
 
 
@@ -64,55 +66,15 @@ def _frame(u: np.ndarray) -> np.ndarray:
     return np.vstack([w1, w2, u])
 
 
-def chord_profiles(K: VPolytope, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Planar chord data along u: breakpoints s and heights (g(s), f(s)).
-
-    s runs over the coordinate orthogonal to u; f and g are the upper and
-    lower chord endpoint heights, evaluated at every breakpoint.
-    """
-    if K.dim != 2:
-        raise GeometryError("chord profiles are planar")
-    u = _unit(u)
-    B = _frame(u)
+def _chord_ends(K: VPolytope, u: np.ndarray, snap: bool = False) -> tuple:
+    """(B, feet, g, f): the frame B of the unit vector u, the feet of K's
+    chords along u in the coordinates of B's first n - 1 rows, and the lower
+    and upper chord ends over each foot.  The feet are the projected
+    vertices, with ``snap`` merged within SNAP_TOL of K's scale into sorted
+    planar breakpoints, and in space also the crossings of projected upper
+    and lower edges."""
     R = reduced_form(K)
-    coords = R.vertices @ B.T
-    s_vals, t_vals = coords[:, 0], coords[:, 1]
-    scale = max(1.0, float(np.max(np.abs(coords))))
-    snap = SNAP_TOL * scale
-    breaks = np.unique(np.round(s_vals / snap) * snap)
-    sa, sb = s_vals, np.concatenate((s_vals[1:], s_vals[:1]))
-    ta, tb = t_vals, np.concatenate((t_vals[1:], t_vals[:1]))
-    f = np.empty(len(breaks))
-    g = np.empty(len(breaks))
-    step = max(1, CHORD_BLOCK_ENTRIES // len(s_vals))
-    for i in range(0, len(breaks), step):
-        # heights at each breakpoint s (rows): the vertices within snap of
-        # s, and the edges a -> a + 1 of the cycle whose open s-range holds s
-        S = breaks[i:i + step, None]
-        at = np.abs(s_vals - S) <= snap
-        crossing = ((sa < S) & (S < sb)) | ((sb < S) & (S < sa))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = ta + (S - sa) / (sb - sa) * (tb - ta)
-        f[i:i + step] = np.maximum(np.where(at, t_vals, -np.inf).max(axis=1),
-                                   np.where(crossing, t, -np.inf).max(axis=1))
-        g[i:i + step] = np.minimum(np.where(at, t_vals, np.inf).min(axis=1),
-                                   np.where(crossing, t, np.inf).min(axis=1))
-    return breaks, g, f
-
-
-def _steiner_2d(K: VPolytope, u: np.ndarray) -> VPolytope:
-    B = _frame(u)
-    breaks, g, f = chord_profiles(K, u)
-    half = np.maximum(f - g, 0.0) / 2.0
-    top = np.column_stack([breaks, half])
-    bot = np.column_stack([breaks, -half])
-    pts = np.vstack([top, bot]) @ B
-    return hull(pts)
-
-
-def _steiner_3d(K: VPolytope, u: np.ndarray) -> VPolytope:
-    R = reduced_form(K)
-    if R.affine_dim < 3:
+    if R.affine_dim < R.dim:
         raise GeometryError("Steiner symmetrization needs a full-dimensional body")
     B = _frame(u)
     fac = facets(R)
@@ -121,37 +83,58 @@ def _steiner_3d(K: VPolytope, u: np.ndarray) -> VPolytope:
     lower = dots < -PARALLEL_TOL
     if not (np.any(upper) and np.any(lower)):
         raise GeometryError("degenerate facet structure along the direction")
+    coords = R.vertices @ B.T
+    feet, own = coords[:, :-1], np.arange(len(coords))
+    if snap:
+        step = SNAP_TOL * max(1.0, float(np.max(np.abs(coords))))
+        breaks, own = np.unique(np.round(feet[:, 0] / step) * step, return_inverse=True)
+        feet = breaks[:, None]
+    elif R.dim == 3:
+        # the chord ends crease only over the true edges next to an upper
+        # (lower) facet: not over a diagonal inside a merged facet
+        p, q, _, _, a, b = triangulation_edges(R)
+        true = a != b
+        segs = feet[np.sort(np.column_stack([p, q])[true], axis=1)]
+        sides = np.column_stack([a, b])[true]
+        feet = np.vstack([feet, _segment_crossings(segs[upper[sides].any(axis=1)],
+                                                   segs[lower[sides].any(axis=1)])])
+    f = _plane_heights(feet, fac.normals[upper], fac.offsets[upper], B, np.min)
+    g = _plane_heights(feet, fac.normals[lower], fac.offsets[lower], B, np.max)
+    np.maximum.at(f, own, coords[:, -1])
+    np.minimum.at(g, own, coords[:, -1])
+    return B, feet, g, f
 
-    verts2 = R.vertices @ B[:2].T
-    # the chord ends crease only over the true edges next to an upper
-    # (lower) facet: not over a diagonal inside a merged facet
-    p, q, _, _, a, b = triangulation_edges(R)
-    true = a != b
-    segs = verts2[np.sort(np.column_stack([p, q])[true], axis=1)]
-    sides = np.column_stack([a, b])[true]
-    crossings = _segment_crossings(segs[upper[sides].any(axis=1)], segs[lower[sides].any(axis=1)])
-    pts2 = np.vstack([verts2, crossings])
-    f_vals = _plane_heights(pts2, fac.normals[upper], fac.offsets[upper], B, np.min)
-    g_vals = _plane_heights(pts2, fac.normals[lower], fac.offsets[lower], B, np.max)
-    # every candidate lies in the projection of K, where f >= g but for rounding
-    half = np.maximum(f_vals - g_vals, 0.0) / 2.0
-    return hull(np.vstack([np.column_stack([pts2, half]), np.column_stack([pts2, -half])]) @ B)
+
+def chord_profiles(K: VPolytope, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Planar chord data along u: breakpoints s and heights (g(s), f(s)).
+
+    s runs over the coordinate orthogonal to u, one breakpoint per vertex
+    (those within SNAP_TOL of K's scale share one); f and g are the upper
+    and lower chord endpoint heights there, read off the facet planes as in
+    ``steiner_symmetrize``.
+    """
+    if K.dim != 2:
+        raise GeometryError("chord profiles are planar")
+    _, breaks, g, f = _chord_ends(K, _unit(u), snap=True)
+    return breaks[:, 0], g, f
 
 
 def _plane_heights(X: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
                    B: np.ndarray, reduce) -> np.ndarray:
     """``reduce`` over the planes <n, x> = offset of the height t at which
-    each plane meets the line x1 w1 + x2 w2 + t u, for each row (x1, x2) of
-    ``X``, with (w1, w2, u) the rows of the frame ``B``.  Blocks of rows
-    take elementwise products only, so a row's value does not depend on
-    its block."""
-    A = normals @ B[:2].T
-    denom = normals @ B[2]
+    each plane meets the line x_1 w_1 + ... + x_{n-1} w_{n-1} + t u, for each
+    row (x_1, ..., x_{n-1}) of ``X``, with (w_1, ..., w_{n-1}, u) the rows of
+    the frame ``B``.  The terms x_j <n, w_j> add in the order of j, and
+    blocks of rows take elementwise products only, so a row's value does not
+    depend on its block."""
+    A = normals @ B[:-1].T
+    denom = normals @ B[-1]
     out = np.empty(len(X))
     step = max(1, CROSSING_BLOCK_ENTRIES // len(normals))
     for i in range(0, len(X), step):
         block = X[i:i + step, None, :]
-        base = block[..., 0] * A[:, 0] + block[..., 1] * A[:, 1]
+        terms = [block[..., j] * A[:, j] for j in range(A.shape[1])]
+        base = sum(terms[1:], terms[0])
         out[i:i + step] = reduce((offsets - base) / denom, axis=1)
     return out
 
@@ -181,11 +164,12 @@ def _segment_crossings(segs_a: np.ndarray, segs_b: np.ndarray) -> np.ndarray:
 def steiner_symmetrize(K: VPolytope, u) -> VPolytope:
     """Steiner symmetral of K along u; volume is preserved exactly."""
     u = _unit(u)
-    if K.dim == 2:
-        return _steiner_2d(K, u)
-    if K.dim == 3:
-        return _steiner_3d(K, u)
-    raise GeometryError("Steiner symmetrization supports dimension 2 or 3")
+    if K.dim not in (2, 3):
+        raise GeometryError("Steiner symmetrization supports dimension 2 or 3")
+    B, feet, g, f = _chord_ends(K, u)
+    # every foot lies in the projection of K, where f >= g but for rounding
+    half = np.maximum(f - g, 0.0)[:, None] / 2.0
+    return hull(np.vstack([np.hstack([feet, half]), np.hstack([feet, -half])]) @ B)
 
 
 def rearrange_body(K: VPolytope) -> VPolytope:

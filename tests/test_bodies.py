@@ -1146,6 +1146,15 @@ class TestHullCache:
         Z = pickle.loads(pickle.dumps(Zonotope(np.eye(3))))
         assert not Z.generators.flags.writeable
 
+    def test_a_constructor_leaves_the_callers_array_writeable(self):
+        # the body freezes its own copy: a float64 2-d array passes
+        # ``as_points`` uncopied
+        a, g = np.zeros((3, 2)), np.eye(2)
+        K, Z = VPolytope(a), Zonotope(g)
+        a[0, 0], g[0, 0] = 5.0, 7.0
+        assert K.vertices[0, 0] == 0.0 and Z.generators[0, 0] == 1.0
+        assert not K.vertices.flags.writeable and not Z.generators.flags.writeable
+
     def test_one_qhull_serves_volume_facets_and_centroid(self, monkeypatch):
         runs = []
         real = bodies.ConvexHull

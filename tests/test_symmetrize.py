@@ -21,7 +21,7 @@ from pettylab import (
     vertex_set_distance,
     volume,
 )
-from pettylab.bodies import facet_planes, reduced_form
+from pettylab.bodies import facet_planes, perp, reduced_form
 from pettylab.mixed import facets, triangulation_edges
 from pettylab import symmetrize
 from pettylab.symmetrize import (
@@ -91,9 +91,9 @@ def triangulation_edges_loop(R):
 
 
 def steiner_edge_classes_loop(R, u):
-    """Oracle for the edge lists of ``_steiner_3d``: the hull's edges from
-    a set of sorted pairs, then the edges with both ends on an upper (lower)
-    facet plane of R along u, one edge at a time."""
+    """Oracle for the spatial edge lists of ``_chord_ends``: the hull's
+    edges from a set of sorted pairs, then the edges with both ends on an
+    upper (lower) facet plane of R along u, one edge at a time."""
     fac = facets(R)
     _, _, qh = facet_planes(R)
     edges = set()
@@ -136,17 +136,21 @@ def plane_heights_one_block(X, normals, offsets, B, reduce):
 
 
 class TestChordProfiles:
-    def test_equal_the_loop_reference_bit_for_bit(self):
+    def test_equal_the_loop_reference_within_rounding(self):
+        # breakpoints bit for bit; heights read off the facet planes, where
+        # the loop interpolates along the vertex cycle, so they agree within
+        # rounding of the body's scale
         gen = np.random.default_rng(61)
         bodies = [hull(gen.normal(size=(int(gen.integers(3, 30)), 2))) for _ in range(40)]
-        # a 400-gon spans several blocks of breakpoints
-        bodies += [cube_body(2), solid_simplex(2), ball_body(2), ball_body(2, facets=400),
-                   VPolytope(np.array([[0.0, 0.0], [2.0, 1.0]]), reduced=True)]
+        # a 400-gon spans several blocks of heights
+        bodies += [cube_body(2), solid_simplex(2), ball_body(2), ball_body(2, facets=400)]
         for K in bodies:
+            tol = 1e-11 * float(np.max(np.abs(K.vertices)))
             for u in (E1, E2, gen.normal(size=2)):
-                got, want = chord_profiles(K, u), chord_profiles_loop(K, u)
-                for x, y in zip(got, want):
-                    assert x.tobytes() == y.tobytes()
+                breaks, g, f = chord_profiles(K, u)
+                want, g_loop, f_loop = chord_profiles_loop(K, u)
+                assert breaks.tobytes() == want.tobytes()
+                assert np.abs(g - g_loop).max() <= tol and np.abs(f - f_loop).max() <= tol
 
     def test_square_chords(self):
         breaks, g, f = chord_profiles(cube_body(2), E2)
@@ -236,6 +240,21 @@ class TestSteiner:
             worst = max(worst, abs(volume(S) / volume(K) - 1.0))
         assert worst <= 1e-5
 
+    @pytest.mark.parametrize("tilt", [1e-3, 1e-6, 1e-9, 1e-11, 1e-13])
+    def test_area_holds_along_a_direction_near_an_edge(self, tilt):
+        # u within ``tilt`` of a random edge of a polygon: that edge's plane
+        # meets the chord lines at a quotient by almost zero, and its own
+        # vertices' heights are clamped in
+        gen = np.random.default_rng(57)
+        worst = 0.0
+        for _ in range(30):
+            K = hull(gen.normal(size=(int(gen.integers(4, 20)), 2)))
+            normals = facets(K).normals
+            n = normals[gen.integers(len(normals))]
+            S = steiner_symmetrize(K, perp(n) + tilt * gen.uniform(-1.0, 1.0) * n)
+            worst = max(worst, abs(volume(S) / volume(K) - 1.0))
+        assert worst <= 1e-9
+
     def test_segment_crossings_equal_one_block_bit_for_bit(self):
         gen = np.random.default_rng(54)
         # 400 x 300 pairs span several blocks; one upper segment spans one
@@ -264,6 +283,17 @@ class TestSteiner:
         for entries in (1, 1 << 40):
             monkeypatch.setattr(symmetrize, "CROSSING_BLOCK_ENTRIES", entries)
             assert steiner_symmetrize(K, u).vertices.tobytes() == want.tobytes()
+
+    def test_a_planar_round_does_not_depend_on_the_blocks(self, monkeypatch):
+        # a 400-gon: its feet x edges span several blocks of heights
+        gen = np.random.default_rng(1004)
+        K, u = ball_body(2, facets=400), _unit(gen.normal(size=2))
+        want = steiner_symmetrize(K, u).vertices, chord_profiles(K, u)
+        for entries in (1, 1 << 40):
+            monkeypatch.setattr(symmetrize, "CROSSING_BLOCK_ENTRIES", entries)
+            assert steiner_symmetrize(K, u).vertices.tobytes() == want[0].tobytes()
+            for x, y in zip(chord_profiles(K, u), want[1]):
+                assert x.tobytes() == y.tobytes()
 
     def test_square_along_diagonal(self):
         u = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -354,9 +384,14 @@ class TestExpectationPairs:
      "Steiner symmetrization needs a full-dimensional body"),
     (lambda: steiner_symmetrize(VPolytope(cube_body(4).vertices), np.eye(4)[0]),
      "Steiner symmetrization supports dimension 2 or 3"),
+    (lambda: steiner_symmetrize(VPolytope(np.array([[0.0, 0.0], [2.0, 1.0]]), reduced=True), E1),
+     "Steiner symmetrization needs a full-dimensional body"),
+    (lambda: chord_profiles(hull(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])), E2),
+     "Steiner symmetrization needs a full-dimensional body"),
     (lambda: rearrange_body(hull(np.array([[0.0, 0.0], [1.0, 0.0]]))),
      "rearrangement needs a full-dimensional body"),
-], ids=["zero-direction", "flat-3-d", "dimension-4", "rearrange-flat"])
+], ids=["zero-direction", "flat-3-d", "dimension-4", "flat-2-d", "flat-chord-profiles",
+        "rearrange-flat"])
 def test_each_refusal_raises_its_own_message(call, message):
     with pytest.raises(GeometryError, match=message):
         call()
