@@ -12,7 +12,6 @@ from .bodies import (
     cross_body,
     cube_body,
     hull,
-    linear_image,
     lp_ball_body,
     m_add,
     minkowski_sum,
@@ -45,9 +44,7 @@ from .projections import (
     SupportEvaluator,
     cauchy_surface_bound_defect,
     centroid_body_support,
-    empirical_centroid_body,
     mixed_projection_support,
-    mixed_volume_with_segment,
     petty_product,
     polar_measure,
     polar_projection_polytope,
@@ -63,7 +60,6 @@ from .symmetrize import (
     rearrange_body,
     shadow_at,
     shadow_convexity_probe,
-    steiner_step_expectation,
     steiner_symmetrize,
 )
 from .harness import (

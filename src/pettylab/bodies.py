@@ -540,14 +540,6 @@ def m_combinations(coeffs, arrays) -> np.ndarray:
     return np.vstack([point_sums([c * B for c, B in zip(a, arrays)]) for a in coeffs])
 
 
-def linear_image(X, C) -> VPolytope:
-    """Image X C of a body under a linear map into dimension 2 or 3."""
-    X = np.asarray(X, dtype=float)
-    if isinstance(C, Zonotope):
-        return zonotope_to_vpolytope(Zonotope(C.generators @ X.T))
-    return hull(C.vertices @ X.T)
-
-
 def scale(P: VPolytope, c: float) -> VPolytope:
     return VPolytope(P.vertices * c, reduced=P.reduced if c > 0 else False)
 

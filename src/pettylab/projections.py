@@ -251,16 +251,17 @@ def _merged_polar_measure(gens: np.ndarray, measure: RadialMeasure | None = None
 # projection bodies
 
 
-def projection_body(K, allow_degenerate: bool = False) -> Zonotope:
+def projection_body(K) -> Zonotope:
     """Zonotope whose support in direction u is the shadow volume |P_{u^perp} K|,
     the mixed projection body of n - 1 copies of K.
 
-    Degenerate input is rejected unless allow_degenerate is set, in which
-    case the flat-body conventions of the surface-area measure apply (a
-    segment in the plane or a polygon in space casts shadows through its
-    normal, anything flatter has zero shadow volume).
+    A degenerate vertex body is rejected.  ``mixed_projection_support`` on
+    n - 1 copies of it is the reader of flat bodies: there the flat-body
+    conventions of the surface-area measure apply (a segment in the plane or
+    a polygon in space casts shadows through its normal, anything flatter
+    has zero shadow volume).
     """
-    if not isinstance(K, Zonotope) and K.is_degenerate() and not allow_degenerate:
+    if not isinstance(K, Zonotope) and K.is_degenerate():
         raise GeometryError("projection body needs a full-dimensional body")
     return mixed_projection_support([K] * (K.dim - 1))
 
@@ -326,12 +327,6 @@ def mixed_projection_support(bodies: list) -> Zonotope:
     return merge_parallel_generators(Zonotope(0.5 * masses[:, None] * normals))
 
 
-def mixed_volume_with_segment(bodies: list, y) -> float:
-    """V(K_1, ..., K_{n-1}, [0, y]) = h_{Pi(K_1, ..., K_{n-1})}(y) / n."""
-    y = np.asarray(y, dtype=float)
-    return mixed_projection_support(bodies).support(y) / y.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # centroid bodies
 
@@ -362,12 +357,6 @@ def centroid_body_support(L: VPolytope) -> SupportEvaluator:
         return out
 
     return SupportEvaluator(R.dim, h, "centroid-exact")
-
-
-def empirical_centroid_body(samples) -> Zonotope:
-    """Zonotope sum of [-X_i/m, X_i/m] over the sample rows."""
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    return Zonotope(pts / len(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ from .bodies import (
     volume,
 )
 from .mixed import facets, mixed_volume, triangulation_edges
-from .sampling import Density, RngStream
-from .stats import summarize
 
 PARALLEL_TOL = 1e-10
 SNAP_TOL = 1e-12
@@ -236,27 +234,3 @@ def chord_shadow_system(K: VPolytope, u) -> ShadowSystem:
     return ShadowSystem(
         np.vstack([top, bot]), np.concatenate([speeds, speeds]), u
     )
-
-
-def steiner_step_expectation(trial_fn, densities: list, u, trials: int, seed: int):
-    """Monte Carlo pair: E[trial_fn] under the densities versus under the
-    densities with every carried body Steiner-symmetrized along u.
-
-    trial_fn(densities, rng_stream) -> float.  Only indicator (uniform)
-    densities can be symmetrized; independent substreams feed each side.
-    Returns (original_estimate, symmetrized_estimate) as EstimateWithCI.
-    """
-    u = _unit(u)
-    symmetrized = []
-    for d in densities:
-        if d.kind != "uniform":
-            raise GeometryError("Steiner step comparison needs indicator densities")
-        symmetrized.append(Density.uniform(steiner_symmetrize(d.body, u)))
-    base = RngStream(seed)
-    vals_orig = np.array(
-        [trial_fn(densities, base.child(0, i)) for i in range(trials)]
-    )
-    vals_sym = np.array(
-        [trial_fn(symmetrized, base.child(1, i)) for i in range(trials)]
-    )
-    return summarize(vals_orig), summarize(vals_sym)

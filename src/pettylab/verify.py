@@ -530,7 +530,7 @@ def check_planar_kernels(seed: int = 0):
     for t, X in enumerate(P):
         K = hull(X)
         pairs += [
-            (widths[t], projection_body(K, allow_degenerate=True).support_batch(U)),
+            (widths[t], mixed_projection_support([K]).support_batch(U)),
             (pairings[t], v1(K, Zonotope(Z[t]))),
         ]
         for G, holds, body in ((0.5 * edges, edges_hold, K), (2.0 * P, spans, Zonotope(X))):
@@ -590,10 +590,10 @@ def check_spatial_kernels(seed: int = 0):
         (tetrahedron_projection_generators(P),
          full_dimensional(P),
          lambda t: hull(P[t]).affine_dim == 3,
-         lambda t: projection_body(hull(P[t]), allow_degenerate=True).support_batch(U)),
+         lambda t: mixed_projection_support([hull(P[t])] * 2).support_batch(U)),
         (zonotope_projection_generators(A), full_rank(A),
          lambda t: spans_space(A[t]),
-         lambda t: projection_body(vertex_form(A[t]), allow_degenerate=True).support_batch(U)),
+         lambda t: mixed_projection_support([vertex_form(A[t])] * 2).support_batch(U)),
         (mixed_projection_generators(A, B), full_rank(A) & full_rank(B),
          lambda t: spans_space(A[t]) and spans_space(B[t]),
          lambda t: mixed_projection_support([vertex_form(A[t]), vertex_form(B[t])]).support_batch(U)),

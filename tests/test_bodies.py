@@ -21,7 +21,6 @@ from pettylab import (
     cross_body,
     cube_body,
     hull,
-    linear_image,
     lp_ball_body,
     m_add,
     minkowski_sum,
@@ -49,6 +48,7 @@ from pettylab.bodies import (
     sphere_directions,
     spatial_polar_measures,
 )
+from pettylab.harness import CSet
 from pettylab.mixed import (
     centroid,
     edge_table,
@@ -1289,16 +1289,25 @@ class TestFactoriesAndLiterals:
         s = segment(np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
         assert support(s, np.array([0.0, 1.0])) == pytest.approx(2.0)
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
-        K = linear_image(R, cube_body(2))
+        K = hull(cube_body(2).vertices @ R.T)
         assert volume(K) == pytest.approx(4.0)
 
     def test_linear_image_support_identity(self):
+        # h_{X C}(u) = h_C(X u) for the sampled rows X, on the bodies the
+        # harness builds
         gen = np.random.default_rng(55)
-        X = gen.normal(size=(2, 3))
-        C = hull(gen.normal(size=(8, 3)))
-        img = linear_image(X, C)
-        for u in gen.normal(size=(64, 2)):
-            assert support(img, u) == pytest.approx(support(C, X.T @ u), abs=1e-9)
+        cases = [({"kind": "simplex", "m": 8}, lambda C, v: v.max()),
+                 ({"kind": "cube", "m": 8, "half": 0.5}, lambda C, v: C.half * np.abs(v).sum()),
+                 ({"kind": "bp", "m": 8, "p": 1.0}, lambda C, v: np.abs(v).max()),
+                 ({"kind": "bp", "m": 3, "p": 2.0}, lambda C, v: (C.vertices @ v).max()),
+                 ({"kind": "bp", "m": 8, "p": math.inf}, lambda C, v: np.abs(v).sum())]
+        for spec, h_C in cases:
+            C = CSet.from_literal(spec)
+            for n in (2, 3):
+                X = gen.normal(size=(C.m, n))
+                img = C.body(X)
+                for u in gen.normal(size=(16, n)):
+                    assert support(img, u) == pytest.approx(h_C(C, X @ u), abs=1e-9), (spec, n)
 
     def test_m_add_polytope_monotone_in_m(self):
         A = cube_body(2, 1.0)
@@ -1390,7 +1399,7 @@ def test_a_zonotope_maps_through_its_generators():
     # mapped vertices of Z
     X = np.array([[2.0, 1.0], [0.5, -1.5]])
     Z = Zonotope(np.array([[1.0, 0.0], [0.3, 0.8], [-0.4, 0.5]]))
-    got = linear_image(X, Z)
+    got = zonotope_to_vpolytope(Zonotope(Z.generators @ X.T))
     assert vertex_set_distance(got, hull(zonotope_to_vpolytope(Z).vertices @ X.T)) <= 1e-12
 
 

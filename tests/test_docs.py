@@ -5,6 +5,7 @@ constant of the package: a rename that misses its prose fails here."""
 import argparse
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -53,6 +54,25 @@ def test_every_bare_constant_is_one_of_the_package(source):
     missing = sorted({name for name in CONSTANT.findall(SOURCES[source])
                       if not any(hasattr(module, name) for module in modules)})
     assert missing == []
+
+
+def _surface() -> tuple[dict, set]:
+    """The README's library surface: each backticked name of its section,
+    with the module of the list line that names it."""
+    section = re.search(r"^## Library surface\n(.*?)^## ", SOURCES["README.md"],
+                        re.MULTILINE | re.DOTALL).group(1)
+    lines = re.findall(r"^- (\w+): (.*(?:\n  .*)*)", section, re.MULTILINE)
+    listed = {name: module for module, names in lines for name in re.findall(r"`(\w+)`", names)}
+    return listed, set(re.findall(r"`(\w+)`", section))
+
+
+def test_the_readme_lists_every_export_under_its_module():
+    package = importlib.import_module("pettylab")
+    exports = {name: getattr(package, name).__module__.rpartition(".")[2]
+               for name in package.__all__ if not inspect.ismodule(getattr(package, name))}
+    listed, named = _surface()
+    assert listed == exports
+    assert named == set(exports)
 
 
 def _key_table() -> dict:

@@ -11,6 +11,7 @@ from pettylab import (
     cube_body,
     hull,
     minkowski_sum,
+    segment,
     solid_simplex,
     support,
     translate,
@@ -27,7 +28,7 @@ from pettylab.mixed import (
     surface_area,
     v1,
 )
-from pettylab.projections import mixed_volume_with_segment, projection_body
+from pettylab.projections import mixed_projection_support, projection_body
 from pettylab.verify import mixed_volume_fit_check, mixed_volume_inclusion_exclusion, shadow_oracle
 
 
@@ -280,13 +281,18 @@ class TestSegmentsAndProjections:
                 u = gen.normal(size=n)
                 unit = u / np.linalg.norm(u)
                 known = shadow_oracle(K, unit) * np.linalg.norm(u) / n
-                got = mixed_volume_with_segment([K] * (n - 1), u)
+                # V(K, ..., K, [0, u]) = h_{Pi K}(u) / n, and the mixed volume itself
+                got = mixed_projection_support([K] * (n - 1)).support(u) / n
+                assert got == pytest.approx(known, rel=1e-8)
+                got = mixed_volume([K] * (n - 1) + [segment(np.zeros(n), u)])
                 assert got == pytest.approx(known, rel=1e-8)
 
     def test_square_with_axis_segment(self):
         # |[-1,1]^2 + [-e1, e1]| = 8 pins V(K, segment) = 2
         K = cube_body(2)
-        assert mixed_volume_with_segment([K], np.array([2.0, 0.0])) == pytest.approx(2.0)
+        y = np.array([2.0, 0.0])
+        assert mixed_projection_support([K]).support(y) / 2 == pytest.approx(2.0)
+        assert mixed_volume([K, segment(np.zeros(2), y)]) == pytest.approx(2.0)
         S = hull(np.array([[-1.0, 0.0], [1.0, 0.0]]))
         assert volume(minkowski_sum(K, S)) == pytest.approx(8.0)
 

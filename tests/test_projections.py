@@ -14,7 +14,6 @@ from pettylab import (
     cauchy_surface_bound_defect,
     centroid_body_support,
     cube_body,
-    empirical_centroid_body,
     hull,
     mixed_projection_support,
     petty_product,
@@ -30,6 +29,7 @@ from pettylab import (
     zonotope_to_vpolytope,
 )
 from pettylab import bodies, mixed, projections
+from pettylab.harness import CSet
 from pettylab.mixed import mixed_area_measure, mixed_volume, surface_area
 from pettylab.projections import polar_measure_from_support, tetrahedron_pair_normals
 from pettylab.verify import (
@@ -76,11 +76,11 @@ class TestProjectionBody:
                 known = via_facets.support_batch(U)
                 assert np.abs(got - known).max() <= 1e-9 * max(1.0, known.max())
 
-    def test_degenerate_input_needs_the_flag(self):
+    def test_degenerate_input_is_left_to_the_mixed_support(self):
         seg = hull(np.array([[0.0, 0.0], [1.0, 2.0]]))
         with pytest.raises(GeometryError):
             projection_body(seg)
-        Z = projection_body(seg, allow_degenerate=True)
+        Z = mixed_projection_support([seg])
         # shadow of a segment: |<rotated direction, u>|
         d = np.array([1.0, 2.0])
         r = np.array([-d[1], d[0]])
@@ -92,13 +92,13 @@ class TestProjectionBody:
         flat = hull(
             np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
         )
-        Z = projection_body(flat, allow_degenerate=True)
+        Z = mixed_projection_support([flat, flat])
         assert support(Z, np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0)
         assert support(Z, np.array([1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_has_no_shadow(self):
         point = hull(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        Z = projection_body(point, allow_degenerate=True)
+        Z = mixed_projection_support([point])
         assert support(Z, np.array([1.0, 0.0])) == 0.0
 
 
@@ -457,7 +457,7 @@ class TestPolarMeasure:
 
     def test_unbounded_gaussian_region_stays_finite(self):
         seg = hull(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        Z = projection_body(seg, allow_degenerate=True)
+        Z = mixed_projection_support([seg])
         got = polar_measure(Z, RadialMeasure.gaussian(1.0))
         assert 0.0 < got < 1.0
         dented = polar_measure(_dented_square(-1e-12), RadialMeasure.gaussian(1.0))
@@ -590,14 +590,15 @@ class TestCentroidBody:
         gen = np.random.default_rng(89)
         K = cube_body(2)
         pts = gen.uniform(-1.0, 1.0, size=(20000, 2))
-        Z = empirical_centroid_body(pts)
+        # cor13's body: the cube C-set of half 1/m
+        Z = CSet("cube", len(pts), half=1.0 / len(pts)).body(pts)
         h = centroid_body_support(K)
         U = sphere_directions(2, 32)
         assert np.abs(Z.support_batch(U) - h(U)).max() <= 0.02
 
     def test_empirical_generators_are_scaled_samples(self):
         pts = np.array([[2.0, 0.0], [0.0, 4.0]])
-        Z = empirical_centroid_body(pts)
+        Z = CSet("cube", 2, half=0.5).body(pts)
         assert Z.generators == pytest.approx(pts / 2.0)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from pettylab import (
     VPolytope,
-    Density,
     GeometryError,
     ShadowSystem,
     ball_body,
@@ -15,7 +14,6 @@ from pettylab import (
     shadow_at,
     solid_simplex,
     sphere_directions,
-    steiner_step_expectation,
     steiner_symmetrize,
     support,
     vertex_set_distance,
@@ -351,30 +349,6 @@ class TestShadowSystems:
     def test_speeds_must_match_points(self):
         with pytest.raises(GeometryError):
             ShadowSystem(np.eye(2), np.array([1.0]), E1)
-
-
-class TestExpectationPairs:
-    def test_second_moment_drops_after_symmetrization(self):
-        c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
-        R = np.array([[c, -s], [s, c]])
-        slab = np.array(
-            [[3.0, 0.2], [3.0, -0.2], [-3.0, 0.2], [-3.0, -0.2]]
-        )
-        K = hull(slab @ R.T)
-
-        def trial(densities, rng):
-            return float(densities[0].sample(rng.generator(), 1)[0, 0] ** 2)
-
-        orig, sym = steiner_step_expectation(
-            trial, [Density.uniform(K)], E1, trials=4000, seed=3
-        )
-        assert sym.mean + 3.0 * sym.stderr < orig.mean - 3.0 * orig.stderr
-
-    def test_gaussian_densities_are_rejected(self):
-        with pytest.raises(GeometryError):
-            steiner_step_expectation(
-                lambda d, r: 0.0, [Density.gaussian(2)], E1, trials=2, seed=0
-            )
 
 
 @pytest.mark.parametrize("call, message", [
