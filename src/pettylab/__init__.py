@@ -13,14 +13,12 @@ from .bodies import (
     cube_body,
     hull,
     lp_ball_body,
-    m_add,
     minkowski_sum,
     polar,
     polar_of_zonotope,
     reduced_form,
     regular_polygon,
     scale,
-    segment,
     solid_simplex,
     sphere_directions,
     support,

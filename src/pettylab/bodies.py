@@ -548,10 +548,6 @@ def translate(P: VPolytope, t) -> VPolytope:
     return VPolytope(P.vertices + np.asarray(t, dtype=float), reduced=P.reduced)
 
 
-def segment(a, b) -> VPolytope:
-    return VPolytope(np.vstack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)]))
-
-
 def facet_planes(P: VPolytope):
     """Outward unit normals and offsets (h values) of a full-dimensional
     body, and its ``HullFacets``."""
@@ -797,26 +793,25 @@ def _circle_index(k: int, rows: range) -> tuple:
     """Index arrays of the circles ``rows`` of k generators: the rows; for
     each circle the other generators j, the triu position of each pair (i,
     j), i < j, and its sign, -1 where the circle's generator is the larger
-    index, so that Q[pair] * sign = (g_i x g_j) / h; and the circles'
-    positions as a column."""
+    index, so that Q[pair] * sign = (g_i x g_j) / h."""
     rest = np.arange(k - 1)
     circles = np.arange(rows.start, rows.stop)
     who = rest + (rest >= circles[:, None])
     lo, hi = np.minimum(circles[:, None], who), np.maximum(circles[:, None], who)
     pair = lo * (2 * k - lo - 1) // 2 + hi - lo - 1
     sign = np.where(circles[:, None] < who, 1.0, -1.0)
-    return circles, who, pair, sign, np.arange(len(circles))[:, None]
+    return circles, who, pair, sign
 
 
 @lru_cache(maxsize=64)
 def _walk_index(k: int, step: int) -> tuple:
     """The walk's index tables for k generators in blocks of ``step``
     circles, read-only and built once (at 10 generators building them cost
-    about 30 us a walk): the pairs i < j in triu order, then each block's
-    ``_circle_index``."""
-    tables = (*np.triu_indices(k, k=1),
+    about 30 us a walk): the pairs i < j in triu order, the i then the j,
+    then each block's ``_circle_index``."""
+    tables = (np.concatenate(np.triu_indices(k, k=1)),
               *(_circle_index(k, range(s, min(s + step, k))) for s in range(0, k, step)))
-    for a in itertools.chain(tables[:2], *tables[2:]):
+    for a in itertools.chain(tables[:1], *tables[1:]):
         a.setflags(write=False)
     return tables
 
@@ -906,23 +901,26 @@ def _stacked_walk(G: np.ndarray, measure, rule: tuple) -> tuple[np.ndarray, np.n
     """``spatial_polar_measures`` with the Gauss-Legendre ``rule`` (nodes,
     weights) on [-1, 1]; ``verify`` checks the constant order against a
     finer one."""
-    values, ok = np.full(len(G), np.nan), np.zeros(len(G), dtype=bool)
     k = G.shape[1]
     if k < 3:
-        return values, ok
+        return np.full(len(G), np.nan), np.zeros(len(G), dtype=bool)
     G = G.transpose(2, 0, 1).copy()  # (3, T, k)
     step = max(1, POLAR_BLOCK_ARCS // ((k - 1) * max(1, _rule_nodes(measure))))
-    i, j, *blocks = _walk_index(k, step)
-    X = _vcross(G.take(i, axis=2), G.take(j, axis=2))
+    ij, *blocks = _walk_index(k, step)
+    # the crossings g_i x g_j of the pairs, both ends by one gather
+    n = len(ij) // 2
+    ends = G.take(ij, axis=2)
+    X = _vcross(ends[..., :n], ends[..., n:])
     # the generators must be finite, some must cross, and no nonzero ones
     # may be parallel
-    live, nonzero = X.any(axis=0), G.any(axis=0)
-    read = (live.any(axis=1) & ~(~live & nonzero[:, i] & nonzero[:, j]).any(axis=1)
+    live, nonzero = X.any(axis=0), G.any(axis=0).take(ij, axis=1)
+    read = (live.any(axis=1) & ~(~live & nonzero[:, :n] & nonzero[:, n:]).any(axis=1)
             & np.isfinite(G).all(axis=(0, 2)))
     if not read.all():
         # walk the unit cube in the place of the sets the walk cannot read
         G[:, ~read] = np.eye(3, k)[:, None, :]
-        X = _vcross(G.take(i, axis=2), G.take(j, axis=2))
+        ends = G.take(ij, axis=2)
+        X = _vcross(ends[..., :n], ends[..., n:])
     # the circles in blocks, their parts summed; Z° is origin-symmetric, so
     # the arc from -a to -b carries what a to b does
     total = np.zeros(len(read))
@@ -934,13 +932,9 @@ def _stacked_walk(G: np.ndarray, measure, rule: tuple) -> tuple[np.ndarray, np.n
         else:
             S = _edge_integrals(_edge_lines(a, b, ab), q, measure, rule)
             total += 2.0 * (w * S).sum(axis=0).reshape(shape).sum(axis=1)
-        read &= ~flat
-    values[read], ok[:] = total[read], read
-    return values, ok
-
-
-# The coordinate index of the walk's (3, T, circles, k - 1) gathers.
-_XYZ = np.arange(3)[:, None, None, None]
+        if flat is not None:
+            read &= ~flat
+    return np.where(read, total, np.nan), read
 
 
 def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
@@ -954,13 +948,12 @@ def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
     last, for the two facets v+- = c +- g_i of the arc from a to b, stacked
     on a leading axis, the weights w = +-<a x b, F+->, F = v / |v|^2, and q
     = |v+-|^2 = 1 / d^2, and flat the mask of the zonotopes with h_Z(p) <=
-    0 at a live crossing, shape (T,).  See ``spatial_polar_measures``."""
-    _, T, k = G.shape
-    m = k - 1
-    circles, who, pairs, signs, rr = index
-    # every gather is a take or indexes every axis, so that its output is
-    # C-contiguous: the coordinates stay on the leading axis in memory too
-    tt = np.arange(T)[:, None, None]
+    0 at a live crossing, shape (T,), or None where there are none.  See
+    ``spatial_polar_measures``.  Every gather is a ``take`` on flat
+    positions in (T, circles, k - 1) order, whose output is C-contiguous:
+    the coordinates stay on the leading axis in memory too."""
+    m = G.shape[2] - 1
+    circles, who, pairs, signs = index
     ring = X.take(pairs, axis=2) * signs
     g = G.take(circles, axis=2)[..., None]
     # angles around g from the circle's first nonzero point e: atan2 of
@@ -968,32 +961,39 @@ def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
     # +-p the one at an angle in [0, pi) stays, s p with s = +-1
     live = ring.any(axis=0)
     everywhere = live.all()
-    e = ring[..., :1] if everywhere else ring[:, tt[..., 0], rr.T, live.argmax(axis=-1)][..., None]
+    first = np.arange(0, live.size, m).reshape(live.shape[:-1] + (1,))
+    flat_ring = ring.reshape(3, -1)
+    e = ring[..., :1] if everywhere else flat_ring.take(first + live.argmax(axis=-1)[..., None], axis=1)
     gg = _vdot(g, g)
     y, x = _vdot(ring, _vcross(g, e) / np.sqrt(np.where(gg > 0.0, gg, 1.0))), _vdot(ring, e)
     s = np.where((y < 0.0) | ((y == 0.0) & (x < 0.0)), -1.0, 1.0)
     key = np.arctan2(s * y, s * x)
     if not everywhere:
-        key[~live] = np.inf
+        key = np.where(live, key, np.inf)
     order = np.argsort(key, axis=-1, kind="stable")
-    s_sorted = s[tt, rr, order]
-    p = ring[_XYZ, tt, rr, order] * s_sorted
+    order += first
+    s_sorted = s.take(order)
+    p = flat_ring.take(order, axis=1) * s_sorted
     # <g_j, .> turns negative at g x g_j going counterclockwise, so g_j has
     # the sign s_j on the arc ending at a[0] and flips at its point: c
     # starts at sum s_j g_j, and one cumulative sum runs over both
-    passed = G.reshape(3, T * k).take(tt * k + who[rr, order], axis=1)
-    terms = np.concatenate([s * G.take(who, axis=2), -2.0 * s_sorted * passed], axis=-1)
+    gj = G.take(who, axis=2)
+    terms = np.concatenate([s * gj, -2.0 * s_sorted * gj.reshape(3, -1).take(order, axis=1)], axis=-1)
     c = np.cumsum(terms, axis=-1)[..., m:]
     # h_Z(p) = <c, p> on the arc from p, 0 at a zero generator's points
     h = _vdot(c, p)
     low = h <= 0.0
-    flat = (low & live[tt, rr, order]).any(axis=(1, 2)) if low.any() else np.zeros(T, dtype=bool)
-    h[low] = 1.0
+    sorted_live = None if everywhere else live.take(order)
+    flat = None
+    if low.any():
+        h[low] = 1.0
+        flat = (low if everywhere else low & sorted_live).any(axis=(1, 2))
+        flat = flat if flat.any() else None
     a = p / h
     if not everywhere:
         # a zero generator's points sort last onto the half's end, -a[0]
-        a = np.where(live[tt, rr, order], a, -a[..., :1])
-    if flat.any():
+        a = np.where(sorted_live, a, -a[..., :1])
+    if flat is not None:
         # a flat zonotope's value is dropped: one point for all its a puts
         # each arc at length zero or through the origin, so no edge is kept
         a[:, flat] = 1.0
@@ -1003,7 +1003,7 @@ def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
     np.add(c, g, out=v[:, 0])
     np.subtract(g, c, out=v[:, 1])
     q = _vdot(v, v)
-    if not everywhere or flat.any():
+    if not everywhere or flat is not None:
         # on a zero generator's circle, all of whose arcs have length zero,
         # c may be 0, and on a flat zonotope's circles c +- g_i may be
         q[q == 0.0] = 1.0
@@ -1016,20 +1016,22 @@ def _edge_lines(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> tuple:
     distance D = |a x b| / L of its line from the origin (1 where dropped);
     the positions sa, sb of its ends from the line's closest point, and
     their tau = tan(psi / 2) = s / (|p| + D), ta and tb (0 where
-    dropped)."""
+    dropped).  b is a shifted on its last axis, -a[0] last, so |b| is |a|
+    shifted."""
     ed = b - a
     length = np.sqrt(_vdot(ed, ed))
     L = np.where(length > 0.0, length, 1.0)
     D = np.sqrt(_vdot(ab, ab)) / L
     na = np.sqrt(_vdot(a, a))
+    nb = np.concatenate([na[..., 1:], na[..., :1]], axis=-1)
     keep = np.minimum(length, D) > WALK_EDGE_TOL * na
     sa = _vdot(a, ed) / L
     sb = sa + length
     if keep.all():
-        return keep, L, D, sa, sb, sa / (na + D), sb / (np.sqrt(_vdot(b, b)) + D)
+        return keep, L, D, sa, sb, sa / (na + D), sb / (nb + D)
     D = np.where(keep, D, 1.0)
     ta = np.where(keep, sa / (na + D), 0.0)
-    tb = np.where(keep, sb / (np.sqrt(_vdot(b, b)) + D), 0.0)
+    tb = np.where(keep, sb / (nb + D), 0.0)
     return keep, L, D, sa, sb, ta, tb
 
 
@@ -1058,7 +1060,7 @@ def _edge_integrals(edges: tuple, q: np.ndarray, measure, rule: tuple) -> np.nda
         pieces = [(ta, np.minimum(tb, -tr)), (np.maximum(ta, tr), tb)]
         scale = 2.0 / L
     shape = (-1, 1) + (1,) * D.ndim
-    x, w = (np.asarray(v).reshape(shape) for v in rule)
+    x, w = rule[0].reshape(shape), rule[1].reshape(shape)
     tau, weight = [], []
     for lo, hi in pieces:
         hw = 0.5 * np.maximum(hi - lo, 0.0)
@@ -1109,18 +1111,21 @@ def _gaussian_ratio(EU: np.ndarray, uu: np.ndarray, u02: np.ndarray, Du: np.ndar
     gap = uu - u02
     near = FOOT_GAP * (0.5 + u02)
     lift = Du * Du - u02
-    close = (lift <= near) & (keep | (lift >= -near))
-    if close.any():
-        part = gap[:, close]
-        at = part <= near[close]
+    # the facets' flat positions, so that every gather is a take
+    close = np.flatnonzero((lift <= near) & (keep | (lift >= -near)))
+    if len(close):
+        rows = gap.reshape(len(gap), -1)  # a view: gap is a fresh array
+        part = rows[:, close]
+        at = part <= near.take(close)
         if at.any():
-            u02c, E0c = u02[close], E0[close]
+            u02c, E0c = u02.take(close), E0.take(close)
             ex = np.exp(-u02c) / math.sqrt(math.pi)
             h1 = (E0c - 2.0 * ex) / (2.0 * u02c)
             taylor = h1 + (4.0 * ex - 6.0 * h1) * part / (8.0 * u02c)
-            gap[:, close] = np.where(at, 1.0, part)
+            rows[:, close] = np.where(at, 1.0, part)
             out = (E0 - EU) / gap
-            out[:, close] = np.where(at, taylor, out[:, close])
+            rows = out.reshape(len(out), -1)
+            rows[:, close] = np.where(at, taylor, rows[:, close])
             return out
     out = E0 - EU
     out /= gap
@@ -1243,9 +1248,10 @@ def planar_polar_measures(G: np.ndarray, measure=None) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class MSpec:
-    """Combination rule for m_add: plain Minkowski, an explicit 1-unconditional
-    polytope M, or the L_p rule realized as M = B_q with 1/p + 1/q = 1.
-    ``coefficients`` reads M for m_add and for the harness's msum C-sets."""
+    """Combination rule for M-addition: plain Minkowski, an explicit
+    1-unconditional polytope M, or the L_p rule realized as M = B_q with 1/p
+    + 1/q = 1.  ``coefficients`` reads M for the harness's msum C-sets and
+    for ``verify.m_add``."""
 
     variant: str
     M: VPolytope | None = None
@@ -1287,13 +1293,6 @@ class MSpec:
         return reduced_form(self.M).vertices
 
 
-def is_origin_symmetric(P: VPolytope) -> bool:
-    R = reduced_form(P)
-    return vertex_set_distance(R, VPolytope(-R.vertices)) < SYMMETRY_TOL * max(
-        1.0, float(np.max(np.abs(R.vertices)))
-    )
-
-
 def is_unconditional(M: VPolytope) -> bool:
     """Vertex set invariant under all coordinate sign flips."""
     R = reduced_form(M)
@@ -1313,23 +1312,6 @@ def lp_ball_vertices(m: int, q: float, budget: int) -> np.ndarray:
     dirs = sphere_directions(m, budget)
     norms = np.sum(np.abs(dirs) ** q, axis=1) ** (1.0 / q)
     return dirs / norms[:, None]
-
-
-def m_add(spec: MSpec, bodies: list) -> VPolytope:
-    """M-addition of origin-symmetric bodies sharing an ambient dimension."""
-    if len(bodies) == 0:
-        raise GeometryError("m_add needs at least one body")
-    dims = {B.dim for B in bodies}
-    if len(dims) != 1:
-        raise GeometryError("m_add bodies must share a dimension")
-    bodies = [reduced_form(B) for B in bodies]
-    if spec.variant == "minkowski":
-        return hull(point_sums([B.vertices for B in bodies]))
-    Mverts = spec.coefficients(len(bodies))
-    for B in bodies:
-        if not is_origin_symmetric(B):
-            raise GeometryError("m_add with a nontrivial M needs origin-symmetric bodies")
-    return hull(m_combinations(Mverts, [B.vertices for B in bodies]))
 
 
 # ---------------------------------------------------------------------------

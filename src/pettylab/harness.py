@@ -240,17 +240,22 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+# The readers below run on every config field: each formats its message on failure.
+
+
 def _fields(value, where: str, required=(), optional=()) -> dict:
     """``value`` when it is an object with every key of ``required`` and no
     key outside ``required`` and ``optional``, else a ConfigError naming the
     key; ``where`` is the object's own key, prefixed to the key names in
     messages ("" for the config)."""
-    prefix = f"{where}." if where else ""
-    _require(isinstance(value, dict), f"{where or 'config'} must be an object")
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where or 'config'} must be an object")
     for key in required:
-        _require(key in value, f"{prefix}{key} is missing")
+        if key not in value:
+            raise ConfigError(f"{where}.{key} is missing" if where else f"{key} is missing")
     for key in value:
-        _require(key in required or key in optional, f"unknown key {prefix}{key}")
+        if key not in required and key not in optional:
+            raise ConfigError(f"unknown key {where}.{key}" if where else f"unknown key {key}")
     return value
 
 
@@ -259,10 +264,10 @@ def _typed(value, where: str, keys: dict, tag: str) -> str:
     each mapped to the (required, optional) keys the type reads besides
     ``tag``.  A type outside ``keys`` or a key that does not fit raises a
     ConfigError naming it."""
-    prefix = f"{where}." if where else ""
     kind = value.get(tag) if isinstance(value, dict) else None
-    _require(isinstance(kind, str) and kind in keys,
-             f"{prefix}{tag} must be one of {sorted(keys)}, got {kind!r}")
+    if not (isinstance(kind, str) and kind in keys):
+        prefix = f"{where}." if where else ""
+        raise ConfigError(f"{prefix}{tag} must be one of {sorted(keys)}, got {kind!r}")
     required, optional = keys[kind]
     _fields(value, where, (tag,) + required, optional)
     return kind
@@ -271,27 +276,29 @@ def _typed(value, where: str, keys: dict, tag: str) -> str:
 def _integer(value, key: str, low: int = 1, high=sys.maxsize) -> int:
     """``value`` when it is an integer (not a bool) from ``low`` to ``high``,
     by default ``sys.maxsize``, past which numpy takes no size or count."""
-    _require(type(value) is int and value >= low,
-             f"{key} must be an integer >= {low}, got {value!r}")
-    _require(value <= high, f"{key} must be at most {high}")
+    if not (type(value) is int and value >= low):
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    if value > high:
+        raise ConfigError(f"{key} must be at most {high}")
     return value
 
 
 def _positive(value, key: str) -> float:
     """``value`` as a float when it is a positive number (not a bool) a float holds."""
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and 0 < value < math.inf, f"{key} must be a positive finite number, got {value!r}")
-    _require(value <= sys.float_info.max, f"{key} must be at most {sys.float_info.max}")
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf):
+        raise ConfigError(f"{key} must be a positive finite number, got {value!r}")
+    if value > sys.float_info.max:
+        raise ConfigError(f"{key} must be at most {sys.float_info.max}")
     return float(value)
 
 
 def _exponent(value, key: str) -> float:
     """``value`` as a float when it is a number (not a bool) of at least 1,
     Infinity or held by a float: the p of an L_p ball or of msum's M."""
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 1,
-             f"{key} must be a number >= 1, got {value!r}")
-    _require(value <= sys.float_info.max or value == math.inf,
-             f"{key} must be Infinity or at most {sys.float_info.max}")
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 1):
+        raise ConfigError(f"{key} must be a number >= 1, got {value!r}")
+    if not (value <= sys.float_info.max or value == math.inf):
+        raise ConfigError(f"{key} must be Infinity or at most {sys.float_info.max}")
     return float(value)
 
 
@@ -599,6 +606,7 @@ class _Spec:
     kind = ""
     keys: tuple = ((), ())
     entries = 0
+    _frozen = False
 
     def __init__(self, config: dict):
         required, optional = self.keys
@@ -612,7 +620,7 @@ class _Spec:
         self._frozen = True
 
     def __setattr__(self, name, value):
-        if getattr(self, "_frozen", False):
+        if self._frozen:
             raise AttributeError(f"{type(self).__name__} is frozen")
         object.__setattr__(self, name, value)
 

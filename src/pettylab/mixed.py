@@ -22,6 +22,8 @@ from .bodies import (
     GeometryError,
     VPolytope,
     Zonotope,
+    _vcross,
+    _vdot,
     cross3,
     facet_planes,
     perp,
@@ -234,30 +236,31 @@ def _edge_table(R: VPolytope) -> tuple:
 
 def edge_crossings(a: tuple, b: tuple) -> tuple:
     """The crossings of two bodies' edge arcs on the sphere, stacked over
-    any leading axes: a = (e, x) holds the edges (..., k, 3) and test
-    vectors (..., k, r, 3) of A's ``edge_table``, b = (f, y) B's.  Edges e
-    and f put |w| / 2, w = e x f, at s w / |w| for each sign s with every
-    test vector strictly below along s w (Schneider, Convex Bodies, 5.1).
-    A test within EDGE_PAIR_MARGIN |x| |e| |f| of zero ties.  A pair that
-    ties on one body sits at a facet normal of it and counts half: over the
-    facet's edges the halves add up to V(F, f).  A pair that ties on both
-    counts nothing (the caller adds the two facets' mixed area).  Returns w,
-    the shares of |w| / 2 at +-w / |w| and the pairs with a tie; an entry
-    does not depend on those stacked with it."""
+    any middle axes, with the coordinates on the leading axis as the
+    walk's: a = (e, x) holds the edges (3, ..., k) and test vectors (3, r,
+    ..., k) of A's ``edge_table``, b = (f, y) B's, (3, ..., l) and (3, s,
+    ..., l).  Edges e and f put |w| / 2, w = e x f, at s w / |w| for each
+    sign s with every test vector strictly below along s w (Schneider,
+    Convex Bodies, 5.1).  A test within EDGE_PAIR_MARGIN |x| |e| |f| of
+    zero ties.  A pair that ties on one body sits at a facet normal of it
+    and counts half: over the facet's edges the halves add up to V(F, f).
+    A pair that ties on both counts nothing (the caller adds the two
+    facets' mixed area).  Returns w, shape (3, ..., k, l), the shares of
+    |w| / 2 at +-w / |w| and the pairs with a tie; an entry does not depend
+    on those stacked with it.  Each pair meets its r + s test vectors, A's
+    then B's, on one axis ahead of the stack, in one pass."""
     (e, x), (f, y) = a, b
-    w = cross3(e[..., :, None, :], f[..., None, :, :])
-    scale = EDGE_PAIR_MARGIN * np.sqrt(_dot3(e, e))[..., None] * np.sqrt(_dot3(f, f))[..., None, :]
-    (below, above), tied = np.ones((2,) + w.shape[:-1], bool), np.zeros((2,) + w.shape[:-1], bool)
-    for side, (X, at) in enumerate(((x, np.s_[..., :, None, :]), (y, np.s_[..., None, :, :]))):
-        for r in range(X.shape[-2]):
-            v = X[..., r, :][at]
-            test = _dot3(v, w)
-            near = np.abs(test) <= scale * np.sqrt(_dot3(v, v))
-            below &= (test < 0.0) | near
-            above &= (test > 0.0) | near
-            tied[side] |= near
-    share = 1.0 - 0.5 * tied.sum(axis=0)
-    return w, below * share, above * share, tied.any(axis=0)
+    w = _vcross(e[..., :, None], f[..., None, :])
+    scale = EDGE_PAIR_MARGIN * np.sqrt(_vdot(e, e))[..., None] * np.sqrt(_vdot(f, f))[..., None, :]
+    x, y = x[..., :, None], y[..., None, :]
+    test = np.concatenate([_vdot(x, w[:, None]), _vdot(y, w[:, None])])
+    near = np.abs(test) <= np.concatenate([scale * np.sqrt(_vdot(x, x)), scale * np.sqrt(_vdot(y, y))])
+    below = np.logical_and.reduce((test < 0.0) | near)
+    above = np.logical_and.reduce((test > 0.0) | near)
+    r = len(x[0])
+    tied = near[:r].any(axis=0), near[r:].any(axis=0)
+    share = 1.0 - 0.5 * np.add(*tied, dtype=float)
+    return w, below * share, above * share, tied[0] | tied[1]
 
 
 def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:
@@ -285,9 +288,9 @@ def mixed_area_measure(bodies: list) -> tuple[np.ndarray, np.ndarray]:
     if all(B is bodies[0] for B in bodies):
         return _surface_measure(bodies[0])
     (e, x, na, fa), (f, y, nb, fb) = (edge_table(K) for K in bodies)
-    w, plus, minus, _ = edge_crossings((e, x), (f, y))
-    hit = (norms := np.sqrt(_dot3(w, w))) > 0.0
-    units, half = w[hit] / norms[hit, None], 0.5 * norms[hit]
+    w, plus, minus, _ = edge_crossings((e.T, x.T), (f.T, y.T))
+    hit = (norms := np.sqrt(_vdot(w, w))) > 0.0
+    units, half = w[:, hit].T / norms[hit, None], 0.5 * norms[hit]
     normals, masses = [units, -units], [half * plus[hit], half * minus[hit]]
     for i, j in np.argwhere(np.linalg.norm(na[:, None] - nb[None], axis=2) < MERGE_GAP):
         plane = np.linalg.svd(na[i, None])[2][1:].T  # an orthonormal basis of v^perp

@@ -283,6 +283,10 @@ def tetrahedron_projection_generators(P: np.ndarray) -> np.ndarray:
 # vertices off it.
 _TETRAHEDRON_EDGES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2],
                                [1, 2, 0, 3], [1, 3, 0, 2], [2, 3, 0, 1]])
+# Every vector the pair kernel reads as p_head - p_tail: the six edges p_j -
+# p_i, then the test vectors p_k - p_i of the six edges, then p_l - p_i.
+_TETRAHEDRON_HEADS = _TETRAHEDRON_EDGES[:, [1, 2, 3]].T.ravel()
+_TETRAHEDRON_TAILS = np.tile(_TETRAHEDRON_EDGES[:, 0], 3)
 # Atoms of S(A, B) for two tetrahedra in general position, at most: each
 # edge-arc crossing of their normal fans is one atom, and the overlay of
 # the fans (4 + 4 vertices, 6 + 6 arcs, c crossings) has V = 8 + c, E = 12 +
@@ -301,18 +305,27 @@ def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, 
     and V(A, B, C) = sum h_C(w) / 6.  The mask is False where
     ``full_dimensional`` cannot call a cloud, a pair ties (a face parallel
     to an edge, parallel edges, repeated points) or a row lists more pairs
-    than fit, which only tied rows do; callers take the hull route there."""
-    i, j, off = _TETRAHEDRON_EDGES[:, 0], _TETRAHEDRON_EDGES[:, 1], _TETRAHEDRON_EDGES[:, 2:]
-    w, plus, minus, tied = edge_crossings(*((C[:, j] - C[:, i], C[:, off] - C[:, i, None])
-                                            for C in (P, Q)))
-    T, pairs, hit = len(P), len(i) ** 2, (plus > 0.0) | (minus > 0.0)
-    holds = (full_dimensional(P) & full_dimensional(Q) & ~tied.reshape(T, pairs).any(axis=1)
-             & (hit.reshape(T, pairs).sum(axis=1) <= TETRAHEDRON_PAIR_ATOMS))
-    w[minus > 0.0] *= -1.0
-    w[~hit] = 0.0
-    # the crossing rows first, in edge-table order
-    front = np.argsort(~hit.reshape(T, pairs), axis=1, kind="stable")[:, :TETRAHEDRON_PAIR_ATOMS, None]
-    return np.take_along_axis(w.reshape(T, pairs, 3), front, axis=1), holds
+    than fit, which only tied rows do; callers take the hull route there.
+    Both clouds are read as one stack, coordinates leading: their edges
+    and test vectors by one gather and one difference, their rank by one
+    ``full_dimensional``."""
+    T, pairs = len(P), len(_TETRAHEDRON_EDGES) ** 2
+    C = np.concatenate([P, Q])
+    X = C.transpose(2, 0, 1)
+    D = X.take(_TETRAHEDRON_HEADS, axis=2) - X.take(_TETRAHEDRON_TAILS, axis=2)
+    e, x = D[..., :6], D[..., 6:].reshape(3, 2 * T, 2, 6).transpose(0, 2, 1, 3)
+    w, plus, minus, tied = edge_crossings((e[:, :T], x[:, :, :T]), (e[:, T:], x[:, :, T:]))
+    hit = ((plus > 0.0) | (minus > 0.0)).reshape(T, pairs)
+    full = full_dimensional(C)
+    holds = (full[:T] & full[T:] & ~tied.reshape(T, pairs).any(axis=1)
+             & (hit.sum(axis=1) <= TETRAHEDRON_PAIR_ATOMS))
+    # the crossing rows first, in edge-table order, as flat rows of the stack
+    front = np.argsort(~hit, axis=1, kind="stable")[:, :TETRAHEDRON_PAIR_ATOMS]
+    front += np.arange(0, T * pairs, pairs)[:, None]
+    W = w.reshape(3, T * pairs).T.take(front, axis=0)
+    np.negative(W, out=W, where=(minus > 0.0).take(front)[..., None])
+    W[~hit.take(front)] = 0.0
+    return W, holds
 
 
 def mixed_projection_support(bodies: list) -> Zonotope:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,8 @@ class EstimateWithCI:
     trials: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in order; every value is a float or an int."""
+        return dict(vars(self))
 
 
 def summarize(values: np.ndarray) -> EstimateWithCI:

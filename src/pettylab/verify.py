@@ -37,6 +37,9 @@ import numpy as np
 
 from .bodies import (
     POLAR_WALK_ORDER,
+    SYMMETRY_TOL,
+    GeometryError,
+    MSpec,
     VPolytope,
     Zonotope,
     as_polytope,
@@ -47,6 +50,7 @@ from .bodies import (
     full_dimensional,
     full_rank,
     merge_parallel_generators,
+    m_combinations,
     minkowski_sum,
     planar_hull_areas,
     planar_hull_edges,
@@ -217,6 +221,25 @@ def mixed_volume_inclusion_exclusion(bodies: list) -> float:
                 S = minkowski_sum(S, B)
             total += (-1.0) ** (n - size) * volume(S)
     return total / math.factorial(n)
+
+
+def m_add(spec: MSpec, bodies: list) -> VPolytope:
+    """M-addition of origin-symmetric bodies sharing an ambient dimension,
+    the rule the msum C-set applies to its balls' vertices through
+    ``MSpec.coefficients`` and ``bodies.m_combinations``."""
+    if len(bodies) == 0:
+        raise GeometryError("m_add needs at least one body")
+    if len({B.dim for B in bodies}) != 1:
+        raise GeometryError("m_add bodies must share a dimension")
+    bodies = [reduced_form(B) for B in bodies]
+    if spec.variant == "minkowski":
+        return hull(point_sums([B.vertices for B in bodies]))
+    Mverts = spec.coefficients(len(bodies))
+    for B in bodies:
+        flip = vertex_set_distance(B, VPolytope(-B.vertices))
+        if not flip < SYMMETRY_TOL * max(1.0, float(np.max(np.abs(B.vertices)))):
+            raise GeometryError("m_add with a nontrivial M needs origin-symmetric bodies")
+    return hull(m_combinations(Mverts, [B.vertices for B in bodies]))
 
 
 def mixed_volume_fit_check(K1: VPolytope, K2: VPolytope) -> float:

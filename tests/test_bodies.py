@@ -22,13 +22,11 @@ from pettylab import (
     cube_body,
     hull,
     lp_ball_body,
-    m_add,
     minkowski_sum,
     polar,
     polar_of_zonotope,
     reduced_form,
     regular_polygon,
-    segment,
     solid_simplex,
     support,
     translate,
@@ -39,7 +37,7 @@ from pettylab import (
     zonotope_to_vpolytope,
     zonotope_volume,
 )
-from pettylab import bodies
+from pettylab import bodies, mixed, projections
 from pettylab.bodies import (
     _abs_pairing,
     cross3,
@@ -70,6 +68,7 @@ from pettylab.verify import (
     brute_hull_vertices_3d,
     cloud_widths_elementwise,
     gift_wrap_2d,
+    m_add,
     shoelace_area,
     simplex_volume_det,
     support_brute,
@@ -1076,23 +1075,30 @@ class TestSpatialPolarMeasures:
     def test_the_stacked_walk_uses_no_matrix_product(self):
         # a matrix product blocks its sums by the size of the stack, so a
         # row's bits would depend on the rows beside it; the planar hull
-        # kernels and the rank test are held to the same rule
-        names = {"spatial_polar_measures", "_stacked_walk", "_circle_index", "_circle_arcs",
-                 "_edge_lines", "_edge_integrals", "_gaussian_ratio", "_ball_h", "_vdot",
-                 "_vcross", "full_rank", "full_dimensional", "_spans", "_gram_det_trace",
-                 "_det_trace", "_planar_edge_test", "_pair_crosses", "planar_hull_areas",
-                 "planar_hull_edges"}
-        tree = ast.parse(Path(bodies.__file__).read_text())
-        found = {node.name: node for node in tree.body
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names}
-        assert set(found) == names
+        # kernels, the rank test and the spatial projection-body and
+        # tetrahedron-pair kernels are held to the same rule
+        modules = {
+            bodies: {"spatial_polar_measures", "_stacked_walk", "_circle_index", "_walk_index",
+                     "_circle_arcs", "_edge_lines", "_edge_integrals", "_gaussian_ratio", "_ball_h",
+                     "_vdot", "_vcross", "cross3", "full_rank", "full_dimensional", "_spans",
+                     "_gram_det_trace", "_det_trace", "_planar_edge_test", "_pair_crosses",
+                     "planar_hull_areas", "planar_hull_edges"},
+            mixed: {"edge_crossings", "_dot3", "zonotope_projection_generators",
+                    "mixed_projection_generators"},
+            projections: {"tetrahedron_projection_generators", "tetrahedron_pair_normals"},
+        }
         products = {"matmul", "dot", "einsum", "tensordot", "inner"}
-        for name, node in found.items():
-            for sub in ast.walk(node):
-                assert not (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult)), name
-                if isinstance(sub, ast.Call):
-                    called = getattr(sub.func, "id", getattr(sub.func, "attr", None))
-                    assert called not in products, name
+        for module, names in modules.items():
+            tree = ast.parse(Path(module.__file__).read_text())
+            found = {node.name: node for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names}
+            assert set(found) == names
+            for name, node in found.items():
+                for sub in ast.walk(node):
+                    assert not (isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult)), name
+                    if isinstance(sub, ast.Call):
+                        called = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                        assert called not in products, name
 
     def test_setflags_has_five_owners_and_copies_are_built_by_constructors(self):
         # what a body keeps is made read-only by its memo, and a pickled body
@@ -1286,7 +1292,7 @@ class TestFactoriesAndLiterals:
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
 
     def test_segment_and_linear_image(self):
-        s = segment(np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
+        s = VPolytope(np.vstack([[-1.0, -2.0], [1.0, 2.0]]))
         assert support(s, np.array([0.0, 1.0])) == pytest.approx(2.0)
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
         K = hull(cube_body(2).vertices @ R.T)

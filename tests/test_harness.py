@@ -21,7 +21,6 @@ from pettylab import (
     harness,
     hull,
     lp_ball_body,
-    m_add,
     projections,
     sampling,
     volume,
@@ -47,6 +46,7 @@ from pettylab.sampling import Density, RngStream
 from pettylab.verify import (
     grid_table_error,
     grid_table_test_generators,
+    m_add,
     mixed_volume_inclusion_exclusion,
     planar_test_clouds,
     spatial_test_clouds,

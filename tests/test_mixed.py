@@ -6,12 +6,12 @@ import pytest
 
 from pettylab import (
     GeometryError,
+    VPolytope,
     Zonotope,
     ball_body,
     cube_body,
     hull,
     minkowski_sum,
-    segment,
     solid_simplex,
     support,
     translate,
@@ -284,7 +284,7 @@ class TestSegmentsAndProjections:
                 # V(K, ..., K, [0, u]) = h_{Pi K}(u) / n, and the mixed volume itself
                 got = mixed_projection_support([K] * (n - 1)).support(u) / n
                 assert got == pytest.approx(known, rel=1e-8)
-                got = mixed_volume([K] * (n - 1) + [segment(np.zeros(n), u)])
+                got = mixed_volume([K] * (n - 1) + [VPolytope(np.vstack([np.zeros(n), u]))])
                 assert got == pytest.approx(known, rel=1e-8)
 
     def test_square_with_axis_segment(self):
@@ -292,7 +292,7 @@ class TestSegmentsAndProjections:
         K = cube_body(2)
         y = np.array([2.0, 0.0])
         assert mixed_projection_support([K]).support(y) / 2 == pytest.approx(2.0)
-        assert mixed_volume([K, segment(np.zeros(2), y)]) == pytest.approx(2.0)
+        assert mixed_volume([K, VPolytope(np.vstack([np.zeros(2), y]))]) == pytest.approx(2.0)
         S = hull(np.array([[-1.0, 0.0], [1.0, 0.0]]))
         assert volume(minkowski_sum(K, S)) == pytest.approx(8.0)
 

@@ -9,6 +9,7 @@ from pettylab import (
     GeometryError,
     RadialMeasure,
     SupportEvaluator,
+    VPolytope,
     Zonotope,
     ball_body,
     cauchy_surface_bound_defect,
@@ -20,7 +21,6 @@ from pettylab import (
     polar_measure,
     polar_projection_polytope,
     projection_body,
-    segment,
     solid_simplex,
     sphere_directions,
     support,
@@ -138,7 +138,7 @@ class TestMixedProjection:
         Z = Zonotope(gen.normal(size=(m, 3)))
         P = hull(gen.normal(size=(7, 3)))
         L = hull(gen.normal(size=(6, 3)))
-        segs = [segment(-g, g) for g in Z.generators]
+        segs = [VPolytope(np.vstack([-g, g])) for g in Z.generators]
         U = sphere_directions(3, 12)
         known = sum(mixed_projection_polarization(P, s, U) for s in segs)
         got = mixed_projection_support([P, Z]).support_batch(U)
@@ -284,6 +284,31 @@ class TestTetrahedronPairStack:
         narrow, kept = tetrahedron_pair_normals(P, Q)
         assert (count[held] > 6).any() and np.array_equal(kept, held & (count <= 6))
         assert np.array_equal(narrow[kept], wide[kept, :6])
+
+
+    def test_every_row_is_its_one_row_call_in_any_stack(self, monkeypatch):
+        # held rows beside a translate (every face parallel), parallel edges,
+        # a repeated point and, with room for 6 atoms, over-full rows: each
+        # row's bytes are its one-row call's, and cut stacks join to the whole
+        gen = np.random.default_rng(106)
+        P, Q = gen.normal(size=(2, 40, 4, 3))
+        Q[3] = P[3] + 1.0
+        Q[11, 1] = Q[11, 0] + 0.5 * (P[11, 1] - P[11, 0])
+        P[19, 3] = P[19, 0]
+        P[26, 2] = P[26, 1]
+        wide, tied_free = _wide_pair_normals(monkeypatch, P, Q)
+        monkeypatch.setattr(projections, "TETRAHEDRON_PAIR_ATOMS", 6)
+        W, holds = tetrahedron_pair_normals(P, Q)
+        count = wide.any(axis=2).sum(axis=1)
+        assert not tied_free[[3, 11, 19, 26]].any() and holds.any()
+        assert (tied_free & (count > 6)).any() and not holds[count > 6].any()
+        for t in range(len(P)):
+            one, held = tetrahedron_pair_normals(P[t:t + 1], Q[t:t + 1])
+            assert one.tobytes() == W[t:t + 1].tobytes() and held.tobytes() == holds[t:t + 1].tobytes()
+        for cuts in ([0, 1, 2, 17, 40], [0, 13, 14, 39, 40], [0, 20, 40]):
+            parts = [tetrahedron_pair_normals(P[a:b], Q[a:b]) for a, b in zip(cuts, cuts[1:])]
+            assert np.concatenate([w for w, _ in parts]).tobytes() == W.tobytes()
+            assert np.concatenate([h for _, h in parts]).tobytes() == holds.tobytes()
 
 
 def measure_test_pairs() -> list:
