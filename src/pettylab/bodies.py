@@ -907,7 +907,6 @@ def _stacked_walk(G: np.ndarray, measure, rule: tuple) -> tuple[np.ndarray, np.n
     G = G.transpose(2, 0, 1).copy()  # (3, T, k)
     step = max(1, POLAR_BLOCK_ARCS // ((k - 1) * max(1, _rule_nodes(measure))))
     ij, *blocks = _walk_index(k, step)
-    # the crossings g_i x g_j of the pairs, both ends by one gather
     n = len(ij) // 2
     ends = G.take(ij, axis=2)
     X = _vcross(ends[..., :n], ends[..., n:])
@@ -950,8 +949,7 @@ def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
     = |v+-|^2 = 1 / d^2, and flat the mask of the zonotopes with h_Z(p) <=
     0 at a live crossing, shape (T,), or None where there are none.  See
     ``spatial_polar_measures``.  Every gather is a ``take`` on flat
-    positions in (T, circles, k - 1) order, whose output is C-contiguous:
-    the coordinates stay on the leading axis in memory too."""
+    (T, circles, k - 1) positions: the coordinates stay leading in memory."""
     m = G.shape[2] - 1
     circles, who, pairs, signs = index
     ring = X.take(pairs, axis=2) * signs
@@ -970,7 +968,7 @@ def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
     key = np.arctan2(s * y, s * x)
     if not everywhere:
         key = np.where(live, key, np.inf)
-    order = np.argsort(key, axis=-1, kind="stable")
+    order = key.argsort(axis=-1, kind="stable")
     order += first
     s_sorted = s.take(order)
     p = flat_ring.take(order, axis=1) * s_sorted
@@ -979,7 +977,7 @@ def _circle_arcs(G: np.ndarray, X: np.ndarray, index: tuple) -> tuple:
     # starts at sum s_j g_j, and one cumulative sum runs over both
     gj = G.take(who, axis=2)
     terms = np.concatenate([s * gj, -2.0 * s_sorted * gj.reshape(3, -1).take(order, axis=1)], axis=-1)
-    c = np.cumsum(terms, axis=-1)[..., m:]
+    c = terms.cumsum(axis=-1)[..., m:]
     # h_Z(p) = <c, p> on the arc from p, 0 at a zero generator's points
     h = _vdot(c, p)
     low = h <= 0.0
@@ -1112,7 +1110,7 @@ def _gaussian_ratio(EU: np.ndarray, uu: np.ndarray, u02: np.ndarray, Du: np.ndar
     near = FOOT_GAP * (0.5 + u02)
     lift = Du * Du - u02
     # the facets' flat positions, so that every gather is a take
-    close = np.flatnonzero((lift <= near) & (keep | (lift >= -near)))
+    close = ((lift <= near) & (keep | (lift >= -near))).reshape(-1).nonzero()[0]
     if len(close):
         rows = gap.reshape(len(gap), -1)  # a view: gap is a fresh array
         part = rows[:, close]

@@ -208,6 +208,7 @@ CERTIFY_STRIDE = 64
 # 3-D body's polar projection polytope can hold 1e5 vertices, so the bound
 # stays small; a benchmark unit reads two or three literals.
 LITERAL_MEMO_SIZE = 16
+_CANONICAL = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 class ConfigError(ValueError):
@@ -240,14 +241,12 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-# The readers below run on every config field: each formats its message on failure.
-
-
 def _fields(value, where: str, required=(), optional=()) -> dict:
     """``value`` when it is an object with every key of ``required`` and no
     key outside ``required`` and ``optional``, else a ConfigError naming the
     key; ``where`` is the object's own key, prefixed to the key names in
-    messages ("" for the config)."""
+    messages ("" for the config).  It and the readers below run on every
+    config field, so each formats its message only on failure."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where or 'config'} must be an object")
     for key in required:
@@ -381,6 +380,13 @@ def _parse_body(literal, key: str, dim: int) -> VPolytope:
     return K
 
 
+def _json_plain(value) -> bool:
+    """Whether JSON reads ``value``, which it encodes, back unchanged: no tuples or non-str keys."""
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _json_plain(v) for k, v in value.items())
+    return all(map(_json_plain, value)) if isinstance(value, list) else not isinstance(value, tuple)
+
+
 @lru_cache(maxsize=LITERAL_MEMO_SIZE)
 def _literal_record(text: str, dim: int) -> VPolytope:
     """The body ``_literal`` keeps for the canonical JSON ``text`` of a body
@@ -393,16 +399,16 @@ def _literal(literal, key: str, dim: int) -> VPolytope:
     """The body of the literal ``literal`` in dimension ``dim``.
 
     A plain JSON literal's body, with what reports derive and keep on it
-    (``VPolytope.derived``), is kept for the process, keyed by its canonical
-    JSON (sorted keys) and ``dim``.  A literal that JSON would change
-    (tuples, non-finite or non-JSON numbers) gets a fresh body each call,
-    and one that fails is parsed again here, so that its error names
-    ``key`` and is the same on every call."""
+    (``VPolytope.derived``), is kept for the process, keyed by its
+    canonical JSON (``_CANONICAL``: sorted keys) and ``dim``.  A literal
+    that JSON would change (tuples, non-finite or non-JSON numbers) gets a
+    fresh body each call, and one that fails is parsed again here, so that
+    its error names ``key`` and is the same on every call."""
     try:
-        text = json.dumps(literal, sort_keys=True, allow_nan=False)
+        text = _CANONICAL(literal)
     except (TypeError, ValueError):
         text = None
-    if text is not None and json.loads(text) == literal:
+    if text is not None and _json_plain(literal):
         try:
             return _literal_record(text, dim)
         except ConfigError:
@@ -651,7 +657,7 @@ class _Spec:
             values, full = self.kernel(samples, diag)
         else:
             values, full = np.empty(count), np.zeros(count, dtype=bool)
-        for t in np.flatnonzero(~full):
+        for t in (~full).nonzero()[0]:
             values[t] = self.value([S[t] for S in samples], diag)
         return values
 
@@ -761,8 +767,8 @@ class _PolarSpec(_Spec):
         values, held = np.empty(len(full)), full.copy()
         nodes = self._nodes(G.shape[1])
         values[full], held[full] = polar_measures(G[full], self.measure, nodes)
-        if held.any():
-            diag[nodes] += int(held.sum())
+        if count := int(np.count_nonzero(held)):
+            diag[nodes] += count
         return values, held
 
 

@@ -247,8 +247,7 @@ def edge_crossings(a: tuple, b: tuple) -> tuple:
     A pair that ties on both counts nothing (the caller adds the two
     facets' mixed area).  Returns w, shape (3, ..., k, l), the shares of
     |w| / 2 at +-w / |w| and the pairs with a tie; an entry does not depend
-    on those stacked with it.  Each pair meets its r + s test vectors, A's
-    then B's, on one axis ahead of the stack, in one pass."""
+    on those stacked with it.  All r + s tests of a pair run in one pass."""
     (e, x), (f, y) = a, b
     w = _vcross(e[..., :, None], f[..., None, :])
     scale = EDGE_PAIR_MARGIN * np.sqrt(_vdot(e, e))[..., None] * np.sqrt(_vdot(f, f))[..., None, :]

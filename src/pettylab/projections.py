@@ -306,9 +306,8 @@ def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, 
     ``full_dimensional`` cannot call a cloud, a pair ties (a face parallel
     to an edge, parallel edges, repeated points) or a row lists more pairs
     than fit, which only tied rows do; callers take the hull route there.
-    Both clouds are read as one stack, coordinates leading: their edges
-    and test vectors by one gather and one difference, their rank by one
-    ``full_dimensional``."""
+    Both clouds are read as one stack: one gather and difference give their
+    edges and test vectors, one ``full_dimensional`` their rank."""
     T, pairs = len(P), len(_TETRAHEDRON_EDGES) ** 2
     C = np.concatenate([P, Q])
     X = C.transpose(2, 0, 1)
@@ -320,7 +319,7 @@ def tetrahedron_pair_normals(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, 
     holds = (full[:T] & full[T:] & ~tied.reshape(T, pairs).any(axis=1)
              & (hit.sum(axis=1) <= TETRAHEDRON_PAIR_ATOMS))
     # the crossing rows first, in edge-table order, as flat rows of the stack
-    front = np.argsort(~hit, axis=1, kind="stable")[:, :TETRAHEDRON_PAIR_ATOMS]
+    front = (~hit).argsort(axis=1, kind="stable")[:, :TETRAHEDRON_PAIR_ATOMS]
     front += np.arange(0, T * pairs, pairs)[:, None]
     W = w.reshape(3, T * pairs).T.take(front, axis=0)
     np.negative(W, out=W, where=(minus > 0.0).take(front)[..., None])

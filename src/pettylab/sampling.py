@@ -65,7 +65,7 @@ class RngStream:
         v ^= out_xor
         v *= out_mul
         v ^= v >> 16
-        return v.astype("<u4").view("<u8")
+        return v.astype("<u4", copy=False).view("<u8")
 
 
 # numpy's SeedSequence hash constants (numpy.random.bit_generator).
@@ -139,10 +139,10 @@ class Density:
 
     def rearranged(self) -> "Density":
         """Symmetric decreasing rearrangement: uniform goes to the equal-volume
-        centered ball, radial densities are already rearranged."""
+        centered ball, kept on the body; radial densities are already rearranged."""
         if self.kind == "uniform":
-            r = (volume(self.body) / unit_ball_volume(self.dim)) ** (1.0 / self.dim)
-            return Density.ball(self.dim, r)
+            return self.body.derived("rearranged", lambda: Density.ball(
+                self.dim, (volume(self.body) / unit_ball_volume(self.dim)) ** (1.0 / self.dim)))
         return self
 
     def _triangulation(self) -> tuple:
@@ -152,11 +152,11 @@ class Density:
     def _corners(self, idx: np.ndarray) -> np.ndarray:
         """The corners of the simplices ``idx`` of the triangulation, shape
         (len(idx), dim + 1, dim): ``vertices[simplices[idx]]`` from the body's
-        vertices, by two ``np.take`` calls, which gather rows about six times
+        vertices, by two ``take`` calls, which gather rows about six times
         as fast as fancy indexing.  No corner table is kept: a triangulation
         can hold about 1e5 vertices."""
         simplices = self._triangulation()[0]
-        return np.take(self.body.vertices, np.take(simplices, idx, axis=0), axis=0)
+        return self.body.vertices.take(simplices.take(idx, axis=0), axis=0)
 
     def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """Draw count points, shape (count, dim)."""
@@ -192,7 +192,7 @@ class Density:
             return self.sigma * raw[0].reshape(-1, n)
         if self.kind == "ball":
             dirs = raw[0].reshape(-1, n)
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=1, keepdims=True))
             radii = self.radius * raw[1].reshape(-1) ** (1.0 / n)
             return dirs * radii[:, None]
         idx = self._triangulation()[1].searchsorted(raw[0].reshape(-1), side="right")
