@@ -16,10 +16,10 @@ size out of range or a dim that disagrees with a body raises a
 bodies, densities, measures and C-sets alike, with the same field readers.
 Workers get the spec and parse nothing.  A process parses each body
 literal once: ``_literal`` keeps the bodies of the last LITERAL_MEMO_SIZE
-literals, and what reports derive from a body (its uniform density, its
-polar projection polytope and the density on that, lln's target) lives on
-the body (``VPolytope.derived``), so a second report on the same literal
-builds none of them.
+literals, and what reports derive from a body (its uniform density and
+that density's rearranged ball, its polar projection polytope and the
+density on that, lln's target) lives on the body (``VPolytope.derived``),
+so a second report on the same literal builds none of them.
 
 A report's trials are one sequence of (side, trial) keys, side after side
 (lln: row after row).  Samples are drawn per block of a side and the
