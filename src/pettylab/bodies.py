@@ -34,7 +34,10 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # 100 generators on 4096 and 8192 nodes (2-vCPU Xeon, two sweeps): 2^15 was
 # fastest at 30 and 100, 2^14 at 64 (by 3-18%, and by nothing in a cor13
 # report), 2^16 only at 17 generators on 4096 nodes, and 1.3-3 times slower
-# elsewhere; 2^13 lost at every count.
+# elsewhere; 2^13 lost at every count.  The float32 grid rows of
+# ``projections.polar_measures`` take the same entry count (128 KiB): swept
+# likewise, 2^15 was fastest at 64 generators, cor13's count, by 4-15%, and
+# 2^16 up to 14% faster at 17, 30 and 100.
 ABS_BLOCK_ENTRIES = 1 << 15
 # Arcs, or rule nodes, per block of great circles in the walk of
 # ``spatial_polar_measures``, which every spatial polar measure runs: the
@@ -44,11 +47,12 @@ POLAR_BLOCK_ARCS = 1 << 13
 # Unit generators closer than this span one line in
 # ``merge_parallel_generators``.
 MERGE_GAP = 1e-9
-# ``merge_parallel_generators`` drops generators no longer than this and
-# orients each unit generator by its first coordinate larger than this.
+# ``merge_parallel_generators`` drops generators no longer than this share
+# of the longest one and orients each unit generator by its first
+# coordinate larger than this.
 MERGE_TOL = 1e-12
 # ``polar_of_zonotope`` drops candidate facet normals no longer than this
-# (the cross products of parallel generators).
+# share of the longest one (the cross products of parallel generators).
 POLAR_NORMAL_TOL = 1e-14
 # Relative vertex-set distance up to which a body counts as symmetric.
 SYMMETRY_TOL = 1e-9
@@ -170,9 +174,9 @@ def _abs_pairing(U, V: np.ndarray) -> np.ndarray:
     shapes and layouts do the same arithmetic, so equal inputs give equal
     bits.
     """
-    U = np.asarray(U, dtype=float)
-    w = np.ones(len(V))
-    out = np.empty(len(U))
+    U = np.asarray(U, dtype=V.dtype)
+    w = np.ones(len(V), dtype=V.dtype)
+    out = np.empty(len(U), dtype=V.dtype)
     step = max(1, ABS_BLOCK_ENTRIES // max(len(V), 1))
     for s in range(0, len(U), step):
         block = V @ U[s:s + step].T
@@ -604,15 +608,12 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
 def merge_parallel_generators(Z: Zonotope) -> Zonotope:
     """Combine generators spanning the same line; support is unchanged."""
     gens = Z.generators
-    norms = np.sqrt(np.add.reduce(gens * gens, axis=1))  # np.linalg.norm's bits
-    keep = norms > MERGE_TOL
+    norms = _norms(gens)
+    keep = norms > MERGE_TOL * norms.max(initial=0.0)
     gens, norms = gens[keep], norms[keep]
     if len(gens) == 0:
         return Zonotope(np.zeros((0, Z.dim)))
-    units = gens / norms[:, None]
-    # canonical orientation: first coordinate above MERGE_TOL in size positive
-    lead = units[np.arange(len(units)), np.argmax(np.abs(units) > MERGE_TOL, axis=1)]
-    units[lead < 0] *= -1.0
+    units = _turned_units(gens, norms)
     order = np.lexsort(units.T[::-1])
     units, norms = units[order], norms[order]
     # A generator joins the group of the first one before it within
@@ -621,7 +622,7 @@ def merge_parallel_generators(Z: Zonotope) -> Zonotope:
     # as +-) or clears MERGE_GAP by more than these norms and the walk's may
     # differ in rounding, the groups are the runs of equal units.
     terms = units * norms[:, None]
-    gaps = np.sqrt(np.add.reduce(np.square(units[1:] - units[:-1]), axis=1))
+    gaps = _norms(units[1:] - units[:-1])
     joins = gaps == 0.0
     if not np.all(joins | (gaps >= MERGE_GAP * (1.0 + 1e-10))):
         head = units[0]
@@ -633,6 +634,43 @@ def merge_parallel_generators(Z: Zonotope) -> Zonotope:
     merged = terms[np.concatenate([[True], ~joins])]
     np.add.at(merged, np.cumsum(~joins)[joins], terms[1:][joins])
     return Zonotope(merged)
+
+
+def merged_generator_rows(G: np.ndarray) -> list:
+    """``merge_parallel_generators`` of the zonotope of each generator set
+    G[t] of a stack of shape (T, k, n), bit for bit, as a list of arrays.
+    Its steps run once over the whole stack, sorting each row by its first
+    coordinate alone; a row that drops a generator, ties in that coordinate
+    (where the sort would read the next) or has two sorted units within
+    MERGE_GAP (where the merge would add them) takes the one-row merge."""
+    T, k, n = G.shape
+    norms = _norms(G)
+    ok = (norms > MERGE_TOL * norms.max(axis=1, initial=0.0)[:, None]).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero rows take the one-row merge
+        units = _turned_units(G.reshape(T * k, n), norms.reshape(T * k)).reshape(T, k, n)
+    order = np.argsort(units[..., 0], axis=1, kind="stable")
+    order += k * np.arange(T)[:, None]
+    units = units.reshape(T * k, n).take(order, axis=0)
+    terms = units * norms.take(order)[..., None]
+    ok &= (units[:, 1:, 0] != units[:, :-1, 0]).all(axis=1)
+    ok &= (_norms(units[:, 1:] - units[:, :-1]) >= MERGE_GAP * (1.0 + 1e-10)).all(axis=1)
+    return [terms[t] if ok[t] else merge_parallel_generators(Zonotope(G[t])).generators
+            for t in range(T)]
+
+
+def _norms(gens: np.ndarray) -> np.ndarray:
+    """The length of each generator gens[..., j, :], np.linalg.norm's bits."""
+    return np.sqrt(np.add.reduce(gens * gens, axis=-1))
+
+
+def _turned_units(gens: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The unit generators of the rows of gens, of lengths ``norms``, each
+    turned so that its first coordinate above MERGE_TOL in size is
+    positive: the canonical orientation of its line."""
+    units = gens / norms[:, None]
+    lead = units[np.arange(len(units)), np.argmax(np.abs(units) > MERGE_TOL, axis=1)]
+    units[lead < 0] *= -1.0
+    return units
 
 
 def zonotope_volume(Z: Zonotope) -> float:
@@ -704,7 +742,7 @@ def polar_of_zonotope(Z: Zonotope) -> VPolytope:
     else:
         raise GeometryError("polar supports dimension 2 or 3")
     norms = np.linalg.norm(cand, axis=1)
-    keep = norms > POLAR_NORMAL_TOL
+    keep = norms > POLAR_NORMAL_TOL * norms.max(initial=0.0)
     cand = cand[keep] / norms[keep, None]
     if len(cand) == 0 or not spans_space(gens):
         raise GeometryError("polar requires a full-dimensional zonotope")

@@ -21,8 +21,10 @@ from .bodies import (
     VPolytope,
     Zonotope,
     cross3,
+    _abs_pairing,
     hull,
     merge_parallel_generators,
+    merged_generator_rows,
     planar_polar_measures,
     polar_of_zonotope,
     full_dimensional,
@@ -136,13 +138,14 @@ def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int)
 
 
 @lru_cache(maxsize=16)
-def node_set(n: int, nodes: int) -> np.ndarray:
+def node_set(n: int, nodes: int, dtype=np.float64) -> np.ndarray:
     """``sphere_directions(n, nodes)`` read-only, built once per size: the
-    nodes of ``polar_measure`` and of the grid of ``polar_measures``.  Held
-    coordinate-major, as the transpose of a C-contiguous (n, nodes) array,
-    so that ``bodies._abs_pairing`` reads each block of nodes as n
-    contiguous rows."""
-    U = np.ascontiguousarray(sphere_directions(n, nodes).T)
+    float64 nodes of ``polar_measure``, and their float32 copy for the grid
+    of ``polar_measures``.  Held coordinate-major, as the transpose of a
+    C-contiguous (n, nodes) array, so that ``bodies._abs_pairing`` reads
+    each block of nodes as n contiguous rows."""
+    source = sphere_directions(n, nodes) if dtype == np.float64 else node_set(n, nodes)
+    U = np.ascontiguousarray(source.T, dtype=dtype)
     U.setflags(write=False)
     return U.T
 
@@ -154,8 +157,9 @@ def polar_measure(body, measure: RadialMeasure, nodes: int | None = None) -> flo
 
     For a zonotope that spans its space ``zonotope_polar_measure`` is exact
     in the plane and walks its normal fan in space; this grid is its oracle
-    in ``verify``, and reads flat bodies too.  A grid's certificate is a
-    second call on twice its nodes.
+    in ``verify``, and reads flat bodies too.  It is also the float64
+    oracle of the float32 grid rows of ``polar_measures``.  A grid's
+    certificate is a second call on twice its nodes.
     """
     h, n = getattr(body, "support_batch", body), body.dim
     return polar_measure_from_support(h(node_set(n, nodes or DEFAULT_NODES[n])), measure, n)
@@ -166,19 +170,21 @@ def polar_measure(body, measure: RadialMeasure, nodes: int | None = None) -> flo
 # covering the counts up to the next row's first, nodes None for the arc
 # walk of ``bodies.spatial_polar_measures``.  3-D Lebesgue measure has no
 # row: its walk is exact (H = 1/6, no rule nodes).  The README holds the
-# measurements behind the rows, taken before ``faf29ef`` made the walk
-# 2-24% faster at chunk size.  Per trial on a 2-vCPU Xeon the Gaussian
-# walk beat the 8192-node grid in at least 38 of 40 rounds up to 17
-# generators and tied at 18; the ball walk runs the rule on the two pieces
-# of each edge outside the ball, and the ball grid, with no erf, was about
-# even at 9 and faster from 10.  Each Gaussian grid row takes the smallest
-# of 2048, 4096 and 8192 nodes whose relative error against the walk
-# stayed within POLAR_GRID_TOL on every count it covers, over the bodies of
+# timings behind the rows, re-measured with the float32 grid.  Per trial at
+# chunk size on a 2-vCPU Xeon, in two sweeps of 40 rounds, the Gaussian
+# walk beat the 8192-node grid in at least 38 rounds up to 16 generators,
+# in 31 and 35 at 17 and in only 9 and 14 at 18; the ball walk runs the
+# rule on the two pieces of each edge outside the ball, and the ball grid,
+# with no erf, beat it in 31 and 34 rounds at 9 and in 39 or 40 from 10.
+# Each Gaussian grid row takes the smallest of 2048, 4096 and 8192 nodes
+# whose relative error against the walk stayed within POLAR_GRID_TOL on
+# every count it covers, over the bodies of
 # ``verify.grid_table_test_generators``.  The ball row keeps 8192 nodes,
 # which read up to 7.4e-5 under a ball crossing the polar's boundary, and
-# is not held to the bound.  The error grows as the polar shrinks against
-# the measure's scale, so every grid report carries a certificate at twice
-# its nodes.
+# is not held to the bound; so 9 and 10 generators keep the walk, for its
+# accuracy, though the grid is faster there.  The error grows as the polar
+# shrinks against the measure's scale, so every grid report carries a
+# certificate at twice its nodes.
 POLAR_RULES = {"gaussian": ((0, None), (17, 8192), (31, 4096)),
                "ball": ((0, None), (11, 8192))}
 POLAR_GRID_TOL = 5e-5
@@ -210,18 +216,34 @@ def polar_measures(G: np.ndarray, measure: RadialMeasure | None = None,
     ``polar_nodes`` gives it.  ``measure`` is a RadialMeasure, or None for
     Lebesgue measure.
 
-    Each grid row is ``polar_measure`` of its one zonotope, so a row's value
-    does not depend on the rows stacked with it.  In cor13 reports on a
-    2-vCPU Xeon a Gaussian row of 64 generators took 0.32 ms on 4096 nodes
-    and 0.67 ms on 8192 (0.43 and 0.89 ms on row-major node sets).
+    Each grid row is merged (``bodies.merged_generator_rows``), so that a
+    kernel's rows and the hull route's merged ones read one generator set,
+    then paired with the nodes in float32 (``_grid_supports``) and read by
+    the radial quadrature of ``polar_measure``, its float64 oracle, to
+    within about 4e-8; a row's value does not depend on the rows stacked
+    with it.  In cor13 reports on a 2-vCPU Xeon a Gaussian row of 64
+    generators took 0.22 ms on 4096 nodes and 0.50 ms on 8192, against
+    0.33 and 0.70 ms in float64.
     """
     if nodes is None:
         return (planar_polar_measures if G.shape[-1] == 2 else spatial_polar_measures)(G, measure)
-    measure = measure or RadialMeasure.lebesgue()
+    measure, n = measure or RadialMeasure.lebesgue(), G.shape[-1]
     held = np.isfinite(G).all(axis=(1, 2))
+    U = node_set(n, nodes, np.float32)
     values = np.full(len(G), math.nan)
-    values[held] = [polar_measure(Zonotope(g), measure, nodes) for g in G[held]]
+    values[held] = [polar_measure_from_support(_grid_supports(U, g), measure, n)
+                    for g in merged_generator_rows(G[held])]
     return values, held
+
+
+def _grid_supports(U: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """h of the zonotope sum [-g, g] over the rows of gens at the float32
+    nodes U, in float64: the rows scaled by the power of two 2^-e that puts
+    their largest coordinate in [0.5, 1), paired and summed in float32 by
+    ``bodies._abs_pairing``, and scaled back by 2^e, which is exact."""
+    e = np.frexp(np.abs(gens).max(initial=0.0))[1]
+    h = _abs_pairing(U, np.ldexp(gens, -e).astype(np.float32))
+    return np.ldexp(h.astype(np.float64), e)
 
 
 def zonotope_polar_measure(Z: Zonotope, measure: RadialMeasure | None = None) -> float:

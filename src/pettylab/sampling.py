@@ -220,6 +220,16 @@ class _ZeroKey(ISeedSequence):
         return np.zeros(n_words, dtype=dtype)
 
 
+@lru_cache(maxsize=1)
+def _block_generator() -> np.random.Generator:
+    """The one Philox generator of ``draw_block`` in this process, built
+    once: each child sets its whole state before it draws, so no block
+    reads what an earlier one, or a draw that raised, left behind.  Reports
+    run in worker processes, not threads, so no two blocks share it at
+    once."""
+    return np.random.Generator(np.random.Philox(_ZeroKey()))
+
+
 def draw_block(stream: RngStream, first: int, count: int, draws) -> list:
     """The samples of the children first, ..., first + count - 1 of
     ``stream``: one array of shape (count, m, dim) per (density, m) of
@@ -227,8 +237,8 @@ def draw_block(stream: RngStream, first: int, count: int, draws) -> list:
     every child's raw draws in stream order, with the child's key, counter 0
     and an empty buffer; each density then finishes the block's draws at
     once."""
-    bitgen = np.random.Philox(_ZeroKey())
-    gen = np.random.Generator(bitgen)
+    gen = _block_generator()
+    bitgen = gen.bit_generator
     raw, fills = [], []
     for density, m in draws:
         raw.append([])

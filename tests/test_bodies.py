@@ -42,6 +42,7 @@ from pettylab.bodies import (
     _abs_pairing,
     cross3,
     merge_parallel_generators,
+    merged_generator_rows,
     planar_polar_measures,
     sphere_directions,
     spatial_polar_measures,
@@ -652,6 +653,15 @@ class TestPolar:
                 known = polar(zonotope_to_vpolytope(Z))
                 assert vertex_set_distance(polar_of_zonotope(Z), known) <= 1e-9
 
+    def test_the_polar_of_a_scaled_zonotope_is_scaled_back(self):
+        # candidate normals are dropped relative to the longest one, so a
+        # small zonotope keeps its facets: (s Z)° = Z° / s
+        G = np.random.default_rng(56).normal(size=(4, 3))
+        want = polar_of_zonotope(Zonotope(G))
+        for s in (1e-9, 1e-6, 1e5):
+            got = polar_of_zonotope(Zonotope(G * s))
+            assert vertex_set_distance(got.vertices * s, want) <= 1e-12 * np.abs(want.vertices).max()
+
     def test_degenerate_zonotope_polar_is_rejected(self):
         with pytest.raises(GeometryError):
             polar_of_zonotope(Zonotope(np.array([[1.0, 2.0], [2.0, 4.0]])))
@@ -662,7 +672,7 @@ def merge_loop(Z: Zonotope, tol: float = 1e-12) -> np.ndarray:
     generator at a time."""
     gens = Z.generators
     norms = np.linalg.norm(gens, axis=1)
-    keep = norms > tol
+    keep = norms > tol * norms.max(initial=0.0)
     gens, norms = gens[keep], norms[keep]
     if len(gens) == 0:
         return np.zeros((0, Z.dim))
@@ -716,6 +726,44 @@ class TestMergeParallelGenerators:
                 want = merge_loop(Zonotope(G))
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    def test_a_stack_merges_each_row_bit_for_bit(self):
+        # rows that only sort take the stacked pass, the others (a dropped
+        # or zero generator, a tie in the first coordinate, parallel or near
+        # copies) the one-row merge; no row depends on the rows beside it
+        gen = np.random.default_rng(54)
+        for n in (2, 3):
+            for k in (0, 1, 2, 5, 64):
+                S = gen.normal(size=(12, k, n))
+                S[1] = 0.0
+                if k > 2:
+                    S[2, 1] = -2.0 * S[2, 0]
+                    S[3, 1] = S[3, 0] + 1e-11
+                    S[4, 0] = 0.0
+                    S[5, 2] = S[5, 0] + 5e-10
+                    S[6, 1, 0] = S[6, 0, 0]
+                    S[7, 0] *= 1e-13
+                    S[8, :, 0] = 0.0
+                rows = merged_generator_rows(S)
+                assert len(rows) == len(S)
+                for t in range(len(S)):
+                    want = merge_parallel_generators(Zonotope(S[t])).generators
+                    assert rows[t].shape == want.shape and rows[t].tobytes() == want.tobytes()
+                    alone, = merged_generator_rows(S[t:t + 1])
+                    assert alone.tobytes() == want.tobytes()
+
+    def test_merging_does_not_depend_on_scale(self):
+        # the drop below MERGE_TOL is relative to the longest generator, so
+        # a scaled zonotope keeps its generators, scaled, down to 1e-150
+        gen = np.random.default_rng(55)
+        G = gen.normal(size=(6, 3))
+        G[5] = 1e-13 * G[0]  # dropped at every scale
+        want = merge_parallel_generators(Zonotope(G)).generators
+        assert len(want) == 5
+        for s in (1e-150, 1e-12, 1e-7, 1e6, 1e150):
+            got = merge_parallel_generators(Zonotope(G * s)).generators
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want * s, rtol=1e-13, atol=0.0)
 
     def test_orientation_skips_coordinates_below_tol(self):
         Z = Zonotope(np.array([[1e-13, -1.0, 2.0], [0.0, 2.0, -4.0]]))

@@ -774,6 +774,21 @@ class TestChunks:
             spec.trial(1, i, outside_diag)
         assert {key: kernel_diag[key] + outside_diag[key] for key in chunk_diag} == chunk_diag
 
+    def test_a_small_scale_replays_alike_on_both_routes(self):
+        # two cube C-sets over a cube of half 1e-6 under a Gaussian of 2.5e11
+        # are the experiment at half 1 and sigma 0.25 scaled by 1e-6: Pi's
+        # generators are about 1e-12, and the hull route's merge keeps them
+        def config(half, sigma):
+            block = _uniform_block(dict(_CUBE3, half=half), 3)
+            return {"dim": 3, "seed": 1, "trials": 20,
+                    "measure": {"type": "gaussian", "sigma": sigma},
+                    "blocks": [block, block], "c_sets": [{"kind": "cube", "m": 3}] * 2}
+
+        small = harness.replay("thm11", config(1e-6, 2.5e11), (0, 3))
+        unit = harness.replay("thm11", config(1.0, 0.25), (0, 3))
+        assert small["relative_difference"] <= 1e-14
+        assert small["trial"]["value"] == pytest.approx(unit["trial"]["value"], rel=1e-12)
+
     def test_a_cube_c_set_past_twenty_columns_beside_a_simplex(self):
         # the hull route reads the 21-generator zonotope with no vertex cap
         config = {"dim": 3, "seed": 47, "trials": 3, "measure": _GAUSS,
@@ -1572,7 +1587,7 @@ class TestSerialization:
         "thm12-3d-gaussian": (20, "e568a646be5b54b701505fa933c1c040f67392c9f56d222fa82f8a2d5a96b443"),
         "thm11-3d-simplices": (10, "33566ac7ad5191f79ba6bdeab4acd7d2b9bde10c531f506f147113a2c2c99681"),
         "thm11-3d-zonotopes": (10, "ff945c858cbc072176ce6482090f1a6329ef56d018015508ec1410fadfe46dac"),
-        "cor13": (3, "17feb4d5b70b4f88ef5e028519a48e0eaa149bcf1f2e7d96276e522c3adafabe"),
+        "cor13": (3, "9a115fd8838a415e49ced614237fd8003dd0229bc786c8d2069a58f21ff1b9bd"),
         "empmixed": (40, "2c67708f1be64efcf26768b9c87bbd9532ce557c48abd202b4bd70059a650a36"),
         "empmixed-3d-simplices": (10, "e951ff64554f60af9704cb6d41b4b43e0221e5cf71e02b7d9a1c17a8c53eb8b1"),
         "emppetty2": (40, "7cb0cb1e4ed3ac2f6da6ba0cd4373011b97c34640824486f4c9de703dbf51a54"),

@@ -35,6 +35,7 @@ from pettylab.projections import polar_measure_from_support, tetrahedron_pair_no
 from pettylab.verify import (
     centroid_support_cubature,
     coincidence_test_pairs,
+    grid_table_test_generators,
     mixed_projection_polarization,
     mixed_volume_inclusion_exclusion,
     point_in_polygon,
@@ -130,6 +131,17 @@ class TestMixedProjection:
         U = sphere_directions(3, 96)
         slow = mixed_projection_polarization(P, zonotope_to_vpolytope(B), U)
         assert np.abs(fast.support_batch(U) - slow).max() <= 1e-8 * max(1.0, slow.max())
+
+    def test_a_scaled_pair_keeps_its_generators(self):
+        # Pi(sA, sB) = s^2 Pi(A, B): the merge drops nothing at small scales
+        gen = np.random.default_rng(86)
+        A, B = gen.normal(size=(3, 3)), gen.normal(size=(3, 3))
+        want = mixed_projection_support([Zonotope(A), Zonotope(B)]).generators
+        assert len(want) == 9
+        for s in (1e-5, 1e-6, 1e-7, 1e-20):
+            got = mixed_projection_support([Zonotope(A * s), Zonotope(B * s)]).generators
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want * s * s, rtol=1e-12, atol=0.0)
 
     @staticmethod
     def _check_segment_sum_oracle(gen, m):
@@ -569,6 +581,46 @@ class TestPolarMeasures:
             with pytest.raises(GeometryError, match="Lebesgue measure has no grid row"):
                 projections.polar_nodes(nu, 5, walk=False)
 
+    @pytest.mark.parametrize("nodes", [4096, 8192])
+    def test_single_precision_rows_hold_the_float64_oracle(self, nodes):
+        # a grid row pairs its merged generators with the nodes in float32;
+        # polar_measure's float64 grid of the unmerged row is its oracle, for
+        # cor13's bodies (random, thin, needle) at scales far past float32's
+        # range, under a Gaussian and a ball at three sizes against the scale
+        U = projections.node_set(3, nodes)
+        gen = np.random.default_rng(88)
+        worst = 0.0
+        for k in (17, 31, 64, 100):
+            for G in grid_table_test_generators(gen, k):
+                for s in (1e-60, 1e-6, 1.0, 1e6, 1e60):
+                    for c in (0.3, 1.0, 10.0):
+                        for nu in (RadialMeasure.gaussian(c / s), RadialMeasure.ball(c / s)):
+                            got = projections.polar_measures((G * s)[None], nu, nodes)[0][0]
+                            want = polar_measure_from_support(bodies._abs_pairing(U, G * s), nu, 3)
+                            worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-7, worst
+
+    def test_rows_of_no_or_zero_generators_read_the_whole_measure(self):
+        for G in (np.zeros((2, 0, 3)), np.zeros((1, 4, 3))):
+            values, held = projections.polar_measures(G, RadialMeasure.gaussian(0.4), 512)
+            assert held.all() and values.tolist() == pytest.approx([1.0] * len(G), rel=1e-15)
+            values, _ = projections.polar_measures(G, RadialMeasure.ball(2.0), 512)
+            assert values.tolist() == pytest.approx([32.0 * math.pi / 3.0] * len(G), rel=1e-15)
+            with pytest.raises(GeometryError, match="unbounded"):
+                projections.polar_measures(G, RadialMeasure.lebesgue(), 512)
+
+    def test_a_grid_row_reads_one_canonical_generator_set(self):
+        # the kernel's rows and the hull route's merged ones give one grid
+        # value: the order and signs of the generators, and a split of one
+        # into parallel parts, do not move its bits
+        nu = RadialMeasure.gaussian(1.0)
+        G = np.random.default_rng(89).normal(size=(20, 3))
+        shuffled = G[::-1] * np.where(np.arange(20) % 3 == 0, -1.0, 1.0)[::-1, None]
+        want = projections.polar_measures(G[None], nu, 4096)[0]
+        assert projections.polar_measures(shuffled[None], nu, 4096)[0].tobytes() == want.tobytes()
+        split = np.vstack([G[:19], 0.5 * G[19:], -0.5 * G[19:]])
+        assert projections.polar_measures(split[None], nu, 4096)[0].tobytes() == want.tobytes()
+
     def test_only_the_grid_reads_a_flat_row(self):
         nu = RadialMeasure.gaussian(1.0)
         coplanar = np.array([[[1.0, 2.0, 0.0], [0.5, -1.0, 0.0], [2.0, 0.3, 0.0]]])
@@ -643,6 +695,14 @@ class TestPetty:
 
     def test_cube_value_in_space(self):
         assert petty_product(cube_body(3)) == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_product_does_not_depend_on_scale(self, n):
+        # an affine invariant: hull(s P) reads what hull(P) does
+        P = np.random.default_rng(87 + n).normal(size=(12, n))
+        want = petty_product(hull(P))
+        for s in (1e-8, 1e-6, 1e-5, 1e-3, 1e3, 1e6):
+            assert petty_product(hull(P * s)) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_ball_approximations_approach_the_extremal_values(self):
         assert petty_product(ball_body(2)) == pytest.approx(

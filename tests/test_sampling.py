@@ -17,7 +17,7 @@ from pettylab import (
     volume,
     zonotope_to_vpolytope,
 )
-from pettylab import verify
+from pettylab import sampling, verify
 from pettylab.harness import SPECS, CSet, _density
 from pettylab.sampling import INDEX_LIMIT, cumulative_weights, draw_block, draw_per_trial
 
@@ -123,6 +123,33 @@ class TestBlockDraws:
             want = draw_per_trial(stream, 3, count, subset)
             for a, b, (density, m) in zip(got, want, subset):
                 assert a.shape == (count, m, dim) and a.tobytes() == b.tobytes()
+
+    def test_blocks_of_two_streams_drawn_in_turn_equal_the_per_trial_route(self):
+        # every block reuses the process's one Philox, so a block must not
+        # read the state the other stream's last block left
+        draws = self.draws(3)
+        streams = RngStream(5, (0,)), RngStream(2**40 + 1, (1, 7))
+        for first in (0, 1, 6, 100):
+            for stream in streams:
+                got = draw_block(stream, first, 3, draws)
+                want = draw_per_trial(stream, first, 3, draws)
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert sampling._block_generator.cache_info().currsize == 1
+
+    def test_a_block_whose_draw_raises_part_way_leaves_later_blocks_whole(self):
+        class Raising(Density):
+            # a normal draw, then a Generator call without its shape argument
+            def _raw_draws(self, count):
+                return (("standard_normal", (count, self.dim)), ("standard_gamma", (count,)))
+
+        draws = self.draws(2)
+        stream = RngStream(9, (1,))
+        for first in (0, 4):
+            with pytest.raises(TypeError):
+                draw_block(stream, first, 5, draws + [(Raising("gaussian", 2), 3)])
+            got = draw_block(stream, first, 5, draws)
+            want = draw_per_trial(stream, first, 5, draws)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_dirichlet_of_ones_normalizes_standard_exponentials(self):
         # the assumption the uniform block finish rests on, on this numpy:

@@ -4,6 +4,8 @@ import importlib.util
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -24,3 +26,37 @@ def test_report_costs_prints_a_fixed_cost_and_a_cost_per_trial(capsys):
     workload, key, fixed, per_trial, trials = line.split()
     assert (workload, key, trials) == ("mixed_hull", "thm11_hull", "4")
     assert float(fixed) > 0.0 and abs(float(per_trial)) < 1e3
+
+
+def test_ab_pairs_reads_its_arguments():
+    tool = _tool("ab_pairs")
+    args = tool.parse_args(["--parent", "/p", "--workload", "space", "--seed", "3"])
+    assert (args.parent, args.change, args.workload, args.seed) == (Path("/p"), ROOT, "space", 3)
+    assert (args.seconds, args.pairs, args.hashes) == (10.0, 10, False)
+    args = tool.parse_args(["--parent", "a", "--change", "b", "--workload", "plane", "--seed",
+                            "27", "--seconds", "2.5", "--pairs", "3", "--hashes"])
+    assert (args.change, args.seconds, args.pairs, args.hashes) == (Path("b"), 2.5, 3, True)
+    for bad in (["--pairs", "0"], ["--seconds", "0"], ["--seed", "x"]):
+        with pytest.raises(SystemExit):
+            tool.parse_args(["--parent", "a", "--workload", "space", "--seed", "3"] + bad)
+    # the trees take turns to run first
+    assert [tool.run_order(i)[0] for i in range(4)] == ["parent", "change", "parent", "change"]
+
+
+def test_ab_pairs_statistics_on_synthetic_runs():
+    tool = _tool("ab_pairs")
+    assert tool.quartiles([5.0]) == (5.0, 5.0, 5.0)
+    assert tool.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    parent = [100.0, 104.0, 96.0, 102.0, 98.0]
+    change = [110.0, 103.0, 108.0, 112.0, 109.0]
+    s = tool.compare(parent, change, higher_is_better=True)
+    assert s["parent"] == (98.0, 100.0, 102.0) and s["change"][1] == 109.0
+    assert s["ratio"] == pytest.approx(1.09) and s["parent_iqr_rel"] == pytest.approx(0.04)
+    assert (s["wins"], s["pairs"]) == (4, 5)  # pair 1 read 104 against 103
+    assert tool.compare(parent, change, higher_is_better=False)["wins"] == 1
+    results = {tree: [{"metrics": {"trials_per_s": {"value": v}, "wall_s": {"value": 1.0 / v}}}
+                      for v in values] for tree, values in (("parent", parent), ("change", change))}
+    header, rate, wall = tool.table({"trials_per_s": True, "wall_s": False}, results)
+    assert header.split()[0] == "metric"
+    assert rate.split()[0] == "trials_per_s" and rate.split()[-3:] == ["1.0900", "4.0%", "4/5"]
+    assert wall.split()[-1] == "4/5"
