@@ -44,7 +44,6 @@ from .projections import (
     centroid_body_support,
     mixed_projection_support,
     petty_product,
-    polar_measure,
     polar_projection_polytope,
     projection_body,
     zonotope_polar_measure,

@@ -45,9 +45,9 @@ ABS_BLOCK_ENTRIES = 1 << 15
 # then peaks at about 7 MiB under tracemalloc instead of about 44.
 POLAR_BLOCK_ARCS = 1 << 13
 # Unit generators closer than this span one line in
-# ``merge_parallel_generators``.
+# ``merged_generator_rows``.
 MERGE_GAP = 1e-9
-# ``merge_parallel_generators`` drops generators no longer than this share
+# ``merged_generator_rows`` drops generators no longer than this share
 # of the longest one and orients each unit generator by its first
 # coordinate larger than this.
 MERGE_TOL = 1e-12
@@ -164,15 +164,14 @@ def _abs_pairing(U, V: np.ndarray) -> np.ndarray:
     reduced by one vector-matrix product: with three coordinates the
     products come 1.5-2 times as fast in that layout as in (rows, len(V)),
     and a row sum over a short last axis costs 2-3 times as much at 8192
-    rows.  The grid's node sets (``projections.node_set``) are
+    rows.  The grid's float32 node sets (``projections.node_set``) are
     coordinate-major, the transpose of a C-contiguous (n, N) array, so a
-    block's U[s:s + step].T is n contiguous coordinate rows: in cor13
-    reports (64 generators, 4096 nodes) a call took 226 us against 304 us
-    on a row-major node set.  The two layouts can differ in the last bit of
-    a support value (at 71 of 196 sizes of 3 to 100 generators on 4096 and
-    8192 nodes), not in the polar measures of that sweep.  Calls with equal
-    shapes and layouts do the same arithmetic, so equal inputs give equal
-    bits.
+    block's U[s:s + step].T is n contiguous coordinate rows: at cor13's
+    size (64 generators, 4096 nodes, 2-vCPU Xeon) a call took 130 us
+    against 158 us on a row-major copy, with equal bits at all 196 sizes of
+    3 to 100 generators on 4096 and 8192 nodes.  In float64 the two layouts
+    can differ in the last bit of a support value.  Calls with equal shapes
+    and layouts do the same arithmetic, so equal inputs give equal bits.
     """
     U = np.asarray(U, dtype=V.dtype)
     w = np.ones(len(V), dtype=V.dtype)
@@ -607,70 +606,60 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
 
 def merge_parallel_generators(Z: Zonotope) -> Zonotope:
     """Combine generators spanning the same line; support is unchanged."""
-    gens = Z.generators
-    norms = _norms(gens)
-    keep = norms > MERGE_TOL * norms.max(initial=0.0)
-    gens, norms = gens[keep], norms[keep]
-    if len(gens) == 0:
-        return Zonotope(np.zeros((0, Z.dim)))
-    units = _turned_units(gens, norms)
-    order = np.lexsort(units.T[::-1])
-    units, norms = units[order], norms[order]
-    # A generator joins the group of the first one before it within
-    # MERGE_GAP, and each group is summed in sorted order.  When every gap
-    # between sorted neighbours is 0 (a mixed area measure holds each line
-    # as +-) or clears MERGE_GAP by more than these norms and the walk's may
-    # differ in rounding, the groups are the runs of equal units.
-    terms = units * norms[:, None]
-    gaps = _norms(units[1:] - units[:-1])
-    joins = gaps == 0.0
-    if not np.all(joins | (gaps >= MERGE_GAP * (1.0 + 1e-10))):
-        head = units[0]
-        for k in range(1, len(units)):
-            joins[k - 1] = np.linalg.norm(units[k] - head) < MERGE_GAP
-            head = head if joins[k - 1] else units[k]
-    if not joins.any():
-        return Zonotope(terms)
-    merged = terms[np.concatenate([[True], ~joins])]
-    np.add.at(merged, np.cumsum(~joins)[joins], terms[1:][joins])
-    return Zonotope(merged)
+    return Zonotope(merged_generator_rows(Z.generators[None])[0])
 
 
 def merged_generator_rows(G: np.ndarray) -> list:
-    """``merge_parallel_generators`` of the zonotope of each generator set
-    G[t] of a stack of shape (T, k, n), bit for bit, as a list of arrays.
-    Its steps run once over the whole stack, sorting each row by its first
-    coordinate alone; a row that drops a generator, ties in that coordinate
-    (where the sort would read the next) or has two sorted units within
-    MERGE_GAP (where the merge would add them) takes the one-row merge."""
+    """The generators of the zonotope of each generator set G[t] of a stack
+    of shape (T, k, n), merged over parallel lines, as a list of arrays; a
+    row's bits do not depend on the rows beside it.  Generators no longer
+    than MERGE_TOL times a row's longest are dropped, the others turned to
+    the canonical orientation of their lines, sorted lexicographically (by
+    the first coordinate over the stack, in full where it ties) and summed
+    in sorted order over groups: a unit within MERGE_GAP of its group's
+    first joins it.  Where every sorted gap is 0 (a mixed area measure holds
+    each line as +-) or clears MERGE_GAP by more than rounding, the groups
+    are the runs of equal units."""
     T, k, n = G.shape
+    wide = MERGE_GAP * (1.0 + 1e-10)
     norms = _norms(G)
-    ok = (norms > MERGE_TOL * norms.max(axis=1, initial=0.0)[:, None]).all(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero rows take the one-row merge
-        units = _turned_units(G.reshape(T * k, n), norms.reshape(T * k)).reshape(T, k, n)
+    keep = norms > MERGE_TOL * norms.max(axis=1, keepdims=True, initial=0.0)
+    # a dropped generator's unit is NaN: it sorts last, and its NaN gaps
+    # neither join nor flag a row
+    units = G / np.where(keep, norms, np.nan)[..., None]
+    flat = units.reshape(T * k, n)
+    lead = flat[np.arange(T * k), np.argmax(np.abs(flat) > MERGE_TOL, axis=1)]
+    np.negative(flat, out=flat, where=(lead < 0.0)[:, None])
     order = np.argsort(units[..., 0], axis=1, kind="stable")
-    order += k * np.arange(T)[:, None]
-    units = units.reshape(T * k, n).take(order, axis=0)
+    if T > 1:  # a lone row's sorted positions are already its flat ones
+        order += k * np.arange(T)[:, None]
+    units = flat.take(order, axis=0)
     terms = units * norms.take(order)[..., None]
-    ok &= (units[:, 1:, 0] != units[:, :-1, 0]).all(axis=1)
-    ok &= (_norms(units[:, 1:] - units[:, :-1]) >= MERGE_GAP * (1.0 + 1e-10)).all(axis=1)
-    return [terms[t] if ok[t] else merge_parallel_generators(Zonotope(G[t])).generators
-            for t in range(T)]
+    steps = units[:, 1:] - units[:, :-1]
+    gaps, rises = _norms(steps), steps[..., 0]
+    if keep.all() and (gaps >= wide).all() and rises.all():
+        return list(terms)
+    kept = np.count_nonzero(keep, axis=1)
+    joins = np.zeros((T, k), bool)
+    joins[:, 1:] = gaps == 0.0
+    for t in np.flatnonzero(((gaps != 0.0) & ((rises == 0.0) | (gaps < wide))).any(axis=1)):
+        m = kept[t]
+        first = np.lexsort(units[t, :m].T[::-1])
+        units[t, :m], terms[t, :m] = units[t, first], terms[t, first]
+        head = units[t, 0]
+        for j in range(1, m):
+            joins[t, j] = np.linalg.norm(units[t, j] - head) < MERGE_GAP
+            head = head if joins[t, j] else units[t, j]
+    starts = (np.arange(k) < kept[:, None]) & ~joins
+    flat, heads, joins = terms.reshape(T * k, n), starts.ravel(), joins.ravel()
+    merged = flat[heads]
+    np.add.at(merged, np.cumsum(heads)[joins] - 1, flat[joins])
+    return np.split(merged, np.cumsum(starts.sum(axis=1))[:-1])
 
 
 def _norms(gens: np.ndarray) -> np.ndarray:
     """The length of each generator gens[..., j, :], np.linalg.norm's bits."""
     return np.sqrt(np.add.reduce(gens * gens, axis=-1))
-
-
-def _turned_units(gens: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """The unit generators of the rows of gens, of lengths ``norms``, each
-    turned so that its first coordinate above MERGE_TOL in size is
-    positive: the canonical orientation of its line."""
-    units = gens / norms[:, None]
-    lead = units[np.arange(len(units)), np.argmax(np.abs(units) > MERGE_TOL, axis=1)]
-    units[lead < 0] *= -1.0
-    return units
 
 
 def zonotope_volume(Z: Zonotope) -> float:

@@ -80,14 +80,14 @@ class RadialMeasure:
 
     @staticmethod
     def gaussian(sigma: float = 1.0) -> "RadialMeasure":
-        if sigma <= 0:
-            raise GeometryError("gaussian sigma must be positive")
+        if not 0.0 < sigma < math.inf:
+            raise GeometryError(f"gaussian sigma must be positive and finite, got {sigma!r}")
         return RadialMeasure("gaussian", sigma=sigma)
 
     @staticmethod
     def ball(radius: float) -> "RadialMeasure":
-        if radius <= 0:
-            raise GeometryError("ball radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise GeometryError(f"ball radius must be positive and finite, got {radius!r}")
         return RadialMeasure("ball", radius=radius)
 
     def radial_integral(self, R: np.ndarray, n: int) -> np.ndarray:
@@ -138,31 +138,14 @@ def polar_measure_from_support(hv: np.ndarray, measure: RadialMeasure, dim: int)
 
 
 @lru_cache(maxsize=16)
-def node_set(n: int, nodes: int, dtype=np.float64) -> np.ndarray:
-    """``sphere_directions(n, nodes)`` read-only, built once per size: the
-    float64 nodes of ``polar_measure``, and their float32 copy for the grid
-    of ``polar_measures``.  Held coordinate-major, as the transpose of a
-    C-contiguous (n, nodes) array, so that ``bodies._abs_pairing`` reads
-    each block of nodes as n contiguous rows."""
-    source = sphere_directions(n, nodes) if dtype == np.float64 else node_set(n, nodes)
-    U = np.ascontiguousarray(source.T, dtype=dtype)
+def node_set(n: int, nodes: int) -> np.ndarray:
+    """``sphere_directions(n, nodes)`` in float32, read-only, built once per
+    size for the grid rows of ``polar_measures``.  Held coordinate-major,
+    as the transpose of a C-contiguous (n, nodes) array, so that
+    ``bodies._abs_pairing`` reads each block of nodes as n contiguous rows."""
+    U = np.ascontiguousarray(sphere_directions(n, nodes).T, dtype=np.float32)
     U.setflags(write=False)
     return U.T
-
-
-def polar_measure(body, measure: RadialMeasure, nodes: int | None = None) -> float:
-    """measure({x : h(x) <= 1}) in polar-radial coordinates, h the support
-    of ``body``: a VPolytope, a Zonotope or a SupportEvaluator, on the grid
-    of ``nodes`` nodes (None: the dimension's DEFAULT_NODES).
-
-    For a zonotope that spans its space ``zonotope_polar_measure`` is exact
-    in the plane and walks its normal fan in space; this grid is its oracle
-    in ``verify``, and reads flat bodies too.  It is also the float64
-    oracle of the float32 grid rows of ``polar_measures``.  A grid's
-    certificate is a second call on twice its nodes.
-    """
-    h, n = getattr(body, "support_batch", body), body.dim
-    return polar_measure_from_support(h(node_set(n, nodes or DEFAULT_NODES[n])), measure, n)
 
 
 # The spatial polar rule per measure, a function of the zonotope's
@@ -218,18 +201,18 @@ def polar_measures(G: np.ndarray, measure: RadialMeasure | None = None,
 
     Each grid row is merged (``bodies.merged_generator_rows``), so that a
     kernel's rows and the hull route's merged ones read one generator set,
-    then paired with the nodes in float32 (``_grid_supports``) and read by
-    the radial quadrature of ``polar_measure``, its float64 oracle, to
-    within about 4e-8; a row's value does not depend on the rows stacked
-    with it.  In cor13 reports on a 2-vCPU Xeon a Gaussian row of 64
-    generators took 0.22 ms on 4096 nodes and 0.50 ms on 8192, against
-    0.33 and 0.70 ms in float64.
+    then paired with the float32 nodes of ``node_set`` (``_grid_supports``)
+    and integrated radially (``polar_measure_from_support``); it holds the
+    float64 grid of ``verify.polar_measure`` to within about 4e-8, and a
+    row's value does not depend on the rows stacked with it.  In cor13
+    reports on a 2-vCPU Xeon a Gaussian row of 64 generators took 0.22 ms
+    on 4096 nodes and 0.50 ms on 8192, against 0.33 and 0.70 ms in float64.
     """
     if nodes is None:
         return (planar_polar_measures if G.shape[-1] == 2 else spatial_polar_measures)(G, measure)
     measure, n = measure or RadialMeasure.lebesgue(), G.shape[-1]
     held = np.isfinite(G).all(axis=(1, 2))
-    U = node_set(n, nodes, np.float32)
+    U = node_set(n, nodes)
     values = np.full(len(G), math.nan)
     values[held] = [polar_measure_from_support(_grid_supports(U, g), measure, n)
                     for g in merged_generator_rows(G[held])]
@@ -256,14 +239,17 @@ def zonotope_polar_measure(Z: Zonotope, measure: RadialMeasure | None = None) ->
     return _merged_polar_measure(merge_parallel_generators(Z).generators, measure)
 
 
-def _merged_polar_measure(gens: np.ndarray, measure: RadialMeasure | None = None) -> float:
+def _merged_polar_measure(gens: np.ndarray, measure: RadialMeasure | None = None,
+                          nodes: int | None = None) -> float:
     """``zonotope_polar_measure`` from generators already merged, as every
-    projection body's are."""
+    projection body's are, or with ``nodes`` the grid row of
+    ``polar_measures`` on that many nodes, which reads flat rows too and
+    takes no rank test."""
     if gens.shape[1] not in (2, 3):
         raise GeometryError(f"polar supports dimension 2 or 3, got {gens.shape[1]}")
-    if not spans_space(gens):
+    if nodes is None and not spans_space(gens):
         raise GeometryError("polar requires a full-dimensional zonotope")
-    values, held = polar_measures(gens[None], measure)
+    values, held = polar_measures(gens[None], measure, nodes)
     if not held[0]:
         raise GeometryError("polar requires a full-dimensional zonotope")
     return float(values[0])
@@ -406,13 +392,14 @@ def polar_projection_polytope(K) -> VPolytope:
 def petty_product(K, method: str = "exact", nodes: int | None = None) -> float:
     """Affine invariant |Pi^o K| |K|^(n-1).
 
-    method 'exact' takes |Pi^o K| from the normal fan of the merged
-    projection body, the exact or walk row of ``polar_measures`` as
-    ``zonotope_polar_measure`` reads it, with no second merge (the polar
-    hull volume is its oracle in ``verify``); 'quadrature' integrates the
-    projection support in polar-radial coordinates (``polar_measure`` on
-    ``nodes`` nodes, certified by a second call on twice as many).  Under
-    'exact' ``nodes`` raises a GeometryError.
+    Both methods read |Pi^o K| off the merged generators of the projection
+    body through ``polar_measures``, with no second merge before it.
+    Method 'exact' takes its exact or walk row, as ``zonotope_polar_measure``
+    reads it (the polar hull volume is its oracle in ``verify``);
+    'quadrature' takes the float32 grid row that reports read, on
+    ``nodes`` nodes (None: the dimension's DEFAULT_NODES), certified by a
+    second call on twice as many.  ``nodes`` must be a positive integer,
+    and is refused under 'exact'.
     """
     body_vol = volume(K)
     n = K.dim
@@ -422,12 +409,13 @@ def petty_product(K, method: str = "exact", nodes: int | None = None) -> float:
         raise GeometryError(f"unknown petty_product method {method!r}")
     if method != "quadrature" and nodes is not None:
         raise GeometryError(f"nodes are read only under method 'quadrature', got method {method!r}")
-    Z = projection_body(K)
-    if method == "quadrature":
-        polar_vol = polar_measure(Z, RadialMeasure.lebesgue(), nodes)
-    else:
-        polar_vol = _merged_polar_measure(Z.generators)
-    return polar_vol * body_vol ** (n - 1)
+    if nodes is not None and not (isinstance(nodes, (int, np.integer))
+                                  and not isinstance(nodes, bool) and nodes > 0):
+        raise GeometryError(f"nodes must be a positive integer, got {nodes!r}")
+    gens = projection_body(K).generators
+    if method == "quadrature" and nodes is None:
+        nodes = DEFAULT_NODES[n]
+    return _merged_polar_measure(gens, None, nodes) * body_vol ** (n - 1)
 
 
 def cauchy_surface_bound_defect(K: VPolytope) -> float:

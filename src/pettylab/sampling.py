@@ -131,10 +131,14 @@ class Density:
 
     @staticmethod
     def ball(dim: int, radius: float) -> "Density":
+        if not 0.0 < radius < math.inf:
+            raise GeometryError(f"ball radius must be positive and finite, got {radius!r}")
         return Density("ball", dim, radius=radius)
 
     @staticmethod
     def gaussian(dim: int, sigma: float = 1.0) -> "Density":
+        if not 0.0 < sigma < math.inf:
+            raise GeometryError(f"gaussian sigma must be positive and finite, got {sigma!r}")
         return Density("gaussian", dim, sigma=sigma)
 
     def rearranged(self) -> "Density":

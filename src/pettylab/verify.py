@@ -17,11 +17,11 @@ elementwise form, and the edge-pair kernels of two tetrahedra, and the hull
 route of the pairs they mask out, against both oracles.
 The polar volume of a zonotope by ``projections.zonotope_polar_measure``,
 the route of the exact Petty product, is checked against the hull volume of
-the polar polytope, the exact planar polar measures of the experiments
-against the polar hull and the 2^16-node grid of ``polar_measure``
-(strips too), the spatial arc walk against the polar hull, a 2^16-node
-grid and a rule of four times its order, and each Gaussian grid row of
-the rule table of ``projections.polar_measures`` against the walk.  The block
+the polar polytope, the exact planar polar measures and the spatial arc
+walk against the polar hull and the float64 grid of ``polar_measure`` on
+2^16 nodes (strips too; a rule of four times the walk's order on a needle),
+and each Gaussian grid row of ``projections.polar_measures``, which petty's
+quadrature reads too, against the walk.  The block
 sample route is checked against numpy's SeedSequence and each trial's own
 generator.
 The test suite imports these oracles; the command line runs the whole list.
@@ -81,6 +81,7 @@ from .mixed import (
     zonotope_projection_generators,
 )
 from .projections import (
+    DEFAULT_NODES,
     POLAR_GRID_TOL,
     POLAR_RULES,
     TETRAHEDRON_PAIR_ATOMS,
@@ -276,6 +277,14 @@ def mixed_projection_polarization(A, B, U) -> np.ndarray:
                           for v, b in zip((vab, va, vb), base))
         out.append((s_ab - s_a - s_b) / 2.0)
     return np.array(out)
+
+
+def polar_measure(body, measure: RadialMeasure, nodes: int | None = None) -> float:
+    """measure({x : h(x) <= 1}), h the support of ``body`` (a VPolytope,
+    a Zonotope or a SupportEvaluator, flat ones too), on the float64 grid of
+    ``nodes`` nodes (None: DEFAULT_NODES): the float32 grid rows' oracle."""
+    h, n = getattr(body, "support_batch", body), body.dim
+    return polar_measure_from_support(h(sphere_directions(n, nodes or DEFAULT_NODES[n])), measure, n)
 
 
 # ---------------------------------------------------------------------------

@@ -728,13 +728,15 @@ class TestMergeParallelGenerators:
                 assert got.tobytes() == want.tobytes()
 
     def test_a_stack_merges_each_row_bit_for_bit(self):
-        # rows that only sort take the stacked pass, the others (a dropped
-        # or zero generator, a tie in the first coordinate, parallel or near
-        # copies) the one-row merge; no row depends on the rows beside it
+        # every row against the loop reference, alone and in its stack: rows
+        # that only sort, a dropped or zero generator (at 1e-150 one whose
+        # norm underflows), a tie in the first coordinate, parallel or near
+        # copies, and a gap within 1e-10 of MERGE_GAP on either side; and
+        # stacks where every row or no row drops a generator
         gen = np.random.default_rng(54)
         for n in (2, 3):
             for k in (0, 1, 2, 5, 64):
-                S = gen.normal(size=(12, k, n))
+                S = gen.normal(size=(14, k, n))
                 S[1] = 0.0
                 if k > 2:
                     S[2, 1] = -2.0 * S[2, 0]
@@ -744,13 +746,22 @@ class TestMergeParallelGenerators:
                     S[6, 1, 0] = S[6, 0, 0]
                     S[7, 0] *= 1e-13
                     S[8, :, 0] = 0.0
-                rows = merged_generator_rows(S)
-                assert len(rows) == len(S)
-                for t in range(len(S)):
-                    want = merge_parallel_generators(Zonotope(S[t])).generators
-                    assert rows[t].shape == want.shape and rows[t].tobytes() == want.tobytes()
-                    alone, = merged_generator_rows(S[t:t + 1])
-                    assert alone.tobytes() == want.tobytes()
+                    S[9] *= 1e-150
+                    S[9, 0] = 1e-13 * S[9, 1]
+                    for t, side in ((10, 1.0), (11, -1.0)):
+                        u = S[t, 0] / np.linalg.norm(S[t, 0])
+                        v = np.linalg.svd(u[None])[2][-1]
+                        S[t, 1] = 2.5 * (u + bodies.MERGE_GAP * (1.0 + side * 5e-11) * v)
+                drops = S.copy()
+                drops[:, -1:] *= 1e-13
+                for stack in (S, drops, gen.normal(size=(6, k, n))):
+                    rows = merged_generator_rows(stack)
+                    assert len(rows) == len(stack)
+                    for t in range(len(stack)):
+                        want = merge_loop(Zonotope(stack[t]))
+                        assert rows[t].shape == want.shape and rows[t].tobytes() == want.tobytes()
+                        alone, = merged_generator_rows(stack[t:t + 1])
+                        assert alone.tobytes() == want.tobytes()
 
     def test_merging_does_not_depend_on_scale(self):
         # the drop below MERGE_TOL is relative to the longest generator, so

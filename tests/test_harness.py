@@ -1611,10 +1611,10 @@ class TestSerialization:
     # report, which names the rule and a grid's certificate
     PETTY_GOLDEN = {
         ("polygon", "exact"): "fd9a01f3039dcc17702a56f54c0ad455827d5bb37e1d2553e51c712bbebf2e8b",
-        ("polygon", "quadrature"): "268c87a9d723ab514d72ba629bd35ac3e88b24b3d97e758ad31f6b894c6fee7d",
+        ("polygon", "quadrature"): "aa5997fb5ce03259f522cecf9552f335d7a686174942ea29db908c86f1bae2a3",
         ("polytope3", "exact"): "24e086b1de1d99ffc4c10206b2ebd3b8bb04b3d01d091bdbb259f676f17e69e0",
         ("polytope3", "quadrature"):
-            "54ae1ab3bd30a62a9c55cbbd2c44ae512ce634fc264a47b13e55651da84a726a",
+            "f5112599722f9e5da184ba224be433c92ed5c14f9ab8d3477ff1e0cca1c45b59",
     }
 
     def test_petty_reports_keep_their_bytes(self):

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import erf
 
 from pettylab import (
+    Density,
     GeometryError,
     RadialMeasure,
     SupportEvaluator,
@@ -18,7 +19,6 @@ from pettylab import (
     hull,
     mixed_projection_support,
     petty_product,
-    polar_measure,
     polar_projection_polytope,
     projection_body,
     solid_simplex,
@@ -40,6 +40,7 @@ from pettylab.verify import (
     mixed_volume_inclusion_exclusion,
     point_in_polygon,
     points_in_polygon,
+    polar_measure,
     shadow_oracle,
     tetrahedron_test_pairs,
 )
@@ -447,21 +448,23 @@ class TestPolarMeasure:
         assert trunc < full
 
     def test_one_read_only_node_set_per_size_serves_both_callers(self, monkeypatch):
-        # the one-body quadrature and the grid rows of the stacked entry
+        # the grid rows of the stacked entry and petty's quadrature, which
+        # reads them
         built = []
         monkeypatch.setattr(projections, "sphere_directions",
                             lambda n, count: built.append((n, count)) or sphere_directions(n, count))
         projections.node_set.cache_clear()
         try:
             for _ in range(3):
-                polar_measure(cube_body(2), RadialMeasure.lebesgue(), nodes=300)
-                polar_measure(cube_body(3), RadialMeasure.lebesgue(), nodes=500)
+                petty_product(cube_body(2), "quadrature", 300)
+                petty_product(cube_body(3), "quadrature", 500)
                 projections.polar_measures(np.eye(3)[None], RadialMeasure.lebesgue(), 500)
             assert built == [(2, 300), (3, 500)]
         finally:
             projections.node_set.cache_clear()
         U = projections.node_set(3, 500)
-        assert not U.flags.writeable and np.array_equal(U, sphere_directions(3, 500))
+        assert U.dtype == np.float32 and not U.flags.writeable
+        assert np.array_equal(U, sphere_directions(3, 500).astype(np.float32))
         assert sphere_directions(3, 500).flags.writeable
 
     def test_coordinate_major_nodes_read_as_a_row_major_copy(self):
@@ -470,17 +473,17 @@ class TestPolarMeasure:
         # over a row-major copy reads
         for n in (2, 3):
             U = projections.node_set(n, 4096)
-            assert U.shape == (4096, n) and U.T.flags.c_contiguous
+            assert U.shape == (4096, n) and U.dtype == np.float32 and U.T.flags.c_contiguous
             assert not U.flags.writeable and not U.T.flags.writeable
-        rows = np.ascontiguousarray(projections.node_set(3, 4096))
+        rows = np.ascontiguousarray(projections.node_set(3, 4096), dtype=float)
         for k in (3, 17, 30, 64, 100):
             G = np.random.default_rng(k).normal(size=(k, 3)) / k
             hv = np.abs(rows @ G.T).sum(axis=1)
             crossing = 2.0 / (hv.min() + hv.max())  # the ball's sphere crosses the polar's boundary
             for nu in (RadialMeasure.gaussian(1.0), RadialMeasure.ball(crossing)):
-                got = polar_measure(Zonotope(G), nu, nodes=4096)
+                got = projections.polar_measures(G[None], nu, 4096)[0][0]
                 want = polar_measure_from_support(hv, nu, 3)
-                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (k, nu.variant)
+                assert got == pytest.approx(want, rel=1e-7, abs=0.0), (k, nu.variant)
 
     def test_unbounded_lebesgue_region_is_rejected(self):
         with pytest.raises(GeometryError):
@@ -584,10 +587,10 @@ class TestPolarMeasures:
     @pytest.mark.parametrize("nodes", [4096, 8192])
     def test_single_precision_rows_hold_the_float64_oracle(self, nodes):
         # a grid row pairs its merged generators with the nodes in float32;
-        # polar_measure's float64 grid of the unmerged row is its oracle, for
+        # the float64 grid of the unmerged row is its oracle, for
         # cor13's bodies (random, thin, needle) at scales far past float32's
         # range, under a Gaussian and a ball at three sizes against the scale
-        U = projections.node_set(3, nodes)
+        U = sphere_directions(3, nodes)
         gen = np.random.default_rng(88)
         worst = 0.0
         for k in (17, 31, 64, 100):
@@ -718,6 +721,19 @@ class TestPetty:
             quad = petty_product(K, method="quadrature")
             assert quad == pytest.approx(exact, rel=2e-3)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_quadrature_reads_the_report_grid(self, n):
+        # petty's quadrature is the grid row of the merged projection body
+        # that reports read, and holds the float64 grid of the oracle
+        K = hull(np.random.default_rng(96 + n).normal(size=(12, n)))
+        Z = projection_body(K)
+        for nodes in (512, 4096, 8192):
+            got = petty_product(K, "quadrature", nodes)
+            want = projections.polar_measures(Z.generators[None], None, nodes)[0][0]
+            assert got == want * volume(K) ** (n - 1)
+            oracle = polar_measure(Z, RadialMeasure.lebesgue(), nodes) * volume(K) ** (n - 1)
+            assert got == pytest.approx(oracle, rel=1e-6, abs=0.0)
+
     def test_affine_invariance(self):
         gen = np.random.default_rng(91)
         K = hull(gen.normal(size=(8, 2)))
@@ -766,7 +782,8 @@ class TestPetty:
             petty_product(cube_body(n))
         gauss = RadialMeasure.gaussian(1.0)
         projections.zonotope_polar_measure(Zonotope(np.eye(3)), gauss)
-        assert calls == [((1, 2, 2), (None,)), ((1, 3, 3), (None,)), ((1, 3, 3), (gauss,))]
+        assert calls == [((1, 2, 2), (None, None)), ((1, 3, 3), (None, None)),
+                         ((1, 3, 3), (gauss, None))]
 
 
 def test_cauchy_bound_never_exceeds_surface_area():
@@ -784,13 +801,35 @@ REFUSALS = {
     "support-width": (lambda: centroid_body_support(cube_body(2))(np.ones((1, 3))),
                       "direction dimension mismatch"),
     "gaussian-sigma-zero": (lambda: RadialMeasure.gaussian(0.0), "gaussian sigma must be positive"),
+    "gaussian-sigma-nan": (lambda: RadialMeasure.gaussian(math.nan), "gaussian sigma must be positive"),
+    "gaussian-sigma-inf": (lambda: RadialMeasure.gaussian(math.inf), "gaussian sigma must be positive"),
     "ball-radius-zero": (lambda: RadialMeasure.ball(0.0), "ball radius must be positive"),
+    "ball-radius-nan": (lambda: RadialMeasure.ball(math.nan), "ball radius must be positive"),
+    "ball-radius-inf": (lambda: RadialMeasure.ball(math.inf), "ball radius must be positive"),
+    "density-gaussian-sigma-negative": (lambda: Density.gaussian(2, -1.0),
+                                        "gaussian sigma must be positive"),
+    "density-gaussian-sigma-zero": (lambda: Density.gaussian(2, 0.0), "gaussian sigma must be positive"),
+    "density-gaussian-sigma-nan": (lambda: Density.gaussian(2, math.nan),
+                                   "gaussian sigma must be positive"),
+    "density-gaussian-sigma-inf": (lambda: Density.gaussian(2, math.inf),
+                                   "gaussian sigma must be positive"),
+    "density-ball-radius-zero": (lambda: Density.ball(3, 0.0), "ball radius must be positive"),
+    "density-ball-radius-nan": (lambda: Density.ball(3, math.nan), "ball radius must be positive"),
+    "density-ball-radius-inf": (lambda: Density.ball(3, math.inf), "ball radius must be positive"),
     "centroid-body-flat": (lambda: centroid_body_support(_FLAT_TRIANGLE),
                            "centroid body needs a full-dimensional body"),
     "petty-flat": (lambda: petty_product(_FLAT_TRIANGLE),
                    "Petty product needs a full-dimensional body"),
     "petty-method": (lambda: petty_product(cube_body(2), "auto"),
                      "unknown petty_product method 'auto'"),
+    "petty-nodes-zero": (lambda: petty_product(cube_body(3), "quadrature", 0),
+                         "nodes must be a positive integer, got 0"),
+    "petty-nodes-float": (lambda: petty_product(cube_body(3), "quadrature", 2.5),
+                          "nodes must be a positive integer, got 2.5"),
+    "petty-nodes-bool": (lambda: petty_product(cube_body(3), "quadrature", True),
+                         "nodes must be a positive integer, got True"),
+    "petty-nodes-negative": (lambda: petty_product(cube_body(3), "quadrature", -3),
+                             "nodes must be a positive integer, got -3"),
 }
 
 

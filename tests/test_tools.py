@@ -30,17 +30,37 @@ def test_report_costs_prints_a_fixed_cost_and_a_cost_per_trial(capsys):
 
 def test_ab_pairs_reads_its_arguments():
     tool = _tool("ab_pairs")
-    args = tool.parse_args(["--parent", "/p", "--workload", "space", "--seed", "3"])
-    assert (args.parent, args.change, args.workload, args.seed) == (Path("/p"), ROOT, "space", 3)
+    twin = Path("/" + "p" * (len(str(ROOT)) - 1))  # as long as this tree's path
+    args = tool.parse_args(["--parent", str(twin), "--workload", "space", "--seed", "3"])
+    assert (args.parent, args.change, args.workload, args.seed) == (twin, ROOT, "space", 3)
     assert (args.seconds, args.pairs, args.hashes) == (10.0, 10, False)
     args = tool.parse_args(["--parent", "a", "--change", "b", "--workload", "plane", "--seed",
                             "27", "--seconds", "2.5", "--pairs", "3", "--hashes"])
     assert (args.change, args.seconds, args.pairs, args.hashes) == (Path("b"), 2.5, 3, True)
     for bad in (["--pairs", "0"], ["--seconds", "0"], ["--seed", "x"]):
         with pytest.raises(SystemExit):
-            tool.parse_args(["--parent", "a", "--workload", "space", "--seed", "3"] + bad)
+            tool.parse_args(["--parent", "a", "--change", "b", "--workload", "space",
+                             "--seed", "3"] + bad)
     # the trees take turns to run first
     assert [tool.run_order(i)[0] for i in range(4)] == ["parent", "change", "parent", "change"]
+
+
+def test_ab_pairs_refuses_trees_whose_paths_differ_in_length(capsys):
+    tool = _tool("ab_pairs")
+    base, side = ["--workload", "space", "--seed", "3"], ROOT.parent
+    for parent, change in ((side / "parent", side / "change2"), (side / "p", side / "pa"),
+                           (Path("/p"), None)):
+        trees = ["--parent", str(parent)] + ([] if change is None else ["--change", str(change)])
+        with pytest.raises(SystemExit):
+            tool.parse_args(trees + base)
+        want = f"paths of {len(str(parent))} and {len(str(change or ROOT))} characters"
+        assert want in capsys.readouterr().err
+    # relative paths are measured resolved, and equal lengths pass
+    args = tool.parse_args(["--parent", str(side / "parent"), "--change", str(side / "change")] + base)
+    assert (args.parent, args.change) == (side / "parent", side / "change")
+    tool.parse_args(["--parent", "aa", "--change", "bb"] + base)
+    with pytest.raises(SystemExit):
+        tool.parse_args(["--parent", "aa", "--change", str(Path.cwd() / "bbb")] + base)
 
 
 def test_ab_pairs_statistics_on_synthetic_runs():

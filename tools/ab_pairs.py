@@ -6,7 +6,9 @@
 Each pair runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 once in each tree, with the interpreter running this script, the parent
 first in even pairs and the change first in odd ones, so that a drift of
-the host's speed meets both trees alike.  ``--change`` defaults to the tree
+the host's speed meets both trees alike.  The two trees' resolved paths
+must have equal lengths: a run's speed moves with that length (the paced
+``plane`` time by about 5%).  ``--change`` defaults to the tree
 holding this script.  A run's result is the last line of its standard
 output, one JSON object.  For every end-to-end metric of the change tree's
 ``BENCHMARK.json`` the script prints both trees' medians and quartiles,
@@ -41,6 +43,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
+    # the paced runs' speed moves with the length of the checkout's path
+    lengths = [len(str(tree.resolve())) for tree in (args.parent, args.change)]
+    if lengths[0] != lengths[1]:
+        parser.error(f"--parent and --change resolve to paths of {lengths[0]} and {lengths[1]} "
+                     "characters; compare trees whose paths have equal lengths")
     return args
 
 
